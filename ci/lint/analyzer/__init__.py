@@ -11,9 +11,8 @@ The package turns C++ translation units into per-function summaries
   poll-reachability            every unbounded loop in governed engine code
                                provably reaches ExecContext::Poll on each
                                cyclic path, directly or via a one-level
-                               polling callee (CFG path analysis, not the
-                               lexical existence check from ci/lint's
-                               loop-without-poll rule).
+                               polling callee (CFG path analysis, not a
+                               lexical existence check).
   lock-order                   the lock-acquisition graph built from the
                                LRPDB_* thread-safety annotations plus the
                                acquisition sequences observed in function

@@ -1,8 +1,8 @@
 """poll-reachability: every unbounded loop in governed engine code provably
 reaches ExecContext::Poll on each cyclic path.
 
-Replaces the lexical loop-without-poll existence check with a CFG path
-analysis: a loop passes only when every fallthrough/continue path around
+A CFG path analysis rather than a lexical check that some poll exists in
+the loop body: a loop passes only when every fallthrough/continue path around
 the cycle polls — directly (Poll*/CheckNow call), via a one-level
 interprocedural summary (a callee whose own body polls), or behind a
 null-guard on the execution context (`if (exec != nullptr) ... CheckNow()`

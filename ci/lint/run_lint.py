@@ -28,13 +28,6 @@ want to rely on every local compiler flag for):
                        scanned files) to return Status/StatusOr. The compiler
                        enforces this too (-Werror=unused-result); the lint
                        catches it without a build.
-  loop-without-poll    In the governed engine dirs (src/core/, src/datalog1s/
-                       .cc files), an unbounded loop (`while (true)`,
-                       `while (1)`, `for (...;;...)`) whose body never polls
-                       execution governance (Poll*/CheckNow). Every such loop
-                       must be interruptible by a deadline or cancellation;
-                       genuinely bounded loops that merely look unbounded take
-                       `// lint: allow(loop-without-poll)` with a reason.
   raw-thread           No std::thread / std::jthread / std::async in src/
                        outside src/common/thread_pool.*: all parallelism
                        flows through ThreadPool::ParallelFor so ExecContext
@@ -79,7 +72,6 @@ RULE_IDS = [
     "wall-clock",
     "status-nodiscard",
     "status-discarded",
-    "loop-without-poll",
     "raw-thread",
 ]
 
@@ -88,8 +80,6 @@ HOT_PATH_DIRS = ("src/gdb/", "src/core/", "src/storage/")
 # deadline is *defined* in terms of the monotonic clock, so it joins src/obs
 # as a legitimate clock owner.
 CLOCK_EXEMPT_DIRS = ("src/obs/", "src/common/exec_context")
-# Dirs whose unbounded loops must poll execution governance.
-GOVERNED_LOOP_DIRS = ("src/core/", "src/datalog1s/", "src/storage/")
 # The one place allowed to spawn threads (prefix covers .h and .cc).
 THREAD_EXEMPT_PREFIXES = ("src/common/thread_pool.",)
 
@@ -225,14 +215,6 @@ CLOCK_RE = re.compile(
     r"|\b(?:std::)?s?rand\s*\(|\btime\s*\(\s*(?:NULL|nullptr|0)?\s*\)"
 )
 THROWING_STDLIB_RE = re.compile(r"\bstd::sto(?:i|l|ll|ul|ull|f|d|ld)\b")
-# An unbounded loop header: `while (true)`, `while (1)`, or a for-loop with
-# an empty condition clause (`for (;;)`, `for (int round = 1;; ++round)`).
-UNBOUNDED_LOOP_RE = re.compile(
-    r"\bwhile\s*\(\s*(?:true|1)\s*\)|\bfor\s*\(\s*[^;()]*;\s*;"
-)
-# A governance poll: exec->Poll()/CheckNow(), PollExec(exec), or any helper
-# following the Poll* naming convention.
-POLL_RE = re.compile(r"\bPoll\w*\s*\(|\bCheckNow\s*\(")
 # Word-bounded, so `std::this_thread` (legitimate in yield/sleep helpers)
 # never matches; the `(?!\s*::)` carve-out keeps nested-member uses such as
 # `std::thread::id` / `std::thread::hardware_concurrency()` legal — they
@@ -275,7 +257,6 @@ def scan_file(path, raw_text, status_fn_names=None):
 
     hot_path = in_dirs(path, HOT_PATH_DIRS) and path.endswith(".cc")
     clock_exempt = in_dirs(path, CLOCK_EXEMPT_DIRS)
-    governed = in_dirs(path, GOVERNED_LOOP_DIRS) and path.endswith(".cc")
     thread_exempt = (not path.startswith("src/")
                      or in_dirs(path, THREAD_EXEMPT_PREFIXES))
     is_annotations_header = path.endswith("src/common/thread_annotations.h")
@@ -290,11 +271,6 @@ def scan_file(path, raw_text, status_fn_names=None):
     pending_status_fn = False
     prev_code_end = ""  # Final character of the last non-blank code line.
     guarded = set(re.findall(r"LRPDB_(?:PT_)?GUARDED_BY\((\w+)\)", raw_text))
-    # loop-without-poll tracking: one record per open unbounded loop.
-    # body_depth is None until the loop's `{` is seen; a poll anywhere inside
-    # the body (including nested loops) satisfies every enclosing record,
-    # since it executes on each enclosing iteration too.
-    loop_stack = []
 
     for idx, line in enumerate(code_lines):
         # --- no-exceptions / throwing-stdlib ---
@@ -398,17 +374,6 @@ def scan_file(path, raw_text, status_fn_names=None):
                    "LRPDB_CHECK* aborts the process inside a function that "
                    "can return Status: return an error instead")
 
-        # --- loop-without-poll (with brace tracking below) ---
-        if governed:
-            if loop_stack and POLL_RE.search(line):
-                for rec in loop_stack:
-                    rec["polled"] = True
-            m = UNBOUNDED_LOOP_RE.search(line)
-            if m:
-                loop_stack.append({"idx": idx, "body_depth": None,
-                                   "polled":
-                                       bool(POLL_RE.search(line[m.end():]))})
-
         for ch in line:
             if ch == "{":
                 depth += 1
@@ -416,33 +381,12 @@ def scan_file(path, raw_text, status_fn_names=None):
                     in_status_fn = True
                     body_depth = depth
                     pending_status_fn = False
-                if loop_stack and loop_stack[-1]["body_depth"] is None:
-                    loop_stack[-1]["body_depth"] = depth
             elif ch == "}":
                 depth = max(0, depth - 1)
                 if in_status_fn and depth < body_depth:
                     in_status_fn = False
-                while (loop_stack
-                       and loop_stack[-1]["body_depth"] is not None
-                       and depth < loop_stack[-1]["body_depth"]):
-                    rec = loop_stack.pop()
-                    if not rec["polled"]:
-                        report(rec["idx"], "loop-without-poll",
-                               "unbounded loop never polls execution "
-                               "governance: call exec->Poll()/PollExec() in "
-                               "the body, or justify with "
-                               "// lint: allow(loop-without-poll)")
         if pending_status_fn and line.rstrip().endswith(";"):
             pending_status_fn = False  # Declaration only, no body.
-        # A brace-less single-statement unbounded loop closes at the `;`.
-        if (loop_stack and loop_stack[-1]["body_depth"] is None
-                and line.rstrip().endswith(";")):
-            rec = loop_stack.pop()
-            if not rec["polled"]:
-                report(rec["idx"], "loop-without-poll",
-                       "unbounded loop never polls execution governance: "
-                       "call exec->Poll()/PollExec() in the body, or justify "
-                       "with // lint: allow(loop-without-poll)")
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             prev_code_end = stripped[-1]

@@ -14,6 +14,31 @@ Status DrainForever(ExecContext* exec) {
   }
 }
 
+// The empty-condition for-loop forms are unbounded too: flagged.
+Status ForEverForm(ExecContext* exec) {
+  for (;;) {  // expect-analyze: poll-reachability
+    if (Step() == 0) break;
+  }
+  return OkStatus();
+}
+
+Status RoundForm(ExecContext* exec) {
+  for (int round = 1;; ++round) {  // expect-analyze: poll-reachability
+    if (Step() < round) break;
+  }
+  return OkStatus();
+}
+
+// A round loop that polls each iteration, and a plain bounded loop: clean.
+Status RoundFormPolled(ExecContext* exec) {
+  for (int round = 1;; ++round) {
+    LRPDB_RETURN_IF_ERROR(PollExec(exec));
+    if (Step() < round) break;
+  }
+  for (int i = 0; i < 10; ++i) Step();
+  return OkStatus();
+}
+
 // Polls unconditionally on every iteration: clean.
 Status DrainPolled(ExecContext* exec) {
   while (true) {

@@ -46,9 +46,10 @@ class FoParser {
   }
   [[nodiscard]] Status Error(const std::string& message) const {
     const Token& t = Peek();
-    return ParseError("line " + std::to_string(t.line) + ":" +
-                      std::to_string(t.column) + ": " + message +
-                      (t.text.empty() ? "" : " (at '" + t.text + "')"));
+    return ParseError(
+        "line " + std::to_string(t.line) + ":" + std::to_string(t.column) +
+        ": " + message +
+        (t.text.empty() ? "" : " (at '" + std::string(t.text) + "')"));
   }
 
   [[nodiscard]] StatusOr<SymbolId> NoteVariable(const std::string& name, bool temporal) {
@@ -73,7 +74,7 @@ class FoParser {
 
   [[nodiscard]] StatusOr<TemporalTerm> ParseTemporalTerm() {
     if (Peek().kind == TokenKind::kIdentifier) {
-      std::string name = tokens_[pos_++].text;
+      std::string name(tokens_[pos_++].text);
       LRPDB_ASSIGN_OR_RETURN(SymbolId id, NoteVariable(name, true));
       int64_t offset = 0;
       if (Match(TokenKind::kPlus)) {
@@ -130,7 +131,7 @@ class FoParser {
       // to the '(' is a bound variable.
       std::vector<std::string> names;
       while (Peek().kind == TokenKind::kIdentifier) {
-        names.push_back(tokens_[pos_++].text);
+        names.emplace_back(tokens_[pos_++].text);
       }
       if (names.empty()) return Error("expected quantified variables");
       if (!Match(TokenKind::kLeftParen)) return Error("expected '('");
@@ -165,7 +166,8 @@ class FoParser {
     }
     // Atom (IDENT '(') or comparison.
     if (Peek().kind == TokenKind::kIdentifier &&
-        Peek(1).kind == TokenKind::kLeftParen && IsRelation(Peek().text)) {
+        Peek(1).kind == TokenKind::kLeftParen &&
+        IsRelation(std::string(Peek().text))) {
       return ParseAtom();
     }
     return ParseComparison();
@@ -185,7 +187,7 @@ class FoParser {
   }
 
   [[nodiscard]] StatusOr<FoFormulaPtr> ParseAtom() {
-    std::string name = tokens_[pos_++].text;
+    std::string name(tokens_[pos_++].text);
     auto schema = SchemaOf(name);
     if (!schema.ok()) return schema.status();
     if (!Match(TokenKind::kLeftParen)) return Error("expected '('");
@@ -206,7 +208,7 @@ class FoParser {
         node->atom.data_args.push_back(
             DataTerm::Constant(db_->Constant(tokens_[pos_++].text)));
       } else if (Peek().kind == TokenKind::kIdentifier) {
-        std::string arg = tokens_[pos_++].text;
+        std::string arg(tokens_[pos_++].text);
         if (IsDataVariableName(arg)) {
           LRPDB_ASSIGN_OR_RETURN(SymbolId id, NoteVariable(arg, false));
           node->atom.data_args.push_back(DataTerm::Variable(id));

@@ -3,9 +3,14 @@
 namespace lrpdb {
 
 [[nodiscard]] Status Database::Declare(std::string_view name, RelationSchema schema) {
+  return DeclareRelation(name, schema).status();
+}
+
+[[nodiscard]] StatusOr<GeneralizedRelation*> Database::DeclareRelation(
+    std::string_view name, RelationSchema schema) {
   auto it = relations_.find(name);
   if (it != relations_.end()) {
-    if (it->second.schema() == schema) return OkStatus();
+    if (it->second.schema() == schema) return &it->second;
     // Pure-validation error on the parser's declaration path: the fault
     // battery CHECKs that parsing succeeds, so a failpoint here would abort
     // it; the redeclaration error is covered directly by gdb_test.
@@ -13,8 +18,8 @@ namespace lrpdb {
     return InvalidArgumentError("relation '" + std::string(name) +
                                 "' already declared with a different schema");
   }
-  relations_.emplace(std::string(name), GeneralizedRelation(schema));
-  return OkStatus();
+  return &relations_.emplace(std::string(name), GeneralizedRelation(schema))
+              .first->second;
 }
 
 bool Database::IsDeclared(std::string_view name) const {

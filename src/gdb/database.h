@@ -25,6 +25,12 @@ class Database {
   // different schema.
   [[nodiscard]] Status Declare(std::string_view name, RelationSchema schema);
 
+  // Declare(), then the relation itself, so that a caller adding tuples
+  // right away (the parser's .fact path) looks `name` up once. Tuples added
+  // through the pointer must match `schema`.
+  [[nodiscard]] StatusOr<GeneralizedRelation*> DeclareRelation(
+      std::string_view name, RelationSchema schema);
+
   bool IsDeclared(std::string_view name) const;
 
   // Adds a generalized tuple to `name` (which must be declared). Tuples

@@ -159,7 +159,7 @@ class LtlParser {
       return child;
     }
     if (Peek().kind == TokenKind::kIdentifier) {
-      std::string name = tokens_[pos_++].text;
+      std::string name(tokens_[pos_++].text);
       if (name == "true") return True();
       if (name == "false") return Not(True());
       return Prop(query_->propositions.Intern(name));

@@ -31,183 +31,174 @@ bool IsIdentifierChar(char c) {
   return value;
 }
 
-[[nodiscard]] StatusOr<std::vector<Token>> Tokenize(std::string_view input) {
-  std::vector<Token> tokens;
-  size_t i = 0;
-  int line = 1;
-  int column = 1;
-  bool previous_was_space = true;
+[[nodiscard]] Status Lexer::Error(const std::string& message) {
+  error_ = lrpdb::ParseError("line " + std::to_string(line_) + ":" +
+                             std::to_string(column_) + ": " + message);
+  return error_;
+}
 
-  auto error = [&](const std::string& message) {
-    return lrpdb::ParseError("line " + std::to_string(line) + ":" +
-                             std::to_string(column) + ": " + message);
-  };
-  auto advance = [&](size_t n) {
-    for (size_t k = 0; k < n; ++k) {
-      if (i < input.size() && input[i] == '\n') {
-        ++line;
-        column = 1;
-      } else {
-        ++column;
-      }
-      ++i;
-    }
-  };
-  auto push = [&](TokenKind kind, std::string text, int64_t number = 0) {
-    Token t;
-    t.kind = kind;
-    t.text = std::move(text);
-    t.number = number;
-    t.line = line;
-    t.column = column;
-    t.glued_to_previous = !previous_was_space && !tokens.empty();
-    tokens.push_back(std::move(t));
-    previous_was_space = false;
-  };
+void Lexer::Emit(TokenKind kind, std::string_view text, Token* token,
+                 int64_t number) {
+  token->kind = kind;
+  token->text = text;
+  token->number = number;
+  token->line = line_;
+  token->column = column_;
+  token->glued_to_previous = !previous_was_space_;
+  previous_was_space_ = false;
+}
 
-  while (i < input.size()) {
-    char c = input[i];
+[[nodiscard]] Status Lexer::Next(Token* token) {
+  if (!error_.ok()) return error_;
+  auto followed_by = [&](char next) {
+    return pos_ + 1 < input_.size() && input_[pos_ + 1] == next;
+  };
+  // Skip whitespace and comments. No token spans a newline, so this is the
+  // only place the line number advances.
+  while (pos_ < input_.size()) {
+    char c = input_[pos_];
     if (std::isspace(static_cast<unsigned char>(c))) {
-      previous_was_space = true;
-      advance(1);
-      continue;
-    }
-    if (c == '%' || (c == '/' && i + 1 < input.size() && input[i + 1] == '/')) {
-      while (i < input.size() && input[i] != '\n') advance(1);
-      previous_was_space = true;
-      continue;
-    }
-    if (IsIdentifierStart(c)) {
-      size_t start = i;
-      while (i < input.size() && IsIdentifierChar(input[i])) advance(1);
-      push(TokenKind::kIdentifier, std::string(input.substr(start, i - start)));
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      size_t start = i;
-      while (i < input.size() &&
-             std::isdigit(static_cast<unsigned char>(input[i]))) {
-        advance(1);
+      previous_was_space_ = true;
+      ++pos_;
+      if (c == '\n') {
+        ++line_;
+        column_ = 1;
+      } else {
+        ++column_;
       }
-      std::string text(input.substr(start, i - start));
-      StatusOr<int64_t> number = ParseDecimalInt64(text);
-      if (!number.ok()) return error(number.status().message());
-      push(TokenKind::kNumber, text, *number);
-      continue;
-    }
-    switch (c) {
-      case '"': {
-        advance(1);
-        size_t start = i;
-        while (i < input.size() && input[i] != '"' && input[i] != '\n') {
-          advance(1);
-        }
-        if (i >= input.size() || input[i] != '"') {
-          return error("unterminated string literal");
-        }
-        std::string text(input.substr(start, i - start));
-        advance(1);
-        push(TokenKind::kString, std::move(text));
-        continue;
-      }
-      case '.': {
-        if (i + 1 < input.size() && IsIdentifierStart(input[i + 1])) {
-          advance(1);
-          size_t start = i;
-          while (i < input.size() && IsIdentifierChar(input[i])) advance(1);
-          push(TokenKind::kDirective,
-               std::string(input.substr(start, i - start)));
-        } else {
-          advance(1);
-          push(TokenKind::kPeriod, ".");
-        }
-        continue;
-      }
-      case ':':
-        if (i + 1 < input.size() && input[i + 1] == '-') {
-          advance(2);
-          push(TokenKind::kImplies, ":-");
-          continue;
-        }
-        return error("expected ':-'");
-      case '?':
-        if (i + 1 < input.size() && input[i + 1] == '-') {
-          advance(2);
-          push(TokenKind::kQuery, "?-");
-          continue;
-        }
-        return error("expected '?-'");
-      case '(':
-        advance(1);
-        push(TokenKind::kLeftParen, "(");
-        continue;
-      case ')':
-        advance(1);
-        push(TokenKind::kRightParen, ")");
-        continue;
-      case ',':
-        advance(1);
-        push(TokenKind::kComma, ",");
-        continue;
-      case '+':
-        advance(1);
-        push(TokenKind::kPlus, "+");
-        continue;
-      case '-':
-        advance(1);
-        push(TokenKind::kMinus, "-");
-        continue;
-      case '^':
-        advance(1);
-        push(TokenKind::kCaret, "^");
-        continue;
-      case '&':
-        advance(1);
-        push(TokenKind::kAmp, "&");
-        continue;
-      case '|':
-        advance(1);
-        push(TokenKind::kPipe, "|");
-        continue;
-      case '~':
-        advance(1);
-        push(TokenKind::kTilde, "~");
-        continue;
-      case '!':
-        advance(1);
-        push(TokenKind::kBang, "!");
-        continue;
-      case '<':
-        if (i + 1 < input.size() && input[i + 1] == '=') {
-          advance(2);
-          push(TokenKind::kLessEqual, "<=");
-        } else {
-          advance(1);
-          push(TokenKind::kLess, "<");
-        }
-        continue;
-      case '>':
-        if (i + 1 < input.size() && input[i + 1] == '=') {
-          advance(2);
-          push(TokenKind::kGreaterEqual, ">=");
-        } else {
-          advance(1);
-          push(TokenKind::kGreater, ">");
-        }
-        continue;
-      case '=':
-        advance(1);
-        push(TokenKind::kEqual, "=");
-        continue;
-      default:
-        return error(std::string("unexpected character '") + c + "'");
+    } else if (c == '%' || (c == '/' && followed_by('/'))) {
+      size_t end = input_.find('\n', pos_);
+      Skip((end == std::string_view::npos ? input_.size() : end) - pos_);
+      previous_was_space_ = true;
+    } else {
+      break;
     }
   }
-  Token end;
-  end.kind = TokenKind::kEnd;
-  end.line = line;
-  end.column = column;
-  tokens.push_back(end);
+  if (pos_ >= input_.size()) {
+    *token = Token();
+    token->line = line_;
+    token->column = column_;
+    return OkStatus();
+  }
+
+  const size_t start = pos_;
+  const char c = input_[pos_];
+  if (IsIdentifierStart(c)) {
+    while (pos_ < input_.size() && IsIdentifierChar(input_[pos_])) Skip(1);
+    Emit(TokenKind::kIdentifier, input_.substr(start, pos_ - start), token);
+    return OkStatus();
+  }
+  if (std::isdigit(static_cast<unsigned char>(c))) {
+    while (pos_ < input_.size() &&
+           std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
+      Skip(1);
+    }
+    std::string_view text = input_.substr(start, pos_ - start);
+    StatusOr<int64_t> number = ParseDecimalInt64(text);
+    if (!number.ok()) return Error(number.status().message());
+    Emit(TokenKind::kNumber, text, token, *number);
+    return OkStatus();
+  }
+  TokenKind kind;
+  size_t length = 1;
+  switch (c) {
+    case '"': {
+      Skip(1);
+      while (pos_ < input_.size() && input_[pos_] != '"' &&
+             input_[pos_] != '\n') {
+        Skip(1);
+      }
+      if (pos_ >= input_.size() || input_[pos_] != '"') {
+        return Error("unterminated string literal");
+      }
+      std::string_view text = input_.substr(start + 1, pos_ - start - 1);
+      Skip(1);
+      Emit(TokenKind::kString, text, token);
+      return OkStatus();
+    }
+    case '.':
+      if (pos_ + 1 < input_.size() && IsIdentifierStart(input_[pos_ + 1])) {
+        Skip(1);
+        while (pos_ < input_.size() && IsIdentifierChar(input_[pos_])) {
+          Skip(1);
+        }
+        Emit(TokenKind::kDirective, input_.substr(start + 1, pos_ - start - 1),
+             token);
+        return OkStatus();
+      }
+      kind = TokenKind::kPeriod;
+      break;
+    case ':':
+      if (!followed_by('-')) return Error("expected ':-'");
+      kind = TokenKind::kImplies;
+      length = 2;
+      break;
+    case '?':
+      if (!followed_by('-')) return Error("expected '?-'");
+      kind = TokenKind::kQuery;
+      length = 2;
+      break;
+    case '(':
+      kind = TokenKind::kLeftParen;
+      break;
+    case ')':
+      kind = TokenKind::kRightParen;
+      break;
+    case ',':
+      kind = TokenKind::kComma;
+      break;
+    case '+':
+      kind = TokenKind::kPlus;
+      break;
+    case '-':
+      kind = TokenKind::kMinus;
+      break;
+    case '^':
+      kind = TokenKind::kCaret;
+      break;
+    case '&':
+      kind = TokenKind::kAmp;
+      break;
+    case '|':
+      kind = TokenKind::kPipe;
+      break;
+    case '~':
+      kind = TokenKind::kTilde;
+      break;
+    case '!':
+      kind = TokenKind::kBang;
+      break;
+    case '<':
+      kind = TokenKind::kLess;
+      if (followed_by('=')) {
+        kind = TokenKind::kLessEqual;
+        length = 2;
+      }
+      break;
+    case '>':
+      kind = TokenKind::kGreater;
+      if (followed_by('=')) {
+        kind = TokenKind::kGreaterEqual;
+        length = 2;
+      }
+      break;
+    case '=':
+      kind = TokenKind::kEqual;
+      break;
+    default:
+      return Error(std::string("unexpected character '") + c + "'");
+  }
+  Skip(length);
+  Emit(kind, input_.substr(start, length), token);
+  return OkStatus();
+}
+
+[[nodiscard]] StatusOr<std::vector<Token>> Tokenize(std::string_view input) {
+  Lexer lexer(input);
+  std::vector<Token> tokens;
+  do {
+    LRPDB_RETURN_IF_ERROR(lexer.Next(&tokens.emplace_back()));
+  } while (tokens.back().kind != TokenKind::kEnd);
   return tokens;
 }
 

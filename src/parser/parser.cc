@@ -3,42 +3,72 @@
 #include <cctype>
 #include <map>
 #include <optional>
+#include <utility>
 
 #include "src/parser/lexer.h"
 
 namespace lrpdb {
 namespace {
 
-// Recursive-descent parser over the token stream.
+// Recursive-descent parser that pulls tokens from a Lexer as it goes, so it
+// holds a few tokens at a time rather than the whole source's.
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, Database* db, ParsedUnit* unit)
-      : tokens_(std::move(tokens)), db_(db), unit_(unit) {}
+  Parser(std::string_view source, Database* db, ParsedUnit* unit)
+      : lexer_(source), db_(db), unit_(unit) {}
 
   [[nodiscard]] Status Run() {
+    Status parsed = ParseStatements();
+    // A lexical error anywhere in the source wins over a parse error before
+    // it, as when the whole source was lexed before parsing began.
+    while (!parsed.ok() && lex_error_.ok() && !lexed_end_) Lex();
+    return lex_error_.ok() ? parsed : lex_error_;
+  }
+
+ private:
+  // Ring slots: the token Advance() last returned, Peek(0) and Peek(1), so
+  // a consumed token stays readable while the parser looks one ahead.
+  static constexpr size_t kRingSize = 3;
+
+  [[nodiscard]] Status ParseStatements() {
     while (!AtEnd()) {
       LRPDB_RETURN_IF_ERROR(ParseStatement());
     }
     return OkStatus();
   }
 
- private:
-  const Token& Peek(int ahead = 0) const {
-    size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
+  // Lexes one more token into the ring. A lexical error ends the stream:
+  // the parser sees kEnd there, and Run() reports the error.
+  void Lex() {
+    Token& slot = ring_[lexed_++ % kRingSize];
+    Status status = lexer_.Next(&slot);
+    if (!status.ok()) {
+      lex_error_ = std::move(status);
+      slot = Token();
+    }
+    lexed_end_ = slot.kind == TokenKind::kEnd;
   }
-  const Token& Advance() { return tokens_[pos_++]; }
-  bool AtEnd() const { return Peek().kind == TokenKind::kEnd; }
+  const Token& Peek(size_t ahead = 0) {
+    while (lexed_ <= next_ + ahead) Lex();
+    return ring_[(next_ + ahead) % kRingSize];
+  }
+  const Token& Advance() {
+    const Token& token = Peek();
+    ++next_;
+    return token;
+  }
+  bool AtEnd() { return Peek().kind == TokenKind::kEnd; }
   bool Match(TokenKind kind) {
     if (Peek().kind != kind) return false;
-    ++pos_;
+    ++next_;
     return true;
   }
-  [[nodiscard]] Status Error(const std::string& message) const {
+  [[nodiscard]] Status Error(const std::string& message) {
     const Token& t = Peek();
-    return ParseError("line " + std::to_string(t.line) + ":" +
-                      std::to_string(t.column) + ": " + message +
-                      (t.text.empty() ? "" : " (at '" + t.text + "')"));
+    return ParseError(
+        "line " + std::to_string(t.line) + ":" + std::to_string(t.column) +
+        ": " + message +
+        (t.text.empty() ? "" : " (at '" + std::string(t.text) + "')"));
   }
   [[nodiscard]] Status Expect(TokenKind kind, const std::string& what) {
     if (Match(kind)) return OkStatus();
@@ -47,10 +77,10 @@ class Parser {
 
   [[nodiscard]] Status ParseStatement() {
     if (Peek().kind == TokenKind::kDirective) {
-      const Token& directive = Advance();
-      if (directive.text == "decl") return ParseDecl();
-      if (directive.text == "fact") return ParseFact();
-      return Error("unknown directive '." + directive.text + "'");
+      std::string_view directive = Advance().text;
+      if (directive == "decl") return ParseDecl();
+      if (directive == "fact") return ParseFact();
+      return Error("unknown directive '." + std::string(directive) + "'");
     }
     if (Match(TokenKind::kQuery)) {
       PredicateAtom atom;
@@ -66,7 +96,7 @@ class Parser {
     if (Peek().kind != TokenKind::kIdentifier) {
       return Error("expected predicate name after .decl");
     }
-    std::string name = Advance().text;
+    std::string name(Advance().text);
     LRPDB_RETURN_IF_ERROR(Expect(TokenKind::kLeftParen, "'('"));
     RelationSchema schema;
     bool seen_data = false;
@@ -75,7 +105,7 @@ class Parser {
         if (Peek().kind != TokenKind::kIdentifier) {
           return Error("expected 'time' or 'data'");
         }
-        std::string kind = Advance().text;
+        std::string_view kind = Advance().text;
         if (kind == "time") {
           if (seen_data) {
             return Error("temporal columns must precede data columns");
@@ -85,7 +115,8 @@ class Parser {
           seen_data = true;
           ++schema.data_arity;
         } else {
-          return Error("expected 'time' or 'data', got '" + kind + "'");
+          return Error("expected 'time' or 'data', got '" + std::string(kind) +
+                       "'");
         }
         if (Match(TokenKind::kRightParen)) break;
         LRPDB_RETURN_IF_ERROR(Expect(TokenKind::kComma, "','"));
@@ -95,13 +126,13 @@ class Parser {
     return unit_->program.Declare(name, schema);
   }
 
-  [[nodiscard]] StatusOr<RelationSchema> SchemaOf(const std::string& name) {
+  [[nodiscard]] StatusOr<RelationSchema> SchemaOf(std::string_view name) {
     SymbolId id = unit_->program.predicates().Find(name);
     std::optional<RelationSchema> schema;
     if (id >= 0) schema = unit_->program.SchemaOf(id);
     if (!schema.has_value()) {
       return Status(StatusCode::kParseError,
-                    "predicate '" + name + "' used before .decl");
+                    "predicate '" + std::string(name) + "' used before .decl");
     }
     return *schema;
   }
@@ -116,31 +147,25 @@ class Parser {
     return negative ? -v : v;
   }
 
-  // An lrp or integer constant in a fact argument. Returns (lrp, pinned):
-  // integers become the lrp n pinned by T = c.
-  struct FactTemporalArg {
-    Lrp lrp;
-    std::optional<int64_t> pinned;
-  };
-  [[nodiscard]] StatusOr<FactTemporalArg> ParseFactTemporalArg() {
+  // An lrp or integer constant in fact argument `column`. An integer c
+  // becomes the lrp n, pinned by adding Tcolumn = c to `constraint`.
+  [[nodiscard]] StatusOr<Lrp> ParseFactTemporalArg(int column,
+                                                   Dbm* constraint) {
     // Forms: [INT] n [± INT]  |  ±INT.
-    bool negative = false;
+    bool negative = Match(TokenKind::kMinus);
     std::optional<int64_t> coefficient;
-    if (Peek().kind == TokenKind::kMinus) {
-      ++pos_;
-      negative = true;
-    }
     if (Peek().kind == TokenKind::kNumber) {
       coefficient = Advance().number;
       if (negative) coefficient = -*coefficient;
       // "168n": 'n' glued to the number.
       if (!(Peek().kind == TokenKind::kIdentifier && Peek().text == "n" &&
             Peek().glued_to_previous)) {
-        return FactTemporalArg{Lrp(1, 0), coefficient};
+        constraint->AddEquality(column, *coefficient);
+        return Lrp(1, 0);
       }
     }
     if (Peek().kind == TokenKind::kIdentifier && Peek().text == "n") {
-      ++pos_;
+      Advance();
       int64_t period = coefficient.value_or(1);
       if (period == 0) {
         return Status(StatusCode::kParseError,
@@ -148,15 +173,13 @@ class Parser {
                       "directly instead of 0n+c");
       }
       int64_t offset = 0;
-      if (Peek().kind == TokenKind::kPlus) {
-        ++pos_;
+      if (Match(TokenKind::kPlus)) {
         LRPDB_ASSIGN_OR_RETURN(offset, ParseSignedNumber());
-      } else if (Peek().kind == TokenKind::kMinus) {
-        ++pos_;
+      } else if (Match(TokenKind::kMinus)) {
         LRPDB_ASSIGN_OR_RETURN(offset, ParseSignedNumber());
         offset = -offset;
       }
-      return FactTemporalArg{Lrp(period, offset), std::nullopt};
+      return Lrp(period, offset);
     }
     return Status(StatusCode::kParseError,
                   "expected lrp (e.g. 168n+8) or integer");
@@ -167,20 +190,22 @@ class Parser {
     if (Peek().kind != TokenKind::kIdentifier) {
       return Error("expected predicate name after .fact");
     }
-    std::string name = Advance().text;
+    std::string_view name = Advance().text;
     LRPDB_ASSIGN_OR_RETURN(RelationSchema schema, SchemaOf(name));
-    LRPDB_RETURN_IF_ERROR(db_->Declare(name, schema));
+    LRPDB_ASSIGN_OR_RETURN(GeneralizedRelation * relation,
+                           db_->DeclareRelation(name, schema));
     LRPDB_RETURN_IF_ERROR(Expect(TokenKind::kLeftParen, "'('"));
 
+    Dbm constraint(schema.temporal_arity);
     std::vector<Lrp> lrps;
-    std::vector<std::optional<int64_t>> pinned;
+    lrps.reserve(schema.temporal_arity);
     std::vector<DataValue> data;
+    data.reserve(schema.data_arity);
     for (int col = 0; col < schema.temporal_arity; ++col) {
       if (col > 0) LRPDB_RETURN_IF_ERROR(Expect(TokenKind::kComma, "','"));
-      auto arg = ParseFactTemporalArg();
-      if (!arg.ok()) return Error(arg.status().message());
-      lrps.push_back(arg->lrp);
-      pinned.push_back(arg->pinned);
+      auto lrp = ParseFactTemporalArg(col + 1, &constraint);
+      if (!lrp.ok()) return Error(lrp.status().message());
+      lrps.push_back(*lrp);
     }
     for (int col = 0; col < schema.data_arity; ++col) {
       if (col > 0 || schema.temporal_arity > 0) {
@@ -195,14 +220,8 @@ class Parser {
     }
     LRPDB_RETURN_IF_ERROR(Expect(TokenKind::kRightParen, "')'"));
 
-    Dbm constraint(schema.temporal_arity);
-    for (int col = 0; col < schema.temporal_arity; ++col) {
-      if (pinned[col].has_value()) {
-        constraint.AddEquality(col + 1, *pinned[col]);
-      }
-    }
     if (Peek().kind == TokenKind::kIdentifier && Peek().text == "with") {
-      ++pos_;
+      Advance();
       while (true) {
         LRPDB_RETURN_IF_ERROR(
             ParseColumnConstraint(schema.temporal_arity, &constraint));
@@ -210,16 +229,17 @@ class Parser {
       }
     }
     LRPDB_RETURN_IF_ERROR(Expect(TokenKind::kPeriod, "'.' after fact"));
-    return db_->AddTuple(name,
-                         GeneralizedTuple(std::move(lrps), std::move(data),
-                                          std::move(constraint)));
+    return relation
+        ->InsertUnlessEmpty(GeneralizedTuple(
+            std::move(lrps), std::move(data), std::move(constraint)))
+        .status();
   }
 
   // One side of a fact constraint: Tk [± INT] or a signed integer.
   // Returns (column index or 0 for the zero variable, offset).
   [[nodiscard]] StatusOr<std::pair<int, int64_t>> ParseConstraintSide(int temporal_arity) {
     if (Peek().kind == TokenKind::kIdentifier) {
-      const std::string& text = Peek().text;
+      std::string_view text = Peek().text;
       if (text.size() >= 2 && text[0] == 'T') {
         bool digits = true;
         for (size_t k = 1; k < text.size(); ++k) {
@@ -228,22 +248,20 @@ class Parser {
         if (digits) {
           // Overflow-safe: "T99999999999999999999" must be a parse error,
           // not a std::out_of_range crash from std::stoi.
-          StatusOr<int64_t> parsed = ParseDecimalInt64(
-              std::string_view(text).substr(1));
+          StatusOr<int64_t> parsed = ParseDecimalInt64(text.substr(1));
           if (!parsed.ok()) return parsed.status();
           int64_t column = *parsed;
           if (column < 1 || column > temporal_arity) {
             return Status(StatusCode::kParseError,
-                          "constraint references column " + text +
+                          "constraint references column " +
+                              std::string(text) +
                               " outside the temporal arity");
           }
-          ++pos_;
+          Advance();
           int64_t offset = 0;
-          if (Peek().kind == TokenKind::kPlus) {
-            ++pos_;
+          if (Match(TokenKind::kPlus)) {
             LRPDB_ASSIGN_OR_RETURN(offset, ParseSignedNumber());
-          } else if (Peek().kind == TokenKind::kMinus) {
-            ++pos_;
+          } else if (Match(TokenKind::kMinus)) {
             LRPDB_ASSIGN_OR_RETURN(offset, ParseSignedNumber());
             offset = -offset;
           }
@@ -266,31 +284,31 @@ class Parser {
         op != TokenKind::kGreater) {
       return Error("expected comparison operator");
     }
-    ++pos_;
+    Advance();
     auto rhs = ParseConstraintSide(temporal_arity);
     if (!rhs.ok()) return Error(rhs.status().message());
     auto [li, lo] = *lhs;
     auto [ri, ro] = *rhs;
     if (li == ri) return Error("constraint relates a column to itself");
-    // (x_li + lo) OP (x_ri + ro).
-    switch (op) {
-      case TokenKind::kLess:
-        constraint->AddDifferenceUpperBound(li, ri, ro - lo - 1);
-        break;
-      case TokenKind::kLessEqual:
-        constraint->AddDifferenceUpperBound(li, ri, ro - lo);
-        break;
-      case TokenKind::kEqual:
-        constraint->AddDifferenceEquality(li, ri, ro - lo);
-        break;
-      case TokenKind::kGreaterEqual:
-        constraint->AddDifferenceUpperBound(ri, li, lo - ro);
-        break;
-      case TokenKind::kGreater:
-        constraint->AddDifferenceUpperBound(ri, li, lo - ro - 1);
-        break;
-      default:
-        break;
+    // (x_li + lo) OP (x_ri + ro) is x_li - x_ri OP ro - lo. Mirroring > and
+    // >= into < and <= makes it an upper bound on x_li - x_ri in every case;
+    // a strict comparison tightens the bound by one.
+    if (op == TokenKind::kGreater || op == TokenKind::kGreaterEqual) {
+      std::swap(li, ri);
+      std::swap(lo, ro);
+    }
+    const bool strict = op == TokenKind::kLess || op == TokenKind::kGreater;
+    int64_t bound = 0;
+    // Extreme literals can leave int64; an equality also negates the bound.
+    if (__builtin_sub_overflow(ro, lo, &bound) ||
+        (strict && __builtin_sub_overflow(bound, 1, &bound)) ||
+        (op == TokenKind::kEqual && bound == INT64_MIN)) {
+      return Error("constraint bound overflows int64");
+    }
+    if (op == TokenKind::kEqual) {
+      constraint->AddDifferenceEquality(li, ri, bound);
+    } else {
+      constraint->AddDifferenceUpperBound(li, ri, bound);
     }
     return OkStatus();
   }
@@ -299,11 +317,12 @@ class Parser {
   enum class VarKind { kTemporal, kData };
   using ClauseVars = std::map<std::string, VarKind>;
 
-  [[nodiscard]] Status NoteVar(ClauseVars* vars, const std::string& name, VarKind kind) {
+  [[nodiscard]] Status NoteVar(ClauseVars* vars, std::string_view name,
+                               VarKind kind) {
     if (vars == nullptr) return OkStatus();
-    auto [it, inserted] = vars->emplace(name, kind);
+    auto [it, inserted] = vars->try_emplace(std::string(name), kind);
     if (!inserted && it->second != kind) {
-      return Error("variable '" + name +
+      return Error("variable '" + std::string(name) +
                    "' used in both temporal and data positions");
     }
     return OkStatus();
@@ -312,14 +331,12 @@ class Parser {
   // Temporal term in a rule: IDENT [± INT] or signed INT.
   [[nodiscard]] StatusOr<TemporalTerm> ParseTemporalTerm(ClauseVars* vars) {
     if (Peek().kind == TokenKind::kIdentifier) {
-      std::string name = Advance().text;
+      std::string_view name = Advance().text;
       LRPDB_RETURN_IF_ERROR(NoteVar(vars, name, VarKind::kTemporal));
       int64_t offset = 0;
-      if (Peek().kind == TokenKind::kPlus) {
-        ++pos_;
+      if (Match(TokenKind::kPlus)) {
         LRPDB_ASSIGN_OR_RETURN(offset, ParseSignedNumber());
-      } else if (Peek().kind == TokenKind::kMinus) {
-        ++pos_;
+      } else if (Match(TokenKind::kMinus)) {
         LRPDB_ASSIGN_OR_RETURN(offset, ParseSignedNumber());
         offset = -offset;
       }
@@ -336,7 +353,7 @@ class Parser {
       return DataTerm::Constant(db_->Constant(Advance().text));
     }
     if (Peek().kind == TokenKind::kIdentifier) {
-      std::string name = Advance().text;
+      std::string_view name = Advance().text;
       bool is_variable = std::isupper(static_cast<unsigned char>(name[0])) ||
                          name[0] == '_';
       if (is_variable) {
@@ -352,7 +369,7 @@ class Parser {
     if (Peek().kind != TokenKind::kIdentifier) {
       return Error("expected predicate name");
     }
-    std::string name = Advance().text;
+    std::string_view name = Advance().text;
     LRPDB_ASSIGN_OR_RETURN(RelationSchema schema, SchemaOf(name));
     atom->predicate = unit_->program.predicates().Intern(name);
     if (schema.temporal_arity + schema.data_arity == 0) {
@@ -399,7 +416,7 @@ class Parser {
       default:
         return Error("expected comparison operator");
     }
-    ++pos_;
+    Advance();
     LRPDB_ASSIGN_OR_RETURN(atom.rhs, ParseTemporalTerm(vars));
     return atom;
   }
@@ -447,8 +464,12 @@ class Parser {
     return unit_->program.AddClause(std::move(clause));
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  Lexer lexer_;
+  Token ring_[kRingSize];
+  size_t next_ = 0;   // Sequence number of Peek(0).
+  size_t lexed_ = 0;  // Tokens lexed so far.
+  bool lexed_end_ = false;
+  Status lex_error_;
   Database* db_;
   ParsedUnit* unit_;
 };
@@ -456,9 +477,8 @@ class Parser {
 }  // namespace
 
 [[nodiscard]] StatusOr<ParsedUnit> Parse(std::string_view source, Database* db) {
-  LRPDB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
   ParsedUnit unit(&db->interner());
-  Parser parser(std::move(tokens), db, &unit);
+  Parser parser(source, db, &unit);
   LRPDB_RETURN_IF_ERROR(parser.Run());
   return unit;
 }

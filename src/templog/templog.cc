@@ -83,7 +83,7 @@ class TemplogParser {
               Peek().kind != TokenKind::kString) {
             return Error("expected argument");
           }
-          atom->args.push_back(tokens_[pos_++].text);
+          atom->args.emplace_back(tokens_[pos_++].text);
           if (Match(TokenKind::kRightParen)) break;
           if (!Match(TokenKind::kComma)) return Error("expected ',' or ')'");
         }

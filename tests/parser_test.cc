@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <string>
+#include <vector>
+
 #include "src/parser/lexer.h"
 
 namespace lrpdb {
@@ -49,6 +54,47 @@ TEST(LexerTest, ComparisonOperators) {
   EXPECT_EQ((*tokens)[4].kind, TokenKind::kGreater);
   EXPECT_EQ((*tokens)[5].kind, TokenKind::kImplies);
   EXPECT_EQ((*tokens)[6].kind, TokenKind::kQuery);
+}
+
+TEST(LexerTest, TokensAreViewsIntoTheInput) {
+  // Long enough to live on the heap rather than in the string object.
+  const std::string source =
+      ".decl route(time, data)\n.fact route(12n+3, \"liege\") with T1 >= 0.";
+  auto tokens = Tokenize(source);
+  ASSERT_TRUE(tokens.ok()) << tokens.status();
+  const char* begin = source.data();
+  const char* end = begin + source.size();
+  for (const Token& t : *tokens) {
+    if (t.kind == TokenKind::kEnd) continue;
+    EXPECT_GE(t.text.data(), begin) << t.text;
+    EXPECT_LE(t.text.data() + t.text.size(), end) << t.text;
+    EXPECT_EQ(t.text, source.substr(t.text.data() - begin, t.text.size()));
+  }
+  // A string literal's text is the bytes between its quotes.
+  auto liege = std::find_if(tokens->begin(), tokens->end(), [](const Token& t) {
+    return t.kind == TokenKind::kString;
+  });
+  ASSERT_NE(liege, tokens->end());
+  EXPECT_EQ(liege->text, "liege");
+  EXPECT_EQ(liege->text.data(), begin + source.find("liege"));
+}
+
+TEST(LexerTest, NextRepeatsEndAndFirstError) {
+  Lexer lexer("p #q");
+  Token token;
+  ASSERT_TRUE(lexer.Next(&token).ok());
+  EXPECT_EQ(token.text, "p");
+  Status first = lexer.Next(&token);
+  EXPECT_EQ(first.message(), "line 1:3: unexpected character '#'");
+  EXPECT_EQ(lexer.Next(&token).message(), first.message());
+
+  Lexer done("x");
+  ASSERT_TRUE(done.Next(&token).ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(done.Next(&token).ok());
+    EXPECT_EQ(token.kind, TokenKind::kEnd);
+    EXPECT_EQ(token.column, 2);
+  }
 }
 
 TEST(ParserTest, TrainScheduleExample21) {
@@ -163,6 +209,52 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(Parse(".decl p(time)\n.fact p(3n)", &db).ok());
 }
 
+// The exact text of representative parse errors, positions included. A
+// token's line:column is where it ends, and a parse error names the token
+// it stopped at.
+TEST(ParserTest, ErrorMessagesArePinned) {
+  struct Case {
+    const char* source;
+    const char* message;
+  };
+  const Case cases[] = {
+      {".decl p(time)\n.fact p(3n) with T1 >= 0\n.fact p(4n).\n",
+       "line 3:6: expected '.' after fact (at 'fact')"},
+      {".decl p(time, data)\n.fact p(3n, 5).\n",
+       "line 2:14: expected data constant (at '5')"},
+      {".decl p(time)\np(t + 1) :- p(t) t > 0.\n",
+       "line 2:19: expected '.' after rule (at 't')"},
+      {".decl p(time)\n.bogus p.\n",
+       "line 2:9: unknown directive '.bogus' (at 'p')"},
+      {".decl p(time)\n  .fact p(3n) with T1 > @.\n",
+       "line 2:25: unexpected character '@'"},
+  };
+  for (const Case& c : cases) {
+    Database db;
+    auto unit = Parse(c.source, &db);
+    ASSERT_FALSE(unit.ok()) << c.source;
+    EXPECT_EQ(unit.status().code(), StatusCode::kParseError) << c.source;
+    EXPECT_EQ(unit.status().message(), c.message) << c.source;
+  }
+}
+
+// A lexical error anywhere in the source is reported in preference to a
+// parse error that comes before it.
+TEST(ParserTest, LexicalErrorAfterParseErrorWins) {
+  Database db;
+  auto unit = Parse(".decl p(time)\n.fact q(3n).\n.fact p(\"abc).\n", &db);
+  ASSERT_FALSE(unit.ok());
+  EXPECT_EQ(unit.status().message(), "line 3:15: unterminated string literal");
+
+  std::string source = ".decl p(time)\n.fact p(3n) 7.\n";
+  for (int i = 0; i < 100; ++i) source += ".fact p(5n+1).\n";
+  source += "p(t) :- p(t), t # 2.\n";
+  Database db2;
+  auto late = Parse(source, &db2);
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().message(), "line 103:17: unexpected character '#'");
+}
+
 // Regression: overlong numeric input must surface as kParseError, never as
 // an uncaught std::out_of_range from the std::stoi/stoll family (this is an
 // exception-free codebase; a throw is a process abort). Both crash sites —
@@ -188,6 +280,114 @@ TEST(ParserTest, OverlongLiterals) {
       ".decl p(time)\n.fact p(3n) with T99999999999999999999 = 0.", &db);
   ASSERT_FALSE(column.ok());
   EXPECT_EQ(column.status().code(), StatusCode::kParseError);
+}
+
+// Regression: a constraint whose bound leaves int64 (here -MAX - MAX - 1)
+// is a parse error, not signed overflow.
+TEST(ParserTest, ConstraintBoundOverflowIsParseError) {
+  const char* sources[] = {
+      ".decl p(time)\n"
+      ".fact p(1n+0) with T1 + 9223372036854775807 < -9223372036854775807.",
+      ".decl p(time)\n.fact p(1n) with -9223372036854775807 >= T1 + 2.",
+      ".decl p(time)\n.fact p(1n) with T1 + 1 = -9223372036854775807.",
+      ".decl p(time)\n.fact p(1n) with 9223372036854775807 > T1 - 1.",
+  };
+  for (const char* source : sources) {
+    Database db;
+    auto unit = Parse(source, &db);
+    ASSERT_FALSE(unit.ok()) << source;
+    EXPECT_EQ(unit.status().code(), StatusCode::kParseError) << source;
+    EXPECT_NE(unit.status().message().find("overflows int64"),
+              std::string::npos)
+        << unit.status();
+  }
+  // Extreme literals whose difference fits are accepted: T1 in [1, 4].
+  Database db;
+  auto fits = Parse(
+      ".decl p(time)\n.fact p(1n) with "
+      "T1 + 9223372036854775803 <= 9223372036854775807, "
+      "T1 - 9223372036854775807 > -9223372036854775807.",
+      &db);
+  ASSERT_TRUE(fits.ok()) << fits.status();
+  auto p = db.Relation("p");
+  ASSERT_TRUE(p.ok());
+  EXPECT_TRUE((*p)->ContainsGround({1}, {}));
+  EXPECT_TRUE((*p)->ContainsGround({4}, {}));
+  EXPECT_FALSE((*p)->ContainsGround({0}, {}));
+  EXPECT_FALSE((*p)->ContainsGround({5}, {}));
+}
+
+// A generated source of 2e4 facts in every fact form parses to the same
+// database as its tuples added directly.
+TEST(ParserTest, LargeSourceMatchesDirectlyAddedTuples) {
+  constexpr int kFacts = 20000;
+  const RelationSchema route_schema{2, 1};
+  const RelationSchema tick_schema{1, 0};
+  std::string source =
+      ".decl route(time, time, data)\n.decl tick(time)\n";
+  Database expected;
+  ASSERT_TRUE(expected.Declare("route", route_schema).ok());
+  ASSERT_TRUE(expected.Declare("tick", tick_schema).ok());
+  uint64_t state = 12345;
+  auto next = [&](int64_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<int64_t>((state >> 33) % bound);
+  };
+  for (int i = 0; i < kFacts; ++i) {
+    const std::string name = "s" + std::to_string(i);
+    const int64_t period = 1 + next(200);
+    const int64_t offset = next(400) - 200;
+    const int64_t gap = next(50);
+    Dbm dbm(i % 3 == 2 ? 1 : 2);
+    switch (i % 3) {
+      case 0: {  // Two lrps, a quoted constant and column constraints.
+        source += ".fact route(" + std::to_string(period) + "n" +
+                  (offset < 0 ? "-" : "+") + std::to_string(std::abs(offset)) +
+                  ", n, \"" + name + "\") with T2 = T1 + " +
+                  std::to_string(gap) + ", T1 >= " + std::to_string(offset) +
+                  ".\n";
+        dbm.AddDifferenceEquality(2, 1, gap);
+        dbm.AddLowerBound(1, offset);
+        ASSERT_TRUE(expected
+                        .AddTuple("route", GeneralizedTuple(
+                                               {Lrp(period, offset), Lrp(1, 0)},
+                                               {expected.Constant(name)}, dbm))
+                        .ok());
+        break;
+      }
+      case 1: {  // A pinned integer column and an identifier constant.
+        source += ".fact route(" + std::to_string(offset) + ", " +
+                  std::to_string(period) + "n, " + name + ") with T1 < T2.\n";
+        dbm.AddEquality(1, offset);
+        dbm.AddDifferenceUpperBound(1, 2, -1);
+        ASSERT_TRUE(expected
+                        .AddTuple("route",
+                                  GeneralizedTuple({Lrp(1, 0), Lrp(period, 0)},
+                                                   {expected.Constant(name)},
+                                                   dbm))
+                        .ok());
+        break;
+      }
+      default: {  // A temporal-only relation.
+        source += ".fact tick(" + std::to_string(period) + "n+" +
+                  std::to_string(gap) + ") with T1 <= " +
+                  std::to_string(offset + 1000) + ".\n";
+        dbm.AddUpperBound(1, offset + 1000);
+        ASSERT_TRUE(expected
+                        .AddTuple("tick", GeneralizedTuple({Lrp(period, gap)},
+                                                           {}, dbm))
+                        .ok());
+        break;
+      }
+    }
+  }
+  Database parsed;
+  auto unit = Parse(source, &parsed);
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  EXPECT_EQ(parsed.ToString(), expected.ToString());
+  auto route = parsed.Relation("route");
+  ASSERT_TRUE(route.ok());
+  EXPECT_GT((*route)->size(), 0u);
 }
 
 TEST(LexerTest, ParseDecimalInt64Bounds) {
