@@ -61,29 +61,6 @@ void BM_EngineNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineNaive)->Arg(24)->Arg(48)->Arg(96);
 
-// A1d: compiled-plan batch kernel vs the legacy tuple-at-a-time join
-// (DESIGN.md §9). Same program, same model; only the apply phase differs.
-void EngineKernelAblation(benchmark::State& state, bool use_batch_kernel) {
-  lrpdb::Database db;
-  auto unit = lrpdb::Parse(EnginesProgram(state.range(0)), &db);
-  LRPDB_CHECK(unit.ok());
-  lrpdb::EvaluationOptions options;
-  options.use_batch_kernel = use_batch_kernel;
-  for (auto _ : state) {
-    auto result = lrpdb::Evaluate(unit->program, db, options);
-    LRPDB_CHECK(result.ok());
-    benchmark::DoNotOptimize(result->iterations);
-  }
-}
-void BM_EngineBatchKernel(benchmark::State& state) {
-  EngineKernelAblation(state, true);
-}
-void BM_EngineLegacyKernel(benchmark::State& state) {
-  EngineKernelAblation(state, false);
-}
-BENCHMARK(BM_EngineBatchKernel)->Arg(24)->Arg(48)->Arg(96);
-BENCHMARK(BM_EngineLegacyKernel)->Arg(24)->Arg(48)->Arg(96);
-
 // Projection whose kept column is all of Z but is linked to a periodic
 // dropped column: exercises the residue-splitting path, with and without
 // the coalescing pass. Reports output tuple counts as counters.
@@ -175,16 +152,6 @@ void WriteReport() {
   }
   report.SetEvaluation(*result);
   report.SetProfile(result->profile);
-  // A1d in the report: batch kernel on/off over the same semi-naive run.
-  for (bool batch : {true, false}) {
-    lrpdb::EvaluationOptions options;
-    options.use_batch_kernel = batch;
-    report.Time(batch ? "wall_ms_batch_kernel" : "wall_ms_legacy_kernel",
-                [&] {
-                  auto r = lrpdb::Evaluate(unit->program, db, options);
-                  LRPDB_CHECK(r.ok()) << r.status();
-                });
-  }
   report.Write();
 }
 

@@ -359,7 +359,6 @@ lrpdb::Status BuildImage(
     LRPDB_ASSIGN_OR_RETURN(lrpdb::GeneralizedRelation * dst,
                            out->MutableRelation(name));
     lrpdb::TupleStore& store = dst->mutable_store();
-    store.set_index_enabled(rel.store().index_enabled());
     for (size_t i = 0; i < rel.size(); ++i) {
       LRPDB_RETURN_IF_ERROR(store.RestoreEntry(rel.tuple(i)));
       if (!rel.store().is_live(static_cast<lrpdb::EntryId>(i))) {

@@ -165,8 +165,8 @@ const ClausePlan& ClausePlanCache::Get(size_t clause_index,
 namespace {
 
 // A partial assignment of the clause's variables built while joining body
-// atoms, plus the per-atom matched entry ids (body order) that restore the
-// legacy emission order after a reordered join.
+// atoms, plus the per-atom matched entry ids (body order) that restore
+// body-order emission after a reordered join.
 struct BatchBinding {
   std::vector<std::optional<Lrp>> lrps;
   Dbm constraint;
@@ -182,9 +182,9 @@ struct BatchBinding {
 
 // Extends `binding` in place with the temporal columns and constraint of
 // one matched tuple (the data columns were already handled by the mask
-// chain). Returns false when the combination is infeasible. Mirrors the
-// legacy UnifyTuple exactly; `shifted` holds the per-column lrps already
-// shifted into variable space by BatchShiftColumn.
+// chain). Returns false when the combination is infeasible. `shifted`
+// holds the per-column lrps already shifted into variable space by
+// BatchShiftColumn.
 bool UnifyTemporal(const NormalizedBodyAtom& atom,
                    const GeneralizedTuple& tuple,
                    const std::vector<std::vector<Lrp>>& shifted, size_t row,
@@ -269,27 +269,24 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
       range_hi = source.range_hi;
     }
     const int64_t range_size = static_cast<int64_t>(range_hi - range_lo);
-    const bool indexed = store.index_enabled();
     // Constant-pinned postings resolve once per atom, not once per binding
     // (the hoisted SmallestPosting work). A constant with no posting at
     // all empties the frontier outright.
     const std::vector<EntryId>* const_posting = nullptr;
     int const_posting_column = -1;
     bool const_missing = false;
-    if (indexed) {
-      for (const TupleStore::DataRequirement& req :
-           compiled.const_requirements) {
-        const std::vector<EntryId>* posting =
-            store.PostingFor(req.column, req.value);
-        if (posting == nullptr) {
-          const_missing = true;
-          break;
-        }
-        if (const_posting == nullptr ||
-            posting->size() < const_posting->size()) {
-          const_posting = posting;
-          const_posting_column = req.column;
-        }
+    for (const TupleStore::DataRequirement& req :
+         compiled.const_requirements) {
+      const std::vector<EntryId>* posting =
+          store.PostingFor(req.column, req.value);
+      if (posting == nullptr) {
+        const_missing = true;
+        break;
+      }
+      if (const_posting == nullptr ||
+          posting->size() < const_posting->size()) {
+        const_posting = posting;
+        const_posting_column = req.column;
       }
     }
     std::vector<BatchBinding> next;
@@ -306,18 +303,16 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
       const std::vector<EntryId>* posting = const_posting;
       int posting_column = const_posting_column;
       bool value_missing = false;
-      if (indexed) {
-        for (const CompiledAtom::VarColumn& probe : compiled.bound_probes) {
-          const std::vector<EntryId>* var_posting =
-              store.PostingFor(probe.column, *binding.data[probe.variable]);
-          if (var_posting == nullptr) {
-            value_missing = true;
-            break;
-          }
-          if (posting == nullptr || var_posting->size() < posting->size()) {
-            posting = var_posting;
-            posting_column = probe.column;
-          }
+      for (const CompiledAtom::VarColumn& probe : compiled.bound_probes) {
+        const std::vector<EntryId>* var_posting =
+            store.PostingFor(probe.column, *binding.data[probe.variable]);
+        if (var_posting == nullptr) {
+          value_missing = true;
+          break;
+        }
+        if (posting == nullptr || var_posting->size() < posting->size()) {
+          posting = var_posting;
+          posting_column = probe.column;
         }
       }
       if (value_missing) {
@@ -343,11 +338,11 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
       }
       for (const TupleStore::DataRequirement& req :
            compiled.const_requirements) {
-        if (indexed && req.column == posting_column) continue;
+        if (req.column == posting_column) continue;
         BatchSelectDataEquals(block, req.column, req.value, &mask);
       }
       for (const CompiledAtom::VarColumn& probe : compiled.bound_probes) {
-        if (indexed && probe.column == posting_column) continue;
+        if (probe.column == posting_column) continue;
         BatchSelectDataEquals(block, probe.column,
                               *binding.data[probe.variable], &mask);
       }
@@ -387,7 +382,7 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
   LRPDB_COUNTER_ADD("eval.batch.tuples_in", tuples_in);
   if (frontier.empty()) return OkStatus();
   if (plan.reordered) {
-    // Restore the legacy emission order: lexicographic in the body-order
+    // Restore body-order emission: lexicographic in the body-order
     // entry-id vector. Each id combination was explored at most once, so
     // the comparison has no ties and the order is total.
     std::sort(frontier.begin(), frontier.end(),
@@ -395,8 +390,9 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
                 return a.ids < b.ids;
               });
   }
-  // Project each surviving binding onto the head (identical to the legacy
-  // path: exact residue-aware projection).
+  // Project each surviving binding onto the head: exact residue-aware
+  // projection (a plain DBM projection would lose congruences of
+  // projected-out variables).
   int64_t tuples_out = 0;
   for (const BatchBinding& binding : frontier) {
     LRPDB_RETURN_IF_ERROR(PollExec(exec));
@@ -482,9 +478,9 @@ GroundClausePlan CompileGroundClausePlan(const NormalizedClause& clause) {
     plan.negated.push_back(std::move(probe));
   }
   // Head stage: close the clause DBM once and resolve each head variable's
-  // derivation statically, simulating the legacy per-binding scan — the
-  // set of assigned variables at each step is a static fact (body-bound
-  // variables plus head variables solved earlier).
+  // derivation statically, as a per-binding scan would — the set of
+  // assigned variables at each step is a static fact (body-bound variables
+  // plus head variables solved earlier).
   Dbm closed = clause.constraint;
   closed.Close();
   std::vector<bool> assigned = temporal_bound;

@@ -1,30 +1,27 @@
 // Compiled clause plans and the fused batch select/join/project kernel
-// (DESIGN.md §9).
+// (DESIGN.md §9) -- the one apply path of both evaluators.
 //
-// The legacy evaluator re-derives its join structure per clause, per round,
-// per candidate probe: every scan re-collects the atom's data requirements
-// and re-picks the smallest posting list inside the store. A ClausePlan
-// compiles that structure once per clause: for each body atom, which data
-// columns are pinned by constants, which carry variables bound by earlier
-// atoms (index probes), which bind new variables, and which repeat a
-// variable within the atom; plus a join order chosen by probe selectivity.
-// ApplyClauseBatch then streams candidates from the store's posting lists
-// through one fused select/shift/join/project loop over TupleBlocks
-// (src/gdb/batch.h) instead of materializing per-operator relations.
+// A ClausePlan compiles a clause's join structure once: for each body atom,
+// which data columns are pinned by constants, which carry variables bound
+// by earlier atoms (index probes), which bind new variables, and which
+// repeat a variable within the atom; plus a join order chosen by probe
+// selectivity. ApplyClauseBatch then streams candidates from the store's
+// posting lists through one fused select/shift/join/project loop over
+// TupleBlocks (src/gdb/batch.h) instead of materializing per-operator
+// relations.
 //
-// Determinism (DESIGN.md §8 still holds): the legacy kernel emits bindings
-// in lexicographic order of the matched entry-id vector in *body order*
-// (breadth-first frontier over ascending probes). The batch kernel may
-// process atoms in plan order, so it records each binding's per-atom entry
-// ids and sorts the final frontier by the body-order id vector. Every id
-// combination is explored at most once, so the sort has no ties and
-// reproduces the legacy emission order bit-exactly — including under
+// Determinism (DESIGN.md §8): candidates are emitted in lexicographic order
+// of the matched entry-id vector in *body order*. Atoms may be processed
+// in plan order, so the kernel records each binding's per-atom entry ids
+// and, after a reordered join, sorts the final frontier by the body-order
+// id vector. Every id combination is explored at most once, so the sort
+// has no ties and fixes the stored insertion order — including under
 // atom-0 sharding, where the plan keeps body atom 0 first (it anchors the
 // shard split) and id_0 therefore stays the major key across shards. The
-// emitted tuples themselves are also bit-identical: the binding's final
-// DBM is closed by the last satisfiability check and closure is canonical,
-// lrp intersection is order-independent in canonical form, and data values
-// do not depend on join order.
+// emitted tuples themselves do not depend on the join order: the binding's
+// final DBM is closed by the last satisfiability check and closure is
+// canonical, lrp intersection is order-independent in canonical form, and
+// data values do not depend on join order.
 //
 // The windowed ground evaluator reuses the same compiled atoms (the
 // descriptors are store-agnostic column/variable indices) plus a ground
@@ -152,13 +149,11 @@ class ClausePlanCache {
 };
 
 // Applies `clause` over the given per-atom relations through the fused
-// batch kernel, collecting candidate head tuples. Bit-identical to the
-// legacy ApplyClause path in emitted tuples and their order (see the
-// determinism note above); `stats`, when non-null, receives the probe
-// counters. `parent_ids`, when non-null, captures why-provenance: one
-// vector per emitted candidate holding the positive body atoms' matched
-// entry ids in body order (identical between the two kernels — the
-// reorder sort restores body-order emission before projection).
+// batch kernel, collecting candidate head tuples in body-order emission
+// order (see the determinism note above); `stats`, when non-null, receives
+// the probe counters. `parent_ids`, when non-null, captures
+// why-provenance: one vector per emitted candidate holding the positive
+// body atoms' matched entry ids in body order.
 [[nodiscard]] Status ApplyClauseBatch(
     const NormalizedClause& clause, const ClausePlan& plan,
     const std::vector<AtomSource>& sources, const NormalizeLimits& limits,
@@ -182,7 +177,7 @@ struct GroundHeadPlan {
   };
   std::vector<Derivation> derivations;  // In head_temporal_vars order.
   // False when some head variable cannot be pinned statically; the kernel
-  // reports the legacy UnimplementedError for any surviving binding.
+  // reports UnimplementedError for any surviving binding.
   bool all_pinned = true;
   // Raw finite bounds involving at least one head variable, checkable only
   // after the derivations ran.
@@ -195,8 +190,7 @@ struct GroundClausePlan {
   ClausePlan join;  // Body order (allow_reorder == false).
   // One filter per negated body atom: how to assemble the probe fact from
   // a binding. Variables are guaranteed bound when `vars_bound`; otherwise
-  // the kernel reports the legacy InvalidArgumentError for any surviving
-  // binding.
+  // the kernel reports InvalidArgumentError for any surviving binding.
   struct NegatedProbe {
     int body_index = 0;
     bool vars_bound = true;

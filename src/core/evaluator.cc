@@ -11,8 +11,6 @@
 #include "src/core/clause_plan.h"
 #include "src/core/provenance.h"
 #include "src/gdb/algebra.h"
-
-#include "src/gdb/normalized_tuple.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -42,209 +40,6 @@ std::string RenderClause(const Program& program,
     s += program.predicates().NameOf(clause.body[i].predicate);
   }
   return s;
-}
-
-// A partial assignment of the clause's variables built while joining body
-// atoms: per temporal variable an optional lrp (unset = only DBM-bounded so
-// far, i.e. effectively all of Z), a DBM over all temporal variables, and
-// per data variable an optional constant.
-struct Binding {
-  std::vector<std::optional<Lrp>> lrps;
-  Dbm constraint;
-  std::vector<std::optional<DataValue>> data;
-  // Entry ids of the tuples joined so far, in body-atom order. Filled only
-  // while capturing why-provenance; empty otherwise.
-  std::vector<EntryId> ids;
-
-  Binding(int num_temporal, int num_data, Dbm initial)
-      : lrps(num_temporal), constraint(std::move(initial)), data(num_data) {}
-};
-
-// Extends `binding` (in place) with one stored tuple matched against `atom`.
-// Returns false when the combination is visibly infeasible (data clash, lrp
-// residue clash on a single variable, or DBM unsatisfiable).
-bool UnifyTuple(const NormalizedBodyAtom& atom, const GeneralizedTuple& tuple,
-                Binding* binding) {
-  // Data arguments.
-  for (size_t k = 0; k < atom.data_args.size(); ++k) {
-    const NormalizedDataArg& arg = atom.data_args[k];
-    DataValue actual = tuple.data()[k];
-    if (arg.is_constant()) {
-      if (arg.constant != actual) return false;
-    } else {
-      std::optional<DataValue>& slot = binding->data[arg.variable];
-      if (slot.has_value()) {
-        if (*slot != actual) return false;
-      } else {
-        slot = actual;
-      }
-    }
-  }
-  // Temporal arguments: column value == var + offset, so var ranges over the
-  // column's lrp shifted by -offset.
-  for (size_t k = 0; k < atom.temporal_args.size(); ++k) {
-    auto [var, offset] = atom.temporal_args[k];
-    Lrp var_lrp = tuple.lrp(static_cast<int>(k)).Shifted(-offset);
-    std::optional<Lrp>& slot = binding->lrps[var];
-    if (slot.has_value()) {
-      std::optional<Lrp> merged = Lrp::Intersect(*slot, var_lrp);
-      if (!merged.has_value()) return false;
-      slot = *merged;
-    } else {
-      slot = var_lrp;
-    }
-  }
-  // Tuple constraints: column_i - column_j <= c becomes
-  // var_i - var_j <= c - offset_i + offset_j.
-  const Dbm& tc = tuple.constraint();
-  auto var_of = [&](int col) {  // DBM index in the binding's DBM.
-    return col == 0 ? 0 : atom.temporal_args[col - 1].first + 1;
-  };
-  auto offset_of = [&](int col) -> int64_t {
-    return col == 0 ? 0 : atom.temporal_args[col - 1].second;
-  };
-  for (int i = 0; i <= tc.num_vars(); ++i) {
-    for (int j = 0; j <= tc.num_vars(); ++j) {
-      if (i == j) continue;
-      Bound b = tc.bound(i, j);
-      if (b.is_infinite()) continue;
-      int vi = var_of(i);
-      int vj = var_of(j);
-      int64_t c = b.value() - offset_of(i) + offset_of(j);
-      if (vi == vj) {
-        if (c < 0) return false;  // Bound between two aliases of one var.
-        continue;
-      }
-      binding->constraint.AddDifferenceUpperBound(vi, vj, c);
-    }
-  }
-  return binding->constraint.IsSatisfiable();
-}
-
-// AtomSource moved to src/core/clause_plan.h (shared with the batch
-// kernel).
-
-// Applies `clause` over the given per-atom relations, collecting candidate
-// head tuples. The state is read-only; insertion happens at end of round.
-// Join matching binds against store index probes: per body atom, the data
-// columns already determined by the atom's constants or the running binding
-// select a posting list, and only that bucket is scanned (`stats`, when
-// non-null, receives the probe counters).
-[[nodiscard]] Status ApplyClause(const NormalizedClause& clause,
-                   const std::vector<AtomSource>& sources,
-                   const NormalizeLimits& limits, StoreStats* stats,
-                   std::vector<GeneralizedTuple>* candidates,
-                   std::vector<std::vector<EntryId>>* parent_ids) {
-  if (clause.always_false) return OkStatus();
-  LRPDB_FAILPOINT("evaluator.apply_clause");
-  ExecContext* exec = limits.exec;
-  // Why-provenance capture: when requested, parent_ids stays 1:1 with
-  // candidates, each entry holding the positive body atoms' matched entry
-  // ids in body order.
-  const bool capture = parent_ids != nullptr;
-  std::vector<Binding> frontier;
-  frontier.emplace_back(clause.num_temporal_vars, clause.num_data_vars,
-                        clause.constraint);
-  if (!frontier.back().constraint.IsSatisfiable()) return OkStatus();
-  for (size_t a = 0; a < clause.body.size(); ++a) {
-    const NormalizedBodyAtom& atom = clause.body[a];
-    const TupleStore& store = sources[a].relation->store();
-    // Entry-id range this atom enumerates: the generation's range, narrowed
-    // to the shard's slice for atom 0.
-    size_t range_lo = sources[a].generation == TupleStore::Generation::kDelta
-                          ? store.delta_lo()
-                          : 0;
-    size_t range_hi = sources[a].generation == TupleStore::Generation::kDelta
-                          ? store.delta_hi()
-                          : store.size();
-    if (a == 0 && sources[0].has_range) {
-      range_lo = sources[0].range_lo;
-      range_hi = sources[0].range_hi;
-    }
-    // Data columns fixed by the atom itself, independent of the binding.
-    std::vector<TupleStore::DataRequirement> base_requirements;
-    for (size_t k = 0; k < atom.data_args.size(); ++k) {
-      if (atom.data_args[k].is_constant()) {
-        base_requirements.push_back(
-            {static_cast<int>(k), atom.data_args[k].constant});
-      }
-    }
-    std::vector<Binding> next;
-    std::vector<TupleStore::DataRequirement> requirements;
-    // ForEachCandidate's callback cannot return a Status; a poll failure is
-    // parked here and short-circuits the remaining candidates.
-    Status poll_status = OkStatus();
-    for (const Binding& binding : frontier) {
-      LRPDB_RETURN_IF_ERROR(PollExec(exec));
-      requirements = base_requirements;
-      for (size_t k = 0; k < atom.data_args.size(); ++k) {
-        const NormalizedDataArg& arg = atom.data_args[k];
-        if (!arg.is_constant() && binding.data[arg.variable].has_value()) {
-          requirements.push_back(
-              {static_cast<int>(k), *binding.data[arg.variable]});
-        }
-      }
-      store.ForEachCandidateInRange(
-          requirements, range_lo, range_hi, stats, [&](EntryId id) {
-            if (!poll_status.ok()) return;
-            poll_status = PollExec(exec);
-            if (!poll_status.ok()) return;
-            Binding extended = binding;
-            if (UnifyTuple(atom, store.tuple(id), &extended)) {
-              if (capture) extended.ids.push_back(id);
-              next.push_back(std::move(extended));
-            }
-          });
-      LRPDB_RETURN_IF_ERROR(poll_status);
-    }
-    frontier = std::move(next);
-    if (frontier.empty()) return OkStatus();
-  }
-  // Project each surviving binding onto the head.
-  for (const Binding& binding : frontier) {
-    LRPDB_RETURN_IF_ERROR(PollExec(exec));
-    // Full binding tuple over all clause temporal variables; unset lrps
-    // default to Z (period 1).
-    std::vector<Lrp> lrps(clause.num_temporal_vars);
-    for (int v = 0; v < clause.num_temporal_vars; ++v) {
-      if (binding.lrps[v].has_value()) lrps[v] = *binding.lrps[v];
-    }
-    GeneralizedTuple full(std::move(lrps), {}, binding.constraint);
-    // Exact residue-aware projection onto the head variables: a plain DBM
-    // projection would lose congruences of projected-out variables.
-    LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pieces,
-                           NormalizedTuple::Normalize(full, limits));
-    std::vector<DataValue> head_data;
-    head_data.reserve(clause.head_data.size());
-    for (const NormalizedDataArg& arg : clause.head_data) {
-      if (arg.is_constant()) {
-        head_data.push_back(arg.constant);
-      } else {
-        const std::optional<DataValue>& v = binding.data[arg.variable];
-        if (!v.has_value()) {
-          return InternalError("unbound head data variable in clause head");
-        }
-        head_data.push_back(*v);
-      }
-    }
-    std::vector<EntryId> parents;
-    if (capture) {
-      // Negated atoms match evaluation-local complement relations whose
-      // entries are not stable addresses, so they are omitted.
-      parents.reserve(binding.ids.size());
-      for (size_t a = 0; a < clause.body.size(); ++a) {
-        if (!clause.body[a].negated) parents.push_back(binding.ids[a]);
-      }
-    }
-    for (const NormalizedTuple& piece : pieces) {
-      NormalizedTuple projected =
-          piece.ProjectTemporal(clause.head_temporal_vars);
-      GeneralizedTuple head = projected.ToGeneralizedTuple();
-      candidates->emplace_back(head.lrps(), head_data, head.constraint());
-      if (capture) parent_ids->push_back(parents);
-    }
-  }
-  return OkStatus();
 }
 
 // Shared machinery between Evaluate and QueryAtom: resolves the relation a
@@ -567,9 +362,6 @@ namespace {
 
   RelationResolver resolver(program, db, &result.idb);
   resolver.SetActiveDomain(CollectActiveDomain(program, db));
-  for (auto& [unused, relation] : result.idb) {
-    relation.mutable_store().set_index_enabled(options.indexed_storage);
-  }
 
   // Worker threads for the clause-application phase. The resolved count
   // affects wall time only: candidate deltas are merged in fixed task
@@ -582,8 +374,7 @@ namespace {
   result.threads = threads;
   LRPDB_GAUGE_SET("eval.parallel.threads", threads);
 
-  // Compile-once clause plans for the batch kernel, cached across rounds
-  // and strata. Populated from the sequential task-building phase only;
+  // Compile-once clause plans, cached across rounds and strata. Populated from the sequential task-building phase only;
   // workers see const ClausePlan pointers.
   ClausePlanCache plan_cache(normalized.clauses.size(),
                              /*allow_reorder=*/true);
@@ -684,16 +475,14 @@ namespace {
       // Kept 1:1 with `candidates` while capturing provenance.
       std::vector<std::vector<EntryId>> candidate_parents;
       // Build the round's task list sequentially, in clause order then
-      // pivot order — exactly the ApplyClause call order of the
-      // single-threaded engine. Each (clause, pivot) unit is further split
-      // into shards over body atom 0's enumeration range: ApplyClause
-      // yields candidates in lexicographic entry-id order (the frontier
-      // join extends bindings breadth-first over ascending probes), so
+      // pivot order — exactly the call order of the single-threaded
+      // engine. Each (clause, pivot) unit is further split into shards over
+      // body atom 0's enumeration range: ApplyClauseBatch yields candidates
+      // in lexicographic body-order entry-id order (clause_plan.h), so
       // concatenating shard outputs in shard order reproduces the
       // unsharded candidate sequence for any shard boundaries.
       struct RoundTask {
         int clause_index = 0;
-        // Compiled plan for the batch kernel; nullptr on the legacy path.
         const ClausePlan* plan = nullptr;
         std::vector<AtomSource> sources;
         bool counts_application = false;  // First shard of its unit.
@@ -707,8 +496,7 @@ namespace {
       std::vector<RoundTask> tasks;
       auto add_tasks = [&](size_t ci, const std::vector<AtomSource>& sources) {
         const NormalizedClause& clause = normalized.clauses[ci];
-        const ClausePlan* plan =
-            options.use_batch_kernel ? &plan_cache.Get(ci, clause) : nullptr;
+        const ClausePlan* plan = &plan_cache.Get(ci, clause);
         size_t shard_lo = 0;
         size_t shard_hi = 0;
         if (!clause.body.empty() && !clause.always_false) {
@@ -835,13 +623,9 @@ namespace {
                   normalized.clauses[task.clause_index];
               std::vector<std::vector<EntryId>>* task_parents =
                   prov != nullptr ? &task.parent_ids : nullptr;
-              LRPDB_RETURN_IF_ERROR(
-                  task.plan != nullptr
-                      ? ApplyClauseBatch(clause, *task.plan, task.sources,
-                                         limits, &task.store,
-                                         &task.candidates, task_parents)
-                      : ApplyClause(clause, task.sources, limits, &task.store,
-                                    &task.candidates, task_parents));
+              LRPDB_RETURN_IF_ERROR(ApplyClauseBatch(
+                  clause, *task.plan, task.sources, limits, &task.store,
+                  &task.candidates, task_parents));
               task.apply_us = UsSince(task_start);
               LRPDB_COUNTER_INC("eval.parallel.tasks");
             }
@@ -1079,7 +863,7 @@ const EvaluationResult& Evaluator::Partial() const {
   limits.exec = exec;
   ExecContext::ScopedCurrent scoped_exec(exec);
   // Build a one-atom synthetic clause whose head lists the query's distinct
-  // variables, then reuse ApplyClause.
+  // variables, then run it through the clause kernel.
   NormalizedClause clause;
   clause.head_predicate = -1;
   std::map<SymbolId, int> temporal_ids;
@@ -1135,9 +919,9 @@ const EvaluationResult& Evaluator::Partial() const {
       resolver.Resolve(query.predicate, clause.body[0].is_intensional));
 
   std::vector<GeneralizedTuple> candidates;
-  LRPDB_RETURN_IF_ERROR(
-      ApplyClause(clause, sources, limits, nullptr, &candidates,
-                  /*parent_ids=*/nullptr));
+  LRPDB_RETURN_IF_ERROR(ApplyClauseBatch(
+      clause, CompileClausePlan(clause, /*allow_reorder=*/false), sources,
+      limits, /*stats=*/nullptr, &candidates));
   GeneralizedRelation answers(
       {static_cast<int>(clause.head_temporal_vars.size()),
        static_cast<int>(clause.head_data.size())});

@@ -64,11 +64,6 @@ struct EvaluationOptions {
   // residue classes with identical constraints and drop subsumed tuples)
   // so the reported closed form is near-minimal. Ground sets are unchanged.
   bool compact_results = true;
-  // Use the signature/data indexes of the tuple store for InsertIfNew
-  // subsumption probes and join-side candidate pruning. Disabling falls
-  // back to the brute-force linear-scan reference path (identical results;
-  // exists for differential testing and ablation).
-  bool indexed_storage = true;
   // Optional execution governance: deadline, tuple/byte budgets, step
   // quota, cooperative cancellation (src/common/exec_context.h). Not
   // owned; must outlive the evaluation. When a limit trips, Evaluate()
@@ -80,13 +75,6 @@ struct EvaluationOptions {
   // kDefaultMaxRounds) on top of max_iterations above. Setting
   // limits.exec directly is equivalent; this field wins if both are set.
   ExecContext* exec = nullptr;
-  // Apply clauses through the compiled-plan batch kernel (columnar
-  // TupleBlock scans over cached ClausePlans, DESIGN.md §9) instead of the
-  // tuple-at-a-time legacy join. Both paths produce the bit-identical
-  // model, insertion order, and Explain(false) dump at any thread count;
-  // the legacy path is kept as the differential oracle
-  // (tests/batch_kernel_test.cc) and for ablation.
-  bool use_batch_kernel = true;
   // Worker threads for the clause-application phase of each round
   // (DESIGN.md §8). 0 (the default) resolves through
   // ThreadPool::DefaultThreads(), i.e. the LRPDB_THREADS environment
@@ -98,11 +86,10 @@ struct EvaluationOptions {
   // Optional why-provenance recording (src/core/provenance.h): when
   // non-null, every IDB insert records a derivation origin — (clause
   // index, positive-body parent EntryIds, round) — into this log,
-  // subsumption-aware, from both the batch and legacy kernels. Not owned;
-  // must outlive the evaluation and any WhyProvenance queries over its
-  // EntryIds. Recording disables result compaction (compaction renumbers
-  // entries; the model is unchanged, just uncompacted). Ignored under
-  // LRPDB_NO_PROVENANCE builds.
+  // subsumption-aware. Not owned; must outlive the evaluation and any
+  // WhyProvenance queries over its EntryIds. Recording disables result
+  // compaction (compaction renumbers entries; the model is unchanged, just
+  // uncompacted). Ignored under LRPDB_NO_PROVENANCE builds.
   ProvenanceLog* provenance = nullptr;
 };
 
@@ -147,14 +134,14 @@ struct RuleProfile {
   int clause_index = 0;
   std::string head_predicate;
   std::string rule;  // Rendered "head :- body" sketch for dumps.
-  // ApplyClause invocations: 1 for the initial full round plus one per
+  // ApplyClauseBatch invocations: 1 for the initial full round plus one per
   // nonempty semi-naive delta pivot per later round.
   int64_t applications = 0;
   int64_t derivations = 0;   // Candidate head tuples produced (attempted).
   int64_t inserted = 0;      // Candidates kept (new ground tuples).
   int64_t subsumed = 0;      // Candidates adding nothing new (or empty).
   int64_t new_free_extensions = 0;  // Inserted tuples with a new signature.
-  int64_t apply_us = 0;      // Wall time in ApplyClause (join + project).
+  int64_t apply_us = 0;      // Wall time applying the clause (join + project).
 };
 
 // The evaluation's EXPLAIN profile: per-rule totals plus evaluation-wide

@@ -1,7 +1,6 @@
 #include "src/core/ground_evaluator.h"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "src/common/failpoint.h"
@@ -12,15 +11,6 @@
 
 namespace lrpdb {
 namespace {
-
-// A ground assignment of the clause's dense variables.
-struct GroundBinding {
-  std::vector<std::optional<int64_t>> temporal;
-  std::vector<std::optional<DataValue>> data;
-  // Matched fact indices of the positive body atoms joined so far, in body
-  // order. Filled only while capturing why-provenance.
-  std::vector<uint32_t> ids;
-};
 
 // Per-clause why-provenance context threaded into the apply stages; null
 // when recording is off (the default, and always under
@@ -34,60 +24,11 @@ struct ProvCapture {
   int round = 0;
 };
 
-// Checks the clause's DBM against a (possibly partial) binding: only bounds
-// whose endpoints are both assigned participate.
-bool ConstraintsHold(const Dbm& dbm, const GroundBinding& binding) {
-  auto value_of = [&](int i) -> std::optional<int64_t> {
-    if (i == 0) return 0;
-    return binding.temporal[i - 1];
-  };
-  for (int i = 0; i <= dbm.num_vars(); ++i) {
-    for (int j = 0; j <= dbm.num_vars(); ++j) {
-      if (i == j) continue;
-      Bound b = dbm.bound(i, j);
-      if (b.is_infinite()) continue;
-      std::optional<int64_t> vi = value_of(i);
-      std::optional<int64_t> vj = value_of(j);
-      if (!vi.has_value() || !vj.has_value()) continue;
-      if (*vi - *vj > b.value()) return false;
-    }
-  }
-  return true;
-}
-
-bool UnifyGround(const NormalizedBodyAtom& atom, const GroundTuple& fact,
-                 GroundBinding* binding) {
-  for (size_t k = 0; k < atom.data_args.size(); ++k) {
-    const NormalizedDataArg& arg = atom.data_args[k];
-    if (arg.is_constant()) {
-      if (arg.constant != fact.data[k]) return false;
-    } else {
-      std::optional<DataValue>& slot = binding->data[arg.variable];
-      if (slot.has_value()) {
-        if (*slot != fact.data[k]) return false;
-      } else {
-        slot = fact.data[k];
-      }
-    }
-  }
-  for (size_t k = 0; k < atom.temporal_args.size(); ++k) {
-    auto [var, offset] = atom.temporal_args[k];
-    int64_t value = fact.times[k] - offset;
-    std::optional<int64_t>& slot = binding->temporal[var];
-    if (slot.has_value()) {
-      if (*slot != value) return false;
-    } else {
-      slot = value;
-    }
-  }
-  return true;
-}
-
 // Flat frontier of the compiled ground kernel: one row per surviving
 // binding, temporal and data values in dense variable-indexed strides.
 // Assignedness is static per join stage (a slot is written exactly when the
-// plan says its variable binds), so rows carry plain values instead of the
-// legacy path's vectors of optionals.
+// plan says its variable binds), so rows carry plain values rather than
+// optionals.
 struct FlatFrontier {
   std::vector<int64_t> temporal;
   std::vector<DataValue> data;
@@ -98,12 +39,11 @@ struct FlatFrontier {
   size_t rows = 0;
 };
 
-// One (clause, pivot) application through the compiled plan. Produces the
-// identical facts in the identical insertion order as the legacy
-// tuple-at-a-time block: atoms join in body order, facts enumerate in
-// ascending index order, and every constraint bound is checked at the first
-// atom where both endpoints are assigned (equivalent to the legacy path's
-// full recheck per extension, since assigned values never change).
+// One (clause, pivot) application through the compiled plan. Atoms join in
+// body order and facts enumerate in ascending index order, so insertion
+// order is deterministic. Every constraint bound is checked at the first
+// atom where both endpoints are assigned (equivalent to rechecking the
+// whole clause DBM per extension, since assigned values never change).
 [[nodiscard]] Status ApplyGroundPlan(
     const NormalizedClause& clause, const GroundClausePlan& plan,
     const std::vector<const GroundFactStore*>& facts,
@@ -378,11 +318,9 @@ struct FlatFrontier {
   // Compile every clause once up front (hoisted join descriptors, head
   // derivations, incremental bound checks); the rounds below only execute.
   std::vector<GroundClausePlan> plans;
-  if (options.use_compiled_plan) {
-    plans.reserve(normalized.clauses.size());
-    for (const NormalizedClause& clause : normalized.clauses) {
-      plans.push_back(CompileGroundClausePlan(clause));
-    }
+  plans.reserve(normalized.clauses.size());
+  for (const NormalizedClause& clause : normalized.clauses) {
+    plans.push_back(CompileGroundClausePlan(clause));
   }
   using StrataMap = std::map<SymbolId, int>;
   LRPDB_ASSIGN_OR_RETURN(StrataMap strata, program.Stratify());
@@ -508,168 +446,9 @@ struct FlatFrontier {
           prov = &clause_prov[ci];
           prov->round = result.iterations + 1;
         }
-        if (options.use_compiled_plan) {
-          LRPDB_RETURN_IF_ERROR(ApplyGroundPlan(
-              clause, plans[ci], clause_facts[ci], head_facts, pivot,
-              /*use_delta=*/round > 1, options, exec, &grew, &result, prov));
-          continue;
-        }
-        // Nested-loop join over the positive atoms, atom by atom. The
-        // pivot atom scans only its store's delta generation.
-        std::vector<GroundBinding> frontier;
-        GroundBinding initial;
-        initial.temporal.resize(clause.num_temporal_vars);
-        initial.data.resize(clause.num_data_vars);
-        frontier.push_back(initial);
-        for (size_t a = 0; a < clause.body.size() && !frontier.empty(); ++a) {
-          if (clause.body[a].negated) continue;
-          const GroundFactStore* facts = facts_of(clause.body[a]);
-          bool delta_only = round > 1 && static_cast<int>(a) == pivot;
-          size_t lo = delta_only ? facts->delta_lo() : 0;
-          size_t hi = delta_only ? facts->delta_hi() : facts->size();
-          std::vector<GroundBinding> next;
-          for (const GroundBinding& binding : frontier) {
-            LRPDB_RETURN_IF_ERROR(PollExec(exec));
-            for (size_t fi = lo; fi < hi; ++fi) {
-              const GroundTuple& fact = facts->fact(fi);
-              GroundBinding extended = binding;
-              if (UnifyGround(clause.body[a], fact, &extended) &&
-                  ConstraintsHold(clause.constraint, extended)) {
-                if (prov != nullptr) {
-                  extended.ids.push_back(static_cast<uint32_t>(fi));
-                }
-                next.push_back(std::move(extended));
-              }
-            }
-          }
-          frontier = std::move(next);
-        }
-        // Negated atoms filter the surviving bindings; safety guarantees
-        // their variables are bound by the positive atoms.
-        for (const NormalizedBodyAtom& atom : clause.body) {
-          if (!atom.negated || frontier.empty()) continue;
-          std::vector<GroundBinding> kept;
-          const GroundFactStore* facts = facts_of(atom);
-          for (GroundBinding& binding : frontier) {
-            GroundTuple fact;
-            bool bound = true;
-            for (auto [var, offset] : atom.temporal_args) {
-              if (!binding.temporal[var].has_value()) {
-                bound = false;
-                break;
-              }
-              fact.times.push_back(*binding.temporal[var] + offset);
-            }
-            for (const NormalizedDataArg& arg : atom.data_args) {
-              if (arg.is_constant()) {
-                fact.data.push_back(arg.constant);
-              } else if (binding.data[arg.variable].has_value()) {
-                fact.data.push_back(*binding.data[arg.variable]);
-              } else {
-                bound = false;
-                break;
-              }
-            }
-            if (!bound) {
-              return InvalidArgumentError(
-                  "negated atom with variables unbound by positive atoms");
-            }
-            if (facts->count(fact) == 0) kept.push_back(std::move(binding));
-          }
-          frontier = std::move(kept);
-        }
-        // Heads. Head variables not bound by the body range over the whole
-        // window (they are only DBM-constrained); enumerate them.
-        for (GroundBinding& binding : frontier) {
-          LRPDB_RETURN_IF_ERROR(PollExec(exec));
-          std::vector<int> free_vars;
-          for (int v : clause.head_temporal_vars) {
-            // Head vars are always fresh; they are pinned by equalities in
-            // the clause DBM to body variables or constants. Solve them.
-            if (!binding.temporal[v].has_value()) free_vars.push_back(v);
-          }
-          // Derive pinned values via the DBM equalities (close once).
-          Dbm closed = clause.constraint;
-          closed.Close();
-          for (int v : free_vars) {
-            // v = w + c when both bounds are tight against some assigned w
-            // or the zero variable.
-            for (int w = 0; w <= closed.num_vars(); ++w) {
-              if (w == v + 1) continue;
-              Bound up = closed.bound(v + 1, w);
-              Bound down = closed.bound(w, v + 1);
-              if (up.is_infinite() || down.is_infinite() ||
-                  up.value() != -down.value()) {
-                continue;
-              }
-              std::optional<int64_t> base =
-                  w == 0 ? std::optional<int64_t>(0)
-                         : binding.temporal[w - 1];
-              if (base.has_value()) {
-                binding.temporal[v] = *base + up.value();
-                break;
-              }
-            }
-          }
-          bool all_bound = true;
-          for (int v : clause.head_temporal_vars) {
-            all_bound = all_bound && binding.temporal[v].has_value();
-          }
-          if (!all_bound) {
-            return UnimplementedError(
-                "ground baseline requires every head temporal variable to be "
-                "pinned to a body variable or constant");
-          }
-          if (!ConstraintsHold(clause.constraint, binding)) continue;
-          GroundTuple fact;
-          bool in_window = true;
-          for (int v : clause.head_temporal_vars) {
-            int64_t t = *binding.temporal[v];
-            in_window = in_window && t >= options.window_lo &&
-                        t < options.window_hi;
-            fact.times.push_back(t);
-          }
-          if (!in_window) continue;
-          for (const NormalizedDataArg& arg : clause.head_data) {
-            if (arg.is_constant()) {
-              fact.data.push_back(arg.constant);
-            } else {
-              if (!binding.data[arg.variable].has_value()) {
-                return InternalError("unbound head data variable");
-              }
-              fact.data.push_back(*binding.data[arg.variable]);
-            }
-          }
-          const int64_t fact_bytes =
-              static_cast<int64_t>(fact.times.size() + fact.data.size()) * 8 +
-              48;
-          auto [fact_index, inserted] =
-              head_facts.InsertIndexed(std::move(fact));
-          if (inserted) {
-            grew = true;
-            ++result.facts_derived;
-            if (exec != nullptr) {
-              exec->ChargeTuples(1);
-              exec->ChargeBytes(fact_bytes);
-            }
-            if (result.facts_derived > options.max_facts) {
-              return ResourceExhaustedError(
-                  "ground evaluation exceeded max_facts");
-            }
-          }
-          if (prov != nullptr) {
-            DerivationOrigin origin;
-            origin.rule = prov->rule;
-            origin.round = prov->round;
-            origin.parents.reserve(binding.ids.size());
-            for (size_t k = 0; k < binding.ids.size(); ++k) {
-              origin.parents.push_back(
-                  ProvRef{prov->parents[k], binding.ids[k]});
-            }
-            LRPDB_RETURN_IF_ERROR(prov->log->Record(
-                ProvRef{prov->head, fact_index}, std::move(origin)));
-          }
-        }
+        LRPDB_RETURN_IF_ERROR(ApplyGroundPlan(
+            clause, plans[ci], clause_facts[ci], head_facts, pivot,
+            /*use_delta=*/round > 1, options, exec, &grew, &result, prov));
       }
     }
     result.iterations += 1;

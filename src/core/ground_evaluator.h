@@ -5,11 +5,11 @@
 // infinite. This baseline makes the comparison concrete: it materializes the
 // extensional relations' ground tuples whose time values fall in [lo, hi),
 // then runs ordinary semi-naive Datalog, discarding derived tuples that
-// leave the window. It serves as (a) the differential-testing oracle for the
-// generalized engine (their models must agree inside the window, up to
-// window-boundary effects handled by the tests) and (b) the baseline of
-// benchmark E4, whose cost grows linearly with the window while the
-// generalized engine's does not.
+// leave the window. It serves as (a) the correctness oracle for the
+// generalized engine -- the paper's ground semantics, so their models must
+// agree inside the window, up to window-boundary effects handled by the
+// tests -- and (b) the baseline of benchmark E4, whose cost grows linearly
+// with the window while the generalized engine's does not.
 #ifndef LRPDB_CORE_GROUND_EVALUATOR_H_
 #define LRPDB_CORE_GROUND_EVALUATOR_H_
 
@@ -31,14 +31,6 @@ struct GroundEvaluationOptions {
   int64_t window_hi = 1000;
   // Safety valve on total derived facts.
   int64_t max_facts = 10'000'000;
-  // Run the join/filter/head stages over clause plans compiled once per
-  // clause (src/core/clause_plan.h): flat frontier rows instead of
-  // per-fact optional-vector copies, per-atom incremental bound checks
-  // instead of full DBM rescans, and a hoisted head stage (the per-binding
-  // DBM closure and head-variable pinning analysis run once per clause).
-  // The tuple-at-a-time legacy path is kept as the differential oracle;
-  // both produce the identical fact sets in the identical insertion order.
-  bool use_compiled_plan = true;
   // Optional execution governance (deadline / budgets / cancellation); not
   // owned, must outlive the evaluation. The join and head loops poll it,
   // and derived facts charge its tuple/byte budgets; a trip unwinds as that
@@ -47,11 +39,10 @@ struct GroundEvaluationOptions {
   ExecContext* exec = nullptr;
   // Optional why-provenance recording (src/core/provenance.h): when
   // non-null, every derived ground fact records (clause index, positive
-  // body atoms' fact indices, round), from both the compiled-plan and
-  // legacy paths. Parents referencing extensional relations resolve
-  // against GroundEvaluationResult::edb, which is returned precisely so
-  // recorded addresses outlive the evaluation. Not owned; ignored under
-  // LRPDB_NO_PROVENANCE builds.
+  // body atoms' fact indices, round). Parents referencing extensional
+  // relations resolve against GroundEvaluationResult::edb, which is
+  // returned precisely so recorded addresses outlive the evaluation. Not
+  // owned; ignored under LRPDB_NO_PROVENANCE builds.
   ProvenanceLog* provenance = nullptr;
 };
 

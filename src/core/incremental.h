@@ -26,8 +26,8 @@
 // Both operations leave the model semantically identical to a from-scratch
 // refixpoint of the updated database (the differential gauntlet in
 // tests/incremental_test.cc enforces ground-window equality, plus
-// bit-identical stored dumps across {batch,legacy} kernels × thread
-// counts for the incremental runs themselves).
+// bit-identical stored dumps across thread counts for the incremental runs
+// themselves).
 //
 // Fallbacks. Programs with negation (materialized complements go stale
 // across updates), models that never reached fixpoint, and retraction

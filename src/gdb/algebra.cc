@@ -379,28 +379,16 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
   LRPDB_OPERATOR_SCOPE(op, "gdb.select_data", r.size());
   GeneralizedRelation out(r.schema());
   const TupleStore& store = r.store();
-  TupleBlock block;
-  if (store.index_enabled()) {
-    // Posting fast path: only the matching entries are ever visited (the
-    // posting is ascending, so output order matches the scan path).
-    const std::vector<EntryId>* posting = store.PostingFor(column, value);
-    if (posting == nullptr) {
-      op.set_output(0);
-      return out;
-    }
-    block.FillFromPosting(store, *posting, 0, r.size());
-  } else {
-    block.FillFromRange(store, 0, r.size());
+  // Exactly the posting's entries match (ascending, so output order is
+  // entry order); tombstoned entries were pruned from it.
+  const std::vector<EntryId>* posting = store.PostingFor(column, value);
+  if (posting == nullptr) {
+    op.set_output(0);
+    return out;
   }
-  SelectionMask mask;
-  mask.Reset(block.rows());
-  BatchSelectDataEquals(block, column, value, &mask);
-  Status failed = OkStatus();
-  mask.ForEachSet([&](size_t row) {
-    if (!failed.ok()) return;
-    failed = out.InsertUnlessEmpty(block.tuple(row)).status();
-  });
-  LRPDB_RETURN_IF_ERROR(failed);
+  for (EntryId id : *posting) {
+    LRPDB_RETURN_IF_ERROR(out.InsertUnlessEmpty(store.tuple(id)).status());
+  }
   op.set_output(static_cast<int64_t>(out.size()));
   return out;
 }

@@ -67,7 +67,6 @@ TupleStore::TupleStore(TupleStore&& other) noexcept
       data_columns_(std::move(other.data_columns_)),
       delta_lo_(other.delta_lo_),
       delta_hi_(other.delta_hi_),
-      index_enabled_(other.index_enabled_),
       live_(std::move(other.live_)),
       tombstones_(other.tombstones_) {
   approx_bytes_.store(other.approx_bytes_.load(std::memory_order_relaxed),
@@ -87,7 +86,6 @@ TupleStore& TupleStore::operator=(TupleStore&& other) noexcept {
   data_columns_ = std::move(other.data_columns_);
   delta_lo_ = other.delta_lo_;
   delta_hi_ = other.delta_hi_;
-  index_enabled_ = other.index_enabled_;
   live_ = std::move(other.live_);
   tombstones_ = other.tombstones_;
   approx_bytes_.store(other.approx_bytes_.load(std::memory_order_relaxed),
@@ -163,22 +161,11 @@ void TupleStore::BumpStat(int64_t StoreStats::*field, int64_t amount,
     bump(&StoreStats::empty_dropped, 1);
     return InsertOutcome{};
   }
-  // Same-signature entries: one bucket probe when indexed, a linear scan on
-  // the brute-force reference path. Both yield the same id set.
+  // Same-signature entries: one bucket probe.
   bump(&StoreStats::signature_probes, 1);
   std::vector<EntryId> bucket_entries;
-  if (index_enabled_) {
-    auto it = signature_index_.find(tuple.free_extension());
-    if (it != signature_index_.end()) bucket_entries = it->second.entries;
-  } else {
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      if (!is_live(static_cast<EntryId>(i))) continue;
-      if (entries_[i].tuple.data() == tuple.data() &&
-          entries_[i].tuple.lrps() == tuple.lrps()) {
-        bucket_entries.push_back(static_cast<EntryId>(i));
-      }
-    }
-  }
+  auto it = signature_index_.find(tuple.free_extension());
+  if (it != signature_index_.end()) bucket_entries = it->second.entries;
   if (!bucket_entries.empty()) {
     std::vector<NormalizedTuple> existing;
     for (EntryId id : bucket_entries) {

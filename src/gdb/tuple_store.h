@@ -102,7 +102,7 @@ struct InsertOutcome {
 // An indexed set of generalized tuples of one schema.
 //
 // Thread-safety contract: mutations (Insert, InsertUnlessEmpty,
-// AdvanceGeneration, set_index_enabled) require exclusive access. Between
+// AdvanceGeneration) require exclusive access. Between
 // mutations, any number of threads may issue const operations concurrently
 // — ForEachCandidate, pieces(), stats(), CheckConsistency, ToString — the
 // two pieces of const-path mutable state (the lazy residue-piece cache and
@@ -145,8 +145,7 @@ class TupleStore {
   SignatureId signature_of(EntryId id) const { return entries_[id].signature; }
   size_t num_signatures() const { return signature_index_.size(); }
   // The live entries interned under `signature`, ascending; empty when
-  // there are none. One hash probe, whatever the store's size. Maintained
-  // whether or not indexing is enabled for probes.
+  // there are none. One hash probe, whatever the store's size.
   const std::vector<EntryId>& EntriesWithSignature(
       const FreeExtension& signature) const;
   // A consistent copy of the lifetime counters (they advance concurrently
@@ -168,8 +167,8 @@ class TupleStore {
   }
 
   // The posting list for `value` in data column `column` (ascending entry
-  // ids), or nullptr when no entry carries that value. Only meaningful with
-  // index_enabled(); compiled clause plans (src/core/clause_plan.h) probe
+  // ids), or nullptr when no entry carries that value. Compiled clause
+  // plans (src/core/clause_plan.h) probe
   // postings directly so selectivity ordering happens once per clause
   // instead of once per candidate scan.
   const std::vector<EntryId>* PostingFor(int column, DataValue value) const {
@@ -209,10 +208,9 @@ class TupleStore {
   // Exact insert: drops the tuple if its ground set is empty or contained
   // in the union of the stored tuples with the same signature (free
   // extension) -- the comparison constraint safety (paper, Section 4.3)
-  // prescribes. With indexing enabled the same-signature entries come from
-  // one bucket probe; the linear reference path (set_index_enabled(false))
-  // finds them by scanning, for differential testing. `round_stats`, when
-  // non-null, receives the same counter increments as the lifetime stats.
+  // prescribes. The same-signature entries come from one bucket probe.
+  // `round_stats`, when non-null, receives the same counter increments as
+  // the lifetime stats.
   [[nodiscard]] StatusOr<InsertOutcome> Insert(GeneralizedTuple tuple,
                                  const NormalizeLimits& limits =
                                      NormalizeLimits(),
@@ -282,9 +280,9 @@ class TupleStore {
 
   // Invokes `fn(EntryId)` for every entry of `generation` compatible with
   // the data requirements, scanning only the most selective posting list
-  // (or the generation range when no requirement is given or indexing is
-  // disabled). Entries yielded are a superset filter: the caller's unifier
-  // re-checks everything; entries *not* yielded are guaranteed mismatches.
+  // (or the generation range when no requirement is given). Entries
+  // yielded are a superset filter: the caller's unifier re-checks
+  // everything; entries *not* yielded are guaranteed mismatches.
   template <typename Fn>
   void ForEachCandidate(const std::vector<DataRequirement>& requirements,
                         Generation generation, StoreStats* round_stats,
@@ -308,7 +306,7 @@ class TupleStore {
     LRPDB_COUNTER_INC("store.index_probes");
     int64_t scanned = 0;
     const std::vector<EntryId>* posting = nullptr;
-    if (index_enabled_ && !requirements.empty()) {
+    if (!requirements.empty()) {
       posting = SmallestPosting(requirements);
       if (posting == nullptr) {
         // Some required value has no posting list: no candidates at all.
@@ -340,14 +338,6 @@ class TupleStore {
     }
     CountProbe(round_stats, scanned, static_cast<int64_t>(hi - lo) - scanned);
   }
-
-  // Disables the signature/data indexes for probing: Insert finds
-  // same-signature entries by linear scan and ForEachCandidate scans the
-  // full generation range. Results are identical to the indexed path (the
-  // indexes are still maintained); this is the brute-force reference for
-  // differential tests.
-  void set_index_enabled(bool enabled) { index_enabled_ = enabled; }
-  bool index_enabled() const { return index_enabled_; }
 
   // Verifies every index invariant (signature buckets partition the
   // entries, postings are sorted and complete, generation ranges are
@@ -407,7 +397,6 @@ class TupleStore {
   std::vector<std::vector<DataValue>> data_columns_;
   size_t delta_lo_ = 0;
   size_t delta_hi_ = 0;
-  bool index_enabled_ = true;
 
   // Liveness codes for live_. A tombstoned entry stays kDead until
   // CompactTombstones() releases its payload and marks it kCompacted (so

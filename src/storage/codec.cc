@@ -177,7 +177,7 @@ std::string EncodeDatabaseImage(const Database& db) {
     PutString(&out, name);
     PutU32(&out, static_cast<uint32_t>(store.schema().temporal_arity));
     PutU32(&out, static_cast<uint32_t>(store.schema().data_arity));
-    PutU8(&out, store.index_enabled() ? 1 : 0);
+    PutU8(&out, 1);  // Index flag: always on (see codec.h).
     PutU64(&out, store.size());
     // Dead (retracted) entries keep their slot so entry ids stay stable,
     // but their payload is canonicalized to a schema-shaped placeholder:
@@ -258,7 +258,6 @@ std::string EncodeDatabaseImage(const Database& db) {
     LRPDB_ASSIGN_OR_RETURN(GeneralizedRelation * relation,
                            db->MutableRelation(name));
     TupleStore& store = relation->mutable_store();
-    store.set_index_enabled(index_flag == 1);
     LRPDB_ASSIGN_OR_RETURN(uint64_t num_entries, reader.U64("entry count"));
     for (uint64_t e = 0; e < num_entries; ++e) {
       LRPDB_ASSIGN_OR_RETURN(

@@ -87,7 +87,10 @@ class ByteReader {
 
 // Serializes the full database: interner names in id order, then relations
 // in name order (the map's iteration order), each with schema, index flag,
-// entries, and generation ranges.
+// entries, and generation ranges. Stores are always indexed, so the index
+// flag byte is always written as 1; decoding still rejects a flag above 1
+// and accepts the 0 that older images wrote for unindexed stores, ignoring
+// it.
 std::string EncodeDatabaseImage(const Database& db);
 
 // Rebuilds `db` (which must be freshly constructed: empty interner, no

@@ -70,9 +70,8 @@ constexpr double kDeadlineOvershootBudgetMs = 100.0;
 #endif
 
 // Acceptance bar: a 10ms deadline on a sweep whose fixpoint is ~a million
-// rounds away (pre-indexing shape: brute-force subsumption scans) must come
-// back as kDeadlineExceeded with a non-empty partial model, well under
-// 100ms of wall time.
+// rounds away must come back as kDeadlineExceeded with a non-empty partial
+// model, well under 100ms of wall time.
 TEST(GovernanceTest, DeadlineTripsFastWithNonEmptyPartial) {
   Parsed p(SweepProgram(1000003, 1));  // Orbit ~1e6: never finishes in 10ms.
   ExecContext exec;
@@ -81,7 +80,6 @@ TEST(GovernanceTest, DeadlineTripsFastWithNonEmptyPartial) {
   EvaluationOptions options;
   options.exec = &exec;
   options.max_iterations = 10'000'000;
-  options.indexed_storage = false;
   Evaluator evaluator(p.unit->program, p.db, options);
 
   auto start = std::chrono::steady_clock::now();

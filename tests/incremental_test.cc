@@ -2,7 +2,7 @@
 // randomized programs driven through random add/retract schedules must
 // stay semantically identical to a from-scratch refixpoint of the updated
 // database after every batch, and the incremental runs themselves must be
-// bit-identical across {batch, legacy} kernels x {1, 2, 8} threads.
+// bit-identical across {1, 2, 8} threads.
 //
 // The oracle for each step is deliberately built from the *surviving live
 // EDB entries* (not from a replayed fact list): retraction's unit is the
@@ -28,22 +28,21 @@ namespace {
 constexpr int64_t kWindowLo = 0;
 constexpr int64_t kWindowHi = 200;
 
-// One incremental run: a parsed program + database + evaluator under one
-// kernel/thread configuration.
+// One incremental run: a parsed program + database + evaluator at one
+// thread count.
 struct Instance {
   std::unique_ptr<Database> db;
   std::unique_ptr<ParsedUnit> unit;
   std::unique_ptr<IncrementalEvaluator> inc;
 };
 
-Instance MakeRun(const std::string& text, bool use_batch_kernel, int num_threads) {
+Instance MakeRun(const std::string& text, int num_threads = 1) {
   Instance run;
   run.db = std::make_unique<Database>();
   auto unit = Parse(text, run.db.get());
   EXPECT_TRUE(unit.ok()) << unit.status() << "\n" << text;
   run.unit = std::make_unique<ParsedUnit>(std::move(*unit));
   EvaluationOptions options;
-  options.use_batch_kernel = use_batch_kernel;
   options.num_threads = num_threads;
   run.inc = std::make_unique<IncrementalEvaluator>(run.unit->program,
                                                    run.db.get(), options);
@@ -189,22 +188,13 @@ std::vector<FactUpdate> BuildBatch(const Step& step, Database* db) {
   return batch;
 }
 
-// Drives one program through one schedule under every kernel/thread
-// configuration, checking after every step that (a) each run's ground
-// fingerprint equals the from-scratch oracle and (b) all runs' stored
-// dumps are bit-identical.
+// Drives one program through one schedule at every thread count, checking
+// after every step that (a) each run's ground fingerprint equals the
+// from-scratch oracle and (b) all runs' stored dumps are bit-identical.
 void RunGauntlet(const std::string& text, const std::vector<Step>& schedule) {
   SCOPED_TRACE(text);
-  struct Config {
-    bool batch;
-    int threads;
-  };
-  const Config configs[] = {{false, 1}, {false, 2}, {false, 8},
-                            {true, 1},  {true, 2},  {true, 8}};
   std::vector<Instance> runs;
-  for (const Config& c : configs) {
-    runs.push_back(MakeRun(text, c.batch, c.threads));
-  }
+  for (int threads : {1, 2, 8}) runs.push_back(MakeRun(text, threads));
   for (size_t si = 0; si < schedule.size(); ++si) {
     const Step& step = schedule[si];
     SCOPED_TRACE("step " + std::to_string(si) +
@@ -221,8 +211,8 @@ void RunGauntlet(const std::string& text, const std::vector<Step>& schedule) {
     const std::string reference_dump = runs[0].inc->DumpStored();
     for (size_t r = 0; r < runs.size(); ++r) {
       EXPECT_EQ(runs[r].inc->Fingerprint(kWindowLo, kWindowHi), oracle)
-          << "config " << r;
-      EXPECT_EQ(runs[r].inc->DumpStored(), reference_dump) << "config " << r;
+          << "run " << r;
+      EXPECT_EQ(runs[r].inc->DumpStored(), reference_dump) << "run " << r;
     }
   }
 }
@@ -230,8 +220,9 @@ void RunGauntlet(const std::string& text, const std::vector<Step>& schedule) {
 class IncrementalRandomTest : public ::testing::TestWithParam<int> {};
 
 // 18 seeds x 6 programs = 108 random programs, each with a 6-step random
-// add/retract schedule, each step checked under 6 configurations against
-// the from-scratch oracle. Two of the six programs allow negation, so the
+// add/retract schedule, each step checked at 3 thread counts against the
+// from-scratch oracle. (The test name predates the removal of the
+// tuple-at-a-time kernel.) Two of the six programs allow negation, so the
 // fallback path is exercised throughout.
 TEST_P(IncrementalRandomTest, MatchesRefixpointAcrossKernelsAndThreads) {
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 7919 + 3);
@@ -257,7 +248,7 @@ constexpr char kChain[] = R"(
 )";
 
 TEST(IncrementalTest, AddFactsGrowsDerivations) {
-  Instance run = MakeRun(kChain, /*use_batch_kernel=*/true, /*num_threads=*/1);
+  Instance run = MakeRun(kChain);
   ASSERT_TRUE(run.inc
                   ->AddFacts({FactUpdate{
                       "e", GeneralizedTuple::Unconstrained(
@@ -268,7 +259,7 @@ TEST(IncrementalTest, AddFactsGrowsDerivations) {
 }
 
 TEST(IncrementalTest, DuplicateAddIsAbsorbedWithoutWork) {
-  Instance run = MakeRun(kChain, false, 1);
+  Instance run = MakeRun(kChain);
   const std::string before = run.inc->DumpStored();
   // Bit-for-bit the same fact the program seeded: absorbed, no delta.
   ASSERT_TRUE(run.inc
@@ -280,7 +271,7 @@ TEST(IncrementalTest, DuplicateAddIsAbsorbedWithoutWork) {
 }
 
 TEST(IncrementalTest, RetractBaseFactRemovesItsDerivations) {
-  Instance run = MakeRun(kChain, true, 1);
+  Instance run = MakeRun(kChain);
   ASSERT_TRUE(run.inc
                   ->RetractFacts({FactUpdate{
                       "e", GeneralizedTuple::Unconstrained(
@@ -301,8 +292,7 @@ TEST(IncrementalTest, AlternativeDerivationSurvivesRetraction) {
     .fact f(24n+1, "a").
     p(t, N) :- e(t, N).
     p(t, N) :- f(t, N).
-  )",
-                    false, 1);
+  )");
   ASSERT_TRUE(run.inc
                   ->RetractFacts({FactUpdate{
                       "e", GeneralizedTuple::Unconstrained(
@@ -315,7 +305,7 @@ TEST(IncrementalTest, AlternativeDerivationSurvivesRetraction) {
 }
 
 TEST(IncrementalTest, RetractMissIsANoop) {
-  Instance run = MakeRun(kChain, true, 1);
+  Instance run = MakeRun(kChain);
   const std::string before = run.inc->DumpStored();
   ASSERT_TRUE(run.inc
                   ->RetractFacts({FactUpdate{
@@ -326,7 +316,7 @@ TEST(IncrementalTest, RetractMissIsANoop) {
 }
 
 TEST(IncrementalTest, CompactRetractedPreservesTheModel) {
-  Instance run = MakeRun(kChain, false, 1);
+  Instance run = MakeRun(kChain);
   ASSERT_TRUE(run.inc
                   ->AddFacts({FactUpdate{
                       "e", GeneralizedTuple::Unconstrained(
@@ -364,7 +354,7 @@ TEST(IncrementalTest, UpdateBeforeInitializeFails) {
 }
 
 TEST(IncrementalTest, UpdateValidationRejectsBadBatches) {
-  Instance run = MakeRun(kChain, false, 1);
+  Instance run = MakeRun(kChain);
   // Undeclared relation.
   EXPECT_FALSE(run.inc
                    ->AddFacts({FactUpdate{
@@ -402,8 +392,7 @@ TEST(IncrementalTest, ProvenanceStaysBoundedOverLongUpdateStream) {
     p(t + 1, N) :- e(t, N).
     p(t + 10, N) :- p(t, N).
     q(t, N) :- p(t, N), g(t, N).
-  )",
-                         /*use_batch_kernel=*/true, /*num_threads=*/1);
+  )");
   constexpr int kCycles = 300;
   constexpr int kCompactEvery = 16;
   constexpr int kFactsPerCycle = 3;
@@ -449,8 +438,7 @@ TEST(IncrementalTest, NegationFallsBackToFullRecompute) {
     .fact e(24n+3, "b").
     p(t + 1, N) :- e(t, N).
     r(t, N) :- e(t, N), !p(t, N).
-  )",
-                    false, 1);
+  )");
   ASSERT_TRUE(run.inc
                   ->AddFacts({FactUpdate{
                       "e", GeneralizedTuple::Unconstrained(

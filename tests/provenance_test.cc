@@ -7,9 +7,10 @@
 // exactly the recorded parent tuples — and at least one replayed candidate
 // must be subsumed by the derived entry it was recorded for. That holds the
 // log to its soundness contract (each origin derives a subset of its
-// entry's ground set, exact on non-absorbed inserts) against both engines.
-// On top of that: batch/legacy × {1,2,8} threads must record the identical
-// log, every IDB entry must carry at least one origin, and the fixed cases
+// entry's ground set, exact on non-absorbed inserts). On top of that: runs
+// at {1,2,8} threads must record the identical log, every IDB entry must
+// carry at least one origin, the ground engine's log must be complete over
+// a model that matches the generalized engine's, and the fixed cases
 // pin absorber attribution, cycle-safe graph queries, the render/DOT
 // output, the ExecContext byte-budget charge, and one origin per distinct
 // derivation with retained-byte accounting.
@@ -34,6 +35,7 @@
 #include "src/gdb/generalized_relation.h"
 #include "src/obs/metrics.h"
 #include "src/parser/parser.h"
+#include "tests/ground_oracle.h"
 
 namespace lrpdb {
 namespace {
@@ -52,8 +54,7 @@ struct ProvRun {
 };
 
 std::unique_ptr<ProvRun> RunWithProvenance(const std::string& text,
-                                           int num_threads,
-                                           bool use_batch_kernel) {
+                                           int num_threads) {
   auto run = std::make_unique<ProvRun>();
   auto unit = Parse(text, &run->db);
   EXPECT_TRUE(unit.ok()) << unit.status() << "\n" << text;
@@ -65,7 +66,6 @@ std::unique_ptr<ProvRun> RunWithProvenance(const std::string& text,
   run->normalized = std::move(*normalized);
   EvaluationOptions options;
   options.num_threads = num_threads;
-  options.use_batch_kernel = use_batch_kernel;
   options.provenance = &run->log;
   auto result = Evaluate(run->program(), run->db, options);
   EXPECT_TRUE(result.ok()) << result.status() << "\n" << text;
@@ -218,24 +218,19 @@ void ExpectCompleteAndReplayable(const ProvRun& run) {
   }
 }
 
-// Batch and legacy kernels at every thread count must record the identical
-// derivation log (same model, same entry numbering, same origin stream);
-// the reference log must be complete and replayable.
+// Runs at every thread count must record the identical derivation log
+// (same model, same entry numbering, same origin stream) as a 1-thread
+// reference run; the reference log must be complete and replayable.
 void ExpectEquivalentLogsAndReplay(const std::string& text) {
   SCOPED_TRACE(text);
-  auto reference =
-      RunWithProvenance(text, /*num_threads=*/1, /*use_batch_kernel=*/false);
+  auto reference = RunWithProvenance(text, /*num_threads=*/1);
   ASSERT_NE(reference, nullptr);
   const std::string reference_dump = DumpLog(*reference);
   EXPECT_GT(reference->log.records(), 0);
   for (int threads : {1, 2, 8}) {
-    for (bool batch : {false, true}) {
-      if (threads == 1 && !batch) continue;
-      auto other = RunWithProvenance(text, threads, batch);
-      ASSERT_NE(other, nullptr);
-      EXPECT_EQ(DumpLog(*other), reference_dump)
-          << "threads=" << threads << " batch=" << batch;
-    }
+    auto other = RunWithProvenance(text, threads);
+    ASSERT_NE(other, nullptr);
+    EXPECT_EQ(DumpLog(*other), reference_dump) << "threads=" << threads;
   }
   ExpectCompleteAndReplayable(*reference);
 }
@@ -288,8 +283,8 @@ std::string Generate(std::mt19937& rng) {
 
 class ProvenanceRandomTest : public ::testing::TestWithParam<int> {};
 
-// 10 seeds x 4 programs, each: log equality across batch/legacy x {1,2,8}
-// threads, completeness, and a full origin replay.
+// 10 seeds x 4 programs, each: log equality across {1,2,8} threads,
+// completeness, and a full origin replay.
 TEST_P(ProvenanceRandomTest, LogsMatchAcrossEnginesAndOriginsReplay) {
   if (!kProvenanceCompiledIn) GTEST_SKIP() << "built with LRPDB_NO_PROVENANCE";
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 7351 + 29);
@@ -316,7 +311,7 @@ TEST(ProvenanceTest, AbsorbedCandidateAttachesOriginToAbsorber) {
     p(t, N) :- e(t, N).
     p(t, N) :- f(t, N).
   )",
-                               1, true);
+                               1);
   ASSERT_NE(run, nullptr);
   ASSERT_EQ(run->result.idb.at("p").size(), 1u);
   auto rid = run->log.FindRelation("p");
@@ -346,7 +341,7 @@ TEST(ProvenanceTest, RecursiveSelfLoopIsCycleSafe) {
     p(t, N) :- e(t, N).
     p(t + 24, N) :- p(t, N).
   )",
-                               1, true);
+                               1);
   ASSERT_NE(run, nullptr);
   auto rid = run->log.FindRelation("p");
   ASSERT_TRUE(rid.has_value());
@@ -612,7 +607,7 @@ TEST(ProvenanceTest, NegatedAtomsAreOmittedFromParents) {
     q(t, N) :- e(t, N), e(t, "a").
     r(t, N) :- e(t, N), !q(t, N).
   )",
-                               1, true);
+                               1);
   ASSERT_NE(run, nullptr);
   auto rid = run->log.FindRelation("r");
   ASSERT_TRUE(rid.has_value());
@@ -632,29 +627,11 @@ TEST(ProvenanceTest, NegatedAtomsAreOmittedFromParents) {
 
 // --- Windowed ground evaluator --------------------------------------------
 
-std::string DumpGroundLog(const GroundEvaluationResult& result,
-                          const ProvenanceLog& log) {
-  std::ostringstream out;
-  for (const auto& [name, store] : result.idb) {
-    out << name << " (" << store.size() << " facts)\n";
-    auto rid = log.FindRelation(name);
-    if (!rid.has_value()) continue;
-    for (size_t i = 0; i < store.size(); ++i) {
-      for (const DerivationOrigin& o :
-           log.Origins({*rid, static_cast<EntryId>(i)})) {
-        out << "  #" << i << " <- rule " << o.rule << " @ round " << o.round
-            << ":";
-        for (const ProvRef& p : o.parents) {
-          out << " " << log.RelationName(p.relation) << "#" << p.entry;
-        }
-        out << "\n";
-      }
-    }
-  }
-  return out.str();
-}
-
-TEST(GroundProvenanceTest, CompiledAndLegacyRecordTheSameLog) {
+// The ground engine's log covers every fact of a window model that, away
+// from the window's lower edge, is the generalized engine's model: every
+// derived fact has an origin, and every recorded parent resolves against
+// the returned window EDB / IDB.
+TEST(GroundProvenanceTest, RecordsCompleteLogOverTheGeneralizedModel) {
   if (!kProvenanceCompiledIn) GTEST_SKIP() << "built with LRPDB_NO_PROVENANCE";
   const std::string text = R"(
     .decl e(time, data)
@@ -668,51 +645,54 @@ TEST(GroundProvenanceTest, CompiledAndLegacyRecordTheSameLog) {
     q(t, N) :- p(t, N), e(t, N).
     r(t, N) :- e(t, N), !q(t, N).
   )";
-  std::string dumps[2];
-  for (bool compiled : {false, true}) {
-    Database db;
-    auto unit = Parse(text, &db);
-    ASSERT_TRUE(unit.ok()) << unit.status();
-    ProvenanceLog log;
-    GroundEvaluationOptions options;
-    options.window_lo = 0;
-    options.window_hi = 48;
-    options.use_compiled_plan = compiled;
-    options.provenance = &log;
-    auto result = EvaluateGround(unit->program, db, options);
-    ASSERT_TRUE(result.ok()) << result.status();
-    dumps[compiled ? 1 : 0] = DumpGroundLog(*result, log);
+  Database db;
+  auto unit = Parse(text, &db);
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  ProvenanceLog log;
+  GroundEvaluationOptions options;
+  options.window_lo = 0;
+  options.window_hi = 48;
+  options.provenance = &log;
+  auto result = EvaluateGround(unit->program, db, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_GT(log.records(), 0);
 
-    // Completeness: every derived ground fact has at least one origin, and
-    // every recorded parent resolves against the returned window EDB / IDB.
-    for (const auto& [name, store] : result->idb) {
-      if (store.empty()) continue;
-      auto rid = log.FindRelation(name);
-      ASSERT_TRUE(rid.has_value()) << name;
-      for (size_t i = 0; i < store.size(); ++i) {
-        const auto& origins = log.Origins({*rid, static_cast<EntryId>(i)});
-        ASSERT_FALSE(origins.empty()) << name << "#" << i;
-        for (const DerivationOrigin& o : origins) {
-          EXPECT_GE(o.round, 1);
-          for (const ProvRef& p : o.parents) {
-            const std::string& pname = log.RelationName(p.relation);
-            auto idb_it = result->idb.find(pname);
-            if (idb_it != result->idb.end()) {
-              EXPECT_LT(p.entry, idb_it->second.size())
-                  << pname << "#" << p.entry;
-              continue;
-            }
-            auto edb_it = result->edb.find(pname);
-            ASSERT_NE(edb_it, result->edb.end()) << pname;
-            EXPECT_LT(p.entry, edb_it->second.size())
+  // Every derivation reaches at most 4 below its fact (+1, then one +3
+  // hop at most: the +3 chain repeats its residue mod 6 after two) and
+  // never above it, so the window model is exact on [4, 48).
+  auto model = Evaluate(unit->program, db);
+  ASSERT_TRUE(model.ok()) << model.status();
+  for (const auto& [name, relation] : model->idb) {
+    EXPECT_EQ(GroundFactsIn(result->idb.at(name), 4, 48),
+              relation.EnumerateGround(4, 48))
+        << name;
+  }
+
+  for (const auto& [name, store] : result->idb) {
+    if (store.empty()) continue;
+    auto rid = log.FindRelation(name);
+    ASSERT_TRUE(rid.has_value()) << name;
+    for (size_t i = 0; i < store.size(); ++i) {
+      const auto& origins = log.Origins({*rid, static_cast<EntryId>(i)});
+      ASSERT_FALSE(origins.empty()) << name << "#" << i;
+      for (const DerivationOrigin& o : origins) {
+        EXPECT_GE(o.round, 1);
+        for (const ProvRef& p : o.parents) {
+          const std::string& pname = log.RelationName(p.relation);
+          auto idb_it = result->idb.find(pname);
+          if (idb_it != result->idb.end()) {
+            EXPECT_LT(p.entry, idb_it->second.size())
                 << pname << "#" << p.entry;
+            continue;
           }
+          auto edb_it = result->edb.find(pname);
+          ASSERT_NE(edb_it, result->edb.end()) << pname;
+          EXPECT_LT(p.entry, edb_it->second.size())
+              << pname << "#" << p.entry;
         }
       }
     }
   }
-  EXPECT_FALSE(dumps[0].empty());
-  EXPECT_EQ(dumps[0], dumps[1]);
 }
 
 TEST(GroundProvenanceTest, InsertIndexedReturnsStableIndices) {

@@ -2,9 +2,8 @@
 // (DESIGN.md §12): random programs are parsed and evaluated, the database
 // is pushed through the on-disk formats, and the recovered database must
 // re-query to the bit-identical model — the same relations in the same
-// stored order and the same timing-free EXPLAIN — under both the batch
-// kernel and the legacy evaluator at 1 and 8 threads. Two persistence
-// paths are exercised:
+// stored order and the same timing-free EXPLAIN — at 1 and 8 threads. Two
+// persistence paths are exercised:
 //
 //  * snapshot: one checksummed image, reloaded exactly (interner ids,
 //    entry order, generation ranges all preserved);
@@ -60,10 +59,9 @@ struct Fingerprint {
 };
 
 Fingerprint FingerprintOver(const Program& program, const Database& db,
-                            int num_threads, bool use_batch_kernel) {
+                            int num_threads) {
   EvaluationOptions options;
   options.num_threads = num_threads;
-  options.use_batch_kernel = use_batch_kernel;
   auto result = Evaluate(program, db, options);
   EXPECT_TRUE(result.ok()) << result.status();
   Fingerprint fp;
@@ -154,7 +152,7 @@ class StorageRoundTripTest : public ::testing::TestWithParam<int> {};
 
 // 25 seeds x 3 programs = 75 snapshot round trips. Each loaded database
 // must be an exact image: same text dump, same interner ids, and the same
-// model when re-queried under every evaluator configuration.
+// model when re-queried at every thread count.
 TEST_P(StorageRoundTripTest, SnapshotRoundTripRequeriesIdentically) {
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 7919 + 3);
   for (int iter = 0; iter < 3; ++iter) {
@@ -173,17 +171,11 @@ TEST_P(StorageRoundTripTest, SnapshotRoundTripRequeriesIdentically) {
     ASSERT_TRUE(covered.ok()) << covered.status();
     ASSERT_EQ(loaded.ToString(), db.ToString());
 
-    Fingerprint want =
-        FingerprintOver(unit->program, db, /*num_threads=*/1, false);
+    Fingerprint want = FingerprintOver(unit->program, db, /*num_threads=*/1);
     for (int threads : {1, 8}) {
-      for (bool batch : {false, true}) {
-        Fingerprint got =
-            FingerprintOver(unit->program, loaded, threads, batch);
-        EXPECT_EQ(got.explain, want.explain)
-            << "threads=" << threads << " batch=" << batch;
-        EXPECT_EQ(got.relations, want.relations)
-            << "threads=" << threads << " batch=" << batch;
-      }
+      Fingerprint got = FingerprintOver(unit->program, loaded, threads);
+      EXPECT_EQ(got.explain, want.explain) << "threads=" << threads;
+      EXPECT_EQ(got.relations, want.relations) << "threads=" << threads;
     }
     RemoveTree(dir);
   }
@@ -235,17 +227,11 @@ TEST_P(StorageRoundTripTest, WalIngestionRequeriesIdentically) {
 
     // Rules are variable-only here, so the AST is interner-independent and
     // can re-query the recovered database directly.
-    Fingerprint want =
-        FingerprintOver(unit->program, db, /*num_threads=*/1, false);
+    Fingerprint want = FingerprintOver(unit->program, db, /*num_threads=*/1);
     for (int threads : {1, 8}) {
-      for (bool batch : {false, true}) {
-        Fingerprint got =
-            FingerprintOver(unit->program, recovered, threads, batch);
-        EXPECT_EQ(got.explain, want.explain)
-            << "threads=" << threads << " batch=" << batch;
-        EXPECT_EQ(got.relations, want.relations)
-            << "threads=" << threads << " batch=" << batch;
-      }
+      Fingerprint got = FingerprintOver(unit->program, recovered, threads);
+      EXPECT_EQ(got.explain, want.explain) << "threads=" << threads;
+      EXPECT_EQ(got.relations, want.relations) << "threads=" << threads;
     }
     RemoveTree(dir);
   }

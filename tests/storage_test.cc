@@ -284,6 +284,40 @@ TEST(CodecTest, ImageRoundTripIsExact) {
   EXPECT_EQ(EncodeDatabaseImage(out), payload);
 }
 
+// Stores are always indexed, so every image carries index flag 1. Images
+// written while stores could run unindexed may carry 0: they decode to the
+// same database (the flag is ignored) and re-encode with 1. Anything above
+// 1 is still corrupt.
+TEST(CodecTest, ImageAcceptsAndIgnoresUnindexedFlag) {
+  Database db = MakeRichDatabase();
+  const std::string payload = EncodeDatabaseImage(db);
+  // The first relation's flag byte ("meet" sorts first): after the
+  // interner (count, then length-prefixed names), the relation count, and
+  // the relation's length-prefixed name and two arity words.
+  size_t offset = 4;
+  for (size_t id = 0; id < db.interner().size(); ++id) {
+    offset += 4 + db.interner().NameOf(static_cast<SymbolId>(id)).size();
+  }
+  offset += 4 + 4 + std::string("meet").size() + 4 + 4;
+  ASSERT_LT(offset, payload.size());
+  ASSERT_EQ(payload[offset], '\x01');
+
+  std::string unindexed = payload;
+  unindexed[offset] = '\x00';
+  Database out;
+  Status s = DecodeDatabaseImage(unindexed, &out);
+  ASSERT_TRUE(s.ok()) << s;
+  EXPECT_EQ(out.ToString(), db.ToString());
+  EXPECT_EQ(EncodeDatabaseImage(out), payload);
+
+  std::string corrupt = payload;
+  corrupt[offset] = '\x02';
+  Database rejected;
+  s = DecodeDatabaseImage(corrupt, &rejected);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kParseError);
+}
+
 TEST(CodecTest, ImageRejectsEveryTruncation) {
   std::string payload = EncodeDatabaseImage(MakeRichDatabase());
   for (size_t len = 0; len < payload.size(); ++len) {

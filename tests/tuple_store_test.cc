@@ -1,6 +1,6 @@
 // Tests for the signature-indexed tuple store (src/gdb/tuple_store.h):
-// differential equivalence of the indexed and brute-force linear-scan
-// reference paths over whole program evaluations, plus unit tests of the
+// hand-computed insert outcomes, whole program evaluations checked against
+// the ground oracle (tests/ground_oracle.h), plus unit tests of the
 // store's probe counters, delta-generation protocol, and index invariants.
 // The counter assertions are the acceptance check that InsertIfNew and join
 // matching never scan tuples outside the probed signature / posting bucket.
@@ -15,6 +15,7 @@
 #include "src/core/evaluator.h"
 #include "src/gdb/tuple_store.h"
 #include "src/parser/parser.h"
+#include "tests/ground_oracle.h"
 
 namespace lrpdb {
 
@@ -101,34 +102,45 @@ TEST(TupleStoreTest, InsertProbesOnlySameSignatureBucket) {
 }
 
 TEST(TupleStoreTest, InsertOutcomesMatchBruteForceReference) {
-  // The indexed path and the linear-scan reference path must agree on every
-  // outcome bit for the same insertion sequence.
-  std::vector<GeneralizedTuple> sequence;
-  for (int64_t offset = 0; offset < 4; ++offset) {
-    sequence.push_back(Banded(6, offset, 0, 50, offset % 2));
+  // Every outcome of one insertion sequence, worked out by hand: entries
+  // 0-3 take four signatures of period 6, entry 4 widens offset 1's
+  // bucket, entry 5 is period 3's first.
+  struct Step {
+    GeneralizedTuple tuple;
+    bool inserted;
+    bool new_signature;
+    std::vector<EntryId> absorbers;
+  };
+  const std::vector<Step> steps = {
+      {Banded(6, 0, 0, 50, 0), true, true, {}},
+      {Banded(6, 1, 0, 50, 1), true, true, {}},
+      {Banded(6, 2, 0, 50, 0), true, true, {}},
+      {Banded(6, 3, 0, 50, 1), true, true, {}},
+      {Banded(6, 1, 10, 20, 1), false, false, {1}},     // Subsumed by 1.
+      {Banded(6, 1, 40, 120, 1), true, false, {}},      // Overlaps 1 only.
+      {Banded(3, 1, 0, 50, 0), true, true, {}},         // New signature.
+      {Banded(6, 1, 70, 90, 1), false, false, {1, 4}},  // Now subsumed.
+  };
+  TupleStore store({1, 1});
+  EntryId next_id = 0;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    auto outcome = store.Insert(steps[i].tuple);
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    EXPECT_EQ(outcome->inserted, steps[i].inserted);
+    EXPECT_EQ(outcome->new_signature, steps[i].new_signature);
+    EXPECT_EQ(outcome->absorbers, steps[i].absorbers);
+    if (steps[i].inserted) {
+      EXPECT_EQ(outcome->id, next_id);
+      EXPECT_EQ(store.tuple(next_id).ToString(), steps[i].tuple.ToString());
+      ++next_id;
+    }
+    EXPECT_TRUE(store.CheckConsistency().ok());
   }
-  sequence.push_back(Banded(6, 1, 10, 20, 1));   // Subsumed by offset 1.
-  sequence.push_back(Banded(6, 1, 40, 120, 1));  // Overlaps; not subsumed.
-  sequence.push_back(Banded(3, 1, 0, 50, 0));    // New signature.
-  sequence.push_back(Banded(6, 1, 70, 90, 1));   // Now subsumed.
-
-  TupleStore indexed({1, 1});
-  TupleStore reference({1, 1});
-  reference.set_index_enabled(false);
-  for (const GeneralizedTuple& tuple : sequence) {
-    auto a = indexed.Insert(tuple);
-    auto b = reference.Insert(tuple);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->inserted, b->inserted);
-    EXPECT_EQ(a->new_signature, b->new_signature);
-  }
-  ASSERT_EQ(indexed.size(), reference.size());
-  for (EntryId id = 0; id < indexed.size(); ++id) {
-    EXPECT_EQ(indexed.tuple(id).ToString(), reference.tuple(id).ToString());
-  }
-  EXPECT_TRUE(indexed.CheckConsistency().ok());
-  EXPECT_TRUE(reference.CheckConsistency().ok());
+  EXPECT_EQ(store.size(), 6u);
+  EXPECT_EQ(store.num_signatures(), 5u);
+  EXPECT_EQ(store.EntriesWithSignature(steps[1].tuple.free_extension()),
+            (std::vector<EntryId>{1, 4}));
 }
 
 // With corruptions in two different signature buckets, the reported error
@@ -250,16 +262,6 @@ TEST(TupleStoreTest, DataRequirementProbeScansOnlyPostingBucket) {
   EXPECT_TRUE(ids.empty());
   EXPECT_EQ(probe.tuples_scanned, 0);
   EXPECT_EQ(probe.tuples_pruned, 12);
-
-  // The brute-force reference scans everything (pruned == 0) but yields a
-  // superset that the caller's unifier filters.
-  store.set_index_enabled(false);
-  probe = StoreStats();
-  int64_t yielded = 0;
-  store.ForEachCandidate({{0, 5}}, TupleStore::Generation::kAll, &probe,
-                         [&](EntryId) { ++yielded; });
-  EXPECT_EQ(yielded, 12);
-  EXPECT_EQ(probe.tuples_pruned, 0);
 }
 
 TEST(TupleStoreTest, GroundFactStoreDedupOrderAndDelta) {
@@ -292,7 +294,7 @@ TEST(TupleStoreTest, GroundFactStoreDedupOrderAndDelta) {
   EXPECT_TRUE(moved.Contains({{7}, {}}));
 }
 
-// ---- Whole-evaluation differential tests: indexed vs brute force ----
+// ---- Whole-evaluation tests against the ground oracle ----
 
 const char* const kDifferentialPrograms[] = {
     // Orbit program (E2 shape): recursion over shifted offsets.
@@ -328,36 +330,26 @@ const char* const kDifferentialPrograms[] = {
 
 class TupleStoreDifferentialTest : public ::testing::TestWithParam<int> {};
 
+// Each program's derivations reach at most 120 time units below a fact
+// (the orbit program's +5 chain needs fewer than 24 hops) and 2 above it
+// (hop2 reads route at t + 2), so a ground window of [-200, 400) decides
+// [-10, 300) exactly.
 TEST_P(TupleStoreDifferentialTest, IndexedMatchesBruteForceGroundSets) {
   const char* source = kDifferentialPrograms[GetParam()];
-  EvaluationResult results[2];
-  for (bool indexed : {true, false}) {
-    Database db;
-    auto unit = Parse(source, &db);
-    ASSERT_TRUE(unit.ok()) << unit.status();
-    EvaluationOptions options;
-    options.indexed_storage = indexed;
-    auto result = Evaluate(unit->program, db, options);
-    ASSERT_TRUE(result.ok()) << result.status();
-    ASSERT_TRUE(result->reached_fixpoint);
-    results[indexed ? 0 : 1] = std::move(*result);
+  Database db;
+  auto unit = Parse(source, &db);
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  auto result = Evaluate(unit->program, db);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_TRUE(result->reached_fixpoint);
+  ExpectMatchesGroundOracle(unit->program, db, *result, -10, 300, -200, 400);
+  for (const auto& [name, relation] : result->idb) {
+    EXPECT_TRUE(relation.store().CheckConsistency().ok()) << name;
   }
-  EXPECT_EQ(results[0].iterations, results[1].iterations);
-  ASSERT_EQ(results[0].idb.size(), results[1].idb.size());
-  for (const auto& [name, indexed_relation] : results[0].idb) {
-    const GeneralizedRelation& reference_relation = results[1].idb.at(name);
-    std::vector<GroundTuple> a = indexed_relation.EnumerateGround(-10, 300);
-    std::vector<GroundTuple> b = reference_relation.EnumerateGround(-10, 300);
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a == b, true) << "ground sets differ for " << name;
-    EXPECT_TRUE(indexed_relation.store().CheckConsistency().ok());
-    EXPECT_TRUE(reference_relation.store().CheckConsistency().ok());
-  }
-  // The indexed run's counters certify bucket-bounded work: every insert
-  // probed a signature, and subsumption compared no more tuples than the
-  // store holds (bucket-bounded, not relation-bounded).
-  StoreStats totals = results[0].StoreTotals();
+  // The counters certify bucket-bounded work: every insert probed a
+  // signature, and subsumption compared no more tuples than the store
+  // holds (bucket-bounded, not relation-bounded).
+  StoreStats totals = result->StoreTotals();
   EXPECT_GT(totals.signature_probes, 0);
   // Every probed candidate ends exactly one way: stored or subsumed.
   // (Empty-ground-set candidates are dropped before any probe.)
