@@ -66,6 +66,14 @@
 #                            sites fold away (provenance_disabled_test
 #                            asserts the gate, the evaluation suites must
 #                            still pass unchanged)
+#   ci/check.sh --perfbench  benchmark smoke run: perfbench/run.py builds
+#                            its own Release tree (under $CARGO_TARGET_DIR,
+#                            or .bench_build/ in the checkout), runs its
+#                            --selftest, then a 1-second run of each
+#                            workload at seed 1; fails unless every result
+#                            line reports "correct": true and "failed": 0.
+#                            Standalone mode: skips the plain build/ctest
+#                            above.
 #   ci/check.sh --help       print this text
 #
 # Perf-regression gate (separate entry point): ci/bench_gate.sh builds a
@@ -97,6 +105,7 @@ faults=0
 crash=0
 incremental=0
 noprov=0
+perfbench=0
 for arg in "$@"; do
   case "$arg" in
     --sanitize) sanitize=1 ;;
@@ -109,6 +118,7 @@ for arg in "$@"; do
     --crash) crash=1 ;;
     --incremental) incremental=1 ;;
     --noprov) noprov=1 ;;
+    --perfbench) perfbench=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
@@ -185,6 +195,36 @@ if [[ "$crash" == 1 ]]; then
   ASAN_OPTIONS="detect_leaks=0" LRPDB_CRASH_ITERS=150 \
     ctest --test-dir build-asan --output-on-failure -R '^CrashRecoveryTest\.'
   echo "ci/check.sh --crash: crash-recovery pass passed"
+  exit 0
+fi
+
+if [[ "$perfbench" == 1 ]]; then
+  # The benchmark builds its own Release tree, like --crash builds ASan.
+  if [[ "$sanitize" == 1 || "$tsan" == 1 ]]; then
+    echo "--perfbench builds its own Release tree; drop --sanitize/--tsan" >&2
+    exit 2
+  fi
+  echo "== perfbench self-test"
+  python3 perfbench/run.py --selftest
+  for workload in closed_form_eval live_updates durable_ingest; do
+    echo "== perfbench $workload (seed 1, 1 s)"
+    status=0
+    out=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+            --seconds 1 --trace 0) || status=$?
+    printf '%s\n' "$out"
+    if [[ "$status" != 0 ]]; then
+      echo "error: perfbench $workload exited with status $status" >&2
+      exit 1
+    fi
+    # The last stdout line is the result JSON.
+    printf '%s\n' "$out" | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit("error: result is not correct with 0 failed operations")
+'
+  done
+  echo "ci/check.sh --perfbench: benchmark smoke run passed"
   exit 0
 fi
 

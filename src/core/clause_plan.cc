@@ -269,9 +269,9 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
       range_hi = source.range_hi;
     }
     const int64_t range_size = static_cast<int64_t>(range_hi - range_lo);
-    // Constant-pinned postings resolve once per atom, not once per binding
-    // (the hoisted SmallestPosting work). A constant with no posting at
-    // all empties the frontier outright.
+    // Constant-pinned postings resolve once per atom, not once per binding:
+    // the smallest one is kept. A constant with no posting at all empties
+    // the frontier outright.
     const std::vector<EntryId>* const_posting = nullptr;
     int const_posting_column = -1;
     bool const_missing = false;

@@ -207,14 +207,15 @@ std::string EvaluationResult::Explain(bool include_timings) const {
   if (include_timings) {
     std::snprintf(line, sizeof(line),
                   "EXPLAIN: %d rounds, %s, %lld derivations, %lld kept "
-                  "(total %lld us, normalize %lld us)\n",
+                  "(total %lld us, normalize %lld us, compact %lld us)\n",
                   iterations,
                   reached_fixpoint ? "fixpoint reached"
                                    : ("gave up: " + gave_up_reason).c_str(),
                   static_cast<long long>(profile.TotalDerivations()),
                   static_cast<long long>(profile.TotalInserted()),
                   static_cast<long long>(profile.total_us),
-                  static_cast<long long>(profile.normalize_us));
+                  static_cast<long long>(profile.normalize_us),
+                  static_cast<long long>(profile.compact_us));
   } else {
     std::snprintf(line, sizeof(line),
                   "EXPLAIN: %d rounds, %s, %lld derivations, %lld kept\n",
@@ -777,30 +778,59 @@ namespace {
   }
   result.reached_fixpoint = true;
   result.free_extension_safe_at = last_new_fe_round;
-  // Compaction rebuilds relations and renumbers entries, which would leave
-  // every recorded (relation, entry) address dangling — skipped while
-  // capturing provenance (same model, uncompacted closed form).
+  // Compaction renumbers entries, which would leave every recorded
+  // (relation, entry) address dangling — skipped while capturing provenance
+  // (same model, uncompacted closed form).
   if (options.compact_results && prov == nullptr) {
+    const SteadyTime compact_start = Now();
+    LRPDB_TRACE_SPAN(compact_span, "eval.compact");
+    // The merges are planned over read-only views of the stored tuples, so
+    // a relation nothing merges in is left exactly as it is. A relation
+    // that merges gets its merged tuples inserted first and only then loses
+    // their members: a trip or fault at any point leaves the complete
+    // model, at worst with some members still beside their merged tuple.
+    int64_t merged = 0;
+    int64_t consumed = 0;
     auto compact = [&]() -> Status {
       LRPDB_FAILPOINT("evaluator.compact");
-      for (auto& [name, relation] : result.idb) {
-        std::vector<GeneralizedTuple> tuples;
-        tuples.reserve(relation.size());
-        for (size_t i = 0; i < relation.size(); ++i) {
-          tuples.push_back(relation.tuple(i));
+      for (auto& [unused, relation] : result.idb) {
+        TupleStore& store = relation.mutable_store();
+        std::vector<const GeneralizedTuple*> views;
+        std::vector<EntryId> ids;
+        views.reserve(store.live_size());
+        ids.reserve(store.live_size());
+        for (EntryId id = 0; id < store.size(); ++id) {
+          if (!store.is_live(id)) continue;
+          views.push_back(&store.tuple(id));
+          ids.push_back(id);
         }
-        LRPDB_ASSIGN_OR_RETURN(tuples,
-                               CoalesceTuples(std::move(tuples), limits));
-        GeneralizedRelation compacted(relation.schema());
-        for (GeneralizedTuple& t : tuples) {
-          LRPDB_RETURN_IF_ERROR(
-              compacted.InsertIfNew(std::move(t), limits).status());
+        LRPDB_ASSIGN_OR_RETURN(CoalescePlan plan, PlanCoalesce(views, limits));
+        if (plan.merged.empty()) continue;
+        // Inserting below may move the entries the views point into.
+        views.clear();
+        // Only the merged tuples are charged to the budget: the model they
+        // replace was charged when the rounds inserted it.
+        for (GeneralizedTuple& t : plan.merged) {
+          LRPDB_RETURN_IF_ERROR(store.Insert(std::move(t), limits).status());
         }
-        relation = std::move(compacted);
+        std::vector<EntryId> erase;
+        erase.reserve(plan.consumed.size());
+        for (size_t v : plan.consumed) erase.push_back(ids[v]);
+        store.EraseEntries(erase);
+        // Fold the merged tuples into "current", where the fixpoint left
+        // every other entry.
+        store.AdvanceGeneration();
+        store.AdvanceGeneration();
+        merged += static_cast<int64_t>(plan.merged.size());
+        consumed += static_cast<int64_t>(plan.consumed.size());
       }
       return OkStatus();
     };
     Status compacted = compact();
+    compact_span.AddArg("merged", merged);
+    compact_span.AddArg("consumed", consumed);
+    result.profile.compact_us = UsSince(compact_start);
+    LRPDB_HISTOGRAM_RECORD("eval.compact_us", result.profile.compact_us);
     if (!compacted.ok()) {
       if (!IsGovernanceTrip(exec, compacted)) return compacted;
       // The model itself is already exact; only its compaction was cut

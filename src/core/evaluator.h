@@ -150,6 +150,7 @@ struct RuleProfile {
 struct EvalProfile {
   std::vector<RuleProfile> rules;
   int64_t normalize_us = 0;  // Program normalization (clause preparation).
+  int64_t compact_us = 0;    // Result compaction after the fixpoint.
   int64_t total_us = 0;      // Whole Evaluate() call.
 
   int64_t TotalDerivations() const;

@@ -1,9 +1,9 @@
 #include "src/gdb/algebra.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
-#include <string>
+#include <deque>
+#include <optional>
+#include <unordered_map>
 
 #include "src/common/exec_context.h"
 #include "src/common/failpoint.h"
@@ -481,36 +481,40 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
 
 namespace {
 
-// Serialized grouping key for CoalesceTuples: everything about the tuple
-// except column j's lrp offset.
-std::string CoalesceKey(const GeneralizedTuple& tuple, int j) {
-  std::string key;
-  for (int c = 0; c < tuple.temporal_arity(); ++c) {
-    key += std::to_string(tuple.lrp(c).period());
-    key += ':';
-    key += c == j ? "_" : std::to_string(tuple.lrp(c).offset());
-    key += ';';
+// Hashes and compares tuples on everything PlanCoalesce groups by in column
+// j: every column's period, every offset outside column j, and the data.
+struct MaskedColumnKey {
+  int j = 0;
+  size_t operator()(const GeneralizedTuple* t) const {
+    size_t h = 0;
+    for (int c = 0; c < t->temporal_arity(); ++c) {
+      h = HashCombine(h, static_cast<size_t>(t->lrp(c).period()));
+      if (c != j) h = HashCombine(h, static_cast<size_t>(t->lrp(c).offset()));
+    }
+    for (DataValue d : t->data()) h = HashCombine(h, static_cast<size_t>(d));
+    return h;
   }
-  for (DataValue d : tuple.data()) {
-    key += std::to_string(d);
-    key += ',';
+  bool operator()(const GeneralizedTuple* a, const GeneralizedTuple* b) const {
+    if (a->data() != b->data()) return false;
+    for (int c = 0; c < a->temporal_arity(); ++c) {
+      if (a->lrp(c).period() != b->lrp(c).period()) return false;
+      if (c != j && a->lrp(c).offset() != b->lrp(c).offset()) return false;
+    }
+    return true;
   }
-  return key;
-}
+};
 
-// Entrywise-loosest DBM of a set (the tightest common relaxation): take the
+// Entrywise-loosest DBM of a set (the tightest common relaxation): the
 // entrywise max over the members' closed matrices.
-Dbm LoosestDbm(const std::vector<const GeneralizedTuple*>& tuples) {
-  Dbm result(tuples.front()->constraint().num_vars());
+Dbm LoosestDbm(const std::vector<const Dbm*>& closed) {
+  Dbm result(closed.front()->num_vars());
   for (int i = 0; i <= result.num_vars(); ++i) {
     for (int k = 0; k <= result.num_vars(); ++k) {
       if (i == k) continue;
       Bound max_bound = Bound::Finite(INT64_MIN / 4);
       bool infinite = false;
-      for (const GeneralizedTuple* t : tuples) {
-        Dbm closed = t->constraint();
-        closed.Close();
-        Bound b = closed.bound(i, k);
+      for (const Dbm* dbm : closed) {
+        Bound b = dbm->bound(i, k);
         if (b.is_infinite()) {
           infinite = true;
           break;
@@ -525,111 +529,216 @@ Dbm LoosestDbm(const std::vector<const GeneralizedTuple*>& tuples) {
   return result;
 }
 
-// Attempts to merge `group` (same everything except column j's offset,
-// same lrp period p in that column) into tuples with a coarser period p'.
-// Appends results (merged or original) to `out`; returns true if anything
-// merged.
-[[nodiscard]] StatusOr<bool> TryCoalesceColumn(const std::vector<GeneralizedTuple>& group,
-                                 int j, std::vector<GeneralizedTuple>* out,
-                                 const NormalizeLimits& limits) {
-  int64_t p = group.front().lrp(j).period();
+// One merged residue class: the coarser tuple and the group positions of
+// the members it replaces.
+struct ClassMerge {
+  GeneralizedTuple tuple;
+  std::vector<size_t> members;
+};
+
+// Attempts to merge `group` (equal except for column j's offset, with the
+// same period p > 1 there) into tuples with a coarser period p/k in column
+// j. A class of period p/k needs k members, so only k up to the group size
+// can fill one; the coarser periods are tried coarsest first, and the first
+// that merges any class wins. Appends one ClassMerge per merged class.
+[[nodiscard]] Status TryCoalesceColumn(
+    const std::vector<const GeneralizedTuple*>& group, int j,
+    const NormalizeLimits& limits, std::vector<ClassMerge>* merges) {
+  const int64_t p = group.front()->lrp(j).period();
+  const size_t n = group.size();
   // Require pairwise distinct offsets in column j; duplicates mean the
   // tuples differ only in constraints and cannot tile a coarser class.
   {
-    std::set<int64_t> offsets;
-    for (const GeneralizedTuple& t : group) {
-      if (!offsets.insert(t.lrp(j).offset()).second) {
-        for (const GeneralizedTuple& out_t : group) out->push_back(out_t);
-        return false;
-      }
+    std::vector<int64_t> offsets;
+    offsets.reserve(n);
+    for (const GeneralizedTuple* t : group) {
+      offsets.push_back(t->lrp(j).offset());
+    }
+    std::sort(offsets.begin(), offsets.end());
+    if (std::adjacent_find(offsets.begin(), offsets.end()) != offsets.end()) {
+      return OkStatus();
     }
   }
-  // Try coarser periods from coarsest (1) upward in divisor order.
-  std::vector<int64_t> divisors;
-  for (int64_t d = 1; d < p; ++d) {
-    if (p % d == 0) divisors.push_back(d);
-  }
-  for (int64_t coarse : divisors) {
-    // Partition offsets by value mod coarse.
-    std::map<int64_t, std::vector<const GeneralizedTuple*>> classes;
-    for (const GeneralizedTuple& t : group) {
-      classes[FloorMod(t.lrp(j).offset(), coarse)].push_back(&t);
+  // Each member's closed DBM and residue pieces, computed on first use and
+  // shared by every class and divisor the member is tried in.
+  std::vector<std::optional<Dbm>> closed(n);
+  std::vector<std::optional<std::vector<NormalizedTuple>>> pieces(n);
+  // (residue, member) pairs, sorted so each class is one run.
+  std::vector<std::pair<int64_t, size_t>> classes(n);
+  const size_t merges_before = merges->size();
+  for (int64_t k = std::min(static_cast<int64_t>(n), p); k >= 2; --k) {
+    if (p % k != 0) continue;
+    LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
+    const int64_t coarse = p / k;
+    for (size_t i = 0; i < n; ++i) {
+      classes[i] = {FloorMod(group[i]->lrp(j).offset(), coarse), i};
     }
-    std::vector<GeneralizedTuple> merged;
-    std::vector<const GeneralizedTuple*> leftover;
-    bool any = false;
-    for (auto& [residue, members] : classes) {
-      if (static_cast<int64_t>(members.size()) != p / coarse) {
-        leftover.insert(leftover.end(), members.begin(), members.end());
+    std::sort(classes.begin(), classes.end());
+    for (size_t lo = 0; lo < n;) {
+      size_t hi = lo + 1;
+      while (hi < n && classes[hi].first == classes[lo].first) ++hi;
+      // Offsets are distinct residues mod p, so a class holds at most k.
+      if (static_cast<int64_t>(hi - lo) != k) {
+        lo = hi;
         continue;
       }
+      std::vector<size_t> members;
+      std::vector<const Dbm*> member_dbms;
+      std::vector<NormalizedTuple> member_pieces;
+      for (size_t c = lo; c < hi; ++c) {
+        const size_t i = classes[c].second;
+        if (!closed[i].has_value()) {
+          closed[i] = group[i]->constraint();
+          closed[i]->Close();
+        }
+        if (!pieces[i].has_value()) {
+          LRPDB_ASSIGN_OR_RETURN(pieces[i],
+                                 NormalizedTuple::Normalize(*group[i], limits));
+        }
+        members.push_back(i);
+        member_dbms.push_back(&*closed[i]);
+        member_pieces.insert(member_pieces.end(), pieces[i]->begin(),
+                             pieces[i]->end());
+      }
       // Candidate: column j coarsened, constraint = loosest common DBM.
-      std::vector<Lrp> lrps = members.front()->lrps();
-      lrps[j] = Lrp(coarse, residue);
-      GeneralizedTuple candidate(std::move(lrps), members.front()->data(),
-                                 LoosestDbm(members));
-      // Verify exactness: candidate ground set == union of members.
+      const GeneralizedTuple& first = *group[members.front()];
+      std::vector<Lrp> lrps = first.lrps();
+      lrps[j] = Lrp(coarse, classes[lo].first);
+      GeneralizedTuple candidate(std::move(lrps), first.data(),
+                                 LoosestDbm(member_dbms));
       LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> cand_pieces,
                              NormalizedTuple::Normalize(candidate, limits));
-      std::vector<NormalizedTuple> member_pieces;
-      for (const GeneralizedTuple* t : members) {
-        LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pieces,
-                               NormalizedTuple::Normalize(*t, limits));
-        member_pieces.insert(member_pieces.end(), pieces.begin(),
-                             pieces.end());
-      }
-      LRPDB_ASSIGN_OR_RETURN(
-          bool forward, PiecesContainedIn(cand_pieces, member_pieces, limits));
       // candidate >= union holds by construction (loosest DBM, covering
       // offsets), so one direction decides equality.
-      if (forward) {
-        merged.push_back(std::move(candidate));
-        any = true;
-      } else {
-        leftover.insert(leftover.end(), members.begin(), members.end());
+      LRPDB_ASSIGN_OR_RETURN(
+          bool exact, PiecesContainedIn(cand_pieces, member_pieces, limits));
+      if (exact) {
+        merges->push_back(ClassMerge{std::move(candidate), std::move(members)});
       }
+      lo = hi;
     }
-    if (any) {
-      out->insert(out->end(), merged.begin(), merged.end());
-      for (const GeneralizedTuple* t : leftover) out->push_back(*t);
-      return true;
-    }
+    if (merges->size() > merges_before) return OkStatus();
   }
-  for (const GeneralizedTuple& t : group) out->push_back(t);
-  return false;
+  return OkStatus();
 }
 
 }  // namespace
 
-[[nodiscard]] StatusOr<std::vector<GeneralizedTuple>> CoalesceTuples(
-    std::vector<GeneralizedTuple> tuples, const NormalizeLimits& limits) {
-  if (tuples.empty() || !limits.coalesce_outputs) return tuples;
+[[nodiscard]] StatusOr<CoalescePlan> PlanCoalesce(
+    const std::vector<const GeneralizedTuple*>& tuples,
+    const NormalizeLimits& limits) {
+  CoalescePlan plan;
+  if (tuples.empty() || !limits.coalesce_outputs) return plan;
   LRPDB_OPERATOR_SCOPE(op, "gdb.coalesce", tuples.size());
   LRPDB_FAILPOINT("algebra.coalesce");
-  int m = tuples.front().temporal_arity();
+  // The working set: inputs and the tuples earlier passes merged, the
+  // latter owned by `pool` (a deque, so item pointers survive growth).
+  struct Item {
+    const GeneralizedTuple* tuple;
+    size_t source;  // Input position, or pool index when `pooled`.
+    bool pooled;
+  };
+  std::vector<Item> items;
+  items.reserve(tuples.size());
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    items.push_back(Item{tuples[i], i, false});
+  }
+  std::deque<GeneralizedTuple> pool;
+  std::vector<bool> consumed(tuples.size(), false);
+  const int m = tuples.front()->temporal_arity();
+  constexpr uint32_t kNoGroup = UINT32_MAX;
   bool changed = true;
   while (changed) {
     changed = false;
     for (int j = 0; j < m; ++j) {
-      std::map<std::string, std::vector<GeneralizedTuple>> groups;
-      for (GeneralizedTuple& t : tuples) {
-        groups[CoalesceKey(t, j)].push_back(std::move(t));
+      // Groups in first-seen order. A tuple with period 1 in column j has
+      // nothing coarser to merge into, and a group of one has no partner:
+      // neither is gathered.
+      MaskedColumnKey key{j};
+      std::unordered_map<const GeneralizedTuple*, uint32_t, MaskedColumnKey,
+                         MaskedColumnKey>
+          group_of(items.size(), key, key);
+      std::vector<uint32_t> item_group(items.size(), kNoGroup);
+      std::vector<uint32_t> group_size;
+      for (size_t i = 0; i < items.size(); ++i) {
+        const GeneralizedTuple* t = items[i].tuple;
+        if (t->lrp(j).period() == 1) continue;
+        auto [it, inserted] = group_of.try_emplace(
+            t, static_cast<uint32_t>(group_size.size()));
+        if (inserted) group_size.push_back(0);
+        ++group_size[it->second];
+        item_group[i] = it->second;
       }
-      std::vector<GeneralizedTuple> next;
-      for (auto& [key, group] : groups) {
+      std::vector<std::vector<size_t>> members(group_size.size());
+      for (size_t i = 0; i < items.size(); ++i) {
+        const uint32_t g = item_group[i];
+        if (g != kNoGroup && group_size[g] >= 2) members[g].push_back(i);
+      }
+      std::vector<bool> folded;
+      std::vector<const GeneralizedTuple*> group;
+      std::vector<ClassMerge> merges;
+      std::vector<Item> added;
+      for (const std::vector<size_t>& member_items : members) {
+        if (member_items.empty()) continue;
         LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
-        if (group.size() < 2 || group.front().lrp(j).period() == 1) {
-          next.insert(next.end(), group.begin(), group.end());
-          continue;
+        group.clear();
+        for (size_t i : member_items) group.push_back(items[i].tuple);
+        merges.clear();
+        LRPDB_RETURN_IF_ERROR(TryCoalesceColumn(group, j, limits, &merges));
+        if (merges.empty()) continue;
+        if (folded.empty()) folded.assign(items.size(), false);
+        for (ClassMerge& merge : merges) {
+          for (size_t member : merge.members) {
+            const Item& item = items[member_items[member]];
+            folded[member_items[member]] = true;
+            if (!item.pooled) consumed[item.source] = true;
+          }
+          pool.push_back(std::move(merge.tuple));
+          added.push_back(Item{&pool.back(), pool.size() - 1, true});
         }
-        LRPDB_ASSIGN_OR_RETURN(bool merged,
-                               TryCoalesceColumn(group, j, &next, limits));
-        changed = changed || merged;
       }
-      tuples = std::move(next);
+      if (added.empty()) continue;
+      changed = true;
+      // Survivors keep their order; this pass's merges follow them.
+      size_t kept = 0;
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (!folded[i]) items[kept++] = items[i];
+      }
+      items.resize(kept);
+      items.insert(items.end(), added.begin(), added.end());
     }
   }
-  op.set_output(static_cast<int64_t>(tuples.size()));
+  for (size_t i = 0; i < consumed.size(); ++i) {
+    if (consumed[i]) plan.consumed.push_back(i);
+  }
+  for (const Item& item : items) {
+    if (item.pooled) plan.merged.push_back(std::move(pool[item.source]));
+  }
+  op.set_output(static_cast<int64_t>(tuples.size() - plan.consumed.size() +
+                                     plan.merged.size()));
+  return plan;
+}
+
+[[nodiscard]] StatusOr<std::vector<GeneralizedTuple>> CoalesceTuples(
+    std::vector<GeneralizedTuple> tuples, const NormalizeLimits& limits) {
+  std::vector<const GeneralizedTuple*> views;
+  views.reserve(tuples.size());
+  for (const GeneralizedTuple& t : tuples) views.push_back(&t);
+  LRPDB_ASSIGN_OR_RETURN(CoalescePlan plan, PlanCoalesce(views, limits));
+  if (plan.merged.empty()) return tuples;
+  size_t kept = 0;
+  size_t next = 0;
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    if (next < plan.consumed.size() && plan.consumed[next] == i) {
+      ++next;
+      continue;
+    }
+    if (kept != i) tuples[kept] = std::move(tuples[i]);
+    ++kept;
+  }
+  tuples.erase(tuples.begin() + static_cast<std::ptrdiff_t>(kept),
+               tuples.end());
+  for (GeneralizedTuple& t : plan.merged) tuples.push_back(std::move(t));
   return tuples;
 }
 

@@ -91,11 +91,30 @@ struct TemporalEquality {
 
 // Merges tuples that differ only in one temporal column's lrp offset when
 // (a) their offsets tile a full coarser congruence class (period p' dividing
-// p) and (b) the union really is the single coarser tuple (verified exactly
-// by two-way piece containment). Residue-exact projection and complement
-// split relations into one tuple per residue class; this pass undoes the
-// splitting wherever the classes carry identical constraints, which keeps
-// closed forms near their minimal size. The ground set is unchanged.
+// p) and (b) the union really is the single coarser tuple: the candidate
+// carries the loosest DBM common to the members, and the merge is kept only
+// when the candidate's pieces are contained in the members' pieces.
+// Residue-exact projection and complement split relations into one tuple
+// per residue class; this pass undoes the splitting wherever the union is
+// exact, which keeps closed forms near their minimal size. The ground set
+// is unchanged.
+//
+// The plan names what would change without touching the inputs: the
+// positions of the inputs folded into merges (ascending) and the merged
+// tuples, in the order the merges happened. Merges repeat, column by
+// column, until a sweep over every column merges nothing, so a merged tuple
+// may itself be folded into a coarser one; `merged` holds only the final
+// ones. An empty plan means nothing merges.
+struct CoalescePlan {
+  std::vector<size_t> consumed;
+  std::vector<GeneralizedTuple> merged;
+};
+[[nodiscard]] StatusOr<CoalescePlan> PlanCoalesce(
+    const std::vector<const GeneralizedTuple*>& tuples,
+    const NormalizeLimits& limits = NormalizeLimits());
+
+// PlanCoalesce applied: the inputs no merge consumed, in input order, then
+// the merged tuples.
 [[nodiscard]] StatusOr<std::vector<GeneralizedTuple>> CoalesceTuples(
     std::vector<GeneralizedTuple> tuples,
     const NormalizeLimits& limits = NormalizeLimits());

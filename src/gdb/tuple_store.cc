@@ -1,6 +1,7 @@
 #include "src/gdb/tuple_store.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/common/exec_context.h"
 #include "src/common/failpoint.h"
@@ -318,18 +319,69 @@ size_t TupleStore::CompactTombstones() {
   return compacted;
 }
 
-const std::vector<EntryId>* TupleStore::SmallestPosting(
-    const std::vector<TupleStore::DataRequirement>& requirements) const {
-  const std::vector<EntryId>* best = nullptr;
-  for (const DataRequirement& req : requirements) {
-    const auto& column = data_index_[req.column];
-    auto it = column.find(req.value);
-    if (it == column.end()) return nullptr;
-    if (best == nullptr || it->second.size() < best->size()) {
-      best = &it->second;
+void TupleStore::EraseEntries(const std::vector<EntryId>& ids) {
+  if (ids.empty()) return;
+  constexpr EntryId kErased = UINT32_MAX;
+  // remap[old id] = new id, or kErased. Monotone, so every rewritten id
+  // list below stays ascending.
+  std::vector<EntryId> remap(entries_.size());
+  size_t next = 0;
+  EntryId kept = 0;
+  int64_t released = 0;
+  {
+    std::lock_guard<std::mutex> lock(pieces_mu_);
+    for (size_t id = 0; id < entries_.size(); ++id) {
+      if (next < ids.size() && ids[next] == id) {
+        ++next;
+        remap[id] = kErased;
+        released += entries_[id].tuple.ApproxBytes() +
+                    static_cast<int64_t>(pieces_cache_[id].pieces.size()) *
+                        (schema_.temporal_arity + 2) * 8;
+        if (live_[id] != kLive) --tombstones_;
+        continue;
+      }
+      remap[id] = kept;
+      if (kept != id) {
+        entries_[kept] = std::move(entries_[id]);
+        pieces_cache_[kept] = std::move(pieces_cache_[id]);
+        live_[kept] = live_[id];
+        for (int c = 0; c < schema_.data_arity; ++c) {
+          data_columns_[c][kept] = data_columns_[c][id];
+        }
+      }
+      ++kept;
+    }
+    LRPDB_CHECK_EQ(next, ids.size()) << "EraseEntries ids not ascending";
+    entries_.erase(entries_.begin() + kept, entries_.end());
+    pieces_cache_.erase(pieces_cache_.begin() + kept, pieces_cache_.end());
+  }
+  live_.resize(kept);
+  for (int c = 0; c < schema_.data_arity; ++c) data_columns_[c].resize(kept);
+  auto rewrite = [&remap](std::vector<EntryId>* list) {
+    size_t out = 0;
+    for (EntryId id : *list) {
+      if (remap[id] != kErased) (*list)[out++] = remap[id];
+    }
+    list->resize(out);
+  };
+  // lint: allow(det) -- each bucket is rewritten independently of the others.
+  for (auto& [unused, bucket] : signature_index_) rewrite(&bucket.entries);
+  for (int c = 0; c < schema_.data_arity; ++c) {
+    auto& index = data_index_[c];
+    for (auto it = index.begin(); it != index.end();) {
+      rewrite(&it->second);
+      it = it->second.empty() ? index.erase(it) : std::next(it);
     }
   }
-  return best;
+  // Generation bounds count the survivors below them.
+  auto shrink = [&remap](size_t bound) {
+    size_t survivors = 0;
+    for (size_t id = 0; id < bound; ++id) survivors += remap[id] != kErased;
+    return survivors;
+  };
+  delta_lo_ = shrink(delta_lo_);
+  delta_hi_ = shrink(delta_hi_);
+  approx_bytes_.fetch_sub(released, std::memory_order_relaxed);
 }
 
 [[nodiscard]] Status TupleStore::CheckConsistency() const {

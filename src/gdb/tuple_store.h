@@ -102,11 +102,11 @@ struct InsertOutcome {
 // An indexed set of generalized tuples of one schema.
 //
 // Thread-safety contract: mutations (Insert, InsertUnlessEmpty,
-// AdvanceGeneration) require exclusive access. Between
+// AdvanceGeneration, EraseEntries) require exclusive access. Between
 // mutations, any number of threads may issue const operations concurrently
-// — ForEachCandidate, pieces(), stats(), CheckConsistency, ToString — the
-// two pieces of const-path mutable state (the lazy residue-piece cache and
-// the probe counters) are guarded by internal mutexes, annotated below for
+// — PostingFor, CountProbe, pieces(), stats(), CheckConsistency, ToString —
+// the two pieces of const-path mutable state (the lazy residue-piece cache
+// and the probe counters) are guarded by internal mutexes, annotated below for
 // Clang's -Wthread-safety and exercised from 8 threads under TSan in
 // tests/tuple_store_test.cc. Exception to the "between mutations" rule:
 // approx_bytes() and stats() are safe to call concurrently *with* a
@@ -178,11 +178,11 @@ class TupleStore {
   }
 
   // One probe's worth of counter updates, a single critical section per
-  // candidate scan rather than per yielded tuple. Public so the batch
-  // kernel's fused scans report through the same counters as
-  // ForEachCandidateInRange.
+  // candidate scan rather than per yielded tuple. The batch kernel's fused
+  // scans (src/gdb/batch.h) call this once per probe they run.
   void CountProbe(StoreStats* round_stats, int64_t scanned,
                   int64_t pruned) const LRPDB_LOCKS_EXCLUDED(stats_mu_) {
+    LRPDB_COUNTER_INC("store.index_probes");
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.index_probes;
@@ -276,68 +276,18 @@ class TupleStore {
   // Requires exclusive access.
   size_t CompactTombstones() LRPDB_LOCKS_EXCLUDED(pieces_mu_);
 
-  // --- Join-side candidate probes ---
+  // --- Renumbering removal (result compaction) ---
 
-  // Invokes `fn(EntryId)` for every entry of `generation` compatible with
-  // the data requirements, scanning only the most selective posting list
-  // (or the generation range when no requirement is given). Entries
-  // yielded are a superset filter: the caller's unifier re-checks
-  // everything; entries *not* yielded are guaranteed mismatches.
-  template <typename Fn>
-  void ForEachCandidate(const std::vector<DataRequirement>& requirements,
-                        Generation generation, StoreStats* round_stats,
-                        Fn&& fn) const {
-    size_t lo = generation == Generation::kDelta ? delta_lo_ : 0;
-    size_t hi = generation == Generation::kDelta ? delta_hi_ : entries_.size();
-    ForEachCandidateInRange(requirements, lo, hi, round_stats,
-                            std::forward<Fn>(fn));
-  }
-
-  // Same probe restricted to the entry-id range [lo, hi). The parallel
-  // evaluator shards a clause by splitting an enumeration range into
-  // contiguous sub-ranges: because every candidate source (posting list or
-  // direct scan) yields ascending ids, concatenating the sub-ranges' yields
-  // in range order reproduces the unsharded sequence exactly — the
-  // determinism argument of DESIGN.md §8 rests on this.
-  template <typename Fn>
-  void ForEachCandidateInRange(const std::vector<DataRequirement>& requirements,
-                               size_t lo, size_t hi, StoreStats* round_stats,
-                               Fn&& fn) const {
-    LRPDB_COUNTER_INC("store.index_probes");
-    int64_t scanned = 0;
-    const std::vector<EntryId>* posting = nullptr;
-    if (!requirements.empty()) {
-      posting = SmallestPosting(requirements);
-      if (posting == nullptr) {
-        // Some required value has no posting list: no candidates at all.
-        CountProbe(round_stats, 0, static_cast<int64_t>(hi - lo));
-        return;
-      }
-    }
-    if (posting != nullptr) {
-      // Postings are ascending, so the generation filter is a range scan.
-      // Tombstoned entries were pruned from the posting at Tombstone()
-      // time, so this path yields live ids only.
-      auto it = std::lower_bound(posting->begin(), posting->end(),
-                                 static_cast<EntryId>(lo));
-      for (; it != posting->end() && *it < hi; ++it) {
-        ++scanned;
-        fn(*it);
-      }
-    } else if (has_tombstones()) {
-      for (size_t id = lo; id < hi; ++id) {
-        if (!is_live(static_cast<EntryId>(id))) continue;
-        ++scanned;
-        fn(static_cast<EntryId>(id));
-      }
-    } else {
-      for (size_t id = lo; id < hi; ++id) {
-        ++scanned;
-        fn(static_cast<EntryId>(id));
-      }
-    }
-    CountProbe(round_stats, scanned, static_cast<int64_t>(hi - lo) - scanned);
-  }
+  // Removes the entries `ids` (ascending, distinct) and renumbers the rest
+  // densely in their order. The survivors keep their tuples, cached pieces
+  // and signature interning; the buckets, postings, columns, liveness and
+  // generation ranges are rewritten in place, so no second copy of the
+  // store is ever alive. Every EntryId handed out before is invalidated,
+  // so this is only for stores nothing addresses by id — result compaction
+  // runs with provenance off. Like Tombstone(), a bucket emptied here is
+  // kept (SignatureId allocation is ordinal). Requires exclusive access.
+  void EraseEntries(const std::vector<EntryId>& ids)
+      LRPDB_LOCKS_EXCLUDED(pieces_mu_);
 
   // Verifies every index invariant (signature buckets partition the
   // entries, postings are sorted and complete, generation ranges are
@@ -375,11 +325,6 @@ class TupleStore {
   // Returns the outcome's new_signature flag.
   bool Append(GeneralizedTuple tuple, std::vector<NormalizedTuple> pieces,
               bool normalized) LRPDB_LOCKS_EXCLUDED(pieces_mu_);
-
-  // The smallest posting list among the requirements, or nullptr when some
-  // required value has no entries at all.
-  const std::vector<EntryId>* SmallestPosting(
-      const std::vector<DataRequirement>& requirements) const;
 
   // Folds one insert-path counter into the lifetime stats (under stats_mu_),
   // the caller's round stats (caller-owned, unlocked), and the registry.

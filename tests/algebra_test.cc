@@ -1,5 +1,6 @@
 #include "src/gdb/algebra.h"
 
+#include <chrono>
 #include <random>
 #include <set>
 
@@ -116,6 +117,84 @@ TEST(CoalesceTest, AblationFlagDisables) {
   auto coalesced = CoalesceTuples(tuples, limits);
   ASSERT_TRUE(coalesced.ok());
   EXPECT_EQ(coalesced->size(), 2u);
+}
+
+TEST(CoalesceTest, HugePeriodPairStaysSplitQuickly) {
+  // Two offsets of period 2^40 can fill no coarser class (a class of period
+  // 2^40/k needs k members), so no divisor below the period is tried.
+  const int64_t p = int64_t{1} << 40;
+  std::vector<GeneralizedTuple> tuples{
+      GeneralizedTuple::Unconstrained({Lrp(p, 0)}, {}),
+      GeneralizedTuple::Unconstrained({Lrp(p, 1)}, {})};
+  const auto start = std::chrono::steady_clock::now();
+  auto coalesced = CoalesceTuples(tuples);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_TRUE(coalesced.ok()) << coalesced.status();
+  EXPECT_EQ(coalesced->size(), 2u);
+  EXPECT_LT(seconds, 0.5);
+}
+
+TEST(CoalesceTest, ThreeResiduesOfHugePeriodMerge) {
+  // {3*2^38 n + r*2^38 : r = 0, 1, 2} tiles the class 2^38 n.
+  const int64_t unit = int64_t{1} << 38;
+  Dbm nonneg(1);
+  nonneg.AddLowerBound(1, 0);
+  std::vector<GeneralizedTuple> tuples;
+  for (int64_t r : {0, 1, 2}) {
+    tuples.push_back(Tuple1(Lrp(3 * unit, r * unit), nonneg));
+  }
+  auto coalesced = CoalesceTuples(tuples);
+  ASSERT_TRUE(coalesced.ok()) << coalesced.status();
+  ASSERT_EQ(coalesced->size(), 1u);
+  EXPECT_EQ((*coalesced)[0].lrp(0), Lrp(unit, 0));
+}
+
+TEST(CoalesceTest, PlanNamesConsumedInputsAndMergedTuples) {
+  // {6n, 6n+2, 6n+4} merge into 2n; 5n+1 and 6n+1 have no partners.
+  std::vector<GeneralizedTuple> tuples{
+      GeneralizedTuple::Unconstrained({Lrp(5, 1)}, {}),
+      GeneralizedTuple::Unconstrained({Lrp(6, 0)}, {}),
+      GeneralizedTuple::Unconstrained({Lrp(6, 1)}, {}),
+      GeneralizedTuple::Unconstrained({Lrp(6, 2)}, {}),
+      GeneralizedTuple::Unconstrained({Lrp(6, 4)}, {})};
+  std::vector<const GeneralizedTuple*> views;
+  for (const GeneralizedTuple& t : tuples) views.push_back(&t);
+  auto plan = PlanCoalesce(views);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->consumed, (std::vector<size_t>{1, 3, 4}));
+  ASSERT_EQ(plan->merged.size(), 1u);
+  EXPECT_EQ(plan->merged[0].lrp(0), Lrp(2, 0));
+  // The vector form keeps the unmerged inputs in order, merged ones last.
+  auto coalesced = CoalesceTuples(tuples);
+  ASSERT_TRUE(coalesced.ok()) << coalesced.status();
+  ASSERT_EQ(coalesced->size(), 3u);
+  EXPECT_EQ((*coalesced)[0].lrp(0), Lrp(5, 1));
+  EXPECT_EQ((*coalesced)[1].lrp(0), Lrp(6, 1));
+  EXPECT_EQ((*coalesced)[2].lrp(0), Lrp(2, 0));
+}
+
+TEST(CoalesceTest, MergedTuplesMergeAgainAcrossColumns) {
+  // Four residue pairs mod 4 merge in column 0, then the two results merge
+  // in column 1: one tuple (2n, 2n) survives.
+  Dbm nonneg(2);
+  nonneg.AddLowerBound(1, 0);
+  nonneg.AddLowerBound(2, 0);
+  std::vector<GeneralizedTuple> tuples;
+  for (int64_t a : {0, 2}) {
+    for (int64_t b : {0, 2}) {
+      tuples.push_back(GeneralizedTuple({Lrp(4, a), Lrp(4, b)}, {}, nonneg));
+    }
+  }
+  std::vector<const GeneralizedTuple*> views;
+  for (const GeneralizedTuple& t : tuples) views.push_back(&t);
+  auto plan = PlanCoalesce(views);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->consumed, (std::vector<size_t>{0, 1, 2, 3}));
+  ASSERT_EQ(plan->merged.size(), 1u);
+  EXPECT_EQ(plan->merged[0].lrp(0), Lrp(2, 0));
+  EXPECT_EQ(plan->merged[0].lrp(1), Lrp(2, 0));
 }
 
 // --- Projection fast paths ---

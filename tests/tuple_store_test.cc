@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/evaluator.h"
+#include "src/gdb/batch.h"
 #include "src/gdb/tuple_store.h"
 #include "src/parser/parser.h"
 #include "tests/ground_oracle.h"
@@ -218,16 +219,20 @@ TEST(TupleStoreTest, DeltaGenerationProtocol) {
   EXPECT_EQ(store.delta_hi(), 2u);
   EXPECT_EQ(store.delta_size(), 2u);
 
-  std::vector<EntryId> delta_ids;
-  store.ForEachCandidate({}, TupleStore::Generation::kDelta, nullptr,
-                         [&](EntryId id) { delta_ids.push_back(id); });
-  EXPECT_EQ(delta_ids, (std::vector<EntryId>{0, 1}));
+  // The batch kernel views a delta generation as one contiguous block.
+  auto delta_ids = [&store] {
+    TupleBlock block;
+    block.FillFromRange(store, store.delta_lo(), store.delta_hi());
+    std::vector<EntryId> ids;
+    for (size_t row = 0; row < block.rows(); ++row) {
+      ids.push_back(block.id(row));
+    }
+    return ids;
+  };
+  EXPECT_EQ(delta_ids(), (std::vector<EntryId>{0, 1}));
 
   store.AdvanceGeneration();  // Delta = {2}.
-  delta_ids.clear();
-  store.ForEachCandidate({}, TupleStore::Generation::kDelta, nullptr,
-                         [&](EntryId id) { delta_ids.push_back(id); });
-  EXPECT_EQ(delta_ids, (std::vector<EntryId>{2}));
+  EXPECT_EQ(delta_ids(), (std::vector<EntryId>{2}));
 
   store.AdvanceGeneration();  // Nothing appended: delta empty.
   EXPECT_EQ(store.delta_size(), 0u);
@@ -242,26 +247,82 @@ TEST(TupleStoreTest, DataRequirementProbeScansOnlyPostingBucket) {
         store.Insert(Banded(13, i, 0, 25, i % 3 == 0 ? 5 : 100 + i))
             ->inserted);
   }
-  StoreStats probe;
+  // A probe the way the batch kernel runs one: the posting of the bound
+  // value, clipped to the generation range, reported through CountProbe.
+  const int64_t range = static_cast<int64_t>(store.size());
+  const std::vector<EntryId>* posting = store.PostingFor(0, 5);
+  ASSERT_NE(posting, nullptr);
+  TupleBlock block;
+  block.FillFromPosting(store, *posting, 0, store.size());
   std::vector<EntryId> ids;
-  store.ForEachCandidate({{0, 5}}, TupleStore::Generation::kAll, &probe,
-                         [&](EntryId id) { ids.push_back(id); });
+  for (size_t row = 0; row < block.rows(); ++row) ids.push_back(block.id(row));
   EXPECT_EQ(ids, (std::vector<EntryId>{0, 3, 6, 9}));
+  StoreStats probe;
+  const int64_t scanned = static_cast<int64_t>(block.rows());
+  store.CountProbe(&probe, scanned, range - scanned);
   EXPECT_EQ(probe.index_probes, 1);
   EXPECT_EQ(probe.tuples_scanned, 4);
   EXPECT_EQ(probe.tuples_pruned, 8);
+  EXPECT_EQ(store.stats().index_probes, 1);
   // scanned + pruned always accounts for the full generation range.
-  EXPECT_EQ(probe.tuples_scanned + probe.tuples_pruned,
-            static_cast<int64_t>(store.size()));
+  EXPECT_EQ(probe.tuples_scanned + probe.tuples_pruned, range);
+
+  // A clipped range keeps only the posting's ids inside it.
+  block.FillFromPosting(store, *posting, 4, 10);
+  ASSERT_EQ(block.rows(), 2u);
+  EXPECT_EQ(block.id(0), 6u);
+  EXPECT_EQ(block.id(1), 9u);
 
   // A value with no posting yields zero candidates, all pruned.
+  EXPECT_EQ(store.PostingFor(0, 999), nullptr);
   probe = StoreStats();
-  ids.clear();
-  store.ForEachCandidate({{0, 999}}, TupleStore::Generation::kAll, &probe,
-                         [&](EntryId id) { ids.push_back(id); });
-  EXPECT_TRUE(ids.empty());
+  store.CountProbe(&probe, 0, range);
   EXPECT_EQ(probe.tuples_scanned, 0);
   EXPECT_EQ(probe.tuples_pruned, 12);
+}
+
+TEST(TupleStoreTest, EraseEntriesRenumbersInPlace) {
+  TupleStore store({1, 1});
+  // Entries 0..5: offsets 0..5 of period 11, data 7 on the even ones. Two
+  // more entries share entry 1's signature in disjoint bands.
+  for (int64_t offset = 0; offset < 6; ++offset) {
+    ASSERT_TRUE(
+        store.Insert(Banded(11, offset, 0, 20, offset % 2 == 0 ? 7 : 8))
+            ->inserted);
+  }
+  ASSERT_TRUE(store.Insert(Banded(11, 1, 100, 120, 8))->inserted);  // 6
+  ASSERT_TRUE(store.Insert(Banded(11, 1, 200, 220, 8))->inserted);  // 7
+  store.AdvanceGeneration();
+  store.Tombstone(3);
+  const int64_t bytes_before = store.approx_bytes();
+  std::vector<std::string> expected;
+  for (EntryId id : {0, 3, 4, 5, 7}) {
+    expected.push_back(store.tuple(id).ToString());
+  }
+  store.EraseEntries({1, 2, 6});
+  ASSERT_EQ(store.size(), 5u);
+  for (EntryId id = 0; id < store.size(); ++id) {
+    EXPECT_EQ(store.tuple(id).ToString(), expected[id]) << id;
+  }
+  EXPECT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
+  // The tombstone moved with its entry; the generation ranges shrank.
+  EXPECT_FALSE(store.is_live(1));
+  EXPECT_EQ(store.live_size(), 4u);
+  EXPECT_EQ(store.delta_lo(), 0u);
+  EXPECT_EQ(store.delta_hi(), 5u);
+  EXPECT_LT(store.approx_bytes(), bytes_before);
+  // Postings and buckets carry the new ids; a bucket's remaining entry is
+  // still found by its signature.
+  const std::vector<EntryId>* sevens = store.PostingFor(0, 7);
+  ASSERT_NE(sevens, nullptr);
+  EXPECT_EQ(*sevens, (std::vector<EntryId>{0, 2}));
+  EXPECT_EQ(store.EntriesWithSignature(store.tuple(4).free_extension()),
+            (std::vector<EntryId>{4}));
+  // Appends continue densely after the survivors.
+  auto outcome = store.Insert(Banded(11, 9, 0, 20, 9));
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(outcome->id, 5u);
+  EXPECT_TRUE(store.CheckConsistency().ok());
 }
 
 TEST(TupleStoreTest, GroundFactStoreDedupOrderAndDelta) {
@@ -378,9 +439,10 @@ TEST(TupleStoreEvaluatorTest, JoinProbesPruneByBoundDataColumns) {
 }
 
 // Contention coverage for the store's documented const surface: with the
-// store fully built, ForEachCandidate (whose probe counters go through
-// stats_mu_), pieces() (whose lazy normalized-piece cache goes through
-// pieces_mu_), and stats() must all be callable from many threads at once.
+// store fully built, PostingFor plus CountProbe (whose probe counters go
+// through stats_mu_) as the batch kernel issues them, pieces() (whose lazy
+// normalized-piece cache goes through pieces_mu_), and stats() must all be
+// callable from many threads at once.
 // Runs under TSan via ci/check.sh --tsan. Failures are accumulated into
 // atomics and asserted after the join, keeping gtest single-threaded.
 TEST(TupleStoreTest, ConcurrentConstReadsShareCachesSafely) {
@@ -409,12 +471,18 @@ TEST(TupleStoreTest, ConcurrentConstReadsShareCachesSafely) {
       while (started.load() < kThreads) {
       }
       for (int i = 0; i < kIterations; ++i) {
-        std::vector<TupleStore::DataRequirement> requirements{
-            {0, static_cast<DataValue>(t % 3)}};
-        int64_t local = 0;
+        const std::vector<EntryId>* posting =
+            store.PostingFor(0, static_cast<DataValue>(t % 3));
+        if (posting == nullptr) {
+          failures.fetch_add(1);
+          continue;
+        }
+        TupleBlock block;
+        block.FillFromPosting(store, *posting, 0, num_entries);
+        const int64_t local = static_cast<int64_t>(block.rows());
         StoreStats probe_stats;
-        store.ForEachCandidate(requirements, TupleStore::Generation::kAll,
-                               &probe_stats, [&](EntryId id) { ++local; });
+        store.CountProbe(&probe_stats, local,
+                         static_cast<int64_t>(num_entries) - local);
         matched.fetch_add(local);
         auto pieces =
             store.pieces(static_cast<EntryId>((t * 37 + i) % num_entries));
@@ -433,7 +501,7 @@ TEST(TupleStoreTest, ConcurrentConstReadsShareCachesSafely) {
   // threads are spread as t % 3 = {0, 0, 0, 1, 1, 1, 2, 2}.
   EXPECT_EQ(matched.load(), kIterations * (3 * 24 + 3 * 24 + 2 * 16));
   // The lifetime counters kept counting during the stampede: one index
-  // probe per ForEachCandidate call, none lost to racing bumps.
+  // probe per CountProbe call, none lost to racing bumps.
   EXPECT_GE(store.stats().index_probes, int64_t{kThreads} * kIterations);
 }
 
