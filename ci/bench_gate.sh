@@ -60,7 +60,7 @@ run_benches() {  # $1 = subdir, $2 = LRPDB_THREADS value
     echo "== $bin (LRPDB_THREADS=$2)"
     (cd "$dir" &&
      LRPDB_THREADS="$2" "$OLDPWD/$build_dir/bench/$bin" \
-       --benchmark_min_time=0.01s > /dev/null) || {
+       --benchmark_min_time=0.01 > /dev/null) || {
       echo "error: $bin failed at LRPDB_THREADS=$2" >&2
       exit 1
     }

@@ -369,7 +369,7 @@ if [[ "$bench" == 1 ]]; then
     # with a Chrome trace of the instrumented engine spans alongside.
     (cd "$report_dir" &&
      LRPDB_TRACE="$report_dir/TRACE_${id}.json" \
-       "$OLDPWD/$bin" --benchmark_min_time=0.01s > /dev/null) || {
+       "$OLDPWD/$bin" --benchmark_min_time=0.01 > /dev/null) || {
       status=$?
       echo "error: $name exited with status $status" >&2
       echo "error: offending report: $report_dir/BENCH_${id}.json" >&2

@@ -3,8 +3,9 @@
 
 Collects the name passed to each LRPDB_COUNTER_INC, LRPDB_COUNTER_ADD,
 LRPDB_GAUGE_SET, LRPDB_HISTOGRAM_RECORD and LRPDB_SCOPED_TIMER_US call
-under src/ and fails if one is missing from DESIGN.md section 5
-("Observability"). Documented names are the backticked spans of that
+under src/, and to each direct registry lookup (GetCounter, GetGauge,
+GetHistogram) under src/ outside src/obs/ (the registry itself), and fails
+if one is missing from DESIGN.md section 5 ("Observability"). Documented names are the backticked spans of that
 section, with brace groups expanded: `store.wal.{appends,appended_bytes}`
 documents store.wal.appends and store.wal.appended_bytes.
 
@@ -21,7 +22,9 @@ import sys
 
 MACROS = ("LRPDB_COUNTER_INC", "LRPDB_COUNTER_ADD", "LRPDB_GAUGE_SET",
           "LRPDB_HISTOGRAM_RECORD", "LRPDB_SCOPED_TIMER_US")
+LOOKUPS = ("GetCounter", "GetGauge", "GetHistogram")
 CALL = re.compile(r"\b(" + "|".join(MACROS) + r")\s*\(\s*(\"([^\"]*)\")?")
+LOOKUP = re.compile(r"\b(" + "|".join(LOOKUPS) + r")\s*\(\s*(\"([^\"]*)\")?")
 COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)
 # A macro definition plus its backslash-continued lines.
 DEFINE = re.compile(r"^\s*#\s*define\b(?:[^\n]*\\\n)*[^\n]*", re.M)
@@ -30,12 +33,17 @@ BACKTICKED = re.compile(r"`([^`\n]+)`")
 GROUP = re.compile(r"\{([^{}]*)\}")
 
 
-def emitted_names(source):
-    """Returns ({name}, [non-literal call]) for one C++ source text."""
+def emitted_names(source, lookups=True):
+    """Returns ({name}, [non-literal call]) for one C++ source text.
+
+    `lookups` also collects direct registry lookups; off for the registry's
+    own sources, which look names up on the macros' behalf.
+    """
     # Macro definitions are not call sites.
     text = DEFINE.sub("", COMMENT.sub("", source))
     names, dynamic = set(), []
-    for match in CALL.finditer(text):
+    patterns = (CALL, LOOKUP) if lookups else (CALL,)
+    for match in itertools.chain(*(p.finditer(text) for p in patterns)):
         if match.group(3) is None:
             dynamic.append(match.group(1))
         else:
@@ -73,8 +81,10 @@ def check(root):
     for path in sorted((root / "src").rglob("*")):
         if path.suffix not in (".h", ".cc"):
             continue
-        names, calls = emitted_names(path.read_text(encoding="utf-8"))
         rel = path.relative_to(root)
+        names, calls = emitted_names(
+            path.read_text(encoding="utf-8"),
+            lookups=rel.parts[:2] != ("src", "obs"))
         for name in names:
             emitted.setdefault(name, rel)
         dynamic.extend(f"{rel}: {call}" for call in calls)
@@ -108,6 +118,20 @@ void G(const char* n) { LRPDB_GAUGE_SET(n, 1); }
     names, dynamic = emitted_names(source)
     assert names == {"a.b", "a.c", "a.d.duration_us"}, names
     assert dynamic == ["LRPDB_GAUGE_SET"], dynamic
+    lookups = '''
+// r.GetCounter("commented.out");
+static Counter* c = r.GetCounter("l.a");
+static Histogram* h = registry.GetHistogram(
+    "l.b");
+Gauge* G(const char* n) { return Global().GetGauge(n); }
+LRPDB_COUNTER_INC("l.c");
+'''
+    names, dynamic = emitted_names(lookups)
+    assert names == {"l.a", "l.b", "l.c"}, names
+    assert dynamic == ["GetGauge"], dynamic
+    names, dynamic = emitted_names(lookups, lookups=False)
+    assert names == {"l.c"}, names
+    assert dynamic == [], dynamic
     assert expand("x.y") == ["x.y"]
     assert expand("s.{a, b}") == ["s.a", "s.b"]
     assert expand("{p,q}.{1,2}") == ["p.1", "p.2", "q.1", "q.2"]

@@ -3,8 +3,8 @@
 Edges come from two sources and must agree:
 
   declared — LRPDB_ACQUIRED_AFTER/ACQUIRED_BEFORE annotations on mutex
-             members (e.g. tuple_store.h declares stats_mu_ acquired after
-             pieces_mu_);
+             members (e.g. `std::mutex b_mu_ LRPDB_ACQUIRED_AFTER(a_mu_);`
+             declares b_mu_ acquired after a_mu_);
   observed — AST acquisition sequences: every scoped guard
              (lock_guard/unique_lock/shared_lock/scoped_lock, honoring
              .unlock()/.lock() and defer_lock) acquired while another lock

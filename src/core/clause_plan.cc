@@ -244,6 +244,9 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
   if (!frontier.back().constraint.IsSatisfiable()) return OkStatus();
 
   int64_t tuples_in = 0;
+  // Probe counters go to the caller's stats, or nowhere.
+  StoreStats uncounted;
+  StoreStats& probes = stats != nullptr ? *stats : uncounted;
   // Scratch with deep buffers (column vectors, mask words, shift outputs)
   // is thread-local so capacity survives across the many small per-task
   // calls a round issues; each worker thread runs one apply at a time, so
@@ -294,7 +297,7 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
     for (const BatchBinding& binding : frontier) {
       LRPDB_RETURN_IF_ERROR(PollExec(exec));
       if (const_missing) {
-        store.CountProbe(stats, 0, range_size);
+        probes.CountProbe(0, range_size);
         continue;
       }
       // Per-binding probe choice: the smallest of the constant posting and
@@ -316,7 +319,7 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
         }
       }
       if (value_missing) {
-        store.CountProbe(stats, 0, range_size);
+        probes.CountProbe(0, range_size);
         continue;
       }
       if (posting != nullptr) {
@@ -325,7 +328,7 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
         block.FillFromRange(store, range_lo, range_hi);
       }
       const int64_t scanned = static_cast<int64_t>(block.rows());
-      store.CountProbe(stats, scanned, range_size - scanned);
+      probes.CountProbe(scanned, range_size - scanned);
       tuples_in += scanned;
       if (block.rows() == 0) continue;
       // Fused select chain: every data filter refines the one mask; the

@@ -1,6 +1,7 @@
 #include "src/core/evaluator.h"
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <optional>
 #include <set>
@@ -162,6 +163,49 @@ std::vector<DataValue> CollectActiveDomain(const Program& program,
   return {domain.begin(), domain.end()};
 }
 
+// Appends printf-style output to `out`, however long it formats.
+__attribute__((format(printf, 2, 3))) void Appendf(std::string* out,
+                                                   const char* format, ...) {
+  va_list args;
+  va_start(args, format);
+  va_list sizing;
+  va_copy(sizing, args);
+  const int size = std::vsnprintf(nullptr, 0, format, sizing);
+  va_end(sizing);
+  if (size > 0) {
+    const size_t old_size = out->size();
+    out->resize(old_size + static_cast<size_t>(size) + 1);
+    std::vsnprintf(out->data() + old_size, static_cast<size_t>(size) + 1,
+                   format, args);
+    out->resize(old_size + static_cast<size_t>(size));
+  }
+  va_end(args);
+}
+
+// Publishes one finished round to the metrics registry: its eval.* round
+// counters and every store.* insert/probe counter. This is the only path
+// from StoreStats to the registry, so a store.* delta always equals the
+// StoreTotals() of the rounds published meanwhile.
+void PublishRound([[maybe_unused]] const RoundStats& round) {
+  LRPDB_COUNTER_INC("eval.rounds");
+  LRPDB_COUNTER_ADD("eval.round.delta_tuples", round.delta_tuples);
+  LRPDB_COUNTER_ADD("eval.candidates", round.candidates);
+  LRPDB_COUNTER_ADD("eval.inserted", round.inserted);
+  LRPDB_COUNTER_ADD("eval.new_free_extensions", round.new_free_extensions);
+  LRPDB_HISTOGRAM_RECORD("eval.round.duration_us", round.duration_us);
+  const StoreStats& store = round.store;
+  LRPDB_COUNTER_ADD("store.signature_probes", store.signature_probes);
+  LRPDB_COUNTER_ADD("store.subsumption_checks", store.subsumption_checks);
+  LRPDB_COUNTER_ADD("store.subsumption_candidates",
+                    store.subsumption_candidates);
+  LRPDB_COUNTER_ADD("store.inserts", store.inserts);
+  LRPDB_COUNTER_ADD("store.subsumed", store.subsumed);
+  LRPDB_COUNTER_ADD("store.empty_dropped", store.empty_dropped);
+  LRPDB_COUNTER_ADD("store.index_probes", store.index_probes);
+  LRPDB_COUNTER_ADD("store.tuples_scanned", store.tuples_scanned);
+  LRPDB_COUNTER_ADD("store.tuples_pruned", store.tuples_pruned);
+}
+
 }  // namespace
 
 const GeneralizedRelation& EvaluationResult::Relation(
@@ -202,45 +246,32 @@ std::string EvaluationResult::Explain(bool include_timings) const {
   // computed model: Explain(false) is what the determinism differential
   // compares across thread counts, so timing-free lines must stay free of
   // any run-dependent value (wall clocks, thread counts, pointers).
-  char line[256];
   std::string out;
+  const std::string outcome =
+      reached_fixpoint ? "fixpoint reached" : "gave up: " + gave_up_reason;
+  Appendf(&out, "EXPLAIN: %d rounds, %s, %lld derivations, %lld kept",
+          iterations, outcome.c_str(),
+          static_cast<long long>(profile.TotalDerivations()),
+          static_cast<long long>(profile.TotalInserted()));
   if (include_timings) {
-    std::snprintf(line, sizeof(line),
-                  "EXPLAIN: %d rounds, %s, %lld derivations, %lld kept "
-                  "(total %lld us, normalize %lld us, compact %lld us)\n",
-                  iterations,
-                  reached_fixpoint ? "fixpoint reached"
-                                   : ("gave up: " + gave_up_reason).c_str(),
-                  static_cast<long long>(profile.TotalDerivations()),
-                  static_cast<long long>(profile.TotalInserted()),
-                  static_cast<long long>(profile.total_us),
-                  static_cast<long long>(profile.normalize_us),
-                  static_cast<long long>(profile.compact_us));
-  } else {
-    std::snprintf(line, sizeof(line),
-                  "EXPLAIN: %d rounds, %s, %lld derivations, %lld kept\n",
-                  iterations,
-                  reached_fixpoint ? "fixpoint reached"
-                                   : ("gave up: " + gave_up_reason).c_str(),
-                  static_cast<long long>(profile.TotalDerivations()),
-                  static_cast<long long>(profile.TotalInserted()));
+    Appendf(&out, " (total %lld us, normalize %lld us, compact %lld us)",
+            static_cast<long long>(profile.total_us),
+            static_cast<long long>(profile.normalize_us),
+            static_cast<long long>(profile.compact_us));
   }
-  out += line;
+  out += "\n";
   for (const RuleProfile& rule : profile.rules) {
-    std::snprintf(line, sizeof(line),
-                  "  rule %-3d %-40s apps=%-5lld derived=%-6lld kept=%-6lld "
-                  "subsumed=%-6lld new_fe=%-5lld",
-                  rule.clause_index, rule.rule.c_str(),
-                  static_cast<long long>(rule.applications),
-                  static_cast<long long>(rule.derivations),
-                  static_cast<long long>(rule.inserted),
-                  static_cast<long long>(rule.subsumed),
-                  static_cast<long long>(rule.new_free_extensions));
-    out += line;
+    Appendf(&out,
+            "  rule %-3d %-40s apps=%-5lld derived=%-6lld kept=%-6lld "
+            "subsumed=%-6lld new_fe=%-5lld",
+            rule.clause_index, rule.rule.c_str(),
+            static_cast<long long>(rule.applications),
+            static_cast<long long>(rule.derivations),
+            static_cast<long long>(rule.inserted),
+            static_cast<long long>(rule.subsumed),
+            static_cast<long long>(rule.new_free_extensions));
     if (include_timings) {
-      std::snprintf(line, sizeof(line), " apply_us=%lld",
-                    static_cast<long long>(rule.apply_us));
-      out += line;
+      Appendf(&out, " apply_us=%lld", static_cast<long long>(rule.apply_us));
     }
     out += "\n";
   }
@@ -249,16 +280,12 @@ std::string EvaluationResult::Explain(bool include_timings) const {
                "insert_us\n"
              : "  round  stratum  delta  cand  ins  new_fe\n";
   for (const RoundStats& round : rounds) {
-    std::snprintf(line, sizeof(line), "  %-6d %-8d %-6lld %-5d %-4d %-7d",
-                  round.round, round.stratum,
-                  static_cast<long long>(round.delta_tuples),
-                  round.candidates, round.inserted, round.new_free_extensions);
-    out += line;
+    Appendf(&out, "  %-6d %-8d %-6lld %-5d %-4d %-7d", round.round,
+            round.stratum, static_cast<long long>(round.delta_tuples),
+            round.candidates, round.inserted, round.new_free_extensions);
     if (include_timings) {
-      std::snprintf(line, sizeof(line), " %-9lld %lld",
-                    static_cast<long long>(round.apply_us),
-                    static_cast<long long>(round.insert_us));
-      out += line;
+      Appendf(&out, " %-9lld %lld", static_cast<long long>(round.apply_us),
+              static_cast<long long>(round.insert_us));
     }
     out += "\n";
   }
@@ -277,8 +304,7 @@ namespace {
   const SteadyTime eval_start = Now();
   LRPDB_TRACE_SPAN(eval_span, "eval.run");
   LRPDB_FAILPOINT("evaluator.evaluate");
-  ExecContext* exec =
-      options.exec != nullptr ? options.exec : options.limits.exec;
+  ExecContext* exec = options.exec;
   NormalizeLimits limits = options.limits;
   limits.exec = exec;
   // Layers whose signatures cannot carry the context (DBM closure inside
@@ -470,8 +496,6 @@ namespace {
         stats.delta_tuples +=
             static_cast<int64_t>(relation.store().delta_size());
       }
-      LRPDB_COUNTER_INC("eval.rounds");
-      LRPDB_COUNTER_ADD("eval.round.delta_tuples", stats.delta_tuples);
       std::vector<std::pair<int, GeneralizedTuple>> candidates;
       // Kept 1:1 with `candidates` while capturing provenance.
       std::vector<std::vector<EntryId>> candidate_parents;
@@ -753,14 +777,10 @@ namespace {
 
       result.iterations = total_rounds;
       stats.duration_us = UsSince(round_start);
-      LRPDB_COUNTER_ADD("eval.candidates", stats.candidates);
-      LRPDB_COUNTER_ADD("eval.inserted", stats.inserted);
-      LRPDB_COUNTER_ADD("eval.new_free_extensions",
-                        stats.new_free_extensions);
-      LRPDB_HISTOGRAM_RECORD("eval.round.duration_us", stats.duration_us);
       round_span.AddArg("candidates", stats.candidates);
       round_span.AddArg("inserted", stats.inserted);
       round_span.AddArg("delta_tuples", stats.delta_tuples);
+      PublishRound(stats);
       result.rounds.push_back(stats);
       if (exec != nullptr) exec->ReportCompletedRound(total_rounds);
       if (!grew) break;  // This stratum reached its fixpoint.
@@ -887,8 +907,7 @@ const EvaluationResult& Evaluator::Partial() const {
                                         const PredicateAtom& query,
                                         const EvaluationOptions& options) {
   LRPDB_FAILPOINT("evaluator.query_atom");
-  ExecContext* exec =
-      options.exec != nullptr ? options.exec : options.limits.exec;
+  ExecContext* exec = options.exec;
   NormalizeLimits limits = options.limits;
   limits.exec = exec;
   ExecContext::ScopedCurrent scoped_exec(exec);

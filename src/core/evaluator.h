@@ -56,6 +56,7 @@ struct EvaluationOptions {
   // constraint safe after a few iterations").
   int fes_patience = 64;
   // Budgets for the residue normalization underlying exact containment.
+  // Its `exec` is replaced by the `exec` field below.
   NormalizeLimits limits;
   // Record every candidate tuple per round (for traces such as the
   // Example 4.1 table).
@@ -72,8 +73,8 @@ struct EvaluationOptions {
   // converts the trip into its Status (kDeadlineExceeded / kCancelled /
   // kResourceExhausted) and exposes the partial model via Partial(). The
   // context also caps rounds at ExecContext::max_rounds() (default
-  // kDefaultMaxRounds) on top of max_iterations above. Setting
-  // limits.exec directly is equivalent; this field wins if both are set.
+  // kDefaultMaxRounds) on top of max_iterations above. The evaluator
+  // hands it on to every layer below as limits.exec.
   ExecContext* exec = nullptr;
   // Worker threads for the clause-application phase of each round
   // (DESIGN.md §8). 0 (the default) resolves through

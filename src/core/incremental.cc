@@ -121,8 +121,7 @@ void IncrementalEvaluator::ClearDeltas() {
   LRPDB_COUNTER_INC("eval.inc.add_batches");
   LRPDB_COUNTER_ADD("eval.inc.add_facts",
                     static_cast<int64_t>(batch.size()));
-  ExecContext* exec =
-      options_.exec != nullptr ? options_.exec : options_.limits.exec;
+  ExecContext* exec = options_.exec;
   NormalizeLimits limits = options_.limits;
   limits.exec = exec;
   // Exact inserts: duplicates and subsumed facts are absorbed by the
@@ -177,8 +176,7 @@ void IncrementalEvaluator::ClearDeltas() {
   LRPDB_COUNTER_INC("eval.inc.retract_batches");
   LRPDB_COUNTER_ADD("eval.inc.retract_facts",
                     static_cast<int64_t>(batch.size()));
-  ExecContext* exec =
-      options_.exec != nullptr ? options_.exec : options_.limits.exec;
+  ExecContext* exec = options_.exec;
   // Tombstone the exact value matches among the live EDB entries. A fact
   // that was absorbed at insert time has no entry of its own and counts as
   // a miss — the stored model is the unit of retraction (header).

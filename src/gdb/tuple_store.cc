@@ -8,52 +8,6 @@
 #include "src/obs/metrics.h"
 
 namespace lrpdb {
-namespace {
-
-// Mirrors a StoreStats delta onto the global registry, so the storage
-// engine reports through the same store.* schema as every other layer.
-// The round-scoped StoreStats plumbing stays: it is what RoundStats and the
-// differential tests consume; the registry carries the process-lifetime
-// totals.
-void MirrorInsertStats(int64_t StoreStats::*field, int64_t amount) {
-#if !defined(LRPDB_NO_METRICS)
-  struct Handles {
-    obs::Counter* signature_probes;
-    obs::Counter* subsumption_checks;
-    obs::Counter* subsumption_candidates;
-    obs::Counter* inserts;
-    obs::Counter* subsumed;
-    obs::Counter* empty_dropped;
-  };
-  static Handles handles = [] {
-    obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
-    return Handles{r.GetCounter("store.signature_probes"),
-                   r.GetCounter("store.subsumption_checks"),
-                   r.GetCounter("store.subsumption_candidates"),
-                   r.GetCounter("store.inserts"),
-                   r.GetCounter("store.subsumed"),
-                   r.GetCounter("store.empty_dropped")};
-  }();
-  if (field == &StoreStats::signature_probes) {
-    handles.signature_probes->Add(amount);
-  } else if (field == &StoreStats::subsumption_checks) {
-    handles.subsumption_checks->Add(amount);
-  } else if (field == &StoreStats::subsumption_candidates) {
-    handles.subsumption_candidates->Add(amount);
-  } else if (field == &StoreStats::inserts) {
-    handles.inserts->Add(amount);
-  } else if (field == &StoreStats::subsumed) {
-    handles.subsumed->Add(amount);
-  } else if (field == &StoreStats::empty_dropped) {
-    handles.empty_dropped->Add(amount);
-  }
-#else
-  (void)field;
-  (void)amount;
-#endif
-}
-
-}  // namespace
 
 TupleStore::TupleStore(RelationSchema schema)
     : schema_(schema),
@@ -73,9 +27,7 @@ TupleStore::TupleStore(TupleStore&& other) noexcept
   approx_bytes_.store(other.approx_bytes_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
   std::lock_guard<std::mutex> pieces_lock(other.pieces_mu_);
-  std::lock_guard<std::mutex> stats_lock(other.stats_mu_);
   pieces_cache_ = std::move(other.pieces_cache_);
-  stats_ = other.stats_;
 }
 
 TupleStore& TupleStore::operator=(TupleStore&& other) noexcept {
@@ -91,18 +43,12 @@ TupleStore& TupleStore::operator=(TupleStore&& other) noexcept {
   tombstones_ = other.tombstones_;
   approx_bytes_.store(other.approx_bytes_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
-  // std::scoped_lock would deadlock-order these for us, but the acquisition
-  // order here matches LRPDB_ACQUIRED_AFTER(pieces_mu_) everywhere else.
   // Cross-instance acquisition is safe here: move-assignment requires the
   // caller to own both stores exclusively, so no mirrored-order call exists.
   std::lock_guard<std::mutex> other_pieces(other.pieces_mu_);
   // lint: allow(lock-order) -- see exclusivity note above.
   std::lock_guard<std::mutex> self_pieces(pieces_mu_);
-  std::lock_guard<std::mutex> other_stats(other.stats_mu_);
-  // lint: allow(lock-order) -- see exclusivity note above.
-  std::lock_guard<std::mutex> self_stats(stats_mu_);
   pieces_cache_ = std::move(other.pieces_cache_);
-  stats_ = other.stats_;
   return *this;
 }
 
@@ -111,21 +57,6 @@ const std::vector<EntryId>& TupleStore::EntriesWithSignature(
   static const std::vector<EntryId> kNone;
   auto it = signature_index_.find(signature);
   return it == signature_index_.end() ? kNone : it->second.entries;
-}
-
-StoreStats TupleStore::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
-}
-
-void TupleStore::BumpStat(int64_t StoreStats::*field, int64_t amount,
-                          StoreStats* round_stats) const {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.*field += amount;
-  }
-  if (round_stats != nullptr) round_stats->*field += amount;
-  MirrorInsertStats(field, amount);
 }
 
 [[nodiscard]] StatusOr<const std::vector<NormalizedTuple>*> TupleStore::pieces(
@@ -146,7 +77,7 @@ void TupleStore::BumpStat(int64_t StoreStats::*field, int64_t amount,
 
 [[nodiscard]] StatusOr<InsertOutcome> TupleStore::Insert(GeneralizedTuple tuple,
                                            const NormalizeLimits& limits,
-                                           StoreStats* round_stats) {
+                                           StoreStats* stats) {
   LRPDB_FAILPOINT("tuple_store.insert");
   if (tuple.temporal_arity() != schema_.temporal_arity ||
       tuple.data_arity() != schema_.data_arity) {
@@ -155,15 +86,15 @@ void TupleStore::BumpStat(int64_t StoreStats::*field, int64_t amount,
   LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
   LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> candidate,
                          NormalizedTuple::Normalize(tuple, limits));
-  auto bump = [&](int64_t StoreStats::*field, int64_t amount) {
-    BumpStat(field, amount, round_stats);
-  };
+  // Counts into the caller's stats, or nowhere.
+  StoreStats uncounted;
+  StoreStats& counts = stats != nullptr ? *stats : uncounted;
   if (candidate.empty()) {  // Empty ground set.
-    bump(&StoreStats::empty_dropped, 1);
+    ++counts.empty_dropped;
     return InsertOutcome{};
   }
   // Same-signature entries: one bucket probe.
-  bump(&StoreStats::signature_probes, 1);
+  ++counts.signature_probes;
   std::vector<EntryId> bucket_entries;
   auto it = signature_index_.find(tuple.free_extension());
   if (it != signature_index_.end()) bucket_entries = it->second.entries;
@@ -174,13 +105,13 @@ void TupleStore::BumpStat(int64_t StoreStats::*field, int64_t amount,
                              pieces(id, limits));
       existing.insert(existing.end(), cached->begin(), cached->end());
     }
-    bump(&StoreStats::subsumption_checks, 1);
-    bump(&StoreStats::subsumption_candidates,
-         static_cast<int64_t>(bucket_entries.size()));
+    ++counts.subsumption_checks;
+    counts.subsumption_candidates +=
+        static_cast<int64_t>(bucket_entries.size());
     LRPDB_ASSIGN_OR_RETURN(bool contained,
                            PiecesContainedIn(candidate, existing, limits));
     if (contained) {
-      bump(&StoreStats::subsumed, 1);
+      ++counts.subsumed;
       InsertOutcome outcome;
       outcome.absorbers = std::move(bucket_entries);
       return outcome;
@@ -199,7 +130,7 @@ void TupleStore::BumpStat(int64_t StoreStats::*field, int64_t amount,
   outcome.inserted = true;
   outcome.id = static_cast<EntryId>(entries_.size());
   outcome.new_signature = Append(std::move(tuple), std::move(candidate), true);
-  bump(&StoreStats::inserts, 1);
+  ++counts.inserts;
   return outcome;
 }
 
@@ -208,7 +139,6 @@ bool TupleStore::InsertUnlessEmpty(GeneralizedTuple tuple) {
   LRPDB_CHECK_EQ(tuple.data_arity(), schema_.data_arity);
   if (!tuple.ConstraintSatisfiable()) return false;
   Append(std::move(tuple), {}, false);
-  BumpStat(&StoreStats::inserts, 1, nullptr);
   return true;
 }
 

@@ -44,7 +44,6 @@
 
 #include "src/common/statusor.h"
 #include "src/common/thread_annotations.h"
-#include "src/obs/metrics.h"
 #include "src/gdb/generalized_tuple.h"
 #include "src/gdb/normalized_tuple.h"
 #include "src/gdb/schema.h"
@@ -56,8 +55,11 @@ using EntryId = uint32_t;
 // Dense id of an interned free-extension signature within one TupleStore.
 using SignatureId = uint32_t;
 
-// Cumulative storage-engine counters. The store keeps a lifetime copy;
-// callers may pass their own to scope counts to a round.
+// Storage-engine counters. A plain struct owned by the caller: the store
+// keeps no copy of its own, and counts only into the one passed to Insert.
+// The evaluator gives each apply task its own and each round one for its
+// inserts, folds them into RoundStats::store, and publishes every finished
+// round to the metrics registry once.
 struct StoreStats {
   // InsertIfNew path.
   int64_t signature_probes = 0;       // Signature-bucket lookups.
@@ -70,6 +72,16 @@ struct StoreStats {
   int64_t index_probes = 0;           // Candidate probes issued.
   int64_t tuples_scanned = 0;         // Entries yielded to the unifier.
   int64_t tuples_pruned = 0;          // Entries skipped by index/delta filter.
+
+  // One join probe: `scanned` entries yielded to the unifier, `pruned`
+  // skipped by the index or delta filter. The batch kernel
+  // (ApplyClauseBatch in src/core/clause_plan.cc) calls this once per probe
+  // it runs.
+  void CountProbe(int64_t scanned, int64_t pruned) {
+    ++index_probes;
+    tuples_scanned += scanned;
+    tuples_pruned += pruned;
+  }
 
   void Accumulate(const StoreStats& other) {
     signature_probes += other.signature_probes;
@@ -104,15 +116,14 @@ struct InsertOutcome {
 // Thread-safety contract: mutations (Insert, InsertUnlessEmpty,
 // AdvanceGeneration, EraseEntries) require exclusive access. Between
 // mutations, any number of threads may issue const operations concurrently
-// — PostingFor, CountProbe, pieces(), stats(), CheckConsistency, ToString —
-// the two pieces of const-path mutable state (the lazy residue-piece cache
-// and the probe counters) are guarded by internal mutexes, annotated below for
-// Clang's -Wthread-safety and exercised from 8 threads under TSan in
-// tests/tuple_store_test.cc. Exception to the "between mutations" rule:
-// approx_bytes() and stats() are safe to call concurrently *with* a
-// mutation (a monitoring thread sampling memory while an evaluation
-// inserts) — the byte counter is a single atomic, the stats a mutex-held
-// copy; neither touches the entry array.
+// — PostingFor, pieces(), CheckConsistency, ToString — the one piece of
+// const-path mutable state, the lazy residue-piece cache, is guarded by the
+// store's one internal mutex, annotated below for Clang's -Wthread-safety
+// and exercised from 8 threads under TSan in tests/tuple_store_test.cc.
+// Exception to the "between mutations" rule: approx_bytes() is safe to call
+// concurrently *with* a mutation (a monitoring thread sampling memory while
+// an evaluation inserts) — it is a single atomic and never touches the
+// entry array.
 class TupleStore {
  public:
   // Which generation a probe ranges over.
@@ -128,8 +139,8 @@ class TupleStore {
   explicit TupleStore(RelationSchema schema);
 
   // Movable (relations hand stores around by value); moving counts as a
-  // mutation, so it requires exclusive access to both operands. The mutexes
-  // themselves stay put — the destination keeps its own.
+  // mutation, so it requires exclusive access to both operands. The mutex
+  // itself stays put — the destination keeps its own.
   TupleStore(TupleStore&& other) noexcept;
   TupleStore& operator=(TupleStore&& other) noexcept;
   TupleStore(const TupleStore&) = delete;
@@ -148,9 +159,6 @@ class TupleStore {
   // there are none. One hash probe, whatever the store's size.
   const std::vector<EntryId>& EntriesWithSignature(
       const FreeExtension& signature) const;
-  // A consistent copy of the lifetime counters (they advance concurrently
-  // with const probes, so a reference would be a torn read).
-  StoreStats stats() const LRPDB_LOCKS_EXCLUDED(stats_mu_);
   // Approximate retained bytes: every appended entry plus its normalized
   // pieces, using the same estimate Insert charges to the ExecContext byte
   // budget. A single atomic, so a monitoring thread may sample it while
@@ -177,27 +185,6 @@ class TupleStore {
     return it == index.end() ? nullptr : &it->second;
   }
 
-  // One probe's worth of counter updates, a single critical section per
-  // candidate scan rather than per yielded tuple. The batch kernel's fused
-  // scans (src/gdb/batch.h) call this once per probe they run.
-  void CountProbe(StoreStats* round_stats, int64_t scanned,
-                  int64_t pruned) const LRPDB_LOCKS_EXCLUDED(stats_mu_) {
-    LRPDB_COUNTER_INC("store.index_probes");
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.index_probes;
-      stats_.tuples_scanned += scanned;
-      stats_.tuples_pruned += pruned;
-    }
-    if (round_stats != nullptr) {
-      ++round_stats->index_probes;
-      round_stats->tuples_scanned += scanned;
-      round_stats->tuples_pruned += pruned;
-    }
-    LRPDB_COUNTER_ADD("store.tuples_scanned", scanned);
-    LRPDB_COUNTER_ADD("store.tuples_pruned", pruned);
-  }
-
   // The residue pieces of entry `id`, computed on first use and cached.
   // The returned pointer stays valid until the next mutation; the pointee
   // is immutable once returned, so concurrent callers may share it.
@@ -209,16 +196,16 @@ class TupleStore {
   // in the union of the stored tuples with the same signature (free
   // extension) -- the comparison constraint safety (paper, Section 4.3)
   // prescribes. The same-signature entries come from one bucket probe.
-  // `round_stats`, when non-null, receives the same counter increments as
-  // the lifetime stats.
+  // `stats`, when non-null, receives the insert-path counters; without it
+  // nothing is counted.
   [[nodiscard]] StatusOr<InsertOutcome> Insert(GeneralizedTuple tuple,
                                  const NormalizeLimits& limits =
                                      NormalizeLimits(),
-                                 StoreStats* round_stats = nullptr);
+                                 StoreStats* stats = nullptr);
 
   // Inserts after a cheap DBM satisfiability check only; tuples empty
   // purely through lrp-residue conflicts may be stored (harmless
-  // redundancy). Returns false iff dropped.
+  // redundancy). Counts nothing. Returns false iff dropped.
   bool InsertUnlessEmpty(GeneralizedTuple tuple);
 
   // --- Snapshot restore (src/storage) ---
@@ -326,11 +313,6 @@ class TupleStore {
   bool Append(GeneralizedTuple tuple, std::vector<NormalizedTuple> pieces,
               bool normalized) LRPDB_LOCKS_EXCLUDED(pieces_mu_);
 
-  // Folds one insert-path counter into the lifetime stats (under stats_mu_),
-  // the caller's round stats (caller-owned, unlocked), and the registry.
-  void BumpStat(int64_t StoreStats::*field, int64_t amount,
-                StoreStats* round_stats) const LRPDB_LOCKS_EXCLUDED(stats_mu_);
-
   RelationSchema schema_;
   std::vector<Entry> entries_;
   std::unordered_map<FreeExtension, SignatureBucket, FreeExtensionHash>
@@ -358,13 +340,8 @@ class TupleStore {
   mutable std::mutex pieces_mu_;
   mutable std::deque<PiecesCache> pieces_cache_ LRPDB_GUARDED_BY(pieces_mu_);
 
-  // Guards the lifetime counters, which advance on the const probe path.
-  mutable std::mutex stats_mu_ LRPDB_ACQUIRED_AFTER(pieces_mu_);
-  mutable StoreStats stats_ LRPDB_GUARDED_BY(stats_mu_);
-
-  // Retained-bytes estimate, advanced by Append. Atomic (not folded into
-  // stats_ under stats_mu_) so approx_bytes() stays safe and lock-free for
-  // readers concurrent with an insert.
+  // Retained-bytes estimate, advanced by Append. Atomic so approx_bytes()
+  // stays safe and lock-free for readers concurrent with an insert.
   std::atomic<int64_t> approx_bytes_{0};
 };
 

@@ -158,6 +158,40 @@ TEST(EvaluatorTest, ExplainRendersRulesAndRounds) {
   EXPECT_EQ(lines, 1 + 2 + 1 + 8);
 }
 
+// A rule line longer than any fixed buffer keeps every field, with and
+// without timings.
+TEST(EvaluatorTest, ExplainKeepsEveryFieldOfALongRule) {
+  const std::string base = "base_relation_with_a_long_name";
+  const std::string derived = "derived_relation_with_a_long_name";
+  std::string source = ".decl " + base + "(time)\n.decl " + derived +
+                       "(time)\n.fact " + base + "(3n).\n" + derived +
+                       "(t) :- ";
+  for (int i = 0; i < 5; ++i) {
+    source += (i > 0 ? ", " : "") + base + "(t)";
+  }
+  source += ".\n";
+  Database db;
+  auto unit = Parse(source, &db);
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  auto result = Evaluate(unit->program, db);
+  ASSERT_TRUE(result.ok()) << result.status();
+  std::string rule = derived + " :- " + base;
+  for (int i = 1; i < 5; ++i) rule += ", " + base;
+  for (bool timings : {false, true}) {
+    const std::string explain = result->Explain(timings);
+    const size_t start = explain.find("  rule 0   " + rule);
+    ASSERT_NE(start, std::string::npos) << explain;
+    const std::string line =
+        explain.substr(start, explain.find('\n', start) - start);
+    EXPECT_GT(line.size(), 256u);
+    for (const char* field : {"apps=1 ", "derived=1 ", "kept=1 ",
+                              "subsumed=0 ", "new_fe=1"}) {
+      EXPECT_NE(line.find(field), std::string::npos) << field << ": " << line;
+    }
+    EXPECT_EQ(line.find("apply_us=") != std::string::npos, timings) << line;
+  }
+}
+
 TEST(EvaluatorTest, ProfileTimingsAreFilled) {
 #if defined(LRPDB_NO_METRICS)
   GTEST_SKIP() << "profile timings read as 0 under LRPDB_NO_METRICS";

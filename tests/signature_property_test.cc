@@ -27,15 +27,17 @@ const std::pair<int64_t, int64_t> kSpellingsOf7n3[] = {
 
 TEST(SignatureInterningTest, NonCanonicalLrpSpellingsShareOneSignature) {
   TupleStore store({1, 0});
+  StoreStats stats;
   for (auto [a, b] : kSpellingsOf7n3) {
-    auto outcome = store.Insert(GeneralizedTuple({Lrp(a, b)}, {}, Dbm(1)));
+    auto outcome = store.Insert(GeneralizedTuple({Lrp(a, b)}, {}, Dbm(1)),
+                                NormalizeLimits(), &stats);
     ASSERT_TRUE(outcome.ok());
   }
   // One signature was interned; the three re-spellings were subsumed by the
   // first (identical ground set, same bucket).
   EXPECT_EQ(store.num_signatures(), 1u);
   EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.stats().subsumed, 3);
+  EXPECT_EQ(stats.subsumed, 3);
   EXPECT_TRUE(store.CheckConsistency().ok());
 
   // The interned key is the canonical form.
