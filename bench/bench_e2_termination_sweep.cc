@@ -85,8 +85,7 @@ void WriteReport() {
   lrpdb_bench::BenchReport report("e2");
   report.Set("largest_sweep_period", kPeriod);
   // Repeated so wall_ms lands well clear of scheduler noise: a single
-  // evaluation is sub-millisecond in Release builds, and the perf gate
-  // (ci/compare_bench.py) only gates fields above its --min-ms floor.
+  // evaluation is sub-millisecond in Release builds.
   constexpr int kRepetitions = 25;
   std::optional<lrpdb::EvaluationResult> result;
   double ms = report.Time("wall_ms", [&] {
@@ -102,8 +101,8 @@ void WriteReport() {
   report.SetProfile(result->profile);
   report.Set("per_round_us",
              ms * 1000.0 / kRepetitions / result->iterations);
-  // Resolved worker count (LRPDB_THREADS): ci/compare_bench.py gates on the
-  // threads=1 run, so the report must say which mode produced it.
+  // Resolved worker count (LRPDB_THREADS), so a reader can tell which mode
+  // produced the timings.
   report.Set("threads", result->threads);
   report.Write();
 }

@@ -126,7 +126,7 @@ void WriteReport() {
   });
   report.Set("project_tuples", out);
   // The algebra itself is single-threaded; the resolved LRPDB_THREADS value
-  // is recorded so ci/compare_bench.py can tell gate runs apart anyway.
+  // is recorded so reports from different thread settings stay apart.
   report.Set("threads",
              static_cast<int64_t>(lrpdb::ThreadPool::DefaultThreads()));
   report.Write();

@@ -8,11 +8,6 @@
 // plus retraction wall times for a 1-fact and a 64-fact batch alongside
 // the number of stored entries each one touched (tombstoned EDB facts plus
 // over-deleted/re-derived derivations).
-//
-// Under LRPDB_NO_PROVENANCE (the bench-gate build) retraction degrades to
-// the documented full-recompute fallback; the retract fields then measure
-// that fallback, which is exactly what a gate on this configuration should
-// watch. The add path never needs provenance and stays incremental.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -124,12 +119,8 @@ EntryCensus Census(const IncrementalEvaluator& inc) {
 }
 
 // Stored entries a retraction touched: tombstoned (the retracted EDB facts
-// plus DRed's over-deleted dependents) + re-inserted (re-derivations). On
-// the LRPDB_NO_PROVENANCE fallback the whole model is recomputed into a
-// fresh IDB, so the deltas are meaningless and everything live was touched.
-int64_t TouchedEntries(IncrementalEvaluator& inc, const EntryCensus& before,
-                       const EntryCensus& after) {
-  if (inc.provenance() == nullptr) return after.live;
+// plus DRed's over-deleted dependents) + re-inserted (re-derivations).
+int64_t TouchedEntries(const EntryCensus& before, const EntryCensus& after) {
   return (after.dead() - before.dead()) + (after.entries - before.entries);
 }
 
@@ -214,7 +205,7 @@ void WriteReport() {
     lrpdb_bench::CheckBenchOk(id, "retract 1", inc.RetractFacts(retract1));
   });
   EntryCensus after = Census(inc);
-  report.Set("touched_entries_retract_1", TouchedEntries(inc, before, after));
+  report.Set("touched_entries_retract_1", TouchedEntries(before, after));
 
   before = after;
   std::vector<FactUpdate> retract64 = MakeRetractBatch(1000, 64, &db);
@@ -222,7 +213,7 @@ void WriteReport() {
     lrpdb_bench::CheckBenchOk(id, "retract 64", inc.RetractFacts(retract64));
   });
   after = Census(inc);
-  report.Set("touched_entries_retract_64", TouchedEntries(inc, before, after));
+  report.Set("touched_entries_retract_64", TouchedEntries(before, after));
   report.Set("compacted_entries", inc.CompactRetracted());
   report.Set("tuples_live_final", Census(inc).live);
   report.Set("at_fixpoint", inc.at_fixpoint());

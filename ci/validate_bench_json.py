@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Validates BENCH_<id>.json reports against the bench_json.h contract.
 
-Usage: ci/validate_bench_json.py [--allow-empty-counters] BENCH_*.json
+Usage: ci/validate_bench_json.py BENCH_*.json
 
 Schema version 2 (bench/bench_json.h): a single JSON object with
   "bench"           the bench id (non-empty string),
   "schema_version"  an integer >= 2,
   "metrics"         {"counters": {...}, "gauges": {...}, "histograms": {...}}
 where "counters" is non-empty (every report writer bumps
-bench.reports_written) unless --allow-empty-counters is given, which is the
-escape hatch for LRPDB_NO_METRICS builds.
+bench.reports_written), so reports from an LRPDB_NO_METRICS build fail.
 
 Every metric name must fall under a known engine namespace (KNOWN_PREFIXES
 below, including the provenance counters eval.prov.*): a typo'd or stale
@@ -39,7 +38,7 @@ def fail(path, message):
     sys.exit(1)
 
 
-def validate(path, allow_empty_counters):
+def validate(path):
     try:
         with open(path) as f:
             report = json.load(f)
@@ -69,7 +68,7 @@ def validate(path, allow_empty_counters):
                 fail(path, f'{kind[:-1]} "{name}" is outside the known '
                            f'metric namespaces {KNOWN_PREFIXES}')
     counters = metrics["counters"]
-    if not allow_empty_counters and not counters:
+    if not counters:
         fail(path, '"metrics.counters" is empty (instrumentation inactive?)')
     for name, value in counters.items():
         if not isinstance(value, int) or isinstance(value, bool):
@@ -91,15 +90,11 @@ def validate(path, allow_empty_counters):
 
 def main(argv):
     args = argv[1:]
-    allow_empty_counters = False
-    if args and args[0] == "--allow-empty-counters":
-        allow_empty_counters = True
-        args = args[1:]
     if not args:
         print(__doc__, file=sys.stderr)
         return 2
     for path in args:
-        validate(path, allow_empty_counters)
+        validate(path)
     print(f"validate_bench_json: {len(args)} report(s) valid")
     return 0
 

@@ -254,10 +254,7 @@ int ExplainWhy(const ProvSession& s, const std::string& spec) {
   }
   std::optional<lrpdb::ProvRelationId> rel = s.log->FindRelation(name);
   if (!rel.has_value()) {
-    std::printf("no provenance recorded for relation '%s'%s\n", name.c_str(),
-                lrpdb::kProvenanceCompiledIn
-                    ? ""
-                    : " (provenance is compiled out in this build)");
+    std::printf("no provenance recorded for relation '%s'\n", name.c_str());
     return 1;
   }
   constexpr size_t kMaxTrees = 5;

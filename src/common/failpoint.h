@@ -12,8 +12,9 @@
 // plus one relaxed atomic load and a predictable branch. Armed — from a
 // test via failpoint::Arm(), or from the LRPDB_FAILPOINTS environment
 // variable — the macro returns an injected error Status from the enclosing
-// function, exercising the real unwind path. Compiling with
-// -DLRPDB_NO_FAILPOINTS removes the macro entirely.
+// function, exercising the real unwind path. Every build compiles the
+// sites in: the disarmed cost is what ships and what the benchmark
+// measures.
 //
 // Naming convention (see DESIGN.md §7): "<component>.<operation>", e.g.
 // "tuple_store.insert", "algebra.join", "datalog1s.window". Sites register
@@ -95,7 +96,6 @@ int64_t Fires(const std::string& name);
 }  // namespace failpoint
 }  // namespace lrpdb
 
-#if !defined(LRPDB_NO_FAILPOINTS)
 // Injects an error return from the enclosing function when the named site
 // is armed. Use only in functions returning Status or StatusOr<T>.
 #define LRPDB_FAILPOINT(name_literal)                                        \
@@ -108,10 +108,5 @@ int64_t Fires(const std::string& name);
       if (!lrpdb_failpoint_status_.ok()) return lrpdb_failpoint_status_;     \
     }                                                                        \
   } while (false)
-#else
-#define LRPDB_FAILPOINT(name_literal) \
-  do {                                \
-  } while (false)
-#endif
 
 #endif  // LRPDB_COMMON_FAILPOINT_H_

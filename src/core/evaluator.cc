@@ -406,12 +406,11 @@ namespace {
   ClausePlanCache plan_cache(normalized.clauses.size(),
                              /*allow_reorder=*/true);
 
-  // Why-provenance capture: resolved through EffectiveProvenance so every
-  // branch below is dead code under LRPDB_NO_PROVENANCE. Per-clause
+  // Why-provenance capture, when the caller passed a log. Per-clause
   // relation ids (head + positive body atoms, body order) are interned
   // once; they pair with the per-candidate parent entry ids the kernels
   // capture.
-  ProvenanceLog* prov = EffectiveProvenance(options.provenance);
+  ProvenanceLog* prov = options.provenance;
   struct ClauseProv {
     ProvRelationId head = 0;
     std::vector<ProvRelationId> parents;

@@ -90,7 +90,7 @@ struct EvaluationOptions {
   // subsumption-aware. Not owned; must outlive the evaluation and any
   // WhyProvenance queries over its EntryIds. Recording disables result
   // compaction (compaction renumbers entries; the model is unchanged, just
-  // uncompacted). Ignored under LRPDB_NO_PROVENANCE builds.
+  // uncompacted).
   ProvenanceLog* provenance = nullptr;
 };
 

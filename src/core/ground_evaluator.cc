@@ -13,8 +13,7 @@ namespace lrpdb {
 namespace {
 
 // Per-clause why-provenance context threaded into the apply stages; null
-// when recording is off (the default, and always under
-// LRPDB_NO_PROVENANCE).
+// when recording is off (the default).
 struct ProvCapture {
   ProvenanceLog* log = nullptr;
   ProvRelationId head = 0;
@@ -375,10 +374,9 @@ struct FlatFrontier {
         program.predicates().NameOf(clause.head_predicate));
   }
 
-  // Why-provenance capture contexts, one per clause; resolved through
-  // EffectiveProvenance so the capture code below is dead under
-  // LRPDB_NO_PROVENANCE. The round field is stamped per round.
-  ProvenanceLog* prov_log = EffectiveProvenance(options.provenance);
+  // Why-provenance capture contexts, one per clause, when the caller passed
+  // a log. The round field is stamped per round.
+  ProvenanceLog* prov_log = options.provenance;
   std::vector<ProvCapture> clause_prov;
   if (prov_log != nullptr) {
     clause_prov.resize(normalized.clauses.size());

@@ -42,7 +42,7 @@ struct GroundEvaluationOptions {
   // body atoms' fact indices, round). Parents referencing extensional
   // relations resolve against GroundEvaluationResult::edb, which is
   // returned precisely so recorded addresses outlive the evaluation. Not
-  // owned; ignored under LRPDB_NO_PROVENANCE builds.
+  // owned.
   ProvenanceLog* provenance = nullptr;
 };
 

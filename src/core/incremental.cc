@@ -25,11 +25,6 @@ IncrementalEvaluator::IncrementalEvaluator(const Program& program,
 }
 
 void IncrementalEvaluator::ResetProvenance() {
-  if (!kProvenanceCompiledIn) {
-    prov_.reset();
-    options_.provenance = nullptr;
-    return;
-  }
   prov_ = std::make_unique<ProvenanceLog>();
   prov_->set_track_dependents(true);
   options_.provenance = prov_.get();
@@ -203,10 +198,9 @@ void IncrementalEvaluator::ClearDeltas() {
     if (!matched) LRPDB_COUNTER_INC("eval.inc.retract_misses");
   }
   if (retracted.empty()) return OkStatus();
-  if (has_negation_ || !model_->reached_fixpoint || prov_ == nullptr) {
-    // Negation, a non-fixpoint model, or a provenance-free build
-    // (LRPDB_NO_PROVENANCE): no recorded parent edges to drive DRed, so
-    // refixpoint the shrunk database.
+  if (has_negation_ || !model_->reached_fixpoint) {
+    // Negation or a non-fixpoint model: the recorded parent edges cannot
+    // drive DRed, so refixpoint the shrunk database.
     return FullRecompute();
   }
   // DRed over-delete: walk the reverse provenance edges forward from the

@@ -30,10 +30,10 @@
 // themselves).
 //
 // Fallbacks. Programs with negation (materialized complements go stale
-// across updates), models that never reached fixpoint, and retraction
-// under LRPDB_NO_PROVENANCE builds all fall back to a full re-evaluation
-// of the updated database — same answers, no incremental speedup. The
-// eval.inc.fallbacks counter makes the degradation observable.
+// across updates) and models that never reached fixpoint fall back to a
+// full re-evaluation of the updated database — same answers, no
+// incremental speedup. The eval.inc.fallbacks counter makes the
+// degradation observable.
 #ifndef LRPDB_CORE_INCREMENTAL_H_
 #define LRPDB_CORE_INCREMENTAL_H_
 
@@ -70,7 +70,7 @@ class IncrementalEvaluator {
   // `options` is normalized for maintenance: compact_results is forced off
   // (compaction renumbers the entry ids provenance and resumption address)
   // and options.provenance is replaced by an internally owned log with
-  // dependent tracking (ignored under LRPDB_NO_PROVENANCE).
+  // dependent tracking.
   IncrementalEvaluator(const Program& program, Database* db,
                        EvaluationOptions options = EvaluationOptions());
 

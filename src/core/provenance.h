@@ -40,15 +40,14 @@
 // concurrently with each other, but not with Record().
 //
 // Cost model. Recording is opt-in (EvaluationOptions::provenance /
-// GroundEvaluationOptions::provenance, both nullptr by default) and the
-// call sites compile out entirely under -DLRPDB_NO_PROVENANCE, the same
-// escape hatch the metrics layer has: EffectiveProvenance() constant-folds
-// to nullptr and the capture code behind it is dead. Recording a new origin
-// charges the ambient ExecContext byte budget and bumps the lifetime
-// counters eval.prov.{records,bytes}; a duplicate is skipped for free and
-// bumps eval.prov.deduped; lookups bump eval.prov.lookups. records() and
-// approx_bytes() report what the log retains now (below), which Forget()
-// and the dependent releases lower again.
+// GroundEvaluationOptions::provenance, both nullptr by default); with no
+// log, the capture code behind each `if (prov != nullptr)` is skipped.
+// Recording a new origin charges the ambient ExecContext byte budget and
+// bumps the lifetime counters eval.prov.{records,bytes}; a duplicate is
+// skipped for free and bumps eval.prov.deduped; lookups bump
+// eval.prov.lookups. records() and approx_bytes() report what the log
+// retains now (below), which Forget() and the dependent releases lower
+// again.
 #ifndef LRPDB_CORE_PROVENANCE_H_
 #define LRPDB_CORE_PROVENANCE_H_
 
@@ -64,31 +63,6 @@
 #include "src/gdb/tuple_store.h"
 
 namespace lrpdb {
-
-// True when this translation unit was compiled with provenance support.
-// Builds configured with -DLRPDB_NO_PROVENANCE=ON flip this to false and
-// every recording site in the engine folds away.
-#if !defined(LRPDB_NO_PROVENANCE)
-inline constexpr bool kProvenanceCompiledIn = true;
-#else
-inline constexpr bool kProvenanceCompiledIn = false;
-#endif
-
-class ProvenanceLog;
-
-// The evaluator's single gate on recording: returns `log` in provenance
-// builds and a constant nullptr under LRPDB_NO_PROVENANCE, so every branch
-// `if (prov != nullptr)` downstream is dead code the compiler removes —
-// the provenance-off build pays nothing (tests/provenance_disabled_test.cc
-// holds this to the same bar as LRPDB_NO_METRICS).
-inline ProvenanceLog* EffectiveProvenance(ProvenanceLog* log) {
-#if !defined(LRPDB_NO_PROVENANCE)
-  return log;
-#else
-  (void)log;
-  return nullptr;
-#endif
-}
 
 // Dense id of an interned relation name within one ProvenanceLog.
 using ProvRelationId = uint32_t;

@@ -167,16 +167,12 @@ std::vector<Status> RunBattery() {
     EvaluationOptions options;
     options.record_trace = true;
     options.compact_results = true;
-    // Recording + lookup reach the provenance failpoints. In a
-    // LRPDB_NO_PROVENANCE build the engine ignores the log (record never
-    // runs) but the lookup below still registers its site.
+    // Recording + lookup reach the provenance failpoints.
     ProvenanceLog prov_log;
     options.provenance = &prov_log;
     auto result = Evaluate(unit->program, db, options);
     note(result.status());
     if (result.ok()) {
-      // InternRelation keeps the ref valid in LRPDB_NO_PROVENANCE builds
-      // too, where the engine recorded nothing.
       ProvRef root{prov_log.InternRelation("p"), 0};
       note(prov_log.WhyProvenance(root).status());
       PredicateAtom query;
@@ -280,9 +276,6 @@ TEST(FaultInjectionWalkTest, TripBudgetAtInsertDegradesGracefully) {
 }
 
 TEST(FaultInjectionWalkTest, ProvenanceRecordErrorUnwindsAndRerunIsClean) {
-  if (!kProvenanceCompiledIn) {
-    GTEST_SKIP() << "built with LRPDB_NO_PROVENANCE";
-  }
   DisarmAll();
   Arm("provenance.record", Mode::kErrorOnce);
   {

@@ -11,6 +11,7 @@
 // covered (src/core/incremental.h). Copying the live entries into a fresh
 // database and refixpointing gives exactly the semantics the evaluator
 // promises.
+#include <functional>
 #include <memory>
 #include <random>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/constraints/dbm.h"
 #include "src/core/incremental.h"
 #include "src/obs/metrics.h"
 #include "src/parser/parser.h"
@@ -36,12 +38,16 @@ struct Instance {
   std::unique_ptr<IncrementalEvaluator> inc;
 };
 
-Instance MakeRun(const std::string& text, int num_threads = 1) {
+// `fill`, when given, adds EDB facts after parsing and before the initial
+// fixpoint.
+Instance MakeRun(const std::string& text, int num_threads = 1,
+                 const std::function<void(Database*)>& fill = nullptr) {
   Instance run;
   run.db = std::make_unique<Database>();
   auto unit = Parse(text, run.db.get());
   EXPECT_TRUE(unit.ok()) << unit.status() << "\n" << text;
   run.unit = std::make_unique<ParsedUnit>(std::move(*unit));
+  if (fill) fill(run.db.get());
   EvaluationOptions options;
   options.num_threads = num_threads;
   run.inc = std::make_unique<IncrementalEvaluator>(run.unit->program,
@@ -378,7 +384,6 @@ TEST(IncrementalTest, UpdateValidationRejectsBadBatches) {
 // derivation keeps it from growing); the churned a/b/c chains die and
 // leave stale reverse edges on the pinned g facts (pruned at compaction).
 TEST(IncrementalTest, ProvenanceStaysBoundedOverLongUpdateStream) {
-  if (!kProvenanceCompiledIn) GTEST_SKIP() << "built with LRPDB_NO_PROVENANCE";
   Instance run = MakeRun(R"(
     .decl g(time, data)
     .decl e(time, data)
@@ -453,6 +458,80 @@ TEST(IncrementalTest, NegationFallsBackToFullRecompute) {
                   .ok());
   EXPECT_EQ(run.inc->Fingerprint(kWindowLo, kWindowHi),
             OracleFingerprint(run.unit->program, *run.db));
+}
+
+// --- Work proportional to the delta ---------------------------------------
+
+// bench_i1's copy + join program over its fact shape, at 5,000 facts.
+constexpr char kCopyJoin[] = R"(
+  .decl ev(time, data)
+  .decl derived(time, data)
+  .decl joined(time, data)
+  derived(t, N) :- ev(t, N).
+  joined(t, N) :- derived(t, N), ev(t, N).
+)";
+constexpr int kCopyJoinFacts = 5000;
+constexpr int kCopyJoinBatch = 64;
+
+// Base fact `i` (period-24 lrps over a bounded window, 512 data constants;
+// pairwise distinct), or live fact `i` (a fresh data constant, so absent
+// from the base EDB).
+GeneralizedTuple CopyJoinFact(int i, bool live, Database* db) {
+  const int64_t lo = live ? i : i % 97;
+  Dbm constraint(1);
+  constraint.AddLowerBound(1, lo);
+  constraint.AddUpperBound(1, lo + 24 * 400);
+  const std::string value =
+      live ? "live" + std::to_string(i) : "item" + std::to_string(i % 512);
+  return GeneralizedTuple({Lrp(24, i % 24)}, {db->Constant(value)},
+                          constraint);
+}
+
+// The base EDB, plus the live batch when `with_batch`, evaluated from
+// scratch.
+Instance MakeCopyJoinRun(bool with_batch, int num_threads) {
+  return MakeRun(kCopyJoin, num_threads, [with_batch](Database* db) {
+    // The program carries no .fact, so the parser never declared the EDB.
+    EXPECT_TRUE(db->Declare("ev", RelationSchema{1, 1}).ok());
+    for (int i = 0; i < kCopyJoinFacts; ++i) {
+      EXPECT_TRUE(db->AddTuple("ev", CopyJoinFact(i, false, db)).ok());
+    }
+    for (int i = 0; with_batch && i < kCopyJoinBatch; ++i) {
+      EXPECT_TRUE(db->AddTuple("ev", CopyJoinFact(i, true, db)).ok());
+    }
+  });
+}
+
+int64_t SumCandidates(const EvaluationResult& result) {
+  int64_t sum = 0;
+  for (const RoundStats& round : result.rounds) sum += round.candidates;
+  return sum;
+}
+
+// A maintained add does work proportional to its batch, not to the model:
+// each live fact yields at most one derived and one joined candidate,
+// while refixpointing the enlarged database re-derives every fact's.
+// bench_i1 times the same comparison at 1e5 facts; candidate counts are
+// exact where wall times are not, so this bar cannot flake.
+TEST(IncrementalTest, AddBatchWorkIsProportionalToTheDelta) {
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Instance run = MakeCopyJoinRun(/*with_batch=*/false, threads);
+    std::vector<FactUpdate> batch;
+    for (int i = 0; i < kCopyJoinBatch; ++i) {
+      batch.push_back(FactUpdate{"ev", CopyJoinFact(i, true, run.db.get())});
+    }
+    ASSERT_TRUE(run.inc->AddFacts(batch).ok());
+    ASSERT_TRUE(run.inc->at_fixpoint());
+    const int64_t maintained = SumCandidates(run.inc->Result());
+    EXPECT_GT(maintained, 0);
+    EXPECT_LE(maintained, 2 * kCopyJoinBatch);
+
+    Instance full = MakeCopyJoinRun(/*with_batch=*/true, threads);
+    EXPECT_GE(SumCandidates(full.inc->Result()), 10 * maintained);
+    // [0, 48] holds live facts 0..48 (live fact i starts at t = i).
+    EXPECT_EQ(run.inc->Fingerprint(0, 48), full.inc->Fingerprint(0, 48));
+  }
 }
 
 }  // namespace

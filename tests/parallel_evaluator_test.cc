@@ -185,9 +185,9 @@ constexpr char kWide[] = R"(
 // A long-orbit bench_e2 instance (period 512, step 1): the worst-case
 // orbit shape the termination sweep times, here exercised for hundreds of
 // rounds so the delta ranges the sharder slices drift through every
-// generation-boundary shape. (bench_e2 itself sweeps to P=128; the CI
-// perf gate runs it in Release — this differential only needs the round
-// count, so P=512 keeps it fast enough for the sanitizer legs.)
+// generation-boundary shape. (bench_e2 itself sweeps to P=128 and times
+// it — this differential only needs the round count, so P=512 keeps it
+// fast enough for the sanitizer legs.)
 constexpr char kLongOrbit[] = R"(
   .decl e(time, time)
   .decl p(time, time)

@@ -286,7 +286,6 @@ class ProvenanceRandomTest : public ::testing::TestWithParam<int> {};
 // 10 seeds x 4 programs, each: log equality across {1,2,8} threads,
 // completeness, and a full origin replay.
 TEST_P(ProvenanceRandomTest, LogsMatchAcrossEnginesAndOriginsReplay) {
-  if (!kProvenanceCompiledIn) GTEST_SKIP() << "built with LRPDB_NO_PROVENANCE";
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 7351 + 29);
   for (int iter = 0; iter < 4; ++iter) {
     ExpectEquivalentLogsAndReplay(Generate(rng));
@@ -298,7 +297,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ProvenanceRandomTest, ::testing::Range(1, 11));
 // --- Fixed cases ----------------------------------------------------------
 
 TEST(ProvenanceTest, AbsorbedCandidateAttachesOriginToAbsorber) {
-  if (!kProvenanceCompiledIn) GTEST_SKIP() << "built with LRPDB_NO_PROVENANCE";
   // f carries the same ground set as e, so rule 1's candidate lands on the
   // same signature as the entry rule 0 already inserted and is absorbed
   // into it — p#0 must end up with two origins from two distinct rules.
@@ -329,7 +327,6 @@ TEST(ProvenanceTest, AbsorbedCandidateAttachesOriginToAbsorber) {
 }
 
 TEST(ProvenanceTest, RecursiveSelfLoopIsCycleSafe) {
-  if (!kProvenanceCompiledIn) GTEST_SKIP() << "built with LRPDB_NO_PROVENANCE";
   // p(24n) shifted by 24 is a subset of itself: the recursive rule's
   // candidate is absorbed into p#0 with p#0 as its own parent. The graph
   // query must terminate and the tree render must back-reference instead of
@@ -434,6 +431,11 @@ TEST(ProvenanceTest, AccountingTracksRecords) {
   // Unknown entry: the empty sentinel, not a crash.
   EXPECT_TRUE(log.Origins({rid, 99}).empty());
   EXPECT_FALSE(log.HasOrigins({rid, 99}));
+  // A hand-recorded log answers WhyProvenance like an engine-recorded one:
+  // the derived entry plus its one (leaf) parent.
+  auto graph = log.WhyProvenance({rid, 0});
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  EXPECT_EQ(graph->nodes.size(), 2u);
 }
 
 // --- One origin per distinct derivation -----------------------------------
@@ -597,7 +599,6 @@ TEST(ProvenanceDedupTest, ForgetAndPruneReleaseTheirAccounting) {
 }
 
 TEST(ProvenanceTest, NegatedAtomsAreOmittedFromParents) {
-  if (!kProvenanceCompiledIn) GTEST_SKIP() << "built with LRPDB_NO_PROVENANCE";
   auto run = RunWithProvenance(R"(
     .decl e(time, data)
     .decl q(time, data)
@@ -632,7 +633,6 @@ TEST(ProvenanceTest, NegatedAtomsAreOmittedFromParents) {
 // derived fact has an origin, and every recorded parent resolves against
 // the returned window EDB / IDB.
 TEST(GroundProvenanceTest, RecordsCompleteLogOverTheGeneralizedModel) {
-  if (!kProvenanceCompiledIn) GTEST_SKIP() << "built with LRPDB_NO_PROVENANCE";
   const std::string text = R"(
     .decl e(time, data)
     .decl p(time, data)
