@@ -1,7 +1,7 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 //   A1a  semi-naive deltas vs naive re-derivation in the T_GP engine,
-//   A1b  tuple coalescing on vs off in residue-splitting operations
-//        (projection through a periodic column),
+//   A1b  tuple coalescing in residue-splitting operations (projection
+//        through a periodic column),
 //   A1c  the exact projection fast paths vs the general residue path
 //        (measured indirectly: a query whose columns are all period-1
 //        hits the fast path; the same query against periodic columns pays
@@ -62,40 +62,30 @@ void BM_EngineNaive(benchmark::State& state) {
 BENCHMARK(BM_EngineNaive)->Arg(24)->Arg(48)->Arg(96);
 
 // Projection whose kept column is all of Z but is linked to a periodic
-// dropped column: exercises the residue-splitting path, with and without
-// the coalescing pass. Reports output tuple counts as counters.
-void ProjectionAblation(benchmark::State& state, bool coalesce) {
+// dropped column: exercises the residue-splitting path and the coalescing
+// pass. Reports output tuple counts as counters.
+void BM_ProjectCoalesced(benchmark::State& state) {
   int64_t period = state.range(0);
   lrpdb::GeneralizedRelation r({2, 0});
   lrpdb::Dbm c(2);
   // t2 in [t1 - period, t1 - 1] with t1 on the periodic grid: the windows
-  // tile Z, so the exact projection is all of Z -- one tuple coalesced,
-  // `period` residue-class tuples otherwise.
+  // tile Z, so the exact projection is all of Z: one tuple once coalesced.
   c.AddDifferenceUpperBound(2, 1, -1);
   c.AddDifferenceUpperBound(1, 2, period);
   LRPDB_CHECK_OK(r.InsertIfNew(lrpdb::GeneralizedTuple(
                                    {lrpdb::Lrp(period, 3), lrpdb::Lrp()},
                                    {}, c))
                      .status());
-  lrpdb::NormalizeLimits limits;
-  limits.coalesce_outputs = coalesce;
   size_t tuples = 0;
   for (auto _ : state) {
-    auto projected = lrpdb::Project(r, {1}, {}, limits);
+    auto projected = lrpdb::Project(r, {1}, {});
     LRPDB_CHECK(projected.ok()) << projected.status();
     tuples = projected->size();
     benchmark::DoNotOptimize(tuples);
   }
   state.counters["output_tuples"] = static_cast<double>(tuples);
 }
-void BM_ProjectCoalesced(benchmark::State& state) {
-  ProjectionAblation(state, true);
-}
-void BM_ProjectUncoalesced(benchmark::State& state) {
-  ProjectionAblation(state, false);
-}
 BENCHMARK(BM_ProjectCoalesced)->Arg(12)->Arg(60)->Arg(168);
-BENCHMARK(BM_ProjectUncoalesced)->Arg(12)->Arg(60)->Arg(168);
 
 // Fast-path vs residue-path projection: same band constraint, dropped
 // column period 1 (fast, exact DBM projection) vs period 168 (residue).
@@ -158,7 +148,7 @@ void WriteReport() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("A1: ablations -- semi-naive vs naive; coalescing on/off; "
+  std::printf("A1: ablations -- semi-naive vs naive; coalesced projection; "
               "projection fast path vs residue path.\n\n");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

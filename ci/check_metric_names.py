@@ -1,13 +1,22 @@
 #!/usr/bin/env python3
-"""Checks that every metric name emitted under src/ is documented.
+"""Checks that DESIGN.md section 5 documents exactly the emitted metric names.
 
 Collects the name passed to each LRPDB_COUNTER_INC, LRPDB_COUNTER_ADD,
 LRPDB_GAUGE_SET, LRPDB_HISTOGRAM_RECORD and LRPDB_SCOPED_TIMER_US call
 under src/, and to each direct registry lookup (GetCounter, GetGauge,
 GetHistogram) under src/ outside src/obs/ (the registry itself), and fails
-if one is missing from DESIGN.md section 5 ("Observability"). Documented names are the backticked spans of that
-section, with brace groups expanded: `store.wal.{appends,appended_bytes}`
-documents store.wal.appends and store.wal.appended_bytes.
+if one is missing from DESIGN.md section 5 ("Observability"). Documented
+names are the backticked spans of that section, with brace groups
+expanded: `store.wal.{appends,appended_bytes}` documents store.wal.appends
+and store.wal.appended_bytes.
+
+It also fails on a documented name that nothing emits, so a deleted metric
+cannot linger in the docs. A documented name is a lowercase dotted span
+(placeholders such as `gdb.<op>.*` and file names are skipped). Emitted
+here means: a metric macro site or registry lookup under src/ or bench/,
+an LRPDB_OPERATOR_SCOPE name expanded to its four metrics
+(<name>.{calls,input_tuples,output_tuples,duration_us}), an
+LRPDB_TRACE_SPAN name, or the tracer's obs.dropped_events marker.
 
 Usage:
   python3 ci/check_metric_names.py [--root DIR]   # the check
@@ -31,6 +40,12 @@ DEFINE = re.compile(r"^\s*#\s*define\b(?:[^\n]*\\\n)*[^\n]*", re.M)
 SECTION = re.compile(r"^## 5\. Observability$(.*?)(?=^## )", re.M | re.S)
 BACKTICKED = re.compile(r"`([^`\n]+)`")
 GROUP = re.compile(r"\{([^{}]*)\}")
+SPAN = re.compile(r"\bLRPDB_TRACE_SPAN(?:_CAT)?\s*\(\s*\w+\s*,\s*\"([^\"]*)\"")
+SCOPE = re.compile(r"\bLRPDB_OPERATOR_SCOPE\s*\(\s*\w+\s*,\s*\"([^\"]*)\"")
+SCOPE_METRICS = ("calls", "input_tuples", "output_tuples", "duration_us")
+TRACER_MARKERS = {"obs.dropped_events"}
+METRIC_NAME = re.compile(r"[a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+")
+FILE_SUFFIXES = (".h", ".cc", ".py", ".json", ".jsonl", ".md")
 
 
 def emitted_names(source, lookups=True):
@@ -49,6 +64,15 @@ def emitted_names(source, lookups=True):
         else:
             names.add(match.group(3))
     return names, dynamic
+
+
+def traced_names(source):
+    """Returns the trace span names and operator-scope metrics of a source."""
+    text = DEFINE.sub("", COMMENT.sub("", source))
+    names = set(SPAN.findall(text))
+    for op in SCOPE.findall(text):
+        names.update(f"{op}.{metric}" for metric in SCOPE_METRICS)
+    return names
 
 
 def expand(span):
@@ -76,15 +100,27 @@ def documented_names(design):
     return names
 
 
+def stale_names(documented, observable):
+    """Returns the documented metric names absent from `observable`."""
+    return sorted(n for n in documented
+                  if METRIC_NAME.fullmatch(n) and not n.endswith(FILE_SUFFIXES)
+                  and n not in observable)
+
+
 def check(root):
     emitted, dynamic = {}, []
-    for path in sorted((root / "src").rglob("*")):
+    observable = set(TRACER_MARKERS)
+    for path in sorted(itertools.chain((root / "src").rglob("*"),
+                                       (root / "bench").rglob("*"))):
         if path.suffix not in (".h", ".cc"):
             continue
         rel = path.relative_to(root)
+        source = path.read_text(encoding="utf-8")
         names, calls = emitted_names(
-            path.read_text(encoding="utf-8"),
-            lookups=rel.parts[:2] != ("src", "obs"))
+            source, lookups=rel.parts[:2] != ("src", "obs"))
+        observable |= names | traced_names(source)
+        if rel.parts[0] != "src":
+            continue
         for name in names:
             emitted.setdefault(name, rel)
         dynamic.extend(f"{rel}: {call}" for call in calls)
@@ -94,11 +130,15 @@ def check(root):
     for name in missing:
         print(f"{emitted[name]}: metric '{name}' is not documented in "
               "DESIGN.md section 5")
+    stale = stale_names(documented, observable)
+    for name in stale:
+        print(f"DESIGN.md section 5 documents '{name}', which nothing emits")
     for call in dynamic:
         print(f"{call} takes a non-literal name; it cannot be checked")
     print(f"{len(emitted)} metric names emitted, {len(missing)} "
-          f"undocumented, {len(dynamic)} non-literal")
-    return 1 if missing or dynamic else 0
+          f"undocumented, {len(stale)} documented but never emitted, "
+          f"{len(dynamic)} non-literal")
+    return 1 if missing or stale or dynamic else 0
 
 
 def self_test():
@@ -138,6 +178,23 @@ LRPDB_COUNTER_INC("l.c");
     design = ("## 5. Observability\n| `s.{a,b}` | `t.c` |\n"
               "## 6. Next\n`u.d`\n")
     assert documented_names(design) == {"s.a", "s.b", "t.c"}
+    traced = '''
+#define LRPDB_TRACE_SPAN(var, name) TraceSpan var(name)
+// LRPDB_TRACE_SPAN(span, "commented.out");
+LRPDB_TRACE_SPAN(span, "x.run");
+LRPDB_OPERATOR_SCOPE(op, "gdb.join", a.size());
+'''
+    assert traced_names(traced) == {
+        "x.run", "gdb.join.calls", "gdb.join.input_tuples",
+        "gdb.join.output_tuples", "gdb.join.duration_us"}, traced_names(traced)
+    # Documented but never emitted: only `gone.metric` is stale; the
+    # placeholders, the file name and the code spans are not metric names.
+    design = ("## 5. Observability\n| `gdb.<op>.*` | `store.*` | `a.b` |\n"
+              "`gone.metric` `x.run` `gdb.join.calls` `trace.h` "
+              "`obs::Tracer` `var.AddArg`\n## 6. Next\n`late.name`\n")
+    observable = {"a.b", "x.run", "gdb.join.calls"}
+    assert stale_names(documented_names(design), observable) == [
+        "gone.metric"], stale_names(documented_names(design), observable)
     print("self-test passed")
     return 0
 

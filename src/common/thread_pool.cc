@@ -12,8 +12,6 @@
 namespace lrpdb {
 namespace {
 
-std::atomic<int> g_default_threads_override{0};
-
 int HardwareThreads() {
   unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
@@ -28,8 +26,6 @@ int ClampThreads(int n) {
 }  // namespace
 
 int ThreadPool::DefaultThreads() {
-  int override = g_default_threads_override.load(std::memory_order_relaxed);
-  if (override > 0) return ClampThreads(override);
   const char* env = std::getenv("LRPDB_THREADS");
   if (env == nullptr || *env == '\0') return 1;
   std::string value(env);
@@ -38,11 +34,6 @@ int ThreadPool::DefaultThreads() {
   long parsed = std::strtol(value.c_str(), &end, 10);
   if (end == value.c_str() || *end != '\0' || parsed <= 0) return 1;
   return ClampThreads(static_cast<int>(parsed));
-}
-
-void ThreadPool::SetDefaultThreads(int n) {
-  g_default_threads_override.store(n > 0 ? ClampThreads(n) : 0,
-                                   std::memory_order_relaxed);
 }
 
 ThreadPool& ThreadPool::Global() {

@@ -21,10 +21,9 @@
 //    sequential loop would have hit first.
 //
 // Thread count resolution: the LRPDB_THREADS environment variable ("4",
-// "max" for the hardware concurrency; absent = 1) provides the default;
-// SetDefaultThreads() overrides it programmatically. Callers (e.g.
-// EvaluationOptions::num_threads) may also pass an explicit parallelism
-// per ParallelFor. A parallelism of 1 runs entirely inline on the calling
+// "max" for the hardware concurrency; absent = 1) provides the default.
+// Callers (e.g. EvaluationOptions::num_threads) may also pass an explicit
+// parallelism per ParallelFor. A parallelism of 1 runs entirely inline on the calling
 // thread — no queue, no locks — which keeps single-threaded evaluation
 // byte-identical in behavior and cost to the pre-pool engine.
 #ifndef LRPDB_COMMON_THREAD_POOL_H_
@@ -53,13 +52,9 @@ class ThreadPool {
   // programmatic requests clamp to [1, kMaxThreads].
   static constexpr int kMaxThreads = 64;
 
-  // The default parallelism: SetDefaultThreads() override if set, else
-  // LRPDB_THREADS (an integer, or "max" meaning the hardware concurrency),
-  // else 1. Always in [1, kMaxThreads].
+  // The default parallelism: LRPDB_THREADS (an integer, or "max" meaning
+  // the hardware concurrency), else 1. Always in [1, kMaxThreads].
   static int DefaultThreads();
-  // Programmatic override of DefaultThreads(); n <= 0 restores the
-  // environment-driven default. Intended for tests and embedding callers.
-  static void SetDefaultThreads(int n);
 
   // The process-wide pool. Workers are spawned on first demand and live
   // until process exit; the pool is safe to use from multiple threads.

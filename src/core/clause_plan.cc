@@ -93,8 +93,7 @@ CompiledAtom CompileAtom(const NormalizedClause& clause, int body_index,
 
 }  // namespace
 
-ClausePlan CompileClausePlan(const NormalizedClause& clause,
-                             bool allow_reorder) {
+ClausePlan CompileClausePlan(const NormalizedClause& clause) {
   ClausePlan plan;
   const size_t n = clause.body.size();
   std::vector<bool> temporal_bound(clause.num_temporal_vars, false);
@@ -104,9 +103,8 @@ ClausePlan CompileClausePlan(const NormalizedClause& clause,
   order.reserve(n);
   for (size_t step = 0; step < n; ++step) {
     int chosen = -1;
-    if (step == 0 || !allow_reorder) {
-      // Body atom 0 anchors the parallel shard split; without reordering
-      // the plan is the body order itself.
+    if (step == 0) {
+      // Body atom 0 anchors the parallel shard split.
       chosen = static_cast<int>(step);
     } else {
       // Greedy static selectivity: prefer atoms with the most index-probe
@@ -146,20 +144,6 @@ ClausePlan CompileClausePlan(const NormalizedClause& clause,
     if (order[a] != static_cast<int>(a)) plan.reordered = true;
   }
   return plan;
-}
-
-const ClausePlan& ClausePlanCache::Get(size_t clause_index,
-                                       const NormalizedClause& clause) {
-  std::optional<ClausePlan>& slot = plans_[clause_index];
-  if (slot.has_value()) {
-    ++cache_hits_;
-    LRPDB_COUNTER_INC("eval.plan.cache_hits");
-    return *slot;
-  }
-  slot = CompileClausePlan(clause, allow_reorder_);
-  ++compiles_;
-  LRPDB_COUNTER_INC("eval.plan.compiles");
-  return *slot;
 }
 
 namespace {

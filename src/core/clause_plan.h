@@ -31,7 +31,6 @@
 #define LRPDB_CORE_CLAUSE_PLAN_H_
 
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -119,34 +118,13 @@ struct ClausePlan {
   bool reordered = false;           // True iff plan order != body order.
 };
 
-// Compiles `clause` once. With `allow_reorder`, atoms after body atom 0
-// are greedily ordered by static probe selectivity (constant-pinned
-// columns, then columns probed through already-bound variables); body atom
-// 0 stays first because it anchors the parallel evaluator's shard split.
-// The ground evaluator compiles with allow_reorder == false: its fact
-// stores keep insertion order and reordering would change it.
-ClausePlan CompileClausePlan(const NormalizedClause& clause,
-                             bool allow_reorder);
-
-// Compile-once cache, one slot per clause index. Accessed only from the
-// sequential task-building phase of a round (workers receive const
-// pointers), so it needs no locking.
-class ClausePlanCache {
- public:
-  explicit ClausePlanCache(size_t num_clauses, bool allow_reorder)
-      : plans_(num_clauses), allow_reorder_(allow_reorder) {}
-
-  const ClausePlan& Get(size_t clause_index, const NormalizedClause& clause);
-
-  int64_t compiles() const { return compiles_; }
-  int64_t cache_hits() const { return cache_hits_; }
-
- private:
-  std::vector<std::optional<ClausePlan>> plans_;
-  bool allow_reorder_ = true;
-  int64_t compiles_ = 0;
-  int64_t cache_hits_ = 0;
-};
+// Compiles `clause` once. Atoms after body atom 0 are greedily ordered by
+// static probe selectivity (constant-pinned columns, then columns probed
+// through already-bound variables); body atom 0 stays first because it
+// anchors the parallel evaluator's shard split. The ground evaluator
+// compiles through CompileGroundClausePlan instead, in body order: its
+// fact stores keep insertion order and reordering would change it.
+ClausePlan CompileClausePlan(const NormalizedClause& clause);
 
 // Applies `clause` over the given per-atom relations through the fused
 // batch kernel, collecting candidate head tuples in body-order emission
@@ -187,7 +165,7 @@ struct GroundHeadPlan {
 // A clause compiled for the windowed ground kernel: body-order compiled
 // atoms, negation filter descriptors, and the hoisted head plan.
 struct GroundClausePlan {
-  ClausePlan join;  // Body order (allow_reorder == false).
+  ClausePlan join;  // Body order, never reordered.
   // One filter per negated body atom: how to assemble the probe fact from
   // a binding. Variables are guaranteed bound when `vars_bound`; otherwise
   // the kernel reports InvalidArgumentError for any surviving binding.

@@ -401,10 +401,13 @@ namespace {
   result.threads = threads;
   LRPDB_GAUGE_SET("eval.parallel.threads", threads);
 
-  // Compile-once clause plans, cached across rounds and strata. Populated from the sequential task-building phase only;
-  // workers see const ClausePlan pointers.
-  ClausePlanCache plan_cache(normalized.clauses.size(),
-                             /*allow_reorder=*/true);
+  // Each clause's plan is compiled once, before the first round; workers
+  // see const ClausePlan pointers.
+  std::vector<ClausePlan> plans;
+  plans.reserve(normalized.clauses.size());
+  for (const NormalizedClause& clause : normalized.clauses) {
+    plans.push_back(CompileClausePlan(clause));
+  }
 
   // Why-provenance capture, when the caller passed a log. Per-clause
   // relation ids (head + positive body atoms, body order) are interned
@@ -437,8 +440,7 @@ namespace {
   // (deadline / budget / cancellation). The result keeps the sound model of
   // the rounds completed so far, annotated with the trip snapshot; callers
   // return `result` immediately after. The in-band shape matches the
-  // existing max_iterations/fes_patience give-ups; Evaluator::Run()
-  // converts it into an error Status.
+  // existing max_iterations/fes_patience give-ups.
   auto degrade = [&](const Status& trip) {
     result.free_extension_safe_at = last_new_fe_round;
     result.gave_up_reason = trip.ToString();
@@ -520,7 +522,7 @@ namespace {
       std::vector<RoundTask> tasks;
       auto add_tasks = [&](size_t ci, const std::vector<AtomSource>& sources) {
         const NormalizedClause& clause = normalized.clauses[ci];
-        const ClausePlan* plan = &plan_cache.Get(ci, clause);
+        const ClausePlan* plan = &plans[ci];
         size_t shard_lo = 0;
         size_t shard_hi = 0;
         if (!clause.body.empty() && !clause.always_false) {
@@ -876,30 +878,6 @@ namespace {
   return EvaluateInternal(program, db, options, &seed);
 }
 
-[[nodiscard]] Status Evaluator::Run() {
-  if (result_.has_value()) return OkStatus();
-  LRPDB_ASSIGN_OR_RETURN(EvaluationResult result,
-                         Evaluate(program_, db_, options_));
-  if (result.partial.tripped()) {
-    Status trip = Status(result.partial.trip, result.partial.reason);
-    partial_ = std::move(result);
-    return trip;
-  }
-  result_ = std::move(result);
-  return OkStatus();
-}
-
-const EvaluationResult& Evaluator::Result() const {
-  LRPDB_CHECK(result_.has_value()) << "Evaluator::Run() has not succeeded";
-  return *result_;
-}
-
-const EvaluationResult& Evaluator::Partial() const {
-  LRPDB_CHECK(partial_.has_value())
-      << "Evaluator::Run() did not trip a governance limit";
-  return *partial_;
-}
-
 [[nodiscard]] StatusOr<GeneralizedRelation> QueryAtom(const Program& program,
                                         const Database& db,
                                         const EvaluationResult& result,
@@ -967,9 +945,9 @@ const EvaluationResult& Evaluator::Partial() const {
       resolver.Resolve(query.predicate, clause.body[0].is_intensional));
 
   std::vector<GeneralizedTuple> candidates;
-  LRPDB_RETURN_IF_ERROR(ApplyClauseBatch(
-      clause, CompileClausePlan(clause, /*allow_reorder=*/false), sources,
-      limits, /*stats=*/nullptr, &candidates));
+  LRPDB_RETURN_IF_ERROR(ApplyClauseBatch(clause, CompileClausePlan(clause),
+                                         sources, limits, /*stats=*/nullptr,
+                                         &candidates));
   GeneralizedRelation answers(
       {static_cast<int>(clause.head_temporal_vars.size()),
        static_cast<int>(clause.head_data.size())});

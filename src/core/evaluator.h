@@ -25,10 +25,8 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/ast/ast.h"
@@ -69,12 +67,12 @@ struct EvaluationOptions {
   // quota, cooperative cancellation (src/common/exec_context.h). Not
   // owned; must outlive the evaluation. When a limit trips, Evaluate()
   // degrades gracefully: it returns OK with reached_fixpoint == false and
-  // EvaluationResult::partial describing the trip, while Evaluator::Run()
-  // converts the trip into its Status (kDeadlineExceeded / kCancelled /
-  // kResourceExhausted) and exposes the partial model via Partial(). The
-  // context also caps rounds at ExecContext::max_rounds() (default
-  // kDefaultMaxRounds) on top of max_iterations above. The evaluator
-  // hands it on to every layer below as limits.exec.
+  // EvaluationResult::partial describing the trip (its `trip` code is
+  // kDeadlineExceeded / kCancelled / kResourceExhausted) over the sound
+  // partial model. The context also caps rounds at
+  // ExecContext::max_rounds() (default kDefaultMaxRounds) on top of
+  // max_iterations above. The evaluator hands it on to every layer below
+  // as limits.exec.
   ExecContext* exec = nullptr;
   // Worker threads for the clause-application phase of each round
   // (DESIGN.md §8). 0 (the default) resolves through
@@ -242,42 +240,6 @@ struct ResumeSeed {
 [[nodiscard]] StatusOr<EvaluationResult> ResumeEvaluate(
     const Program& program, const Database& db,
     const EvaluationOptions& options, ResumeSeed seed);
-
-// Object-style wrapper around Evaluate() exposing the EXPLAIN API: run
-// once, then read the per-rule profile or the rendered dump. References to
-// `program` and `db` must outlive the evaluator.
-class Evaluator {
- public:
-  Evaluator(const Program& program, const Database& db,
-            EvaluationOptions options = EvaluationOptions())
-      : program_(program), db_(db), options_(std::move(options)) {}
-
-  // Evaluates the program (idempotent: later calls are no-ops). When the
-  // options carry an ExecContext and a governance limit trips, returns that
-  // trip's code (kDeadlineExceeded / kCancelled / kResourceExhausted) and
-  // stores the degraded result under Partial() instead of Result().
-  [[nodiscard]] Status Run();
-
-  bool has_run() const { return result_.has_value(); }
-  // CHECK-fail unless Run() succeeded.
-  const EvaluationResult& Result() const;
-  const EvalProfile& Profile() const { return Result().profile; }
-  std::string Explain() const { return Result().Explain(); }
-
-  // Graceful-degradation accessors: the partial model saved when Run()
-  // returned a governance error. partial().partial carries the trip code,
-  // the last completed round, and the resource accounting.
-  bool has_partial() const { return partial_.has_value(); }
-  // CHECK-fail unless has_partial().
-  const EvaluationResult& Partial() const;
-
- private:
-  const Program& program_;
-  const Database& db_;
-  EvaluationOptions options_;
-  std::optional<EvaluationResult> result_;
-  std::optional<EvaluationResult> partial_;
-};
 
 // Evaluates a single query atom against the computed model (IDB) plus the
 // extensional database: returns the relation of answer bindings, one

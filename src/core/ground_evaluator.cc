@@ -6,22 +6,10 @@
 #include "src/common/failpoint.h"
 #include "src/core/clause_plan.h"
 #include "src/core/normalizer.h"
-#include "src/core/provenance.h"
 #include "src/obs/metrics.h"
 
 namespace lrpdb {
 namespace {
-
-// Per-clause why-provenance context threaded into the apply stages; null
-// when recording is off (the default).
-struct ProvCapture {
-  ProvenanceLog* log = nullptr;
-  ProvRelationId head = 0;
-  // Interned relation ids of the positive body atoms, body order.
-  std::vector<ProvRelationId> parents;
-  int rule = 0;
-  int round = 0;
-};
 
 // Flat frontier of the compiled ground kernel: one row per surviving
 // binding, temporal and data values in dense variable-indexed strides.
@@ -31,10 +19,6 @@ struct ProvCapture {
 struct FlatFrontier {
   std::vector<int64_t> temporal;
   std::vector<DataValue> data;
-  // Matched fact indices, one stride of positive-atom slots per row; the
-  // prefix up to the current join stage's positive ordinal is meaningful.
-  // Filled only while capturing why-provenance.
-  std::vector<uint32_t> ids;
   size_t rows = 0;
 };
 
@@ -48,22 +32,10 @@ struct FlatFrontier {
     const std::vector<const GroundFactStore*>& facts,
     GroundFactStore& head_facts, int pivot, bool use_delta,
     const GroundEvaluationOptions& options, ExecContext* exec, bool* grew,
-    GroundEvaluationResult* result, const ProvCapture* prov) {
+    GroundEvaluationResult* result) {
+  LRPDB_FAILPOINT("ground.apply");
   const size_t nt = static_cast<size_t>(clause.num_temporal_vars);
   const size_t nd = static_cast<size_t>(clause.num_data_vars);
-  const bool capture = prov != nullptr;
-  // Stride of the per-row fact-index slots: one per positive body atom.
-  const size_t np = capture ? prov->parents.size() : 0;
-  // Positive ordinal of each body atom (slot within the stride); allocated
-  // only while capturing so the default path stays allocation-free here.
-  std::vector<size_t> pos_ordinal;
-  if (capture) {
-    pos_ordinal.assign(clause.body.size(), 0);
-    size_t ord = 0;
-    for (size_t a = 0; a < clause.body.size(); ++a) {
-      if (!clause.body[a].negated) pos_ordinal[a] = ord++;
-    }
-  }
   // Batch telemetry (the ground analog of the non-ground kernel's
   // counters): facts scanned per stage, survivor density, head emissions.
   int64_t tuples_in = 0;
@@ -77,7 +49,6 @@ struct FlatFrontier {
   thread_local std::vector<DataValue> d_row;
   frontier.temporal.assign(nt, 0);
   frontier.data.assign(nd, 0);
-  frontier.ids.assign(np, 0);
   frontier.rows = 1;
   t_row.assign(nt, 0);
   d_row.assign(nd, 0);
@@ -93,7 +64,6 @@ struct FlatFrontier {
     tuples_in += scanned;
     next.temporal.clear();
     next.data.clear();
-    next.ids.clear();
     next.rows = 0;
     for (size_t b = 0; b < frontier.rows; ++b) {
       LRPDB_RETURN_IF_ERROR(PollExec(exec));
@@ -163,13 +133,6 @@ struct FlatFrontier {
         if (!ok) continue;
         next.temporal.insert(next.temporal.end(), t_row.begin(), t_row.end());
         next.data.insert(next.data.end(), d_row.begin(), d_row.end());
-        if (capture) {
-          const uint32_t* bi = frontier.ids.data() + b * np;
-          const size_t base = next.ids.size();
-          next.ids.insert(next.ids.end(), bi, bi + np);
-          next.ids[base + pos_ordinal[compiled.body_index]] =
-              static_cast<uint32_t>(fi);
-        }
         ++next.rows;
       }
     }
@@ -213,10 +176,6 @@ struct FlatFrontier {
       if (store->count(probe_fact) == 0) {
         kept.temporal.insert(kept.temporal.end(), bt, bt + nt);
         kept.data.insert(kept.data.end(), bd, bd + nd);
-        if (capture) {
-          const uint32_t* bi = frontier.ids.data() + b * np;
-          kept.ids.insert(kept.ids.end(), bi, bi + np);
-        }
         ++kept.rows;
       }
     }
@@ -273,8 +232,7 @@ struct FlatFrontier {
     const int64_t fact_bytes =
         static_cast<int64_t>(fact.times.size() + fact.data.size()) * 8 + 48;
     ++tuples_out;
-    auto [fact_index, inserted] = head_facts.InsertIndexed(std::move(fact));
-    if (inserted) {
+    if (head_facts.Insert(std::move(fact))) {
       *grew = true;
       ++result->facts_derived;
       if (exec != nullptr) {
@@ -284,21 +242,6 @@ struct FlatFrontier {
       if (result->facts_derived > options.max_facts) {
         return ResourceExhaustedError("ground evaluation exceeded max_facts");
       }
-    }
-    // Record the derivation against the fresh fact or, on a re-derivation,
-    // the fact it collapsed into (same address either way).
-    if (capture) {
-      DerivationOrigin origin;
-      origin.rule = prov->rule;
-      origin.round = prov->round;
-      const uint32_t* bi = frontier.ids.data() + b * np;
-      origin.parents.reserve(np);
-      for (size_t k = 0; k < np; ++k) {
-        origin.parents.push_back(ProvRef{prov->parents[k], bi[k]});
-      }
-      LRPDB_RETURN_IF_ERROR(
-          prov->log->Record(ProvRef{prov->head, fact_index},
-                            std::move(origin)));
     }
   }
   LRPDB_COUNTER_ADD("eval.batch.tuples_out", tuples_out);
@@ -328,9 +271,8 @@ struct FlatFrontier {
   GroundEvaluationResult result;
 
   // Materialize EDB ground facts inside the window. EDB and IDB share the
-  // GroundFactStore container so joins iterate both uniformly; the map
-  // lives in the result so provenance parent addresses stay resolvable.
-  std::map<std::string, GroundFactStore>& edb = result.edb;
+  // GroundFactStore container so joins iterate both uniformly.
+  std::map<std::string, GroundFactStore> edb;
   for (const NormalizedClause& clause : normalized.clauses) {
     for (const NormalizedBodyAtom& atom : clause.body) {
       if (atom.is_intensional) continue;
@@ -372,29 +314,6 @@ struct FlatFrontier {
     }
     clause_head[ci] = &result.idb.at(
         program.predicates().NameOf(clause.head_predicate));
-  }
-
-  // Why-provenance capture contexts, one per clause, when the caller passed
-  // a log. The round field is stamped per round.
-  ProvenanceLog* prov_log = options.provenance;
-  std::vector<ProvCapture> clause_prov;
-  if (prov_log != nullptr) {
-    clause_prov.resize(normalized.clauses.size());
-    for (size_t ci = 0; ci < normalized.clauses.size(); ++ci) {
-      const NormalizedClause& clause = normalized.clauses[ci];
-      if (clause.always_false) continue;
-      ProvCapture& cp = clause_prov[ci];
-      cp.log = prov_log;
-      cp.rule = static_cast<int>(ci);
-      cp.head = prov_log->InternRelation(
-          program.predicates().NameOf(clause.head_predicate));
-      for (const NormalizedBodyAtom& atom : clause.body) {
-        if (!atom.negated) {
-          cp.parents.push_back(prov_log->InternRelation(
-              program.predicates().NameOf(atom.predicate)));
-        }
-      }
-    }
   }
 
   // Stratum by stratum (negated atoms read the finished lower strata);
@@ -439,14 +358,9 @@ struct FlatFrontier {
         if (round > 1 && clause_facts[ci][pivot]->delta_size() == 0) {
           continue;
         }
-        ProvCapture* prov = nullptr;
-        if (prov_log != nullptr) {
-          prov = &clause_prov[ci];
-          prov->round = result.iterations + 1;
-        }
         LRPDB_RETURN_IF_ERROR(ApplyGroundPlan(
             clause, plans[ci], clause_facts[ci], head_facts, pivot,
-            /*use_delta=*/round > 1, options, exec, &grew, &result, prov));
+            /*use_delta=*/round > 1, options, exec, &grew, &result));
       }
     }
     result.iterations += 1;

@@ -24,8 +24,6 @@
 
 namespace lrpdb {
 
-class ProvenanceLog;
-
 struct GroundEvaluationOptions {
   int64_t window_lo = 0;
   int64_t window_hi = 1000;
@@ -37,13 +35,6 @@ struct GroundEvaluationOptions {
   // context's governance Status (the window model is discarded — callers
   // needing degradation read ExecContext::partial() for the accounting).
   ExecContext* exec = nullptr;
-  // Optional why-provenance recording (src/core/provenance.h): when
-  // non-null, every derived ground fact records (clause index, positive
-  // body atoms' fact indices, round). Parents referencing extensional
-  // relations resolve against GroundEvaluationResult::edb, which is
-  // returned precisely so recorded addresses outlive the evaluation. Not
-  // owned.
-  ProvenanceLog* provenance = nullptr;
 };
 
 struct GroundEvaluationResult {
@@ -53,10 +44,6 @@ struct GroundEvaluationResult {
   // set-style count()/begin()/end(), so readers treat it like a fact set.
   // Move-only, because the store is.
   std::map<std::string, GroundFactStore> idb;
-  // The materialized window EDB the joins ran over. Returned (rather than
-  // discarded) so provenance parents that reference extensional facts stay
-  // resolvable by (relation name, fact index).
-  std::map<std::string, GroundFactStore> edb;
   int iterations = 0;
   int64_t facts_derived = 0;
 };

@@ -180,22 +180,10 @@ void IncrementalEvaluator::ClearDeltas() {
     LRPDB_RETURN_IF_ERROR(PollExec(exec));
     LRPDB_ASSIGN_OR_RETURN(GeneralizedRelation * relation,
                            db_->MutableRelation(update.relation));
-    TupleStore& store = relation->mutable_store();
-    bool matched = false;
-    // Only the fact's signature bucket can hold an exact match. Copied,
-    // because Tombstone() unlinks ids from the bucket.
-    const std::vector<EntryId> bucket =
-        store.EntriesWithSignature(update.tuple.free_extension());
-    for (EntryId id : bucket) {
-      const GeneralizedTuple& stored = store.tuple(id);
-      if (stored.lrps() != update.tuple.lrps()) continue;
-      if (stored.data() != update.tuple.data()) continue;
-      if (!(stored.constraint() == update.tuple.constraint())) continue;
-      store.Tombstone(id);
-      retracted.emplace_back(update.relation, id);
-      matched = true;
-    }
-    if (!matched) LRPDB_COUNTER_INC("eval.inc.retract_misses");
+    const std::vector<EntryId> matched =
+        relation->mutable_store().TombstoneExact(update.tuple);
+    for (EntryId id : matched) retracted.emplace_back(update.relation, id);
+    if (matched.empty()) LRPDB_COUNTER_INC("eval.inc.retract_misses");
   }
   if (retracted.empty()) return OkStatus();
   if (has_negation_ || !model_->reached_fixpoint) {

@@ -12,10 +12,9 @@
 //
 // Addressing. Tuples are addressed as (relation, entry id): relations are
 // interned by name into dense ProvRelationIds, entries are the stable
-// append-only indices of TupleStore / GroundFactStore. Both engines feed
-// the same log type — the generalized evaluator records TupleStore
-// EntryIds, the windowed ground evaluator records GroundFactStore fact
-// indices — so one query/render surface serves both.
+// append-only indices of TupleStore (EntryIds). Only the generalized
+// evaluator records; the windowed ground evaluator, the correctness
+// oracle, records nothing.
 //
 // Subsumption semantics. The store's exact insert can absorb a candidate
 // into the same-signature entries whose union already contains it. The
@@ -39,9 +38,9 @@
 // locking. Queries (Origins / WhyProvenance) are const and may run
 // concurrently with each other, but not with Record().
 //
-// Cost model. Recording is opt-in (EvaluationOptions::provenance /
-// GroundEvaluationOptions::provenance, both nullptr by default); with no
-// log, the capture code behind each `if (prov != nullptr)` is skipped.
+// Cost model. Recording is opt-in (EvaluationOptions::provenance, nullptr
+// by default); with no log, the capture code behind each
+// `if (prov != nullptr)` is skipped.
 // Recording a new origin charges the ambient ExecContext byte budget and
 // bumps the lifetime counters eval.prov.{records,bytes}; a duplicate is
 // skipped for free and bumps eval.prov.deduped; lookups bump
@@ -67,8 +66,8 @@ namespace lrpdb {
 // Dense id of an interned relation name within one ProvenanceLog.
 using ProvRelationId = uint32_t;
 
-// Address of one stored tuple: an interned relation plus its stable entry
-// id (TupleStore EntryId or GroundFactStore fact index).
+// Address of one stored tuple: an interned relation plus its stable
+// TupleStore entry id.
 struct ProvRef {
   ProvRelationId relation = 0;
   EntryId entry = 0;

@@ -466,8 +466,7 @@ class FoEvaluator {
       LRPDB_RETURN_IF_ERROR(
           result.relation
               .InsertUnlessEmpty(GeneralizedTuple(std::move(lrps), {},
-                                                  std::move(constraint)),
-                                 options_.limits)
+                                                  std::move(constraint)))
               .status());
     }
     return result;
@@ -486,9 +485,8 @@ class FoEvaluator {
       }
       GeneralizedRelation universe(RelationSchema{1, 0});
       LRPDB_RETURN_IF_ERROR(
-          universe.InsertUnlessEmpty(
-                      GeneralizedTuple::Unconstrained({Lrp()}, {}),
-                      options_.limits)
+          universe
+              .InsertUnlessEmpty(GeneralizedTuple::Unconstrained({Lrp()}, {}))
               .status());
       LRPDB_ASSIGN_OR_RETURN(
           r.relation, CartesianProduct(r.relation, universe, options_.limits));
@@ -504,8 +502,7 @@ class FoEvaluator {
       GeneralizedRelation domain(RelationSchema{0, 1});
       for (DataValue d : active_domain_) {
         LRPDB_RETURN_IF_ERROR(
-            domain.InsertUnlessEmpty(GeneralizedTuple::Unconstrained({}, {d}),
-                                     options_.limits)
+            domain.InsertUnlessEmpty(GeneralizedTuple::Unconstrained({}, {d}))
                 .status());
       }
       LRPDB_ASSIGN_OR_RETURN(

@@ -158,8 +158,7 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
       LRPDB_RETURN_IF_ERROR(
           out.InsertUnlessEmpty(GeneralizedTuple(std::move(lrps),
                                                  std::move(data),
-                                                 std::move(constraint)),
-                                limits)
+                                                 std::move(constraint)))
               .status());
     }
   }
@@ -204,7 +203,7 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
     GeneralizedTuple joined = t;
     joined.mutable_constraint().And(condition);
     LRPDB_RETURN_IF_ERROR(
-        out.InsertUnlessEmpty(std::move(joined), limits).status());
+        out.InsertUnlessEmpty(std::move(joined)).status());
   }
   op.set_output(static_cast<int64_t>(out.size()));
   return out;
@@ -236,8 +235,7 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
       const GeneralizedTuple& t = block.tuple(row);
       return out
           .InsertUnlessEmpty(GeneralizedTuple(t.lrps(), t.data(),
-                                              std::move(conjoined[row])),
-                             limits)
+                                              std::move(conjoined[row])))
           .status();
     }();
   });
@@ -321,8 +319,7 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
       LRPDB_RETURN_IF_ERROR(
           out.InsertUnlessEmpty(
                  GeneralizedTuple(std::move(lrps), data,
-                                  tuple.constraint().Project(dbm_keep)),
-                 limits)
+                                  tuple.constraint().Project(dbm_keep)))
               .status());
       continue;
     }
@@ -363,7 +360,7 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
                                           limits));
     for (GeneralizedTuple& t : projected_tuples) {
       LRPDB_RETURN_IF_ERROR(
-          out.InsertUnlessEmpty(std::move(t), limits).status());
+          out.InsertUnlessEmpty(std::move(t)).status());
     }
   }
   op.set_output(static_cast<int64_t>(out.size()));
@@ -426,7 +423,7 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
   for (size_t i = 0; i < r.size(); ++i) {
     LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
     LRPDB_RETURN_IF_ERROR(
-        out.InsertUnlessEmpty(r.tuple(i).WithColumnShifted(column, c), limits)
+        out.InsertUnlessEmpty(r.tuple(i).WithColumnShifted(column, c))
             .status());
   }
   op.set_output(static_cast<int64_t>(out.size()));
@@ -472,7 +469,7 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
     LRPDB_ASSIGN_OR_RETURN(tuples, CoalesceTuples(std::move(tuples), limits));
     for (GeneralizedTuple& t : tuples) {
       LRPDB_RETURN_IF_ERROR(
-          out.InsertUnlessEmpty(std::move(t), limits).status());
+          out.InsertUnlessEmpty(std::move(t)).status());
     }
   }
   op.set_output(static_cast<int64_t>(out.size()));
@@ -628,7 +625,7 @@ struct ClassMerge {
     const std::vector<const GeneralizedTuple*>& tuples,
     const NormalizeLimits& limits) {
   CoalescePlan plan;
-  if (tuples.empty() || !limits.coalesce_outputs) return plan;
+  if (tuples.empty()) return plan;
   LRPDB_OPERATOR_SCOPE(op, "gdb.coalesce", tuples.size());
   LRPDB_FAILPOINT("algebra.coalesce");
   // The working set: inputs and the tuples earlier passes merged, the

@@ -70,10 +70,8 @@ void BatchShiftColumn(const TupleBlock& block, int column, int64_t c,
         GeneralizedTuple projected =
             piece.ProjectTemporal(temporal_columns).ToGeneralizedTuple();
         LRPDB_RETURN_IF_ERROR(
-            out->InsertUnlessEmpty(
-                   GeneralizedTuple(projected.lrps(), data,
-                                    projected.constraint()),
-                   limits)
+            out->InsertUnlessEmpty(GeneralizedTuple(projected.lrps(), data,
+                                                    projected.constraint()))
                 .status());
       }
       return OkStatus();

@@ -60,10 +60,7 @@ class GeneralizedRelation {
   // tuples whose ground set is empty purely through lrp-residue conflicts
   // may be stored (they are harmless redundancy -- every membership or
   // set-level operation treats them as empty). Returns false iff dropped.
-  [[nodiscard]] StatusOr<bool> InsertUnlessEmpty(
-      GeneralizedTuple tuple,
-      const NormalizeLimits& limits = NormalizeLimits()) {
-    (void)limits;
+  [[nodiscard]] StatusOr<bool> InsertUnlessEmpty(GeneralizedTuple tuple) {
     return store_.InsertUnlessEmpty(std::move(tuple));
   }
 

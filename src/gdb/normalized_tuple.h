@@ -32,12 +32,6 @@ class ExecContext;  // src/common/exec_context.h
 struct NormalizeLimits {
   int64_t max_period = int64_t{1} << 40;
   int64_t max_pieces = 1 << 16;
-  // Re-merge residue classes whose union is one coarser tuple after
-  // projection / difference / complement and in result compaction
-  // (algebra.h PlanCoalesce / CoalesceTuples). Disabling this is
-  // only useful for the ablation benchmark: outputs stay correct but can be
-  // one tuple per residue class.
-  bool coalesce_outputs = true;
   // Optional execution governance (deadline / budgets / cancellation; see
   // src/common/exec_context.h). Limits travel through every algebra
   // operator, TupleStore::Insert, and Normalize, so a non-null context here

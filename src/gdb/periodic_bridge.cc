@@ -8,7 +8,7 @@
 namespace lrpdb {
 
 [[nodiscard]] StatusOr<GeneralizedRelation> ToGeneralizedRelation(
-    const EventuallyPeriodicSet& set, const NormalizeLimits& limits) {
+    const EventuallyPeriodicSet& set) {
   GeneralizedRelation relation({1, 0});
   // Prefix members: pinned points (the lrp n with T = t, per the paper's
   // convention for constants).
@@ -17,7 +17,7 @@ namespace lrpdb {
     Dbm pin(1);
     pin.AddEquality(1, t);
     LRPDB_RETURN_IF_ERROR(
-        relation.InsertUnlessEmpty(GeneralizedTuple({Lrp()}, {}, pin), limits)
+        relation.InsertUnlessEmpty(GeneralizedTuple({Lrp()}, {}, pin))
             .status());
   }
   // Tail residues: lrps restricted to T >= offset.
@@ -30,8 +30,7 @@ namespace lrpdb {
         relation
             .InsertUnlessEmpty(
                 GeneralizedTuple({Lrp(set.period(), representative)}, {},
-                                 from_offset),
-                limits)
+                                 from_offset))
             .status());
   }
   return relation;

@@ -16,8 +16,7 @@ namespace lrpdb {
 // lrp tuple (period = set.period(), constrained to T >= offset) per tail
 // residue.
 [[nodiscard]] StatusOr<GeneralizedRelation> ToGeneralizedRelation(
-    const EventuallyPeriodicSet& set,
-    const NormalizeLimits& limits = NormalizeLimits());
+    const EventuallyPeriodicSet& set);
 
 // The eventually periodic set {t >= 0 : (t) in ground(relation)} of a
 // relation with one temporal column and no data columns. Always succeeds

@@ -220,6 +220,22 @@ void TupleStore::Tombstone(EntryId id) {
   LRPDB_COUNTER_INC("store.tombstones");
 }
 
+std::vector<EntryId> TupleStore::TombstoneExact(const GeneralizedTuple& tuple) {
+  // Only the tuple's signature bucket can hold an exact match, and a
+  // bucket lists its ids in append order. Matches are collected before any
+  // is tombstoned, because Tombstone() unlinks ids from the bucket.
+  std::vector<EntryId> matched;
+  for (EntryId id : EntriesWithSignature(tuple.free_extension())) {
+    const GeneralizedTuple& stored = entries_[id].tuple;
+    if (stored.lrps() == tuple.lrps() && stored.data() == tuple.data() &&
+        stored.constraint() == tuple.constraint()) {
+      matched.push_back(id);
+    }
+  }
+  for (EntryId id : matched) Tombstone(id);
+  return matched;
+}
+
 size_t TupleStore::CompactTombstones() {
   size_t compacted = 0;
   for (size_t id = 0; id < entries_.size(); ++id) {

@@ -249,6 +249,14 @@ class TupleStore {
   // every mutation.
   void Tombstone(EntryId id);
 
+  // Tombstones every live entry whose lrps, data and constraint DBM all
+  // equal `tuple`'s, and returns their ids, ascending. A fact absorbed at
+  // insert time has no entry of its own and matches nothing. The live
+  // retraction path (IncrementalEvaluator::RetractFacts) and WAL replay
+  // (storage::ApplyRetractBatch) both retract through this, so replay
+  // reproduces the live/dead partition exactly. Requires exclusive access.
+  std::vector<EntryId> TombstoneExact(const GeneralizedTuple& tuple);
+
   // True iff the entry has not been tombstoned. Valid for any id < size().
   bool is_live(EntryId id) const { return live_[id] == kLive; }
   // Cheap gate for hot scan paths: when false, every entry is live and the
@@ -385,18 +393,9 @@ class GroundFactStore {
 
   // Returns false when the fact was already present.
   bool Insert(GroundTuple fact) {
-    return InsertIndexed(std::move(fact)).second;
-  }
-
-  // Insert that also reports the fact's stable insertion-order index —
-  // the existing one on a duplicate — so why-provenance can address ground
-  // facts and attach a re-derivation's origin to the entry it collapsed
-  // into.
-  std::pair<uint32_t, bool> InsertIndexed(GroundTuple fact) {
-    auto [it, inserted] =
-        set_.try_emplace(std::move(fact), static_cast<uint32_t>(order_.size()));
-    if (inserted) order_.push_back(&it->first);
-    return {it->second, inserted};
+    auto [it, inserted] = set_.insert(std::move(fact));
+    if (inserted) order_.push_back(&*it);
+    return inserted;
   }
 
   bool Contains(const GroundTuple& fact) const { return set_.count(fact) > 0; }
@@ -441,9 +440,9 @@ class GroundFactStore {
   }
 
  private:
-  // Fact -> insertion-order index; node-based, so the key pointers in
-  // order_ survive rehashes and moves.
-  std::unordered_map<GroundTuple, uint32_t, GroundTupleHash> set_;
+  // Node-based, so the element pointers in order_ survive rehashes and
+  // moves.
+  std::unordered_set<GroundTuple, GroundTupleHash> set_;
   std::vector<const GroundTuple*> order_;
   size_t delta_lo_ = 0;
   size_t delta_hi_ = 0;

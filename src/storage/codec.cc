@@ -483,19 +483,10 @@ std::string EncodeFactBatch(const FactBatch& batch) {
     for (const std::string& d : fact.data) data.push_back(db->Constant(d));
     LRPDB_ASSIGN_OR_RETURN(GeneralizedRelation * relation,
                            db->MutableRelation(fact.relation));
-    TupleStore& store = relation->mutable_store();
-    // Same match-and-tombstone loop as IncrementalEvaluator::RetractFacts,
-    // so replay reproduces exactly the live/dead partition. The bucket is
-    // copied because Tombstone() unlinks ids from it.
-    const std::vector<EntryId> bucket =
-        store.EntriesWithSignature(FreeExtension{fact.lrps, data});
-    for (EntryId id : bucket) {
-      const GeneralizedTuple& stored = store.tuple(id);
-      if (stored.lrps() != fact.lrps) continue;
-      if (stored.data() != data) continue;
-      if (!(stored.constraint() == fact.constraint)) continue;
-      store.Tombstone(id);
-    }
+    // The same routine as IncrementalEvaluator::RetractFacts, so replay
+    // reproduces exactly the live/dead partition.
+    relation->mutable_store().TombstoneExact(
+        GeneralizedTuple(fact.lrps, std::move(data), fact.constraint));
   }
   return OkStatus();
 }

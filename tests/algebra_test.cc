@@ -108,17 +108,6 @@ TEST(CoalesceTest, MultiColumnCoalescing) {
   EXPECT_EQ((*coalesced)[0].lrp(1), Lrp(1, 0));
 }
 
-TEST(CoalesceTest, AblationFlagDisables) {
-  NormalizeLimits limits;
-  limits.coalesce_outputs = false;
-  std::vector<GeneralizedTuple> tuples{
-      GeneralizedTuple::Unconstrained({Lrp(2, 0)}, {}),
-      GeneralizedTuple::Unconstrained({Lrp(2, 1)}, {})};
-  auto coalesced = CoalesceTuples(tuples, limits);
-  ASSERT_TRUE(coalesced.ok());
-  EXPECT_EQ(coalesced->size(), 2u);
-}
-
 TEST(CoalesceTest, HugePeriodPairStaysSplitQuickly) {
   // Two offsets of period 2^40 can fill no coarser class (a class of period
   // 2^40/k needs k members), so no divisor below the period is tried.

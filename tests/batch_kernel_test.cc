@@ -354,8 +354,7 @@ TEST(SharedDescriptorTest, ConstantPinnedAtomThePlannerReorders) {
   auto normalized = Normalize(unit->program);
   ASSERT_TRUE(normalized.ok()) << normalized.status();
   ASSERT_EQ(normalized->clauses.size(), 1u);
-  const ClausePlan plan =
-      CompileClausePlan(normalized->clauses[0], /*allow_reorder=*/true);
+  const ClausePlan plan = CompileClausePlan(normalized->clauses[0]);
   ASSERT_TRUE(plan.reordered);
   ASSERT_EQ(plan.atoms[1].body_index, 2);
   ExpectFacts(text, "q", {"(0,a,x)", "(10,a,x)"});

@@ -306,9 +306,10 @@ TEST(ResultCompactionTest, LargeModelCompactsWithinBudgetOfItsMerges) {
   Database db;
   auto unit = Parse(source, &db);
   ASSERT_TRUE(unit.ok()) << unit.status();
-  Evaluator evaluator(unit->program, db, options);
-  ASSERT_TRUE(evaluator.Run().ok());
-  EXPECT_EQ(evaluator.Result().Relation("consult").size(), 7u + 40);
+  auto result = Evaluate(unit->program, db, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_FALSE(result->partial.tripped()) << result->partial.reason;
+  EXPECT_EQ(result->Relation("consult").size(), 7u + 40);
 }
 
 // A trip at any point of compaction leaves the complete model: the
@@ -332,12 +333,11 @@ TEST(ResultCompactionTest, InjectedTripInCoalesceKeepsTheFullModel) {
   Database db;
   auto unit = Parse(source, &db);
   ASSERT_TRUE(unit.ok()) << unit.status();
-  Evaluator evaluator(unit->program, db, options);
-  Status status = evaluator.Run();
+  auto result = Evaluate(unit->program, db, options);
   failpoint::DisarmAll();
-  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
-  ASSERT_TRUE(evaluator.has_partial());
-  const EvaluationResult& partial = evaluator.Partial();
+  ASSERT_TRUE(result.ok()) << result.status();
+  const EvaluationResult& partial = *result;
+  EXPECT_EQ(partial.partial.trip, StatusCode::kResourceExhausted);
   EXPECT_NE(partial.partial.reason.find("algebra.coalesce"),
             std::string::npos);
   // The trip came before any store changed: the uncompacted model, whole.
@@ -361,10 +361,10 @@ TEST(ResultCompactionTest, BudgetTripMidCompactionKeepsTheFullModel) {
   Database db;
   auto unit = Parse(source, &db);
   ASSERT_TRUE(unit.ok()) << unit.status();
-  Evaluator evaluator(unit->program, db, options);
-  EXPECT_EQ(evaluator.Run().code(), StatusCode::kResourceExhausted);
-  ASSERT_TRUE(evaluator.has_partial());
-  const EvaluationResult& partial = evaluator.Partial();
+  auto result = Evaluate(unit->program, db, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const EvaluationResult& partial = *result;
+  EXPECT_EQ(partial.partial.trip, StatusCode::kResourceExhausted);
   EXPECT_GE(partial.Relation("consult").size(),
             raw.result.Relation("consult").size());
   EXPECT_EQ(partial.Relation("lecture").ToString(),

@@ -1,4 +1,4 @@
-// Per-rule EXPLAIN profile (EvalProfile / Evaluator): the counts are
+// Per-rule EXPLAIN profile (EvalProfile / Explain()): the counts are
 // asserted against hand-computed fixpoints, so these tests double as an
 // audit of the Theorem 4.2/4.3 termination bookkeeping.
 #include <string>
@@ -127,25 +127,23 @@ TEST(EvaluatorTest, RunIsIdempotentAndExposesTheProfile) {
   Database db;
   auto unit = Parse(kExample41, &db);
   ASSERT_TRUE(unit.ok()) << unit.status();
-  Evaluator evaluator(unit->program, db);
-  EXPECT_FALSE(evaluator.has_run());
-  ASSERT_TRUE(evaluator.Run().ok());
-  ASSERT_TRUE(evaluator.has_run());
-  const EvalProfile* first = &evaluator.Profile();
-  // A second Run() is a no-op: same result object, same profile.
-  ASSERT_TRUE(evaluator.Run().ok());
-  EXPECT_EQ(&evaluator.Profile(), first);
-  EXPECT_EQ(evaluator.Profile().rules.size(), 2u);
-  EXPECT_EQ(evaluator.Result().iterations, 8);
+  auto first = Evaluate(unit->program, db);
+  ASSERT_TRUE(first.ok()) << first.status();
+  // A second evaluation recomputes the same model and the same profile.
+  auto second = Evaluate(unit->program, db);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->Explain(false), first->Explain(false));
+  EXPECT_EQ(first->profile.rules.size(), 2u);
+  EXPECT_EQ(first->iterations, 8);
 }
 
 TEST(EvaluatorTest, ExplainRendersRulesAndRounds) {
   Database db;
   auto unit = Parse(kExample41, &db);
   ASSERT_TRUE(unit.ok()) << unit.status();
-  Evaluator evaluator(unit->program, db);
-  ASSERT_TRUE(evaluator.Run().ok());
-  std::string explain = evaluator.Explain();
+  auto result = Evaluate(unit->program, db);
+  ASSERT_TRUE(result.ok()) << result.status();
+  std::string explain = result->Explain();
   EXPECT_NE(explain.find("8 rounds"), std::string::npos);
   EXPECT_NE(explain.find("fixpoint reached"), std::string::npos);
   EXPECT_NE(explain.find("problems :- course"), std::string::npos);

@@ -263,14 +263,13 @@ TEST(FaultInjectionWalkTest, TripBudgetAtInsertDegradesGracefully) {
   ExecContext exec;
   EvaluationOptions options;
   options.exec = &exec;
-  Evaluator evaluator(unit->program, db, options);
   // The injected trip is indistinguishable from a genuinely blown budget,
-  // so Run() degrades instead of hard-failing.
-  Status status = evaluator.Run();
-  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
-  ASSERT_TRUE(evaluator.has_partial());
-  EXPECT_TRUE(evaluator.Partial().partial.tripped());
-  EXPECT_NE(evaluator.Partial().partial.reason.find("tuple_store.insert"),
+  // so Evaluate() degrades instead of hard-failing.
+  auto result = Evaluate(unit->program, db, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->partial.tripped());
+  EXPECT_EQ(result->partial.trip, StatusCode::kResourceExhausted);
+  EXPECT_NE(result->partial.reason.find("tuple_store.insert"),
             std::string::npos);
   DisarmAll();
 }

@@ -80,22 +80,18 @@ TEST(GovernanceTest, DeadlineTripsFastWithNonEmptyPartial) {
   EvaluationOptions options;
   options.exec = &exec;
   options.max_iterations = 10'000'000;
-  Evaluator evaluator(p.unit->program, p.db, options);
-
   auto start = std::chrono::steady_clock::now();
-  Status status = evaluator.Run();
+  auto result = Evaluate(p.unit->program, p.db, options);
   double ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - start)
                   .count();
 
-  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status;
+  ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_LT(ms, kDeadlineOvershootBudgetMs)
       << "deadline overshoot: poll coverage too sparse";
-  ASSERT_TRUE(evaluator.has_partial());
-  EXPECT_FALSE(evaluator.has_run());
-  const EvaluationResult& partial = evaluator.Partial();
-  EXPECT_TRUE(partial.partial.tripped());
-  EXPECT_EQ(partial.partial.trip, StatusCode::kDeadlineExceeded);
+  const EvaluationResult& partial = *result;
+  EXPECT_EQ(partial.partial.trip, StatusCode::kDeadlineExceeded)
+      << partial.partial.reason;
   EXPECT_FALSE(partial.reached_fixpoint);
   // Rounds complete within microseconds here, so some must have finished.
   EXPECT_GT(partial.partial.last_completed_round, 0);
@@ -110,10 +106,10 @@ TEST(GovernanceTest, DeadlineTripIncrementsMetric) {
   exec.set_deadline_after_us(0);  // Expired before the first round.
   EvaluationOptions options;
   options.exec = &exec;
-  Evaluator evaluator(p.unit->program, p.db, options);
-  EXPECT_EQ(evaluator.Run().code(), StatusCode::kDeadlineExceeded);
-  ASSERT_TRUE(evaluator.has_partial());
-  EXPECT_EQ(evaluator.Partial().partial.last_completed_round, 0);
+  auto result = Evaluate(p.unit->program, p.db, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->partial.trip, StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(result->partial.last_completed_round, 0);
 #if !defined(LRPDB_NO_METRICS)
   EXPECT_EQ(CounterValue("exec.deadline_exceeded"), before + 1);
 #else
@@ -129,12 +125,11 @@ TEST(GovernanceTest, MaxRoundsCapsEvaluation) {
   exec.set_max_rounds(3);
   EvaluationOptions options;
   options.exec = &exec;
-  Evaluator evaluator(p.unit->program, p.db, options);
-  Status status = evaluator.Run();
-  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(status.ToString().find("max_rounds"), std::string::npos);
-  ASSERT_TRUE(evaluator.has_partial());
-  EXPECT_EQ(evaluator.Partial().partial.last_completed_round, 3);
+  auto result = Evaluate(p.unit->program, p.db, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->partial.trip, StatusCode::kResourceExhausted);
+  EXPECT_NE(result->partial.reason.find("max_rounds"), std::string::npos);
+  EXPECT_EQ(result->partial.last_completed_round, 3);
 }
 
 TEST(GovernanceTest, TupleBudgetDegradesGracefully) {

@@ -34,13 +34,6 @@ TEST(ThreadPoolTest, DefaultThreadsParsesEnvironmentAndOverride) {
   EXPECT_EQ(ThreadPool::DefaultThreads(), 1);
   ASSERT_EQ(setenv("LRPDB_THREADS", "-4", 1), 0);
   EXPECT_EQ(ThreadPool::DefaultThreads(), 1);
-  // The programmatic override wins over the environment...
-  ThreadPool::SetDefaultThreads(5);
-  EXPECT_EQ(ThreadPool::DefaultThreads(), 5);
-  // ...and n <= 0 restores the environment-driven default.
-  ThreadPool::SetDefaultThreads(0);
-  ASSERT_EQ(setenv("LRPDB_THREADS", "2", 1), 0);
-  EXPECT_EQ(ThreadPool::DefaultThreads(), 2);
   ASSERT_EQ(unsetenv("LRPDB_THREADS"), 0);
 }
 
@@ -287,14 +280,11 @@ TEST(ParallelEvaluatorTest, GovernanceTripsCleanlyFromWorkerThreads) {
   EvaluationOptions options;
   options.num_threads = 8;
   options.exec = &exec;
-  Evaluator evaluator(unit->program, db, options);
-  Status run = evaluator.Run();
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.code(), StatusCode::kResourceExhausted);
-  ASSERT_TRUE(evaluator.has_partial());
+  auto result = Evaluate(unit->program, db, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->partial.trip, StatusCode::kResourceExhausted);
   // The partial model is sound: rounds completed before the trip only.
-  EXPECT_FALSE(evaluator.Partial().reached_fixpoint);
-  EXPECT_TRUE(evaluator.Partial().partial.tripped());
+  EXPECT_FALSE(result->reached_fixpoint);
 }
 
 TEST(ParallelEvaluatorTest, CancellationFromAnotherThreadUnwinds) {
@@ -307,10 +297,9 @@ TEST(ParallelEvaluatorTest, CancellationFromAnotherThreadUnwinds) {
   EvaluationOptions options;
   options.num_threads = 4;
   options.exec = &exec;
-  Evaluator evaluator(unit->program, db, options);
-  Status run = evaluator.Run();
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.code(), StatusCode::kCancelled);
+  auto result = Evaluate(unit->program, db, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->partial.trip, StatusCode::kCancelled);
 }
 
 }  // namespace

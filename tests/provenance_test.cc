@@ -3,17 +3,16 @@
 // The load-bearing check is the replay differential: for randomized
 // programs (same shapes as batch_kernel_test.cc), every recorded origin is
 // re-executed — the origin's clause, stripped of its negated atoms, is
-// compiled with reordering off and applied over singleton relations holding
-// exactly the recorded parent tuples — and at least one replayed candidate
-// must be subsumed by the derived entry it was recorded for. That holds the
-// log to its soundness contract (each origin derives a subset of its
-// entry's ground set, exact on non-absorbed inserts). On top of that: runs
-// at {1,2,8} threads must record the identical log, every IDB entry must
-// carry at least one origin, the ground engine's log must be complete over
-// a model that matches the generalized engine's, and the fixed cases
-// pin absorber attribution, cycle-safe graph queries, the render/DOT
-// output, the ExecContext byte-budget charge, and one origin per distinct
-// derivation with retained-byte accounting.
+// compiled (reordering on; emission still follows body order) and applied
+// over singleton relations holding exactly the recorded parent tuples —
+// and at least one replayed candidate must be subsumed by the derived
+// entry it was recorded for. That holds the log to its soundness contract
+// (each origin derives a subset of its entry's ground set, exact on
+// non-absorbed inserts). On top of that: runs at {1,2,8} threads must
+// record the identical log, every IDB entry must carry at least one
+// origin, and the fixed cases pin absorber attribution, cycle-safe graph
+// queries, the render/DOT output, the ExecContext byte-budget charge, and
+// one origin per distinct derivation with retained-byte accounting.
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -28,14 +27,12 @@
 #include "src/common/exec_context.h"
 #include "src/core/clause_plan.h"
 #include "src/core/evaluator.h"
-#include "src/core/ground_evaluator.h"
 #include "src/core/normalizer.h"
 #include "src/core/provenance.h"
 #include "src/gdb/database.h"
 #include "src/gdb/generalized_relation.h"
 #include "src/obs/metrics.h"
 #include "src/parser/parser.h"
-#include "tests/ground_oracle.h"
 
 namespace lrpdb {
 namespace {
@@ -130,12 +127,12 @@ bool SubsumedBy(const GeneralizedTuple& piece,
   return probe.ok() && !*probe;
 }
 
-// Replays one origin: compile its clause without the negated atoms
-// (reordering off, the ground-truth body order the parents were recorded
-// in), run the batch kernel over singleton parent relations, and demand a
-// candidate subsumed by the derived entry. Dropping negation only widens
-// the candidate set, so the original (filter-surviving) candidate is
-// guaranteed to be regenerated.
+// Replays one origin: compile its clause without the negated atoms (a
+// reordered plan still emits in body order, the order the parents were
+// recorded in), run the batch kernel over singleton parent relations, and
+// demand a candidate subsumed by the derived entry. Dropping negation only
+// widens the candidate set, so the original (filter-surviving) candidate
+// is guaranteed to be regenerated.
 void ReplayOrigin(const ProvRun& run, const std::string& head_name,
                   EntryId entry, const DerivationOrigin& origin) {
   SCOPED_TRACE(head_name + "#" + std::to_string(entry) + " rule " +
@@ -174,7 +171,7 @@ void ReplayOrigin(const ProvRun& run, const std::string& head_name,
     singletons.push_back(std::move(rel));
   }
 
-  ClausePlan plan = CompileClausePlan(clause, /*allow_reorder=*/false);
+  ClausePlan plan = CompileClausePlan(clause);
   std::vector<GeneralizedTuple> candidates;
   Status applied =
       ApplyClauseBatch(clause, plan, sources, limits, nullptr, &candidates);
@@ -624,93 +621,6 @@ TEST(ProvenanceTest, NegatedAtomsAreOmittedFromParents) {
     }
   }
   ExpectCompleteAndReplayable(*run);
-}
-
-// --- Windowed ground evaluator --------------------------------------------
-
-// The ground engine's log covers every fact of a window model that, away
-// from the window's lower edge, is the generalized engine's model: every
-// derived fact has an origin, and every recorded parent resolves against
-// the returned window EDB / IDB.
-TEST(GroundProvenanceTest, RecordsCompleteLogOverTheGeneralizedModel) {
-  const std::string text = R"(
-    .decl e(time, data)
-    .decl p(time, data)
-    .decl q(time, data)
-    .decl r(time, data)
-    .fact e(6n, "a").
-    .fact e(6n+2, "b").
-    p(t + 1, N) :- e(t, N).
-    p(t + 3, N) :- p(t, N).
-    q(t, N) :- p(t, N), e(t, N).
-    r(t, N) :- e(t, N), !q(t, N).
-  )";
-  Database db;
-  auto unit = Parse(text, &db);
-  ASSERT_TRUE(unit.ok()) << unit.status();
-  ProvenanceLog log;
-  GroundEvaluationOptions options;
-  options.window_lo = 0;
-  options.window_hi = 48;
-  options.provenance = &log;
-  auto result = EvaluateGround(unit->program, db, options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_GT(log.records(), 0);
-
-  // Every derivation reaches at most 4 below its fact (+1, then one +3
-  // hop at most: the +3 chain repeats its residue mod 6 after two) and
-  // never above it, so the window model is exact on [4, 48).
-  auto model = Evaluate(unit->program, db);
-  ASSERT_TRUE(model.ok()) << model.status();
-  for (const auto& [name, relation] : model->idb) {
-    EXPECT_EQ(GroundFactsIn(result->idb.at(name), 4, 48),
-              relation.EnumerateGround(4, 48))
-        << name;
-  }
-
-  for (const auto& [name, store] : result->idb) {
-    if (store.empty()) continue;
-    auto rid = log.FindRelation(name);
-    ASSERT_TRUE(rid.has_value()) << name;
-    for (size_t i = 0; i < store.size(); ++i) {
-      const auto& origins = log.Origins({*rid, static_cast<EntryId>(i)});
-      ASSERT_FALSE(origins.empty()) << name << "#" << i;
-      for (const DerivationOrigin& o : origins) {
-        EXPECT_GE(o.round, 1);
-        for (const ProvRef& p : o.parents) {
-          const std::string& pname = log.RelationName(p.relation);
-          auto idb_it = result->idb.find(pname);
-          if (idb_it != result->idb.end()) {
-            EXPECT_LT(p.entry, idb_it->second.size())
-                << pname << "#" << p.entry;
-            continue;
-          }
-          auto edb_it = result->edb.find(pname);
-          ASSERT_NE(edb_it, result->edb.end()) << pname;
-          EXPECT_LT(p.entry, edb_it->second.size())
-              << pname << "#" << p.entry;
-        }
-      }
-    }
-  }
-}
-
-TEST(GroundProvenanceTest, InsertIndexedReturnsStableIndices) {
-  GroundFactStore store;
-  GroundTuple a{{1}, {2}};
-  GroundTuple b{{3}, {4}};
-  auto [ia, fresh_a] = store.InsertIndexed(a);
-  auto [ib, fresh_b] = store.InsertIndexed(b);
-  EXPECT_TRUE(fresh_a);
-  EXPECT_TRUE(fresh_b);
-  EXPECT_EQ(ia, 0u);
-  EXPECT_EQ(ib, 1u);
-  auto [ia2, fresh_a2] = store.InsertIndexed(a);
-  EXPECT_FALSE(fresh_a2);
-  EXPECT_EQ(ia2, ia);
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.fact(0), a);
-  EXPECT_EQ(store.fact(1), b);
 }
 
 }  // namespace

@@ -597,6 +597,37 @@ TEST(TupleStoreTest, TombstoneRemovesEntryFromProbePathsButKeepsIds) {
   EXPECT_TRUE(store.CheckConsistency().ok());
 }
 
+// TombstoneExact, the one retraction routine of the live path and WAL
+// replay: it takes exactly the live entries equal to the fact in lrps,
+// data and DBM, ascending. Differing in any one of the three is a miss.
+TEST(TupleStoreTest, TombstoneExactMatchesLrpsDataAndDbm) {
+  TupleStore store({1, 1});
+  // InsertUnlessEmpty skips subsumption, so exact duplicates get entries.
+  const GeneralizedTuple fact = Banded(6, 1, 0, 30, 0);
+  ASSERT_TRUE(store.InsertUnlessEmpty(fact));                   // 0
+  ASSERT_TRUE(store.InsertUnlessEmpty(Banded(6, 2, 0, 30, 0)));  // 1: lrps
+  ASSERT_TRUE(store.InsertUnlessEmpty(Banded(6, 1, 0, 30, 1)));  // 2: data
+  ASSERT_TRUE(store.InsertUnlessEmpty(Banded(6, 1, 0, 29, 0)));  // 3: DBM
+  ASSERT_TRUE(store.InsertUnlessEmpty(fact));                   // 4
+  ASSERT_TRUE(store.InsertUnlessEmpty(fact));                   // 5
+  store.Tombstone(5);  // Already dead: not matched again.
+
+  EXPECT_EQ(store.TombstoneExact(fact), (std::vector<EntryId>{0, 4}));
+  EXPECT_FALSE(store.is_live(0));
+  EXPECT_TRUE(store.is_live(1));
+  EXPECT_TRUE(store.is_live(2));
+  EXPECT_TRUE(store.is_live(3));
+  EXPECT_FALSE(store.is_live(4));
+  EXPECT_EQ(store.live_size(), 3u);
+  EXPECT_TRUE(store.CheckConsistency().ok());
+
+  // Nothing live is left to match; an absent fact matches nothing either.
+  EXPECT_TRUE(store.TombstoneExact(fact).empty());
+  EXPECT_TRUE(store.TombstoneExact(Banded(6, 3, 0, 30, 0)).empty());
+  EXPECT_EQ(store.live_size(), 3u);
+  EXPECT_TRUE(store.CheckConsistency().ok());
+}
+
 // CompactTombstones releases dead payloads in place: every live entry keeps
 // its id and its tuple bit-for-bit, dead entries stay dead, and later
 // inserts still append at size(). This is the regression test for the
