@@ -91,8 +91,8 @@ std::vector<FactBatch> MakeBatches(const Database& db) {
   LRPDB_CHECK_OK(relation.status());
   FactBatch batch;
   batch.decls.push_back(lrpdb::PredicateDecl{"ev", RelationSchema{1, 1}});
-  for (size_t i = 0; i < (*relation)->size(); ++i) {
-    const GeneralizedTuple& tuple = (*relation)->tuple(i);
+  for (lrpdb::EntryId id : (*relation)->store().live_ids()) {
+    const GeneralizedTuple& tuple = (*relation)->tuple(id);
     BatchFact fact;
     fact.relation = "ev";
     fact.lrps = tuple.lrps();

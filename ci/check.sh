@@ -53,13 +53,16 @@
 #   ci/check.sh --incremental  incremental-maintenance differential gauntlet:
 #                            build an ASan tree and run incremental_test —
 #                            108 random programs, each driven through a
-#                            random add/retract schedule whose every step is
-#                            checked against a from-scratch refixpoint
-#                            oracle and for bit-identical stored dumps
-#                            across {1, 2, 8} threads — plus the directed
-#                            incremental cases and the tombstone-compaction
-#                            regressions in tuple_store_test. Standalone
-#                            mode: skips the plain build/ctest above.
+#                            random add/retract/compact schedule whose
+#                            every step is checked against a from-scratch
+#                            refixpoint oracle and for bit-identical stored
+#                            dumps across {1, 2, 8} threads — plus the
+#                            directed incremental cases, the tombstone and
+#                            erase regressions in tuple_store_test, the
+#                            provenance renumber cases in provenance_test,
+#                            and the live-only image cases in storage_test.
+#                            Standalone mode: skips the plain build/ctest
+#                            above.
 #   ci/check.sh --perfbench  benchmark smoke run: perfbench/run.py builds
 #                            its own Release tree (under $CARGO_TARGET_DIR,
 #                            or .bench_build/ in the checkout), runs its
@@ -226,19 +229,22 @@ if [[ "$incremental" == 1 ]]; then
   fi
   echo "== incremental maintenance: ASan differential gauntlet"
   cmake -B build-asan -S . -DLRPDB_SANITIZE=ON
-  cmake --build build-asan -j"$(nproc)" --target incremental_test tuple_store_test
+  cmake --build build-asan -j"$(nproc)" --target incremental_test \
+    tuple_store_test provenance_test storage_test
   # 18 seeds x 6 generated programs = 108 random programs, each pushed
-  # through a 6-step random add/retract schedule. After every step the
-  # maintained model must match a from-scratch refixpoint oracle on the
-  # canonical ground window, and the stored dumps must be bit-identical
-  # across {1, 2, 8} threads. The directed
-  # IncrementalTest cases cover DRed over-delete/re-derive, alternative
-  # derivations, retract misses, compaction stability, and the negation
-  # full-recompute fallback; the TupleStoreTest tombstone regressions cover
-  # the stable-EntryId compaction path underneath it all.
+  # through a 6-step random add/retract schedule that compacts after some
+  # steps. After every step the maintained model must match a
+  # from-scratch refixpoint oracle on the canonical ground window, and the
+  # stored dumps must be bit-identical across {1, 2, 8} threads. The
+  # directed IncrementalTest cases cover DRed over-delete/re-derive,
+  # alternative derivations, retract misses, compaction as erase plus
+  # renumber, readers after compaction, and the negation full-recompute
+  # fallback; the TupleStoreTest cases cover tombstones and EraseEntries
+  # underneath, the ProvenanceTest cases the log's renumber, and the
+  # CodecTest/StoreTest cases the live-only snapshot image.
   ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="print_stacktrace=1" \
     ctest --test-dir build-asan --output-on-failure \
-    -R '^(IncrementalTest|TupleStoreTest)\.|IncrementalRandomTest\.'
+    -R '^(IncrementalTest|TupleStoreTest|ProvenanceTest|ProvenanceDedupTest|ProvenanceRenumberTest|CodecTest|StoreTest)\.|IncrementalRandomTest\.|ProvenanceRandomTest\.'
   echo "ci/check.sh --incremental: incremental-maintenance pass passed"
   exit 0
 fi

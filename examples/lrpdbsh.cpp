@@ -232,10 +232,8 @@ bool ResolveTupleSpec(const ProvSession& s, const std::string& spec,
     }
     data.push_back(id);
   }
-  for (size_t i = 0; i < rel->size(); ++i) {
-    if (rel->tuple(i).ContainsGround(times, data)) {
-      entries->push_back(static_cast<lrpdb::EntryId>(i));
-    }
+  for (lrpdb::EntryId id : rel->store().live_ids()) {
+    if (rel->tuple(id).ContainsGround(times, data)) entries->push_back(id);
   }
   if (entries->empty()) {
     *error = "no stored tuple of " + *name + " contains that ground fact";
@@ -356,14 +354,16 @@ lrpdb::Status BuildImage(
     LRPDB_ASSIGN_OR_RETURN(lrpdb::GeneralizedRelation * dst,
                            out->MutableRelation(name));
     lrpdb::TupleStore& store = dst->mutable_store();
-    for (size_t i = 0; i < rel.size(); ++i) {
-      LRPDB_RETURN_IF_ERROR(store.RestoreEntry(rel.tuple(i)));
-      if (!rel.store().is_live(static_cast<lrpdb::EntryId>(i))) {
-        store.Tombstone(static_cast<lrpdb::EntryId>(i));
-      }
+    // Live entries only; each generation bound becomes the number of live
+    // entries below it.
+    size_t delta_lo = 0;
+    size_t delta_hi = 0;
+    for (lrpdb::EntryId id : rel.store().live_ids()) {
+      LRPDB_RETURN_IF_ERROR(store.RestoreEntry(rel.tuple(id)));
+      delta_lo += id < rel.store().delta_lo();
+      delta_hi += id < rel.store().delta_hi();
     }
-    return store.RestoreGenerations(rel.store().delta_lo(),
-                                    rel.store().delta_hi());
+    return store.RestoreGenerations(delta_lo, delta_hi);
   };
   for (const std::string& name : db.RelationNames()) {
     if (idb != nullptr && idb->count(name) > 0) continue;
@@ -456,9 +456,8 @@ lrpdb::StatusOr<std::vector<lrpdb::FactUpdate>> ParseFactUpdates(
     auto rel = scratch.Relation(name);
     if (!rel.ok()) continue;
     const lrpdb::TupleStore& store = (*rel)->store();
-    for (size_t i = 0; i < store.size(); ++i) {
-      const lrpdb::GeneralizedTuple& t =
-          store.tuple(static_cast<lrpdb::EntryId>(i));
+    for (lrpdb::EntryId id : store.live_ids()) {
+      const lrpdb::GeneralizedTuple& t = store.tuple(id);
       std::vector<lrpdb::DataValue> data;
       data.reserve(t.data().size());
       for (lrpdb::DataValue d : t.data()) {

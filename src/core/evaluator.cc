@@ -142,9 +142,8 @@ std::vector<DataValue> CollectActiveDomain(const Program& program,
   for (const std::string& name : db.RelationNames()) {
     auto relation = db.Relation(name);
     const TupleStore& store = (*relation)->store();
-    for (size_t i = 0; i < store.size(); ++i) {
-      if (!store.is_live(static_cast<EntryId>(i))) continue;
-      for (DataValue d : store.tuple(i).data()) domain.insert(d);
+    for (EntryId id : store.live_ids()) {
+      for (DataValue d : store.tuple(id).data()) domain.insert(d);
     }
   }
   for (const Clause& clause : program.clauses()) {
@@ -820,8 +819,7 @@ namespace {
         std::vector<EntryId> ids;
         views.reserve(store.live_size());
         ids.reserve(store.live_size());
-        for (EntryId id = 0; id < store.size(); ++id) {
-          if (!store.is_live(id)) continue;
+        for (EntryId id : store.live_ids()) {
           views.push_back(&store.tuple(id));
           ids.push_back(id);
         }

@@ -16,11 +16,10 @@ IncrementalEvaluator::IncrementalEvaluator(const Program& program,
                                            Database* db,
                                            EvaluationOptions options)
     : program_(program), db_(db), options_(std::move(options)) {
-  // Compaction rebuilds relations and renumbers entry ids; both provenance
-  // addressing and generation-based resumption need ids stable, so the
-  // maintained model always stays in uncompacted closed form. The
-  // tombstone-path compaction (CompactRetracted) releases payloads without
-  // renumbering and remains available.
+  // Result compaction merges tuples, which would leave recorded origins
+  // naming entries that no longer exist, so the maintained model always
+  // stays in uncompacted closed form. CompactRetracted erases only
+  // tombstoned entries and renumbers the log with them.
   options_.compact_results = false;
 }
 
@@ -93,8 +92,8 @@ void IncrementalEvaluator::ClearDeltas() {
 [[nodiscard]] Status IncrementalEvaluator::FullRecompute() {
   LRPDB_COUNTER_INC("eval.inc.fallbacks");
   // A fresh log: the old one's origins address entries of the model being
-  // replaced. Entry ids of the database are stable across the recompute
-  // (tombstones never renumber), so the new origins stay valid.
+  // replaced. The new origins address the database's entries as they are
+  // now, which hold until the next CompactRetracted renumbers them.
   ResetProvenance();
   LRPDB_ASSIGN_OR_RETURN(EvaluationResult result,
                          Evaluate(program_, *db_, options_));
@@ -229,8 +228,8 @@ void IncrementalEvaluator::ClearDeltas() {
       ++over_deleted;
       queue.push_back(dep);
     }
-    // Every dependent listed for `ref` is dead now, and dead ids are never
-    // reused, so the list carries no further work.
+    // Every dependent listed for `ref` is dead now, and a dead entry is
+    // never revived, so the list carries no further work.
     prov_->ForgetDependents(ref);
   }
   LRPDB_COUNTER_ADD("eval.inc.over_deleted", over_deleted);
@@ -259,21 +258,31 @@ void IncrementalEvaluator::ClearDeltas() {
 }
 
 size_t IncrementalEvaluator::CompactRetracted() {
-  size_t compacted = 0;
+  // remaps[name]: how erasing `name`'s tombstoned entries renumbered it.
+  std::map<std::string, std::vector<EntryId>> remaps;
+  size_t erased = 0;
+  auto erase_dead = [&](const std::string& name, TupleStore* store) {
+    if (!store->has_tombstones()) return;
+    std::vector<EntryId> dead;
+    dead.reserve(store->size() - store->live_size());
+    for (EntryId id = 0; id < store->size(); ++id) {
+      if (!store->is_live(id)) dead.push_back(id);
+    }
+    erased += dead.size();
+    remaps.emplace(name, store->EraseEntries(dead));
+  };
   for (const std::string& name : db_->RelationNames()) {
     StatusOr<GeneralizedRelation*> relation = db_->MutableRelation(name);
-    if (!relation.ok()) continue;
-    compacted += (*relation)->mutable_store().CompactTombstones();
+    if (relation.ok()) erase_dead(name, &(*relation)->mutable_store());
   }
   if (model_.has_value()) {
-    for (auto& [unused, relation] : model_->idb) {
-      compacted += relation.mutable_store().CompactTombstones();
+    for (auto& [name, relation] : model_->idb) {
+      erase_dead(name, &relation.mutable_store());
     }
   }
-  // Reverse edges into dead dependents are the provenance side of the
-  // released tombstones.
-  if (prov_ != nullptr) prov_->PruneDependents();
-  return compacted;
+  // EDB and IDB names are disjoint, so one remap per name is unambiguous.
+  if (prov_ != nullptr && !remaps.empty()) prov_->Renumber(remaps);
+  return erased;
 }
 
 const EvaluationResult& IncrementalEvaluator::Result() const {
@@ -321,10 +330,8 @@ std::string IncrementalEvaluator::DumpStored() const {
   for (const auto& [name, relation] : model_->idb) {
     out << name << ":\n";
     const TupleStore& store = relation.store();
-    for (size_t i = 0; i < store.size(); ++i) {
-      const EntryId id = static_cast<EntryId>(i);
-      if (!store.is_live(id)) continue;
-      out << "  #" << i << " " << store.tuple(id).ToString(&interner) << "\n";
+    for (EntryId id : store.live_ids()) {
+      out << "  #" << id << " " << store.tuple(id).ToString(&interner) << "\n";
     }
   }
   return out.str();

@@ -61,10 +61,10 @@ struct FactUpdate {
 // Owns a materialized model over an extensional database and maintains it
 // under AddFacts / RetractFacts batches without refixpointing.
 //
-// The database is borrowed and mutated in place (EDB inserts and
-// tombstones); program and database must outlive the evaluator. Not
-// thread-safe: updates are serialized by the caller, like every store
-// mutation.
+// The database is borrowed and mutated in place (EDB inserts, tombstones
+// and CompactRetracted's erasures); program and database must outlive the
+// evaluator. Not thread-safe: updates are serialized by the caller, like
+// every store mutation.
 class IncrementalEvaluator {
  public:
   // `options` is normalized for maintenance: compact_results is forced off
@@ -89,12 +89,13 @@ class IncrementalEvaluator {
   // brings the model back to the fixpoint of the shrunk database.
   [[nodiscard]] Status RetractFacts(const std::vector<FactUpdate>& batch);
 
-  // Releases the payloads of every tombstoned entry across the EDB and IDB
-  // stores without renumbering (TupleStore::CompactTombstones): recorded
-  // provenance addresses stay valid, which is what makes compaction legal
-  // here even while recording is active. Also drops the provenance reverse
-  // edges into dead entries (ProvenanceLog::PruneDependents). Returns
-  // entries compacted.
+  // Erases every tombstoned entry of the EDB and IDB stores
+  // (TupleStore::EraseEntries), which renumbers the survivors densely in
+  // their order, and rewrites the provenance log through the same remaps
+  // (ProvenanceLog::Renumber). Afterwards every store has size() ==
+  // live_size(). Entry ids handed out before the call are invalidated; the
+  // model, its fingerprint and the live tuples' order are unchanged.
+  // Returns the number of entries erased.
   size_t CompactRetracted();
 
   // The maintained model. CHECK-fails before a successful Initialize().

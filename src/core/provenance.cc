@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <sstream>
+#include <type_traits>
 
 #include "src/common/exec_context.h"
 #include "src/common/failpoint.h"
@@ -258,21 +259,86 @@ void ProvenanceLog::ForgetDependents(ProvRef ref) {
   std::vector<ProvRef>().swap(rel[ref.entry]);
 }
 
-size_t ProvenanceLog::PruneDependents() {
-  size_t dropped = 0;
+void ProvenanceLog::Renumber(
+    const std::map<std::string, std::vector<EntryId>>& remaps) {
+  // remap_of[relation]: that relation's remap, or nullptr when its ids stay.
+  std::vector<const std::vector<EntryId>*> remap_of(relation_names_.size(),
+                                                    nullptr);
+  for (const auto& [name, remap] : remaps) {
+    if (std::optional<ProvRelationId> rel = FindRelation(name)) {
+      remap_of[*rel] = &remap;
+    }
+  }
+  const auto renumbered = [&](ProvRef ref) {
+    if (const std::vector<EntryId>* remap = remap_of[ref.relation]) {
+      ref.entry = (*remap)[ref.entry];
+    }
+    return ref;
+  };
+  // Moves each entry's list to its new id; `release` accounts for the list
+  // of an erased entry, which is dropped.
+  const auto move_lists = [](const std::vector<EntryId>& remap, auto* lists,
+                             const auto& release) {
+    std::remove_reference_t<decltype(*lists)> moved;
+    for (size_t id = 0; id < lists->size(); ++id) {
+      auto& list = (*lists)[id];
+      if (remap[id] == kErasedEntry) {
+        release(list);
+        continue;
+      }
+      if (list.empty()) continue;
+      if (moved.size() <= remap[id]) moved.resize(remap[id] + 1);
+      moved[remap[id]] = std::move(list);
+    }
+    *lists = std::move(moved);
+  };
+  for (size_t r = 0; r < remap_of.size(); ++r) {
+    if (remap_of[r] == nullptr) continue;
+    move_lists(*remap_of[r], &origins_[r],
+               [this](const std::vector<DerivationOrigin>& origins) {
+                 for (const DerivationOrigin& origin : origins) {
+                   approx_bytes_ -= OriginBytes(origin) + kIndexEntryBytes;
+                 }
+                 records_ -= static_cast<int64_t>(origins.size());
+               });
+    move_lists(*remap_of[r], &dependents_[r],
+               [this](const std::vector<ProvRef>& deps) {
+                 approx_bytes_ -= static_cast<int64_t>(deps.size()) *
+                                  kEdgeBytes;
+               });
+  }
+  // Every parent names a live entry (DRed over-deleted the dependents of
+  // every erased one), so parents are rewritten, never dropped.
+  for (RelationOrigins& rel : origins_) {
+    for (std::vector<DerivationOrigin>& origins : rel) {
+      for (DerivationOrigin& origin : origins) {
+        for (ProvRef& parent : origin.parents) parent = renumbered(parent);
+      }
+    }
+  }
   for (std::vector<std::vector<ProvRef>>& rel : dependents_) {
     for (std::vector<ProvRef>& deps : rel) {
-      const size_t before = deps.size();
-      deps.erase(std::remove_if(deps.begin(), deps.end(),
-                                [&](ProvRef dep) { return !HasOrigins(dep); }),
-                 deps.end());
-      if (deps.size() == before) continue;
-      dropped += before - deps.size();
+      size_t kept = 0;
+      for (ProvRef dep : deps) {
+        dep = renumbered(dep);
+        if (dep.entry != kErasedEntry) deps[kept++] = dep;
+      }
+      if (kept == deps.size()) continue;
+      approx_bytes_ -= static_cast<int64_t>(deps.size() - kept) * kEdgeBytes;
+      deps.resize(kept);
       deps.shrink_to_fit();
     }
   }
-  approx_bytes_ -= static_cast<int64_t>(dropped) * kEdgeBytes;
-  return dropped;
+  // The duplicate index hashes entry and parent ids: rebuild every table.
+  for (size_t r = 0; r < origins_.size(); ++r) {
+    origin_index_[r] = OriginIndex();
+    for (size_t id = 0; id < origins_[r].size(); ++id) {
+      for (size_t pos = 0; pos < origins_[r][id].size(); ++pos) {
+        origin_index_[r].Insert(origins_[r], static_cast<EntryId>(id),
+                                static_cast<uint32_t>(pos));
+      }
+    }
+  }
 }
 
 [[nodiscard]] StatusOr<ProvenanceLog::Graph> ProvenanceLog::WhyProvenance(

@@ -11,10 +11,11 @@
 // graph into an indented EXPLAIN WHY tree or a Graphviz DOT file.
 //
 // Addressing. Tuples are addressed as (relation, entry id): relations are
-// interned by name into dense ProvRelationIds, entries are the stable
-// append-only indices of TupleStore (EntryIds). Only the generalized
-// evaluator records; the windowed ground evaluator, the correctness
-// oracle, records nothing.
+// interned by name into dense ProvRelationIds, entries are TupleStore
+// EntryIds. An id holds until TupleStore::EraseEntries renumbers its store;
+// Renumber() then rewrites the log through the same remap. Only the
+// generalized evaluator records; the windowed ground evaluator, the
+// correctness oracle, records nothing.
 //
 // Subsumption semantics. The store's exact insert can absorb a candidate
 // into the same-signature entries whose union already contains it. The
@@ -26,11 +27,11 @@
 // candidate whose (rule, parents) the entry already carries adds nothing,
 // so re-applying a rule over unchanged parents (every DRed re-derive does)
 // leaves the log as it was. Inserts never remove entries, so recorded
-// (relation, entry) addresses stay resolvable for the lifetime of the
-// store. The one incompatibility is result compaction, which rebuilds
-// relations and renumbers entries: the evaluator skips compaction while
-// recording (the model is unchanged, just reported in uncompacted closed
-// form).
+// (relation, entry) addresses stay resolvable until an erase. Result
+// compaction erases without a remap for the log, so the evaluator skips it
+// while recording (the model is unchanged, just reported in uncompacted
+// closed form); IncrementalEvaluator::CompactRetracted erases tombstoned
+// entries and hands its remaps to Renumber().
 //
 // Threading contract: Record() is called only from the evaluator's
 // sequential insert phase (the parallel apply workers capture parent ids
@@ -106,7 +107,8 @@ struct DerivationOrigin {
 };
 
 // Per-evaluation derivation log plus the query surface over it. Origins
-// are only appended, except that Forget() drops those of a retracted entry.
+// are only appended, except that Forget() drops those of a retracted entry
+// and Renumber() those of an erased one.
 class ProvenanceLog {
  public:
   ProvenanceLog() = default;
@@ -157,25 +159,28 @@ class ProvenanceLog {
 
   // Drops every recorded origin of `ref` (a retraction tombstoned its
   // entry), releasing their memory and their duplicate-index entries.
-  // Reverse edges pointing at `ref` stay until PruneDependents(); the
+  // Reverse edges pointing at `ref` stay until Renumber() erases it; the
   // lifetime registry counters are not rewound.
   void Forget(ProvRef ref);
 
   // Releases the dependents list of `ref`. For a ref whose listed
-  // dependents a retraction has all tombstoned: dead ids are never reused,
-  // so the list carries nothing a later walk needs.
+  // dependents a retraction has all tombstoned: a tombstoned entry is
+  // never revived, so the list carries nothing a later walk needs.
   void ForgetDependents(ProvRef ref);
 
-  // Drops every reverse edge whose target was forgotten (it has no origins
-  // left: every recorded dependent had one) and releases the lists' spare
-  // capacity. Returns the number of edges dropped. Without it, a parent
-  // that outlives its dependents keeps one stale edge per dependent it
-  // ever had.
-  size_t PruneDependents();
+  // Rewrites the log after TupleStore::EraseEntries renumbered stores:
+  // remaps[name] is the remap EraseEntries returned for relation `name`;
+  // relations without one keep their ids. Drops the origins and dependents
+  // lists of erased entries and every reverse edge into one, rewrites
+  // every other ProvRef through its relation's remap, and rebuilds every
+  // duplicate index (its hash covers entry and parent ids). No origin may
+  // name an erased parent: DRed over-deletes every dependent of a
+  // retracted entry before its slot can be erased.
+  void Renumber(const std::map<std::string, std::vector<EntryId>>& remaps);
 
   // Retained accounting: the origins the log holds now and an estimate of
   // the bytes they, the reverse edges and the duplicate index occupy.
-  // Forget(), ForgetDependents() and PruneDependents() subtract what they
+  // Forget(), ForgetDependents() and Renumber() subtract what they
   // release. The registry counters eval.prov.{records,bytes} are lifetime
   // totals of what Record() appended and never go down.
   int64_t records() const { return records_; }

@@ -50,8 +50,8 @@ class Oracle {
     auto relation = db_.Relation(name);
     if (!relation.ok()) return out;
     std::set<std::vector<DataValue>> seen;
-    for (size_t i = 0; i < (*relation)->size(); ++i) {
-      const GeneralizedTuple& tuple = (*relation)->tuple(i);
+    for (EntryId id : (*relation)->store().live_ids()) {
+      const GeneralizedTuple& tuple = (*relation)->tuple(id);
       if (tuple.lrp(0).Contains(time) &&
           tuple.constraint().ContainsPoint({time}) &&
           seen.insert(tuple.data()).second) {
@@ -320,8 +320,8 @@ Datalog1SResult BuildCandidate(const WindowModel& window, int64_t offset,
   for (const std::string& name : db.RelationNames()) {
     auto relation = db.Relation(name);
     if ((*relation)->schema().temporal_arity != 1) continue;
-    for (size_t i = 0; i < (*relation)->size(); ++i) {
-      const GeneralizedTuple& tuple = (*relation)->tuple(i);
+    for (EntryId id : (*relation)->store().live_ids()) {
+      const GeneralizedTuple& tuple = (*relation)->tuple(id);
       check_period = Lcm(check_period, tuple.lrp(0).period());
       // Absolute DBM bounds push the aperiodic region outward.
       Bound upper = tuple.constraint().bound(1, 0);

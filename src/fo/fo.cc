@@ -271,16 +271,16 @@ class FoEvaluator {
     std::set<DataValue> domain;
     for (const std::string& name : db.RelationNames()) {
       auto relation = db.Relation(name);
-      for (size_t i = 0; i < (*relation)->size(); ++i) {
-        for (DataValue d : (*relation)->tuple(i).data()) domain.insert(d);
+      for (EntryId id : (*relation)->store().live_ids()) {
+        for (DataValue d : (*relation)->tuple(id).data()) domain.insert(d);
       }
     }
     CollectConstants(*query.formula, &domain);
     for (DataValue d : options.extra_constants) domain.insert(d);
     if (options.extra_relations != nullptr) {
       for (const auto& [name, relation] : *options.extra_relations) {
-        for (size_t i = 0; i < relation.size(); ++i) {
-          for (DataValue d : relation.tuple(i).data()) domain.insert(d);
+        for (EntryId id : relation.store().live_ids()) {
+          for (DataValue d : relation.tuple(id).data()) domain.insert(d);
         }
       }
     }

@@ -7,7 +7,6 @@
 
 #include "src/common/exec_context.h"
 #include "src/common/failpoint.h"
-#include "src/gdb/batch.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -57,8 +56,8 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
   LRPDB_OPERATOR_SCOPE(op, "gdb.intersect", a.size() + b.size());
   LRPDB_FAILPOINT("algebra.intersect");
   GeneralizedRelation out(a.schema());
-  for (size_t i = 0; i < a.size(); ++i) {
-    for (size_t j = 0; j < b.size(); ++j) {
+  for (EntryId i : a.store().live_ids()) {
+    for (EntryId j : b.store().live_ids()) {
       LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
       std::optional<GeneralizedTuple> t = IntersectTuples(a.tuple(i),
                                                           b.tuple(j));
@@ -79,11 +78,11 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
   LRPDB_OPERATOR_SCOPE(op, "gdb.union", a.size() + b.size());
   LRPDB_FAILPOINT("algebra.union");
   GeneralizedRelation out(a.schema());
-  for (size_t i = 0; i < a.size(); ++i) {
+  for (EntryId i : a.store().live_ids()) {
     LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
     LRPDB_RETURN_IF_ERROR(out.InsertIfNew(a.tuple(i), limits).status());
   }
-  for (size_t i = 0; i < b.size(); ++i) {
+  for (EntryId i : b.store().live_ids()) {
     LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
     LRPDB_RETURN_IF_ERROR(out.InsertIfNew(b.tuple(i), limits).status());
   }
@@ -100,11 +99,11 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
   LRPDB_OPERATOR_SCOPE(op, "gdb.difference", a.size() + b.size());
   LRPDB_FAILPOINT("algebra.difference");
   GeneralizedRelation out(a.schema());
-  for (size_t i = 0; i < a.size(); ++i) {
+  for (EntryId i : a.store().live_ids()) {
     LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
     // Subtract only b-tuples with matching data constants.
     std::vector<NormalizedTuple> subtrahend;
-    for (size_t j = 0; j < b.size(); ++j) {
+    for (EntryId j : b.store().live_ids()) {
       if (b.tuple(j).data() != a.tuple(i).data()) continue;
       LRPDB_ASSIGN_OR_RETURN(const std::vector<NormalizedTuple>* b_pieces,
                              b.pieces(j, limits));
@@ -137,8 +136,8 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
       a.schema().temporal_arity + b.schema().temporal_arity,
       a.schema().data_arity + b.schema().data_arity};
   GeneralizedRelation out(schema);
-  for (size_t i = 0; i < a.size(); ++i) {
-    for (size_t j = 0; j < b.size(); ++j) {
+  for (EntryId i : a.store().live_ids()) {
+    for (EntryId j : b.store().live_ids()) {
       LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
       const GeneralizedTuple& ta = a.tuple(i);
       const GeneralizedTuple& tb = b.tuple(j);
@@ -189,7 +188,7 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
         a.schema().temporal_arity + eq.right_column + 1, eq.offset);
   }
   GeneralizedRelation out(product.schema());
-  for (size_t i = 0; i < product.size(); ++i) {
+  for (EntryId i : product.store().live_ids()) {
     LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
     const GeneralizedTuple& t = product.tuple(i);
     bool data_ok = true;
@@ -219,27 +218,17 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
   LRPDB_OPERATOR_SCOPE(op, "gdb.select", r.size());
   LRPDB_FAILPOINT("algebra.select");
   GeneralizedRelation out(r.schema());
-  // Batch form: one conjoin pass refines the mask and produces the closed
-  // conjunctions; only satisfiable rows reach the output store.
-  TupleBlock block;
-  block.FillFromRange(r.store(), 0, r.size());
-  SelectionMask mask;
-  mask.Reset(block.rows());
-  std::vector<Dbm> conjoined;
-  BatchConstraintConjoin(block, constraint, &mask, &conjoined);
-  Status failed = OkStatus();
-  mask.ForEachSet([&](size_t row) {
-    if (!failed.ok()) return;
-    failed = [&]() -> Status {
-      LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
-      const GeneralizedTuple& t = block.tuple(row);
-      return out
-          .InsertUnlessEmpty(GeneralizedTuple(t.lrps(), t.data(),
-                                              std::move(conjoined[row])))
-          .status();
-    }();
-  });
-  LRPDB_RETURN_IF_ERROR(failed);
+  for (EntryId i : r.store().live_ids()) {
+    const GeneralizedTuple& t = r.tuple(i);
+    Dbm conjoined = t.constraint();
+    conjoined.And(constraint);
+    if (!conjoined.IsSatisfiable()) continue;
+    LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
+    LRPDB_RETURN_IF_ERROR(
+        out.InsertUnlessEmpty(
+               GeneralizedTuple(t.lrps(), t.data(), std::move(conjoined)))
+            .status());
+  }
   op.set_output(static_cast<int64_t>(out.size()));
   return out;
 }
@@ -262,7 +251,7 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
     }
     kept[c] = true;
   }
-  for (size_t i = 0; i < r.size(); ++i) {
+  for (EntryId i : r.store().live_ids()) {
     LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
     const GeneralizedTuple& tuple = r.tuple(i);
     std::vector<DataValue> data;
@@ -399,17 +388,11 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
   }
   LRPDB_OPERATOR_SCOPE(op, "gdb.select_data_eq", r.size());
   GeneralizedRelation out(r.schema());
-  TupleBlock block;
-  block.FillFromRange(r.store(), 0, r.size());
-  SelectionMask mask;
-  mask.Reset(block.rows());
-  BatchSelectDataColumnsEqual(block, i, j, &mask);
-  Status failed = OkStatus();
-  mask.ForEachSet([&](size_t row) {
-    if (!failed.ok()) return;
-    failed = out.InsertUnlessEmpty(block.tuple(row)).status();
-  });
-  LRPDB_RETURN_IF_ERROR(failed);
+  for (EntryId id : r.store().live_ids()) {
+    const GeneralizedTuple& t = r.tuple(id);
+    if (t.data()[i] != t.data()[j]) continue;
+    LRPDB_RETURN_IF_ERROR(out.InsertUnlessEmpty(t).status());
+  }
   op.set_output(static_cast<int64_t>(out.size()));
   return out;
 }
@@ -420,7 +403,7 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
   LRPDB_OPERATOR_SCOPE(op, "gdb.shift", r.size());
   LRPDB_FAILPOINT("algebra.shift");
   GeneralizedRelation out(r.schema());
-  for (size_t i = 0; i < r.size(); ++i) {
+  for (EntryId i : r.store().live_ids()) {
     LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
     LRPDB_RETURN_IF_ERROR(
         out.InsertUnlessEmpty(r.tuple(i).WithColumnShifted(column, c))
@@ -453,7 +436,7 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
     LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> universe_pieces,
                            NormalizedTuple::Normalize(universe, limits));
     std::vector<NormalizedTuple> subtrahend;
-    for (size_t i = 0; i < r.size(); ++i) {
+    for (EntryId i : r.store().live_ids()) {
       if (r.tuple(i).data() != data) continue;
       LRPDB_ASSIGN_OR_RETURN(const std::vector<NormalizedTuple>* pieces,
                              r.pieces(i, limits));

@@ -18,9 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/statusor.h"
-#include "src/constraints/dbm.h"
-#include "src/gdb/generalized_relation.h"
 #include "src/gdb/tuple_store.h"
 
 namespace lrpdb {
@@ -164,13 +161,6 @@ void BatchSelectDataEquals(const TupleBlock& block, int column,
 void BatchSelectDataColumnsEqual(const TupleBlock& block, int column_a,
                                  int column_b, SelectionMask* mask);
 
-// Conjoins `constraint` (over the block's temporal columns) into each
-// selected row's stored DBM, clearing rows whose conjunction becomes
-// unsatisfiable. When `out` is non-null it is resized to block.rows() and
-// out[row] receives the closed conjunction for each surviving row.
-void BatchConstraintConjoin(const TupleBlock& block, const Dbm& constraint,
-                            SelectionMask* mask, std::vector<Dbm>* out);
-
 // Shifts temporal column `column` of every selected row by `c` in lrp
 // space: out[row] = tuple.lrp(column).Shifted(c). `out` is resized to
 // block.rows(); unselected rows keep a default Lrp. (The DBM half of a full
@@ -178,17 +168,6 @@ void BatchConstraintConjoin(const TupleBlock& block, const Dbm& constraint,
 // shifted lrps.)
 void BatchShiftColumn(const TupleBlock& block, int column, int64_t c,
                       const SelectionMask& mask, std::vector<Lrp>* out);
-
-// Projects every selected row onto the given temporal and data columns and
-// inserts the results into `out` (whose schema must match the kept column
-// counts) in ascending row order. Exact: residue-aware via normalization,
-// like algebra Project's general path.
-[[nodiscard]] Status BatchProject(const TupleBlock& block,
-                                  const SelectionMask& mask,
-                                  const std::vector<int>& temporal_columns,
-                                  const std::vector<int>& data_columns,
-                                  const NormalizeLimits& limits,
-                                  GeneralizedRelation* out);
 
 }  // namespace lrpdb
 

@@ -7,9 +7,8 @@ namespace lrpdb {
 bool GeneralizedRelation::ContainsGround(
     const std::vector<int64_t>& times,
     const std::vector<DataValue>& data) const {
-  for (size_t i = 0; i < store_.size(); ++i) {
-    if (!store_.is_live(static_cast<EntryId>(i))) continue;
-    if (store_.tuple(static_cast<EntryId>(i)).ContainsGround(times, data)) {
+  for (EntryId id : store_.live_ids()) {
+    if (store_.tuple(id).ContainsGround(times, data)) {
       return true;
     }
   }
@@ -29,9 +28,8 @@ std::vector<GroundTuple> GeneralizedRelation::EnumerateGround(
   // identical to the old per-point filter at a fraction of the cost.
   std::vector<GroundTuple> out;
   int m = schema().temporal_arity;
-  for (size_t e = 0; e < store_.size(); ++e) {
-    if (!store_.is_live(static_cast<EntryId>(e))) continue;
-    const GeneralizedTuple& t = store_.tuple(static_cast<EntryId>(e));
+  for (EntryId id : store_.live_ids()) {
+    const GeneralizedTuple& t = store_.tuple(id);
     Dbm closed = t.constraint();
     closed.Close();
     if (!closed.IsSatisfiable()) continue;
@@ -77,10 +75,9 @@ std::vector<GroundTuple> GeneralizedRelation::EnumerateGround(
 [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> GeneralizedRelation::AllPieces(
     const NormalizeLimits& limits) const {
   std::vector<NormalizedTuple> all;
-  for (size_t i = 0; i < store_.size(); ++i) {
-    if (!store_.is_live(static_cast<EntryId>(i))) continue;
+  for (EntryId id : store_.live_ids()) {
     LRPDB_ASSIGN_OR_RETURN(const std::vector<NormalizedTuple>* cached,
-                           store_.pieces(static_cast<EntryId>(i), limits));
+                           store_.pieces(id, limits));
     all.insert(all.end(), cached->begin(), cached->end());
   }
   return all;

@@ -49,8 +49,8 @@ namespace lrpdb {
   // of the stored periods.
   int64_t period = 1;
   int64_t offset = 0;
-  for (size_t i = 0; i < relation.size(); ++i) {
-    const GeneralizedTuple& tuple = relation.tuple(i);
+  for (EntryId id : relation.store().live_ids()) {
+    const GeneralizedTuple& tuple = relation.tuple(id);
     period = Lcm(period, tuple.lrp(0).period());
     if (period > limits.max_period) {
       return ResourceExhaustedError("lcm of periods exceeds limit");

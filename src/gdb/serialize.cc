@@ -129,8 +129,8 @@ std::string SerializeRelationAsFacts(const std::string& name,
                                      const GeneralizedRelation& relation,
                                      const Interner& interner) {
   std::string out;
-  for (size_t i = 0; i < relation.size(); ++i) {
-    const GeneralizedTuple& tuple = relation.tuple(i);
+  for (EntryId id : relation.store().live_ids()) {
+    const GeneralizedTuple& tuple = relation.tuple(id);
     std::string line = ".fact " + name + "(";
     for (int c = 0; c < tuple.temporal_arity(); ++c) {
       if (c > 0) line += ", ";

@@ -196,7 +196,7 @@ bool TupleStore::Append(GeneralizedTuple tuple,
 
 void TupleStore::Tombstone(EntryId id) {
   LRPDB_CHECK(id < entries_.size());
-  if (live_[id] != kLive) return;  // Already tombstoned (and maybe compacted).
+  if (!is_live(id)) return;  // Already tombstoned.
   live_[id] = kDead;
   ++tombstones_;
   const GeneralizedTuple& tuple = entries_[id].tuple;
@@ -236,40 +236,10 @@ std::vector<EntryId> TupleStore::TombstoneExact(const GeneralizedTuple& tuple) {
   return matched;
 }
 
-size_t TupleStore::CompactTombstones() {
-  size_t compacted = 0;
-  for (size_t id = 0; id < entries_.size(); ++id) {
-    if (live_[id] != kDead) continue;
-    Entry& entry = entries_[id];
-    int64_t released = entry.tuple.ApproxBytes();
-    {
-      std::lock_guard<std::mutex> lock(pieces_mu_);
-      PiecesCache& cache = pieces_cache_[id];
-      released += static_cast<int64_t>(cache.pieces.size()) *
-                  (schema_.temporal_arity + 2) * 8;
-      cache.pieces.clear();
-      cache.pieces.shrink_to_fit();
-      cache.normalized = true;  // Never renormalize a released slot.
-    }
-    // An arity-0 placeholder keeps the slot (and every later EntryId)
-    // addressable while dropping the lrps/data/DBM payload.
-    entry.tuple = GeneralizedTuple::Unconstrained({}, {});
-    for (int c = 0; c < schema_.data_arity; ++c) data_columns_[c][id] = 0;
-    approx_bytes_.fetch_add(entry.tuple.ApproxBytes() - released,
-                            std::memory_order_relaxed);
-    live_[id] = kCompacted;
-    ++compacted;
-  }
-  LRPDB_COUNTER_ADD("store.tombstones_compacted",
-                    static_cast<int64_t>(compacted));
-  return compacted;
-}
-
-void TupleStore::EraseEntries(const std::vector<EntryId>& ids) {
-  if (ids.empty()) return;
-  constexpr EntryId kErased = UINT32_MAX;
-  // remap[old id] = new id, or kErased. Monotone, so every rewritten id
-  // list below stays ascending.
+std::vector<EntryId> TupleStore::EraseEntries(
+    const std::vector<EntryId>& ids) {
+  // remap[old id] = new id, or kErasedEntry. Monotone, so every rewritten
+  // id list below stays ascending.
   std::vector<EntryId> remap(entries_.size());
   size_t next = 0;
   EntryId kept = 0;
@@ -279,11 +249,11 @@ void TupleStore::EraseEntries(const std::vector<EntryId>& ids) {
     for (size_t id = 0; id < entries_.size(); ++id) {
       if (next < ids.size() && ids[next] == id) {
         ++next;
-        remap[id] = kErased;
+        remap[id] = kErasedEntry;
         released += entries_[id].tuple.ApproxBytes() +
                     static_cast<int64_t>(pieces_cache_[id].pieces.size()) *
                         (schema_.temporal_arity + 2) * 8;
-        if (live_[id] != kLive) --tombstones_;
+        if (!is_live(static_cast<EntryId>(id))) --tombstones_;
         continue;
       }
       remap[id] = kept;
@@ -306,7 +276,7 @@ void TupleStore::EraseEntries(const std::vector<EntryId>& ids) {
   auto rewrite = [&remap](std::vector<EntryId>* list) {
     size_t out = 0;
     for (EntryId id : *list) {
-      if (remap[id] != kErased) (*list)[out++] = remap[id];
+      if (remap[id] != kErasedEntry) (*list)[out++] = remap[id];
     }
     list->resize(out);
   };
@@ -322,12 +292,15 @@ void TupleStore::EraseEntries(const std::vector<EntryId>& ids) {
   // Generation bounds count the survivors below them.
   auto shrink = [&remap](size_t bound) {
     size_t survivors = 0;
-    for (size_t id = 0; id < bound; ++id) survivors += remap[id] != kErased;
+    for (size_t id = 0; id < bound; ++id) {
+      survivors += remap[id] != kErasedEntry;
+    }
     return survivors;
   };
   delta_lo_ = shrink(delta_lo_);
   delta_hi_ = shrink(delta_hi_);
   approx_bytes_.fetch_sub(released, std::memory_order_relaxed);
+  return remap;
 }
 
 [[nodiscard]] Status TupleStore::CheckConsistency() const {
@@ -430,9 +403,6 @@ void TupleStore::EraseEntries(const std::vector<EntryId>& ids) {
       return InternalError("data column mirror length mismatch");
     }
     for (size_t id = 0; id < entries_.size(); ++id) {
-      // Dead entries may have had their payload released (CompactTombstones
-      // zeroes the mirror slot), so only live slots must agree.
-      if (!is_live(static_cast<EntryId>(id))) continue;
       if (data_columns_[c][id] != entries_[id].tuple.data()[c]) {
         return InternalError("data column mirror value mismatch");
       }
@@ -443,8 +413,7 @@ void TupleStore::EraseEntries(const std::vector<EntryId>& ids) {
 
 std::string TupleStore::ToString(const Interner* interner) const {
   std::string s;
-  for (size_t id = 0; id < entries_.size(); ++id) {
-    if (!is_live(static_cast<EntryId>(id))) continue;
+  for (EntryId id : live_ids()) {
     s += entries_[id].tuple.ToString(interner);
     s += "\n";
   }

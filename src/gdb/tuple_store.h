@@ -52,6 +52,8 @@ namespace lrpdb {
 
 // Dense index of an entry within one TupleStore.
 using EntryId = uint32_t;
+// The remap value of an id that TupleStore::EraseEntries removed.
+inline constexpr EntryId kErasedEntry = UINT32_MAX;
 // Dense id of an interned free-extension signature within one TupleStore.
 using SignatureId = uint32_t;
 
@@ -235,15 +237,12 @@ class TupleStore {
 
   // --- Tombstones (incremental retraction; DESIGN.md §13) ---
   //
-  // Entry ids are append-order dense and referenced externally (provenance
-  // origins, snapshot images), so retraction never renumbers: a retracted
-  // entry is tombstoned in place. Tombstone() removes the entry from its
-  // signature bucket and every posting list, so the indexed probe paths
-  // never see it again; the direct range scans and the batch kernel filter
-  // on is_live(). The entry slot, its id, and its signature interning
-  // survive — empty buckets are deliberately kept, because SignatureId
-  // allocation is ordinal in signature_index_ and erasure would corrupt
-  // future ids.
+  // A retracted entry is tombstoned in place, so retraction stays
+  // O(affected) and entry ids held by provenance stay valid until the next
+  // EraseEntries. Tombstone() removes the entry from its signature bucket
+  // and every posting list, so the indexed probe paths never see it again;
+  // whole-store scans go through live_ids(). The slot keeps its payload
+  // until EraseEntries reclaims it.
 
   // Marks entry `id` dead. Idempotent; requires exclusive access, like
   // every mutation.
@@ -264,24 +263,57 @@ class TupleStore {
   bool has_tombstones() const { return tombstones_ > 0; }
   size_t live_size() const { return entries_.size() - tombstones_; }
 
-  // Releases the payload (tuple, cached pieces, mirror slots) of every
-  // tombstoned entry while keeping ids stable — the compaction story for
-  // stores whose entry ids are pinned by provenance or snapshots. Returns
-  // the number of entries whose memory was reclaimed by this call.
-  // Requires exclusive access.
-  size_t CompactTombstones() LRPDB_LOCKS_EXCLUDED(pieces_mu_);
+  // The live entry ids in ascending order, skipping tombstoned slots:
+  // `for (EntryId id : store.live_ids())`. Every whole-relation scan
+  // outside the store walks the store through this. Invalidated by any
+  // mutation.
+  class LiveIds {
+   public:
+    class iterator {
+     public:
+      iterator(const std::vector<uint8_t>* live, size_t id)
+          : live_(live), id_(id) {
+        Skip();
+      }
+      EntryId operator*() const { return static_cast<EntryId>(id_); }
+      iterator& operator++() {
+        ++id_;
+        Skip();
+        return *this;
+      }
+      friend bool operator!=(const iterator& a, const iterator& b) {
+        return a.id_ != b.id_;
+      }
 
-  // --- Renumbering removal (result compaction) ---
+     private:
+      void Skip() {
+        while (id_ < live_->size() && (*live_)[id_] != kLive) ++id_;
+      }
+      const std::vector<uint8_t>* live_;
+      size_t id_;
+    };
+    explicit LiveIds(const std::vector<uint8_t>* live) : live_(live) {}
+    iterator begin() const { return iterator(live_, 0); }
+    iterator end() const { return iterator(live_, live_->size()); }
+
+   private:
+    const std::vector<uint8_t>* live_;
+  };
+  LiveIds live_ids() const { return LiveIds(&live_); }
+
+  // --- Renumbering removal (result compaction, retraction compaction) ---
 
   // Removes the entries `ids` (ascending, distinct) and renumbers the rest
   // densely in their order. The survivors keep their tuples, cached pieces
   // and signature interning; the buckets, postings, columns, liveness and
   // generation ranges are rewritten in place, so no second copy of the
-  // store is ever alive. Every EntryId handed out before is invalidated,
-  // so this is only for stores nothing addresses by id — result compaction
-  // runs with provenance off. Like Tombstone(), a bucket emptied here is
-  // kept (SignatureId allocation is ordinal). Requires exclusive access.
-  void EraseEntries(const std::vector<EntryId>& ids)
+  // store is ever alive. Returns the remap: remap[old id] is the new id,
+  // or kErasedEntry. The remap is monotone, so whoever addresses the store
+  // by id (the provenance log, ProvenanceLog::Renumber) rewrites its ids
+  // through it; every id not rewritten is invalidated. Like Tombstone(), a
+  // bucket emptied here is kept (SignatureId allocation is ordinal).
+  // Requires exclusive access.
+  std::vector<EntryId> EraseEntries(const std::vector<EntryId>& ids)
       LRPDB_LOCKS_EXCLUDED(pieces_mu_);
 
   // Verifies every index invariant (signature buckets partition the
@@ -333,12 +365,9 @@ class TupleStore {
   size_t delta_lo_ = 0;
   size_t delta_hi_ = 0;
 
-  // Liveness codes for live_. A tombstoned entry stays kDead until
-  // CompactTombstones() releases its payload and marks it kCompacted (so
-  // repeated compaction never double-subtracts the byte estimate).
+  // Liveness codes for live_.
   static constexpr uint8_t kDead = 0;
   static constexpr uint8_t kLive = 1;
-  static constexpr uint8_t kCompacted = 2;
   // live_[id]: one code per entry, maintained by Append/Tombstone.
   std::vector<uint8_t> live_;
   size_t tombstones_ = 0;

@@ -177,22 +177,15 @@ std::string EncodeDatabaseImage(const Database& db) {
     PutString(&out, name);
     PutU32(&out, static_cast<uint32_t>(store.schema().temporal_arity));
     PutU32(&out, static_cast<uint32_t>(store.schema().data_arity));
-    PutU8(&out, 1);  // Index flag: always on (see codec.h).
-    PutU64(&out, store.size());
-    // Dead (retracted) entries keep their slot so entry ids stay stable,
-    // but their payload is canonicalized to a schema-shaped placeholder:
-    // compacted entries have no payload left to write, and writing the
-    // same placeholder for not-yet-compacted tombstones makes the image
-    // independent of when CompactTombstones ran.
-    const GeneralizedTuple placeholder = GeneralizedTuple::Unconstrained(
-        std::vector<Lrp>(static_cast<size_t>(store.schema().temporal_arity),
-                         Lrp(1, 0)),
-        std::vector<DataValue>(static_cast<size_t>(store.schema().data_arity),
-                               0));
-    for (size_t i = 0; i < store.size(); ++i) {
-      const EntryId id = static_cast<EntryId>(i);
-      const GeneralizedTuple& tuple =
-          store.is_live(id) ? store.tuple(id) : placeholder;
+    PutU64(&out, store.live_size());
+    // Live entries only, in id order; each generation bound becomes the
+    // number of live entries below it.
+    uint64_t delta_lo = 0;
+    uint64_t delta_hi = 0;
+    for (EntryId id : store.live_ids()) {
+      const GeneralizedTuple& tuple = store.tuple(id);
+      delta_lo += id < store.delta_lo();
+      delta_hi += id < store.delta_hi();
       for (const Lrp& lrp : tuple.lrps()) {
         PutI64(&out, lrp.period());
         PutI64(&out, lrp.offset());
@@ -202,19 +195,8 @@ std::string EncodeDatabaseImage(const Database& db) {
       }
       EncodeDbm(&out, tuple.constraint());
     }
-    PutU64(&out, store.delta_lo());
-    PutU64(&out, store.delta_hi());
-    // v2: the dead-entry id list, ascending; decode re-tombstones them.
-    std::string dead;
-    uint32_t dead_count = 0;
-    for (size_t i = 0; i < store.size(); ++i) {
-      if (!store.is_live(static_cast<EntryId>(i))) {
-        PutU64(&dead, i);
-        ++dead_count;
-      }
-    }
-    PutU32(&out, dead_count);
-    out.append(dead);
+    PutU64(&out, delta_lo);
+    PutU64(&out, delta_hi);
   }
   return out;
 }
@@ -250,10 +232,6 @@ std::string EncodeDatabaseImage(const Database& db) {
     prev_name = name;
     LRPDB_ASSIGN_OR_RETURN(RelationSchema schema,
                            DecodeSchema(&reader, "relation schema"));
-    LRPDB_ASSIGN_OR_RETURN(uint8_t index_flag, reader.U8("index flag"));
-    if (index_flag > 1) {
-      return ParseError("relation '" + name + "': bad index flag");
-    }
     LRPDB_RETURN_IF_ERROR(db->Declare(name, schema));
     LRPDB_ASSIGN_OR_RETURN(GeneralizedRelation * relation,
                            db->MutableRelation(name));
@@ -282,21 +260,6 @@ std::string EncodeDatabaseImage(const Database& db) {
     LRPDB_ASSIGN_OR_RETURN(uint64_t delta_hi, reader.U64("delta_hi"));
     LRPDB_RETURN_IF_ERROR(store.RestoreGenerations(
         static_cast<size_t>(delta_lo), static_cast<size_t>(delta_hi)));
-    LRPDB_ASSIGN_OR_RETURN(uint32_t dead_count, reader.U32("tombstone count"));
-    uint64_t prev_dead = 0;
-    for (uint32_t t = 0; t < dead_count; ++t) {
-      LRPDB_ASSIGN_OR_RETURN(uint64_t dead_id, reader.U64("tombstone id"));
-      if (dead_id >= num_entries) {
-        return ParseError("relation '" + name +
-                          "': tombstone id out of range");
-      }
-      if (t > 0 && dead_id <= prev_dead) {
-        return ParseError("relation '" + name +
-                          "': tombstone ids out of order");
-      }
-      prev_dead = dead_id;
-      store.Tombstone(static_cast<EntryId>(dead_id));
-    }
   }
   if (!reader.AtEnd()) {
     return ParseError("trailing garbage after database image (" +

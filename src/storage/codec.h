@@ -3,9 +3,11 @@
 // Two payload kinds share these primitives:
 //
 //  * A *database image* — the full engine state (interner dictionary,
-//    per-relation schemas, every TupleStore entry with its DBM, the delta
-//    generation ranges) — carried by snapshot files. Data constants are
-//    stored as raw interner ids because the image includes the interner.
+//    per-relation schemas, every live TupleStore entry with its DBM, the
+//    delta generation ranges) — carried by snapshot files. Data constants
+//    are stored as raw interner ids because the image includes the
+//    interner. Tombstoned entries are not written, so entry ids do not
+//    survive a save and restore; no persisted record names one.
 //
 //  * A *fact batch* — declarations plus generalized facts — carried by WAL
 //    records. Batches are self-contained: data constants travel as strings
@@ -86,17 +88,17 @@ class ByteReader {
 // --- Database image (snapshot payload) ---
 
 // Serializes the full database: interner names in id order, then relations
-// in name order (the map's iteration order), each with schema, index flag,
-// entries, and generation ranges. Stores are always indexed, so the index
-// flag byte is always written as 1; decoding still rejects a flag above 1
-// and accepts the 0 that older images wrote for unindexed stores, ignoring
-// it.
+// in name order (the map's iteration order), each with schema, live
+// entries in id order, and generation ranges, each bound written as the
+// number of live entries below it. A store with tombstones encodes to the
+// same bytes as the same store after EraseEntries of its dead entries.
 std::string EncodeDatabaseImage(const Database& db);
 
 // Rebuilds `db` (which must be freshly constructed: empty interner, no
-// relations) from an image. On success the database is bit-identical in
-// every observable respect: interner ids, entry order, signature and
-// posting indexes (rebuilt by re-appending in order), generation ranges.
+// relations) from an image. On success the database equals the encoded
+// one with its dead entries erased: interner ids, live entry order,
+// signature and posting indexes (rebuilt by re-appending in order),
+// generation ranges.
 [[nodiscard]] Status DecodeDatabaseImage(std::string_view payload,
                                          Database* db);
 
@@ -150,9 +152,9 @@ std::string EncodeFactBatch(const FactBatch& batch);
                                           const Database& db);
 
 // Tombstones every live entry whose lrps, data, and constraint equal a
-// fact of the batch (misses are skipped). Entry ids are never renumbered,
-// so replay reproduces exactly the live/dead partition a live retract
-// produced.
+// fact of the batch (misses are skipped). Records match by value, never by
+// entry id, so replay over a snapshot reproduces exactly the live set a
+// live retract produced.
 [[nodiscard]] Status ApplyRetractBatch(const FactBatch& batch, Database* db);
 
 }  // namespace storage

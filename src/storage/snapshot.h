@@ -29,7 +29,11 @@ namespace storage {
 //       ids after the generation ranges; codec.cc) for incremental
 //       retraction. Older images lack the section, so v1 files are
 //       rejected rather than misparsed.
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+//   3 — images hold live entries only: the tombstone section and the
+//       per-relation index-flag byte are gone, and the generation bounds
+//       count live entries. Entry ids do not survive a restart. v2 files
+//       are rejected rather than misparsed.
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 // Serializes `db` and durably publishes it at `path` (write temp, fsync,
 // rename, fsync directory — skipping the fsyncs when !sync).

@@ -249,7 +249,7 @@ bool ParseSeqFileName(std::string_view name, std::string_view prefix,
   std::string payload = EncodeFactBatch(batch);
   LRPDB_RETURN_IF_ERROR(writer_.Append(kRecordRetractBatch, payload));
   // Durable from here; replay runs the identical apply, so recovered and
-  // live tombstones agree exactly.
+  // live state hold exactly the same live entries.
   return ApplyRetractBatch(batch, db_);
 }
 

@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include "src/fo/fo.h"
 #include "src/gdb/algebra.h"
 #include "src/gdb/database.h"
 #include "src/gdb/generalized_relation.h"
 #include "src/gdb/generalized_tuple.h"
 #include "src/gdb/normalized_tuple.h"
+#include "src/gdb/periodic_bridge.h"
+#include "src/gdb/serialize.h"
 
 namespace lrpdb {
 namespace {
@@ -412,6 +415,57 @@ TEST(DatabaseTest, DeclareAddQuery) {
   EXPECT_TRUE((*relation)->ContainsGround({45, 105}, {liege, brussels}));
   EXPECT_FALSE(db.AddTuple("bus", GeneralizedTuple::Unconstrained({}, {})).ok());
   EXPECT_FALSE(db.Relation("bus").ok());
+}
+
+// A retracted (tombstoned) entry is invisible to every reader outside the
+// store: each operator over a relation holding one gives exactly what it
+// gives over the relation built from the live tuples alone.
+TEST(TombstoneVisibilityTest, ReadersSeeOnlyLiveEntries) {
+  Dbm upto50(1);
+  upto50.AddUpperBound(1, 50);
+  const std::vector<GeneralizedTuple> live = {
+      GeneralizedTuple::Unconstrained({Lrp(10, 1)}, {}),
+      GeneralizedTuple({Lrp(7, 2)}, {}, upto50)};
+  const GeneralizedTuple retracted =
+      GeneralizedTuple::Unconstrained({Lrp(4, 3)}, {});
+  Database db;
+  Database clean;
+  ASSERT_TRUE(db.Declare("r", RelationSchema{1, 0}).ok());
+  ASSERT_TRUE(clean.Declare("r", RelationSchema{1, 0}).ok());
+  ASSERT_TRUE(db.AddTuple("r", live[0]).ok());
+  ASSERT_TRUE(db.AddTuple("r", retracted).ok());
+  ASSERT_TRUE(db.AddTuple("r", live[1]).ok());
+  for (const GeneralizedTuple& t : live) {
+    ASSERT_TRUE(clean.AddTuple("r", t).ok());
+  }
+  (*db.MutableRelation("r"))->mutable_store().Tombstone(1);
+  const GeneralizedRelation& r = **db.Relation("r");
+  const GeneralizedRelation& expected = **clean.Relation("r");
+  ASSERT_EQ(r.store().live_size(), 2u);
+
+  EXPECT_EQ(Union(r, r)->ToString(), Union(expected, expected)->ToString());
+  EXPECT_EQ(Project(r, {0}, {})->ToString(),
+            Project(expected, {0}, {})->ToString());
+  Dbm from5(1);
+  from5.AddLowerBound(1, 5);
+  EXPECT_EQ(SelectConstraint(r, from5)->ToString(),
+            SelectConstraint(expected, from5)->ToString());
+  EXPECT_EQ(Complement(r, {{}})->ToString(),
+            Complement(expected, {{}})->ToString());
+  EXPECT_EQ(SerializeRelationAsFacts("r", r, db.interner()),
+            SerializeRelationAsFacts("r", expected, clean.interner()));
+  EXPECT_EQ(*ToEventuallyPeriodicSet(r), *ToEventuallyPeriodicSet(expected));
+
+  auto query = ParseFoQuery("r(t)", &db);
+  auto clean_query = ParseFoQuery("r(t)", &clean);
+  ASSERT_TRUE(query.ok()) << query.status();
+  ASSERT_TRUE(clean_query.ok()) << clean_query.status();
+  auto answer = EvaluateFoQuery(*query, db);
+  auto clean_answer = EvaluateFoQuery(*clean_query, clean);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  ASSERT_TRUE(clean_answer.ok()) << clean_answer.status();
+  EXPECT_EQ(answer->relation.EnumerateGround(0, 100),
+            clean_answer->relation.EnumerateGround(0, 100));
 }
 
 }  // namespace

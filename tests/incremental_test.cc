@@ -12,7 +12,9 @@
 // database and refixpointing gives exactly the semantics the evaluator
 // promises.
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -21,6 +23,8 @@
 
 #include "src/constraints/dbm.h"
 #include "src/core/incremental.h"
+#include "src/fo/fo.h"
+#include "src/gdb/algebra.h"
 #include "src/obs/metrics.h"
 #include "src/parser/parser.h"
 
@@ -56,50 +60,95 @@ Instance MakeRun(const std::string& text, int num_threads = 1,
   return run;
 }
 
+// Copies the surviving live EDB entries of `db` into `scratch`, which must
+// be fresh.
+void CopyLiveEdb(const Database& db, Database* scratch) {
+  // Copy the interner first so the program's interned rule constants keep
+  // their ids in the scratch database.
+  scratch->interner() = db.interner();
+  for (const std::string& name : db.RelationNames()) {
+    auto rel = db.Relation(name);
+    ASSERT_TRUE(rel.ok()) << rel.status();
+    ASSERT_TRUE(scratch->Declare(name, (*rel)->schema()).ok());
+    auto dst = scratch->MutableRelation(name);
+    ASSERT_TRUE(dst.ok()) << dst.status();
+    const TupleStore& store = (*rel)->store();
+    for (EntryId id : store.live_ids()) {
+      ASSERT_TRUE((*dst)->mutable_store().RestoreEntry(store.tuple(id)).ok());
+    }
+  }
+}
+
 // Refixpoints the surviving live EDB of `db` from scratch and returns the
 // canonical ground-window fingerprint — the semantic oracle.
 std::string OracleFingerprint(const Program& program, const Database& db) {
   Database scratch;
-  // Copy the interner first so the program's interned rule constants keep
-  // their ids in the scratch database.
-  scratch.interner() = db.interner();
-  for (const std::string& name : db.RelationNames()) {
-    auto rel = db.Relation(name);
-    if (!rel.ok()) {
-      ADD_FAILURE() << rel.status();
-      return "";
-    }
-    auto declared = scratch.Declare(name, (*rel)->schema());
-    if (!declared.ok()) {
-      ADD_FAILURE() << declared;
-      return "";
-    }
-    auto dst = scratch.MutableRelation(name);
-    if (!dst.ok()) {
-      ADD_FAILURE() << dst.status();
-      return "";
-    }
-    const TupleStore& store = (*rel)->store();
-    for (size_t i = 0; i < store.size(); ++i) {
-      const EntryId id = static_cast<EntryId>(i);
-      if (!store.is_live(id)) continue;
-      auto restored = (*dst)->mutable_store().RestoreEntry(store.tuple(id));
-      if (!restored.ok()) {
-        ADD_FAILURE() << restored;
-        return "";
-      }
-    }
-  }
+  CopyLiveEdb(db, &scratch);
   IncrementalEvaluator oracle(program, &scratch);
   auto init = oracle.Initialize();
   EXPECT_TRUE(init.ok()) << init;
   return oracle.Fingerprint(kWindowLo, kWindowHi);
 }
 
+// Every store of the run, EDB then IDB, by relation name.
+std::map<std::string, const TupleStore*> Stores(const Instance& run) {
+  std::map<std::string, const TupleStore*> stores;
+  for (const std::string& name : run.db->RelationNames()) {
+    stores[name] = &(*run.db->Relation(name))->store();
+  }
+  for (const auto& [name, relation] : run.inc->Result().idb) {
+    stores[name] = &relation.store();
+  }
+  return stores;
+}
+
+// After CompactRetracted: no store keeps a dead slot, every index holds,
+// and the provenance of every live entry names only live entries — DRed
+// over-deleted every dependent of an erased entry, so nothing dangles.
+void ExpectCompacted(const Instance& run) {
+  const std::map<std::string, const TupleStore*> stores = Stores(run);
+  for (const auto& [name, store] : stores) {
+    EXPECT_EQ(store->size(), store->live_size()) << name;
+    Status consistent = store->CheckConsistency();
+    EXPECT_TRUE(consistent.ok()) << name << ": " << consistent;
+  }
+  const ProvenanceLog& log = *run.inc->provenance();
+  auto live = [&](ProvRef ref) {
+    auto it = stores.find(log.RelationName(ref.relation));
+    return it != stores.end() && ref.entry < it->second->size() &&
+           it->second->is_live(ref.entry);
+  };
+  for (const auto& [name, relation] : run.inc->Result().idb) {
+    std::optional<ProvRelationId> rel = log.FindRelation(name);
+    if (!rel.has_value()) continue;
+    for (EntryId id : relation.store().live_ids()) {
+      for (const DerivationOrigin& origin : log.Origins({*rel, id})) {
+        for (ProvRef parent : origin.parents) {
+          EXPECT_TRUE(live(parent)) << name << "#" << id << " names "
+                                    << log.RelationName(parent.relation)
+                                    << "#" << parent.entry;
+        }
+      }
+    }
+  }
+  for (const auto& [name, store] : stores) {
+    std::optional<ProvRelationId> rel = log.FindRelation(name);
+    if (!rel.has_value()) continue;
+    for (EntryId id = 0; id < store->size(); ++id) {
+      for (ProvRef dep : log.Dependents({*rel, id})) {
+        EXPECT_TRUE(live(dep)) << "edge " << name << "#" << id << " -> "
+                               << log.RelationName(dep.relation) << "#"
+                               << dep.entry;
+      }
+    }
+  }
+}
+
 // Random negation-free programs over a periodic EDB, adapted from
 // batch_kernel_test's generator: joins with shared data variables,
 // recursion, constant-pinned atoms. `allow_negation` adds a stratified
-// negated rule so the fallback (full recompute) path joins the gauntlet.
+// negated rule, over the derived q or over the EDB e that retractions hit,
+// so the fallback (full recompute) path joins the gauntlet.
 std::string Generate(std::mt19937& rng, bool allow_negation) {
   std::uniform_int_distribution<int> small(0, 6);
   std::uniform_int_distribution<int> step(1, 12);
@@ -134,7 +183,8 @@ std::string Generate(std::mt19937& rng, bool allow_negation) {
   }
   if (allow_negation && rng() % 2 == 0) {
     s = ".decl r(time, data)\n" + s;
-    s += "r(t, N) :- p(t, N), !q(t, N).\n";
+    s += rng() % 2 == 0 ? "r(t, N) :- p(t, N), !q(t, N).\n"
+                        : "r(t, N) :- p(t, N), !e(t, N).\n";
   }
   return s;
 }
@@ -143,6 +193,8 @@ std::string Generate(std::mt19937& rng, bool allow_negation) {
 // aimed at previously added (sometimes never-present) facts.
 struct Step {
   bool add = false;
+  // Whether CompactRetracted runs after the batch.
+  bool compact = false;
   // (relation, period, offset, value) per fact; tuples are built against
   // each run's own database so interner ids stay run-local.
   struct Spec {
@@ -162,6 +214,7 @@ std::vector<Step> GenerateSchedule(std::mt19937& rng, int num_steps) {
   for (int i = 0; i < num_steps; ++i) {
     Step step;
     step.add = pool.empty() || rng() % 3 != 0;
+    step.compact = rng() % 3 == 0;
     const int batch = 1 + static_cast<int>(rng() % 3);
     for (int k = 0; k < batch; ++k) {
       if (step.add) {
@@ -197,6 +250,8 @@ std::vector<FactUpdate> BuildBatch(const Step& step, Database* db) {
 // Drives one program through one schedule at every thread count, checking
 // after every step that (a) each run's ground fingerprint equals the
 // from-scratch oracle and (b) all runs' stored dumps are bit-identical.
+// Steps marked `compact` run CompactRetracted in every run, so the dumps
+// still compare.
 void RunGauntlet(const std::string& text, const std::vector<Step>& schedule) {
   SCOPED_TRACE(text);
   std::vector<Instance> runs;
@@ -211,6 +266,10 @@ void RunGauntlet(const std::string& text, const std::vector<Step>& schedule) {
                                : run.inc->RetractFacts(batch);
       ASSERT_TRUE(status.ok()) << status;
       ASSERT_TRUE(run.inc->at_fixpoint());
+      if (step.compact) {
+        run.inc->CompactRetracted();
+        ExpectCompacted(run);
+      }
     }
     const std::string oracle =
         OracleFingerprint(runs[0].unit->program, *runs[0].db);
@@ -226,10 +285,11 @@ void RunGauntlet(const std::string& text, const std::vector<Step>& schedule) {
 class IncrementalRandomTest : public ::testing::TestWithParam<int> {};
 
 // 18 seeds x 6 programs = 108 random programs, each with a 6-step random
-// add/retract schedule, each step checked at 3 thread counts against the
-// from-scratch oracle. (The test name predates the removal of the
-// tuple-at-a-time kernel.) Two of the six programs allow negation, so the
-// fallback path is exercised throughout.
+// add/retract schedule (compacting after about a third of the steps), each
+// step checked at 3 thread counts against the from-scratch oracle. (The
+// test name predates the removal of the tuple-at-a-time kernel.) Two of
+// the six programs allow negation, so the fallback path is exercised
+// throughout.
 TEST_P(IncrementalRandomTest, MatchesRefixpointAcrossKernelsAndThreads) {
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 7919 + 3);
   for (int iter = 0; iter < 6; ++iter) {
@@ -321,6 +381,22 @@ TEST(IncrementalTest, RetractMissIsANoop) {
   EXPECT_EQ(run.inc->DumpStored(), before);
 }
 
+// Every live tuple of every store, rendered, in store order.
+std::map<std::string, std::vector<std::string>> LiveTuples(
+    const Instance& run) {
+  std::map<std::string, std::vector<std::string>> tuples;
+  for (const auto& [name, store] : Stores(run)) {
+    for (EntryId id : store->live_ids()) {
+      tuples[name].push_back(store->tuple(id).ToString(&run.db->interner()));
+    }
+  }
+  return tuples;
+}
+
+// CompactRetracted erases the dead slots and renumbers the survivors: the
+// model, its fingerprint and the live tuples' order stay, the provenance
+// of every surviving derived entry reaches only live entries, readers see
+// only live entries, and later updates still match the oracle.
 TEST(IncrementalTest, CompactRetractedPreservesTheModel) {
   Instance run = MakeRun(kChain);
   ASSERT_TRUE(run.inc
@@ -334,15 +410,79 @@ TEST(IncrementalTest, CompactRetractedPreservesTheModel) {
                                {Lrp(24, 1)}, {run.db->Constant("a")})}})
                   .ok());
   const std::string fp = run.inc->Fingerprint(kWindowLo, kWindowHi);
-  const std::string dump = run.inc->DumpStored();
+  const auto live_tuples = LiveTuples(run);
   EXPECT_GT(run.inc->CompactRetracted(), 0u);
   EXPECT_EQ(run.inc->Fingerprint(kWindowLo, kWindowHi), fp);
-  EXPECT_EQ(run.inc->DumpStored(), dump);
-  // Updates keep working on the compacted store (stable EntryIds).
+  EXPECT_EQ(LiveTuples(run), live_tuples);
+  ExpectCompacted(run);
+  // The surviving q entry's derivation graph reaches only live entries,
+  // down to the surviving e fact.
+  ProvenanceLog& log = *run.inc->provenance();
+  const TupleStore& q = run.inc->Result().idb.at("q").store();
+  ASSERT_EQ(q.size(), 1u);
+  auto graph = log.WhyProvenance({*log.FindRelation("q"), 0});
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  const std::map<std::string, const TupleStore*> stores = Stores(run);
+  std::vector<std::string> reached;
+  for (const ProvenanceLog::Node& node : graph->nodes) {
+    const std::string& name = log.RelationName(node.ref.relation);
+    const TupleStore& store = *stores.at(name);
+    ASSERT_LT(node.ref.entry, store.size()) << name;
+    EXPECT_TRUE(store.is_live(node.ref.entry)) << name;
+    reached.push_back(
+        name + " " + store.tuple(node.ref.entry).ToString(&run.db->interner()));
+  }
+  ASSERT_EQ(reached.size(), 3u);
+  EXPECT_EQ(reached.back(), "e " + live_tuples.at("e").front());
+  // Whole-relation readers over the EDB and the model (Project, and an FO
+  // query with negation, whose active domain comes from the stored
+  // constants) give what they give over a fresh evaluation of the live
+  // facts.
+  Database live;
+  CopyLiveEdb(*run.db, &live);
+  IncrementalEvaluator oracle(run.unit->program, &live);
+  ASSERT_TRUE(oracle.Initialize().ok());
+  const auto& model = run.inc->Result().idb;
+  const auto& expected = oracle.Result().idb;
+
+  auto projected = Project(**run.db->Relation("e"), {0}, {0});
+  auto expected_projected = Project(**live.Relation("e"), {0}, {0});
+  ASSERT_TRUE(projected.ok() && expected_projected.ok());
+  EXPECT_EQ(projected->EnumerateGround(kWindowLo, kWindowHi),
+            expected_projected->EnumerateGround(kWindowLo, kWindowHi));
+  auto derived = Project(model.at("q"), {0}, {});
+  auto expected_derived = Project(expected.at("q"), {0}, {});
+  ASSERT_TRUE(derived.ok() && expected_derived.ok());
+  EXPECT_EQ(derived->EnumerateGround(kWindowLo, kWindowHi),
+            expected_derived->EnumerateGround(kWindowLo, kWindowHi));
+
+  auto answer = [](Database* db,
+                   const std::map<std::string, GeneralizedRelation>& idb) {
+    std::map<std::string, RelationSchema> schemas;
+    for (const auto& [name, relation] : idb) {
+      schemas.emplace(name, relation.schema());
+    }
+    auto query = ParseFoQuery("q(t, N) | ~e(t, N)", db, &schemas);
+    EXPECT_TRUE(query.ok()) << query.status();
+    FoOptions options;
+    options.extra_relations = &idb;
+    auto result = EvaluateFoQuery(*query, *db, options);
+    EXPECT_TRUE(result.ok()) << result.status();
+    return result->relation.EnumerateGround(kWindowLo, kWindowHi);
+  };
+  EXPECT_EQ(answer(run.db.get(), model), answer(&live, expected));
+  // Updates keep working on the renumbered stores and log.
   ASSERT_TRUE(run.inc
                   ->AddFacts({FactUpdate{
                       "e", GeneralizedTuple::Unconstrained(
                                {Lrp(24, 9)}, {run.db->Constant("c")})}})
+                  .ok());
+  EXPECT_EQ(run.inc->Fingerprint(kWindowLo, kWindowHi),
+            OracleFingerprint(run.unit->program, *run.db));
+  ASSERT_TRUE(run.inc
+                  ->RetractFacts({FactUpdate{
+                      "e", GeneralizedTuple::Unconstrained(
+                               {Lrp(24, 5)}, {run.db->Constant("b")})}})
                   .ok());
   EXPECT_EQ(run.inc->Fingerprint(kWindowLo, kWindowHi),
             OracleFingerprint(run.unit->program, *run.db));
@@ -382,7 +522,8 @@ TEST(IncrementalTest, UpdateValidationRejectsBadBatches) {
 // Every retraction re-applies the p and q rules in full, re-deriving the
 // "d" chain that hangs off the pinned e fact (one origin per distinct
 // derivation keeps it from growing); the churned a/b/c chains die and
-// leave stale reverse edges on the pinned g facts (pruned at compaction).
+// leave stale reverse edges on the pinned g facts and dead slots in every
+// store (both reclaimed at compaction).
 TEST(IncrementalTest, ProvenanceStaysBoundedOverLongUpdateStream) {
   Instance run = MakeRun(R"(
     .decl g(time, data)
@@ -410,6 +551,13 @@ TEST(IncrementalTest, ProvenanceStaysBoundedOverLongUpdateStream) {
                                {run.db->Constant(values[n % 3])})};
   };
   int64_t bytes_at_32 = 0;
+  auto slots = [&run] {
+    size_t total = 0;
+    for (const auto& [unused, store] : Stores(run)) total += store->size();
+    return total;
+  };
+  size_t slots_at_32 = 0;
+  size_t slots_at_last_compaction = 0;
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     std::vector<FactUpdate> add;
     for (int k = 0; k < kFactsPerCycle; ++k) add.push_back(fact(cycle, k));
@@ -422,20 +570,36 @@ TEST(IncrementalTest, ProvenanceStaysBoundedOverLongUpdateStream) {
       }
     }
     ASSERT_TRUE(run.inc->at_fixpoint());
-    if (cycle % kCompactEvery == kCompactEvery - 1) run.inc->CompactRetracted();
-    if (cycle + 1 == 32) bytes_at_32 = run.inc->provenance()->approx_bytes();
+    if (cycle % kCompactEvery == kCompactEvery - 1) {
+      run.inc->CompactRetracted();
+      ExpectCompacted(run);
+      slots_at_last_compaction = slots();
+    }
+    if (cycle + 1 == 32) {
+      bytes_at_32 = run.inc->provenance()->approx_bytes();
+      slots_at_32 = slots();
+    }
   }
   const int64_t bytes_at_end = run.inc->provenance()->approx_bytes();
   ASSERT_GT(bytes_at_32, 0);
   EXPECT_LE(static_cast<double>(bytes_at_end), 1.2 * bytes_at_32)
       << "provenance bytes: " << bytes_at_32 << " after 32 cycles, "
       << bytes_at_end << " after " << kCycles;
+  // Compaction reclaims the retracted slots, so the slot count right after
+  // one stays flat (cycle 31 compacts, so slots_at_32 is such a count).
+  ASSERT_GT(slots_at_32, 0u);
+  EXPECT_LE(static_cast<double>(slots_at_last_compaction), 1.2 * slots_at_32)
+      << "slots after compaction: " << slots_at_32 << " at cycle 32, "
+      << slots_at_last_compaction << " at the last";
   EXPECT_EQ(run.inc->Fingerprint(kWindowLo, kWindowHi),
             OracleFingerprint(run.unit->program, *run.db));
 }
 
+// Negation falls back to a full recompute, which must read only the live
+// entries: the negated relation is derived (p) in the first program and
+// the EDB relation the retraction hits (e) in the second.
 TEST(IncrementalTest, NegationFallsBackToFullRecompute) {
-  Instance run = MakeRun(R"(
+  for (const char* text : {R"(
     .decl e(time, data)
     .decl p(time, data)
     .decl r(time, data)
@@ -443,21 +607,34 @@ TEST(IncrementalTest, NegationFallsBackToFullRecompute) {
     .fact e(24n+3, "b").
     p(t + 1, N) :- e(t, N).
     r(t, N) :- e(t, N), !p(t, N).
-  )");
-  ASSERT_TRUE(run.inc
-                  ->AddFacts({FactUpdate{
-                      "e", GeneralizedTuple::Unconstrained(
-                               {Lrp(24, 2)}, {run.db->Constant("a")})}})
-                  .ok());
-  EXPECT_EQ(run.inc->Fingerprint(kWindowLo, kWindowHi),
-            OracleFingerprint(run.unit->program, *run.db));
-  ASSERT_TRUE(run.inc
-                  ->RetractFacts({FactUpdate{
-                      "e", GeneralizedTuple::Unconstrained(
-                               {Lrp(24, 1)}, {run.db->Constant("a")})}})
-                  .ok());
-  EXPECT_EQ(run.inc->Fingerprint(kWindowLo, kWindowHi),
-            OracleFingerprint(run.unit->program, *run.db));
+  )",
+                           R"(
+    .decl d(time, data)
+    .decl e(time, data)
+    .decl r(time, data)
+    .fact d(24n+1, "a").
+    .fact d(24n+5, "b").
+    .fact e(24n+1, "a").
+    r(t, N) :- d(t, N), !e(t, N).
+  )"}) {
+    SCOPED_TRACE(text);
+    Instance run = MakeRun(text);
+    ASSERT_TRUE(run.inc
+                    ->AddFacts({FactUpdate{
+                        "e", GeneralizedTuple::Unconstrained(
+                                 {Lrp(24, 2)}, {run.db->Constant("a")})}})
+                    .ok());
+    EXPECT_EQ(run.inc->Fingerprint(kWindowLo, kWindowHi),
+              OracleFingerprint(run.unit->program, *run.db));
+    ASSERT_TRUE(run.inc
+                    ->RetractFacts({FactUpdate{
+                        "e", GeneralizedTuple::Unconstrained(
+                                 {Lrp(24, 1)}, {run.db->Constant("a")})}})
+                    .ok());
+    const std::string fp = run.inc->Fingerprint(kWindowLo, kWindowHi);
+    EXPECT_EQ(fp, OracleFingerprint(run.unit->program, *run.db));
+    EXPECT_NE(fp.find("idb r:\n  ("), std::string::npos) << fp;
+  }
 }
 
 // --- Work proportional to the delta ---------------------------------------

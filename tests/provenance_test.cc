@@ -580,9 +580,10 @@ TEST(ProvenanceDedupTest, ForgetAndPruneReleaseTheirAccounting) {
   EXPECT_EQ(log.records(), 2);
   log.Forget({p, 1});
 
-  // Stale edges into p#1 remain on e#0, e#1 and p#0 until pruned.
+  // Stale edges into p#1 remain on e#0, e#1 and p#0 until a renumber
+  // erases p#1.
   EXPECT_EQ(log.Dependents({e, 0}).size(), 2u);
-  EXPECT_EQ(log.PruneDependents(), 4u);
+  log.Renumber({{"p", {0, kErasedEntry}}});
   EXPECT_EQ(log.Dependents({e, 0}), (std::vector<ProvRef>{{p, 0}}));
   EXPECT_TRUE(log.Dependents({e, 1}).empty());
   EXPECT_TRUE(log.Dependents({p, 0}).empty());
@@ -593,6 +594,56 @@ TEST(ProvenanceDedupTest, ForgetAndPruneReleaseTheirAccounting) {
   log.Forget({p, 0});
   EXPECT_EQ(log.records(), 0);
   EXPECT_EQ(log.approx_bytes(), 0);
+}
+
+// Renumber after a DRed retraction of e#1 (which over-deleted p#1) and an
+// erase of both dead slots: survivors move to their new ids, parents and
+// dependents are rewritten, edges into the erased entries drop, and the
+// log equals one recorded directly under the new ids, duplicate index
+// included.
+TEST(ProvenanceRenumberTest, ErasedEntriesDropAndSurvivorsMove) {
+  ProvenanceLog log;
+  log.set_track_dependents(true);
+  const ProvRelationId p = log.InternRelation("p");
+  const ProvRelationId e = log.InternRelation("e");
+  ASSERT_TRUE(log.Record({p, 0}, MakeOrigin(0, 1, {{e, 0}})).ok());
+  ASSERT_TRUE(log.Record({p, 1}, MakeOrigin(0, 1, {{e, 1}})).ok());
+  ASSERT_TRUE(log.Record({p, 2}, MakeOrigin(0, 1, {{e, 2}})).ok());
+  ASSERT_TRUE(log.Record({p, 2}, MakeOrigin(1, 2, {{p, 0}, {e, 3}})).ok());
+  ASSERT_TRUE(log.Record({p, 3}, MakeOrigin(1, 3, {{p, 2}, {e, 3}})).ok());
+  log.Forget({p, 1});
+  log.ForgetDependents({e, 1});
+  log.Renumber({{"e", {0, kErasedEntry, 1, 2}},
+                {"p", {0, kErasedEntry, 1, 2}}});
+
+  ProvenanceLog fresh;
+  fresh.set_track_dependents(true);
+  ASSERT_EQ(fresh.InternRelation("p"), p);
+  ASSERT_EQ(fresh.InternRelation("e"), e);
+  ASSERT_TRUE(fresh.Record({p, 0}, MakeOrigin(0, 1, {{e, 0}})).ok());
+  ASSERT_TRUE(fresh.Record({p, 1}, MakeOrigin(0, 1, {{e, 1}})).ok());
+  ASSERT_TRUE(fresh.Record({p, 1}, MakeOrigin(1, 2, {{p, 0}, {e, 2}})).ok());
+  ASSERT_TRUE(fresh.Record({p, 2}, MakeOrigin(1, 3, {{p, 1}, {e, 2}})).ok());
+  for (ProvRelationId rel : {p, e}) {
+    for (EntryId id = 0; id < 4; ++id) {
+      EXPECT_EQ(log.Origins({rel, id}), fresh.Origins({rel, id}))
+          << rel << "#" << id;
+      EXPECT_EQ(log.Dependents({rel, id}), fresh.Dependents({rel, id}))
+          << rel << "#" << id;
+    }
+  }
+  EXPECT_EQ(log.Dependents({e, 2}), (std::vector<ProvRef>{{p, 1}, {p, 2}}));
+  EXPECT_EQ(log.records(), 4);
+  EXPECT_EQ(log.approx_bytes(), fresh.approx_bytes());
+
+  // The rebuilt duplicate index is exact under the new ids: a survivor's
+  // derivation is a duplicate, the same rule over other parents is not.
+  ASSERT_TRUE(log.Record({p, 1}, MakeOrigin(1, 9, {{p, 0}, {e, 2}})).ok());
+  ASSERT_TRUE(log.Record({p, 2}, MakeOrigin(1, 9, {{p, 1}, {e, 2}})).ok());
+  EXPECT_EQ(log.records(), 4);
+  ASSERT_TRUE(log.Record({p, 1}, MakeOrigin(1, 9, {{p, 0}, {e, 1}})).ok());
+  EXPECT_EQ(log.records(), 5);
+  EXPECT_EQ(log.Origins({p, 1}).back().round, 9);
 }
 
 TEST(ProvenanceTest, NegatedAtomsAreOmittedFromParents) {

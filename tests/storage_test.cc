@@ -288,34 +288,25 @@ TEST(CodecTest, ImageRoundTripIsExact) {
 // written while stores could run unindexed may carry 0: they decode to the
 // same database (the flag is ignored) and re-encode with 1. Anything above
 // 1 is still corrupt.
-TEST(CodecTest, ImageAcceptsAndIgnoresUnindexedFlag) {
+TEST(CodecTest, ImageRelationHeaderHasNoIndexFlag) {
   Database db = MakeRichDatabase();
+  (*db.MutableRelation("meet"))->mutable_store().Tombstone(0);
   const std::string payload = EncodeDatabaseImage(db);
-  // The first relation's flag byte ("meet" sorts first): after the
-  // interner (count, then length-prefixed names), the relation count, and
-  // the relation's length-prefixed name and two arity words.
+  // The first relation ("meet" sorts first) starts after the interner
+  // (count, then length-prefixed names) and the relation count. Its
+  // length-prefixed name and two arity words are followed directly by the
+  // u64 live entry count: v3 images carry no index-flag byte.
   size_t offset = 4;
   for (size_t id = 0; id < db.interner().size(); ++id) {
     offset += 4 + db.interner().NameOf(static_cast<SymbolId>(id)).size();
   }
   offset += 4 + 4 + std::string("meet").size() + 4 + 4;
-  ASSERT_LT(offset, payload.size());
-  ASSERT_EQ(payload[offset], '\x01');
-
-  std::string unindexed = payload;
-  unindexed[offset] = '\x00';
-  Database out;
-  Status s = DecodeDatabaseImage(unindexed, &out);
-  ASSERT_TRUE(s.ok()) << s;
-  EXPECT_EQ(out.ToString(), db.ToString());
-  EXPECT_EQ(EncodeDatabaseImage(out), payload);
-
-  std::string corrupt = payload;
-  corrupt[offset] = '\x02';
-  Database rejected;
-  s = DecodeDatabaseImage(corrupt, &rejected);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kParseError);
+  ASSERT_LE(offset + 8, payload.size());
+  uint64_t count = 0;
+  for (int i = 0; i < 8; ++i) {
+    count |= uint64_t{static_cast<uint8_t>(payload[offset + i])} << (8 * i);
+  }
+  EXPECT_EQ(count, 1u);  // Two entries, one of them tombstoned.
 }
 
 TEST(CodecTest, ImageRejectsEveryTruncation) {
@@ -461,25 +452,29 @@ TEST(CodecTest, ValidateRetractRejectsDeclsAndUndeclaredAndArity) {
   EXPECT_FALSE(ValidateRetractBatch(dbm, db).ok());
 }
 
-TEST(CodecTest, ImageRoundTripsTombstones) {
-  // The v2 image carries the tombstone pattern: dead entries decode dead,
-  // live entries keep their ids, and re-encoding the decoded image is a
-  // fixed point even though dead payloads were canonicalized at encode.
+TEST(CodecTest, ImageHoldsLiveEntriesOnly) {
+  // A v3 image carries live entries only: a store with a tombstone encodes
+  // to the same bytes as the same store after EraseEntries of the dead
+  // entry, generation bounds included, and decodes with no dead slot.
   Database db = MakeRichDatabase();
   ASSERT_TRUE(ApplyFactBatch(MakeBatch(5), &db).ok());
-  {
-    auto meet = db.MutableRelation("meet");
-    ASSERT_TRUE(meet.ok());
-    (*meet)->mutable_store().Tombstone(0);
-  }
-  std::string payload = EncodeDatabaseImage(db);
+  auto meet = db.MutableRelation("meet");
+  ASSERT_TRUE(meet.ok());
+  TupleStore& store = (*meet)->mutable_store();
+  store.AdvanceGeneration();  // Delta = {0, 1}.
+  const std::string survivor = store.tuple(1).ToString();
+  store.Tombstone(0);
+  const std::string payload = EncodeDatabaseImage(db);
+
   Database out;
   ASSERT_TRUE(DecodeDatabaseImage(payload, &out).ok());
-  auto meet = out.Relation("meet");
-  ASSERT_TRUE(meet.ok());
-  EXPECT_EQ((*meet)->store().size(), 2u);
-  EXPECT_FALSE((*meet)->store().is_live(0));
-  EXPECT_TRUE((*meet)->store().is_live(1));
+  auto decoded = out.Relation("meet");
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ((*decoded)->store().size(), 1u);
+  EXPECT_EQ((*decoded)->store().live_size(), 1u);
+  EXPECT_EQ((*decoded)->store().tuple(0).ToString(), survivor);
+  EXPECT_EQ((*decoded)->store().delta_lo(), 0u);
+  EXPECT_EQ((*decoded)->store().delta_hi(), 1u);
   auto r = out.Relation("r");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ((*r)->store().live_size(), 1u);
@@ -490,13 +485,8 @@ TEST(CodecTest, ImageRoundTripsTombstones) {
     EXPECT_TRUE(s.ok()) << name << ": " << s;
   }
   EXPECT_EQ(EncodeDatabaseImage(out), payload);
-  // Compaction timing is invisible in the image: compacting the original
-  // store's tombstones and re-encoding yields the identical bytes.
-  {
-    auto meet_live = db.MutableRelation("meet");
-    ASSERT_TRUE(meet_live.ok());
-    EXPECT_EQ((*meet_live)->mutable_store().CompactTombstones(), 1u);
-  }
+
+  store.EraseEntries({0});
   EXPECT_EQ(EncodeDatabaseImage(db), payload);
 }
 

@@ -628,41 +628,41 @@ TEST(TupleStoreTest, TombstoneExactMatchesLrpsDataAndDbm) {
   EXPECT_TRUE(store.CheckConsistency().ok());
 }
 
-// CompactTombstones releases dead payloads in place: every live entry keeps
-// its id and its tuple bit-for-bit, dead entries stay dead, and later
-// inserts still append at size(). This is the regression test for the
-// compaction story under active provenance (recorded entry ids must stay
-// valid addresses across compaction).
-TEST(TupleStoreTest, CompactTombstonesKeepsStableEntryIds) {
+// live_ids() is the one whole-store scan: ascending, skipping every
+// tombstoned slot, including the first and the last. Erasing the dead
+// entries returns the monotone remap and leaves the same live tuples in the
+// same order with no dead slot left.
+TEST(TupleStoreTest, LiveIdsSkipTombstonesAndEraseReclaimsThem) {
   TupleStore store({1, 1});
   for (int64_t offset = 0; offset < 5; ++offset) {
     ASSERT_TRUE(store.Insert(Banded(8, offset, 0, 40, offset))->inserted);
   }
-  store.Tombstone(1);
-  store.Tombstone(3);
-  std::vector<std::string> live_before;
-  for (EntryId id = 0; id < store.size(); ++id) {
-    live_before.push_back(store.is_live(id) ? store.tuple(id).ToString()
-                                            : "<dead>");
+  store.Tombstone(0);
+  store.Tombstone(2);
+  store.Tombstone(4);
+  std::vector<EntryId> live;
+  std::vector<std::string> tuples;
+  for (EntryId id : store.live_ids()) {
+    live.push_back(id);
+    tuples.push_back(store.tuple(id).ToString());
   }
+  EXPECT_EQ(live, (std::vector<EntryId>{1, 3}));
 
-  EXPECT_EQ(store.CompactTombstones(), 2u);
-  ASSERT_EQ(store.size(), 5u);
-  EXPECT_EQ(store.live_size(), 3u);
-  for (EntryId id = 0; id < store.size(); ++id) {
-    EXPECT_EQ(store.is_live(id), id != 1 && id != 3);
-    if (store.is_live(id)) {
-      EXPECT_EQ(store.tuple(id).ToString(), live_before[id]) << "id " << id;
-    }
+  const std::vector<EntryId> remap = store.EraseEntries({0, 2, 4});
+  EXPECT_EQ(remap, (std::vector<EntryId>{kErasedEntry, 0, kErasedEntry, 1,
+                                         kErasedEntry}));
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.live_size(), 2u);
+  EXPECT_FALSE(store.has_tombstones());
+  std::vector<std::string> after;
+  for (EntryId id : store.live_ids()) {
+    after.push_back(store.tuple(id).ToString());
   }
+  EXPECT_EQ(after, tuples);
   EXPECT_TRUE(store.CheckConsistency().ok());
-  // Already-compacted entries are not reclaimed twice.
-  EXPECT_EQ(store.CompactTombstones(), 0u);
-
-  // Ids keep advancing densely after compaction.
+  // Ids keep advancing densely after the erase.
   ASSERT_TRUE(store.Insert(Banded(8, 6, 0, 40, 6))->inserted);
-  EXPECT_EQ(store.size(), 6u);
-  EXPECT_TRUE(store.is_live(5));
+  EXPECT_EQ(store.size(), 3u);
   EXPECT_TRUE(store.CheckConsistency().ok());
 }
 
