@@ -11,6 +11,8 @@
 #                            and Chrome traces land in <build>/bench-reports
 #   ci/check.sh --lint       additionally run the project-invariant lint pass
 #                            (ci/lint/run_lint.py) and its fixture self-test,
+#                            the doc-path check (ci/check_doc_paths.py: every
+#                            repository path DESIGN.md/README.md name exists),
 #                            plus clang-tidy over the compile database when
 #                            clang-tidy is installed (curated .clang-tidy
 #                            profile; skipped with a note otherwise)
@@ -297,6 +299,9 @@ if [[ "$lint" == 1 ]]; then
     lint_args+=(--engine=libclang --require-libclang)
   fi
   python3 ci/lint/run_lint.py "${lint_args[@]}"
+  echo "== doc paths"
+  python3 ci/check_doc_paths.py --self-test
+  python3 ci/check_doc_paths.py
   if command -v clang-tidy > /dev/null; then
     echo "== clang-tidy"
     # The curated profile lives in .clang-tidy (bugprone-*, concurrency-*,

@@ -86,7 +86,7 @@ int Fail(const lrpdb::Status& status) {
 
 void PrintRelation(const char* name, const lrpdb::GeneralizedRelation& r,
                    const lrpdb::Database& db, int64_t lo, int64_t hi) {
-  std::printf("%s (%zu generalized tuples):\n%s", name, r.size(),
+  std::printf("%s (%zu generalized tuples):\n%s", name, r.store().live_size(),
               r.ToString(&db.interner()).c_str());
   auto ground = r.EnumerateGround(lo, hi);
   std::printf("  ground tuples in [%ld, %ld): %zu\n",

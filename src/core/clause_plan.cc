@@ -5,7 +5,6 @@
 
 #include "src/common/exec_context.h"
 #include "src/common/failpoint.h"
-#include "src/gdb/batch.h"
 #include "src/gdb/normalized_tuple.h"
 #include "src/obs/metrics.h"
 
@@ -164,18 +163,33 @@ struct BatchBinding {
         ids(num_atoms, 0) {}
 };
 
+// True iff `data` meets the atom's data filters under `binding`: the
+// constant-pinned columns, the columns of variables bound by earlier atoms,
+// and the intra-atom repeats.
+bool MatchesData(const CompiledAtom& compiled, const BatchBinding& binding,
+                 const std::vector<DataValue>& data) {
+  for (const TupleStore::DataRequirement& req : compiled.const_requirements) {
+    if (data[req.column] != req.value) return false;
+  }
+  for (const CompiledAtom::VarColumn& probe : compiled.bound_probes) {
+    if (data[probe.column] != *binding.data[probe.variable]) return false;
+  }
+  for (auto [column_a, column_b] : compiled.intra_equalities) {
+    if (data[column_a] != data[column_b]) return false;
+  }
+  return true;
+}
+
 // Extends `binding` in place with the temporal columns and constraint of
-// one matched tuple (the data columns were already handled by the mask
-// chain). Returns false when the combination is infeasible. `shifted`
-// holds the per-column lrps already shifted into variable space by
-// BatchShiftColumn.
+// one matched tuple (its data columns already passed MatchesData). Each
+// column's lrp is shifted into variable space (column value == var +
+// offset) and intersected with the variable's. Returns false when the
+// combination is infeasible.
 bool UnifyTemporal(const NormalizedBodyAtom& atom,
-                   const GeneralizedTuple& tuple,
-                   const std::vector<std::vector<Lrp>>& shifted, size_t row,
-                   BatchBinding* binding) {
+                   const GeneralizedTuple& tuple, BatchBinding* binding) {
   for (size_t k = 0; k < atom.temporal_args.size(); ++k) {
-    int var = atom.temporal_args[k].first;
-    const Lrp& var_lrp = shifted[k][row];
+    auto [var, offset] = atom.temporal_args[k];
+    Lrp var_lrp = tuple.lrp(static_cast<int>(k)).Shifted(-offset);
     std::optional<Lrp>& slot = binding->lrps[var];
     if (slot.has_value()) {
       std::optional<Lrp> merged = Lrp::Intersect(*slot, var_lrp);
@@ -231,36 +245,15 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
   // Probe counters go to the caller's stats, or nowhere.
   StoreStats uncounted;
   StoreStats& probes = stats != nullptr ? *stats : uncounted;
-  // Scratch with deep buffers (column vectors, mask words, shift outputs)
-  // is thread-local so capacity survives across the many small per-task
-  // calls a round issues; each worker thread runs one apply at a time, so
-  // there is no reentrancy. Contents are dead between calls — every use
-  // below starts with a Fill/Reset/resize.
-  thread_local TupleBlock block;
-  thread_local SelectionMask mask;
-  thread_local std::vector<std::vector<Lrp>> shifted;
   for (const CompiledAtom& compiled : plan.atoms) {
     const NormalizedBodyAtom& atom = clause.body[compiled.body_index];
     const AtomSource& source = sources[compiled.body_index];
     const TupleStore& store = source.relation->store();
-    // Entry-id range this atom enumerates: the generation's range, narrowed
-    // to the shard's slice for body atom 0.
-    size_t range_lo = source.generation == TupleStore::Generation::kDelta
-                          ? store.delta_lo()
-                          : 0;
-    size_t range_hi = source.generation == TupleStore::Generation::kDelta
-                          ? store.delta_hi()
-                          : store.size();
-    if (compiled.body_index == 0 && source.has_range) {
-      range_lo = source.range_lo;
-      range_hi = source.range_hi;
-    }
-    const int64_t range_size = static_cast<int64_t>(range_hi - range_lo);
+    const int64_t range_size = static_cast<int64_t>(source.hi - source.lo);
     // Constant-pinned postings resolve once per atom, not once per binding:
     // the smallest one is kept. A constant with no posting at all empties
     // the frontier outright.
     const std::vector<EntryId>* const_posting = nullptr;
-    int const_posting_column = -1;
     bool const_missing = false;
     for (const TupleStore::DataRequirement& req :
          compiled.const_requirements) {
@@ -273,11 +266,9 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
       if (const_posting == nullptr ||
           posting->size() < const_posting->size()) {
         const_posting = posting;
-        const_posting_column = req.column;
       }
     }
     std::vector<BatchBinding> next;
-    Status poll_status = OkStatus();
     for (const BatchBinding& binding : frontier) {
       LRPDB_RETURN_IF_ERROR(PollExec(exec));
       if (const_missing) {
@@ -288,7 +279,6 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
       // the postings of the bound-variable columns. Only the variable
       // lookups happen per binding.
       const std::vector<EntryId>* posting = const_posting;
-      int posting_column = const_posting_column;
       bool value_missing = false;
       for (const CompiledAtom::VarColumn& probe : compiled.bound_probes) {
         const std::vector<EntryId>* var_posting =
@@ -299,69 +289,44 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
         }
         if (posting == nullptr || var_posting->size() < posting->size()) {
           posting = var_posting;
-          posting_column = probe.column;
         }
       }
       if (value_missing) {
         probes.CountProbe(0, range_size);
         continue;
       }
+      // Candidate ids, ascending: the posting clipped to [lo, hi), or the
+      // range itself.
+      const EntryId* first = nullptr;
+      int64_t scanned = range_size;
       if (posting != nullptr) {
-        block.FillFromPosting(store, *posting, range_lo, range_hi);
-      } else {
-        block.FillFromRange(store, range_lo, range_hi);
+        const EntryId* end = posting->data() + posting->size();
+        first = std::lower_bound(posting->data(), end,
+                                 static_cast<EntryId>(source.lo));
+        const EntryId* last =
+            std::lower_bound(first, end, static_cast<EntryId>(source.hi));
+        scanned = last - first;
       }
-      const int64_t scanned = static_cast<int64_t>(block.rows());
       probes.CountProbe(scanned, range_size - scanned);
       tuples_in += scanned;
-      if (block.rows() == 0) continue;
-      // Fused select chain: every data filter refines the one mask; the
-      // posting's own column needs no re-check.
-      mask.Reset(block.rows());
-      if (posting == nullptr && store.has_tombstones()) {
-        // Direct range scans can still see tombstoned slots; postings are
-        // pruned at Tombstone() time and need no liveness filter.
-        mask.KeepIf([&](size_t row) { return store.is_live(block.id(row)); });
-      }
-      for (const TupleStore::DataRequirement& req :
-           compiled.const_requirements) {
-        if (req.column == posting_column) continue;
-        BatchSelectDataEquals(block, req.column, req.value, &mask);
-      }
-      for (const CompiledAtom::VarColumn& probe : compiled.bound_probes) {
-        if (probe.column == posting_column) continue;
-        BatchSelectDataEquals(block, probe.column,
-                              *binding.data[probe.variable], &mask);
-      }
-      for (auto [column_a, column_b] : compiled.intra_equalities) {
-        BatchSelectDataColumnsEqual(block, column_a, column_b, &mask);
-      }
-      LRPDB_HISTOGRAM_RECORD(
-          "eval.batch.mask_density",
-          static_cast<int64_t>(mask.CountSet() * 100 / block.rows()));
-      if (!mask.AnySet()) continue;
-      // Batch shift: every temporal column of the surviving rows moves
-      // into variable space (column value == var + offset) in one pass
-      // per column.
-      shifted.resize(atom.temporal_args.size());
-      for (size_t k = 0; k < atom.temporal_args.size(); ++k) {
-        BatchShiftColumn(block, static_cast<int>(k),
-                         -atom.temporal_args[k].second, mask, &shifted[k]);
-      }
-      mask.ForEachSet([&](size_t row) {
-        if (!poll_status.ok()) return;
-        poll_status = PollExec(exec);
-        if (!poll_status.ok()) return;
+      for (int64_t i = 0; i < scanned; ++i) {
+        const EntryId id = posting != nullptr
+                               ? first[i]
+                               : static_cast<EntryId>(source.lo + i);
+        // Postings hold live ids only; a range scan skips dead slots.
+        if (!store.is_live(id)) continue;
+        const GeneralizedTuple& tuple = store.tuple(id);
+        if (!MatchesData(compiled, binding, tuple.data())) continue;
+        LRPDB_RETURN_IF_ERROR(PollExec(exec));
         BatchBinding extended = binding;
         for (const CompiledAtom::VarColumn& bind : compiled.binding_columns) {
-          extended.data[bind.variable] = block.data(bind.column, row);
+          extended.data[bind.variable] = tuple.data()[bind.column];
         }
-        if (UnifyTemporal(atom, block.tuple(row), shifted, row, &extended)) {
-          extended.ids[compiled.body_index] = block.id(row);
+        if (UnifyTemporal(atom, tuple, &extended)) {
+          extended.ids[compiled.body_index] = id;
           next.push_back(std::move(extended));
         }
-      });
-      LRPDB_RETURN_IF_ERROR(poll_status);
+      }
     }
     frontier = std::move(next);
     if (frontier.empty()) break;

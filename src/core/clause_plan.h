@@ -1,14 +1,15 @@
-// Compiled clause plans and the fused batch select/join/project kernel
-// (DESIGN.md §9) -- the one apply path of both evaluators.
+// Compiled clause plans and the join kernel (DESIGN.md §9) -- the one
+// apply path of both evaluators.
 //
 // A ClausePlan compiles a clause's join structure once: for each body atom,
 // which data columns are pinned by constants, which carry variables bound
 // by earlier atoms (index probes), which bind new variables, and which
 // repeat a variable within the atom; plus a join order chosen by probe
-// selectivity. ApplyClauseBatch then streams candidates from the store's
-// posting lists through one fused select/shift/join/project loop over
-// TupleBlocks (src/gdb/batch.h) instead of materializing per-operator
-// relations.
+// selectivity. ApplyClauseBatch then runs one plain loop per binding and
+// atom: it walks the candidate entry ids -- the smallest posting list,
+// clipped to the atom's entry range, or the range itself -- checks each
+// entry's data columns against the descriptors, unifies its lrps and
+// constraint into the binding, and extends it.
 //
 // Determinism (DESIGN.md §8): candidates are emitted in lexicographic order
 // of the matched entry-id vector in *body order*. Atoms may be processed
@@ -42,23 +43,19 @@
 
 namespace lrpdb {
 
-// Relation sources for one body atom during a round: the relation plus the
-// store generation the join reads (kDelta for the semi-naive pivot).
+// The entries one body atom reads during a round: the entry ids [lo, hi)
+// of `relation`'s store. The evaluator resolves the generation (the whole
+// store, or the delta for a semi-naive pivot) and, for body atom 0, the
+// parallel shard (DESIGN.md §8) into this one range when it builds tasks.
 struct AtomSource {
   const GeneralizedRelation* relation = nullptr;
-  TupleStore::Generation generation = TupleStore::Generation::kAll;
-  // Optional entry-id sub-range restriction, honored for body atom 0 only:
-  // the parallel evaluator shards a clause application by splitting atom
-  // 0's enumeration range into contiguous pieces (DESIGN.md §8). Already
-  // clipped to the generation's range when set.
-  bool has_range = false;
-  size_t range_lo = 0;
-  size_t range_hi = 0;
+  size_t lo = 0;
+  size_t hi = 0;
 };
 
 // One body atom's compiled probe/unify recipe. All members are indices
 // into the atom's columns and the clause's dense variable spaces, so the
-// same descriptors drive both the generalized batch kernel and the ground
+// same descriptors drive both the generalized join kernel and the ground
 // kernel.
 struct CompiledAtom {
   // Position in clause.body (and in the AtomSource vector).
@@ -126,8 +123,8 @@ struct ClausePlan {
 // fact stores keep insertion order and reordering would change it.
 ClausePlan CompileClausePlan(const NormalizedClause& clause);
 
-// Applies `clause` over the given per-atom relations through the fused
-// batch kernel, collecting candidate head tuples in body-order emission
+// Applies `clause` over the given per-atom entry ranges through the join
+// kernel, collecting candidate head tuples in body-order emission
 // order (see the determinism note above); `stats`, when non-null, receives
 // the probe counters. `parent_ids`, when non-null, captures
 // why-provenance: one vector per emitted candidate holding the positive

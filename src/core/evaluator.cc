@@ -223,7 +223,7 @@ StoreStats EvaluationResult::StoreTotals() const {
 int64_t EvaluationResult::TuplesStored() const {
   int64_t total = 0;
   for (const auto& [unused, relation] : idb) {
-    total += static_cast<int64_t>(relation.size());
+    total += static_cast<int64_t>(relation.store().live_size());
   }
   return total;
 }
@@ -522,16 +522,9 @@ namespace {
       auto add_tasks = [&](size_t ci, const std::vector<AtomSource>& sources) {
         const NormalizedClause& clause = normalized.clauses[ci];
         const ClausePlan* plan = &plans[ci];
-        size_t shard_lo = 0;
-        size_t shard_hi = 0;
-        if (!clause.body.empty() && !clause.always_false) {
-          const TupleStore& s0 = sources[0].relation->store();
-          const bool delta =
-              sources[0].generation == TupleStore::Generation::kDelta;
-          shard_lo = delta ? s0.delta_lo() : 0;
-          shard_hi = delta ? s0.delta_hi() : s0.size();
-        }
-        const size_t range = shard_hi - shard_lo;
+        const size_t range = clause.body.empty() || clause.always_false
+                                 ? 0
+                                 : sources[0].hi - sources[0].lo;
         size_t num_shards = 1;
         if (threads > 1 && range > 1) {
           // A few shards per worker so an uneven split still balances.
@@ -544,9 +537,9 @@ namespace {
           task.sources = sources;
           task.counts_application = s == 0;
           if (num_shards > 1) {
-            task.sources[0].has_range = true;
-            task.sources[0].range_lo = shard_lo + range * s / num_shards;
-            task.sources[0].range_hi = shard_lo + range * (s + 1) / num_shards;
+            const size_t lo = sources[0].lo;
+            task.sources[0].lo = lo + range * s / num_shards;
+            task.sources[0].hi = lo + range * (s + 1) / num_shards;
           }
           tasks.push_back(std::move(task));
         }
@@ -588,7 +581,16 @@ namespace {
                 sources[a].relation,
                 resolver.Resolve(atom.predicate, atom.is_intensional));
           }
+          sources[a].hi = sources[a].relation->store().size();
         }
+        // Pivots `sources` to body atom `pivot`'s delta generation.
+        auto pivoted = [&sources](size_t pivot) {
+          std::vector<AtomSource> pivot_sources = sources;
+          const TupleStore& store = sources[pivot].relation->store();
+          pivot_sources[pivot].lo = store.delta_lo();
+          pivot_sources[pivot].hi = store.delta_hi();
+          return pivot_sources;
+        };
         if (resume != nullptr && round == 1) {
           // Incremental resume round: a clause re-derives in full when a
           // retraction over-deleted from its head relation; otherwise it
@@ -606,9 +608,7 @@ namespace {
               if (sources[pivot].relation->store().delta_size() == 0) {
                 continue;
               }
-              std::vector<AtomSource> pivot_sources = sources;
-              pivot_sources[pivot].generation = TupleStore::Generation::kDelta;
-              add_tasks(ci, pivot_sources);
+              add_tasks(ci, pivoted(pivot));
             }
           }
         } else if (!options.semi_naive || round == 1 || recursive == 0) {
@@ -621,9 +621,7 @@ namespace {
               continue;
             }
             if (sources[pivot].relation->store().delta_size() == 0) continue;
-            std::vector<AtomSource> pivot_sources = sources;
-            pivot_sources[pivot].generation = TupleStore::Generation::kDelta;
-            add_tasks(ci, pivot_sources);
+            add_tasks(ci, pivoted(pivot));
           }
         }
       }
@@ -941,6 +939,7 @@ namespace {
   LRPDB_ASSIGN_OR_RETURN(
       sources[0].relation,
       resolver.Resolve(query.predicate, clause.body[0].is_intensional));
+  sources[0].hi = sources[0].relation->store().size();
 
   std::vector<GeneralizedTuple> candidates;
   LRPDB_RETURN_IF_ERROR(ApplyClauseBatch(clause, CompileClausePlan(clause),

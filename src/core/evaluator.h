@@ -191,7 +191,8 @@ struct EvaluationResult {
 
   // Sum of the per-round storage counters.
   StoreStats StoreTotals() const;
-  // Total generalized tuples stored across the IDB relations.
+  // Total live generalized tuples across the IDB relations (tombstoned
+  // slots awaiting compaction are not counted).
   int64_t TuplesStored() const;
 
   // Human-readable EXPLAIN dump: one line per rule (derivations attempted /

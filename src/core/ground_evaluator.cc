@@ -136,11 +136,6 @@ struct FlatFrontier {
         ++next.rows;
       }
     }
-    if (scanned > 0) {
-      LRPDB_HISTOGRAM_RECORD(
-          "eval.batch.mask_density",
-          static_cast<int64_t>(next.rows) * 100 / scanned);
-    }
     std::swap(frontier, next);
     if (frontier.rows == 0) {
       LRPDB_COUNTER_ADD("eval.batch.tuples_in", tuples_in);

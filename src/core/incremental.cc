@@ -25,7 +25,6 @@ IncrementalEvaluator::IncrementalEvaluator(const Program& program,
 
 void IncrementalEvaluator::ResetProvenance() {
   prov_ = std::make_unique<ProvenanceLog>();
-  prov_->set_track_dependents(true);
   options_.provenance = prov_.get();
 }
 

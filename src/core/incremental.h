@@ -69,8 +69,7 @@ class IncrementalEvaluator {
  public:
   // `options` is normalized for maintenance: compact_results is forced off
   // (compaction renumbers the entry ids provenance and resumption address)
-  // and options.provenance is replaced by an internally owned log with
-  // dependent tracking.
+  // and options.provenance is replaced by an internally owned log.
   IncrementalEvaluator(const Program& program, Database* db,
                        EvaluationOptions options = EvaluationOptions());
 

@@ -185,10 +185,8 @@ void ProvenanceLog::OriginIndex::Erase(const RelationOrigins& origins,
     return OkStatus();
   }
   int64_t edges = 0;
-  if (track_dependents_) {
-    for (size_t k = 0; k < origin.parents.size(); ++k) {
-      if (!RepeatsEarlierParent(origin.parents, k)) ++edges;
-    }
+  for (size_t k = 0; k < origin.parents.size(); ++k) {
+    if (!RepeatsEarlierParent(origin.parents, k)) ++edges;
   }
   const int64_t bytes =
       OriginBytes(origin) + edges * kEdgeBytes + kIndexEntryBytes;
@@ -196,17 +194,14 @@ void ProvenanceLog::OriginIndex::Erase(const RelationOrigins& origins,
     exec->ChargeBytes(bytes);
     LRPDB_RETURN_IF_ERROR(exec->Poll());
   }
-  if (track_dependents_) {
-    // Reverse edges, one per distinct parent of this origin. Distinct
-    // origins of one entry sharing a parent each add an edge; consumers
-    // dedupe.
-    for (size_t k = 0; k < origin.parents.size(); ++k) {
-      if (RepeatsEarlierParent(origin.parents, k)) continue;
-      const ProvRef parent = origin.parents[k];
-      std::vector<std::vector<ProvRef>>& deps = dependents_[parent.relation];
-      if (deps.size() <= parent.entry) deps.resize(parent.entry + 1);
-      deps[parent.entry].push_back(derived);
-    }
+  // Reverse edges, one per distinct parent of this origin. Distinct origins
+  // of one entry sharing a parent each add an edge; consumers dedupe.
+  for (size_t k = 0; k < origin.parents.size(); ++k) {
+    if (RepeatsEarlierParent(origin.parents, k)) continue;
+    const ProvRef parent = origin.parents[k];
+    std::vector<std::vector<ProvRef>>& deps = dependents_[parent.relation];
+    if (deps.size() <= parent.entry) deps.resize(parent.entry + 1);
+    deps[parent.entry].push_back(derived);
   }
   if (rel.size() <= derived.entry) rel.resize(derived.entry + 1);
   std::vector<DerivationOrigin>& origins = rel[derived.entry];

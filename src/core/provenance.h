@@ -144,13 +144,9 @@ class ProvenanceLog {
 
   // --- Reverse index (incremental retraction, DESIGN.md §13) ---
   //
-  // When dependent tracking is on, Record() also appends the derived ref to
-  // the dependents list of every parent, so DRed-style retraction can walk
-  // derivations forward (parents -> dependents) without scanning the log.
-  // Must be enabled before the first Record(); the index only covers
-  // records made while enabled.
-  void set_track_dependents(bool track) { track_dependents_ = track; }
-  bool track_dependents() const { return track_dependents_; }
+  // Record() also appends the derived ref to the dependents list of every
+  // parent, so DRed-style retraction can walk derivations forward
+  // (parents -> dependents) without scanning the log.
 
   // Refs recorded with `ref` among their origin parents. May contain
   // duplicates (one edge per distinct origin naming `ref`) and refs later
@@ -259,10 +255,8 @@ class ProvenanceLog {
   // origin_index_[relation] indexes every origin origins_[relation] holds.
   std::vector<OriginIndex> origin_index_;
   // dependents_[relation][entry] = refs recorded with that entry as an
-  // origin parent. Same shape as origins_; populated only while
-  // track_dependents_ is set.
+  // origin parent. Same shape as origins_.
   std::vector<std::vector<std::vector<ProvRef>>> dependents_;
-  bool track_dependents_ = false;
   int64_t records_ = 0;
   int64_t approx_bytes_ = 0;
 };

@@ -235,13 +235,13 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
 
 [[nodiscard]] StatusOr<GeneralizedRelation> Project(const GeneralizedRelation& r,
                                       const std::vector<int>& temporal_columns,
-                                      const std::vector<int>& data_columns,
+                                      const std::vector<int>& data_positions,
                                       const NormalizeLimits& limits) {
   LRPDB_OPERATOR_SCOPE(op, "gdb.project", r.size());
   LRPDB_TRACE_SPAN(span, "gdb.project");
   LRPDB_FAILPOINT("algebra.project");
   RelationSchema schema{static_cast<int>(temporal_columns.size()),
-                        static_cast<int>(data_columns.size())};
+                        static_cast<int>(data_positions.size())};
   GeneralizedRelation out(schema);
   int m = r.schema().temporal_arity;
   std::vector<bool> kept(m, false);
@@ -255,8 +255,8 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
     LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
     const GeneralizedTuple& tuple = r.tuple(i);
     std::vector<DataValue> data;
-    data.reserve(data_columns.size());
-    for (int c : data_columns) data.push_back(tuple.data()[c]);
+    data.reserve(data_positions.size());
+    for (int c : data_positions) data.push_back(tuple.data()[c]);
 
     // Columns to drop that carry congruence information (period > 1) AND
     // interact with other columns. A periodic dropped column with no

@@ -63,7 +63,7 @@ struct TemporalEquality {
 // given). Temporal projection is exact (performed on normalized pieces).
 [[nodiscard]] StatusOr<GeneralizedRelation> Project(
     const GeneralizedRelation& r, const std::vector<int>& temporal_columns,
-    const std::vector<int>& data_columns,
+    const std::vector<int>& data_positions,
     const NormalizeLimits& limits = NormalizeLimits());
 
 // Keeps only tuples whose data column `column` equals `value`. Errors

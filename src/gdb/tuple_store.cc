@@ -11,15 +11,13 @@ namespace lrpdb {
 
 TupleStore::TupleStore(RelationSchema schema)
     : schema_(schema),
-      data_index_(schema.data_arity),
-      data_columns_(schema.data_arity) {}
+      data_index_(schema.data_arity) {}
 
 TupleStore::TupleStore(TupleStore&& other) noexcept
     : schema_(std::move(other.schema_)),
       entries_(std::move(other.entries_)),
       signature_index_(std::move(other.signature_index_)),
       data_index_(std::move(other.data_index_)),
-      data_columns_(std::move(other.data_columns_)),
       delta_lo_(other.delta_lo_),
       delta_hi_(other.delta_hi_),
       live_(std::move(other.live_)),
@@ -36,7 +34,6 @@ TupleStore& TupleStore::operator=(TupleStore&& other) noexcept {
   entries_ = std::move(other.entries_);
   signature_index_ = std::move(other.signature_index_);
   data_index_ = std::move(other.data_index_);
-  data_columns_ = std::move(other.data_columns_);
   delta_lo_ = other.delta_lo_;
   delta_hi_ = other.delta_hi_;
   live_ = std::move(other.live_);
@@ -183,7 +180,6 @@ bool TupleStore::Append(GeneralizedTuple tuple,
   it->second.entries.push_back(id);
   for (int c = 0; c < schema_.data_arity; ++c) {
     data_index_[c][tuple.data()[c]].push_back(id);
-    data_columns_[c].push_back(tuple.data()[c]);
   }
   entries_.push_back(Entry{std::move(tuple), it->second.id});
   live_.push_back(kLive);
@@ -261,9 +257,6 @@ std::vector<EntryId> TupleStore::EraseEntries(
         entries_[kept] = std::move(entries_[id]);
         pieces_cache_[kept] = std::move(pieces_cache_[id]);
         live_[kept] = live_[id];
-        for (int c = 0; c < schema_.data_arity; ++c) {
-          data_columns_[c][kept] = data_columns_[c][id];
-        }
       }
       ++kept;
     }
@@ -272,7 +265,6 @@ std::vector<EntryId> TupleStore::EraseEntries(
     pieces_cache_.erase(pieces_cache_.begin() + kept, pieces_cache_.end());
   }
   live_.resize(kept);
-  for (int c = 0; c < schema_.data_arity; ++c) data_columns_[c].resize(kept);
   auto rewrite = [&remap](std::vector<EntryId>* list) {
     size_t out = 0;
     for (EntryId id : *list) {
@@ -392,20 +384,6 @@ std::vector<EntryId> TupleStore::EraseEntries(
     }
     if (posted != live_entries) {
       return InternalError("postings do not cover all live entries");
-    }
-  }
-  // Columnar mirrors agree with the entries.
-  if (data_columns_.size() != static_cast<size_t>(schema_.data_arity)) {
-    return InternalError("data column mirror arity mismatch");
-  }
-  for (int c = 0; c < schema_.data_arity; ++c) {
-    if (data_columns_[c].size() != entries_.size()) {
-      return InternalError("data column mirror length mismatch");
-    }
-    for (size_t id = 0; id < entries_.size(); ++id) {
-      if (data_columns_[c][id] != entries_[id].tuple.data()[c]) {
-        return InternalError("data column mirror value mismatch");
-      }
     }
   }
   return OkStatus();

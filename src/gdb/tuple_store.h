@@ -75,10 +75,10 @@ struct StoreStats {
   int64_t tuples_scanned = 0;         // Entries yielded to the unifier.
   int64_t tuples_pruned = 0;          // Entries skipped by index/delta filter.
 
-  // One join probe: `scanned` entries yielded to the unifier, `pruned`
-  // skipped by the index or delta filter. The batch kernel
-  // (ApplyClauseBatch in src/core/clause_plan.cc) calls this once per probe
-  // it runs.
+  // One join probe: `scanned` entries of the probed posting slice or entry
+  // range walked by the join loop, `pruned` the rest of the atom's range.
+  // The join kernel (ApplyClauseBatch in src/core/clause_plan.cc) calls
+  // this once per probe it runs.
   void CountProbe(int64_t scanned, int64_t pruned) {
     ++index_probes;
     tuples_scanned += scanned;
@@ -128,9 +128,6 @@ struct InsertOutcome {
 // entry array.
 class TupleStore {
  public:
-  // Which generation a probe ranges over.
-  enum class Generation { kAll, kDelta };
-
   // A data-column equality requirement for a join probe: the entry's data
   // column `column` must equal `value`.
   struct DataRequirement {
@@ -169,18 +166,10 @@ class TupleStore {
     return approx_bytes_.load(std::memory_order_relaxed);
   }
 
-  // Columnar mirror of data column `c`: position `id` holds entry `id`'s
-  // value, maintained by every append. The batch layer (src/gdb/batch.h)
-  // scans these dense spans instead of dereferencing per-entry tuples.
-  const std::vector<DataValue>& data_column(int c) const {
-    return data_columns_[c];
-  }
-
   // The posting list for `value` in data column `column` (ascending entry
-  // ids), or nullptr when no entry carries that value. Compiled clause
-  // plans (src/core/clause_plan.h) probe
-  // postings directly so selectivity ordering happens once per clause
-  // instead of once per candidate scan.
+  // ids), or nullptr when no entry carries that value. The join kernel
+  // (src/core/clause_plan.h) walks the smallest applicable posting,
+  // clipped to the atom's entry range with a binary search.
   const std::vector<EntryId>* PostingFor(int column, DataValue value) const {
     const auto& index = data_index_[column];
     auto it = index.find(value);
@@ -258,8 +247,7 @@ class TupleStore {
 
   // True iff the entry has not been tombstoned. Valid for any id < size().
   bool is_live(EntryId id) const { return live_[id] == kLive; }
-  // Cheap gate for hot scan paths: when false, every entry is live and the
-  // per-id filter can be skipped entirely.
+  // False iff every entry is live (nothing for compaction to erase).
   bool has_tombstones() const { return tombstones_ > 0; }
   size_t live_size() const { return entries_.size() - tombstones_; }
 
@@ -305,7 +293,7 @@ class TupleStore {
 
   // Removes the entries `ids` (ascending, distinct) and renumbers the rest
   // densely in their order. The survivors keep their tuples, cached pieces
-  // and signature interning; the buckets, postings, columns, liveness and
+  // and signature interning; the buckets, postings, liveness and
   // generation ranges are rewritten in place, so no second copy of the
   // store is ever alive. Returns the remap: remap[old id] is the new id,
   // or kErasedEntry. The remap is monotone, so whoever addresses the store
@@ -359,9 +347,6 @@ class TupleStore {
       signature_index_;
   // data_index_[column][value] = ascending entry ids with that value.
   std::vector<std::unordered_map<DataValue, std::vector<EntryId>>> data_index_;
-  // data_columns_[column][id] = entry id's value in that column: the
-  // structure-of-arrays mirror batch scans read.
-  std::vector<std::vector<DataValue>> data_columns_;
   size_t delta_lo_ = 0;
   size_t delta_hi_ = 0;
 

@@ -11,7 +11,10 @@
 //
 // The ground kernel shares the compiled data descriptors with the batch
 // kernel (CompileAtom), so the SharedDescriptorTest cases below also pin
-// those descriptors against answers written out by hand.
+// those descriptors against answers written out by hand, and the
+// JoinLoopTest cases pin which entry ids the batch kernel's loop walks
+// (posting clipped to the atom's range, dead slots skipped) together with
+// its exact probe counts.
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
@@ -375,6 +378,83 @@ TEST(SharedDescriptorTest, RepeatedTemporalVariable) {
   )";
   ExpectFacts(text, "diag", {"(0,a)", "(10,a)"});
   ExpectFacts(text, "near", {"(1,b)", "(11,b)"});
+}
+
+// --- The join loop's candidate ids, pinned by hand ------------------------
+
+// e holds twelve entries, e(13n+i, ...) at id i; every third one carries
+// "k". Applies clause `rule` of the program directly through
+// ApplyClauseBatch over e's entry ids [lo, hi), after tombstoning `dead`.
+struct RangeApply {
+  std::vector<GeneralizedTuple> candidates;
+  std::vector<std::vector<EntryId>> parents;
+  StoreStats stats;
+};
+
+RangeApply ApplyOverRange(size_t rule, size_t lo, size_t hi,
+                          std::vector<EntryId> dead = {}) {
+  std::string text = R"(
+    .decl e(time, data)
+    .decl p(time)
+    .decl q(time, data)
+    p(t) :- e(t, "k").
+    q(t, N) :- e(t, N).
+  )";
+  for (int i = 0; i < 12; ++i) {
+    const std::string value =
+        i % 3 == 0 ? "\"k\"" : "\"v" + std::to_string(i) + "\"";
+    text += ".fact e(13n+" + std::to_string(i) + ", " + value + ").\n";
+  }
+  RangeApply out;
+  Database db;
+  auto unit = Parse(text, &db);
+  EXPECT_TRUE(unit.ok()) << unit.status();
+  if (!unit.ok()) return out;
+  auto e = db.MutableRelation("e");
+  EXPECT_TRUE(e.ok()) << e.status();
+  if (!e.ok()) return out;
+  EXPECT_EQ((*e)->size(), 12u);
+  for (EntryId id : dead) (*e)->mutable_store().Tombstone(id);
+  auto normalized = Normalize(unit->program);
+  EXPECT_TRUE(normalized.ok()) << normalized.status();
+  if (!normalized.ok()) return out;
+  const NormalizedClause& clause = normalized->clauses[rule];
+  Status applied = ApplyClauseBatch(clause, CompileClausePlan(clause),
+                                    {{*e, lo, hi}}, NormalizeLimits(),
+                                    &out.stats, &out.candidates, &out.parents);
+  EXPECT_TRUE(applied.ok()) << applied;
+  return out;
+}
+
+// Offsets of the candidates' first temporal column (each e entry's own).
+std::vector<int64_t> Offsets(const std::vector<GeneralizedTuple>& tuples) {
+  std::vector<int64_t> offsets;
+  for (const GeneralizedTuple& t : tuples) {
+    offsets.push_back(t.lrp(0).offset());
+  }
+  return offsets;
+}
+
+TEST(JoinLoopTest, ConstantPostingIsClippedToTheRange) {
+  // "k" is posted at {0, 3, 6, 9}; [4, 10) keeps 6 and 9.
+  const RangeApply run = ApplyOverRange(/*rule=*/0, 4, 10);
+  EXPECT_EQ(Offsets(run.candidates), (std::vector<int64_t>{6, 9}));
+  EXPECT_EQ(run.parents, (std::vector<std::vector<EntryId>>{{6}, {9}}));
+  EXPECT_EQ(run.stats.index_probes, 1);
+  EXPECT_EQ(run.stats.tuples_scanned, 2);
+  EXPECT_EQ(run.stats.tuples_pruned, 4);
+}
+
+TEST(JoinLoopTest, RangeScanSkipsDeadSlots) {
+  // No probe: the loop walks [4, 10) itself, and the tombstoned entry 7
+  // is scanned (it is in the range) but yields nothing.
+  const RangeApply run = ApplyOverRange(/*rule=*/1, 4, 10, /*dead=*/{7});
+  EXPECT_EQ(Offsets(run.candidates), (std::vector<int64_t>{4, 5, 6, 8, 9}));
+  EXPECT_EQ(run.parents,
+            (std::vector<std::vector<EntryId>>{{4}, {5}, {6}, {8}, {9}}));
+  EXPECT_EQ(run.stats.index_probes, 1);
+  EXPECT_EQ(run.stats.tuples_scanned, 6);
+  EXPECT_EQ(run.stats.tuples_pruned, 0);
 }
 
 }  // namespace

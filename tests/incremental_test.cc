@@ -381,6 +381,31 @@ TEST(IncrementalTest, RetractMissIsANoop) {
   EXPECT_EQ(run.inc->DumpStored(), before);
 }
 
+// Over-deleted entries stay as dead slots until CompactRetracted; the
+// stored-tuple count reports only the live ones.
+TEST(IncrementalTest, TuplesStoredCountsOnlyLiveEntries) {
+  Instance run = MakeRun(kChain);
+  ASSERT_TRUE(run.inc
+                  ->AddFacts({FactUpdate{
+                      "e", GeneralizedTuple::Unconstrained(
+                               {Lrp(24, 5)}, {run.db->Constant("b")})}})
+                  .ok());
+  ASSERT_TRUE(run.inc
+                  ->RetractFacts({FactUpdate{
+                      "e", GeneralizedTuple::Unconstrained(
+                               {Lrp(24, 1)}, {run.db->Constant("a")})}})
+                  .ok());
+  int64_t live = 0;
+  size_t slots = 0;
+  for (const auto& [name, relation] : run.inc->Result().idb) {
+    for ([[maybe_unused]] EntryId id : relation.store().live_ids()) ++live;
+    slots += relation.size();
+  }
+  EXPECT_EQ(live, 2);    // p and q of "b".
+  EXPECT_EQ(slots, 4u);  // Plus the over-deleted p and q of "a".
+  EXPECT_EQ(run.inc->Result().TuplesStored(), live);
+}
+
 // Every live tuple of every store, rendered, in store order.
 std::map<std::string, std::vector<std::string>> LiveTuples(
     const Instance& run) {

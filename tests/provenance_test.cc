@@ -164,10 +164,7 @@ void ReplayOrigin(const ProvRun& run, const std::string& head_name,
     auto inserted = rel->InsertUnlessEmpty(*parent);
     ASSERT_TRUE(inserted.ok()) << inserted.status();
     ASSERT_TRUE(*inserted) << "recorded parent is an empty tuple";
-    AtomSource source;
-    source.relation = rel.get();
-    source.generation = TupleStore::Generation::kAll;
-    sources.push_back(source);
+    sources.push_back({rel.get(), 0, rel->size()});
     singletons.push_back(std::move(rel));
   }
 
@@ -452,7 +449,6 @@ DerivationOrigin MakeOrigin(int32_t rule, int32_t round,
 
 TEST(ProvenanceDedupTest, RepeatedDerivationKeepsOneOriginEdgeAndFirstRound) {
   ProvenanceLog log;
-  log.set_track_dependents(true);
   const ProvRelationId p = log.InternRelation("p");
   const ProvRelationId e = log.InternRelation("e");
   const int64_t deduped0 = CounterValue("eval.prov.deduped");
@@ -476,7 +472,6 @@ TEST(ProvenanceDedupTest, RepeatedDerivationKeepsOneOriginEdgeAndFirstRound) {
 
 TEST(ProvenanceDedupTest, DifferentRuleOrParentsAreDistinctOrigins) {
   ProvenanceLog log;
-  log.set_track_dependents(true);
   const ProvRelationId p = log.InternRelation("p");
   const ProvRelationId e = log.InternRelation("e");
   ASSERT_TRUE(log.Record({p, 0}, MakeOrigin(1, 1, {{e, 4}})).ok());
@@ -500,7 +495,6 @@ TEST(ProvenanceDedupTest, ManyDistinctOriginsOnOneEntryStayFast) {
   // check that scanned the entry's origins would do ~4e8 comparisons.
   constexpr int kOrigins = 20000;
   ProvenanceLog log;
-  log.set_track_dependents(true);
   const ProvRelationId p = log.InternRelation("p");
   const ProvRelationId e = log.InternRelation("e");
   for (int pass = 0; pass < 2; ++pass) {
@@ -562,7 +556,6 @@ TEST(ProvenanceDedupTest, RandomRecordAndForgetMatchReference) {
 
 TEST(ProvenanceDedupTest, ForgetAndPruneReleaseTheirAccounting) {
   ProvenanceLog log;
-  log.set_track_dependents(true);
   const ProvRelationId p = log.InternRelation("p");
   const ProvRelationId e = log.InternRelation("e");
   ASSERT_TRUE(log.Record({p, 0}, MakeOrigin(0, 1, {{e, 0}})).ok());
@@ -603,7 +596,6 @@ TEST(ProvenanceDedupTest, ForgetAndPruneReleaseTheirAccounting) {
 // included.
 TEST(ProvenanceRenumberTest, ErasedEntriesDropAndSurvivorsMove) {
   ProvenanceLog log;
-  log.set_track_dependents(true);
   const ProvRelationId p = log.InternRelation("p");
   const ProvRelationId e = log.InternRelation("e");
   ASSERT_TRUE(log.Record({p, 0}, MakeOrigin(0, 1, {{e, 0}})).ok());
@@ -617,7 +609,6 @@ TEST(ProvenanceRenumberTest, ErasedEntriesDropAndSurvivorsMove) {
                 {"p", {0, kErasedEntry, 1, 2}}});
 
   ProvenanceLog fresh;
-  fresh.set_track_dependents(true);
   ASSERT_EQ(fresh.InternRelation("p"), p);
   ASSERT_EQ(fresh.InternRelation("e"), e);
   ASSERT_TRUE(fresh.Record({p, 0}, MakeOrigin(0, 1, {{e, 0}})).ok());

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/evaluator.h"
-#include "src/gdb/batch.h"
 #include "src/gdb/tuple_store.h"
 #include "src/parser/parser.h"
 #include "tests/ground_oracle.h"
@@ -219,20 +218,9 @@ TEST(TupleStoreTest, DeltaGenerationProtocol) {
   EXPECT_EQ(store.delta_hi(), 2u);
   EXPECT_EQ(store.delta_size(), 2u);
 
-  // The batch kernel views a delta generation as one contiguous block.
-  auto delta_ids = [&store] {
-    TupleBlock block;
-    block.FillFromRange(store, store.delta_lo(), store.delta_hi());
-    std::vector<EntryId> ids;
-    for (size_t row = 0; row < block.rows(); ++row) {
-      ids.push_back(block.id(row));
-    }
-    return ids;
-  };
-  EXPECT_EQ(delta_ids(), (std::vector<EntryId>{0, 1}));
-
   store.AdvanceGeneration();  // Delta = {2}.
-  EXPECT_EQ(delta_ids(), (std::vector<EntryId>{2}));
+  EXPECT_EQ(store.delta_lo(), 2u);
+  EXPECT_EQ(store.delta_hi(), 3u);
 
   store.AdvanceGeneration();  // Nothing appended: delta empty.
   EXPECT_EQ(store.delta_size(), 0u);
@@ -247,30 +235,21 @@ TEST(TupleStoreTest, DataRequirementProbeScansOnlyPostingBucket) {
         store.Insert(Banded(13, i, 0, 25, i % 3 == 0 ? 5 : 100 + i))
             ->inserted);
   }
-  // A probe the way the batch kernel runs one: the posting of the bound
-  // value, clipped to the generation range, reported through CountProbe.
+  // A probe the way the join kernel runs one: the posting of the bound
+  // value over the whole range, reported through CountProbe. (The kernel
+  // clips postings to sub-ranges; batch_kernel_test.cc pins that.)
   const int64_t range = static_cast<int64_t>(store.size());
   const std::vector<EntryId>* posting = store.PostingFor(0, 5);
   ASSERT_NE(posting, nullptr);
-  TupleBlock block;
-  block.FillFromPosting(store, *posting, 0, store.size());
-  std::vector<EntryId> ids;
-  for (size_t row = 0; row < block.rows(); ++row) ids.push_back(block.id(row));
-  EXPECT_EQ(ids, (std::vector<EntryId>{0, 3, 6, 9}));
+  EXPECT_EQ(*posting, (std::vector<EntryId>{0, 3, 6, 9}));
   StoreStats probe;
-  const int64_t scanned = static_cast<int64_t>(block.rows());
+  const int64_t scanned = static_cast<int64_t>(posting->size());
   probe.CountProbe(scanned, range - scanned);
   EXPECT_EQ(probe.index_probes, 1);
   EXPECT_EQ(probe.tuples_scanned, 4);
   EXPECT_EQ(probe.tuples_pruned, 8);
   // scanned + pruned always accounts for the full generation range.
   EXPECT_EQ(probe.tuples_scanned + probe.tuples_pruned, range);
-
-  // A clipped range keeps only the posting's ids inside it.
-  block.FillFromPosting(store, *posting, 4, 10);
-  ASSERT_EQ(block.rows(), 2u);
-  EXPECT_EQ(block.id(0), 6u);
-  EXPECT_EQ(block.id(1), 9u);
 
   // A value with no posting yields zero candidates, all pruned.
   EXPECT_EQ(store.PostingFor(0, 999), nullptr);
@@ -439,7 +418,7 @@ TEST(TupleStoreEvaluatorTest, JoinProbesPruneByBoundDataColumns) {
 
 // Contention coverage for the store's documented const surface: with the
 // store fully built, PostingFor plus CountProbe (into a thread-private
-// StoreStats) as the batch kernel issues them, and pieces() (whose lazy
+// StoreStats) as the join kernel issues them, and pieces() (whose lazy
 // normalized-piece cache goes through pieces_mu_) must all be callable from
 // many threads at once.
 // Runs under TSan via ci/check.sh --tsan. Failures are accumulated into
@@ -476,9 +455,7 @@ TEST(TupleStoreTest, ConcurrentConstReadsShareCachesSafely) {
           failures.fetch_add(1);
           continue;
         }
-        TupleBlock block;
-        block.FillFromPosting(store, *posting, 0, num_entries);
-        const int64_t local = static_cast<int64_t>(block.rows());
+        const int64_t local = static_cast<int64_t>(posting->size());
         StoreStats probe_stats;
         probe_stats.CountProbe(local,
                                static_cast<int64_t>(num_entries) - local);
