@@ -101,9 +101,6 @@ void WriteReport() {
   report.SetProfile(result->profile);
   report.Set("per_round_us",
              ms * 1000.0 / kRepetitions / result->iterations);
-  // Resolved worker count (LRPDB_THREADS), so a reader can tell which mode
-  // produced the timings.
-  report.Set("threads", result->threads);
   report.Write();
 }
 

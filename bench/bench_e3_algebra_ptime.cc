@@ -10,7 +10,6 @@
 #include <random>
 
 #include "bench/bench_json.h"
-#include "src/common/thread_pool.h"
 #include "src/gdb/algebra.h"
 
 namespace {
@@ -125,10 +124,6 @@ void WriteReport() {
     out = result->size();
   });
   report.Set("project_tuples", out);
-  // The algebra itself is single-threaded; the resolved LRPDB_THREADS value
-  // is recorded so reports from different thread settings stay apart.
-  report.Set("threads",
-             static_cast<int64_t>(lrpdb::ThreadPool::DefaultThreads()));
   report.Write();
 }
 

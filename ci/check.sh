@@ -28,18 +28,11 @@
 #                            note when clang-format is not installed)
 #   ci/check.sh --faults     fault-injection pass: build ASan and TSan trees
 #                            and run the governance + fault-injection +
-#                            parallel-evaluator + provenance suites
+#                            provenance + incremental suites
 #                            (exec_context/governance/fault_injection/
-#                            parallel_evaluator/provenance) under both, with
-#                            leak detection on. Includes the determinism
-#                            differentials: the parallel suites assert
-#                            bit-identical Explain() dumps and tuple sets
-#                            across 1, 2, and 8 worker threads, the
-#                            provenance suite asserts identical derivation
-#                            logs across the same grid, and the TSan leg
-#                            repeats both with LRPDB_THREADS=8 forced into
-#                            the environment, and the ASan leg also covers
-#                            the storage suites (WAL/snapshot corruption
+#                            provenance/incremental) under both, with leak
+#                            detection on; the ASan leg also covers the
+#                            storage suites (WAL/snapshot corruption
 #                            fixtures plus the storage failpoint walk).
 #                            Standalone mode: skips the plain build/ctest
 #                            above.
@@ -57,8 +50,7 @@
 #                            108 random programs, each driven through a
 #                            random add/retract/compact schedule whose
 #                            every step is checked against a from-scratch
-#                            refixpoint oracle and for bit-identical stored
-#                            dumps across {1, 2, 8} threads — plus the
+#                            refixpoint oracle — plus the
 #                            directed incremental cases, the tombstone and
 #                            erase regressions in tuple_store_test, the
 #                            provenance renumber cases in provenance_test,
@@ -130,24 +122,19 @@ if [[ "$faults" == 1 ]]; then
     exit 2
   fi
   # gtest_discover_tests registers suite-qualified names, so filter on the
-  # governance/fault suites themselves. The parallel suites ride along: they
-  # carry the determinism differential (ParallelDeterminismTest asserts
-  # bit-identical timing-free Explain() dumps and relation dumps across
-  # 1, 2, and 8 worker threads) plus worker-side governance unwinding.
-  fault_filter='^(ExecContextTest|GovernanceTest|FailpointTest|FaultInjectionWalkTest|ThreadPoolTest|ParallelEvaluatorTest|ProvenanceTest|GroundProvenanceTest|IncrementalTest)\.|ParallelDeterminismTest\.|ProvenanceRandomTest\.|IncrementalRandomTest\.'
+  # governance/fault suites themselves.
+  fault_filter='^(ExecContextTest|GovernanceTest|FailpointTest|FaultInjectionWalkTest|ProvenanceTest|GroundProvenanceTest|IncrementalTest)\.|ProvenanceRandomTest\.|IncrementalRandomTest\.'
   # The storage suites ride the ASan leg: the WAL/snapshot corruption
   # fixtures and the storage failpoint walk (StoreFaultTest) are exactly the
   # unwinding paths leak detection should watch.
   storage_filter='^(Crc32cTest|FileUtilTest|CodecTest|WalTest|SnapshotTest|StoreTest|StoreFaultTest)\.'
-  # The incremental gauntlet rides both legs: every schedule step exercises
-  # resume evaluation across {1, 2, 8} threads, so ASan watches the DRed
-  # unwinding paths and TSan the 8-wide resume rounds.
-  parallel_filter='(ThreadPoolTest|ParallelEvaluatorTest|ParallelDeterminismTest)\.|ProvenanceRandomTest\.|IncrementalRandomTest\.'
+  # The incremental gauntlet rides along so ASan watches the DRed unwinding
+  # paths.
   echo "== fault injection: ASan"
   cmake -B build-asan -S . -DLRPDB_SANITIZE=ON
   cmake --build build-asan -j"$(nproc)" --target \
     exec_context_test governance_test fault_injection_test \
-    parallel_evaluator_test provenance_test storage_test incremental_test
+    provenance_test storage_test incremental_test
   ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="print_stacktrace=1" \
     ctest --test-dir build-asan --output-on-failure \
     -R "$fault_filter|$storage_filter"
@@ -155,16 +142,9 @@ if [[ "$faults" == 1 ]]; then
   cmake -B build-tsan -S . -DLRPDB_SANITIZE=thread
   cmake --build build-tsan -j"$(nproc)" --target \
     exec_context_test governance_test fault_injection_test \
-    parallel_evaluator_test provenance_test incremental_test
+    provenance_test incremental_test
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-tsan --output-on-failure -R "$fault_filter"
-  echo "== determinism differential under TSan with LRPDB_THREADS=8 forced"
-  # Same parallel suites again with 8 workers forced into the environment:
-  # every evaluation that does not pin num_threads now runs 8-wide, so TSan
-  # watches the worker pool under the widest supported contention while the
-  # determinism assertions re-check the merged results.
-  TSAN_OPTIONS="halt_on_error=1" LRPDB_THREADS=8 \
-    ctest --test-dir build-tsan --output-on-failure -R "$parallel_filter"
   echo "ci/check.sh --faults: fault-injection pass passed"
   exit 0
 fi
@@ -236,8 +216,7 @@ if [[ "$incremental" == 1 ]]; then
   # 18 seeds x 6 generated programs = 108 random programs, each pushed
   # through a 6-step random add/retract schedule that compacts after some
   # steps. After every step the maintained model must match a
-  # from-scratch refixpoint oracle on the canonical ground window, and the
-  # stored dumps must be bit-identical across {1, 2, 8} threads. The
+  # from-scratch refixpoint oracle on the canonical ground window. The
   # directed IncrementalTest cases cover DRed over-delete/re-derive,
   # alternative derivations, retract misses, compaction as erase plus
   # renumber, readers after compaction, and the negation full-recompute
@@ -279,11 +258,6 @@ if [[ "$tsan" == 1 ]]; then
   # TSan needs to see contended.
   LRPDB_TRACE="$PWD/$build_dir/ctest-trace.json" \
     ctest --test-dir "$build_dir" --output-on-failure
-  # Second pass over the parallel-evaluator suites with 8 worker threads
-  # forced: maximal pool contention under TSan, with the determinism
-  # assertions re-checking the merged results.
-  LRPDB_THREADS=8 ctest --test-dir "$build_dir" --output-on-failure \
-    -R '(ThreadPoolTest|ParallelEvaluatorTest|ParallelDeterminismTest)\.|ProvenanceRandomTest\.'
 else
   ctest --test-dir "$build_dir" --output-on-failure
 fi

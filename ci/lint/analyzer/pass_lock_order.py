@@ -15,7 +15,7 @@ Edges come from two sources and must agree:
 
 A cycle in the union graph is a potential deadlock and fails CI at the
 first observed edge of the cycle. Acquiring the same mutex member on two
-different instances (other.pieces_mu_ then pieces_mu_) is its own finding:
+different instances (other.mu_ then mu_) is its own finding:
 it deadlocks against the mirrored call unless callers serialize, so it
 requires an explicit `// lint: allow(lock-order)` justification.
 """
@@ -24,7 +24,7 @@ PASS_ID = "lock-order"
 
 
 def _split_expr(expr):
-    """'other.pieces_mu_' -> ('other', 'pieces_mu_'); 'mu_' -> ('', 'mu_')."""
+    """'other.mu_' -> ('other', 'mu_'); 'mu_' -> ('', 'mu_')."""
     expr = expr.lstrip("*&")
     for sep in ("->", "."):
         if sep in expr:

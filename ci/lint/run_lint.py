@@ -28,12 +28,11 @@ want to rely on every local compiler flag for):
                        scanned files) to return Status/StatusOr. The compiler
                        enforces this too (-Werror=unused-result); the lint
                        catches it without a build.
-  raw-thread           No std::thread / std::jthread / std::async in src/
-                       outside src/common/thread_pool.*: all parallelism
-                       flows through ThreadPool::ParallelFor so ExecContext
-                       propagation, cancellation, and the deterministic-merge
-                       guarantees hold. (tests/ and bench/ are outside the
-                       lint scope and may spawn threads freely.)
+  raw-thread           No std::thread / std::jthread / std::async anywhere in
+                       src/: evaluation is single-threaded, so the residue-
+                       piece cache of a tuple store and the provenance log
+                       take no lock. (tests/ and bench/ are outside the lint
+                       scope and may spawn threads freely.)
 
 Suppression: append `// lint: allow(<rule-id>[, <rule-id>...])` to the
 offending line, or put it alone on the line directly above. Suppressions are
@@ -80,8 +79,6 @@ HOT_PATH_DIRS = ("src/gdb/", "src/core/", "src/storage/")
 # deadline is *defined* in terms of the monotonic clock, so it joins src/obs
 # as a legitimate clock owner.
 CLOCK_EXEMPT_DIRS = ("src/obs/", "src/common/exec_context")
-# The one place allowed to spawn threads (prefix covers .h and .cc).
-THREAD_EXEMPT_PREFIXES = ("src/common/thread_pool.",)
 
 
 class Finding:
@@ -257,8 +254,7 @@ def scan_file(path, raw_text, status_fn_names=None):
 
     hot_path = in_dirs(path, HOT_PATH_DIRS) and path.endswith(".cc")
     clock_exempt = in_dirs(path, CLOCK_EXEMPT_DIRS)
-    thread_exempt = (not path.startswith("src/")
-                     or in_dirs(path, THREAD_EXEMPT_PREFIXES))
+    thread_exempt = not path.startswith("src/")
     is_annotations_header = path.endswith("src/common/thread_annotations.h")
 
     # Function tracking for check-in-status-fn: a Status/StatusOr signature
@@ -315,11 +311,10 @@ def scan_file(path, raw_text, status_fn_names=None):
             m = RAW_THREAD_RE.search(line)
             if m:
                 report(idx, "raw-thread",
-                       f"'std::{m.group(1) or m.group(2)}' outside "
-                       "src/common/thread_pool: "
-                       "route parallelism through ThreadPool::ParallelFor so "
-                       "ExecContext propagation and deterministic merging "
-                       "hold")
+                       f"'std::{m.group(1) or m.group(2)}' in src/: "
+                       "evaluation is single-threaded, and the tuple "
+                       "store's piece cache and the provenance log are "
+                       "unlocked")
 
         # --- wall-clock ---
         if not clock_exempt and CLOCK_RE.search(line):

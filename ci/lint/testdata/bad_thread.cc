@@ -1,7 +1,7 @@
 // lint-fixture-path: src/core/bad_thread.cc
-// Fixture: the raw-thread rule. Spawning threads anywhere in src/ except
-// src/common/thread_pool.* is an error: ad-hoc threads bypass ExecContext
-// propagation and the deterministic task-merge order.
+// Fixture: the raw-thread rule. Spawning threads anywhere in src/ is an
+// error: evaluation is single-threaded, so the tuple store's piece cache and
+// the provenance log take no lock.
 #include <future>
 #include <thread>
 

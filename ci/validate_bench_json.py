@@ -24,7 +24,7 @@ import sys
 KNOWN_PREFIXES = (
     "bench.",
     "datalog1s.",
-    "eval.",       # includes eval.batch.*, eval.parallel.*, eval.prov.*,
+    "eval.",       # includes eval.batch.*, eval.prov.*,
                    # and the incremental-maintenance counters eval.inc.*
     "exec.",
     "gdb.",

@@ -103,7 +103,7 @@ ClausePlan CompileClausePlan(const NormalizedClause& clause) {
   for (size_t step = 0; step < n; ++step) {
     int chosen = -1;
     if (step == 0) {
-      // Body atom 0 anchors the parallel shard split.
+      // Body atom 0 stays first (see CompileClausePlan in the header).
       chosen = static_cast<int>(step);
     } else {
       // Greedy static selectivity: prefer atoms with the most index-probe

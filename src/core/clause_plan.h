@@ -11,18 +11,16 @@
 // entry's data columns against the descriptors, unifies its lrps and
 // constraint into the binding, and extends it.
 //
-// Determinism (DESIGN.md §8): candidates are emitted in lexicographic order
+// Determinism (DESIGN.md §9): candidates are emitted in lexicographic order
 // of the matched entry-id vector in *body order*. Atoms may be processed
 // in plan order, so the kernel records each binding's per-atom entry ids
 // and, after a reordered join, sorts the final frontier by the body-order
 // id vector. Every id combination is explored at most once, so the sort
-// has no ties and fixes the stored insertion order — including under
-// atom-0 sharding, where the plan keeps body atom 0 first (it anchors the
-// shard split) and id_0 therefore stays the major key across shards. The
-// emitted tuples themselves do not depend on the join order: the binding's
-// final DBM is closed by the last satisfiability check and closure is
-// canonical, lrp intersection is order-independent in canonical form, and
-// data values do not depend on join order.
+// has no ties and fixes the stored insertion order. The emitted tuples
+// themselves do not depend on the join order: the binding's final DBM is
+// closed by the last satisfiability check and closure is canonical, lrp
+// intersection is order-independent in canonical form, and data values do
+// not depend on join order.
 //
 // The windowed ground evaluator reuses the same compiled atoms (the
 // descriptors are store-agnostic column/variable indices) plus a ground
@@ -45,8 +43,7 @@ namespace lrpdb {
 
 // The entries one body atom reads during a round: the entry ids [lo, hi)
 // of `relation`'s store. The evaluator resolves the generation (the whole
-// store, or the delta for a semi-naive pivot) and, for body atom 0, the
-// parallel shard (DESIGN.md §8) into this one range when it builds tasks.
+// store, or the delta for a semi-naive pivot) into this one range.
 struct AtomSource {
   const GeneralizedRelation* relation = nullptr;
   size_t lo = 0;
@@ -117,8 +114,9 @@ struct ClausePlan {
 
 // Compiles `clause` once. Atoms after body atom 0 are greedily ordered by
 // static probe selectivity (constant-pinned columns, then columns probed
-// through already-bound variables); body atom 0 stays first because it
-// anchors the parallel evaluator's shard split. The ground evaluator
+// through already-bound variables); body atom 0 stays first, since
+// choosing it by selectivity too would change the probe counts and the
+// sort cost of reordered joins. The ground evaluator
 // compiles through CompileGroundClausePlan instead, in body order: its
 // fact stores keep insertion order and reordering would change it.
 ClausePlan CompileClausePlan(const NormalizedClause& clause);

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "src/common/failpoint.h"
-#include "src/common/thread_pool.h"
 #include "src/core/clause_plan.h"
 #include "src/core/provenance.h"
 #include "src/gdb/algebra.h"
@@ -242,9 +241,9 @@ int64_t EvalProfile::TotalInserted() const {
 
 std::string EvaluationResult::Explain(bool include_timings) const {
   // Everything below except the *_us fields is a pure function of the
-  // computed model: Explain(false) is what the determinism differential
-  // compares across thread counts, so timing-free lines must stay free of
-  // any run-dependent value (wall clocks, thread counts, pointers).
+  // computed model: Explain(false) is what the determinism tests compare
+  // across runs, so timing-free lines must stay free of any run-dependent
+  // value (wall clocks, pointers).
   std::string out;
   const std::string outcome =
       reached_fixpoint ? "fixpoint reached" : "gave up: " + gave_up_reason;
@@ -389,19 +388,7 @@ namespace {
   RelationResolver resolver(program, db, &result.idb);
   resolver.SetActiveDomain(CollectActiveDomain(program, db));
 
-  // Worker threads for the clause-application phase. The resolved count
-  // affects wall time only: candidate deltas are merged in fixed task
-  // order, so the stored model, insertion order, and all Explain() counts
-  // are identical for any value (DESIGN.md §8).
-  const int threads =
-      options.num_threads > 0
-          ? std::min(options.num_threads, ThreadPool::kMaxThreads)
-          : ThreadPool::DefaultThreads();
-  result.threads = threads;
-  LRPDB_GAUGE_SET("eval.parallel.threads", threads);
-
-  // Each clause's plan is compiled once, before the first round; workers
-  // see const ClausePlan pointers.
+  // Each clause's plan is compiled once, before the first round.
   std::vector<ClausePlan> plans;
   plans.reserve(normalized.clauses.size());
   for (const NormalizedClause& clause : normalized.clauses) {
@@ -496,53 +483,35 @@ namespace {
         stats.delta_tuples +=
             static_cast<int64_t>(relation.store().delta_size());
       }
-      std::vector<std::pair<int, GeneralizedTuple>> candidates;
+      // The round's candidates in clause order, then pivot order; each
+      // ApplyClauseBatch call appends in lexicographic body-order entry-id
+      // order (clause_plan.h), which fixes the insertion order below.
+      std::vector<GeneralizedTuple> candidates;
+      // 1:1 with `candidates`: the index of the deriving clause.
+      std::vector<int> candidate_clauses;
       // Kept 1:1 with `candidates` while capturing provenance.
       std::vector<std::vector<EntryId>> candidate_parents;
-      // Build the round's task list sequentially, in clause order then
-      // pivot order — exactly the call order of the single-threaded
-      // engine. Each (clause, pivot) unit is further split into shards over
-      // body atom 0's enumeration range: ApplyClauseBatch yields candidates
-      // in lexicographic body-order entry-id order (clause_plan.h), so
-      // concatenating shard outputs in shard order reproduces the
-      // unsharded candidate sequence for any shard boundaries.
-      struct RoundTask {
-        int clause_index = 0;
-        const ClausePlan* plan = nullptr;
-        std::vector<AtomSource> sources;
-        bool counts_application = false;  // First shard of its unit.
-        // Worker outputs, merged sequentially after the round barrier.
-        std::vector<GeneralizedTuple> candidates;
-        // 1:1 with candidates while capturing provenance; empty otherwise.
-        std::vector<std::vector<EntryId>> parent_ids;
-        StoreStats store;
-        int64_t apply_us = 0;
-      };
-      std::vector<RoundTask> tasks;
-      auto add_tasks = [&](size_t ci, const std::vector<AtomSource>& sources) {
-        const NormalizedClause& clause = normalized.clauses[ci];
-        const ClausePlan* plan = &plans[ci];
-        const size_t range = clause.body.empty() || clause.always_false
-                                 ? 0
-                                 : sources[0].hi - sources[0].lo;
-        size_t num_shards = 1;
-        if (threads > 1 && range > 1) {
-          // A few shards per worker so an uneven split still balances.
-          num_shards = std::min(range, static_cast<size_t>(threads) * 4);
-        }
-        for (size_t s = 0; s < num_shards; ++s) {
-          RoundTask task;
-          task.clause_index = static_cast<int>(ci);
-          task.plan = plan;
-          task.sources = sources;
-          task.counts_application = s == 0;
-          if (num_shards > 1) {
-            const size_t lo = sources[0].lo;
-            task.sources[0].lo = lo + range * s / num_shards;
-            task.sources[0].hi = lo + range * (s + 1) / num_shards;
-          }
-          tasks.push_back(std::move(task));
-        }
+      // Applies clause `ci` over `sources`: one (clause, pivot) unit.
+      auto apply = [&](size_t ci,
+                       const std::vector<AtomSource>& sources) -> Status {
+        LRPDB_RETURN_IF_ERROR(PollExec(exec));
+        LRPDB_TRACE_SPAN(task_span, "eval.task");
+        task_span.AddArg("clause", static_cast<int64_t>(ci));
+        task_span.AddArg("round", total_rounds);
+        const SteadyTime apply_start = Now();
+        const size_t before = candidates.size();
+        LRPDB_RETURN_IF_ERROR(ApplyClauseBatch(
+            normalized.clauses[ci], plans[ci], sources, limits, &stats.store,
+            &candidates, prov != nullptr ? &candidate_parents : nullptr));
+        const int64_t apply_us = UsSince(apply_start);
+        candidate_clauses.resize(candidates.size(), static_cast<int>(ci));
+        RuleProfile& rule_profile = result.profile.rules[ci];
+        ++rule_profile.applications;
+        rule_profile.derivations +=
+            static_cast<int64_t>(candidates.size() - before);
+        rule_profile.apply_us += apply_us;
+        stats.apply_us += apply_us;
+        return OkStatus();
       };
       for (size_t ci = 0; ci < normalized.clauses.size(); ++ci) {
         const NormalizedClause& clause = normalized.clauses[ci];
@@ -558,9 +527,7 @@ namespace {
         }
         if (options.semi_naive && round > 1 && recursive == 0) continue;
 
-        // Resolving sources stays sequential: complements of negated
-        // relations materialize lazily here, before any worker runs, so
-        // every task reads frozen relations only.
+        // Complements of negated relations materialize lazily here.
         std::vector<AtomSource> sources(clause.body.size());
         for (size_t a = 0; a < clause.body.size(); ++a) {
           const NormalizedBodyAtom& atom = clause.body[a];
@@ -591,6 +558,8 @@ namespace {
           pivot_sources[pivot].hi = store.delta_hi();
           return pivot_sources;
         };
+        // The clause's (clause, pivot) units, applied in this order.
+        std::vector<std::vector<AtomSource>> units;
         if (resume != nullptr && round == 1) {
           // Incremental resume round: a clause re-derives in full when a
           // retraction over-deleted from its head relation; otherwise it
@@ -601,18 +570,18 @@ namespace {
           const std::string& head_name =
               program.predicates().NameOf(clause.head_predicate);
           if (resume->rederive_heads.count(head_name) > 0) {
-            add_tasks(ci, sources);
+            units.push_back(sources);
           } else {
             for (size_t pivot = 0; pivot < clause.body.size(); ++pivot) {
               if (clause.body[pivot].negated) continue;
               if (sources[pivot].relation->store().delta_size() == 0) {
                 continue;
               }
-              add_tasks(ci, pivoted(pivot));
+              units.push_back(pivoted(pivot));
             }
           }
         } else if (!options.semi_naive || round == 1 || recursive == 0) {
-          add_tasks(ci, sources);
+          units.push_back(sources);
         } else {
           for (size_t pivot = 0; pivot < clause.body.size(); ++pivot) {
             const NormalizedBodyAtom& atom = clause.body[pivot];
@@ -621,69 +590,18 @@ namespace {
               continue;
             }
             if (sources[pivot].relation->store().delta_size() == 0) continue;
-            add_tasks(ci, pivoted(pivot));
+            units.push_back(pivoted(pivot));
+          }
+        }
+        for (const std::vector<AtomSource>& unit : units) {
+          Status applied = apply(ci, unit);
+          if (!applied.ok()) {
+            if (!IsGovernanceTrip(exec, applied)) return applied;
+            degrade(applied);
+            return result;
           }
         }
       }
-
-      // Apply phase: workers claim tasks in index order and fill each
-      // task's private outputs. All shared state a worker touches is
-      // frozen for the round (stores mutate only in the insert phase
-      // below); ParallelFor reports the lowest-indexed failure, matching
-      // the error the sequential loop would have hit first.
-      const SteadyTime apply_start = Now();
-      Status applied = ThreadPool::Global().ParallelFor(
-          static_cast<int64_t>(tasks.size()), /*grain=*/1, threads, exec,
-          [&](int64_t begin, int64_t end) -> Status {
-            for (int64_t t = begin; t < end; ++t) {
-              RoundTask& task = tasks[static_cast<size_t>(t)];
-              LRPDB_TRACE_SPAN(task_span, "eval.task");
-              task_span.AddArg("clause",
-                               static_cast<int64_t>(task.clause_index));
-              task_span.AddArg("round", total_rounds);
-              const SteadyTime task_start = Now();
-              const NormalizedClause& clause =
-                  normalized.clauses[task.clause_index];
-              std::vector<std::vector<EntryId>>* task_parents =
-                  prov != nullptr ? &task.parent_ids : nullptr;
-              LRPDB_RETURN_IF_ERROR(ApplyClauseBatch(
-                  clause, *task.plan, task.sources, limits, &task.store,
-                  &task.candidates, task_parents));
-              task.apply_us = UsSince(task_start);
-              LRPDB_COUNTER_INC("eval.parallel.tasks");
-            }
-            return OkStatus();
-          });
-      if (!applied.ok()) {
-        if (!IsGovernanceTrip(exec, applied)) return applied;
-        degrade(applied);
-        return result;
-      }
-      LRPDB_HISTOGRAM_RECORD("eval.parallel.apply_wall_us",
-                             UsSince(apply_start));
-
-      // Merge phase, sequential and in fixed task order: candidate order —
-      // hence insertion order, hence the stored model and every profile
-      // count — is independent of the thread count.
-      const SteadyTime merge_start = Now();
-      for (RoundTask& task : tasks) {
-        RuleProfile& rule_profile = result.profile.rules[task.clause_index];
-        if (task.counts_application) ++rule_profile.applications;
-        rule_profile.derivations +=
-            static_cast<int64_t>(task.candidates.size());
-        rule_profile.apply_us += task.apply_us;
-        stats.apply_us += task.apply_us;
-        stats.store.Accumulate(task.store);
-        for (GeneralizedTuple& t : task.candidates) {
-          candidates.emplace_back(task.clause_index, std::move(t));
-        }
-        if (prov != nullptr) {
-          for (std::vector<EntryId>& p : task.parent_ids) {
-            candidate_parents.push_back(std::move(p));
-          }
-        }
-      }
-      LRPDB_HISTOGRAM_RECORD("eval.parallel.merge_us", UsSince(merge_start));
 
       // Insert candidates; the store reports growth and new signatures
       // (free extensions) directly from its interning probe.
@@ -691,7 +609,8 @@ namespace {
       const SteadyTime insert_start = Now();
       bool grew = false;
       for (size_t cand_i = 0; cand_i < candidates.size(); ++cand_i) {
-        auto& [clause_index, tuple] = candidates[cand_i];
+        const int clause_index = candidate_clauses[cand_i];
+        GeneralizedTuple& tuple = candidates[cand_i];
         const std::string& name = program.predicates().NameOf(
             normalized.clauses[clause_index].head_predicate);
         GeneralizedRelation& relation = result.idb.at(name);
@@ -716,8 +635,7 @@ namespace {
         // Record the candidate's derivation origin: on insert against the
         // fresh entry, on subsumption against every absorbing entry (a
         // sound over-approximation; provenance.h). Empty-ground-set drops
-        // derived nothing and record nothing. Recording runs in this
-        // sequential phase only — the log needs no locking.
+        // derived nothing and record nothing.
         if (prov != nullptr &&
             (outcome.inserted || !outcome.absorbers.empty())) {
           const ClauseProv& cp = clause_prov[clause_index];

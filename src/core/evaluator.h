@@ -74,14 +74,6 @@ struct EvaluationOptions {
   // max_iterations above. The evaluator hands it on to every layer below
   // as limits.exec.
   ExecContext* exec = nullptr;
-  // Worker threads for the clause-application phase of each round
-  // (DESIGN.md §8). 0 (the default) resolves through
-  // ThreadPool::DefaultThreads(), i.e. the LRPDB_THREADS environment
-  // variable ("4", or "max" for the hardware concurrency; absent = 1).
-  // Any value yields the bit-identical result — tuple sets, normalized
-  // forms, insertion order, and Explain() counts — because each round's
-  // candidate deltas are merged sequentially in a fixed task order.
-  int num_threads = 0;
   // Optional why-provenance recording (src/core/provenance.h): when
   // non-null, every IDB insert records a derivation origin — (clause
   // index, positive-body parent EntryIds, round) — into this log,
@@ -183,8 +175,6 @@ struct EvaluationResult {
   // is in the least fixpoint, and rounds/profile explain where the budget
   // went.
   PartialResult partial;
-  // Resolved worker-thread count the evaluation ran with (>= 1).
-  int threads = 1;
 
   // Convenience lookup; CHECK-fails on unknown predicate.
   const GeneralizedRelation& Relation(const std::string& name) const;
@@ -199,8 +189,7 @@ struct EvaluationResult {
   // kept / subsumed, time) and one per round (delta sizes, phase split).
   // With include_timings == false every wall-clock field is omitted; the
   // remaining dump is a pure function of the computed model and therefore
-  // identical across thread counts and runs — the determinism differential
-  // (ci/check.sh --faults) compares exactly this form.
+  // identical across runs.
   std::string Explain(bool include_timings) const;
   std::string Explain() const { return Explain(/*include_timings=*/true); }
 };

@@ -25,9 +25,7 @@
 //
 // Both operations leave the model semantically identical to a from-scratch
 // refixpoint of the updated database (the differential gauntlet in
-// tests/incremental_test.cc enforces ground-window equality, plus
-// bit-identical stored dumps across thread counts for the incremental runs
-// themselves).
+// tests/incremental_test.cc enforces ground-window equality).
 //
 // Fallbacks. Programs with negation (materialized complements go stale
 // across updates) and models that never reached fixpoint fall back to a
@@ -116,8 +114,7 @@ class IncrementalEvaluator {
   std::string Fingerprint(int64_t lo, int64_t hi) const;
 
   // Exact stored-form dump of the model: relation name, live entry ids and
-  // their tuples, in store order. Bit-identical across kernels and thread
-  // counts for the same update history — the determinism half.
+  // their tuples, in store order.
   std::string DumpStored() const;
 
  private:

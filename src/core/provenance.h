@@ -33,11 +33,10 @@
 // closed form); IncrementalEvaluator::CompactRetracted erases tombstoned
 // entries and hands its remaps to Renumber().
 //
-// Threading contract: Record() is called only from the evaluator's
-// sequential insert phase (the parallel apply workers capture parent ids
-// into per-task buffers; the merge is single-threaded), so the log needs no
-// locking. Queries (Origins / WhyProvenance) are const and may run
-// concurrently with each other, but not with Record().
+// Threading contract: one thread at a time. Evaluation is single-threaded
+// and Record() is called only from its insert phase, so the log takes no
+// lock; queries (Origins / WhyProvenance) must not run concurrently with
+// Record().
 //
 // Cost model. Recording is opt-in (EvaluationOptions::provenance, nullptr
 // by default); with no log, the capture code behind each

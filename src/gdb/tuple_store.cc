@@ -21,11 +21,10 @@ TupleStore::TupleStore(TupleStore&& other) noexcept
       delta_lo_(other.delta_lo_),
       delta_hi_(other.delta_hi_),
       live_(std::move(other.live_)),
-      tombstones_(other.tombstones_) {
+      tombstones_(other.tombstones_),
+      pieces_cache_(std::move(other.pieces_cache_)) {
   approx_bytes_.store(other.approx_bytes_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
-  std::lock_guard<std::mutex> pieces_lock(other.pieces_mu_);
-  pieces_cache_ = std::move(other.pieces_cache_);
 }
 
 TupleStore& TupleStore::operator=(TupleStore&& other) noexcept {
@@ -38,14 +37,9 @@ TupleStore& TupleStore::operator=(TupleStore&& other) noexcept {
   delta_hi_ = other.delta_hi_;
   live_ = std::move(other.live_);
   tombstones_ = other.tombstones_;
+  pieces_cache_ = std::move(other.pieces_cache_);
   approx_bytes_.store(other.approx_bytes_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
-  // Cross-instance acquisition is safe here: move-assignment requires the
-  // caller to own both stores exclusively, so no mirrored-order call exists.
-  std::lock_guard<std::mutex> other_pieces(other.pieces_mu_);
-  // lint: allow(lock-order) -- see exclusivity note above.
-  std::lock_guard<std::mutex> self_pieces(pieces_mu_);
-  pieces_cache_ = std::move(other.pieces_cache_);
   return *this;
 }
 
@@ -59,7 +53,6 @@ const std::vector<EntryId>& TupleStore::EntriesWithSignature(
 [[nodiscard]] StatusOr<const std::vector<NormalizedTuple>*> TupleStore::pieces(
     EntryId id, const NormalizeLimits& limits) const {
   LRPDB_FAILPOINT("tuple_store.pieces");
-  std::lock_guard<std::mutex> lock(pieces_mu_);
   PiecesCache& cache = pieces_cache_[id];
   if (!cache.normalized) {
     LRPDB_ASSIGN_OR_RETURN(cache.pieces,
@@ -67,8 +60,7 @@ const std::vector<EntryId>& TupleStore::EntriesWithSignature(
                                                       limits));
     cache.normalized = true;
   }
-  // Safe to hand out past the unlock: the slot is never rewritten and deque
-  // growth does not move it.
+  // The slot is never rewritten and deque growth does not move it.
   return &cache.pieces;
 }
 
@@ -183,10 +175,7 @@ bool TupleStore::Append(GeneralizedTuple tuple,
   }
   entries_.push_back(Entry{std::move(tuple), it->second.id});
   live_.push_back(kLive);
-  {
-    std::lock_guard<std::mutex> lock(pieces_mu_);
-    pieces_cache_.push_back(PiecesCache{std::move(pieces), normalized});
-  }
+  pieces_cache_.push_back(PiecesCache{std::move(pieces), normalized});
   return created;
 }
 
@@ -240,30 +229,27 @@ std::vector<EntryId> TupleStore::EraseEntries(
   size_t next = 0;
   EntryId kept = 0;
   int64_t released = 0;
-  {
-    std::lock_guard<std::mutex> lock(pieces_mu_);
-    for (size_t id = 0; id < entries_.size(); ++id) {
-      if (next < ids.size() && ids[next] == id) {
-        ++next;
-        remap[id] = kErasedEntry;
-        released += entries_[id].tuple.ApproxBytes() +
-                    static_cast<int64_t>(pieces_cache_[id].pieces.size()) *
-                        (schema_.temporal_arity + 2) * 8;
-        if (!is_live(static_cast<EntryId>(id))) --tombstones_;
-        continue;
-      }
-      remap[id] = kept;
-      if (kept != id) {
-        entries_[kept] = std::move(entries_[id]);
-        pieces_cache_[kept] = std::move(pieces_cache_[id]);
-        live_[kept] = live_[id];
-      }
-      ++kept;
+  for (size_t id = 0; id < entries_.size(); ++id) {
+    if (next < ids.size() && ids[next] == id) {
+      ++next;
+      remap[id] = kErasedEntry;
+      released += entries_[id].tuple.ApproxBytes() +
+                  static_cast<int64_t>(pieces_cache_[id].pieces.size()) *
+                      (schema_.temporal_arity + 2) * 8;
+      if (!is_live(static_cast<EntryId>(id))) --tombstones_;
+      continue;
     }
-    LRPDB_CHECK_EQ(next, ids.size()) << "EraseEntries ids not ascending";
-    entries_.erase(entries_.begin() + kept, entries_.end());
-    pieces_cache_.erase(pieces_cache_.begin() + kept, pieces_cache_.end());
+    remap[id] = kept;
+    if (kept != id) {
+      entries_[kept] = std::move(entries_[id]);
+      pieces_cache_[kept] = std::move(pieces_cache_[id]);
+      live_[kept] = live_[id];
+    }
+    ++kept;
   }
+  LRPDB_CHECK_EQ(next, ids.size()) << "EraseEntries ids not ascending";
+  entries_.erase(entries_.begin() + kept, entries_.end());
+  pieces_cache_.erase(pieces_cache_.begin() + kept, pieces_cache_.end());
   live_.resize(kept);
   auto rewrite = [&remap](std::vector<EntryId>* list) {
     size_t out = 0;

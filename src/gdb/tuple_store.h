@@ -35,7 +35,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -43,7 +42,6 @@
 #include <vector>
 
 #include "src/common/statusor.h"
-#include "src/common/thread_annotations.h"
 #include "src/gdb/generalized_tuple.h"
 #include "src/gdb/normalized_tuple.h"
 #include "src/gdb/schema.h"
@@ -115,17 +113,12 @@ struct InsertOutcome {
 
 // An indexed set of generalized tuples of one schema.
 //
-// Thread-safety contract: mutations (Insert, InsertUnlessEmpty,
-// AdvanceGeneration, EraseEntries) require exclusive access. Between
-// mutations, any number of threads may issue const operations concurrently
-// — PostingFor, pieces(), CheckConsistency, ToString — the one piece of
-// const-path mutable state, the lazy residue-piece cache, is guarded by the
-// store's one internal mutex, annotated below for Clang's -Wthread-safety
-// and exercised from 8 threads under TSan in tests/tuple_store_test.cc.
-// Exception to the "between mutations" rule: approx_bytes() is safe to call
-// concurrently *with* a mutation (a monitoring thread sampling memory while
-// an evaluation inserts) — it is a single atomic and never touches the
-// entry array.
+// Thread-safety contract: one thread at a time. Evaluation is
+// single-threaded, and even const operations are not safe to share: pieces()
+// fills the lazy residue-piece cache without a lock. The one exception is
+// approx_bytes(), which another thread may call concurrently *with* a
+// mutation (a monitoring thread sampling memory while an evaluation
+// inserts) — it is a single atomic and never touches the entry array.
 class TupleStore {
  public:
   // A data-column equality requirement for a join probe: the entry's data
@@ -137,9 +130,7 @@ class TupleStore {
 
   explicit TupleStore(RelationSchema schema);
 
-  // Movable (relations hand stores around by value); moving counts as a
-  // mutation, so it requires exclusive access to both operands. The mutex
-  // itself stays put — the destination keeps its own.
+  // Movable (relations hand stores around by value).
   TupleStore(TupleStore&& other) noexcept;
   TupleStore& operator=(TupleStore&& other) noexcept;
   TupleStore(const TupleStore&) = delete;
@@ -177,11 +168,9 @@ class TupleStore {
   }
 
   // The residue pieces of entry `id`, computed on first use and cached.
-  // The returned pointer stays valid until the next mutation; the pointee
-  // is immutable once returned, so concurrent callers may share it.
+  // The returned pointer stays valid until the next mutation.
   [[nodiscard]] StatusOr<const std::vector<NormalizedTuple>*> pieces(
-      EntryId id, const NormalizeLimits& limits = NormalizeLimits()) const
-      LRPDB_LOCKS_EXCLUDED(pieces_mu_);
+      EntryId id, const NormalizeLimits& limits = NormalizeLimits()) const;
 
   // Exact insert: drops the tuple if its ground set is empty or contained
   // in the union of the stored tuples with the same signature (free
@@ -300,9 +289,7 @@ class TupleStore {
   // by id (the provenance log, ProvenanceLog::Renumber) rewrites its ids
   // through it; every id not rewritten is invalidated. Like Tombstone(), a
   // bucket emptied here is kept (SignatureId allocation is ordinal).
-  // Requires exclusive access.
-  std::vector<EntryId> EraseEntries(const std::vector<EntryId>& ids)
-      LRPDB_LOCKS_EXCLUDED(pieces_mu_);
+  std::vector<EntryId> EraseEntries(const std::vector<EntryId>& ids);
 
   // Verifies every index invariant (signature buckets partition the
   // entries, postings are sorted and complete, generation ranges are
@@ -317,15 +304,15 @@ class TupleStore {
   // iteration order, never hash order).
   friend class TupleStoreTestPeer;
 
-  // Immutable once appended; safe to read without a lock between mutations.
+  // Immutable once appended.
   struct Entry {
     GeneralizedTuple tuple;
     SignatureId signature = 0;
   };
 
-  // Lazily computed residue pieces of one entry (filled at most once, under
-  // pieces_mu_; immutable afterwards). Kept in a deque parallel to entries_
-  // so slot references survive appends.
+  // Lazily computed residue pieces of one entry (filled at most once;
+  // immutable afterwards). Kept in a deque parallel to entries_ so slot
+  // references survive appends.
   struct PiecesCache {
     std::vector<NormalizedTuple> pieces;
     bool normalized = false;
@@ -339,7 +326,7 @@ class TupleStore {
   // Appends `tuple` (with optional pre-normalized pieces) and indexes it.
   // Returns the outcome's new_signature flag.
   bool Append(GeneralizedTuple tuple, std::vector<NormalizedTuple> pieces,
-              bool normalized) LRPDB_LOCKS_EXCLUDED(pieces_mu_);
+              bool normalized);
 
   RelationSchema schema_;
   std::vector<Entry> entries_;
@@ -357,10 +344,8 @@ class TupleStore {
   std::vector<uint8_t> live_;
   size_t tombstones_ = 0;
 
-  // Serializes concurrent const readers against the fill-on-first-use
-  // residue cache. Writers (Append) also hold it while growing the deque.
-  mutable std::mutex pieces_mu_;
-  mutable std::deque<PiecesCache> pieces_cache_ LRPDB_GUARDED_BY(pieces_mu_);
+  // Filled on first use by the const pieces().
+  mutable std::deque<PiecesCache> pieces_cache_;
 
   // Retained-bytes estimate, advanced by Append. Atomic so approx_bytes()
   // stays safe and lock-free for readers concurrent with an insert.

@@ -1,13 +1,7 @@
 // Correctness suite for the compiled-plan batch kernel (DESIGN.md §9), the
-// generalized engine's one apply path. Two properties per program:
-//
-//  * Determinism: runs at 1, 2 and 8 worker threads produce the
-//    bit-identical model — the same relations with the same insertion order
-//    (relation dumps compare stored order, not just set equality) and the
-//    same timing-free Explain() — as a 1-thread reference run.
-//  * Ground exactness: the model denotes, on two full periods, exactly the
-//    facts of the windowed ground evaluator (tests/ground_oracle.h), the
-//    paper's ground semantics.
+// generalized engine's one apply path. Every program's model must denote,
+// on two full periods, exactly the facts of the windowed ground evaluator
+// (tests/ground_oracle.h), the paper's ground semantics.
 //
 // The ground kernel shares the compiled data descriptors with the batch
 // kernel (CompileAtom), so the SharedDescriptorTest cases below also pin
@@ -34,13 +28,6 @@
 namespace lrpdb {
 namespace {
 
-// A model fingerprint: timing-free EXPLAIN (rule/round counts) plus every
-// relation's dump in stored order.
-struct Fingerprint {
-  std::string explain;
-  std::string relations;
-};
-
 // Where a program's ground check looks: every EDB fact has period
 // `period`, so the model is invariant under shifting every column by it
 // and the interior [0, 2 * period) covers every residue — with room for
@@ -53,44 +40,17 @@ struct GroundCheck {
 };
 constexpr int64_t kLookahead = 24;
 
-// Evaluates `text` with `num_threads` workers and fingerprints the model.
-// With a `check`, also asserts the model against the ground oracle.
-Fingerprint Evaluated(const std::string& text, int num_threads,
-                      const GroundCheck* check = nullptr) {
+// Evaluates `text` and asserts its model against the ground oracle.
+void ExpectGroundExact(const std::string& text, GroundCheck check) {
+  SCOPED_TRACE(text);
   Database db;
   auto unit = Parse(text, &db);
-  EXPECT_TRUE(unit.ok()) << unit.status() << "\n" << text;
-  if (!unit.ok()) return {};
-  EvaluationOptions options;
-  options.num_threads = num_threads;
-  auto result = Evaluate(unit->program, db, options);
-  EXPECT_TRUE(result.ok()) << result.status() << "\n" << text;
-  if (!result.ok()) return {};
-  EXPECT_TRUE(result->reached_fixpoint) << text;
-  Fingerprint fp;
-  fp.explain = result->Explain(/*include_timings=*/false);
-  for (const auto& [name, relation] : result->idb) {
-    fp.relations += name + ":\n" + relation.ToString(&db.interner());
-  }
-  if (check != nullptr) {
-    ExpectMatchesGroundOracle(unit->program, db, *result, 0,
-                              2 * check->period, -check->margin,
-                              2 * check->period + kLookahead);
-  }
-  return fp;
-}
-
-// Asserts ground exactness of the 1-thread model and bit-identical models
-// at 1, 2 and 8 threads against it.
-void ExpectDeterministicAndGroundExact(const std::string& text,
-                                       GroundCheck check) {
-  SCOPED_TRACE(text);
-  const Fingerprint reference = Evaluated(text, /*num_threads=*/1, &check);
-  for (int threads : {1, 2, 8}) {
-    const Fingerprint fp = Evaluated(text, threads);
-    EXPECT_EQ(fp.explain, reference.explain) << "threads=" << threads;
-    EXPECT_EQ(fp.relations, reference.relations) << "threads=" << threads;
-  }
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  auto result = Evaluate(unit->program, db);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->reached_fixpoint);
+  ExpectMatchesGroundOracle(unit->program, db, *result, 0, 2 * check.period,
+                            -check.margin, 2 * check.period + kLookahead);
 }
 
 // How far back a chain `p(t + step) :- p(t)` over a period-`period` EDB can
@@ -169,13 +129,14 @@ GeneratedProgram Generate(std::mt19937& rng) {
 class BatchKernelRandomTest : public ::testing::TestWithParam<int> {};
 
 // 25 seeds x 8 programs = 200 random programs, each checked against the
-// ground oracle and run at 1, 2, and 8 threads. (The test name predates
-// the removal of the tuple-at-a-time kernel it once compared against.)
+// ground oracle. (The test name predates the removal of the
+// tuple-at-a-time kernel it once compared against and of the thread-count
+// grid.)
 TEST_P(BatchKernelRandomTest, BitIdenticalToLegacyAcrossThreadCounts) {
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 9176 + 11);
   for (int iter = 0; iter < 8; ++iter) {
     const GeneratedProgram program = Generate(rng);
-    ExpectDeterministicAndGroundExact(program.text, program.check);
+    ExpectGroundExact(program.text, program.check);
   }
 }
 
@@ -185,7 +146,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchKernelRandomTest,
 // --- Fixed corner cases ---------------------------------------------------
 
 TEST(BatchKernelTest, Example41IntervalsWithConstraints) {
-  ExpectDeterministicAndGroundExact(R"(
+  ExpectGroundExact(R"(
     .decl course(time, time, data)
     .decl problems(time, time, data)
     .fact course(168n+8, 168n+10, "database") with T2 = T1 + 2.
@@ -196,7 +157,7 @@ TEST(BatchKernelTest, Example41IntervalsWithConstraints) {
 }
 
 TEST(BatchKernelTest, NegationOverComplement) {
-  ExpectDeterministicAndGroundExact(R"(
+  ExpectGroundExact(R"(
     .decl tick(time)
     .decl quiet(time)
     .fact tick(3n).
@@ -208,7 +169,7 @@ TEST(BatchKernelTest, NegationOverComplement) {
 TEST(BatchKernelTest, ConstantOnlyAtomAndProjection) {
   // One atom fully pinned by a constant (compile-time posting, possibly
   // absent value) plus a head that projects a body variable away.
-  ExpectDeterministicAndGroundExact(R"(
+  ExpectGroundExact(R"(
     .decl iv(time, time)
     .decl w(time)
     .decl z(time)
@@ -223,7 +184,7 @@ TEST(BatchKernelTest, ConstantOnlyAtomAndProjection) {
 TEST(BatchKernelTest, MissingConstantValueEmptiesJoin) {
   // "nope" never appears in e's data column: the compiled plan's constant
   // posting probe must yield an empty frontier.
-  ExpectDeterministicAndGroundExact(R"(
+  ExpectGroundExact(R"(
     .decl e(time, data)
     .decl p(time, data)
     .fact e(6n, "a").
@@ -236,7 +197,7 @@ TEST(BatchKernelTest, MissingConstantValueEmptiesJoin) {
 TEST(BatchKernelTest, WideMultiRuleRecursion) {
   // p and q feed each other (+5, +7) and q recurses (+11): every residue
   // mod 96 is reached within 96 hops of at most 11.
-  ExpectDeterministicAndGroundExact(R"(
+  ExpectGroundExact(R"(
     .decl seed(time, data)
     .decl p(time, data)
     .decl q(time, data)

@@ -209,6 +209,9 @@ TEST(EvaluatorTest, ProfileTimingsAreFilled) {
   for (const RoundStats& round : result->rounds) {
     round_apply_us += round.apply_us;
     EXPECT_GE(round.duration_us, 0);
+    // The phases are disjoint wall-time slices of the round.
+    EXPECT_LE(round.apply_us + round.insert_us, round.duration_us)
+        << "round " << round.round;
   }
   EXPECT_EQ(rule_apply_us, round_apply_us);
   EXPECT_LE(round_apply_us, result->profile.total_us);

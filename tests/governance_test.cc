@@ -151,9 +151,10 @@ TEST(GovernanceTest, TupleBudgetDegradesGracefully) {
   EXPECT_GT(result->partial.bytes_charged, 0);
 }
 
-// Cancellation at every poll site: cancel after N polls for increasing N
-// until a run completes. Every cancelled run must unwind as a clean
-// kCancelled trip whose partial model is a subset of the full fixpoint.
+// Cancellation at every poll site: cancel before the run, then after N
+// polls for increasing N until a run completes. Every cancelled run must
+// unwind as a clean kCancelled trip whose partial model is a subset of the
+// full fixpoint.
 TEST(GovernanceTest, CancellationAtEveryPollSiteYieldsSoundPartial) {
   Parsed p(SweepProgram(24, 7));
   EvaluationOptions base;
@@ -163,13 +164,18 @@ TEST(GovernanceTest, CancellationAtEveryPollSiteYieldsSoundPartial) {
 
   bool completed = false;
   int cancelled_runs = 0;
-  // Dense sweep over the first poll sites, then exponential: the early
-  // sites cover round setup, the tail covers deep in the fixpoint loop.
-  for (int64_t n = 0; !completed; n = n < 32 ? n + 1 : n * 2) {
+  // n = -1 cancels before the run. Then a dense sweep over the first poll
+  // sites, then exponential: the early sites cover round setup, the tail
+  // covers deep in the fixpoint loop.
+  for (int64_t n = -1; !completed; n = n < 32 ? n + 1 : n * 2) {
     ASSERT_LT(n, int64_t{1} << 40) << "evaluation never completed";
     ExecContext exec;
     exec.set_poll_stride(1);
-    exec.set_cancel_after_polls(n);
+    if (n < 0) {
+      exec.Cancel();
+    } else {
+      exec.set_cancel_after_polls(n);
+    }
     EvaluationOptions options;
     options.exec = &exec;
     auto result = Evaluate(p.unit->program, p.db, options);

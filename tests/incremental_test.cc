@@ -1,8 +1,7 @@
 // Differential gauntlet for incremental maintenance (DESIGN.md §13):
 // randomized programs driven through random add/retract schedules must
 // stay semantically identical to a from-scratch refixpoint of the updated
-// database after every batch, and the incremental runs themselves must be
-// bit-identical across {1, 2, 8} threads.
+// database after every batch.
 //
 // The oracle for each step is deliberately built from the *surviving live
 // EDB entries* (not from a replayed fact list): retraction's unit is the
@@ -34,8 +33,7 @@ namespace {
 constexpr int64_t kWindowLo = 0;
 constexpr int64_t kWindowHi = 200;
 
-// One incremental run: a parsed program + database + evaluator at one
-// thread count.
+// One incremental run: a parsed program + database + evaluator.
 struct Instance {
   std::unique_ptr<Database> db;
   std::unique_ptr<ParsedUnit> unit;
@@ -44,7 +42,7 @@ struct Instance {
 
 // `fill`, when given, adds EDB facts after parsing and before the initial
 // fixpoint.
-Instance MakeRun(const std::string& text, int num_threads = 1,
+Instance MakeRun(const std::string& text,
                  const std::function<void(Database*)>& fill = nullptr) {
   Instance run;
   run.db = std::make_unique<Database>();
@@ -52,10 +50,8 @@ Instance MakeRun(const std::string& text, int num_threads = 1,
   EXPECT_TRUE(unit.ok()) << unit.status() << "\n" << text;
   run.unit = std::make_unique<ParsedUnit>(std::move(*unit));
   if (fill) fill(run.db.get());
-  EvaluationOptions options;
-  options.num_threads = num_threads;
   run.inc = std::make_unique<IncrementalEvaluator>(run.unit->program,
-                                                   run.db.get(), options);
+                                                   run.db.get());
   EXPECT_TRUE(run.inc->Initialize().ok()) << text;
   return run;
 }
@@ -247,38 +243,27 @@ std::vector<FactUpdate> BuildBatch(const Step& step, Database* db) {
   return batch;
 }
 
-// Drives one program through one schedule at every thread count, checking
-// after every step that (a) each run's ground fingerprint equals the
-// from-scratch oracle and (b) all runs' stored dumps are bit-identical.
-// Steps marked `compact` run CompactRetracted in every run, so the dumps
-// still compare.
+// Drives one program through one schedule, checking after every step that
+// the run's ground fingerprint equals the from-scratch oracle. Steps marked
+// `compact` run CompactRetracted first.
 void RunGauntlet(const std::string& text, const std::vector<Step>& schedule) {
   SCOPED_TRACE(text);
-  std::vector<Instance> runs;
-  for (int threads : {1, 2, 8}) runs.push_back(MakeRun(text, threads));
+  Instance run = MakeRun(text);
   for (size_t si = 0; si < schedule.size(); ++si) {
     const Step& step = schedule[si];
     SCOPED_TRACE("step " + std::to_string(si) +
                  (step.add ? " (add)" : " (retract)"));
-    for (Instance& run : runs) {
-      std::vector<FactUpdate> batch = BuildBatch(step, run.db.get());
-      Status status = step.add ? run.inc->AddFacts(batch)
-                               : run.inc->RetractFacts(batch);
-      ASSERT_TRUE(status.ok()) << status;
-      ASSERT_TRUE(run.inc->at_fixpoint());
-      if (step.compact) {
-        run.inc->CompactRetracted();
-        ExpectCompacted(run);
-      }
+    std::vector<FactUpdate> batch = BuildBatch(step, run.db.get());
+    Status status = step.add ? run.inc->AddFacts(batch)
+                             : run.inc->RetractFacts(batch);
+    ASSERT_TRUE(status.ok()) << status;
+    ASSERT_TRUE(run.inc->at_fixpoint());
+    if (step.compact) {
+      run.inc->CompactRetracted();
+      ExpectCompacted(run);
     }
-    const std::string oracle =
-        OracleFingerprint(runs[0].unit->program, *runs[0].db);
-    const std::string reference_dump = runs[0].inc->DumpStored();
-    for (size_t r = 0; r < runs.size(); ++r) {
-      EXPECT_EQ(runs[r].inc->Fingerprint(kWindowLo, kWindowHi), oracle)
-          << "run " << r;
-      EXPECT_EQ(runs[r].inc->DumpStored(), reference_dump) << "run " << r;
-    }
+    EXPECT_EQ(run.inc->Fingerprint(kWindowLo, kWindowHi),
+              OracleFingerprint(run.unit->program, *run.db));
   }
 }
 
@@ -286,8 +271,8 @@ class IncrementalRandomTest : public ::testing::TestWithParam<int> {};
 
 // 18 seeds x 6 programs = 108 random programs, each with a 6-step random
 // add/retract schedule (compacting after about a third of the steps), each
-// step checked at 3 thread counts against the from-scratch oracle. (The
-// test name predates the removal of the tuple-at-a-time kernel.) Two of
+// step checked against the from-scratch oracle. (The test name predates the
+// removal of the tuple-at-a-time kernel and of the thread-count grid.) Two of
 // the six programs allow negation, so the fallback path is exercised
 // throughout.
 TEST_P(IncrementalRandomTest, MatchesRefixpointAcrossKernelsAndThreads) {
@@ -691,8 +676,8 @@ GeneralizedTuple CopyJoinFact(int i, bool live, Database* db) {
 
 // The base EDB, plus the live batch when `with_batch`, evaluated from
 // scratch.
-Instance MakeCopyJoinRun(bool with_batch, int num_threads) {
-  return MakeRun(kCopyJoin, num_threads, [with_batch](Database* db) {
+Instance MakeCopyJoinRun(bool with_batch) {
+  return MakeRun(kCopyJoin, [with_batch](Database* db) {
     // The program carries no .fact, so the parser never declared the EDB.
     EXPECT_TRUE(db->Declare("ev", RelationSchema{1, 1}).ok());
     for (int i = 0; i < kCopyJoinFacts; ++i) {
@@ -716,24 +701,21 @@ int64_t SumCandidates(const EvaluationResult& result) {
 // bench_i1 times the same comparison at 1e5 facts; candidate counts are
 // exact where wall times are not, so this bar cannot flake.
 TEST(IncrementalTest, AddBatchWorkIsProportionalToTheDelta) {
-  for (int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    Instance run = MakeCopyJoinRun(/*with_batch=*/false, threads);
-    std::vector<FactUpdate> batch;
-    for (int i = 0; i < kCopyJoinBatch; ++i) {
-      batch.push_back(FactUpdate{"ev", CopyJoinFact(i, true, run.db.get())});
-    }
-    ASSERT_TRUE(run.inc->AddFacts(batch).ok());
-    ASSERT_TRUE(run.inc->at_fixpoint());
-    const int64_t maintained = SumCandidates(run.inc->Result());
-    EXPECT_GT(maintained, 0);
-    EXPECT_LE(maintained, 2 * kCopyJoinBatch);
-
-    Instance full = MakeCopyJoinRun(/*with_batch=*/true, threads);
-    EXPECT_GE(SumCandidates(full.inc->Result()), 10 * maintained);
-    // [0, 48] holds live facts 0..48 (live fact i starts at t = i).
-    EXPECT_EQ(run.inc->Fingerprint(0, 48), full.inc->Fingerprint(0, 48));
+  Instance run = MakeCopyJoinRun(/*with_batch=*/false);
+  std::vector<FactUpdate> batch;
+  for (int i = 0; i < kCopyJoinBatch; ++i) {
+    batch.push_back(FactUpdate{"ev", CopyJoinFact(i, true, run.db.get())});
   }
+  ASSERT_TRUE(run.inc->AddFacts(batch).ok());
+  ASSERT_TRUE(run.inc->at_fixpoint());
+  const int64_t maintained = SumCandidates(run.inc->Result());
+  EXPECT_GT(maintained, 0);
+  EXPECT_LE(maintained, 2 * kCopyJoinBatch);
+
+  Instance full = MakeCopyJoinRun(/*with_batch=*/true);
+  EXPECT_GE(SumCandidates(full.inc->Result()), 10 * maintained);
+  // [0, 48] holds live facts 0..48 (live fact i starts at t = i).
+  EXPECT_EQ(run.inc->Fingerprint(0, 48), full.inc->Fingerprint(0, 48));
 }
 
 }  // namespace

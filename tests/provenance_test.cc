@@ -8,9 +8,8 @@
 // and at least one replayed candidate must be subsumed by the derived
 // entry it was recorded for. That holds the log to its soundness contract
 // (each origin derives a subset of its entry's ground set, exact on
-// non-absorbed inserts). On top of that: runs at {1,2,8} threads must
-// record the identical log, every IDB entry must carry at least one
-// origin, and the fixed cases pin absorber attribution, cycle-safe graph
+// non-absorbed inserts). On top of that: every IDB entry must carry at
+// least one origin, and the fixed cases pin absorber attribution, cycle-safe graph
 // queries, the render/DOT output, the ExecContext byte-budget charge, and
 // one origin per distinct derivation with retained-byte accounting.
 #include <cstdint>
@@ -18,7 +17,6 @@
 #include <memory>
 #include <optional>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,8 +48,7 @@ struct ProvRun {
   const Program& program() const { return unit->program; }
 };
 
-std::unique_ptr<ProvRun> RunWithProvenance(const std::string& text,
-                                           int num_threads) {
+std::unique_ptr<ProvRun> RunWithProvenance(const std::string& text) {
   auto run = std::make_unique<ProvRun>();
   auto unit = Parse(text, &run->db);
   EXPECT_TRUE(unit.ok()) << unit.status() << "\n" << text;
@@ -62,39 +59,12 @@ std::unique_ptr<ProvRun> RunWithProvenance(const std::string& text,
   if (!normalized.ok()) return nullptr;
   run->normalized = std::move(*normalized);
   EvaluationOptions options;
-  options.num_threads = num_threads;
   options.provenance = &run->log;
   auto result = Evaluate(run->program(), run->db, options);
   EXPECT_TRUE(result.ok()) << result.status() << "\n" << text;
   if (!result.ok()) return nullptr;
   run->result = std::move(*result);
   return run;
-}
-
-// Canonical dump of the whole log against the model: per IDB relation, per
-// entry, every origin in recorded order. Compared verbatim across engine
-// configurations — order included, since the determinism contract says the
-// candidate stream (and therefore the record stream) is bit-identical.
-std::string DumpLog(const ProvRun& run) {
-  std::ostringstream out;
-  for (const auto& [name, relation] : run.result.idb) {
-    out << name << " (" << relation.size() << " entries)\n";
-    auto rid = run.log.FindRelation(name);
-    if (!rid.has_value()) continue;
-    for (size_t e = 0; e < relation.size(); ++e) {
-      const auto& origins =
-          run.log.Origins({*rid, static_cast<EntryId>(e)});
-      for (const DerivationOrigin& o : origins) {
-        out << "  #" << e << " <- rule " << o.rule << " @ round " << o.round
-            << ":";
-        for (const ProvRef& p : o.parents) {
-          out << " " << run.log.RelationName(p.relation) << "#" << p.entry;
-        }
-        out << "\n";
-      }
-    }
-  }
-  return out.str();
 }
 
 // Resolves a recorded parent address to its tuple: IDB first (rule heads),
@@ -212,23 +182,6 @@ void ExpectCompleteAndReplayable(const ProvRun& run) {
   }
 }
 
-// Runs at every thread count must record the identical derivation log
-// (same model, same entry numbering, same origin stream) as a 1-thread
-// reference run; the reference log must be complete and replayable.
-void ExpectEquivalentLogsAndReplay(const std::string& text) {
-  SCOPED_TRACE(text);
-  auto reference = RunWithProvenance(text, /*num_threads=*/1);
-  ASSERT_NE(reference, nullptr);
-  const std::string reference_dump = DumpLog(*reference);
-  EXPECT_GT(reference->log.records(), 0);
-  for (int threads : {1, 2, 8}) {
-    auto other = RunWithProvenance(text, threads);
-    ASSERT_NE(other, nullptr);
-    EXPECT_EQ(DumpLog(*other), reference_dump) << "threads=" << threads;
-  }
-  ExpectCompleteAndReplayable(*reference);
-}
-
 // Same program shapes as batch_kernel_test.cc: periodic EDB, recursion,
 // shared-variable joins, constant pins, intra-atom equalities, stratified
 // negation.
@@ -277,12 +230,17 @@ std::string Generate(std::mt19937& rng) {
 
 class ProvenanceRandomTest : public ::testing::TestWithParam<int> {};
 
-// 10 seeds x 4 programs, each: log equality across {1,2,8} threads,
-// completeness, and a full origin replay.
+// 10 seeds x 4 programs, each: completeness and a full origin replay. (The
+// test name predates the removal of the thread-count grid.)
 TEST_P(ProvenanceRandomTest, LogsMatchAcrossEnginesAndOriginsReplay) {
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 7351 + 29);
   for (int iter = 0; iter < 4; ++iter) {
-    ExpectEquivalentLogsAndReplay(Generate(rng));
+    const std::string text = Generate(rng);
+    SCOPED_TRACE(text);
+    auto run = RunWithProvenance(text);
+    ASSERT_NE(run, nullptr);
+    EXPECT_GT(run->log.records(), 0);
+    ExpectCompleteAndReplayable(*run);
   }
 }
 
@@ -302,8 +260,7 @@ TEST(ProvenanceTest, AbsorbedCandidateAttachesOriginToAbsorber) {
     .fact f(24n, "a").
     p(t, N) :- e(t, N).
     p(t, N) :- f(t, N).
-  )",
-                               1);
+  )");
   ASSERT_NE(run, nullptr);
   ASSERT_EQ(run->result.idb.at("p").size(), 1u);
   auto rid = run->log.FindRelation("p");
@@ -331,8 +288,7 @@ TEST(ProvenanceTest, RecursiveSelfLoopIsCycleSafe) {
     .fact e(24n, "a").
     p(t, N) :- e(t, N).
     p(t + 24, N) :- p(t, N).
-  )",
-                               1);
+  )");
   ASSERT_NE(run, nullptr);
   auto rid = run->log.FindRelation("p");
   ASSERT_TRUE(rid.has_value());
@@ -646,8 +602,7 @@ TEST(ProvenanceTest, NegatedAtomsAreOmittedFromParents) {
     .fact e(24n+1, "b").
     q(t, N) :- e(t, N), e(t, "a").
     r(t, N) :- e(t, N), !q(t, N).
-  )",
-                               1);
+  )");
   ASSERT_NE(run, nullptr);
   auto rid = run->log.FindRelation("r");
   ASSERT_TRUE(rid.has_value());

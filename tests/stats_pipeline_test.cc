@@ -2,8 +2,8 @@
 // folded into RoundStats::store, and published to the metrics registry once
 // per finished round. So over one Evaluate, every store.* registry delta
 // equals the matching StoreTotals() field and every eval.* round counter
-// equals the sum over result.rounds — at any thread count, and whether or
-// not result compaction inserts merged tuples after the fixpoint.
+// equals the sum over result.rounds, whether or not result compaction
+// inserts merged tuples after the fixpoint.
 #include <cstdint>
 #include <map>
 #include <string>
@@ -65,17 +65,15 @@ std::map<std::string, int64_t> ReadCounters() {
   return values;
 }
 
-// Evaluates `source` once at `threads` and checks every registry delta
-// against the result's own per-round counts.
-EvaluationResult ExpectRegistryMatchesRounds(const char* source, int threads) {
+// Evaluates `source` once and checks every registry delta against the
+// result's own per-round counts.
+EvaluationResult ExpectRegistryMatchesRounds(const char* source) {
   Database db;
   auto unit = Parse(source, &db);
   EXPECT_TRUE(unit.ok()) << unit.status();
   if (!unit.ok()) return EvaluationResult();
-  EvaluationOptions options;
-  options.num_threads = threads;
   const std::map<std::string, int64_t> before = ReadCounters();
-  auto result = Evaluate(unit->program, db, options);
+  auto result = Evaluate(unit->program, db);
   const std::map<std::string, int64_t> after = ReadCounters();
   EXPECT_TRUE(result.ok()) << result.status();
   if (!result.ok()) return EvaluationResult();
@@ -97,7 +95,7 @@ EvaluationResult ExpectRegistryMatchesRounds(const char* source, int threads) {
       {"store.tuples_pruned", totals.tuples_pruned},
   };
   for (const auto& [name, value] : expected_store) {
-    EXPECT_EQ(delta(name), value) << name << " at " << threads << " threads";
+    EXPECT_EQ(delta(name), value) << name;
   }
   // The round counters are not vacuous: the run did insert and probe.
   EXPECT_GT(totals.inserts, 0);
@@ -117,7 +115,7 @@ EvaluationResult ExpectRegistryMatchesRounds(const char* source, int threads) {
   return std::move(*result);
 }
 
-class StatsPipelineTest : public ::testing::TestWithParam<int> {
+class StatsPipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
 #if defined(LRPDB_NO_METRICS)
@@ -126,21 +124,16 @@ class StatsPipelineTest : public ::testing::TestWithParam<int> {
   }
 };
 
-TEST_P(StatsPipelineTest, Example41RegistryMatchesRoundStats) {
-  EvaluationResult result = ExpectRegistryMatchesRounds(kExample41, GetParam());
+TEST_F(StatsPipelineTest, Example41RegistryMatchesRoundStats) {
+  EvaluationResult result = ExpectRegistryMatchesRounds(kExample41);
   EXPECT_EQ(result.iterations, 8);
 }
 
-TEST_P(StatsPipelineTest, CompactionInsertsStayOutOfTheRegistry) {
-  EvaluationResult result = ExpectRegistryMatchesRounds(kConsult, GetParam());
+TEST_F(StatsPipelineTest, CompactionInsertsStayOutOfTheRegistry) {
+  EvaluationResult result = ExpectRegistryMatchesRounds(kConsult);
   // Compaction did merge: each pair's chain tuples became one 24n tuple.
   EXPECT_EQ(result.Relation("consult").size(), 2u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Threads, StatsPipelineTest, ::testing::Values(1, 8),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return std::to_string(info.param) + "Threads";
-                         });
 
 }  // namespace
 }  // namespace lrpdb

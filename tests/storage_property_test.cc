@@ -2,8 +2,8 @@
 // (DESIGN.md §12): random programs are parsed and evaluated, the database
 // is pushed through the on-disk formats, and the recovered database must
 // re-query to the bit-identical model — the same relations in the same
-// stored order and the same timing-free EXPLAIN — at 1 and 8 threads. Two
-// persistence paths are exercised:
+// stored order and the same timing-free EXPLAIN. Two persistence paths are
+// exercised:
 //
 //  * snapshot: one checksummed image, reloaded exactly (interner ids,
 //    entry order, generation ranges all preserved);
@@ -58,11 +58,8 @@ struct Fingerprint {
   std::string relations;
 };
 
-Fingerprint FingerprintOver(const Program& program, const Database& db,
-                            int num_threads) {
-  EvaluationOptions options;
-  options.num_threads = num_threads;
-  auto result = Evaluate(program, db, options);
+Fingerprint FingerprintOver(const Program& program, const Database& db) {
+  auto result = Evaluate(program, db);
   EXPECT_TRUE(result.ok()) << result.status();
   Fingerprint fp;
   if (!result.ok()) return fp;
@@ -152,7 +149,7 @@ class StorageRoundTripTest : public ::testing::TestWithParam<int> {};
 
 // 25 seeds x 3 programs = 75 snapshot round trips. Each loaded database
 // must be an exact image: same text dump, same interner ids, and the same
-// model when re-queried at every thread count.
+// model when re-queried.
 TEST_P(StorageRoundTripTest, SnapshotRoundTripRequeriesIdentically) {
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 7919 + 3);
   for (int iter = 0; iter < 3; ++iter) {
@@ -171,12 +168,10 @@ TEST_P(StorageRoundTripTest, SnapshotRoundTripRequeriesIdentically) {
     ASSERT_TRUE(covered.ok()) << covered.status();
     ASSERT_EQ(loaded.ToString(), db.ToString());
 
-    Fingerprint want = FingerprintOver(unit->program, db, /*num_threads=*/1);
-    for (int threads : {1, 8}) {
-      Fingerprint got = FingerprintOver(unit->program, loaded, threads);
-      EXPECT_EQ(got.explain, want.explain) << "threads=" << threads;
-      EXPECT_EQ(got.relations, want.relations) << "threads=" << threads;
-    }
+    Fingerprint want = FingerprintOver(unit->program, db);
+    Fingerprint got = FingerprintOver(unit->program, loaded);
+    EXPECT_EQ(got.explain, want.explain);
+    EXPECT_EQ(got.relations, want.relations);
     RemoveTree(dir);
   }
 }
@@ -227,12 +222,10 @@ TEST_P(StorageRoundTripTest, WalIngestionRequeriesIdentically) {
 
     // Rules are variable-only here, so the AST is interner-independent and
     // can re-query the recovered database directly.
-    Fingerprint want = FingerprintOver(unit->program, db, /*num_threads=*/1);
-    for (int threads : {1, 8}) {
-      Fingerprint got = FingerprintOver(unit->program, recovered, threads);
-      EXPECT_EQ(got.explain, want.explain) << "threads=" << threads;
-      EXPECT_EQ(got.relations, want.relations) << "threads=" << threads;
-    }
+    Fingerprint want = FingerprintOver(unit->program, db);
+    Fingerprint got = FingerprintOver(unit->program, recovered);
+    EXPECT_EQ(got.explain, want.explain);
+    EXPECT_EQ(got.relations, want.relations);
     RemoveTree(dir);
   }
 }

@@ -416,68 +416,6 @@ TEST(TupleStoreEvaluatorTest, JoinProbesPruneByBoundDataColumns) {
   }
 }
 
-// Contention coverage for the store's documented const surface: with the
-// store fully built, PostingFor plus CountProbe (into a thread-private
-// StoreStats) as the join kernel issues them, and pieces() (whose lazy
-// normalized-piece cache goes through pieces_mu_) must all be callable from
-// many threads at once.
-// Runs under TSan via ci/check.sh --tsan. Failures are accumulated into
-// atomics and asserted after the join, keeping gtest single-threaded.
-TEST(TupleStoreTest, ConcurrentConstReadsShareCachesSafely) {
-  TupleStore store({1, 1});
-  for (int64_t offset = 0; offset < 8; ++offset) {
-    for (int64_t band = 0; band < 8; ++band) {
-      ASSERT_TRUE(store
-                      .Insert(Banded(9, offset, 50 * band, 50 * band + 10,
-                                     static_cast<DataValue>(band % 3)))
-                      ->inserted);
-    }
-  }
-  const size_t num_entries = store.size();
-  ASSERT_EQ(num_entries, 64u);
-
-  constexpr int kThreads = 8;
-  constexpr int kIterations = 200;
-  std::atomic<int> started{0};
-  std::atomic<int> failures{0};
-  std::atomic<int64_t> matched{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      started.fetch_add(1);
-      while (started.load() < kThreads) {
-      }
-      for (int i = 0; i < kIterations; ++i) {
-        const std::vector<EntryId>* posting =
-            store.PostingFor(0, static_cast<DataValue>(t % 3));
-        if (posting == nullptr) {
-          failures.fetch_add(1);
-          continue;
-        }
-        const int64_t local = static_cast<int64_t>(posting->size());
-        StoreStats probe_stats;
-        probe_stats.CountProbe(local,
-                               static_cast<int64_t>(num_entries) - local);
-        if (probe_stats.tuples_scanned + probe_stats.tuples_pruned !=
-            static_cast<int64_t>(num_entries)) {
-          failures.fetch_add(1);
-        }
-        matched.fetch_add(local);
-        auto pieces =
-            store.pieces(static_cast<EntryId>((t * 37 + i) % num_entries));
-        if (!pieces.ok() || (*pieces)->empty()) failures.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(failures.load(), 0);
-  // Every thread's probe matched the posting bucket of its data value:
-  // values 0, 1, 2 appear in 24, 24, and 16 entries respectively, and
-  // threads are spread as t % 3 = {0, 0, 0, 1, 1, 1, 2, 2}.
-  EXPECT_EQ(matched.load(), kIterations * (3 * 24 + 3 * 24 + 2 * 16));
-}
-
 TEST(TupleStoreTest, ApproxBytesGrowsWithEveryInsertAndSurvivesMoves) {
   TupleStore store({1, 1});
   EXPECT_EQ(store.approx_bytes(), 0);
