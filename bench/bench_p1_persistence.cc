@@ -92,10 +92,10 @@ std::vector<FactBatch> MakeBatches(const Database& db) {
   FactBatch batch;
   batch.decls.push_back(lrpdb::PredicateDecl{"ev", RelationSchema{1, 1}});
   for (lrpdb::EntryId id : (*relation)->store().live_ids()) {
-    const GeneralizedTuple& tuple = (*relation)->tuple(id);
+    const lrpdb::TupleView tuple = (*relation)->tuple(id);
     BatchFact fact;
     fact.relation = "ev";
-    fact.lrps = tuple.lrps();
+    fact.lrps = tuple.lrps().ToVector();
     fact.data = {db.interner().NameOf(tuple.data()[0])};
     fact.constraint = tuple.constraint();
     batch.facts.push_back(std::move(fact));

@@ -10,6 +10,12 @@ Schema version 2 (bench/bench_json.h): a single JSON object with
 where "counters" is non-empty (every report writer bumps
 bench.reports_written), so reports from an LRPDB_NO_METRICS build fail.
 
+A report with a bench-specific bound (BENCH_BOUNDS below) must carry each
+bounded field within it: the m1 tuple-bytes report holds the store's
+approx_bytes() within 25% of the C heap's count and the synthetic m = 1,
+k = 2 store to at most 250 B per stored tuple. A report that says it could
+not read the heap ("heap_measured": false, a sanitizer build) skips them.
+
 Every metric name must fall under a known engine namespace (KNOWN_PREFIXES
 below, including the provenance counters eval.prov.*): a typo'd or stale
 name in an instrumentation site would otherwise ship silently in CI
@@ -31,6 +37,16 @@ KNOWN_PREFIXES = (
     "store.",      # includes store.snapshot.*, store.wal.*, store.compact.*
     "templog.",
 )
+
+# bench id -> {field: (lowest, highest)}, checked when the report measured
+# the heap.
+BENCH_BOUNDS = {
+    "m1": {
+        "store_approx_to_heap": (0.75, 1.25),
+        "eval_approx_to_heap": (0.75, 1.25),
+        "store_heap_bytes_per_tuple": (0.0, 250.0),
+    },
+}
 
 
 def fail(path, message):
@@ -84,6 +100,14 @@ def validate(path):
         if bucket_total != data["count"]:
             fail(path, f'histogram "{name}" bucket counts sum to '
                        f'{bucket_total}, expected count={data["count"]}')
+    bounds = BENCH_BOUNDS.get(bench, {})
+    if bounds and report.get("heap_measured", True):
+        for field, (lo, hi) in bounds.items():
+            value = report.get(field)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                fail(path, f'"{field}" missing or not a number')
+            if not lo <= value <= hi:
+                fail(path, f'"{field}" is {value}, outside [{lo}, {hi}]')
     print(f"ok: {path} (bench={bench}, schema_version={version}, "
           f"{len(counters)} counters)")
 

@@ -457,14 +457,15 @@ lrpdb::StatusOr<std::vector<lrpdb::FactUpdate>> ParseFactUpdates(
     if (!rel.ok()) continue;
     const lrpdb::TupleStore& store = (*rel)->store();
     for (lrpdb::EntryId id : store.live_ids()) {
-      const lrpdb::GeneralizedTuple& t = store.tuple(id);
+      const lrpdb::TupleView t = store.tuple(id);
       std::vector<lrpdb::DataValue> data;
       data.reserve(t.data().size());
       for (lrpdb::DataValue d : t.data()) {
         data.push_back(db->Constant(scratch.interner().NameOf(d)));
       }
-      updates.push_back({name, lrpdb::GeneralizedTuple(
-                                   t.lrps(), std::move(data), t.constraint())});
+      updates.push_back({name, lrpdb::GeneralizedTuple(t.lrps().ToVector(),
+                                                       std::move(data),
+                                                       t.constraint())});
     }
   }
   if (updates.empty()) {

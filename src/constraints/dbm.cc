@@ -17,6 +17,12 @@ Dbm::Dbm(int num_vars) : num_vars_(num_vars) {
   for (int i = 0; i <= num_vars; ++i) At(i, i) = Bound::Finite(0);
 }
 
+Dbm::Dbm(DbmView view)
+    : num_vars_(view.num_vars()),
+      bounds_(view.bounds(),
+              view.bounds() + (view.num_vars() + 1) * (view.num_vars() + 1)),
+      closed_(false) {}
+
 void Dbm::AddDifferenceUpperBound(int i, int j, int64_t c) {
   LRPDB_CHECK_NE(i, j);
   Bound b = Bound::Finite(c);
@@ -31,12 +37,12 @@ void Dbm::AddDifferenceEquality(int i, int j, int64_t c) {
   AddDifferenceUpperBound(j, i, -c);
 }
 
-void Dbm::And(const Dbm& other) {
-  LRPDB_CHECK_EQ(num_vars_, other.num_vars_);
+void Dbm::And(DbmView other) {
+  LRPDB_CHECK_EQ(num_vars_, other.num_vars());
   for (int i = 0; i <= num_vars_; ++i) {
     for (int j = 0; j <= num_vars_; ++j) {
-      if (other.At(i, j) < At(i, j)) {
-        At(i, j) = other.At(i, j);
+      if (other.bound(i, j) < At(i, j)) {
+        At(i, j) = other.bound(i, j);
         closed_ = false;
       }
     }
@@ -177,12 +183,12 @@ bool Dbm::ImpliedByUnion(const std::vector<Dbm>& disjuncts) const {
   return remainder.empty();
 }
 
-bool Dbm::ContainsPoint(const std::vector<int64_t>& values) const {
+bool DbmView::ContainsPoint(const std::vector<int64_t>& values) const {
   LRPDB_CHECK_EQ(static_cast<int>(values.size()), num_vars_);
   auto value_of = [&](int i) { return i == 0 ? 0 : values[i - 1]; };
   for (int i = 0; i <= num_vars_; ++i) {
     for (int j = 0; j <= num_vars_; ++j) {
-      Bound b = At(i, j);
+      Bound b = bound(i, j);
       if (b.is_infinite()) continue;
       if (value_of(i) - value_of(j) > b.value()) return false;
     }
@@ -190,7 +196,7 @@ bool Dbm::ContainsPoint(const std::vector<int64_t>& values) const {
   return true;
 }
 
-std::string Dbm::ToString(const std::vector<std::string>* names) const {
+std::string DbmView::ToString(const std::vector<std::string>* names) const {
   auto name_of = [&](int i) -> std::string {
     if (i == 0) return "0";
     if (names != nullptr && i - 1 < static_cast<int>(names->size())) {
@@ -202,10 +208,10 @@ std::string Dbm::ToString(const std::vector<std::string>* names) const {
   for (int i = 0; i <= num_vars_; ++i) {
     for (int j = 0; j <= num_vars_; ++j) {
       if (i == j) continue;
-      Bound b = At(i, j);
+      Bound b = bound(i, j);
       if (b.is_infinite()) continue;
       // Print equalities once, as "xi = xj + c".
-      Bound rev = At(j, i);
+      Bound rev = bound(j, i);
       if (!rev.is_infinite() && rev.value() == -b.value()) {
         if (i < j) {
           if (!s.empty()) s += " & ";

@@ -62,6 +62,29 @@ class Bound {
   int64_t value_;
 };
 
+// A borrowed, read-only (num_vars+1)^2 row-major bound matrix: a Dbm's
+// bounds, or a row of a TupleStore arena (src/gdb/tuple_store.h). Reads the
+// bounds exactly as stored; nothing here closes them.
+class DbmView {
+ public:
+  DbmView(int num_vars, const Bound* bounds)
+      : num_vars_(num_vars), bounds_(bounds) {}
+
+  int num_vars() const { return num_vars_; }
+  Bound bound(int i, int j) const { return bounds_[i * (num_vars_ + 1) + j]; }
+  // The (num_vars+1)^2 bounds, row-major.
+  const Bound* bounds() const { return bounds_; }
+
+  // True iff the integer point (v1..vm) satisfies all bounds.
+  bool ContainsPoint(const std::vector<int64_t>& values) const;
+  // See Dbm::ToString.
+  std::string ToString(const std::vector<std::string>* names = nullptr) const;
+
+ private:
+  int num_vars_;
+  const Bound* bounds_;
+};
+
 // A conjunction of integer difference bounds over variables x1..xm plus the
 // implicit zero variable x0 == 0. Entry (i, j) bounds xi - xj <= m(i, j).
 class Dbm {
@@ -69,8 +92,11 @@ class Dbm {
   // A DBM over `num_vars` real variables (indices 1..num_vars) with no
   // constraints.
   explicit Dbm(int num_vars);
+  // An owned copy of the viewed bounds (not assumed closed).
+  Dbm(DbmView view);  // NOLINT: implicit, so `Dbm d = tuple.constraint();`
 
   int num_vars() const { return num_vars_; }
+  DbmView view() const { return DbmView(num_vars_, bounds_.data()); }
 
   // Index 0 addresses the constant-zero variable.
   Bound bound(int i, int j) const { return At(i, j); }
@@ -87,7 +113,8 @@ class Dbm {
   void AddEquality(int i, int64_t c) { AddDifferenceEquality(i, 0, c); }
 
   // Conjoins all bounds of `other` (same num_vars) into this.
-  void And(const Dbm& other);
+  void And(DbmView other);
+  void And(const Dbm& other) { And(other.view()); }
 
   // Substitutes xi := xi + c everywhere (used when a stored column lrp is
   // shifted): bounds mentioning xi translate accordingly.
@@ -122,11 +149,15 @@ class Dbm {
   bool ImpliedByUnion(const std::vector<Dbm>& disjuncts) const;
 
   // True iff the integer point (v1..vm) satisfies all bounds.
-  bool ContainsPoint(const std::vector<int64_t>& values) const;
+  bool ContainsPoint(const std::vector<int64_t>& values) const {
+    return view().ContainsPoint(values);
+  }
 
   // Human-readable conjunction, e.g. "T1 >= 0 & T2 = T1 + 60". Variables are
   // printed as T1..Tm using the supplied names when provided.
-  std::string ToString(const std::vector<std::string>* names = nullptr) const;
+  std::string ToString(const std::vector<std::string>* names = nullptr) const {
+    return view().ToString(names);
+  }
 
   // Semantic equality: same solution set (alias for EquivalentTo).
   friend bool operator==(const Dbm& a, const Dbm& b) {

@@ -167,7 +167,7 @@ struct BatchBinding {
 // constant-pinned columns, the columns of variables bound by earlier atoms,
 // and the intra-atom repeats.
 bool MatchesData(const CompiledAtom& compiled, const BatchBinding& binding,
-                 const std::vector<DataValue>& data) {
+                 ColumnSpan<DataValue> data) {
   for (const TupleStore::DataRequirement& req : compiled.const_requirements) {
     if (data[req.column] != req.value) return false;
   }
@@ -186,7 +186,7 @@ bool MatchesData(const CompiledAtom& compiled, const BatchBinding& binding,
 // offset) and intersected with the variable's. Returns false when the
 // combination is infeasible.
 bool UnifyTemporal(const NormalizedBodyAtom& atom,
-                   const GeneralizedTuple& tuple, BatchBinding* binding) {
+                   const TupleView& tuple, BatchBinding* binding) {
   for (size_t k = 0; k < atom.temporal_args.size(); ++k) {
     auto [var, offset] = atom.temporal_args[k];
     Lrp var_lrp = tuple.lrp(static_cast<int>(k)).Shifted(-offset);
@@ -201,7 +201,7 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
   }
   // Tuple constraints: column_i - column_j <= c becomes
   // var_i - var_j <= c - offset_i + offset_j.
-  const Dbm& tc = tuple.constraint();
+  const DbmView tc = tuple.constraint();
   auto var_of = [&](int col) {  // DBM index in the binding's DBM.
     return col == 0 ? 0 : atom.temporal_args[col - 1].first + 1;
   };
@@ -315,7 +315,7 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
                                : static_cast<EntryId>(source.lo + i);
         // Postings hold live ids only; a range scan skips dead slots.
         if (!store.is_live(id)) continue;
-        const GeneralizedTuple& tuple = store.tuple(id);
+        const TupleView tuple = store.tuple(id);
         if (!MatchesData(compiled, binding, tuple.data())) continue;
         LRPDB_RETURN_IF_ERROR(PollExec(exec));
         BatchBinding extended = binding;

@@ -617,12 +617,10 @@ namespace {
         RuleProfile& rule_profile = result.profile.rules[clause_index];
         InsertOutcome outcome;
         {
+          // The store copies the row; the candidates are freed together
+          // at the end of the round.
           StatusOr<InsertOutcome> outcome_or =
-              options.record_trace
-                  ? relation.mutable_store().Insert(tuple, limits,
-                                                    &stats.store)
-                  : relation.mutable_store().Insert(std::move(tuple), limits,
-                                                    &stats.store);
+              relation.mutable_store().Insert(tuple, limits, &stats.store);
           if (!outcome_or.ok()) {
             if (!IsGovernanceTrip(exec, outcome_or.status())) {
               return outcome_or.status();
@@ -731,12 +729,12 @@ namespace {
       LRPDB_FAILPOINT("evaluator.compact");
       for (auto& [unused, relation] : result.idb) {
         TupleStore& store = relation.mutable_store();
-        std::vector<const GeneralizedTuple*> views;
+        std::vector<TupleView> views;
         std::vector<EntryId> ids;
         views.reserve(store.live_size());
         ids.reserve(store.live_size());
         for (EntryId id : store.live_ids()) {
-          views.push_back(&store.tuple(id));
+          views.push_back(store.tuple(id));
           ids.push_back(id);
         }
         LRPDB_ASSIGN_OR_RETURN(CoalescePlan plan, PlanCoalesce(views, limits));
@@ -745,8 +743,8 @@ namespace {
         views.clear();
         // Only the merged tuples are charged to the budget: the model they
         // replace was charged when the rounds inserted it.
-        for (GeneralizedTuple& t : plan.merged) {
-          LRPDB_RETURN_IF_ERROR(store.Insert(std::move(t), limits).status());
+        for (const GeneralizedTuple& t : plan.merged) {
+          LRPDB_RETURN_IF_ERROR(store.Insert(t, limits).status());
         }
         std::vector<EntryId> erase;
         erase.reserve(plan.consumed.size());
@@ -866,9 +864,9 @@ namespace {
   GeneralizedRelation answers(
       {static_cast<int>(clause.head_temporal_vars.size()),
        static_cast<int>(clause.head_data.size())});
-  for (GeneralizedTuple& t : candidates) {
+  for (const GeneralizedTuple& t : candidates) {
     LRPDB_RETURN_IF_ERROR(
-        answers.InsertIfNew(std::move(t), limits).status());
+        answers.InsertIfNew(t, limits).status());
   }
   return answers;
 }

@@ -51,11 +51,11 @@ class Oracle {
     if (!relation.ok()) return out;
     std::set<std::vector<DataValue>> seen;
     for (EntryId id : (*relation)->store().live_ids()) {
-      const GeneralizedTuple& tuple = (*relation)->tuple(id);
+      const TupleView tuple = (*relation)->tuple(id);
       if (tuple.lrp(0).Contains(time) &&
           tuple.constraint().ContainsPoint({time}) &&
-          seen.insert(tuple.data()).second) {
-        out.push_back(tuple.data());
+          seen.insert(tuple.data().ToVector()).second) {
+        out.push_back(tuple.data().ToVector());
       }
     }
     return out;
@@ -321,7 +321,7 @@ Datalog1SResult BuildCandidate(const WindowModel& window, int64_t offset,
     auto relation = db.Relation(name);
     if ((*relation)->schema().temporal_arity != 1) continue;
     for (EntryId id : (*relation)->store().live_ids()) {
-      const GeneralizedTuple& tuple = (*relation)->tuple(id);
+      const TupleView tuple = (*relation)->tuple(id);
       check_period = Lcm(check_period, tuple.lrp(0).period());
       // Absolute DBM bounds push the aperiodic region outward.
       Bound upper = tuple.constraint().bound(1, 0);

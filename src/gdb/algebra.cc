@@ -16,7 +16,7 @@ namespace {
 // Copies every bound of `src` (over m variables) into `dst`, mapping source
 // variable v (1-based) to var_map[v-1] (1-based in dst). The zero variable
 // maps to the zero variable.
-void EmbedDbm(const Dbm& src, const std::vector<int>& var_map, Dbm* dst) {
+void EmbedDbm(DbmView src, const std::vector<int>& var_map, Dbm* dst) {
   auto mapped = [&](int v) { return v == 0 ? 0 : var_map[v - 1]; };
   for (int i = 0; i <= src.num_vars(); ++i) {
     for (int j = 0; j <= src.num_vars(); ++j) {
@@ -29,8 +29,7 @@ void EmbedDbm(const Dbm& src, const std::vector<int>& var_map, Dbm* dst) {
 }
 
 // Pairwise tuple intersection (same schema); nullopt when visibly empty.
-std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
-                                                const GeneralizedTuple& b) {
+std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
   if (a.data() != b.data()) return std::nullopt;
   std::vector<Lrp> lrps;
   lrps.reserve(a.lrps().size());
@@ -42,7 +41,8 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
   Dbm constraint = a.constraint();
   constraint.And(b.constraint());
   if (!constraint.IsSatisfiable()) return std::nullopt;
-  return GeneralizedTuple(std::move(lrps), a.data(), std::move(constraint));
+  return GeneralizedTuple(std::move(lrps), a.data().ToVector(),
+                          std::move(constraint));
 }
 
 }  // namespace
@@ -62,7 +62,7 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
       std::optional<GeneralizedTuple> t = IntersectTuples(a.tuple(i),
                                                           b.tuple(j));
       if (!t.has_value()) continue;
-      LRPDB_RETURN_IF_ERROR(out.InsertIfNew(*std::move(t), limits).status());
+      LRPDB_RETURN_IF_ERROR(out.InsertIfNew(*t, limits).status());
     }
   }
   op.set_output(static_cast<int64_t>(out.size()));
@@ -105,22 +105,20 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
     std::vector<NormalizedTuple> subtrahend;
     for (EntryId j : b.store().live_ids()) {
       if (b.tuple(j).data() != a.tuple(i).data()) continue;
-      LRPDB_ASSIGN_OR_RETURN(const std::vector<NormalizedTuple>* b_pieces,
-                             b.pieces(j, limits));
-      subtrahend.insert(subtrahend.end(), b_pieces->begin(), b_pieces->end());
+      LRPDB_RETURN_IF_ERROR(b.AppendPieces(j, &subtrahend, limits));
     }
-    LRPDB_ASSIGN_OR_RETURN(const std::vector<NormalizedTuple>* a_pieces,
-                           a.pieces(i, limits));
+    std::vector<NormalizedTuple> a_pieces;
+    LRPDB_RETURN_IF_ERROR(a.AppendPieces(i, &a_pieces, limits));
     LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> remainder,
-                           SubtractPieces(*a_pieces, subtrahend, limits));
+                           SubtractPieces(a_pieces, subtrahend, limits));
     std::vector<GeneralizedTuple> tuples;
     tuples.reserve(remainder.size());
     for (const NormalizedTuple& piece : remainder) {
       tuples.push_back(piece.ToGeneralizedTuple());
     }
     LRPDB_ASSIGN_OR_RETURN(tuples, CoalesceTuples(std::move(tuples), limits));
-    for (GeneralizedTuple& t : tuples) {
-      LRPDB_RETURN_IF_ERROR(out.InsertIfNew(std::move(t), limits).status());
+    for (const GeneralizedTuple& t : tuples) {
+      LRPDB_RETURN_IF_ERROR(out.InsertIfNew(t, limits).status());
     }
   }
   op.set_output(static_cast<int64_t>(out.size()));
@@ -139,11 +137,11 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
   for (EntryId i : a.store().live_ids()) {
     for (EntryId j : b.store().live_ids()) {
       LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
-      const GeneralizedTuple& ta = a.tuple(i);
-      const GeneralizedTuple& tb = b.tuple(j);
-      std::vector<Lrp> lrps = ta.lrps();
+      const TupleView ta = a.tuple(i);
+      const TupleView tb = b.tuple(j);
+      std::vector<Lrp> lrps = ta.lrps().ToVector();
       lrps.insert(lrps.end(), tb.lrps().begin(), tb.lrps().end());
-      std::vector<DataValue> data = ta.data();
+      std::vector<DataValue> data = ta.data().ToVector();
       data.insert(data.end(), tb.data().begin(), tb.data().end());
       Dbm constraint(schema.temporal_arity);
       std::vector<int> a_map(ta.temporal_arity());
@@ -190,7 +188,7 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
   GeneralizedRelation out(product.schema());
   for (EntryId i : product.store().live_ids()) {
     LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
-    const GeneralizedTuple& t = product.tuple(i);
+    const TupleView t = product.tuple(i);
     bool data_ok = true;
     for (const auto& [da, db] : data_eqs) {
       if (t.data()[da] != t.data()[a.schema().data_arity + db]) {
@@ -199,7 +197,7 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
       }
     }
     if (!data_ok) continue;
-    GeneralizedTuple joined = t;
+    GeneralizedTuple joined = t.ToTuple();
     joined.mutable_constraint().And(condition);
     LRPDB_RETURN_IF_ERROR(
         out.InsertUnlessEmpty(std::move(joined)).status());
@@ -219,14 +217,15 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
   LRPDB_FAILPOINT("algebra.select");
   GeneralizedRelation out(r.schema());
   for (EntryId i : r.store().live_ids()) {
-    const GeneralizedTuple& t = r.tuple(i);
+    const TupleView t = r.tuple(i);
     Dbm conjoined = t.constraint();
     conjoined.And(constraint);
     if (!conjoined.IsSatisfiable()) continue;
     LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
     LRPDB_RETURN_IF_ERROR(
-        out.InsertUnlessEmpty(
-               GeneralizedTuple(t.lrps(), t.data(), std::move(conjoined)))
+        out.InsertUnlessEmpty(GeneralizedTuple(t.lrps().ToVector(),
+                                               t.data().ToVector(),
+                                               std::move(conjoined)))
             .status());
   }
   op.set_output(static_cast<int64_t>(out.size()));
@@ -253,7 +252,7 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
   }
   for (EntryId i : r.store().live_ids()) {
     LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
-    const GeneralizedTuple& tuple = r.tuple(i);
+    const TupleView tuple = r.tuple(i);
     std::vector<DataValue> data;
     data.reserve(data_positions.size());
     for (int c : data_positions) data.push_back(tuple.data()[c]);
@@ -306,9 +305,8 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
         lrps.push_back(tuple.lrp(c));
       }
       LRPDB_RETURN_IF_ERROR(
-          out.InsertUnlessEmpty(
-                 GeneralizedTuple(std::move(lrps), data,
-                                  tuple.constraint().Project(dbm_keep)))
+          out.InsertUnlessEmpty(GeneralizedTuple(std::move(lrps), data,
+                                                 closed.Project(dbm_keep)))
               .status());
       continue;
     }
@@ -326,8 +324,8 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
       dbm_keep.push_back(c + 1);
       lrps.push_back(tuple.lrp(c));
     }
-    GeneralizedTuple reduced(std::move(lrps), tuple.data(),
-                             tuple.constraint().Project(dbm_keep));
+    GeneralizedTuple reduced(std::move(lrps), tuple.data().ToVector(),
+                             closed.Project(dbm_keep));
     LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pieces,
                            NormalizedTuple::Normalize(reduced, limits));
     std::vector<int> final_keep(temporal_columns.size());
@@ -389,7 +387,7 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
   LRPDB_OPERATOR_SCOPE(op, "gdb.select_data_eq", r.size());
   GeneralizedRelation out(r.schema());
   for (EntryId id : r.store().live_ids()) {
-    const GeneralizedTuple& t = r.tuple(id);
+    const TupleView t = r.tuple(id);
     if (t.data()[i] != t.data()[j]) continue;
     LRPDB_RETURN_IF_ERROR(out.InsertUnlessEmpty(t).status());
   }
@@ -406,7 +404,8 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
   for (EntryId i : r.store().live_ids()) {
     LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
     LRPDB_RETURN_IF_ERROR(
-        out.InsertUnlessEmpty(r.tuple(i).WithColumnShifted(column, c))
+        out.InsertUnlessEmpty(
+               r.tuple(i).ToTuple().WithColumnShifted(column, c))
             .status());
   }
   op.set_output(static_cast<int64_t>(out.size()));
@@ -438,9 +437,7 @@ std::optional<GeneralizedTuple> IntersectTuples(const GeneralizedTuple& a,
     std::vector<NormalizedTuple> subtrahend;
     for (EntryId i : r.store().live_ids()) {
       if (r.tuple(i).data() != data) continue;
-      LRPDB_ASSIGN_OR_RETURN(const std::vector<NormalizedTuple>* pieces,
-                             r.pieces(i, limits));
-      subtrahend.insert(subtrahend.end(), pieces->begin(), pieces->end());
+      LRPDB_RETURN_IF_ERROR(r.AppendPieces(i, &subtrahend, limits));
     }
     LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> remainder,
                            SubtractPieces(universe_pieces, subtrahend, limits));
@@ -465,20 +462,20 @@ namespace {
 // j: every column's period, every offset outside column j, and the data.
 struct MaskedColumnKey {
   int j = 0;
-  size_t operator()(const GeneralizedTuple* t) const {
+  size_t operator()(const TupleView& t) const {
     size_t h = 0;
-    for (int c = 0; c < t->temporal_arity(); ++c) {
-      h = HashCombine(h, static_cast<size_t>(t->lrp(c).period()));
-      if (c != j) h = HashCombine(h, static_cast<size_t>(t->lrp(c).offset()));
+    for (int c = 0; c < t.temporal_arity(); ++c) {
+      h = HashCombine(h, static_cast<size_t>(t.lrp(c).period()));
+      if (c != j) h = HashCombine(h, static_cast<size_t>(t.lrp(c).offset()));
     }
-    for (DataValue d : t->data()) h = HashCombine(h, static_cast<size_t>(d));
+    for (DataValue d : t.data()) h = HashCombine(h, static_cast<size_t>(d));
     return h;
   }
-  bool operator()(const GeneralizedTuple* a, const GeneralizedTuple* b) const {
-    if (a->data() != b->data()) return false;
-    for (int c = 0; c < a->temporal_arity(); ++c) {
-      if (a->lrp(c).period() != b->lrp(c).period()) return false;
-      if (c != j && a->lrp(c).offset() != b->lrp(c).offset()) return false;
+  bool operator()(const TupleView& a, const TupleView& b) const {
+    if (a.data() != b.data()) return false;
+    for (int c = 0; c < a.temporal_arity(); ++c) {
+      if (a.lrp(c).period() != b.lrp(c).period()) return false;
+      if (c != j && a.lrp(c).offset() != b.lrp(c).offset()) return false;
     }
     return true;
   }
@@ -522,18 +519,16 @@ struct ClassMerge {
 // can fill one; the coarser periods are tried coarsest first, and the first
 // that merges any class wins. Appends one ClassMerge per merged class.
 [[nodiscard]] Status TryCoalesceColumn(
-    const std::vector<const GeneralizedTuple*>& group, int j,
+    const std::vector<TupleView>& group, int j,
     const NormalizeLimits& limits, std::vector<ClassMerge>* merges) {
-  const int64_t p = group.front()->lrp(j).period();
+  const int64_t p = group.front().lrp(j).period();
   const size_t n = group.size();
   // Require pairwise distinct offsets in column j; duplicates mean the
   // tuples differ only in constraints and cannot tile a coarser class.
   {
     std::vector<int64_t> offsets;
     offsets.reserve(n);
-    for (const GeneralizedTuple* t : group) {
-      offsets.push_back(t->lrp(j).offset());
-    }
+    for (const TupleView& t : group) offsets.push_back(t.lrp(j).offset());
     std::sort(offsets.begin(), offsets.end());
     if (std::adjacent_find(offsets.begin(), offsets.end()) != offsets.end()) {
       return OkStatus();
@@ -551,7 +546,7 @@ struct ClassMerge {
     LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
     const int64_t coarse = p / k;
     for (size_t i = 0; i < n; ++i) {
-      classes[i] = {FloorMod(group[i]->lrp(j).offset(), coarse), i};
+      classes[i] = {FloorMod(group[i].lrp(j).offset(), coarse), i};
     }
     std::sort(classes.begin(), classes.end());
     for (size_t lo = 0; lo < n;) {
@@ -568,12 +563,12 @@ struct ClassMerge {
       for (size_t c = lo; c < hi; ++c) {
         const size_t i = classes[c].second;
         if (!closed[i].has_value()) {
-          closed[i] = group[i]->constraint();
+          closed[i] = Dbm(group[i].constraint());
           closed[i]->Close();
         }
         if (!pieces[i].has_value()) {
           LRPDB_ASSIGN_OR_RETURN(pieces[i],
-                                 NormalizedTuple::Normalize(*group[i], limits));
+                                 NormalizedTuple::Normalize(group[i], limits));
         }
         members.push_back(i);
         member_dbms.push_back(&*closed[i]);
@@ -581,10 +576,10 @@ struct ClassMerge {
                              pieces[i]->end());
       }
       // Candidate: column j coarsened, constraint = loosest common DBM.
-      const GeneralizedTuple& first = *group[members.front()];
-      std::vector<Lrp> lrps = first.lrps();
+      const TupleView first = group[members.front()];
+      std::vector<Lrp> lrps = first.lrps().ToVector();
       lrps[j] = Lrp(coarse, classes[lo].first);
-      GeneralizedTuple candidate(std::move(lrps), first.data(),
+      GeneralizedTuple candidate(std::move(lrps), first.data().ToVector(),
                                  LoosestDbm(member_dbms));
       LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> cand_pieces,
                              NormalizedTuple::Normalize(candidate, limits));
@@ -605,16 +600,15 @@ struct ClassMerge {
 }  // namespace
 
 [[nodiscard]] StatusOr<CoalescePlan> PlanCoalesce(
-    const std::vector<const GeneralizedTuple*>& tuples,
-    const NormalizeLimits& limits) {
+    const std::vector<TupleView>& tuples, const NormalizeLimits& limits) {
   CoalescePlan plan;
   if (tuples.empty()) return plan;
   LRPDB_OPERATOR_SCOPE(op, "gdb.coalesce", tuples.size());
   LRPDB_FAILPOINT("algebra.coalesce");
   // The working set: inputs and the tuples earlier passes merged, the
-  // latter owned by `pool` (a deque, so item pointers survive growth).
+  // latter owned by `pool` (a deque, so the views of its items survive growth).
   struct Item {
-    const GeneralizedTuple* tuple;
+    TupleView tuple;
     size_t source;  // Input position, or pool index when `pooled`.
     bool pooled;
   };
@@ -625,7 +619,7 @@ struct ClassMerge {
   }
   std::deque<GeneralizedTuple> pool;
   std::vector<bool> consumed(tuples.size(), false);
-  const int m = tuples.front()->temporal_arity();
+  const int m = tuples.front().temporal_arity();
   constexpr uint32_t kNoGroup = UINT32_MAX;
   bool changed = true;
   while (changed) {
@@ -635,14 +629,13 @@ struct ClassMerge {
       // nothing coarser to merge into, and a group of one has no partner:
       // neither is gathered.
       MaskedColumnKey key{j};
-      std::unordered_map<const GeneralizedTuple*, uint32_t, MaskedColumnKey,
-                         MaskedColumnKey>
+      std::unordered_map<TupleView, uint32_t, MaskedColumnKey, MaskedColumnKey>
           group_of(items.size(), key, key);
       std::vector<uint32_t> item_group(items.size(), kNoGroup);
       std::vector<uint32_t> group_size;
       for (size_t i = 0; i < items.size(); ++i) {
-        const GeneralizedTuple* t = items[i].tuple;
-        if (t->lrp(j).period() == 1) continue;
+        const TupleView& t = items[i].tuple;
+        if (t.lrp(j).period() == 1) continue;
         auto [it, inserted] = group_of.try_emplace(
             t, static_cast<uint32_t>(group_size.size()));
         if (inserted) group_size.push_back(0);
@@ -655,7 +648,7 @@ struct ClassMerge {
         if (g != kNoGroup && group_size[g] >= 2) members[g].push_back(i);
       }
       std::vector<bool> folded;
-      std::vector<const GeneralizedTuple*> group;
+      std::vector<TupleView> group;
       std::vector<ClassMerge> merges;
       std::vector<Item> added;
       for (const std::vector<size_t>& member_items : members) {
@@ -674,7 +667,7 @@ struct ClassMerge {
             if (!item.pooled) consumed[item.source] = true;
           }
           pool.push_back(std::move(merge.tuple));
-          added.push_back(Item{&pool.back(), pool.size() - 1, true});
+          added.push_back(Item{pool.back().view(), pool.size() - 1, true});
         }
       }
       if (added.empty()) continue;
@@ -684,7 +677,8 @@ struct ClassMerge {
       for (size_t i = 0; i < items.size(); ++i) {
         if (!folded[i]) items[kept++] = items[i];
       }
-      items.resize(kept);
+      items.erase(items.begin() + static_cast<std::ptrdiff_t>(kept),
+                  items.end());
       items.insert(items.end(), added.begin(), added.end());
     }
   }
@@ -701,9 +695,9 @@ struct ClassMerge {
 
 [[nodiscard]] StatusOr<std::vector<GeneralizedTuple>> CoalesceTuples(
     std::vector<GeneralizedTuple> tuples, const NormalizeLimits& limits) {
-  std::vector<const GeneralizedTuple*> views;
+  std::vector<TupleView> views;
   views.reserve(tuples.size());
-  for (const GeneralizedTuple& t : tuples) views.push_back(&t);
+  for (const GeneralizedTuple& t : tuples) views.push_back(t.view());
   LRPDB_ASSIGN_OR_RETURN(CoalescePlan plan, PlanCoalesce(views, limits));
   if (plan.merged.empty()) return tuples;
   size_t kept = 0;

@@ -110,7 +110,7 @@ struct CoalescePlan {
   std::vector<GeneralizedTuple> merged;
 };
 [[nodiscard]] StatusOr<CoalescePlan> PlanCoalesce(
-    const std::vector<const GeneralizedTuple*>& tuples,
+    const std::vector<TupleView>& tuples,
     const NormalizeLimits& limits = NormalizeLimits());
 
 // PlanCoalesce applied: the inputs no merge consumed, in input order, then

@@ -29,14 +29,14 @@ std::vector<GroundTuple> GeneralizedRelation::EnumerateGround(
   std::vector<GroundTuple> out;
   int m = schema().temporal_arity;
   for (EntryId id : store_.live_ids()) {
-    const GeneralizedTuple& t = store_.tuple(id);
+    const TupleView t = store_.tuple(id);
     Dbm closed = t.constraint();
     closed.Close();
     if (!closed.IsSatisfiable()) continue;
     std::vector<int64_t> times(m, 0);
     auto emit = [&](auto&& self, int i) -> void {
       if (i == m) {
-        out.push_back({times, t.data()});
+        out.push_back({times, t.data().ToVector()});
         return;
       }
       int64_t lower = lo;
@@ -76,9 +76,7 @@ std::vector<GroundTuple> GeneralizedRelation::EnumerateGround(
     const NormalizeLimits& limits) const {
   std::vector<NormalizedTuple> all;
   for (EntryId id : store_.live_ids()) {
-    LRPDB_ASSIGN_OR_RETURN(const std::vector<NormalizedTuple>* cached,
-                           store_.pieces(id, limits));
-    all.insert(all.end(), cached->begin(), cached->end());
+    LRPDB_RETURN_IF_ERROR(store_.AppendPieces(id, &all, limits));
   }
   return all;
 }

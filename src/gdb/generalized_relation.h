@@ -27,16 +27,19 @@ class GeneralizedRelation {
   const RelationSchema& schema() const { return store_.schema(); }
   size_t size() const { return store_.size(); }
   bool empty() const { return store_.empty(); }
-  const GeneralizedTuple& tuple(size_t i) const {
+  // Tuple `i`, borrowed from the store (see TupleStore::tuple).
+  TupleView tuple(size_t i) const {
     return store_.tuple(static_cast<EntryId>(i));
   }
 
-  // The residue pieces of tuple `i`, computed on first use and cached.
-  // Normalization can blow the limits for tuples mixing many unconstrained
-  // (period-1) columns with periodic ones, hence the Status.
-  [[nodiscard]] StatusOr<const std::vector<NormalizedTuple>*> pieces(
-      size_t i, const NormalizeLimits& limits = NormalizeLimits()) const {
-    return store_.pieces(static_cast<EntryId>(i), limits);
+  // Appends the residue pieces of tuple `i` to `out`; the store computes
+  // them on first use and keeps them. Normalization can blow the limits for
+  // tuples mixing many unconstrained (period-1) columns with periodic ones,
+  // hence the Status.
+  [[nodiscard]] Status AppendPieces(
+      size_t i, std::vector<NormalizedTuple>* out,
+      const NormalizeLimits& limits = NormalizeLimits()) const {
+    return store_.AppendPieces(static_cast<EntryId>(i), out, limits);
   }
 
   // Inserts `tuple` unless its ground set is empty or already contained in
@@ -48,11 +51,10 @@ class GeneralizedRelation {
   // to their lcm, which explodes for coprime periods, and a tuple kept
   // redundantly is subsumed on its next re-derivation anyway. Returns
   // false iff the tuple was dropped (empty or subsumed).
-  [[nodiscard]] StatusOr<bool> InsertIfNew(GeneralizedTuple tuple,
-                             const NormalizeLimits& limits =
-                                 NormalizeLimits()) {
-    LRPDB_ASSIGN_OR_RETURN(InsertOutcome outcome,
-                           store_.Insert(std::move(tuple), limits));
+  [[nodiscard]] StatusOr<bool> InsertIfNew(
+      const GeneralizedTuple& tuple,
+      const NormalizeLimits& limits = NormalizeLimits()) {
+    LRPDB_ASSIGN_OR_RETURN(InsertOutcome outcome, store_.Insert(tuple, limits));
     return outcome.inserted;
   }
 

@@ -11,20 +11,14 @@ GeneralizedTuple::GeneralizedTuple(std::vector<Lrp> lrps,
       << "constraint DBM arity must match temporal arity";
 }
 
+GeneralizedTuple::GeneralizedTuple(TupleView view)
+    : GeneralizedTuple(view.lrps().ToVector(), view.data().ToVector(),
+                       Dbm(view.constraint())) {}
+
 GeneralizedTuple GeneralizedTuple::Unconstrained(std::vector<Lrp> lrps,
                                                  std::vector<DataValue> data) {
   Dbm free(static_cast<int>(lrps.size()));
   return GeneralizedTuple(std::move(lrps), std::move(data), std::move(free));
-}
-
-bool GeneralizedTuple::ContainsGround(
-    const std::vector<int64_t>& times,
-    const std::vector<DataValue>& data) const {
-  if (times.size() != lrps_.size() || data != data_) return false;
-  for (size_t i = 0; i < lrps_.size(); ++i) {
-    if (!lrps_[i].Contains(times[i])) return false;
-  }
-  return constraint_.ContainsPoint(times);
 }
 
 GeneralizedTuple GeneralizedTuple::WithColumnShifted(int i, int64_t c) const {
@@ -35,22 +29,28 @@ GeneralizedTuple GeneralizedTuple::WithColumnShifted(int i, int64_t c) const {
   return result;
 }
 
-int64_t GeneralizedTuple::ApproxBytes() const {
-  const int64_t dbm_side = constraint_.num_vars() + 1;
-  return static_cast<int64_t>(sizeof(GeneralizedTuple)) +
-         static_cast<int64_t>(lrps_.size()) * sizeof(Lrp) +
-         static_cast<int64_t>(data_.size()) * sizeof(DataValue) +
-         dbm_side * dbm_side * static_cast<int64_t>(sizeof(Bound));
+bool TupleView::ContainsGround(const std::vector<int64_t>& times,
+                               const std::vector<DataValue>& data) const {
+  if (times.size() != static_cast<size_t>(temporal_arity_) ||
+      !(this->data() == data)) {
+    return false;
+  }
+  for (int i = 0; i < temporal_arity_; ++i) {
+    if (!lrps_[i].Contains(times[i])) return false;
+  }
+  return constraint().ContainsPoint(times);
 }
 
-std::string GeneralizedTuple::ToString(const Interner* interner) const {
+GeneralizedTuple TupleView::ToTuple() const { return GeneralizedTuple(*this); }
+
+std::string TupleView::ToString(const Interner* interner) const {
   std::string s = "(";
-  for (size_t i = 0; i < lrps_.size(); ++i) {
+  for (int i = 0; i < temporal_arity_; ++i) {
     if (i > 0) s += ", ";
     s += lrps_[i].ToString();
   }
-  for (size_t i = 0; i < data_.size(); ++i) {
-    if (!lrps_.empty() || i > 0) s += ", ";
+  for (int i = 0; i < data_arity_; ++i) {
+    if (temporal_arity_ > 0 || i > 0) s += ", ";
     if (interner != nullptr) {
       s += interner->NameOf(data_[i]);
     } else {
@@ -58,7 +58,7 @@ std::string GeneralizedTuple::ToString(const Interner* interner) const {
     }
   }
   s += ")";
-  std::string c = constraint_.ToString();
+  std::string c = constraint().ToString();
   if (c != "true") {
     s += " with ";
     s += c;

@@ -10,7 +10,9 @@
 #ifndef LRPDB_GDB_GENERALIZED_TUPLE_H_
 #define LRPDB_GDB_GENERALIZED_TUPLE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,16 +35,69 @@ struct FreeExtension {
   }
 };
 
-struct FreeExtensionHash {
-  size_t operator()(const FreeExtension& fe) const {
-    size_t h = 0;
-    for (const Lrp& l : fe.lrps) {
-      h = HashCombine(h, static_cast<size_t>(l.period()));
-      h = HashCombine(h, static_cast<size_t>(l.offset()));
-    }
-    for (DataValue d : fe.data) h = HashCombine(h, static_cast<size_t>(d));
-    return h;
+// A borrowed run of a tuple's columns: a std::span that also compares by
+// value, with another run or with an owned vector, the way the owned
+// tuple's vectors do.
+template <typename T>
+class ColumnSpan : public std::span<const T> {
+ public:
+  using std::span<const T>::span;
+  ColumnSpan(const std::vector<T>& v)  // NOLINT: implicit, like std::span.
+      : std::span<const T>(v.data(), v.size()) {}
+
+  std::vector<T> ToVector() const {
+    return std::vector<T>(this->begin(), this->end());
   }
+  friend bool operator==(ColumnSpan a, ColumnSpan b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+};
+
+class GeneralizedTuple;
+
+// A borrowed, read-only generalized tuple: the m lrps, k data constants and
+// (m+1)^2 DBM bounds of one tuple, wherever they live. A TupleStore hands
+// these out over its arenas (TupleStore::tuple), and GeneralizedTuple::view()
+// over its own members; every whole-tuple reader takes one. Invalidated by
+// any mutation of what it views. ToTuple() makes an owned copy, for API
+// boundaries only.
+class TupleView {
+ public:
+  TupleView(const Lrp* lrps, int temporal_arity, const DataValue* data,
+            int data_arity, const Bound* bounds)
+      : lrps_(lrps),
+        data_(data),
+        bounds_(bounds),
+        temporal_arity_(temporal_arity),
+        data_arity_(data_arity) {}
+
+  int temporal_arity() const { return temporal_arity_; }
+  int data_arity() const { return data_arity_; }
+
+  ColumnSpan<Lrp> lrps() const { return {lrps_, size_t(temporal_arity_)}; }
+  const Lrp& lrp(int i) const { return lrps_[i]; }
+  ColumnSpan<DataValue> data() const { return {data_, size_t(data_arity_)}; }
+  // The constraint's bounds exactly as stored (not closed).
+  DbmView constraint() const { return DbmView(temporal_arity_, bounds_); }
+  Bound bound(int i, int j) const { return constraint().bound(i, j); }
+
+  // True iff the represented ground set contains (times, data). `times` uses
+  // the same column order as lrps().
+  bool ContainsGround(const std::vector<int64_t>& times,
+                      const std::vector<DataValue>& data) const;
+
+  // e.g. "(168n+8, 168n+10, database) with T2 = T1+2".
+  std::string ToString(const Interner* interner = nullptr) const;
+
+  // An owned copy.
+  GeneralizedTuple ToTuple() const;
+
+ private:
+  const Lrp* lrps_;
+  const DataValue* data_;
+  const Bound* bounds_;
+  int temporal_arity_;
+  int data_arity_;
 };
 
 class GeneralizedTuple {
@@ -51,6 +106,10 @@ class GeneralizedTuple {
   // (T1..Tm; the Dbm's zero variable carries absolute bounds).
   GeneralizedTuple(std::vector<Lrp> lrps, std::vector<DataValue> data,
                    Dbm constraint);
+
+  // An owned copy of a borrowed tuple. Implicit, so a view passes wherever
+  // an owned tuple is taken (an insert, a restore); the copy is the cost.
+  GeneralizedTuple(TupleView view);  // NOLINT
 
   // A tuple with no constraints (the free extension as a tuple).
   static GeneralizedTuple Unconstrained(std::vector<Lrp> lrps,
@@ -67,10 +126,18 @@ class GeneralizedTuple {
 
   FreeExtension free_extension() const { return {lrps_, data_}; }
 
+  // This tuple as a borrowed view; valid until the tuple is mutated.
+  TupleView view() const {
+    return TupleView(lrps_.data(), temporal_arity(), data_.data(),
+                     data_arity(), constraint_.view().bounds());
+  }
+
   // True iff the represented ground set contains (times, data). `times` uses
   // the same column order as lrps().
   bool ContainsGround(const std::vector<int64_t>& times,
-                      const std::vector<DataValue>& data) const;
+                      const std::vector<DataValue>& data) const {
+    return view().ContainsGround(times, data);
+  }
 
   // True iff the DBM is satisfiable ignoring lrp residues. A cheap
   // necessary condition for non-emptiness; the exact residue-aware test
@@ -83,12 +150,9 @@ class GeneralizedTuple {
   GeneralizedTuple WithColumnShifted(int i, int64_t c) const;
 
   // e.g. "(168n+8, 168n+10, database) with T2 = T1+2".
-  std::string ToString(const Interner* interner = nullptr) const;
-
-  // Approximate resident size of this tuple (lrps + data + DBM matrix),
-  // used for ExecContext byte-budget accounting. An estimate, not
-  // sizeof-exact: governance needs proportionality, not precision.
-  int64_t ApproxBytes() const;
+  std::string ToString(const Interner* interner = nullptr) const {
+    return view().ToString(interner);
+  }
 
  private:
   std::vector<Lrp> lrps_;

@@ -151,6 +151,31 @@ std::vector<std::optional<ResidueAnchor>> AnchorsOf(const Dbm& closed, int m) {
   return pieces;
 }
 
+// Normalize() over a tuple's columns: aligns every lrp to the common
+// period and enumerates the residue pieces of `t_dbm`.
+[[nodiscard]] StatusOr<std::vector<NormalizedTuple>> NormalizeColumns(
+    ColumnSpan<Lrp> lrps, ColumnSpan<DataValue> data, const Dbm& t_dbm,
+    const NormalizeLimits& limits) {
+  LRPDB_FAILPOINT("normalize.tuple");
+  int m = static_cast<int>(lrps.size());
+  int64_t period = 1;
+  for (const Lrp& lrp : lrps) {
+    int64_t next = Lcm(period, lrp.period());
+    if (next > limits.max_period) {
+      return ResourceExhaustedError("common period exceeds limit during "
+                                    "normalization");
+    }
+    period = next;
+  }
+  // Residue choices per column; equality-anchored columns are derived
+  // rather than enumerated (see EnumeratePieces).
+  std::vector<std::vector<int64_t>> choices(m);
+  for (int i = 0; i < m; ++i) {
+    choices[i] = lrps[i].ResiduesModulo(period);
+  }
+  return EnumeratePieces(t_dbm, period, choices, data.ToVector(), limits);
+}
+
 }  // namespace
 
 NormalizedTuple::NormalizedTuple(int64_t common_period,
@@ -167,25 +192,14 @@ NormalizedTuple::NormalizedTuple(int64_t common_period,
 
 [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> NormalizedTuple::Normalize(
     const GeneralizedTuple& tuple, const NormalizeLimits& limits) {
-  LRPDB_FAILPOINT("normalize.tuple");
-  int m = tuple.temporal_arity();
-  int64_t period = 1;
-  for (const Lrp& lrp : tuple.lrps()) {
-    int64_t next = Lcm(period, lrp.period());
-    if (next > limits.max_period) {
-      return ResourceExhaustedError("common period exceeds limit during "
-                                    "normalization");
-    }
-    period = next;
-  }
-  // Residue choices per column; equality-anchored columns are derived
-  // rather than enumerated (see EnumeratePieces).
-  std::vector<std::vector<int64_t>> choices(m);
-  for (int i = 0; i < m; ++i) {
-    choices[i] = tuple.lrp(i).ResiduesModulo(period);
-  }
-  return EnumeratePieces(tuple.constraint(), period, choices, tuple.data(),
-                         limits);
+  return NormalizeColumns(tuple.lrps(), tuple.data(), tuple.constraint(),
+                          limits);
+}
+
+[[nodiscard]] StatusOr<std::vector<NormalizedTuple>> NormalizedTuple::Normalize(
+    TupleView tuple, const NormalizeLimits& limits) {
+  return NormalizeColumns(tuple.lrps(), tuple.data(), Dbm(tuple.constraint()),
+                          limits);
 }
 
 [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> NormalizedTuple::AlignTo(

@@ -53,6 +53,9 @@ class NormalizedTuple {
   [[nodiscard]] static StatusOr<std::vector<NormalizedTuple>> Normalize(
       const GeneralizedTuple& tuple,
       const NormalizeLimits& limits = NormalizeLimits());
+  // The same, for a borrowed tuple (a TupleStore row).
+  [[nodiscard]] static StatusOr<std::vector<NormalizedTuple>> Normalize(
+      TupleView tuple, const NormalizeLimits& limits = NormalizeLimits());
 
   int64_t common_period() const { return common_period_; }
   const std::vector<int64_t>& residues() const { return residues_; }

@@ -50,7 +50,7 @@ namespace lrpdb {
   int64_t period = 1;
   int64_t offset = 0;
   for (EntryId id : relation.store().live_ids()) {
-    const GeneralizedTuple& tuple = relation.tuple(id);
+    const TupleView tuple = relation.tuple(id);
     period = Lcm(period, tuple.lrp(0).period());
     if (period > limits.max_period) {
       return ResourceExhaustedError("lcm of periods exceeds limit");

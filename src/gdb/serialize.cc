@@ -23,7 +23,7 @@ std::string SideWithOffset(int dbm_index, int64_t offset) {
 
 // Emits the constraints of `tuple` as a comma-separated list (empty when
 // unconstrained).
-std::string SerializeConstraints(const GeneralizedTuple& tuple) {
+std::string SerializeConstraints(const TupleView& tuple) {
   Dbm closed = tuple.constraint();
   closed.Close();
   int m = closed.num_vars();
@@ -130,7 +130,7 @@ std::string SerializeRelationAsFacts(const std::string& name,
                                      const Interner& interner) {
   std::string out;
   for (EntryId id : relation.store().live_ids()) {
-    const GeneralizedTuple& tuple = relation.tuple(id);
+    const TupleView tuple = relation.tuple(id);
     std::string line = ".fact " + name + "(";
     for (int c = 0; c < tuple.temporal_arity(); ++c) {
       if (c > 0) line += ", ";

@@ -8,65 +8,263 @@
 #include "src/obs/metrics.h"
 
 namespace lrpdb {
+namespace {
+
+// The size of the C heap block behind an allocation of `n` bytes: glibc
+// adds an 8-byte header, rounds to 16 and never hands out less than 32.
+int64_t HeapBytes(size_t n) {
+  if (n == 0) return 0;
+  const size_t block = (n + 8 + 15) & ~size_t{15};
+  return std::max<int64_t>(32, static_cast<int64_t>(block));
+}
+
+// One posting-map node: the next pointer and the (value, list) pair.
+constexpr size_t kPostingNodeBytes =
+    sizeof(void*) + sizeof(std::pair<const DataValue, std::vector<EntryId>>);
+
+// Appends `id` to `list`, adding any growth of its block to `*bytes`.
+void PushTracked(std::vector<EntryId>* list, EntryId id, int64_t* bytes) {
+  const size_t before = list->capacity();
+  list->push_back(id);
+  if (list->capacity() != before) {
+    *bytes += HeapBytes(list->capacity() * sizeof(EntryId)) -
+              HeapBytes(before * sizeof(EntryId));
+  }
+}
+
+// The signature hash runs over the key words in arena order (period and
+// offset per lrp, then the data values), so a probe hashes a candidate's
+// columns and a rehash hashes the stored key to the same value.
+uint64_t MixKeyWord(uint64_t h, int64_t word) {
+  return HashCombine(h, static_cast<size_t>(word));
+}
+
+// Finalizer (MurmurHash3 fmix64): the table takes the low bits for the
+// slot and the high bits for the tag, so every bit must be mixed.
+uint64_t FinishKeyHash(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+// Rewrites an ascending id list through a monotone remap, dropping erased
+// ids.
+void RewriteIds(const std::vector<EntryId>& remap, std::vector<EntryId>* list) {
+  size_t out = 0;
+  for (EntryId id : *list) {
+    if (remap[id] != kErasedEntry) (*list)[out++] = remap[id];
+  }
+  list->resize(out);
+}
+
+}  // namespace
 
 TupleStore::TupleStore(RelationSchema schema)
-    : schema_(schema),
-      data_index_(schema.data_arity) {}
+    : schema_(schema), data_index_(schema.data_arity) {}
 
 TupleStore::TupleStore(TupleStore&& other) noexcept
-    : schema_(std::move(other.schema_)),
-      entries_(std::move(other.entries_)),
-      signature_index_(std::move(other.signature_index_)),
-      data_index_(std::move(other.data_index_)),
-      delta_lo_(other.delta_lo_),
-      delta_hi_(other.delta_hi_),
+    : schema_(other.schema_),
+      lrps_(std::move(other.lrps_)),
+      data_(std::move(other.data_)),
+      bounds_(std::move(other.bounds_)),
       live_(std::move(other.live_)),
       tombstones_(other.tombstones_),
-      pieces_cache_(std::move(other.pieces_cache_)) {
+      piece_ranges_(std::move(other.piece_ranges_)),
+      piece_classes_(std::move(other.piece_classes_)),
+      piece_bounds_(std::move(other.piece_bounds_)),
+      signature_keys_(std::move(other.signature_keys_)),
+      buckets_(std::move(other.buckets_)),
+      spills_(std::move(other.spills_)),
+      slots_(std::move(other.slots_)),
+      data_index_(std::move(other.data_index_)),
+      posting_bytes_(other.posting_bytes_),
+      spill_bytes_(other.spill_bytes_),
+      delta_lo_(other.delta_lo_),
+      delta_hi_(other.delta_hi_) {
   approx_bytes_.store(other.approx_bytes_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
 }
 
 TupleStore& TupleStore::operator=(TupleStore&& other) noexcept {
   if (this == &other) return *this;
-  schema_ = std::move(other.schema_);
-  entries_ = std::move(other.entries_);
-  signature_index_ = std::move(other.signature_index_);
-  data_index_ = std::move(other.data_index_);
-  delta_lo_ = other.delta_lo_;
-  delta_hi_ = other.delta_hi_;
+  schema_ = other.schema_;
+  lrps_ = std::move(other.lrps_);
+  data_ = std::move(other.data_);
+  bounds_ = std::move(other.bounds_);
   live_ = std::move(other.live_);
   tombstones_ = other.tombstones_;
-  pieces_cache_ = std::move(other.pieces_cache_);
+  piece_ranges_ = std::move(other.piece_ranges_);
+  piece_classes_ = std::move(other.piece_classes_);
+  piece_bounds_ = std::move(other.piece_bounds_);
+  signature_keys_ = std::move(other.signature_keys_);
+  buckets_ = std::move(other.buckets_);
+  spills_ = std::move(other.spills_);
+  slots_ = std::move(other.slots_);
+  data_index_ = std::move(other.data_index_);
+  posting_bytes_ = other.posting_bytes_;
+  spill_bytes_ = other.spill_bytes_;
+  delta_lo_ = other.delta_lo_;
+  delta_hi_ = other.delta_hi_;
   approx_bytes_.store(other.approx_bytes_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
   return *this;
 }
 
-const std::vector<EntryId>& TupleStore::EntriesWithSignature(
-    const FreeExtension& signature) const {
-  static const std::vector<EntryId> kNone;
-  auto it = signature_index_.find(signature);
-  return it == signature_index_.end() ? kNone : it->second.entries;
-}
+// --- Signature table ---
 
-[[nodiscard]] StatusOr<const std::vector<NormalizedTuple>*> TupleStore::pieces(
-    EntryId id, const NormalizeLimits& limits) const {
-  LRPDB_FAILPOINT("tuple_store.pieces");
-  PiecesCache& cache = pieces_cache_[id];
-  if (!cache.normalized) {
-    LRPDB_ASSIGN_OR_RETURN(cache.pieces,
-                           NormalizedTuple::Normalize(entries_[id].tuple,
-                                                      limits));
-    cache.normalized = true;
+uint64_t TupleStore::HashSignature(ColumnSpan<Lrp> lrps,
+                                   ColumnSpan<DataValue> data) {
+  uint64_t h = 0;
+  for (const Lrp& l : lrps) {
+    h = MixKeyWord(h, l.period());
+    h = MixKeyWord(h, l.offset());
   }
-  // The slot is never rewritten and deque growth does not move it.
-  return &cache.pieces;
+  for (DataValue d : data) h = MixKeyWord(h, d);
+  return FinishKeyHash(h);
 }
 
-[[nodiscard]] StatusOr<InsertOutcome> TupleStore::Insert(GeneralizedTuple tuple,
-                                           const NormalizeLimits& limits,
-                                           StoreStats* stats) {
+bool TupleStore::KeyEquals(SignatureId id, ColumnSpan<Lrp> lrps,
+                           ColumnSpan<DataValue> data) const {
+  const int64_t* key = signature_keys_.data() + size_t{id} * KeyStride();
+  for (const Lrp& l : lrps) {
+    if (key[0] != l.period() || key[1] != l.offset()) return false;
+    key += 2;
+  }
+  for (DataValue d : data) {
+    if (*key++ != d) return false;
+  }
+  return true;
+}
+
+SignatureId TupleStore::FindSignature(ColumnSpan<Lrp> lrps,
+                                      ColumnSpan<DataValue> data,
+                                      uint64_t hash) const {
+  if (slots_.empty()) return kNoSignature;
+  const size_t mask = slots_.size() - 1;
+  const uint32_t tag = static_cast<uint32_t>(hash >> 32);
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.id == kNoSignature) return kNoSignature;
+    if (slot.tag == tag && KeyEquals(slot.id, lrps, data)) return slot.id;
+  }
+}
+
+SignatureId TupleStore::InternSignature(ColumnSpan<Lrp> lrps,
+                                        ColumnSpan<DataValue> data,
+                                        uint64_t hash, bool* created) {
+  SignatureId found = FindSignature(lrps, data, hash);
+  *created = found == kNoSignature;
+  if (!*created) return found;
+  if ((buckets_.size() + 1) * 4 > slots_.size() * 3) GrowTable();
+  const SignatureId id = static_cast<SignatureId>(buckets_.size());
+  for (const Lrp& l : lrps) {
+    const int64_t words[2] = {l.period(), l.offset()};
+    signature_keys_.Append(words, 2);
+  }
+  for (DataValue d : data) signature_keys_.push_back(d);
+  buckets_.push_back(Bucket{});
+  const size_t mask = slots_.size() - 1;
+  size_t i = hash & mask;
+  while (slots_[i].id != kNoSignature) i = (i + 1) & mask;
+  slots_[i] = Slot{static_cast<uint32_t>(hash >> 32), id};
+  return id;
+}
+
+void TupleStore::GrowTable() {
+  std::vector<Slot> grown(slots_.empty() ? 8 : slots_.size() * 2);
+  const size_t mask = grown.size() - 1;
+  for (SignatureId id = 0; id < buckets_.size(); ++id) {
+    const int64_t* key = signature_keys_.data() + size_t{id} * KeyStride();
+    uint64_t hash = 0;
+    for (int w = 0; w < KeyStride(); ++w) hash = MixKeyWord(hash, key[w]);
+    hash = FinishKeyHash(hash);
+    size_t i = hash & mask;
+    while (grown[i].id != kNoSignature) i = (i + 1) & mask;
+    grown[i] = Slot{static_cast<uint32_t>(hash >> 32), id};
+  }
+  slots_ = std::move(grown);
+}
+
+std::span<const EntryId> TupleStore::BucketEntries(SignatureId id) const {
+  const Bucket& bucket = buckets_[id];
+  if (bucket.spill != kNoSpill) return spills_[bucket.spill];
+  if (bucket.single == kNoEntry) return {};
+  return std::span<const EntryId>(&bucket.single, 1);
+}
+
+void TupleStore::AddToBucket(SignatureId id, EntryId entry) {
+  Bucket& bucket = buckets_[id];
+  if (bucket.spill == kNoSpill && bucket.single == kNoEntry) {
+    bucket.single = entry;
+    return;
+  }
+  if (bucket.spill == kNoSpill) {
+    bucket.spill = static_cast<uint32_t>(spills_.size());
+    spills_.emplace_back();
+    PushTracked(&spills_.back(), bucket.single, &spill_bytes_);
+    bucket.single = kNoEntry;
+  }
+  PushTracked(&spills_[bucket.spill], entry, &spill_bytes_);
+}
+
+std::vector<EntryId> TupleStore::EntriesWithSignature(
+    const FreeExtension& signature) const {
+  SignatureId id = FindSignature(signature.lrps, signature.data,
+                                 HashSignature(signature.lrps, signature.data));
+  if (id == kNoSignature) return {};
+  std::span<const EntryId> entries = BucketEntries(id);
+  return std::vector<EntryId>(entries.begin(), entries.end());
+}
+
+// --- Pieces ---
+
+TupleStore::PieceRange TupleStore::StorePieces(
+    const std::vector<NormalizedTuple>& pieces) const {
+  PieceRange range;
+  range.first =
+      static_cast<uint32_t>(piece_classes_.size() / PieceClassStride());
+  range.count = static_cast<uint32_t>(pieces.size());
+  for (const NormalizedTuple& piece : pieces) {
+    piece_classes_.push_back(piece.common_period());
+    piece_classes_.Append(piece.residues().data(), piece.residues().size());
+    piece_bounds_.Append(piece.quotient().view().bounds(), BoundsStride());
+  }
+  return range;
+}
+
+[[nodiscard]] Status TupleStore::AppendPieces(
+    EntryId id, std::vector<NormalizedTuple>* out,
+    const NormalizeLimits& limits) const {
+  LRPDB_FAILPOINT("tuple_store.pieces");
+  PieceRange& range = piece_ranges_[id];
+  if (range.count == kUnfilled) {
+    LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pieces,
+                           NormalizedTuple::Normalize(tuple(id), limits));
+    range = StorePieces(pieces);
+    UpdateBytes();
+    out->insert(out->end(), std::make_move_iterator(pieces.begin()),
+                std::make_move_iterator(pieces.end()));
+    return OkStatus();
+  }
+  const int m = schema_.temporal_arity;
+  const std::vector<DataValue> data = tuple(id).data().ToVector();
+  for (uint32_t p = range.first; p < range.first + range.count; ++p) {
+    const int64_t* cls = piece_classes_.data() + size_t{p} * PieceClassStride();
+    out->emplace_back(
+        cls[0], std::vector<int64_t>(cls + 1, cls + 1 + m), data,
+        Dbm(DbmView(m, piece_bounds_.data() + size_t{p} * BoundsStride())));
+  }
+  return OkStatus();
+}
+
+// --- Appends ---
+
+[[nodiscard]] StatusOr<InsertOutcome> TupleStore::Insert(
+    const GeneralizedTuple& tuple, const NormalizeLimits& limits,
+    StoreStats* stats) {
   LRPDB_FAILPOINT("tuple_store.insert");
   if (tuple.temporal_arity() != schema_.temporal_arity ||
       tuple.data_arity() != schema_.data_arity) {
@@ -82,44 +280,51 @@ const std::vector<EntryId>& TupleStore::EntriesWithSignature(
     ++counts.empty_dropped;
     return InsertOutcome{};
   }
+  // The budget is charged what this insert grew the store by: the appended
+  // row, pieces and index entries, and any bucket pieces filled lazily for
+  // the containment test below.
+  const int64_t bytes_before = approx_bytes();
+  auto charge_growth = [&] {
+    if (limits.exec == nullptr) return;
+    limits.exec->ChargeBytes(
+        std::max<int64_t>(approx_bytes() - bytes_before, 0));
+    LRPDB_GAUGE_SET("exec.budget_bytes", limits.exec->bytes_charged());
+  };
   // Same-signature entries: one bucket probe.
   ++counts.signature_probes;
-  std::vector<EntryId> bucket_entries;
-  auto it = signature_index_.find(tuple.free_extension());
-  if (it != signature_index_.end()) bucket_entries = it->second.entries;
-  if (!bucket_entries.empty()) {
+  const uint64_t hash = HashSignature(tuple.lrps(), tuple.data());
+  const SignatureId signature =
+      FindSignature(tuple.lrps(), tuple.data(), hash);
+  const std::span<const EntryId> bucket =
+      signature == kNoSignature ? std::span<const EntryId>()
+                                : BucketEntries(signature);
+  if (!bucket.empty()) {
+    // Owned copies of the bucket's pieces, for the containment call only.
+    // Filling a lazy piece range touches the piece arenas, never the
+    // bucket the span points into.
     std::vector<NormalizedTuple> existing;
-    for (EntryId id : bucket_entries) {
-      LRPDB_ASSIGN_OR_RETURN(const std::vector<NormalizedTuple>* cached,
-                             pieces(id, limits));
-      existing.insert(existing.end(), cached->begin(), cached->end());
+    for (EntryId id : bucket) {
+      LRPDB_RETURN_IF_ERROR(AppendPieces(id, &existing, limits));
     }
     ++counts.subsumption_checks;
-    counts.subsumption_candidates +=
-        static_cast<int64_t>(bucket_entries.size());
+    counts.subsumption_candidates += static_cast<int64_t>(bucket.size());
     LRPDB_ASSIGN_OR_RETURN(bool contained,
                            PiecesContainedIn(candidate, existing, limits));
     if (contained) {
       ++counts.subsumed;
+      charge_growth();
       InsertOutcome outcome;
-      outcome.absorbers = std::move(bucket_entries);
+      outcome.absorbers.assign(bucket.begin(), bucket.end());
       return outcome;
     }
   }
-  if (limits.exec != nullptr) {
-    // Budget accounting charges what the store retains: the entry plus its
-    // normalized pieces (the dominant allocation on CRT-heavy workloads).
-    limits.exec->ChargeTuples(1);
-    limits.exec->ChargeBytes(tuple.ApproxBytes() +
-                             static_cast<int64_t>(candidate.size()) *
-                                 (schema_.temporal_arity + 2) * 8);
-    LRPDB_GAUGE_SET("exec.budget_bytes", limits.exec->bytes_charged());
-  }
   InsertOutcome outcome;
   outcome.inserted = true;
-  outcome.id = static_cast<EntryId>(entries_.size());
-  outcome.new_signature = Append(std::move(tuple), std::move(candidate), true);
+  outcome.id = static_cast<EntryId>(size());
+  outcome.new_signature = Append(tuple, hash, &candidate);
   ++counts.inserts;
+  if (limits.exec != nullptr) limits.exec->ChargeTuples(1);
+  charge_growth();
   return outcome;
 }
 
@@ -127,11 +332,11 @@ bool TupleStore::InsertUnlessEmpty(GeneralizedTuple tuple) {
   LRPDB_CHECK_EQ(tuple.temporal_arity(), schema_.temporal_arity);
   LRPDB_CHECK_EQ(tuple.data_arity(), schema_.data_arity);
   if (!tuple.ConstraintSatisfiable()) return false;
-  Append(std::move(tuple), {}, false);
+  Append(tuple, HashSignature(tuple.lrps(), tuple.data()), nullptr);
   return true;
 }
 
-[[nodiscard]] Status TupleStore::RestoreEntry(GeneralizedTuple tuple) {
+[[nodiscard]] Status TupleStore::RestoreEntry(const GeneralizedTuple& tuple) {
   LRPDB_FAILPOINT("tuple_store.restore_entry");
   if (tuple.temporal_arity() != schema_.temporal_arity ||
       tuple.data_arity() != schema_.data_arity) {
@@ -139,81 +344,113 @@ bool TupleStore::InsertUnlessEmpty(GeneralizedTuple tuple) {
   }
   // No filtering and no stats: the snapshot records what Append() stored,
   // so replaying it through Append() reproduces every index exactly.
-  Append(std::move(tuple), {}, false);
+  Append(tuple, HashSignature(tuple.lrps(), tuple.data()), nullptr);
   return OkStatus();
 }
 
 [[nodiscard]] Status TupleStore::RestoreGenerations(size_t lo, size_t hi) {
   LRPDB_FAILPOINT("tuple_store.restore_generations");
-  if (lo > hi || hi > entries_.size()) {
+  if (lo > hi || hi > size()) {
     return InvalidArgumentError(
         "restored generation ranges out of order: lo " + std::to_string(lo) +
-        ", hi " + std::to_string(hi) + ", size " +
-        std::to_string(entries_.size()));
+        ", hi " + std::to_string(hi) + ", size " + std::to_string(size()));
   }
   delta_lo_ = lo;
   delta_hi_ = hi;
   return OkStatus();
 }
 
-bool TupleStore::Append(GeneralizedTuple tuple,
-                        std::vector<NormalizedTuple> pieces, bool normalized) {
-  // Same estimate Insert charges to the ExecContext byte budget: the entry
-  // plus its normalized pieces.
-  approx_bytes_.fetch_add(
-      tuple.ApproxBytes() + static_cast<int64_t>(pieces.size()) *
-                                (schema_.temporal_arity + 2) * 8,
-      std::memory_order_relaxed);
-  EntryId id = static_cast<EntryId>(entries_.size());
-  auto [it, created] = signature_index_.try_emplace(tuple.free_extension());
-  if (created) {
-    it->second.id = static_cast<SignatureId>(signature_index_.size() - 1);
-  }
-  it->second.entries.push_back(id);
-  for (int c = 0; c < schema_.data_arity; ++c) {
-    data_index_[c][tuple.data()[c]].push_back(id);
-  }
-  entries_.push_back(Entry{std::move(tuple), it->second.id});
+bool TupleStore::Append(const GeneralizedTuple& tuple, uint64_t hash,
+                        const std::vector<NormalizedTuple>* pieces) {
+  const EntryId id = static_cast<EntryId>(size());
+  bool created = false;
+  const SignatureId signature =
+      InternSignature(tuple.lrps(), tuple.data(), hash, &created);
+  lrps_.Append(tuple.lrps().data(), tuple.lrps().size());
+  data_.Append(tuple.data().data(), tuple.data().size());
+  bounds_.Append(tuple.constraint().view().bounds(), BoundsStride());
   live_.push_back(kLive);
-  pieces_cache_.push_back(PiecesCache{std::move(pieces), normalized});
+  piece_ranges_.push_back(pieces != nullptr ? StorePieces(*pieces)
+                                            : PieceRange{});
+  AddToBucket(signature, id);
+  for (int c = 0; c < schema_.data_arity; ++c) {
+    auto [it, added] = data_index_[c].try_emplace(tuple.data()[c]);
+    if (added) posting_bytes_ += HeapBytes(kPostingNodeBytes);
+    PushTracked(&it->second, id, &posting_bytes_);
+  }
+  UpdateBytes();
   return created;
 }
 
+TupleStore::Footprint TupleStore::footprint() const {
+  Footprint f;
+  f.rows = HeapBytes(lrps_.allocated_bytes()) +
+           HeapBytes(data_.allocated_bytes()) +
+           HeapBytes(bounds_.allocated_bytes()) +
+           HeapBytes(live_.allocated_bytes());
+  f.pieces = HeapBytes(piece_ranges_.allocated_bytes()) +
+             HeapBytes(piece_classes_.allocated_bytes()) +
+             HeapBytes(piece_bounds_.allocated_bytes());
+  f.signatures = HeapBytes(signature_keys_.allocated_bytes()) +
+                 HeapBytes(buckets_.allocated_bytes()) +
+                 HeapBytes(spills_.capacity() * sizeof(spills_[0])) +
+                 spill_bytes_ + HeapBytes(slots_.capacity() * sizeof(Slot));
+  f.postings = posting_bytes_;
+  for (const auto& index : data_index_) {
+    // A map with one bucket keeps it inline.
+    if (index.bucket_count() > 1) {
+      f.postings += HeapBytes(index.bucket_count() * sizeof(void*));
+    }
+  }
+  return f;
+}
+
+// --- Removal ---
+
 void TupleStore::Tombstone(EntryId id) {
-  LRPDB_CHECK(id < entries_.size());
+  LRPDB_CHECK(id < size());
   if (!is_live(id)) return;  // Already tombstoned.
   live_[id] = kDead;
   ++tombstones_;
-  const GeneralizedTuple& tuple = entries_[id].tuple;
   // Prune the signature bucket. The bucket itself is kept even when it
-  // empties: SignatureId allocation is ordinal in signature_index_, so
-  // erasing the key would shift ids of signatures interned later.
-  auto bucket = signature_index_.find(tuple.free_extension());
-  if (bucket != signature_index_.end()) {
-    auto& ids = bucket->second.entries;
+  // empties: SignatureId allocation is ordinal, and the key stays interned.
+  const TupleView row = tuple(id);
+  Bucket& bucket = buckets_[FindSignature(
+      row.lrps(), row.data(), HashSignature(row.lrps(), row.data()))];
+  if (bucket.spill != kNoSpill) {
+    auto& ids = spills_[bucket.spill];
     ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
+  } else if (bucket.single == id) {
+    bucket.single = kNoEntry;
   }
   // Prune every posting list; empty postings are erased so "value has no
   // entries" probes keep short-circuiting.
   for (int c = 0; c < schema_.data_arity; ++c) {
-    auto posting = data_index_[c].find(tuple.data()[c]);
+    auto posting = data_index_[c].find(row.data()[c]);
     if (posting == data_index_[c].end()) continue;
     auto& ids = posting->second;
     ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
-    if (ids.empty()) data_index_[c].erase(posting);
+    if (ids.empty()) {
+      posting_bytes_ -= HeapBytes(kPostingNodeBytes) +
+                        HeapBytes(ids.capacity() * sizeof(EntryId));
+      data_index_[c].erase(posting);
+    }
   }
+  UpdateBytes();
   LRPDB_COUNTER_INC("store.tombstones");
 }
 
 std::vector<EntryId> TupleStore::TombstoneExact(const GeneralizedTuple& tuple) {
-  // Only the tuple's signature bucket can hold an exact match, and a
-  // bucket lists its ids in append order. Matches are collected before any
-  // is tombstoned, because Tombstone() unlinks ids from the bucket.
+  // Only the tuple's signature bucket can hold an exact match (its lrps and
+  // data are the key), and a bucket lists its ids in ascending order.
+  // Matches are collected before any is tombstoned, because Tombstone()
+  // unlinks ids from the bucket.
   std::vector<EntryId> matched;
-  for (EntryId id : EntriesWithSignature(tuple.free_extension())) {
-    const GeneralizedTuple& stored = entries_[id].tuple;
-    if (stored.lrps() == tuple.lrps() && stored.data() == tuple.data() &&
-        stored.constraint() == tuple.constraint()) {
+  const SignatureId signature = FindSignature(
+      tuple.lrps(), tuple.data(), HashSignature(tuple.lrps(), tuple.data()));
+  if (signature == kNoSignature) return matched;
+  for (EntryId id : BucketEntries(signature)) {
+    if (Dbm(this->tuple(id).constraint()) == tuple.constraint()) {
       matched.push_back(id);
     }
   }
@@ -223,48 +460,85 @@ std::vector<EntryId> TupleStore::TombstoneExact(const GeneralizedTuple& tuple) {
 
 std::vector<EntryId> TupleStore::EraseEntries(
     const std::vector<EntryId>& ids) {
+  const size_t m = schema_.temporal_arity;
+  const size_t k = schema_.data_arity;
+  const size_t b = BoundsStride();
   // remap[old id] = new id, or kErasedEntry. Monotone, so every rewritten
-  // id list below stays ascending.
-  std::vector<EntryId> remap(entries_.size());
+  // id list below stays ascending, and each survivor's row only ever moves
+  // down over erased ones.
+  std::vector<EntryId> remap(size());
   size_t next = 0;
   EntryId kept = 0;
-  int64_t released = 0;
-  for (size_t id = 0; id < entries_.size(); ++id) {
+  for (size_t id = 0; id < remap.size(); ++id) {
     if (next < ids.size() && ids[next] == id) {
       ++next;
       remap[id] = kErasedEntry;
-      released += entries_[id].tuple.ApproxBytes() +
-                  static_cast<int64_t>(pieces_cache_[id].pieces.size()) *
-                      (schema_.temporal_arity + 2) * 8;
       if (!is_live(static_cast<EntryId>(id))) --tombstones_;
       continue;
     }
     remap[id] = kept;
     if (kept != id) {
-      entries_[kept] = std::move(entries_[id]);
-      pieces_cache_[kept] = std::move(pieces_cache_[id]);
+      lrps_.MoveDown(kept * m, id * m, m);
+      data_.MoveDown(kept * k, id * k, k);
+      bounds_.MoveDown(kept * b, id * b, b);
       live_[kept] = live_[id];
+      piece_ranges_[kept] = piece_ranges_[id];
     }
     ++kept;
   }
   LRPDB_CHECK_EQ(next, ids.size()) << "EraseEntries ids not ascending";
-  entries_.erase(entries_.begin() + kept, entries_.end());
-  pieces_cache_.erase(pieces_cache_.begin() + kept, pieces_cache_.end());
-  live_.resize(kept);
-  auto rewrite = [&remap](std::vector<EntryId>* list) {
-    size_t out = 0;
-    for (EntryId id : *list) {
-      if (remap[id] != kErasedEntry) (*list)[out++] = remap[id];
+  lrps_.Truncate(kept * m);
+  data_.Truncate(kept * k);
+  bounds_.Truncate(kept * b);
+  live_.Truncate(kept);
+  piece_ranges_.Truncate(kept);
+  // Pieces: a lazily filled range sits wherever the arena ended at its
+  // fill, so the survivors' ranges are slid down in arena order.
+  std::vector<EntryId> filled;
+  for (EntryId id = 0; id < kept; ++id) {
+    if (piece_ranges_[id].count != kUnfilled) filled.push_back(id);
+  }
+  std::sort(filled.begin(), filled.end(), [this](EntryId x, EntryId y) {
+    return piece_ranges_[x].first < piece_ranges_[y].first;
+  });
+  const size_t cs = PieceClassStride();
+  size_t pieces = 0;
+  for (EntryId id : filled) {
+    PieceRange& range = piece_ranges_[id];
+    piece_classes_.MoveDown(pieces * cs, range.first * cs, range.count * cs);
+    piece_bounds_.MoveDown(pieces * b, range.first * b, range.count * b);
+    range.first = static_cast<uint32_t>(pieces);
+    pieces += range.count;
+  }
+  piece_classes_.Truncate(pieces * cs);
+  piece_bounds_.Truncate(pieces * b);
+  lrps_.ShrinkToFit();
+  data_.ShrinkToFit();
+  bounds_.ShrinkToFit();
+  live_.ShrinkToFit();
+  piece_ranges_.ShrinkToFit();
+  piece_classes_.ShrinkToFit();
+  piece_bounds_.ShrinkToFit();
+  // Buckets (an emptied one is kept) and postings.
+  for (size_t s = 0; s < buckets_.size(); ++s) {
+    Bucket& bucket = buckets_[s];
+    if (bucket.spill != kNoSpill) {
+      RewriteIds(remap, &spills_[bucket.spill]);
+    } else if (bucket.single != kNoEntry) {
+      bucket.single = remap[bucket.single];  // kErasedEntry == kNoEntry.
     }
-    list->resize(out);
-  };
-  // lint: allow(det) -- each bucket is rewritten independently of the others.
-  for (auto& [unused, bucket] : signature_index_) rewrite(&bucket.entries);
+  }
   for (int c = 0; c < schema_.data_arity; ++c) {
     auto& index = data_index_[c];
     for (auto it = index.begin(); it != index.end();) {
-      rewrite(&it->second);
-      it = it->second.empty() ? index.erase(it) : std::next(it);
+      RewriteIds(remap, &it->second);
+      if (!it->second.empty()) {
+        ++it;
+        continue;
+      }
+      posting_bytes_ -= HeapBytes(kPostingNodeBytes) +
+                        HeapBytes(it->second.capacity() * sizeof(EntryId));
+      it = index.erase(it);
     }
   }
   // Generation bounds count the survivors below them.
@@ -277,65 +551,91 @@ std::vector<EntryId> TupleStore::EraseEntries(
   };
   delta_lo_ = shrink(delta_lo_);
   delta_hi_ = shrink(delta_hi_);
-  approx_bytes_.fetch_sub(released, std::memory_order_relaxed);
+  UpdateBytes();
   return remap;
 }
 
+// --- Checks and dumps ---
+
 [[nodiscard]] Status TupleStore::CheckConsistency() const {
   LRPDB_FAILPOINT("tuple_store.check_consistency");
-  if (delta_lo_ > delta_hi_ || delta_hi_ > entries_.size()) {
+  const size_t n = size();
+  if (delta_lo_ > delta_hi_ || delta_hi_ > n) {
     return InternalError("generation ranges out of order");
   }
   if (data_index_.size() != static_cast<size_t>(schema_.data_arity)) {
     return InternalError("data index arity mismatch");
   }
-  if (live_.size() != entries_.size()) {
-    return InternalError("liveness vector length mismatch");
+  if (lrps_.size() != n * schema_.temporal_arity ||
+      data_.size() != n * schema_.data_arity ||
+      bounds_.size() != n * BoundsStride() || piece_ranges_.size() != n) {
+    return InternalError("row arena length mismatch");
   }
   size_t dead = 0;
-  for (size_t id = 0; id < live_.size(); ++id) {
+  for (size_t id = 0; id < n; ++id) {
     if (live_[id] != kLive) ++dead;
   }
   if (dead != tombstones_) {
     return InternalError("tombstone count disagrees with liveness vector");
   }
-  const size_t live_entries = entries_.size() - tombstones_;
-  // Signature buckets partition the *live* entries and match their keys. The
-  // buckets are visited in ascending SignatureId order (not hash order), so
-  // when several corruptions exist the one reported is the same on every
-  // run and at any load factor.
-  using SignatureItem = std::pair<const FreeExtension, SignatureBucket>;
-  std::vector<const SignatureItem*> buckets;
-  buckets.reserve(signature_index_.size());
-  // lint: allow(det) -- order-insensitive collection; sorted by id below.
-  for (const auto& item : signature_index_) buckets.push_back(&item);
-  std::sort(buckets.begin(), buckets.end(),
-            [](const SignatureItem* a, const SignatureItem* b) {
-              return a->second.id < b->second.id;
-            });
-  size_t bucketed = 0;
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    const auto& [fe, bucket] = *buckets[i];
-    if (i > 0 && buckets[i - 1]->second.id == bucket.id) {
-      return InternalError("duplicate signature id");
+  const size_t num_pieces = piece_classes_.size() / PieceClassStride();
+  if (piece_bounds_.size() != num_pieces * BoundsStride()) {
+    return InternalError("piece arena length mismatch");
+  }
+  for (size_t id = 0; id < n; ++id) {
+    const PieceRange& range = piece_ranges_[id];
+    if (range.count != kUnfilled &&
+        size_t{range.first} + range.count > num_pieces) {
+      return InternalError("piece range out of bounds");
     }
-    for (EntryId id : bucket.entries) {
-      if (id >= entries_.size()) return InternalError("bucket id out of range");
+  }
+  const size_t live_entries = n - tombstones_;
+  // Signature buckets partition the *live* entries and match their keys,
+  // visited in ascending SignatureId order, so when several corruptions
+  // exist the one reported is the same on every run and at any table size.
+  if (signature_keys_.size() != buckets_.size() * KeyStride()) {
+    return InternalError("signature key arena length mismatch");
+  }
+  size_t bucketed = 0;
+  for (SignatureId s = 0; s < buckets_.size(); ++s) {
+    const std::span<const EntryId> entries = BucketEntries(s);
+    for (size_t i = 0; i < entries.size(); ++i) {
+      const EntryId id = entries[i];
+      if (id >= n) return InternalError("bucket id out of range");
+      if (i > 0 && entries[i - 1] >= id) {
+        return InternalError("bucket ids not ascending");
+      }
       if (!is_live(id)) {
         return InternalError("tombstoned entry still bucketed");
       }
-      const Entry& entry = entries_[id];
-      if (!(entry.tuple.free_extension() == fe)) {
+      const TupleView row = tuple(id);
+      if (!KeyEquals(s, row.lrps(), row.data())) {
         return InternalError("entry filed under a foreign signature");
-      }
-      if (entry.signature != bucket.id) {
-        return InternalError("entry signature id mismatch");
       }
       ++bucketed;
     }
   }
   if (bucketed != live_entries) {
     return InternalError("signature buckets do not partition the live entries");
+  }
+  // The table finds every interned key under its own id.
+  size_t filed = 0;
+  for (const Slot& slot : slots_) filed += slot.id != kNoSignature;
+  if (filed != buckets_.size()) {
+    return InternalError("signature table size mismatch");
+  }
+  for (SignatureId s = 0; s < buckets_.size(); ++s) {
+    const int m = schema_.temporal_arity;
+    const int64_t* key = signature_keys_.data() + size_t{s} * KeyStride();
+    std::vector<Lrp> lrps;
+    std::vector<DataValue> data;
+    for (int c = 0; c < m; ++c) lrps.emplace_back(key[2 * c], key[2 * c + 1]);
+    for (int c = 0; c < schema_.data_arity; ++c) {
+      data.push_back(static_cast<DataValue>(key[2 * m + c]));
+    }
+    if (FindSignature(lrps, data, HashSignature(lrps, data)) != s) {
+      return InternalError("signature table does not find an interned key");
+    }
   }
   // Postings: sorted, value-correct, and complete per column. Same
   // discipline: postings are validated in ascending DataValue order.
@@ -356,13 +656,11 @@ std::vector<EntryId> TupleStore::EraseEntries(
         return InternalError("posting list not sorted");
       }
       for (EntryId id : posting) {
-        if (id >= entries_.size()) {
-          return InternalError("posting id out of range");
-        }
+        if (id >= n) return InternalError("posting id out of range");
         if (!is_live(id)) {
           return InternalError("tombstoned entry still posted");
         }
-        if (entries_[id].tuple.data()[c] != value) {
+        if (tuple(id).data()[c] != value) {
           return InternalError("posting value mismatch");
         }
         ++posted;
@@ -378,7 +676,7 @@ std::vector<EntryId> TupleStore::EraseEntries(
 std::string TupleStore::ToString(const Interner* interner) const {
   std::string s;
   for (EntryId id : live_ids()) {
-    s += entries_[id].tuple.ToString(interner);
+    s += tuple(id).ToString(interner);
     s += "\n";
   }
   return s;

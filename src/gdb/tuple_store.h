@@ -1,4 +1,4 @@
-// Signature-indexed, delta-aware tuple storage.
+// Signature-indexed, delta-aware tuple storage in flat arenas.
 //
 // Theorem 4.2's termination argument is phrased in terms of *signatures*:
 // the (data constants, lrp vector) key of a generalized tuple -- its free
@@ -6,13 +6,29 @@
 // period > 0, offset in [0, period)). The store below organizes a
 // generalized relation around exactly that key:
 //
-//  * Signature index. Tuples live in a dense append-only entry array; a
-//    hash index maps each free extension to the list of entries carrying
-//    it. InsertIfNew-style subsumption only ever compares a candidate
-//    against the entries of its own signature bucket -- an O(1) probe
-//    followed by DBM work proportional to the bucket, never to the whole
-//    relation. Free-extension safety (a round adding no *new* signature)
-//    is read off the interning outcome of the probe itself.
+//  * Rows. A relation's arity is fixed, so entry `id` is a fixed-stride
+//    slice of three per-store arenas: m lrps, k data values and the
+//    (m+1)^2 DBM bounds, kept exactly as they were appended (the snapshot
+//    codec encodes them as is). There is no per-entry heap object:
+//    tuple(id) is a borrowed TupleView over the slices, and an owned
+//    GeneralizedTuple exists only where an API boundary asks for one.
+//
+//  * Residue pieces. Each entry's residue pieces (normalized_tuple.h) live
+//    in a piece arena: per piece the common period, m residues and the
+//    (m+1)^2 quotient bounds; the data constants are the row's. An entry
+//    holds the (first, count) range of its pieces, filled by Insert or, for
+//    entries appended unnormalized, on first use.
+//
+//  * Signature table. Free extensions are interned in a flat open-
+//    addressing table of SignatureIds (ordinal, so a signature's id never
+//    changes). The keys (2m+k words per signature) sit in their own arena
+//    and are compared in place against a candidate's view; a tuple's hash
+//    is computed once. Each signature's bucket lists its live entries,
+//    inline while it holds one (most do) and in a spill vector past that.
+//    InsertIfNew-style subsumption compares a candidate only against its
+//    own bucket -- an O(1) probe followed by DBM work proportional to the
+//    bucket, never to the whole relation. Free-extension safety (a round
+//    adding no *new* signature) is read off the probe itself.
 //
 //  * Per-column data value indexes. For every data column, a posting-list
 //    index DataValue -> entry ids lets join sides prune candidates by any
@@ -34,7 +50,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -42,6 +58,7 @@
 #include <vector>
 
 #include "src/common/statusor.h"
+#include "src/gdb/flat_arena.h"
 #include "src/gdb/generalized_tuple.h"
 #include "src/gdb/normalized_tuple.h"
 #include "src/gdb/schema.h"
@@ -114,11 +131,11 @@ struct InsertOutcome {
 // An indexed set of generalized tuples of one schema.
 //
 // Thread-safety contract: one thread at a time. Evaluation is
-// single-threaded, and even const operations are not safe to share: pieces()
-// fills the lazy residue-piece cache without a lock. The one exception is
-// approx_bytes(), which another thread may call concurrently *with* a
-// mutation (a monitoring thread sampling memory while an evaluation
-// inserts) — it is a single atomic and never touches the entry array.
+// single-threaded, and even const operations are not safe to share:
+// AppendPieces() fills the lazy piece ranges without a lock. The one
+// exception is approx_bytes(), which another thread may call concurrently
+// *with* a mutation (a monitoring thread sampling memory while an
+// evaluation inserts) — it is a single atomic and never touches an arena.
 class TupleStore {
  public:
   // A data-column equality requirement for a join probe: the entry's data
@@ -137,25 +154,43 @@ class TupleStore {
   TupleStore& operator=(const TupleStore&) = delete;
 
   const RelationSchema& schema() const { return schema_; }
-  size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-  const GeneralizedTuple& tuple(EntryId id) const {
-    return entries_[id].tuple;
+  size_t size() const { return live_.size(); }
+  bool empty() const { return live_.empty(); }
+  // Entry `id`'s row, borrowed from the arenas: invalidated by any
+  // mutation of the store.
+  TupleView tuple(EntryId id) const {
+    const int m = schema_.temporal_arity;
+    const int k = schema_.data_arity;
+    return TupleView(lrps_.data() + size_t{id} * m, m,
+                     k == 0 ? nullptr : data_.data() + size_t{id} * k, k,
+                     bounds_.data() + size_t{id} * BoundsStride());
   }
-  // The signature the entry was interned under.
-  SignatureId signature_of(EntryId id) const { return entries_[id].signature; }
-  size_t num_signatures() const { return signature_index_.size(); }
-  // The live entries interned under `signature`, ascending; empty when
-  // there are none. One hash probe, whatever the store's size.
-  const std::vector<EntryId>& EntriesWithSignature(
+  size_t num_signatures() const { return buckets_.size(); }
+  // The live entries interned under `signature`, ascending (a copy); empty
+  // when there are none. One hash probe, whatever the store's size.
+  std::vector<EntryId> EntriesWithSignature(
       const FreeExtension& signature) const;
-  // Approximate retained bytes: every appended entry plus its normalized
-  // pieces, using the same estimate Insert charges to the ExecContext byte
-  // budget. A single atomic, so a monitoring thread may sample it while
-  // another thread inserts — no torn reads, no lock.
+  // Retained bytes: the allocated size of every arena, the signature table,
+  // the spilled buckets and the postings, each rounded the way the C heap
+  // rounds a block. Grows as the arenas grow (including a lazy piece fill)
+  // and shrinks when EraseEntries releases memory; Insert charges its
+  // growth to the ExecContext byte budget. A single atomic, so a monitoring
+  // thread may sample it while another thread inserts — no torn reads, no
+  // lock.
   int64_t approx_bytes() const {
     return approx_bytes_.load(std::memory_order_relaxed);
   }
+
+  // approx_bytes() by structure. Reads the arenas: one thread at a time,
+  // like every other accessor.
+  struct Footprint {
+    int64_t rows = 0;        // Lrps, data, bounds, liveness.
+    int64_t pieces = 0;      // Piece ranges, classes and quotient bounds.
+    int64_t signatures = 0;  // Keys, buckets, spilled buckets, slot table.
+    int64_t postings = 0;    // Posting nodes, lists and map buckets.
+    int64_t total() const { return rows + pieces + signatures + postings; }
+  };
+  Footprint footprint() const;
 
   // The posting list for `value` in data column `column` (ascending entry
   // ids), or nullptr when no entry carries that value. The join kernel
@@ -167,10 +202,11 @@ class TupleStore {
     return it == index.end() ? nullptr : &it->second;
   }
 
-  // The residue pieces of entry `id`, computed on first use and cached.
-  // The returned pointer stays valid until the next mutation.
-  [[nodiscard]] StatusOr<const std::vector<NormalizedTuple>*> pieces(
-      EntryId id, const NormalizeLimits& limits = NormalizeLimits()) const;
+  // Appends owned copies of entry `id`'s residue pieces to `out`. An entry
+  // appended unnormalized is normalized on first use and its pieces kept.
+  [[nodiscard]] Status AppendPieces(
+      EntryId id, std::vector<NormalizedTuple>* out,
+      const NormalizeLimits& limits = NormalizeLimits()) const;
 
   // Exact insert: drops the tuple if its ground set is empty or contained
   // in the union of the stored tuples with the same signature (free
@@ -178,10 +214,10 @@ class TupleStore {
   // prescribes. The same-signature entries come from one bucket probe.
   // `stats`, when non-null, receives the insert-path counters; without it
   // nothing is counted.
-  [[nodiscard]] StatusOr<InsertOutcome> Insert(GeneralizedTuple tuple,
-                                 const NormalizeLimits& limits =
-                                     NormalizeLimits(),
-                                 StoreStats* stats = nullptr);
+  [[nodiscard]] StatusOr<InsertOutcome> Insert(
+      const GeneralizedTuple& tuple,
+      const NormalizeLimits& limits = NormalizeLimits(),
+      StoreStats* stats = nullptr);
 
   // Inserts after a cheap DBM satisfiability check only; tuples empty
   // purely through lrp-residue conflicts may be stored (harmless
@@ -195,7 +231,7 @@ class TupleStore {
   // original entry sequence through this, so entry ids, signature interning
   // order, and postings come back identical to the snapshotted store.
   // Requires exclusive access, like every mutation.
-  [[nodiscard]] Status RestoreEntry(GeneralizedTuple tuple);
+  [[nodiscard]] Status RestoreEntry(const GeneralizedTuple& tuple);
 
   // Restores the generation ranges saved with the entries. Must be called
   // after the final RestoreEntry; validates 0 <= lo <= hi <= size().
@@ -207,7 +243,7 @@ class TupleStore {
   // become the delta; the previous delta joins "current".
   void AdvanceGeneration() {
     delta_lo_ = delta_hi_;
-    delta_hi_ = entries_.size();
+    delta_hi_ = size();
   }
   size_t delta_lo() const { return delta_lo_; }
   size_t delta_hi() const { return delta_hi_; }
@@ -219,8 +255,8 @@ class TupleStore {
   // O(affected) and entry ids held by provenance stay valid until the next
   // EraseEntries. Tombstone() removes the entry from its signature bucket
   // and every posting list, so the indexed probe paths never see it again;
-  // whole-store scans go through live_ids(). The slot keeps its payload
-  // until EraseEntries reclaims it.
+  // whole-store scans go through live_ids(). The slot keeps its row until
+  // EraseEntries reclaims it.
 
   // Marks entry `id` dead. Idempotent; requires exclusive access, like
   // every mutation.
@@ -238,7 +274,7 @@ class TupleStore {
   bool is_live(EntryId id) const { return live_[id] == kLive; }
   // False iff every entry is live (nothing for compaction to erase).
   bool has_tombstones() const { return tombstones_ > 0; }
-  size_t live_size() const { return entries_.size() - tombstones_; }
+  size_t live_size() const { return size() - tombstones_; }
 
   // The live entry ids in ascending order, skipping tombstoned slots:
   // `for (EntryId id : store.live_ids())`. Every whole-relation scan
@@ -248,8 +284,8 @@ class TupleStore {
    public:
     class iterator {
      public:
-      iterator(const std::vector<uint8_t>* live, size_t id)
-          : live_(live), id_(id) {
+      iterator(const uint8_t* live, size_t size, size_t id)
+          : live_(live), size_(size), id_(id) {
         Skip();
       }
       EntryId operator*() const { return static_cast<EntryId>(id_); }
@@ -264,35 +300,39 @@ class TupleStore {
 
      private:
       void Skip() {
-        while (id_ < live_->size() && (*live_)[id_] != kLive) ++id_;
+        while (id_ < size_ && live_[id_] != kLive) ++id_;
       }
-      const std::vector<uint8_t>* live_;
+      const uint8_t* live_;
+      size_t size_;
       size_t id_;
     };
-    explicit LiveIds(const std::vector<uint8_t>* live) : live_(live) {}
-    iterator begin() const { return iterator(live_, 0); }
-    iterator end() const { return iterator(live_, live_->size()); }
+    LiveIds(const uint8_t* live, size_t size) : live_(live), size_(size) {}
+    iterator begin() const { return iterator(live_, size_, 0); }
+    iterator end() const { return iterator(live_, size_, size_); }
 
    private:
-    const std::vector<uint8_t>* live_;
+    const uint8_t* live_;
+    size_t size_;
   };
-  LiveIds live_ids() const { return LiveIds(&live_); }
+  LiveIds live_ids() const { return LiveIds(live_.data(), live_.size()); }
 
   // --- Renumbering removal (result compaction, retraction compaction) ---
 
   // Removes the entries `ids` (ascending, distinct) and renumbers the rest
-  // densely in their order. The survivors keep their tuples, cached pieces
-  // and signature interning; the buckets, postings, liveness and
-  // generation ranges are rewritten in place, so no second copy of the
-  // store is ever alive. Returns the remap: remap[old id] is the new id,
-  // or kErasedEntry. The remap is monotone, so whoever addresses the store
-  // by id (the provenance log, ProvenanceLog::Renumber) rewrites its ids
+  // densely in their order. The survivors keep their rows, pieces and
+  // signature interning; every arena is compacted in place and then
+  // shrunk to fit, and the buckets, postings, liveness and generation
+  // ranges are rewritten in place, so no second copy of the store is ever
+  // alive. Returns the remap: remap[old id] is the new id, or
+  // kErasedEntry. The remap is monotone, so whoever addresses the store by
+  // id (the provenance log, ProvenanceLog::Renumber) rewrites its ids
   // through it; every id not rewritten is invalidated. Like Tombstone(), a
   // bucket emptied here is kept (SignatureId allocation is ordinal).
   std::vector<EntryId> EraseEntries(const std::vector<EntryId>& ids);
 
   // Verifies every index invariant (signature buckets partition the
-  // entries, postings are sorted and complete, generation ranges are
+  // entries, the table finds every key, postings are sorted and complete,
+  // piece ranges lie in the piece arena, generation ranges are
   // well-formed). Intended for tests.
   [[nodiscard]] Status CheckConsistency() const;
 
@@ -304,52 +344,112 @@ class TupleStore {
   // iteration order, never hash order).
   friend class TupleStoreTestPeer;
 
-  // Immutable once appended.
-  struct Entry {
-    GeneralizedTuple tuple;
-    SignatureId signature = 0;
+  static constexpr EntryId kNoEntry = UINT32_MAX;
+  static constexpr SignatureId kNoSignature = UINT32_MAX;
+  static constexpr uint32_t kNoSpill = UINT32_MAX;
+  static constexpr uint32_t kUnfilled = UINT32_MAX;
+
+  // An entry's slice of the piece arenas; count == kUnfilled until its
+  // pieces are computed.
+  struct PieceRange {
+    uint32_t first = 0;
+    uint32_t count = kUnfilled;
   };
 
-  // Lazily computed residue pieces of one entry (filled at most once;
-  // immutable afterwards). Kept in a deque parallel to entries_ so slot
-  // references survive appends.
-  struct PiecesCache {
-    std::vector<NormalizedTuple> pieces;
-    bool normalized = false;
+  // A signature's live entries, ascending: `single` (or none) until a
+  // second entry spills the bucket into spills_[spill] for good.
+  struct Bucket {
+    EntryId single = kNoEntry;
+    uint32_t spill = kNoSpill;
   };
 
-  struct SignatureBucket {
-    SignatureId id = 0;
-    std::vector<EntryId> entries;
+  // One open-addressing slot: the upper half of the key hash (a cheap
+  // pre-check) and the signature id, kNoSignature when empty.
+  struct Slot {
+    uint32_t tag = 0;
+    SignatureId id = kNoSignature;
   };
 
-  // Appends `tuple` (with optional pre-normalized pieces) and indexes it.
-  // Returns the outcome's new_signature flag.
-  bool Append(GeneralizedTuple tuple, std::vector<NormalizedTuple> pieces,
-              bool normalized);
+  // Arena strides, in elements.
+  int BoundsStride() const {
+    return (schema_.temporal_arity + 1) * (schema_.temporal_arity + 1);
+  }
+  int PieceClassStride() const { return 1 + schema_.temporal_arity; }
+  int KeyStride() const {
+    return 2 * schema_.temporal_arity + schema_.data_arity;
+  }
+
+  // The signature hash of a free extension, computed once per tuple.
+  static uint64_t HashSignature(ColumnSpan<Lrp> lrps,
+                                ColumnSpan<DataValue> data);
+  bool KeyEquals(SignatureId id, ColumnSpan<Lrp> lrps,
+                 ColumnSpan<DataValue> data) const;
+  // The signature with this key, or kNoSignature.
+  SignatureId FindSignature(ColumnSpan<Lrp> lrps, ColumnSpan<DataValue> data,
+                            uint64_t hash) const;
+  // Finds or interns the key; `*created` tells which.
+  SignatureId InternSignature(ColumnSpan<Lrp> lrps,
+                              ColumnSpan<DataValue> data, uint64_t hash,
+                              bool* created);
+  // Doubles the slot table and re-files every signature.
+  void GrowTable();
+  std::span<const EntryId> BucketEntries(SignatureId id) const;
+  void AddToBucket(SignatureId id, EntryId entry);
+
+  // Appends `pieces` to the piece arenas and returns their range.
+  PieceRange StorePieces(const std::vector<NormalizedTuple>& pieces) const;
+
+  // Appends `tuple` and indexes it; `pieces`, when non-null, become its
+  // filled piece range. Returns whether the signature was new.
+  bool Append(const GeneralizedTuple& tuple, uint64_t hash,
+              const std::vector<NormalizedTuple>* pieces);
+
+  // Publishes footprint().total() as approx_bytes_.
+  void UpdateBytes() const {
+    approx_bytes_.store(footprint().total(), std::memory_order_relaxed);
+  }
 
   RelationSchema schema_;
-  std::vector<Entry> entries_;
-  std::unordered_map<FreeExtension, SignatureBucket, FreeExtensionHash>
-      signature_index_;
-  // data_index_[column][value] = ascending entry ids with that value.
-  std::vector<std::unordered_map<DataValue, std::vector<EntryId>>> data_index_;
-  size_t delta_lo_ = 0;
-  size_t delta_hi_ = 0;
 
+  // Rows, indexed by EntryId with fixed strides.
+  FlatArena<Lrp> lrps_;        // m per entry.
+  FlatArena<DataValue> data_;  // k per entry.
+  FlatArena<Bound> bounds_;    // (m+1)^2 per entry, as appended.
   // Liveness codes for live_.
   static constexpr uint8_t kDead = 0;
   static constexpr uint8_t kLive = 1;
-  // live_[id]: one code per entry, maintained by Append/Tombstone.
-  std::vector<uint8_t> live_;
+  // live_[id]: one code per entry, maintained by Append/Tombstone. Its
+  // size is the entry count.
+  FlatArena<uint8_t> live_;
   size_t tombstones_ = 0;
 
-  // Filled on first use by the const pieces().
-  mutable std::deque<PiecesCache> pieces_cache_;
+  // Residue pieces, filled lazily by the const AppendPieces().
+  mutable FlatArena<PieceRange> piece_ranges_;  // One per entry.
+  mutable FlatArena<int64_t> piece_classes_;    // Period, m residues.
+  mutable FlatArena<Bound> piece_bounds_;       // (m+1)^2 quotient bounds.
 
-  // Retained-bytes estimate, advanced by Append. Atomic so approx_bytes()
-  // stays safe and lock-free for readers concurrent with an insert.
-  std::atomic<int64_t> approx_bytes_{0};
+  // Signature table. Ids index signature_keys_ (KeyStride() words each:
+  // period and offset per lrp, then the data values) and buckets_.
+  FlatArena<int64_t> signature_keys_;
+  FlatArena<Bucket> buckets_;
+  std::vector<std::vector<EntryId>> spills_;
+  // Power-of-two open-addressing table, at most 3/4 full; linear probing.
+  std::vector<Slot> slots_;
+
+  // data_index_[column][value] = ascending entry ids with that value.
+  std::vector<std::unordered_map<DataValue, std::vector<EntryId>>> data_index_;
+  // Heap bytes of the posting nodes and lists, and of the spill lists,
+  // kept up to date as they change.
+  int64_t posting_bytes_ = 0;
+  int64_t spill_bytes_ = 0;
+
+  size_t delta_lo_ = 0;
+  size_t delta_hi_ = 0;
+
+  // Published by UpdateBytes() after every change to an allocation. Atomic
+  // so approx_bytes() stays safe and lock-free for readers concurrent with
+  // an insert.
+  mutable std::atomic<int64_t> approx_bytes_{0};
 };
 
 // --- Ground-fact storage (shared delta-generation machinery) ---

@@ -23,7 +23,7 @@ constexpr uint32_t kMaxArity = 1024;
 constexpr int64_t kDbmInfinity = std::numeric_limits<int64_t>::max();
 constexpr int64_t kMaxFiniteBound = std::numeric_limits<int64_t>::max() / 4;
 
-void EncodeDbm(std::string* dst, const Dbm& dbm) {
+void EncodeDbm(std::string* dst, DbmView dbm) {
   int n = dbm.num_vars();
   for (int i = 0; i <= n; ++i) {
     for (int j = 0; j <= n; ++j) {
@@ -183,7 +183,7 @@ std::string EncodeDatabaseImage(const Database& db) {
     uint64_t delta_lo = 0;
     uint64_t delta_hi = 0;
     for (EntryId id : store.live_ids()) {
-      const GeneralizedTuple& tuple = store.tuple(id);
+      const TupleView tuple = store.tuple(id);
       delta_lo += id < store.delta_lo();
       delta_hi += id < store.delta_hi();
       for (const Lrp& lrp : tuple.lrps()) {
@@ -288,7 +288,7 @@ std::string EncodeFactBatch(const FactBatch& batch) {
     }
     PutU32(&out, static_cast<uint32_t>(fact.data.size()));
     for (const std::string& d : fact.data) PutString(&out, d);
-    EncodeDbm(&out, fact.constraint);
+    EncodeDbm(&out, fact.constraint.view());
   }
   return out;
 }

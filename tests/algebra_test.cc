@@ -148,8 +148,8 @@ TEST(CoalesceTest, PlanNamesConsumedInputsAndMergedTuples) {
       GeneralizedTuple::Unconstrained({Lrp(6, 1)}, {}),
       GeneralizedTuple::Unconstrained({Lrp(6, 2)}, {}),
       GeneralizedTuple::Unconstrained({Lrp(6, 4)}, {})};
-  std::vector<const GeneralizedTuple*> views;
-  for (const GeneralizedTuple& t : tuples) views.push_back(&t);
+  std::vector<TupleView> views;
+  for (const GeneralizedTuple& t : tuples) views.push_back(t.view());
   auto plan = PlanCoalesce(views);
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_EQ(plan->consumed, (std::vector<size_t>{1, 3, 4}));
@@ -176,8 +176,8 @@ TEST(CoalesceTest, MergedTuplesMergeAgainAcrossColumns) {
       tuples.push_back(GeneralizedTuple({Lrp(4, a), Lrp(4, b)}, {}, nonneg));
     }
   }
-  std::vector<const GeneralizedTuple*> views;
-  for (const GeneralizedTuple& t : tuples) views.push_back(&t);
+  std::vector<TupleView> views;
+  for (const GeneralizedTuple& t : tuples) views.push_back(t.view());
   auto plan = PlanCoalesce(views);
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_EQ(plan->consumed, (std::vector<size_t>{0, 1, 2, 3}));

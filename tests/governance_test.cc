@@ -151,6 +151,31 @@ TEST(GovernanceTest, TupleBudgetDegradesGracefully) {
   EXPECT_GT(result->partial.bytes_charged, 0);
 }
 
+// The byte budget is charged what the stores really grow by: on a run with
+// a context but no budget, the bytes charged come within 25% of the final
+// model's approx_bytes().
+TEST(GovernanceTest, BytesChargedTrackTheStoredModel) {
+  Parsed p(SweepProgram(168, 5));
+  ExecContext exec;
+  EvaluationOptions options;
+  options.exec = &exec;
+  auto result = Evaluate(p.unit->program, p.db, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_TRUE(result->reached_fixpoint);
+  EXPECT_FALSE(result->partial.tripped());
+  int64_t model_bytes = 0;
+  for (const auto& [name, relation] : result->idb) {
+    model_bytes += relation.store().approx_bytes();
+  }
+  ASSERT_GT(model_bytes, 0);
+  // A run that trips reports the same counter as partial.bytes_charged.
+  const double ratio = static_cast<double>(exec.bytes_charged()) / model_bytes;
+  EXPECT_GE(ratio, 0.75) << exec.bytes_charged() << " charged, "
+                         << model_bytes << " stored";
+  EXPECT_LE(ratio, 1.25) << exec.bytes_charged() << " charged, "
+                         << model_bytes << " stored";
+}
+
 // Cancellation at every poll site: cancel before the run, then after N
 // polls for increasing N until a run completes. Every cancelled run must
 // unwind as a clean kCancelled trip whose partial model is a subset of the

@@ -67,19 +67,20 @@ std::unique_ptr<ProvRun> RunWithProvenance(const std::string& text) {
   return run;
 }
 
-// Resolves a recorded parent address to its tuple: IDB first (rule heads),
-// then the extensional store.
-const GeneralizedTuple* ResolveTuple(const ProvRun& run,
-                                     const std::string& name, EntryId entry) {
+// Resolves a recorded parent address to (a copy of) its tuple: IDB first
+// (rule heads), then the extensional store.
+std::optional<GeneralizedTuple> ResolveTuple(const ProvRun& run,
+                                             const std::string& name,
+                                             EntryId entry) {
   auto it = run.result.idb.find(name);
   if (it != run.result.idb.end()) {
-    if (entry >= it->second.size()) return nullptr;
-    return &it->second.tuple(entry);
+    if (entry >= it->second.size()) return std::nullopt;
+    return it->second.tuple(entry).ToTuple();
   }
   auto rel = run.db.Relation(name);
-  if (!rel.ok()) return nullptr;
-  if (entry >= (*rel)->size()) return nullptr;
-  return &(*rel)->tuple(entry);
+  if (!rel.ok()) return std::nullopt;
+  if (entry >= (*rel)->size()) return std::nullopt;
+  return (*rel)->tuple(entry).ToTuple();
 }
 
 // True iff `piece`'s ground set is contained in `entry_tuple`'s: insert the
@@ -123,8 +124,9 @@ void ReplayOrigin(const ProvRun& run, const std::string& head_name,
   for (size_t k = 0; k < clause.body.size(); ++k) {
     const ProvRef& p = origin.parents[k];
     const std::string& pname = run.log.RelationName(p.relation);
-    const GeneralizedTuple* parent = ResolveTuple(run, pname, p.entry);
-    ASSERT_NE(parent, nullptr) << "unresolvable parent " << pname << "#"
+    const std::optional<GeneralizedTuple> parent =
+        ResolveTuple(run, pname, p.entry);
+    ASSERT_TRUE(parent.has_value()) << "unresolvable parent " << pname << "#"
                                << p.entry;
     RelationSchema schema;
     schema.temporal_arity =
@@ -146,8 +148,9 @@ void ReplayOrigin(const ProvRun& run, const std::string& head_name,
   ASSERT_FALSE(candidates.empty())
       << "replaying the origin's rule over its parents produced nothing";
 
-  const GeneralizedTuple* derived = ResolveTuple(run, head_name, entry);
-  ASSERT_NE(derived, nullptr);
+  const std::optional<GeneralizedTuple> derived =
+      ResolveTuple(run, head_name, entry);
+  ASSERT_TRUE(derived.has_value());
   RelationSchema head_schema;
   head_schema.temporal_arity =
       static_cast<int>(clause.head_temporal_vars.size());

@@ -288,6 +288,49 @@ TEST(CodecTest, ImageRoundTripIsExact) {
 // written while stores could run unindexed may carry 0: they decode to the
 // same database (the flag is ignored) and re-encode with 1. Anything above
 // 1 is still corrupt.
+// Rows keep each DBM's bounds exactly as appended, unclosed, and the codec
+// encodes them as is: a relation built through Insert (m = 2, bounds whose
+// closure would tighten them) snapshots to the same bytes and dumps to the
+// same text as its restore, even after its pieces were read and an exact
+// retraction compared its bucket.
+TEST(CodecTest, InsertedAndRestoredRowsEncodeIdentically) {
+  Database db;
+  ASSERT_TRUE(db.Declare("span", RelationSchema{2, 1}).ok());
+  const DataValue a = db.Constant("alpha");
+  TupleStore& store = (*db.MutableRelation("span"))->mutable_store();
+  for (int64_t offset : {8, 9, 10}) {
+    Dbm dbm(2);
+    dbm.AddDifferenceUpperBound(2, 1, 5);   // T2 - T1 <= 5
+    dbm.AddDifferenceUpperBound(1, 2, -2);  // T2 - T1 >= 2
+    dbm.AddLowerBound(1, 0);                // implies T2 >= 2, not stored
+    dbm.AddUpperBound(2, 100 + offset);
+    auto inserted = store.Insert(
+        GeneralizedTuple({Lrp(24, offset), Lrp(12, offset + 2)}, {a}, dbm));
+    ASSERT_TRUE(inserted.ok()) << inserted.status();
+    ASSERT_TRUE(inserted->inserted);
+  }
+  std::vector<NormalizedTuple> pieces;
+  ASSERT_TRUE(store.AppendPieces(1, &pieces).ok());
+  Dbm other(2);
+  other.AddLowerBound(1, 50);
+  EXPECT_TRUE(
+      store
+          .TombstoneExact(GeneralizedTuple(
+              {Lrp(24, 8), Lrp(12, 10)}, {a}, other))
+          .empty());
+  EXPECT_TRUE(store.tuple(0).bound(0, 2).is_infinite());  // Still unclosed.
+  const std::string payload = EncodeDatabaseImage(db);
+
+  Database restored;
+  ASSERT_TRUE(DecodeDatabaseImage(payload, &restored).ok());
+  EXPECT_EQ(EncodeDatabaseImage(restored), payload);
+  EXPECT_EQ(restored.ToString(), db.ToString());
+  const TupleStore& back = (*restored.Relation("span"))->store();
+  ASSERT_EQ(back.size(), 3u);
+  EXPECT_TRUE(back.tuple(0).bound(0, 2).is_infinite());
+  EXPECT_TRUE(back.CheckConsistency().ok()) << back.CheckConsistency();
+}
+
 TEST(CodecTest, ImageRelationHeaderHasNoIndexFlag) {
   Database db = MakeRichDatabase();
   (*db.MutableRelation("meet"))->mutable_store().Tombstone(0);

@@ -10,6 +10,10 @@
 #include <thread>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <gtest/gtest.h>
 
 #include "src/core/evaluator.h"
@@ -27,18 +31,13 @@ class TupleStoreTestPeer {
  public:
   static void AppendToBucketWithId(TupleStore& store, SignatureId id,
                                    EntryId bogus) {
-    for (auto& [fe, bucket] : store.signature_index_) {
-      if (bucket.id == id) {
-        bucket.entries.push_back(bogus);
-        return;
-      }
-    }
-    FAIL() << "no bucket with signature id " << id;
+    ASSERT_LT(id, store.num_signatures()) << "no bucket with signature id";
+    store.AddToBucket(id, bogus);
   }
 
-  static void SetEntrySignature(TupleStore& store, EntryId id,
-                                SignatureId signature) {
-    store.entries_[id].signature = signature;
+  static void CorruptSignatureKey(TupleStore& store, SignatureId id) {
+    ASSERT_LT(id, store.num_signatures());
+    store.signature_keys_[size_t{id} * store.KeyStride()] += 1;
   }
 
   static void ReversePosting(TupleStore& store, int column, DataValue value) {
@@ -158,13 +157,13 @@ TEST(TupleStoreTest, CheckConsistencyReportsLowestSignatureBucketFirst) {
           store.Insert(Banded(signatures + 1, offset, 0, 100, 1))->inserted);
     }
     ASSERT_TRUE(store.CheckConsistency().ok());
-    // Lower bucket id: an out-of-range entry. Higher bucket id: an entry
-    // whose signature field disagrees. Distinct messages, so the walk order
-    // is observable.
+    // Lower bucket id: an out-of-range entry. Higher bucket id: a key
+    // that no longer matches its entry. Distinct messages, so the walk
+    // order is observable.
     TupleStoreTestPeer::AppendToBucketWithId(
         store, 1, static_cast<EntryId>(store.size() + 100));
-    TupleStoreTestPeer::SetEntrySignature(
-        store, static_cast<EntryId>(signatures - 1), 9999);
+    TupleStoreTestPeer::CorruptSignatureKey(
+        store, static_cast<SignatureId>(signatures - 1));
     Status status = store.CheckConsistency();
     ASSERT_FALSE(status.ok());
     EXPECT_NE(status.ToString().find("bucket id out of range"),
@@ -294,8 +293,9 @@ TEST(TupleStoreTest, EraseEntriesRenumbersInPlace) {
   const std::vector<EntryId>* sevens = store.PostingFor(0, 7);
   ASSERT_NE(sevens, nullptr);
   EXPECT_EQ(*sevens, (std::vector<EntryId>{0, 2}));
-  EXPECT_EQ(store.EntriesWithSignature(store.tuple(4).free_extension()),
-            (std::vector<EntryId>{4}));
+  EXPECT_EQ(
+      store.EntriesWithSignature(store.tuple(4).ToTuple().free_extension()),
+      (std::vector<EntryId>{4}));
   // Appends continue densely after the survivors.
   auto outcome = store.Insert(Banded(11, 9, 0, 20, 9));
   ASSERT_TRUE(outcome.ok());
@@ -579,6 +579,117 @@ TEST(TupleStoreTest, LiveIdsSkipTombstonesAndEraseReclaimsThem) {
   ASSERT_TRUE(store.Insert(Banded(8, 6, 0, 40, 6))->inserted);
   EXPECT_EQ(store.size(), 3u);
   EXPECT_TRUE(store.CheckConsistency().ok());
+}
+
+// A piece range filled lazily (here for an InsertUnlessEmpty entry) is
+// counted when it is filled and released with its entry: erasing the only
+// entry leaves exactly the bytes of a store that never filled it, which
+// hold the interned signature alone (signatures are never dropped).
+TEST(TupleStoreTest, LazyPiecesAreCountedAndReleased) {
+  const GeneralizedTuple tuple({Lrp(168, 8)}, {1, 2}, Dbm(1));
+  TupleStore store({1, 2});
+  ASSERT_TRUE(store.InsertUnlessEmpty(tuple));
+  const int64_t appended = store.approx_bytes();
+  EXPECT_GT(appended, 0);
+  std::vector<NormalizedTuple> pieces;
+  ASSERT_TRUE(store.AppendPieces(0, &pieces).ok());
+  ASSERT_EQ(pieces.size(), 1u);
+  EXPECT_GT(store.approx_bytes(), appended);
+  store.EraseEntries({0});
+  ASSERT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
+
+  TupleStore unfilled({1, 2});
+  ASSERT_TRUE(unfilled.InsertUnlessEmpty(tuple));
+  unfilled.EraseEntries({0});
+  EXPECT_GE(store.approx_bytes(), 0);
+  EXPECT_EQ(store.approx_bytes(), unfilled.approx_bytes());
+  EXPECT_LT(store.approx_bytes(), appended);
+  // The signature is still interned: re-inserting is not a new one.
+  auto again = store.Insert(tuple);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_TRUE(again->inserted);
+  EXPECT_FALSE(again->new_signature);
+}
+
+// Pieces filled lazily land in the piece arena in fill order, not entry
+// order; EraseEntries slides the survivors' ranges down in arena order, so
+// every survivor still reads back exactly its own pieces.
+TEST(TupleStoreTest, EraseEntriesKeepsLazilyFilledPieces) {
+  TupleStore store({2, 1});
+  for (int64_t i = 0; i < 6; ++i) {
+    Dbm dbm(2);
+    dbm.AddDifferenceUpperBound(2, 1, 3 + i);
+    dbm.AddLowerBound(1, i);
+    ASSERT_TRUE(store.InsertUnlessEmpty(
+        GeneralizedTuple({Lrp(6, i), Lrp(4, i % 4)}, {i % 2}, dbm)));
+  }
+  std::vector<NormalizedTuple> scratch;
+  for (EntryId id : {4, 1, 5, 0}) {  // Entries 2 and 3 stay unfilled.
+    ASSERT_TRUE(store.AppendPieces(id, &scratch).ok());
+  }
+  std::vector<std::string> expected;
+  for (EntryId id : {0, 3, 5}) {
+    auto pieces = NormalizedTuple::Normalize(store.tuple(id));
+    ASSERT_TRUE(pieces.ok()) << pieces.status();
+    std::string dump;
+    for (const NormalizedTuple& piece : *pieces) dump += piece.ToString() + ";";
+    expected.push_back(dump);
+  }
+  store.EraseEntries({1, 2, 4});
+  ASSERT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
+  for (EntryId id = 0; id < store.size(); ++id) {
+    std::vector<NormalizedTuple> pieces;
+    ASSERT_TRUE(store.AppendPieces(id, &pieces).ok());
+    std::string dump;
+    for (const NormalizedTuple& piece : pieces) dump += piece.ToString() + ";";
+    EXPECT_EQ(dump, expected[id]) << id;
+  }
+}
+
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+#define LRPDB_TEST_SANITIZED 1
+#endif
+#endif
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+#define LRPDB_TEST_SANITIZED 1
+#endif
+
+// approx_bytes() is the store's real footprint: within 25% of what the C
+// heap reports for a fill in the closed_form_eval shape (one lrp of period
+// 168, two data columns, a lower bound; about one signature in twelve
+// holds a second entry in a disjoint window), and at most 250 B per stored
+// tuple.
+TEST(TupleStoreTest, ApproxBytesTracksTheAllocator) {
+#if defined(LRPDB_TEST_SANITIZED) || !defined(__GLIBC__)
+  GTEST_SKIP() << "mallinfo2() sees only glibc's own allocator";
+#else
+  auto heap_in_use = [] {
+    const auto info = ::mallinfo2();
+    return static_cast<int64_t>(info.uordblks + info.hblkhd);
+  };
+  constexpr int kTuples = 30000;
+  const int64_t before = heap_in_use();
+  {
+    TupleStore store({1, 2});
+    for (int i = 0; i < kTuples; ++i) {
+      const bool second = i % 12 == 11;
+      const int base = second ? i - 1 : i;
+      // The second entry's window ends before the first one's begins.
+      Dbm window(1);
+      window.AddLowerBound(1, base % 50 - (second ? 1000 : 0));
+      if (second) window.AddUpperBound(1, base % 50 - 500);
+      auto outcome = store.Insert(GeneralizedTuple(
+          {Lrp(168, base % 168)}, {base % 97, base / 168}, window));
+      ASSERT_TRUE(outcome.ok() && outcome->inserted) << i;
+    }
+    const int64_t heap = heap_in_use() - before;
+    const double ratio = static_cast<double>(store.approx_bytes()) / heap;
+    EXPECT_GE(ratio, 0.75) << store.approx_bytes() << " vs heap " << heap;
+    EXPECT_LE(ratio, 1.25) << store.approx_bytes() << " vs heap " << heap;
+    EXPECT_LE(heap / static_cast<int64_t>(store.size()), 250);
+  }
+#endif
 }
 
 // Tombstones interact cleanly with the delta-generation protocol: a dead
