@@ -136,6 +136,7 @@ struct ProvSession {
                          lrpdb::EntryId entry) const {
     const lrpdb::GeneralizedRelation* rel = RelationOf(relation);
     if (rel == nullptr || entry >= rel->size()) return "(unknown entry)";
+    if (!rel->store().is_live(entry)) return "(retracted entry)";
     return Trim(rel->tuple(entry).ToString(&db->interner()));
   }
 
@@ -151,7 +152,8 @@ struct ProvSession {
 // Parses "pred#3", "pred(26, \"a\")", or bare "pred", resolving the entry
 // ids to explain. Ground-point specs list times first, then data values
 // (quotes optional), and match every stored tuple whose ground set contains
-// the point.
+// the point. Only live entries resolve: a retracted (tombstoned) slot keeps
+// its id until compaction but is no longer part of the model.
 bool ResolveTupleSpec(const ProvSession& s, const std::string& spec,
                       std::string* name, std::vector<lrpdb::EntryId>* entries,
                       std::string* error) {
@@ -172,6 +174,10 @@ bool ResolveTupleSpec(const ProvSession& s, const std::string& spec,
                " entries";
       return false;
     }
+    if (!rel->store().is_live(entries->back())) {
+      *error = "entry " + std::to_string(entries->back()) + " was retracted";
+      return false;
+    }
     return true;
   }
   if (paren == std::string::npos) {
@@ -181,8 +187,10 @@ bool ResolveTupleSpec(const ProvSession& s, const std::string& spec,
       *error = "unknown relation '" + *name + "'";
       return false;
     }
-    for (size_t i = 0; i < rel->size(); ++i) {
-      entries->push_back(static_cast<lrpdb::EntryId>(i));
+    for (lrpdb::EntryId id : rel->store().live_ids()) entries->push_back(id);
+    if (entries->empty()) {
+      *error = *name + " has no live entries";
+      return false;
     }
     return true;
   }
@@ -427,7 +435,8 @@ void ReplLoad(const std::string& dir) {
       static_cast<unsigned long long>(info->replayed_records));
   for (const std::string& name : loaded.RelationNames()) {
     const lrpdb::GeneralizedRelation* rel = *loaded.Relation(name);
-    std::printf("  %s: %zu generalized tuples\n", name.c_str(), rel->size());
+    std::printf("  %s: %zu generalized tuples\n", name.c_str(),
+                rel->store().live_size());
   }
 }
 

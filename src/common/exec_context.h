@@ -2,12 +2,20 @@
 //
 // An ExecContext is an optional companion to an evaluation. The caller
 // configures limits up front (a monotonic deadline, tuple/byte budgets, a
-// step quota, a round cap, or nothing at all), hands a pointer to the
-// evaluator, and every long-running loop in the engine polls the context at
-// bounded intervals. When a limit trips, the poll returns a governance
-// Status (kDeadlineExceeded, kResourceExhausted, or kCancelled) and the
-// evaluation unwinds through the normal [[nodiscard]] Status discipline —
-// no exceptions, no signals, no thread kills.
+// step quota, a round cap, or nothing at all), hands a pointer to an entry
+// point (Evaluate, ResumeEvaluate, QueryAtom, EvaluateGround,
+// EvaluateDatalog1S, IncrementalEvaluator's updates), and every
+// long-running loop in the engine polls the context at bounded intervals.
+// When a limit trips, the poll returns a governance Status
+// (kDeadlineExceeded, kResourceExhausted, or kCancelled) and the evaluation
+// unwinds through the normal [[nodiscard]] Status discipline — no
+// exceptions, no signals, no thread kills.
+//
+// One route. An entry point installs its context with ScopedCurrent for
+// the call; nothing below it takes an ExecContext* parameter. Every layer
+// underneath (clause kernels, tuple stores, normalization, the algebra,
+// DBM closure, provenance, the WAL, failpoints) reads Current() once per
+// call and polls or charges that.
 //
 // Trips are *sticky*: the first limit to fire wins, and every subsequent
 // Poll()/CheckNow() on that context returns the same code and reason, so a
@@ -160,9 +168,8 @@ class ExecContext {
 
   // ---- Thread-local current context ----
   //
-  // Deep layers whose signatures cannot carry a context (Dbm::Close() is a
-  // void, memoized, const-called closure) charge the current context
-  // instead. Evaluators install themselves for the duration of a run.
+  // The one way code below an entry point reaches governance (see the file
+  // comment). Null when nothing is installed: the work runs ungoverned.
   static ExecContext* Current();
   static void ChargeCurrentSteps(int64_t n);
 
@@ -224,8 +231,8 @@ class ExecContext {
 
 // True when `status` is `exec`'s own sticky governance trip unwinding — the
 // signal for graceful degradation rather than a hard error. A plain
-// kResourceExhausted from an ungoverned limit (e.g. NormalizeLimits'
-// max_pieces) does not qualify unless this context recorded it.
+// kResourceExhausted from an ungoverned limit (e.g. normalization's
+// kMaxResiduePieces cap) does not qualify unless this context recorded it.
 [[nodiscard]] bool IsGovernanceTrip(const ExecContext* exec,
                                     const Status& status);
 

@@ -230,12 +230,12 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
 
 [[nodiscard]] Status ApplyClauseBatch(
     const NormalizedClause& clause, const ClausePlan& plan,
-    const std::vector<AtomSource>& sources, const NormalizeLimits& limits,
-    StoreStats* stats, std::vector<GeneralizedTuple>* candidates,
+    const std::vector<AtomSource>& sources, StoreStats* stats,
+    std::vector<GeneralizedTuple>* candidates,
     std::vector<std::vector<EntryId>>* parent_ids) {
   if (clause.always_false) return OkStatus();
   LRPDB_FAILPOINT("evaluator.apply_clause");
-  ExecContext* exec = limits.exec;
+  ExecContext* exec = ExecContext::Current();
   std::vector<BatchBinding> frontier;
   frontier.emplace_back(clause.num_temporal_vars, clause.num_data_vars,
                         clause.body.size(), clause.constraint);
@@ -354,7 +354,7 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
     }
     GeneralizedTuple full(std::move(lrps), {}, binding.constraint);
     LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pieces,
-                           NormalizedTuple::Normalize(full, limits));
+                           NormalizedTuple::Normalize(full));
     std::vector<DataValue> head_data;
     head_data.reserve(clause.head_data.size());
     for (const NormalizedDataArg& arg : clause.head_data) {

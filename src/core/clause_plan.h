@@ -126,11 +126,12 @@ ClausePlan CompileClausePlan(const NormalizedClause& clause);
 // order (see the determinism note above); `stats`, when non-null, receives
 // the probe counters. `parent_ids`, when non-null, captures
 // why-provenance: one vector per emitted candidate holding the positive
-// body atoms' matched entry ids in body order.
+// body atoms' matched entry ids in body order. Polls
+// ExecContext::Current() per binding.
 [[nodiscard]] Status ApplyClauseBatch(
     const NormalizedClause& clause, const ClausePlan& plan,
-    const std::vector<AtomSource>& sources, const NormalizeLimits& limits,
-    StoreStats* stats, std::vector<GeneralizedTuple>* candidates,
+    const std::vector<AtomSource>& sources, StoreStats* stats,
+    std::vector<GeneralizedTuple>* candidates,
     std::vector<std::vector<EntryId>>* parent_ids = nullptr);
 
 // --- Ground-kernel compilation (shared with src/core/ground_evaluator.cc) ---

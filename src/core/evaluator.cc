@@ -67,17 +67,16 @@ class RelationResolver {
   }
 
   [[nodiscard]] StatusOr<const GeneralizedRelation*> ResolveNegated(
-      SymbolId predicate, bool is_intensional,
-      const NormalizeLimits& limits) {
+      SymbolId predicate, bool is_intensional) {
     auto it = complements_.find(predicate);
     if (it != complements_.end()) return &it->second;
     LRPDB_ASSIGN_OR_RETURN(const GeneralizedRelation* relation,
                            Resolve(predicate, is_intensional));
     LRPDB_ASSIGN_OR_RETURN(
         std::vector<std::vector<DataValue>> universe,
-        DataUniverse(relation->schema().data_arity, limits));
+        DataUniverse(relation->schema().data_arity));
     LRPDB_ASSIGN_OR_RETURN(GeneralizedRelation complement,
-                           Complement(*relation, universe, limits));
+                           Complement(*relation, universe));
     auto [inserted, unused] =
         complements_.emplace(predicate, std::move(complement));
     return &inserted->second;
@@ -91,7 +90,7 @@ class RelationResolver {
 
  private:
   [[nodiscard]] StatusOr<std::vector<std::vector<DataValue>>> DataUniverse(
-      int arity, const NormalizeLimits& limits) const {
+      int arity) const {
     LRPDB_FAILPOINT("evaluator.data_universe");
     constexpr int64_t kMaxRows = 65536;
     std::vector<std::vector<DataValue>> rows;
@@ -109,8 +108,9 @@ class RelationResolver {
     }
     std::vector<size_t> index(arity, 0);
     if (active_domain_.empty()) return rows;
+    ExecContext* exec = ExecContext::Current();
     while (true) {
-      LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
+      LRPDB_RETURN_IF_ERROR(PollExec(exec));
       std::vector<DataValue> row(arity);
       for (int i = 0; i < arity; ++i) row[i] = active_domain_[index[i]];
       rows.push_back(std::move(row));
@@ -303,10 +303,8 @@ namespace {
   LRPDB_TRACE_SPAN(eval_span, "eval.run");
   LRPDB_FAILPOINT("evaluator.evaluate");
   ExecContext* exec = options.exec;
-  NormalizeLimits limits = options.limits;
-  limits.exec = exec;
-  // Layers whose signatures cannot carry the context (DBM closure inside
-  // const queries) charge the ambient thread-local context instead.
+  // Every layer below polls and charges the context through
+  // ExecContext::Current().
   ExecContext::ScopedCurrent scoped_exec(exec);
   EvaluationResult result;
   const SteadyTime normalize_start = Now();
@@ -501,7 +499,7 @@ namespace {
         const SteadyTime apply_start = Now();
         const size_t before = candidates.size();
         LRPDB_RETURN_IF_ERROR(ApplyClauseBatch(
-            normalized.clauses[ci], plans[ci], sources, limits, &stats.store,
+            normalized.clauses[ci], plans[ci], sources, &stats.store,
             &candidates, prov != nullptr ? &candidate_parents : nullptr));
         const int64_t apply_us = UsSince(apply_start);
         candidate_clauses.resize(candidates.size(), static_cast<int>(ci));
@@ -533,8 +531,7 @@ namespace {
           const NormalizedBodyAtom& atom = clause.body[a];
           if (atom.negated) {
             StatusOr<const GeneralizedRelation*> negated =
-                resolver.ResolveNegated(atom.predicate, atom.is_intensional,
-                                        limits);
+                resolver.ResolveNegated(atom.predicate, atom.is_intensional);
             if (!negated.ok()) {
               if (!IsGovernanceTrip(exec, negated.status())) {
                 return negated.status();
@@ -620,7 +617,7 @@ namespace {
           // The store copies the row; the candidates are freed together
           // at the end of the round.
           StatusOr<InsertOutcome> outcome_or =
-              relation.mutable_store().Insert(tuple, limits, &stats.store);
+              relation.mutable_store().Insert(tuple, &stats.store);
           if (!outcome_or.ok()) {
             if (!IsGovernanceTrip(exec, outcome_or.status())) {
               return outcome_or.status();
@@ -737,14 +734,14 @@ namespace {
           views.push_back(store.tuple(id));
           ids.push_back(id);
         }
-        LRPDB_ASSIGN_OR_RETURN(CoalescePlan plan, PlanCoalesce(views, limits));
+        LRPDB_ASSIGN_OR_RETURN(CoalescePlan plan, PlanCoalesce(views));
         if (plan.merged.empty()) continue;
         // Inserting below may move the entries the views point into.
         views.clear();
         // Only the merged tuples are charged to the budget: the model they
         // replace was charged when the rounds inserted it.
         for (const GeneralizedTuple& t : plan.merged) {
-          LRPDB_RETURN_IF_ERROR(store.Insert(t, limits).status());
+          LRPDB_RETURN_IF_ERROR(store.Insert(t).status());
         }
         std::vector<EntryId> erase;
         erase.reserve(plan.consumed.size());
@@ -796,10 +793,7 @@ namespace {
                                         const PredicateAtom& query,
                                         const EvaluationOptions& options) {
   LRPDB_FAILPOINT("evaluator.query_atom");
-  ExecContext* exec = options.exec;
-  NormalizeLimits limits = options.limits;
-  limits.exec = exec;
-  ExecContext::ScopedCurrent scoped_exec(exec);
+  ExecContext::ScopedCurrent scoped_exec(options.exec);
   // Build a one-atom synthetic clause whose head lists the query's distinct
   // variables, then run it through the clause kernel.
   NormalizedClause clause;
@@ -859,14 +853,13 @@ namespace {
 
   std::vector<GeneralizedTuple> candidates;
   LRPDB_RETURN_IF_ERROR(ApplyClauseBatch(clause, CompileClausePlan(clause),
-                                         sources, limits, /*stats=*/nullptr,
+                                         sources, /*stats=*/nullptr,
                                          &candidates));
   GeneralizedRelation answers(
       {static_cast<int>(clause.head_temporal_vars.size()),
        static_cast<int>(clause.head_data.size())});
   for (const GeneralizedTuple& t : candidates) {
-    LRPDB_RETURN_IF_ERROR(
-        answers.InsertIfNew(t, limits).status());
+    LRPDB_RETURN_IF_ERROR(answers.InsertIfNew(t).status());
   }
   return answers;
 }

@@ -53,9 +53,6 @@ struct EvaluationOptions {
   // give up on the computation if the interpretation does not become
   // constraint safe after a few iterations").
   int fes_patience = 64;
-  // Budgets for the residue normalization underlying exact containment.
-  // Its `exec` is replaced by the `exec` field below.
-  NormalizeLimits limits;
   // Record every candidate tuple per round (for traces such as the
   // Example 4.1 table).
   bool record_trace = false;
@@ -71,8 +68,10 @@ struct EvaluationOptions {
   // kDeadlineExceeded / kCancelled / kResourceExhausted) over the sound
   // partial model. The context also caps rounds at
   // ExecContext::max_rounds() (default kDefaultMaxRounds) on top of
-  // max_iterations above. The evaluator hands it on to every layer below
-  // as limits.exec.
+  // max_iterations above. Evaluate, ResumeEvaluate and QueryAtom install
+  // it as ExecContext::Current() for the call; every layer below (clause
+  // kernel, tuple store, normalization, DBM closure, provenance) polls and
+  // charges it from there.
   ExecContext* exec = nullptr;
   // Optional why-provenance recording (src/core/provenance.h): when
   // non-null, every IDB insert records a derivation origin — (clause

@@ -31,9 +31,10 @@ struct FlatFrontier {
     const NormalizedClause& clause, const GroundClausePlan& plan,
     const std::vector<const GroundFactStore*>& facts,
     GroundFactStore& head_facts, int pivot, bool use_delta,
-    const GroundEvaluationOptions& options, ExecContext* exec, bool* grew,
+    const GroundEvaluationOptions& options, bool* grew,
     GroundEvaluationResult* result) {
   LRPDB_FAILPOINT("ground.apply");
+  ExecContext* exec = ExecContext::Current();
   const size_t nt = static_cast<size_t>(clause.num_temporal_vars);
   const size_t nd = static_cast<size_t>(clause.num_data_vars);
   // Batch telemetry (the ground analog of the non-ground kernel's
@@ -355,7 +356,7 @@ struct FlatFrontier {
         }
         LRPDB_RETURN_IF_ERROR(ApplyGroundPlan(
             clause, plans[ci], clause_facts[ci], head_facts, pivot,
-            /*use_delta=*/round > 1, options, exec, &grew, &result));
+            /*use_delta=*/round > 1, options, &grew, &result));
       }
     }
     result.iterations += 1;

@@ -115,8 +115,9 @@ void IncrementalEvaluator::ClearDeltas() {
   LRPDB_COUNTER_ADD("eval.inc.add_facts",
                     static_cast<int64_t>(batch.size()));
   ExecContext* exec = options_.exec;
-  NormalizeLimits limits = options_.limits;
-  limits.exec = exec;
+  // The update is an entry point: its inserts (normalization, DBM closure,
+  // failpoints) reach the context through ExecContext::Current().
+  ExecContext::ScopedCurrent scoped_exec(exec);
   // Exact inserts: duplicates and subsumed facts are absorbed by the
   // stores' containment test and never reach a delta, so a batch of
   // already-known facts resumes nothing.
@@ -127,7 +128,7 @@ void IncrementalEvaluator::ClearDeltas() {
                            db_->MutableRelation(update.relation));
     LRPDB_ASSIGN_OR_RETURN(
         InsertOutcome outcome,
-        relation->mutable_store().Insert(update.tuple, limits));
+        relation->mutable_store().Insert(update.tuple));
     if (outcome.inserted) grew = true;
   }
   if (!grew) return OkStatus();
@@ -170,6 +171,7 @@ void IncrementalEvaluator::ClearDeltas() {
   LRPDB_COUNTER_ADD("eval.inc.retract_facts",
                     static_cast<int64_t>(batch.size()));
   ExecContext* exec = options_.exec;
+  ExecContext::ScopedCurrent scoped_exec(exec);
   // Tombstone the exact value matches among the live EDB entries. A fact
   // that was absorbed at insert time has no entry of its own and counts as
   // a miss — the stored model is the unit of retraction (header).

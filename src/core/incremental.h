@@ -68,6 +68,8 @@ class IncrementalEvaluator {
   // `options` is normalized for maintenance: compact_results is forced off
   // (compaction renumbers the entry ids provenance and resumption address)
   // and options.provenance is replaced by an internally owned log.
+  // options.exec governs Initialize and every update: AddFacts and
+  // RetractFacts install it as ExecContext::Current(), as Evaluate does.
   IncrementalEvaluator(const Program& program, Database* db,
                        EvaluationOptions options = EvaluationOptions());
 

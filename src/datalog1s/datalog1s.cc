@@ -218,7 +218,7 @@ struct WindowModel {
 
 [[nodiscard]] StatusOr<WindowModel> EvaluateWindow(const Program& program,
                                      const Database& db, int64_t horizon,
-                                     int64_t max_facts, ExecContext* exec) {
+                                     int64_t max_facts) {
   LRPDB_FAILPOINT("datalog1s.window");
   LRPDB_COUNTER_INC("datalog1s.window_evals");
   LRPDB_TRACE_SPAN(span, "datalog1s.window");
@@ -228,7 +228,7 @@ struct WindowModel {
   options.window_lo = 0;
   options.window_hi = horizon;
   options.max_facts = max_facts;
-  options.exec = exec;
+  options.exec = ExecContext::Current();
   LRPDB_ASSIGN_OR_RETURN(GroundEvaluationResult ground,
                          EvaluateGround(program, db, options));
   WindowModel window;
@@ -289,13 +289,13 @@ Datalog1SResult BuildCandidate(const WindowModel& window, int64_t offset,
 
 // Exact closure check of the candidate under every clause (certification
 // step (b); step (a) -- facts -- is the empty-body special case). Polls
-// `exec` once per checked time instant, so deadlines and cancellation cut
-// into long certification sweeps, not just window evaluation.
+// ExecContext::Current() once per checked time instant, so deadlines and
+// cancellation cut into long certification sweeps, not just window
+// evaluation.
 [[nodiscard]] StatusOr<bool> IsClosed(const Program& program,
                                       const Database& db,
                                       const Datalog1SResult& candidate,
-                                      int64_t offset, int64_t period,
-                                      ExecContext* exec) {
+                                      int64_t offset, int64_t period) {
   LRPDB_FAILPOINT("datalog1s.closure");
   LRPDB_COUNTER_INC("datalog1s.closure_checks");
   LRPDB_TRACE_SPAN(span, "datalog1s.closure_check");
@@ -335,6 +335,7 @@ Datalog1SResult BuildCandidate(const WindowModel& window, int64_t offset,
     }
   }
   int64_t t_max = std::max(offset, edb_offset) + 2 * check_period + max_shift;
+  ExecContext* exec = ExecContext::Current();
   for (const Clause& clause : program.clauses()) {
     bool has_variable = !clause.head.temporal_args[0].is_constant();
     for (const BodyAtom& atom : clause.body) {
@@ -395,7 +396,7 @@ bool MatchesWindow(const Datalog1SResult& candidate,
   int64_t horizon = options.initial_horizon;
   LRPDB_ASSIGN_OR_RETURN(
       WindowModel window,
-      EvaluateWindow(program, db, horizon, options.max_facts, exec));
+      EvaluateWindow(program, db, horizon, options.max_facts));
   if (exec != nullptr) exec->ReportHorizonLowerBound(horizon);
   int64_t doublings = 0;
   while (true) {
@@ -418,7 +419,7 @@ bool MatchesWindow(const Datalog1SResult& candidate,
     }
     LRPDB_ASSIGN_OR_RETURN(
         WindowModel confirm,
-        EvaluateWindow(program, db, horizon * 2, options.max_facts, exec));
+        EvaluateWindow(program, db, horizon * 2, options.max_facts));
     if (exec != nullptr) exec->ReportHorizonLowerBound(horizon * 2);
     std::optional<std::pair<int64_t, int64_t>> detected =
         DetectPeriodicity(window);
@@ -428,7 +429,7 @@ bool MatchesWindow(const Datalog1SResult& candidate,
       Datalog1SResult candidate = BuildCandidate(window, offset, period);
       LRPDB_ASSIGN_OR_RETURN(
           bool closed,
-          IsClosed(program, db, candidate, offset, period, exec));
+          IsClosed(program, db, candidate, offset, period));
       if (closed && MatchesWindow(candidate, confirm)) {
         candidate.horizon = horizon;
         LRPDB_GAUGE_SET("datalog1s.certified_horizon", horizon);

@@ -360,16 +360,14 @@ class FoEvaluator {
       }
     }
     LRPDB_ASSIGN_OR_RETURN(GeneralizedRelation selected,
-                           SelectConstraint(*stored, selection,
-                                            options_.limits));
+                           SelectConstraint(*stored, selection));
     // Shift first-occurrence columns so they carry the variable's value.
     GeneralizedRelation shifted = std::move(selected);
     for (size_t k = 0; k < temporal_vars.size(); ++k) {
       if (var_first_offset[k] == 0) continue;
       LRPDB_ASSIGN_OR_RETURN(shifted,
                              ShiftColumn(shifted, var_first_column[k],
-                                         -var_first_offset[k],
-                                         options_.limits));
+                                         -var_first_offset[k]));
     }
     // Data columns: constants and repeated variables, then projection.
     GeneralizedRelation filtered = std::move(shifted);
@@ -397,8 +395,7 @@ class FoEvaluator {
     }
     LRPDB_ASSIGN_OR_RETURN(
         GeneralizedRelation projected,
-        Project(filtered, var_first_column, data_first_column,
-                options_.limits));
+        Project(filtered, var_first_column, data_first_column));
     FoResult result;
     for (SymbolId v : temporal_vars) result.temporal_vars.push_back(NameOf(v));
     for (SymbolId v : data_vars) result.data_vars.push_back(NameOf(v));
@@ -489,7 +486,7 @@ class FoEvaluator {
               .InsertUnlessEmpty(GeneralizedTuple::Unconstrained({Lrp()}, {}))
               .status());
       LRPDB_ASSIGN_OR_RETURN(
-          r.relation, CartesianProduct(r.relation, universe, options_.limits));
+          r.relation, CartesianProduct(r.relation, universe));
       // CartesianProduct appends temporal columns of the right operand after
       // the left's, but data columns also concatenate (right has none).
       r.temporal_vars.push_back(var);
@@ -506,7 +503,7 @@ class FoEvaluator {
                 .status());
       }
       LRPDB_ASSIGN_OR_RETURN(
-          r.relation, CartesianProduct(r.relation, domain, options_.limits));
+          r.relation, CartesianProduct(r.relation, domain));
       r.data_vars.push_back(var);
     }
     // Reorder to the target order (CartesianProduct concatenates temporal
@@ -529,7 +526,7 @@ class FoEvaluator {
     out.data_vars = data_vars;
     LRPDB_ASSIGN_OR_RETURN(
         out.relation,
-        Project(r.relation, temporal_order, data_order, options_.limits));
+        Project(r.relation, temporal_order, data_order));
     return out;
   }
 
@@ -560,7 +557,7 @@ class FoEvaluator {
     LRPDB_ASSIGN_OR_RETURN(
         GeneralizedRelation joined,
         JoinOnEqualities(left.relation, right.relation, temporal_eqs,
-                         data_eqs, options_.limits));
+                         data_eqs));
     // Project to the union of variables (left's columns, then right's new
     // ones).
     FoResult result;
@@ -593,7 +590,7 @@ class FoEvaluator {
     }
     LRPDB_ASSIGN_OR_RETURN(
         result.relation,
-        Project(joined, temporal_keep, data_keep, options_.limits));
+        Project(joined, temporal_keep, data_keep));
     return result;
   }
 
@@ -622,7 +619,7 @@ class FoEvaluator {
     result.temporal_vars = std::move(temporal_vars);
     result.data_vars = std::move(data_vars);
     LRPDB_ASSIGN_OR_RETURN(result.relation,
-                           Union(a.relation, b.relation, options_.limits));
+                           Union(a.relation, b.relation));
     return result;
   }
 
@@ -659,7 +656,7 @@ class FoEvaluator {
     result.data_vars = child.data_vars;
     LRPDB_ASSIGN_OR_RETURN(
         result.relation,
-        Complement(child.relation, data_universe, options_.limits));
+        Complement(child.relation, data_universe));
     return result;
   }
 
@@ -682,7 +679,7 @@ class FoEvaluator {
     }
     LRPDB_ASSIGN_OR_RETURN(
         result.relation,
-        Project(child.relation, temporal_keep, data_keep, options_.limits));
+        Project(child.relation, temporal_keep, data_keep));
     return result;
   }
 

@@ -86,7 +86,6 @@ struct FoResult {
     const std::map<std::string, RelationSchema>* extra_schemas = nullptr);
 
 struct FoOptions {
-  NormalizeLimits limits;
   // Extra constants to include in the data active domain (the domain always
   // includes every constant stored in the database or written in the query).
   std::vector<DataValue> extra_constants;
@@ -96,7 +95,10 @@ struct FoOptions {
 };
 
 // Evaluates `query` over `db`. Negation complements data columns over the
-// active domain and temporal columns over all of Z.
+// active domain and temporal columns over all of Z. The algebra operators
+// poll and charge whatever ExecContext is current
+// (ExecContext::Current()); there is no governance option of its own, and
+// with no context installed the query runs ungoverned.
 [[nodiscard]] StatusOr<FoResult> EvaluateFoQuery(const FoQuery& query, const Database& db,
                                    const FoOptions& options = FoOptions());
 

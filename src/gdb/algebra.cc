@@ -48,21 +48,21 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
 }  // namespace
 
 [[nodiscard]] StatusOr<GeneralizedRelation> Intersect(const GeneralizedRelation& a,
-                                        const GeneralizedRelation& b,
-                                        const NormalizeLimits& limits) {
+                                        const GeneralizedRelation& b) {
   if (!(a.schema() == b.schema())) {
     return InvalidArgumentError("gdb.intersect: schema mismatch");
   }
   LRPDB_OPERATOR_SCOPE(op, "gdb.intersect", a.size() + b.size());
   LRPDB_FAILPOINT("algebra.intersect");
+  ExecContext* exec = ExecContext::Current();
   GeneralizedRelation out(a.schema());
   for (EntryId i : a.store().live_ids()) {
     for (EntryId j : b.store().live_ids()) {
-      LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
+      LRPDB_RETURN_IF_ERROR(PollExec(exec));
       std::optional<GeneralizedTuple> t = IntersectTuples(a.tuple(i),
                                                           b.tuple(j));
       if (!t.has_value()) continue;
-      LRPDB_RETURN_IF_ERROR(out.InsertIfNew(*t, limits).status());
+      LRPDB_RETURN_IF_ERROR(out.InsertIfNew(*t).status());
     }
   }
   op.set_output(static_cast<int64_t>(out.size()));
@@ -70,55 +70,55 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
 }
 
 [[nodiscard]] StatusOr<GeneralizedRelation> Union(const GeneralizedRelation& a,
-                                    const GeneralizedRelation& b,
-                                    const NormalizeLimits& limits) {
+                                    const GeneralizedRelation& b) {
   if (!(a.schema() == b.schema())) {
     return InvalidArgumentError("gdb.union: schema mismatch");
   }
   LRPDB_OPERATOR_SCOPE(op, "gdb.union", a.size() + b.size());
   LRPDB_FAILPOINT("algebra.union");
+  ExecContext* exec = ExecContext::Current();
   GeneralizedRelation out(a.schema());
   for (EntryId i : a.store().live_ids()) {
-    LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
-    LRPDB_RETURN_IF_ERROR(out.InsertIfNew(a.tuple(i), limits).status());
+    LRPDB_RETURN_IF_ERROR(PollExec(exec));
+    LRPDB_RETURN_IF_ERROR(out.InsertIfNew(a.tuple(i)).status());
   }
   for (EntryId i : b.store().live_ids()) {
-    LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
-    LRPDB_RETURN_IF_ERROR(out.InsertIfNew(b.tuple(i), limits).status());
+    LRPDB_RETURN_IF_ERROR(PollExec(exec));
+    LRPDB_RETURN_IF_ERROR(out.InsertIfNew(b.tuple(i)).status());
   }
   op.set_output(static_cast<int64_t>(out.size()));
   return out;
 }
 
 [[nodiscard]] StatusOr<GeneralizedRelation> Difference(const GeneralizedRelation& a,
-                                         const GeneralizedRelation& b,
-                                         const NormalizeLimits& limits) {
+                                         const GeneralizedRelation& b) {
   if (!(a.schema() == b.schema())) {
     return InvalidArgumentError("gdb.difference: schema mismatch");
   }
   LRPDB_OPERATOR_SCOPE(op, "gdb.difference", a.size() + b.size());
   LRPDB_FAILPOINT("algebra.difference");
+  ExecContext* exec = ExecContext::Current();
   GeneralizedRelation out(a.schema());
   for (EntryId i : a.store().live_ids()) {
-    LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
+    LRPDB_RETURN_IF_ERROR(PollExec(exec));
     // Subtract only b-tuples with matching data constants.
     std::vector<NormalizedTuple> subtrahend;
     for (EntryId j : b.store().live_ids()) {
       if (b.tuple(j).data() != a.tuple(i).data()) continue;
-      LRPDB_RETURN_IF_ERROR(b.AppendPieces(j, &subtrahend, limits));
+      LRPDB_RETURN_IF_ERROR(b.AppendPieces(j, &subtrahend));
     }
     std::vector<NormalizedTuple> a_pieces;
-    LRPDB_RETURN_IF_ERROR(a.AppendPieces(i, &a_pieces, limits));
+    LRPDB_RETURN_IF_ERROR(a.AppendPieces(i, &a_pieces));
     LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> remainder,
-                           SubtractPieces(a_pieces, subtrahend, limits));
+                           SubtractPieces(a_pieces, subtrahend));
     std::vector<GeneralizedTuple> tuples;
     tuples.reserve(remainder.size());
     for (const NormalizedTuple& piece : remainder) {
       tuples.push_back(piece.ToGeneralizedTuple());
     }
-    LRPDB_ASSIGN_OR_RETURN(tuples, CoalesceTuples(std::move(tuples), limits));
+    LRPDB_ASSIGN_OR_RETURN(tuples, CoalesceTuples(std::move(tuples)));
     for (const GeneralizedTuple& t : tuples) {
-      LRPDB_RETURN_IF_ERROR(out.InsertIfNew(t, limits).status());
+      LRPDB_RETURN_IF_ERROR(out.InsertIfNew(t).status());
     }
   }
   op.set_output(static_cast<int64_t>(out.size()));
@@ -126,17 +126,17 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
 }
 
 [[nodiscard]] StatusOr<GeneralizedRelation> CartesianProduct(const GeneralizedRelation& a,
-                                               const GeneralizedRelation& b,
-                                               const NormalizeLimits& limits) {
+                                               const GeneralizedRelation& b) {
   LRPDB_OPERATOR_SCOPE(op, "gdb.product", a.size() + b.size());
   LRPDB_FAILPOINT("algebra.product");
+  ExecContext* exec = ExecContext::Current();
   RelationSchema schema{
       a.schema().temporal_arity + b.schema().temporal_arity,
       a.schema().data_arity + b.schema().data_arity};
   GeneralizedRelation out(schema);
   for (EntryId i : a.store().live_ids()) {
     for (EntryId j : b.store().live_ids()) {
-      LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
+      LRPDB_RETURN_IF_ERROR(PollExec(exec));
       const TupleView ta = a.tuple(i);
       const TupleView tb = b.tuple(j);
       std::vector<Lrp> lrps = ta.lrps().ToVector();
@@ -166,13 +166,13 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
 [[nodiscard]] StatusOr<GeneralizedRelation> JoinOnEqualities(
     const GeneralizedRelation& a, const GeneralizedRelation& b,
     const std::vector<TemporalEquality>& temporal_eqs,
-    const std::vector<std::pair<int, int>>& data_eqs,
-    const NormalizeLimits& limits) {
+    const std::vector<std::pair<int, int>>& data_eqs) {
   LRPDB_OPERATOR_SCOPE(op, "gdb.join", a.size() + b.size());
   LRPDB_TRACE_SPAN(span, "gdb.join");
   LRPDB_FAILPOINT("algebra.join");
+  ExecContext* exec = ExecContext::Current();
   LRPDB_ASSIGN_OR_RETURN(GeneralizedRelation product,
-                         CartesianProduct(a, b, limits));
+                         CartesianProduct(a, b));
   // Build the join condition as a DBM over the product's temporal columns.
   Dbm condition(product.schema().temporal_arity);
   for (const TemporalEquality& eq : temporal_eqs) {
@@ -187,7 +187,7 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
   }
   GeneralizedRelation out(product.schema());
   for (EntryId i : product.store().live_ids()) {
-    LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
+    LRPDB_RETURN_IF_ERROR(PollExec(exec));
     const TupleView t = product.tuple(i);
     bool data_ok = true;
     for (const auto& [da, db] : data_eqs) {
@@ -207,21 +207,21 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
 }
 
 [[nodiscard]] StatusOr<GeneralizedRelation> SelectConstraint(const GeneralizedRelation& r,
-                                               const Dbm& constraint,
-                                               const NormalizeLimits& limits) {
+                                               const Dbm& constraint) {
   if (constraint.num_vars() != r.schema().temporal_arity) {
     return InvalidArgumentError(
         "gdb.select: constraint arity does not match schema");
   }
   LRPDB_OPERATOR_SCOPE(op, "gdb.select", r.size());
   LRPDB_FAILPOINT("algebra.select");
+  ExecContext* exec = ExecContext::Current();
   GeneralizedRelation out(r.schema());
   for (EntryId i : r.store().live_ids()) {
     const TupleView t = r.tuple(i);
     Dbm conjoined = t.constraint();
     conjoined.And(constraint);
     if (!conjoined.IsSatisfiable()) continue;
-    LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
+    LRPDB_RETURN_IF_ERROR(PollExec(exec));
     LRPDB_RETURN_IF_ERROR(
         out.InsertUnlessEmpty(GeneralizedTuple(t.lrps().ToVector(),
                                                t.data().ToVector(),
@@ -234,11 +234,11 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
 
 [[nodiscard]] StatusOr<GeneralizedRelation> Project(const GeneralizedRelation& r,
                                       const std::vector<int>& temporal_columns,
-                                      const std::vector<int>& data_positions,
-                                      const NormalizeLimits& limits) {
+                                      const std::vector<int>& data_positions) {
   LRPDB_OPERATOR_SCOPE(op, "gdb.project", r.size());
   LRPDB_TRACE_SPAN(span, "gdb.project");
   LRPDB_FAILPOINT("algebra.project");
+  ExecContext* exec = ExecContext::Current();
   RelationSchema schema{static_cast<int>(temporal_columns.size()),
                         static_cast<int>(data_positions.size())};
   GeneralizedRelation out(schema);
@@ -251,7 +251,7 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
     kept[c] = true;
   }
   for (EntryId i : r.store().live_ids()) {
-    LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
+    LRPDB_RETURN_IF_ERROR(PollExec(exec));
     const TupleView tuple = r.tuple(i);
     std::vector<DataValue> data;
     data.reserve(data_positions.size());
@@ -327,7 +327,7 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
     GeneralizedTuple reduced(std::move(lrps), tuple.data().ToVector(),
                              closed.Project(dbm_keep));
     LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pieces,
-                           NormalizedTuple::Normalize(reduced, limits));
+                           NormalizedTuple::Normalize(reduced));
     std::vector<int> final_keep(temporal_columns.size());
     for (size_t k = 0; k < temporal_columns.size(); ++k) {
       final_keep[k] = static_cast<int>(k);
@@ -343,8 +343,7 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
       projected_tuples.emplace_back(t.lrps(), data, t.constraint());
     }
     LRPDB_ASSIGN_OR_RETURN(projected_tuples,
-                           CoalesceTuples(std::move(projected_tuples),
-                                          limits));
+                           CoalesceTuples(std::move(projected_tuples)));
     for (GeneralizedTuple& t : projected_tuples) {
       LRPDB_RETURN_IF_ERROR(
           out.InsertUnlessEmpty(std::move(t)).status());
@@ -396,13 +395,13 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
 }
 
 [[nodiscard]] StatusOr<GeneralizedRelation> ShiftColumn(const GeneralizedRelation& r,
-                                          int column, int64_t c,
-                                          const NormalizeLimits& limits) {
+                                          int column, int64_t c) {
   LRPDB_OPERATOR_SCOPE(op, "gdb.shift", r.size());
   LRPDB_FAILPOINT("algebra.shift");
+  ExecContext* exec = ExecContext::Current();
   GeneralizedRelation out(r.schema());
   for (EntryId i : r.store().live_ids()) {
-    LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
+    LRPDB_RETURN_IF_ERROR(PollExec(exec));
     LRPDB_RETURN_IF_ERROR(
         out.InsertUnlessEmpty(
                r.tuple(i).ToTuple().WithColumnShifted(column, c))
@@ -414,16 +413,16 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
 
 [[nodiscard]] StatusOr<GeneralizedRelation> Complement(
     const GeneralizedRelation& r,
-    const std::vector<std::vector<DataValue>>& data_universe,
-    const NormalizeLimits& limits) {
+    const std::vector<std::vector<DataValue>>& data_universe) {
   LRPDB_OPERATOR_SCOPE(op, "gdb.complement",
                        r.size() + data_universe.size());
   LRPDB_TRACE_SPAN(span, "gdb.complement");
   LRPDB_FAILPOINT("algebra.complement");
+  ExecContext* exec = ExecContext::Current();
   GeneralizedRelation out(r.schema());
   int m = r.schema().temporal_arity;
   for (const std::vector<DataValue>& data : data_universe) {
-    LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
+    LRPDB_RETURN_IF_ERROR(PollExec(exec));
     if (static_cast<int>(data.size()) != r.schema().data_arity) {
       return InvalidArgumentError(
           "gdb.complement: universe row arity does not match schema");
@@ -433,20 +432,20 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
     GeneralizedTuple universe =
         GeneralizedTuple::Unconstrained(std::move(all), data);
     LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> universe_pieces,
-                           NormalizedTuple::Normalize(universe, limits));
+                           NormalizedTuple::Normalize(universe));
     std::vector<NormalizedTuple> subtrahend;
     for (EntryId i : r.store().live_ids()) {
       if (r.tuple(i).data() != data) continue;
-      LRPDB_RETURN_IF_ERROR(r.AppendPieces(i, &subtrahend, limits));
+      LRPDB_RETURN_IF_ERROR(r.AppendPieces(i, &subtrahend));
     }
     LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> remainder,
-                           SubtractPieces(universe_pieces, subtrahend, limits));
+                           SubtractPieces(universe_pieces, subtrahend));
     std::vector<GeneralizedTuple> tuples;
     tuples.reserve(remainder.size());
     for (const NormalizedTuple& piece : remainder) {
       tuples.push_back(piece.ToGeneralizedTuple());
     }
-    LRPDB_ASSIGN_OR_RETURN(tuples, CoalesceTuples(std::move(tuples), limits));
+    LRPDB_ASSIGN_OR_RETURN(tuples, CoalesceTuples(std::move(tuples)));
     for (GeneralizedTuple& t : tuples) {
       LRPDB_RETURN_IF_ERROR(
           out.InsertUnlessEmpty(std::move(t)).status());
@@ -520,7 +519,7 @@ struct ClassMerge {
 // that merges any class wins. Appends one ClassMerge per merged class.
 [[nodiscard]] Status TryCoalesceColumn(
     const std::vector<TupleView>& group, int j,
-    const NormalizeLimits& limits, std::vector<ClassMerge>* merges) {
+    std::vector<ClassMerge>* merges) {
   const int64_t p = group.front().lrp(j).period();
   const size_t n = group.size();
   // Require pairwise distinct offsets in column j; duplicates mean the
@@ -541,9 +540,10 @@ struct ClassMerge {
   // (residue, member) pairs, sorted so each class is one run.
   std::vector<std::pair<int64_t, size_t>> classes(n);
   const size_t merges_before = merges->size();
+  ExecContext* exec = ExecContext::Current();
   for (int64_t k = std::min(static_cast<int64_t>(n), p); k >= 2; --k) {
     if (p % k != 0) continue;
-    LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
+    LRPDB_RETURN_IF_ERROR(PollExec(exec));
     const int64_t coarse = p / k;
     for (size_t i = 0; i < n; ++i) {
       classes[i] = {FloorMod(group[i].lrp(j).offset(), coarse), i};
@@ -568,7 +568,7 @@ struct ClassMerge {
         }
         if (!pieces[i].has_value()) {
           LRPDB_ASSIGN_OR_RETURN(pieces[i],
-                                 NormalizedTuple::Normalize(group[i], limits));
+                                 NormalizedTuple::Normalize(group[i]));
         }
         members.push_back(i);
         member_dbms.push_back(&*closed[i]);
@@ -582,11 +582,11 @@ struct ClassMerge {
       GeneralizedTuple candidate(std::move(lrps), first.data().ToVector(),
                                  LoosestDbm(member_dbms));
       LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> cand_pieces,
-                             NormalizedTuple::Normalize(candidate, limits));
+                             NormalizedTuple::Normalize(candidate));
       // candidate >= union holds by construction (loosest DBM, covering
       // offsets), so one direction decides equality.
       LRPDB_ASSIGN_OR_RETURN(
-          bool exact, PiecesContainedIn(cand_pieces, member_pieces, limits));
+          bool exact, PiecesContainedIn(cand_pieces, member_pieces));
       if (exact) {
         merges->push_back(ClassMerge{std::move(candidate), std::move(members)});
       }
@@ -600,11 +600,12 @@ struct ClassMerge {
 }  // namespace
 
 [[nodiscard]] StatusOr<CoalescePlan> PlanCoalesce(
-    const std::vector<TupleView>& tuples, const NormalizeLimits& limits) {
+    const std::vector<TupleView>& tuples) {
   CoalescePlan plan;
   if (tuples.empty()) return plan;
   LRPDB_OPERATOR_SCOPE(op, "gdb.coalesce", tuples.size());
   LRPDB_FAILPOINT("algebra.coalesce");
+  ExecContext* exec = ExecContext::Current();
   // The working set: inputs and the tuples earlier passes merged, the
   // latter owned by `pool` (a deque, so the views of its items survive growth).
   struct Item {
@@ -653,11 +654,11 @@ struct ClassMerge {
       std::vector<Item> added;
       for (const std::vector<size_t>& member_items : members) {
         if (member_items.empty()) continue;
-        LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
+        LRPDB_RETURN_IF_ERROR(PollExec(exec));
         group.clear();
         for (size_t i : member_items) group.push_back(items[i].tuple);
         merges.clear();
-        LRPDB_RETURN_IF_ERROR(TryCoalesceColumn(group, j, limits, &merges));
+        LRPDB_RETURN_IF_ERROR(TryCoalesceColumn(group, j, &merges));
         if (merges.empty()) continue;
         if (folded.empty()) folded.assign(items.size(), false);
         for (ClassMerge& merge : merges) {
@@ -694,11 +695,11 @@ struct ClassMerge {
 }
 
 [[nodiscard]] StatusOr<std::vector<GeneralizedTuple>> CoalesceTuples(
-    std::vector<GeneralizedTuple> tuples, const NormalizeLimits& limits) {
+    std::vector<GeneralizedTuple> tuples) {
   std::vector<TupleView> views;
   views.reserve(tuples.size());
   for (const GeneralizedTuple& t : tuples) views.push_back(t.view());
-  LRPDB_ASSIGN_OR_RETURN(CoalescePlan plan, PlanCoalesce(views, limits));
+  LRPDB_ASSIGN_OR_RETURN(CoalescePlan plan, PlanCoalesce(views));
   if (plan.merged.empty()) return tuples;
   size_t kept = 0;
   size_t next = 0;
@@ -717,8 +718,7 @@ struct ClassMerge {
 }
 
 [[nodiscard]] StatusOr<bool> SameGroundSet(const GeneralizedRelation& a,
-                             const GeneralizedRelation& b,
-                             const NormalizeLimits& limits) {
+                             const GeneralizedRelation& b) {
   if (!(a.schema() == b.schema())) {
     return InvalidArgumentError("gdb.same_ground_set: schema mismatch");
   }
@@ -726,11 +726,11 @@ struct ClassMerge {
   LRPDB_FAILPOINT("algebra.same_ground_set");
   // Compare per data vector: pieces grouped by data inside SubtractPieces
   // already, so a direct two-way containment suffices.
-  LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pa, a.AllPieces(limits));
-  LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pb, b.AllPieces(limits));
-  LRPDB_ASSIGN_OR_RETURN(bool ab, PiecesContainedIn(pa, pb, limits));
+  LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pa, a.AllPieces());
+  LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pb, b.AllPieces());
+  LRPDB_ASSIGN_OR_RETURN(bool ab, PiecesContainedIn(pa, pb));
   if (!ab) return false;
-  return PiecesContainedIn(pb, pa, limits);
+  return PiecesContainedIn(pb, pa);
 }
 
 }  // namespace lrpdb

@@ -17,26 +17,22 @@ namespace lrpdb {
 
 // Ground-set intersection of two relations with identical schemas.
 [[nodiscard]] StatusOr<GeneralizedRelation> Intersect(
-    const GeneralizedRelation& a, const GeneralizedRelation& b,
-    const NormalizeLimits& limits = NormalizeLimits());
+    const GeneralizedRelation& a, const GeneralizedRelation& b);
 
 // Ground-set union of two relations with identical schemas (with
 // containment-based deduplication).
 [[nodiscard]] StatusOr<GeneralizedRelation> Union(
-    const GeneralizedRelation& a, const GeneralizedRelation& b,
-    const NormalizeLimits& limits = NormalizeLimits());
+    const GeneralizedRelation& a, const GeneralizedRelation& b);
 
 // Ground-set difference a \ b of two relations with identical schemas.
 // Exact (residue-aligned DBM subtraction).
 [[nodiscard]] StatusOr<GeneralizedRelation> Difference(
-    const GeneralizedRelation& a, const GeneralizedRelation& b,
-    const NormalizeLimits& limits = NormalizeLimits());
+    const GeneralizedRelation& a, const GeneralizedRelation& b);
 
 // Cartesian product: temporal columns of `a` then of `b`, data columns of
 // `a` then of `b`.
 [[nodiscard]] StatusOr<GeneralizedRelation> CartesianProduct(
-    const GeneralizedRelation& a, const GeneralizedRelation& b,
-    const NormalizeLimits& limits = NormalizeLimits());
+    const GeneralizedRelation& a, const GeneralizedRelation& b);
 
 // Equality join: cartesian product restricted by ta_i == tb_j + c for each
 // (i, j, c) in `temporal_eqs` (column indices into a and b respectively) and
@@ -50,21 +46,18 @@ struct TemporalEquality {
 [[nodiscard]] StatusOr<GeneralizedRelation> JoinOnEqualities(
     const GeneralizedRelation& a, const GeneralizedRelation& b,
     const std::vector<TemporalEquality>& temporal_eqs,
-    const std::vector<std::pair<int, int>>& data_eqs,
-    const NormalizeLimits& limits = NormalizeLimits());
+    const std::vector<std::pair<int, int>>& data_eqs);
 
 // Conjoins `constraint` (a DBM over the relation's temporal columns) into
 // every tuple, dropping tuples that become empty.
 [[nodiscard]] StatusOr<GeneralizedRelation> SelectConstraint(
-    const GeneralizedRelation& r, const Dbm& constraint,
-    const NormalizeLimits& limits = NormalizeLimits());
+    const GeneralizedRelation& r, const Dbm& constraint);
 
 // Projects onto the given temporal and data columns (0-based, in the order
 // given). Temporal projection is exact (performed on normalized pieces).
 [[nodiscard]] StatusOr<GeneralizedRelation> Project(
     const GeneralizedRelation& r, const std::vector<int>& temporal_columns,
-    const std::vector<int>& data_positions,
-    const NormalizeLimits& limits = NormalizeLimits());
+    const std::vector<int>& data_positions);
 
 // Keeps only tuples whose data column `column` equals `value`. Errors
 // (column out of range, insertion failure) propagate instead of aborting.
@@ -78,16 +71,14 @@ struct TemporalEquality {
 // Translates temporal column `column` by c (c applications of +1, or of -1
 // when c is negative).
 [[nodiscard]] StatusOr<GeneralizedRelation> ShiftColumn(
-    const GeneralizedRelation& r, int column, int64_t c,
-    const NormalizeLimits& limits = NormalizeLimits());
+    const GeneralizedRelation& r, int column, int64_t c);
 
 // The complement of `r`'s ground set within the universe
 // (all time vectors) x (the given data universe rows). Each row of
 // `data_universe` is one data-constant vector of the schema's data arity.
 [[nodiscard]] StatusOr<GeneralizedRelation> Complement(
     const GeneralizedRelation& r,
-    const std::vector<std::vector<DataValue>>& data_universe,
-    const NormalizeLimits& limits = NormalizeLimits());
+    const std::vector<std::vector<DataValue>>& data_universe);
 
 // Merges tuples that differ only in one temporal column's lrp offset when
 // (a) their offsets tile a full coarser congruence class (period p' dividing
@@ -110,19 +101,16 @@ struct CoalescePlan {
   std::vector<GeneralizedTuple> merged;
 };
 [[nodiscard]] StatusOr<CoalescePlan> PlanCoalesce(
-    const std::vector<TupleView>& tuples,
-    const NormalizeLimits& limits = NormalizeLimits());
+    const std::vector<TupleView>& tuples);
 
 // PlanCoalesce applied: the inputs no merge consumed, in input order, then
 // the merged tuples.
 [[nodiscard]] StatusOr<std::vector<GeneralizedTuple>> CoalesceTuples(
-    std::vector<GeneralizedTuple> tuples,
-    const NormalizeLimits& limits = NormalizeLimits());
+    std::vector<GeneralizedTuple> tuples);
 
 // True iff the two relations represent the same ground set.
 [[nodiscard]] StatusOr<bool> SameGroundSet(const GeneralizedRelation& a,
-                             const GeneralizedRelation& b,
-                             const NormalizeLimits& limits = NormalizeLimits());
+                             const GeneralizedRelation& b);
 
 }  // namespace lrpdb
 

@@ -33,13 +33,12 @@ class GeneralizedRelation {
   }
 
   // Appends the residue pieces of tuple `i` to `out`; the store computes
-  // them on first use and keeps them. Normalization can blow the limits for
+  // them on first use and keeps them. Normalization can exceed its caps for
   // tuples mixing many unconstrained (period-1) columns with periodic ones,
   // hence the Status.
-  [[nodiscard]] Status AppendPieces(
-      size_t i, std::vector<NormalizedTuple>* out,
-      const NormalizeLimits& limits = NormalizeLimits()) const {
-    return store_.AppendPieces(static_cast<EntryId>(i), out, limits);
+  [[nodiscard]] Status AppendPieces(size_t i,
+                                    std::vector<NormalizedTuple>* out) const {
+    return store_.AppendPieces(static_cast<EntryId>(i), out);
   }
 
   // Inserts `tuple` unless its ground set is empty or already contained in
@@ -51,10 +50,8 @@ class GeneralizedRelation {
   // to their lcm, which explodes for coprime periods, and a tuple kept
   // redundantly is subsumed on its next re-derivation anyway. Returns
   // false iff the tuple was dropped (empty or subsumed).
-  [[nodiscard]] StatusOr<bool> InsertIfNew(
-      const GeneralizedTuple& tuple,
-      const NormalizeLimits& limits = NormalizeLimits()) {
-    LRPDB_ASSIGN_OR_RETURN(InsertOutcome outcome, store_.Insert(tuple, limits));
+  [[nodiscard]] StatusOr<bool> InsertIfNew(const GeneralizedTuple& tuple) {
+    LRPDB_ASSIGN_OR_RETURN(InsertOutcome outcome, store_.Insert(tuple));
     return outcome.inserted;
   }
 
@@ -75,8 +72,7 @@ class GeneralizedRelation {
   std::vector<GroundTuple> EnumerateGround(int64_t lo, int64_t hi) const;
 
   // Concatenation of all stored normalized pieces (cached per tuple).
-  [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> AllPieces(
-      const NormalizeLimits& limits = NormalizeLimits()) const;
+  [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> AllPieces() const;
 
   std::string ToString(const Interner* interner = nullptr) const {
     return store_.ToString(interner);

@@ -89,12 +89,12 @@ std::vector<std::optional<ResidueAnchor>> AnchorsOf(const Dbm& closed, int m) {
 // Shared residue-piece enumeration: walks the combinations of `choices`
 // (each an ascending residue list) at `period`, derives equality-anchored
 // columns from their anchor's residue, and keeps the pieces whose quotient
-// DBM is satisfiable. Only the free (un-anchored) columns count against the
-// max_pieces budget.
+// DBM is satisfiable. Only the free (un-anchored) columns count against
+// kMaxResiduePieces.
 [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> EnumeratePieces(
     const Dbm& t_dbm, int64_t period,
     const std::vector<std::vector<int64_t>>& choices,
-    const std::vector<DataValue>& data, const NormalizeLimits& limits) {
+    const std::vector<DataValue>& data) {
   LRPDB_FAILPOINT("normalize.enumerate_pieces");
   int m = static_cast<int>(choices.size());
   Dbm closed = t_dbm;
@@ -104,7 +104,7 @@ std::vector<std::optional<ResidueAnchor>> AnchorsOf(const Dbm& closed, int m) {
   for (int i = 0; i < m; ++i) {
     if (anchors[i].has_value()) continue;
     total_pieces *= static_cast<int64_t>(choices[i].size());
-    if (total_pieces > limits.max_pieces) {
+    if (total_pieces > kMaxResiduePieces) {
       return ResourceExhaustedError("residue combination count exceeds limit "
                                     "during normalization");
     }
@@ -112,10 +112,11 @@ std::vector<std::optional<ResidueAnchor>> AnchorsOf(const Dbm& closed, int m) {
   std::vector<NormalizedTuple> pieces;
   std::vector<int64_t> residues(m, 0);
   std::vector<int> index(m, 0);
+  ExecContext* exec = ExecContext::Current();
   while (true) {
-    // CRT enumeration is the engine's densest loop (up to max_pieces
+    // CRT enumeration is the engine's densest loop (up to kMaxResiduePieces
     // iterations per tuple); poll so a deadline lands mid-normalization.
-    LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
+    LRPDB_RETURN_IF_ERROR(PollExec(exec));
     bool feasible = true;
     for (int i = 0; i < m; ++i) {
       if (!anchors[i].has_value()) {
@@ -154,14 +155,13 @@ std::vector<std::optional<ResidueAnchor>> AnchorsOf(const Dbm& closed, int m) {
 // Normalize() over a tuple's columns: aligns every lrp to the common
 // period and enumerates the residue pieces of `t_dbm`.
 [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> NormalizeColumns(
-    ColumnSpan<Lrp> lrps, ColumnSpan<DataValue> data, const Dbm& t_dbm,
-    const NormalizeLimits& limits) {
+    ColumnSpan<Lrp> lrps, ColumnSpan<DataValue> data, const Dbm& t_dbm) {
   LRPDB_FAILPOINT("normalize.tuple");
   int m = static_cast<int>(lrps.size());
   int64_t period = 1;
   for (const Lrp& lrp : lrps) {
     int64_t next = Lcm(period, lrp.period());
-    if (next > limits.max_period) {
+    if (next > kMaxCommonPeriod) {
       return ResourceExhaustedError("common period exceeds limit during "
                                     "normalization");
     }
@@ -173,7 +173,7 @@ std::vector<std::optional<ResidueAnchor>> AnchorsOf(const Dbm& closed, int m) {
   for (int i = 0; i < m; ++i) {
     choices[i] = lrps[i].ResiduesModulo(period);
   }
-  return EnumeratePieces(t_dbm, period, choices, data.ToVector(), limits);
+  return EnumeratePieces(t_dbm, period, choices, data.ToVector());
 }
 
 }  // namespace
@@ -191,19 +191,17 @@ NormalizedTuple::NormalizedTuple(int64_t common_period,
 }
 
 [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> NormalizedTuple::Normalize(
-    const GeneralizedTuple& tuple, const NormalizeLimits& limits) {
-  return NormalizeColumns(tuple.lrps(), tuple.data(), tuple.constraint(),
-                          limits);
+    const GeneralizedTuple& tuple) {
+  return NormalizeColumns(tuple.lrps(), tuple.data(), tuple.constraint());
 }
 
 [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> NormalizedTuple::Normalize(
-    TupleView tuple, const NormalizeLimits& limits) {
-  return NormalizeColumns(tuple.lrps(), tuple.data(), Dbm(tuple.constraint()),
-                          limits);
+    TupleView tuple) {
+  return NormalizeColumns(tuple.lrps(), tuple.data(), Dbm(tuple.constraint()));
 }
 
 [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> NormalizedTuple::AlignTo(
-    int64_t target, const NormalizeLimits& limits) const {
+    int64_t target) const {
   LRPDB_FAILPOINT("normalize.align");
   if (target <= 0 || target % common_period_ != 0) {
     return InvalidArgumentError(
@@ -226,7 +224,7 @@ NormalizedTuple::NormalizedTuple(int64_t common_period,
       choices[i].push_back(residues_[i] + k * common_period_);
     }
   }
-  return EnumeratePieces(t_dbm, target, choices, data_, limits);
+  return EnumeratePieces(t_dbm, target, choices, data_);
 }
 
 bool NormalizedTuple::ContainsGround(const std::vector<int64_t>& times,
@@ -300,25 +298,23 @@ struct ClassKey {
 
 // Aligns every piece of `pieces` to `target`, appending into `out`.
 [[nodiscard]] Status AlignAll(const std::vector<NormalizedTuple>& pieces, int64_t target,
-                const NormalizeLimits& limits,
                 std::vector<NormalizedTuple>* out) {
   for (const NormalizedTuple& p : pieces) {
     LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> aligned,
-                           p.AlignTo(target, limits));
+                           p.AlignTo(target));
     out->insert(out->end(), aligned.begin(), aligned.end());
   }
   return OkStatus();
 }
 
 [[nodiscard]] StatusOr<int64_t> CommonPeriodOf(const std::vector<NormalizedTuple>& a,
-                                 const std::vector<NormalizedTuple>& b,
-                                 const NormalizeLimits& limits) {
+                                 const std::vector<NormalizedTuple>& b) {
   LRPDB_FAILPOINT("normalize.common_period");
   int64_t period = 1;
   for (const auto* v : {&a, &b}) {
     for (const NormalizedTuple& p : *v) {
       period = Lcm(period, p.common_period());
-      if (period > limits.max_period) {
+      if (period > kMaxCommonPeriod) {
         return ResourceExhaustedError("common period exceeds limit");
       }
     }
@@ -330,13 +326,13 @@ struct ClassKey {
 
 [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> SubtractPieces(
     const std::vector<NormalizedTuple>& a,
-    const std::vector<NormalizedTuple>& b, const NormalizeLimits& limits) {
+    const std::vector<NormalizedTuple>& b) {
   if (a.empty()) return std::vector<NormalizedTuple>{};
-  LRPDB_ASSIGN_OR_RETURN(int64_t period, CommonPeriodOf(a, b, limits));
+  LRPDB_ASSIGN_OR_RETURN(int64_t period, CommonPeriodOf(a, b));
   std::vector<NormalizedTuple> a_aligned;
   std::vector<NormalizedTuple> b_aligned;
-  LRPDB_RETURN_IF_ERROR(AlignAll(a, period, limits, &a_aligned));
-  LRPDB_RETURN_IF_ERROR(AlignAll(b, period, limits, &b_aligned));
+  LRPDB_RETURN_IF_ERROR(AlignAll(a, period, &a_aligned));
+  LRPDB_RETURN_IF_ERROR(AlignAll(b, period, &b_aligned));
 
   std::map<ClassKey, std::vector<const NormalizedTuple*>> b_by_class;
   for (const NormalizedTuple& p : b_aligned) {
@@ -368,32 +364,29 @@ struct ClassKey {
 }
 
 [[nodiscard]] StatusOr<bool> PiecesContainedIn(const std::vector<NormalizedTuple>& a,
-                                 const std::vector<NormalizedTuple>& b,
-                                 const NormalizeLimits& limits) {
+                                 const std::vector<NormalizedTuple>& b) {
   LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> diff,
-                         SubtractPieces(a, b, limits));
+                         SubtractPieces(a, b));
   return diff.empty();
 }
 
-[[nodiscard]] StatusOr<bool> GroundSetEmpty(const GeneralizedTuple& tuple,
-                              const NormalizeLimits& limits) {
+[[nodiscard]] StatusOr<bool> GroundSetEmpty(const GeneralizedTuple& tuple) {
   LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pieces,
-                         NormalizedTuple::Normalize(tuple, limits));
+                         NormalizedTuple::Normalize(tuple));
   return pieces.empty();
 }
 
 [[nodiscard]] StatusOr<bool> GroundTupleContainedIn(const GeneralizedTuple& a,
-                                      const std::vector<GeneralizedTuple>& bs,
-                                      const NormalizeLimits& limits) {
+                                      const std::vector<GeneralizedTuple>& bs) {
   LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> a_pieces,
-                         NormalizedTuple::Normalize(a, limits));
+                         NormalizedTuple::Normalize(a));
   std::vector<NormalizedTuple> b_pieces;
   for (const GeneralizedTuple& b : bs) {
     LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pieces,
-                           NormalizedTuple::Normalize(b, limits));
+                           NormalizedTuple::Normalize(b));
     b_pieces.insert(b_pieces.end(), pieces.begin(), pieces.end());
   }
-  return PiecesContainedIn(a_pieces, b_pieces, limits);
+  return PiecesContainedIn(a_pieces, b_pieces);
 }
 
 }  // namespace lrpdb

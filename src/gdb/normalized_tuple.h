@@ -24,20 +24,15 @@
 
 namespace lrpdb {
 
-class ExecContext;  // src/common/exec_context.h
-
-// Budgets for normalization. Aligning columns with many distinct coprime
+// Caps on normalization. Aligning columns with many distinct coprime
 // periods multiplies both the common period and the number of residue
-// pieces; callers get kResourceExhausted instead of a blow-up.
-struct NormalizeLimits {
-  int64_t max_period = int64_t{1} << 40;
-  int64_t max_pieces = 1 << 16;
-  // Optional execution governance (deadline / budgets / cancellation; see
-  // src/common/exec_context.h). Limits travel through every algebra
-  // operator, TupleStore::Insert, and Normalize, so a non-null context here
-  // is polled from all of them. Not owned; must outlive the evaluation.
-  ExecContext* exec = nullptr;
-};
+// pieces (paper, Section 2.1); past either cap the operation returns
+// kResourceExhausted instead of blowing up. Execution governance (deadline,
+// budgets, cancellation) is not a parameter: normalization polls and
+// charges ExecContext::Current(), which the engine's entry points install
+// (src/common/exec_context.h).
+inline constexpr int64_t kMaxCommonPeriod = int64_t{1} << 40;
+inline constexpr int64_t kMaxResiduePieces = int64_t{1} << 16;
 
 // One residue piece: data constants, common period L, residue vector, and
 // the quotient DBM over the ni. Always satisfiable (empty pieces are
@@ -51,11 +46,10 @@ class NormalizedTuple {
   // ground sets equals the tuple's ground set, and distinct pieces are
   // disjoint.
   [[nodiscard]] static StatusOr<std::vector<NormalizedTuple>> Normalize(
-      const GeneralizedTuple& tuple,
-      const NormalizeLimits& limits = NormalizeLimits());
+      const GeneralizedTuple& tuple);
   // The same, for a borrowed tuple (a TupleStore row).
   [[nodiscard]] static StatusOr<std::vector<NormalizedTuple>> Normalize(
-      TupleView tuple, const NormalizeLimits& limits = NormalizeLimits());
+      TupleView tuple);
 
   int64_t common_period() const { return common_period_; }
   const std::vector<int64_t>& residues() const { return residues_; }
@@ -66,7 +60,7 @@ class NormalizedTuple {
   // Refines this piece to period `target` (a positive multiple of
   // common_period()), splitting into (target/L)^m sub-pieces -- exact.
   [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> AlignTo(
-      int64_t target, const NormalizeLimits& limits = NormalizeLimits()) const;
+      int64_t target) const;
 
   // True iff the piece's ground set contains the point.
   bool ContainsGround(const std::vector<int64_t>& times,
@@ -105,25 +99,20 @@ class NormalizedTuple {
 // All pieces are aligned to a common period internally.
 [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> SubtractPieces(
     const std::vector<NormalizedTuple>& a,
-    const std::vector<NormalizedTuple>& b,
-    const NormalizeLimits& limits = NormalizeLimits());
+    const std::vector<NormalizedTuple>& b);
 
 // True iff union(a) is a subset of union(b), decided exactly.
 [[nodiscard]] StatusOr<bool> PiecesContainedIn(
     const std::vector<NormalizedTuple>& a,
-    const std::vector<NormalizedTuple>& b,
-    const NormalizeLimits& limits = NormalizeLimits());
+    const std::vector<NormalizedTuple>& b);
 
 // Convenience: exact emptiness of a generalized tuple's ground set.
-[[nodiscard]] StatusOr<bool> GroundSetEmpty(const GeneralizedTuple& tuple,
-                              const NormalizeLimits& limits =
-                                  NormalizeLimits());
+[[nodiscard]] StatusOr<bool> GroundSetEmpty(const GeneralizedTuple& tuple);
 
 // Convenience: exact containment ground(a) subset-of ground(b1) u ... u
 // ground(bk) for generalized tuples of identical arities.
 [[nodiscard]] StatusOr<bool> GroundTupleContainedIn(
-    const GeneralizedTuple& a, const std::vector<GeneralizedTuple>& bs,
-    const NormalizeLimits& limits = NormalizeLimits());
+    const GeneralizedTuple& a, const std::vector<GeneralizedTuple>& bs);
 
 }  // namespace lrpdb
 

@@ -37,7 +37,7 @@ namespace lrpdb {
 }
 
 [[nodiscard]] StatusOr<EventuallyPeriodicSet> ToEventuallyPeriodicSet(
-    const GeneralizedRelation& relation, const NormalizeLimits& limits) {
+    const GeneralizedRelation& relation) {
   LRPDB_FAILPOINT("periodic.to_eventually_periodic");
   if (relation.schema().temporal_arity != 1 ||
       relation.schema().data_arity != 0) {
@@ -52,7 +52,7 @@ namespace lrpdb {
   for (EntryId id : relation.store().live_ids()) {
     const TupleView tuple = relation.tuple(id);
     period = Lcm(period, tuple.lrp(0).period());
-    if (period > limits.max_period) {
+    if (period > kMaxCommonPeriod) {
       return ResourceExhaustedError("lcm of periods exceeds limit");
     }
     Dbm closed = tuple.constraint();

@@ -25,8 +25,7 @@ namespace lrpdb {
 // of the stored periods and offset bounded by the largest absolute DBM
 // bound.
 [[nodiscard]] StatusOr<EventuallyPeriodicSet> ToEventuallyPeriodicSet(
-    const GeneralizedRelation& relation,
-    const NormalizeLimits& limits = NormalizeLimits());
+    const GeneralizedRelation& relation);
 
 }  // namespace lrpdb
 

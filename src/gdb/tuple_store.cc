@@ -236,13 +236,12 @@ TupleStore::PieceRange TupleStore::StorePieces(
 }
 
 [[nodiscard]] Status TupleStore::AppendPieces(
-    EntryId id, std::vector<NormalizedTuple>* out,
-    const NormalizeLimits& limits) const {
+    EntryId id, std::vector<NormalizedTuple>* out) const {
   LRPDB_FAILPOINT("tuple_store.pieces");
   PieceRange& range = piece_ranges_[id];
   if (range.count == kUnfilled) {
     LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pieces,
-                           NormalizedTuple::Normalize(tuple(id), limits));
+                           NormalizedTuple::Normalize(tuple(id)));
     range = StorePieces(pieces);
     UpdateBytes();
     out->insert(out->end(), std::make_move_iterator(pieces.begin()),
@@ -263,16 +262,16 @@ TupleStore::PieceRange TupleStore::StorePieces(
 // --- Appends ---
 
 [[nodiscard]] StatusOr<InsertOutcome> TupleStore::Insert(
-    const GeneralizedTuple& tuple, const NormalizeLimits& limits,
-    StoreStats* stats) {
+    const GeneralizedTuple& tuple, StoreStats* stats) {
   LRPDB_FAILPOINT("tuple_store.insert");
   if (tuple.temporal_arity() != schema_.temporal_arity ||
       tuple.data_arity() != schema_.data_arity) {
     return InvalidArgumentError("tuple arity does not match store schema");
   }
-  LRPDB_RETURN_IF_ERROR(PollExec(limits.exec));
+  ExecContext* exec = ExecContext::Current();
+  LRPDB_RETURN_IF_ERROR(PollExec(exec));
   LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> candidate,
-                         NormalizedTuple::Normalize(tuple, limits));
+                         NormalizedTuple::Normalize(tuple));
   // Counts into the caller's stats, or nowhere.
   StoreStats uncounted;
   StoreStats& counts = stats != nullptr ? *stats : uncounted;
@@ -285,10 +284,9 @@ TupleStore::PieceRange TupleStore::StorePieces(
   // the containment test below.
   const int64_t bytes_before = approx_bytes();
   auto charge_growth = [&] {
-    if (limits.exec == nullptr) return;
-    limits.exec->ChargeBytes(
-        std::max<int64_t>(approx_bytes() - bytes_before, 0));
-    LRPDB_GAUGE_SET("exec.budget_bytes", limits.exec->bytes_charged());
+    if (exec == nullptr) return;
+    exec->ChargeBytes(std::max<int64_t>(approx_bytes() - bytes_before, 0));
+    LRPDB_GAUGE_SET("exec.budget_bytes", exec->bytes_charged());
   };
   // Same-signature entries: one bucket probe.
   ++counts.signature_probes;
@@ -304,12 +302,12 @@ TupleStore::PieceRange TupleStore::StorePieces(
     // bucket the span points into.
     std::vector<NormalizedTuple> existing;
     for (EntryId id : bucket) {
-      LRPDB_RETURN_IF_ERROR(AppendPieces(id, &existing, limits));
+      LRPDB_RETURN_IF_ERROR(AppendPieces(id, &existing));
     }
     ++counts.subsumption_checks;
     counts.subsumption_candidates += static_cast<int64_t>(bucket.size());
     LRPDB_ASSIGN_OR_RETURN(bool contained,
-                           PiecesContainedIn(candidate, existing, limits));
+                           PiecesContainedIn(candidate, existing));
     if (contained) {
       ++counts.subsumed;
       charge_growth();
@@ -323,7 +321,7 @@ TupleStore::PieceRange TupleStore::StorePieces(
   outcome.id = static_cast<EntryId>(size());
   outcome.new_signature = Append(tuple, hash, &candidate);
   ++counts.inserts;
-  if (limits.exec != nullptr) limits.exec->ChargeTuples(1);
+  if (exec != nullptr) exec->ChargeTuples(1);
   charge_growth();
   return outcome;
 }

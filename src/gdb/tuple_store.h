@@ -204,20 +204,18 @@ class TupleStore {
 
   // Appends owned copies of entry `id`'s residue pieces to `out`. An entry
   // appended unnormalized is normalized on first use and its pieces kept.
-  [[nodiscard]] Status AppendPieces(
-      EntryId id, std::vector<NormalizedTuple>* out,
-      const NormalizeLimits& limits = NormalizeLimits()) const;
+  [[nodiscard]] Status AppendPieces(EntryId id,
+                                    std::vector<NormalizedTuple>* out) const;
 
   // Exact insert: drops the tuple if its ground set is empty or contained
   // in the union of the stored tuples with the same signature (free
   // extension) -- the comparison constraint safety (paper, Section 4.3)
   // prescribes. The same-signature entries come from one bucket probe.
   // `stats`, when non-null, receives the insert-path counters; without it
-  // nothing is counted.
-  [[nodiscard]] StatusOr<InsertOutcome> Insert(
-      const GeneralizedTuple& tuple,
-      const NormalizeLimits& limits = NormalizeLimits(),
-      StoreStats* stats = nullptr);
+  // nothing is counted. Polls ExecContext::Current() and charges it the
+  // inserted tuple and the bytes the store grew by.
+  [[nodiscard]] StatusOr<InsertOutcome> Insert(const GeneralizedTuple& tuple,
+                                               StoreStats* stats = nullptr);
 
   // Inserts after a cheap DBM satisfiability check only; tuples empty
   // purely through lrp-residue conflicts may be stored (harmless

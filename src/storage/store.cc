@@ -122,6 +122,7 @@ bool ParseSeqFileName(std::string_view name, std::string_view prefix,
   // enforces the global monotone, gap-free sequence.
   uint64_t expected = store.snapshot_seq_ + 1;
   WalScanResult last_scan;
+  ExecContext* exec = ExecContext::Current();
   for (size_t i = 0; i < layout.segment_seqs.size(); ++i) {
     bool is_last = i + 1 == layout.segment_seqs.size();
     std::string path =
@@ -141,7 +142,7 @@ bool ParseSeqFileName(std::string_view name, std::string_view prefix,
                         ", disagreeing with its name");
     }
     for (const WalRecord& record : scan.records) {
-      LRPDB_RETURN_IF_ERROR(PollExec(ExecContext::Current()));
+      LRPDB_RETURN_IF_ERROR(PollExec(exec));
       if (record.seq <= store.snapshot_seq_) continue;  // in the snapshot
       if (record.seq != expected) {
         return ParseError(

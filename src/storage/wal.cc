@@ -61,8 +61,9 @@ std::string EncodeSegmentHeader(uint64_t start_seq) {
 
   size_t pos = kWalHeaderSize;
   uint64_t expected_seq = start_seq;
+  ExecContext* exec = ExecContext::Current();
   while (true) {
-    LRPDB_RETURN_IF_ERROR(PollExec(ExecContext::Current()));
+    LRPDB_RETURN_IF_ERROR(PollExec(exec));
     size_t remaining = data.size() - pos;
     if (remaining == 0) break;
     if (remaining < kWalRecordHeadSize) {

@@ -381,8 +381,8 @@ RangeApply ApplyOverRange(size_t rule, size_t lo, size_t hi,
   if (!normalized.ok()) return out;
   const NormalizedClause& clause = normalized->clauses[rule];
   Status applied = ApplyClauseBatch(clause, CompileClausePlan(clause),
-                                    {{*e, lo, hi}}, NormalizeLimits(),
-                                    &out.stats, &out.candidates, &out.parents);
+                                    {{*e, lo, hi}}, &out.stats,
+                                    &out.candidates, &out.parents);
   EXPECT_TRUE(applied.ok()) << applied;
   return out;
 }

@@ -152,8 +152,10 @@ constexpr char kDatalogProgram[] = R"(
   s(t + 1) :- s(t).
 )";
 
-// Runs one of everything: generalized evaluation (trace + compaction +
-// query atom), ground evaluation, Datalog1S, and every algebra operator.
+// Runs one of everything: generalized evaluation with provenance (trace +
+// provenance recording and lookup + query atom) and without (recording
+// skips result compaction, so only this run compacts), ground evaluation,
+// Datalog1S, and every algebra operator.
 // Returns all statuses produced; CHECKs only on paths with no failpoints
 // (the parser).
 std::vector<Status> RunBattery() {
@@ -183,6 +185,14 @@ std::vector<Status> RunBattery() {
                              TemporalTerm::Variable(t2)};
       note(QueryAtom(unit->program, db, *result, query).status());
     }
+  }
+  {
+    Database db;
+    auto unit = Parse(kEvalProgram, &db);
+    LRPDB_CHECK(unit.ok()) << unit.status();
+    EvaluationOptions options;
+    options.compact_results = true;
+    note(Evaluate(unit->program, db, options).status());
   }
   {
     Database db;

@@ -144,14 +144,34 @@ TEST(NormalizedTupleTest, ProjectTemporalIsExactWithCongruences) {
   }
 }
 
-TEST(NormalizeLimitsTest, PeriodBlowupReturnsResourceExhausted) {
-  NormalizeLimits limits;
-  limits.max_period = 100;
-  GeneralizedTuple t({Lrp(7, 0), Lrp(11, 0), Lrp(13, 0)}, {},
+// The caps are constants: three coprime periods just above 2^16 have an
+// lcm (~2.8e14) past kMaxCommonPeriod (2^40).
+TEST(NormalizeCapsTest, PeriodBlowupReturnsResourceExhausted) {
+  GeneralizedTuple t({Lrp(65537, 0), Lrp(65539, 0), Lrp(65543, 0)}, {},
                      Dbm(3));
-  auto pieces = NormalizedTuple::Normalize(t, limits);
+  auto pieces = NormalizedTuple::Normalize(t);
   ASSERT_FALSE(pieces.ok());
   EXPECT_EQ(pieces.status().code(), StatusCode::kResourceExhausted);
+}
+
+// Two free columns of coprime periods 257 and 263 align to L = 67,591, with
+// 263 x 257 = 67,591 residue combinations: past kMaxResiduePieces (2^16).
+TEST(NormalizeCapsTest, PieceBlowupReturnsResourceExhausted) {
+  GeneralizedTuple t({Lrp(257, 0), Lrp(263, 0)}, {}, Dbm(2));
+  auto pieces = NormalizedTuple::Normalize(t);
+  ASSERT_FALSE(pieces.ok());
+  EXPECT_EQ(pieces.status().code(), StatusCode::kResourceExhausted);
+}
+
+// 251 x 257 = 64,507 combinations stay under the cap, and every one of
+// them is a satisfiable piece of the unconstrained tuple.
+TEST(NormalizeCapsTest, PiecesUnderTheCapNormalize) {
+  GeneralizedTuple t({Lrp(251, 0), Lrp(257, 0)}, {}, Dbm(2));
+  auto pieces = NormalizedTuple::Normalize(t);
+  ASSERT_TRUE(pieces.ok()) << pieces.status();
+  EXPECT_EQ(pieces->size(), 64507u);
+  EXPECT_LE(static_cast<int64_t>(pieces->size()), kMaxResiduePieces);
+  EXPECT_EQ(pieces->front().common_period(), 251 * 257);
 }
 
 // --- GeneralizedRelation ---

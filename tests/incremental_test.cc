@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/exec_context.h"
+#include "src/common/failpoint.h"
 #include "src/constraints/dbm.h"
 #include "src/core/incremental.h"
 #include "src/fo/fo.h"
@@ -319,6 +321,40 @@ TEST(IncrementalTest, DuplicateAddIsAbsorbedWithoutWork) {
                                {Lrp(24, 1)}, {run.db->Constant("a")})}})
                   .ok());
   EXPECT_EQ(run.inc->DumpStored(), before);
+}
+
+// AddFacts and RetractFacts are entry points: they install the evaluator's
+// context, so their own store work is governed. The absorbed duplicate's
+// containment test closes DBMs, which charge steps beyond the poll count,
+// and a budget trip injected into its insert trips the context instead of
+// surfacing as an ungoverned error.
+TEST(IncrementalTest, UpdatesChargeClosureStepsToTheContext) {
+  Database db;
+  auto unit = Parse(kChain, &db);
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  ExecContext exec;
+  EvaluationOptions options;
+  options.exec = &exec;
+  IncrementalEvaluator inc(unit->program, &db, options);
+  ASSERT_TRUE(inc.Initialize().ok());
+  const FactUpdate seeded{
+      "e", GeneralizedTuple::Unconstrained({Lrp(24, 1)}, {db.Constant("a")})};
+  auto charged = [&exec] { return exec.steps() - exec.polls(); };
+
+  int64_t before = charged();
+  ASSERT_TRUE(inc.AddFacts({seeded}).ok());
+  EXPECT_GT(charged(), before) << "the absorbed add charged no steps";
+  before = charged();
+  ASSERT_TRUE(inc.RetractFacts({seeded}).ok());
+  EXPECT_GT(charged(), before) << "the retraction charged no steps";
+
+  failpoint::DisarmAll();
+  failpoint::Arm("tuple_store.insert", failpoint::Mode::kTripBudget);
+  const Status added = inc.AddFacts({seeded});
+  failpoint::DisarmAll();
+  EXPECT_EQ(added.code(), StatusCode::kResourceExhausted) << added;
+  EXPECT_TRUE(exec.tripped());
+  EXPECT_TRUE(IsGovernanceTrip(&exec, added)) << added;
 }
 
 TEST(IncrementalTest, RetractBaseFactRemovesItsDerivations) {

@@ -88,12 +88,11 @@ std::optional<GeneralizedTuple> ResolveTuple(const ProvRun& run,
 // back subsumed.
 bool SubsumedBy(const GeneralizedTuple& piece,
                 const GeneralizedTuple& entry_tuple, RelationSchema schema) {
-  NormalizeLimits limits;
   GeneralizedRelation scratch(schema);
-  auto seeded = scratch.InsertIfNew(entry_tuple, limits);
+  auto seeded = scratch.InsertIfNew(entry_tuple);
   EXPECT_TRUE(seeded.ok()) << seeded.status();
   if (!seeded.ok()) return false;
-  auto probe = scratch.InsertIfNew(piece, limits);
+  auto probe = scratch.InsertIfNew(piece);
   EXPECT_TRUE(probe.ok()) << probe.status();
   return probe.ok() && !*probe;
 }
@@ -120,7 +119,6 @@ void ReplayOrigin(const ProvRun& run, const std::string& head_name,
 
   std::vector<std::unique_ptr<GeneralizedRelation>> singletons;
   std::vector<AtomSource> sources;
-  NormalizeLimits limits;
   for (size_t k = 0; k < clause.body.size(); ++k) {
     const ProvRef& p = origin.parents[k];
     const std::string& pname = run.log.RelationName(p.relation);
@@ -143,7 +141,7 @@ void ReplayOrigin(const ProvRun& run, const std::string& head_name,
   ClausePlan plan = CompileClausePlan(clause);
   std::vector<GeneralizedTuple> candidates;
   Status applied =
-      ApplyClauseBatch(clause, plan, sources, limits, nullptr, &candidates);
+      ApplyClauseBatch(clause, plan, sources, nullptr, &candidates);
   ASSERT_TRUE(applied.ok()) << applied.ToString();
   ASSERT_FALSE(candidates.empty())
       << "replaying the origin's rule over its parents produced nothing";

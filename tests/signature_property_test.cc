@@ -29,8 +29,8 @@ TEST(SignatureInterningTest, NonCanonicalLrpSpellingsShareOneSignature) {
   TupleStore store({1, 0});
   StoreStats stats;
   for (auto [a, b] : kSpellingsOf7n3) {
-    auto outcome = store.Insert(GeneralizedTuple({Lrp(a, b)}, {}, Dbm(1)),
-                                NormalizeLimits(), &stats);
+    auto outcome =
+        store.Insert(GeneralizedTuple({Lrp(a, b)}, {}, Dbm(1)), &stats);
     ASSERT_TRUE(outcome.ok());
   }
   // One signature was interned; the three re-spellings were subsumed by the

@@ -83,7 +83,7 @@ TEST(TupleStoreTest, InsertProbesOnlySameSignatureBucket) {
   // A candidate with the 3-entry signature must be compared against exactly
   // those 3 entries -- never the other 5.
   StoreStats round;
-  auto outcome = store.Insert(Banded(7, 6, 5, 8, 1), NormalizeLimits(), &round);
+  auto outcome = store.Insert(Banded(7, 6, 5, 8, 1), &round);
   ASSERT_TRUE(outcome.ok());
   EXPECT_FALSE(outcome->new_signature);
   EXPECT_EQ(round.signature_probes, 1);
@@ -92,7 +92,7 @@ TEST(TupleStoreTest, InsertProbesOnlySameSignatureBucket) {
 
   // A candidate with a fresh signature skips subsumption entirely.
   round = StoreStats();
-  outcome = store.Insert(Banded(7, 5, 0, 10, 1), NormalizeLimits(), &round);
+  outcome = store.Insert(Banded(7, 5, 0, 10, 1), &round);
   ASSERT_TRUE(outcome.ok());
   EXPECT_TRUE(outcome->inserted);
   EXPECT_TRUE(outcome->new_signature);
