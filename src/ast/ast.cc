@@ -155,7 +155,8 @@ std::string Program::TermToString(const TemporalTerm& term) const {
   if (term.is_constant()) return std::to_string(term.offset);
   std::string s = variables_.NameOf(term.variable);
   if (term.offset > 0) {
-    s += "+" + std::to_string(term.offset);
+    s += '+';
+    s += std::to_string(term.offset);
   } else if (term.offset < 0) {
     s += std::to_string(term.offset);
   }

@@ -40,7 +40,6 @@ std::ostream& operator<<(std::ostream& os, const Status& status) {
   return os << status.ToString();
 }
 
-[[nodiscard]] Status OkStatus() { return Status(); }
 [[nodiscard]] Status InvalidArgumentError(std::string message) {
   return Status(StatusCode::kInvalidArgument, std::move(message));
 }

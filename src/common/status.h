@@ -76,7 +76,7 @@ class [[nodiscard]] Status {
 std::ostream& operator<<(std::ostream& os, const Status& status);
 
 // Convenience constructors, mirroring absl's free functions.
-[[nodiscard]] Status OkStatus();
+[[nodiscard]] inline Status OkStatus() { return Status(); }
 [[nodiscard]] Status InvalidArgumentError(std::string message);
 [[nodiscard]] Status NotFoundError(std::string message);
 [[nodiscard]] Status InternalError(std::string message);

@@ -11,10 +11,15 @@ std::string Bound::ToString() const {
   return std::to_string(value_);
 }
 
-Dbm::Dbm(int num_vars) : num_vars_(num_vars) {
+Dbm::Dbm(int num_vars) { Reset(num_vars); }
+
+void Dbm::Reset(int num_vars) {
   LRPDB_CHECK_GE(num_vars, 0);
+  num_vars_ = num_vars;
   bounds_.assign((num_vars + 1) * (num_vars + 1), Bound::Infinity());
   for (int i = 0; i <= num_vars; ++i) At(i, i) = Bound::Finite(0);
+  closed_ = true;
+  satisfiable_ = true;
 }
 
 Dbm::Dbm(DbmView view)
@@ -95,8 +100,8 @@ bool Dbm::IsSatisfiable() const {
   return satisfiable_;
 }
 
-bool Dbm::Implies(const Dbm& other) const {
-  LRPDB_CHECK_EQ(num_vars_, other.num_vars_);
+bool Dbm::Implies(DbmView other) const {
+  LRPDB_CHECK_EQ(num_vars_, other.num_vars());
   if (!IsSatisfiable()) return true;
   EnsureClosed();
   // Every bound of `other` must already be implied: closed(this)(i,j) <=
@@ -105,7 +110,7 @@ bool Dbm::Implies(const Dbm& other) const {
   // its raw entries.
   for (int i = 0; i <= num_vars_; ++i) {
     for (int j = 0; j <= num_vars_; ++j) {
-      if (!(At(i, j) <= other.At(i, j))) return false;
+      if (!(At(i, j) <= other.bound(i, j))) return false;
     }
   }
   return true;
@@ -202,7 +207,7 @@ std::string DbmView::ToString(const std::vector<std::string>* names) const {
     if (names != nullptr && i - 1 < static_cast<int>(names->size())) {
       return (*names)[i - 1];
     }
-    return "T" + std::to_string(i);
+    return std::string("T").append(std::to_string(i));
   };
   std::string s;
   for (int i = 0; i <= num_vars_; ++i) {

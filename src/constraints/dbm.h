@@ -101,6 +101,11 @@ class Dbm {
   // Index 0 addresses the constant-zero variable.
   Bound bound(int i, int j) const { return At(i, j); }
 
+  // Makes this the unconstrained DBM over `num_vars` variables, reusing the
+  // bound storage: a parser filling one scratch DBM per fact resets it
+  // instead of allocating a new one.
+  void Reset(int num_vars);
+
   // --- Constraint construction (all invalidate the closure) ---
 
   // xi - xj <= c. Keeps the tighter of the existing and new bound.
@@ -128,8 +133,10 @@ class Dbm {
   bool IsSatisfiable() const;
 
   // True iff every integer solution of this DBM satisfies `other`
-  // (trivially true when this is unsatisfiable).
-  bool Implies(const Dbm& other) const;
+  // (trivially true when this is unsatisfiable). `other` is read as
+  // stored; it need not be closed.
+  bool Implies(DbmView other) const;
+  bool Implies(const Dbm& other) const { return Implies(other.view()); }
 
   // True iff the two DBMs have the same solution set.
   bool EquivalentTo(const Dbm& other) const;

@@ -413,8 +413,10 @@ std::string ProvenanceLog::ToDot(const Graph& graph,
   out << "  rankdir=BT;\n";
   out << "  node [fontname=\"Helvetica\", fontsize=10];\n";
   const auto tuple_id = [](ProvRef ref) {
-    return "t" + std::to_string(ref.relation) + "_" +
-           std::to_string(ref.entry);
+    return std::string("t")
+        .append(std::to_string(ref.relation))
+        .append("_")
+        .append(std::to_string(ref.entry));
   };
   for (const Node& node : graph.nodes) {
     const std::string& name = RelationName(node.ref.relation);
@@ -430,7 +432,8 @@ std::string ProvenanceLog::ToDot(const Graph& graph,
   size_t step = 0;
   for (const Node& node : graph.nodes) {
     for (const DerivationOrigin& origin : node.origins) {
-      const std::string step_id = "d" + std::to_string(step++);
+      const std::string step_id =
+          std::string("d").append(std::to_string(step++));
       out << "  " << step_id << " [shape=ellipse, label=\""
           << DotEscape("rule " + std::to_string(origin.rule) + " @ round " +
                        std::to_string(origin.round) + "\n" +

@@ -46,10 +46,13 @@ class FoParser {
   }
   [[nodiscard]] Status Error(const std::string& message) const {
     const Token& t = Peek();
-    return ParseError(
-        "line " + std::to_string(t.line) + ":" + std::to_string(t.column) +
-        ": " + message +
-        (t.text.empty() ? "" : " (at '" + std::string(t.text) + "')"));
+    std::string text = PositionedMessage(t.line, t.column, message);
+    if (!t.text.empty()) {
+      text += " (at '";
+      text += t.text;
+      text += "')";
+    }
+    return ParseError(std::move(text));
   }
 
   [[nodiscard]] StatusOr<SymbolId> NoteVariable(const std::string& name, bool temporal) {

@@ -2,6 +2,10 @@
 
 namespace lrpdb {
 
+Database::~Database() = default;
+Database::Database(Database&&) noexcept = default;
+Database& Database::operator=(Database&&) noexcept = default;
+
 [[nodiscard]] Status Database::Declare(std::string_view name, RelationSchema schema) {
   return DeclareRelation(name, schema).status();
 }

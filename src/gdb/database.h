@@ -20,6 +20,12 @@ namespace lrpdb {
 class Database {
  public:
   Database() = default;
+  // Out of line: inlined into a caller's std::optional<Database>, the
+  // relation map's destructor draws a GCC 12 -O3 -Wmaybe-uninitialized
+  // false positive.
+  ~Database();
+  Database(Database&&) noexcept;
+  Database& operator=(Database&&) noexcept;
 
   // Declares `name` with the given schema. Error if already declared with a
   // different schema.

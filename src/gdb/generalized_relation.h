@@ -59,8 +59,9 @@ class GeneralizedRelation {
   // tuples whose ground set is empty purely through lrp-residue conflicts
   // may be stored (they are harmless redundancy -- every membership or
   // set-level operation treats them as empty). Returns false iff dropped.
-  [[nodiscard]] StatusOr<bool> InsertUnlessEmpty(GeneralizedTuple tuple) {
-    return store_.InsertUnlessEmpty(std::move(tuple));
+  [[nodiscard]] StatusOr<bool> InsertUnlessEmpty(
+      const GeneralizedTuple& tuple) {
+    return store_.InsertUnlessEmpty(tuple);
   }
 
   bool ContainsGround(const std::vector<int64_t>& times,

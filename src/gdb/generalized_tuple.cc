@@ -54,7 +54,8 @@ std::string TupleView::ToString(const Interner* interner) const {
     if (interner != nullptr) {
       s += interner->NameOf(data_[i]);
     } else {
-      s += "#" + std::to_string(data_[i]);
+      s += '#';
+      s += std::to_string(data_[i]);
     }
   }
   s += ")";

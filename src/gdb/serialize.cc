@@ -9,7 +9,7 @@ namespace {
 
 // "T3" for column index 2.
 std::string ColumnName(int dbm_index) {
-  return "T" + std::to_string(dbm_index);
+  return std::string("T").append(std::to_string(dbm_index));
 }
 
 // "Tj + c" / "Tj - c" / "Tj" / plain integer for the zero variable.

@@ -297,17 +297,36 @@ TupleStore::PieceRange TupleStore::StorePieces(
       signature == kNoSignature ? std::span<const EntryId>()
                                 : BucketEntries(signature);
   if (!bucket.empty()) {
+    // Every bucket entry has the candidate's lrps and data, so a candidate
+    // whose (closed) DBM implies one entry's DBM is contained in that
+    // entry, exactly. That settles most subsumptions without touching a
+    // piece; the rest take the exact test over the bucket's union. The
+    // closure runs on a copy in the store's scratch DBM, as the candidate
+    // is appended with its bounds as given. Each entry compared is (m+1)^2
+    // bound comparisons, charged like closure work.
+    candidate_closure_ = tuple.constraint();
+    int64_t compared = 0;
+    const bool implied =
+        std::any_of(bucket.begin(), bucket.end(), [&](EntryId id) {
+          ++compared;
+          return candidate_closure_.Implies(this->tuple(id).constraint());
+        });
+    if (exec != nullptr) exec->ChargeSteps(compared * BoundsStride());
     // Owned copies of the bucket's pieces, for the containment call only.
     // Filling a lazy piece range touches the piece arenas, never the
     // bucket the span points into.
     std::vector<NormalizedTuple> existing;
-    for (EntryId id : bucket) {
-      LRPDB_RETURN_IF_ERROR(AppendPieces(id, &existing));
+    if (!implied) {
+      for (EntryId id : bucket) {
+        LRPDB_RETURN_IF_ERROR(AppendPieces(id, &existing));
+      }
     }
     ++counts.subsumption_checks;
     counts.subsumption_candidates += static_cast<int64_t>(bucket.size());
-    LRPDB_ASSIGN_OR_RETURN(bool contained,
-                           PiecesContainedIn(candidate, existing));
+    bool contained = implied;
+    if (!implied) {
+      LRPDB_ASSIGN_OR_RETURN(contained, PiecesContainedIn(candidate, existing));
+    }
     if (contained) {
       ++counts.subsumed;
       charge_growth();
@@ -319,18 +338,24 @@ TupleStore::PieceRange TupleStore::StorePieces(
   InsertOutcome outcome;
   outcome.inserted = true;
   outcome.id = static_cast<EntryId>(size());
-  outcome.new_signature = Append(tuple, hash, &candidate);
+  outcome.new_signature = Append(tuple.view(), hash, &candidate);
   ++counts.inserts;
   if (exec != nullptr) exec->ChargeTuples(1);
   charge_growth();
   return outcome;
 }
 
-bool TupleStore::InsertUnlessEmpty(GeneralizedTuple tuple) {
-  LRPDB_CHECK_EQ(tuple.temporal_arity(), schema_.temporal_arity);
-  LRPDB_CHECK_EQ(tuple.data_arity(), schema_.data_arity);
-  if (!tuple.ConstraintSatisfiable()) return false;
-  Append(tuple, HashSignature(tuple.lrps(), tuple.data()), nullptr);
+bool TupleStore::InsertUnlessEmpty(ColumnSpan<Lrp> lrps,
+                                   ColumnSpan<DataValue> data,
+                                   const Dbm& constraint) {
+  const int m = schema_.temporal_arity;
+  const int k = schema_.data_arity;
+  LRPDB_CHECK_EQ(lrps.size(), static_cast<size_t>(m));
+  LRPDB_CHECK_EQ(data.size(), static_cast<size_t>(k));
+  LRPDB_CHECK_EQ(constraint.num_vars(), m);
+  if (!constraint.IsSatisfiable()) return false;  // Closes `constraint`.
+  Append(TupleView(lrps.data(), m, data.data(), k, constraint.view().bounds()),
+         HashSignature(lrps, data), nullptr);
   return true;
 }
 
@@ -342,7 +367,7 @@ bool TupleStore::InsertUnlessEmpty(GeneralizedTuple tuple) {
   }
   // No filtering and no stats: the snapshot records what Append() stored,
   // so replaying it through Append() reproduces every index exactly.
-  Append(tuple, HashSignature(tuple.lrps(), tuple.data()), nullptr);
+  Append(tuple.view(), HashSignature(tuple.lrps(), tuple.data()), nullptr);
   return OkStatus();
 }
 
@@ -358,7 +383,7 @@ bool TupleStore::InsertUnlessEmpty(GeneralizedTuple tuple) {
   return OkStatus();
 }
 
-bool TupleStore::Append(const GeneralizedTuple& tuple, uint64_t hash,
+bool TupleStore::Append(TupleView tuple, uint64_t hash,
                         const std::vector<NormalizedTuple>* pieces) {
   const EntryId id = static_cast<EntryId>(size());
   bool created = false;
@@ -366,7 +391,7 @@ bool TupleStore::Append(const GeneralizedTuple& tuple, uint64_t hash,
       InternSignature(tuple.lrps(), tuple.data(), hash, &created);
   lrps_.Append(tuple.lrps().data(), tuple.lrps().size());
   data_.Append(tuple.data().data(), tuple.data().size());
-  bounds_.Append(tuple.constraint().view().bounds(), BoundsStride());
+  bounds_.Append(tuple.constraint().bounds(), BoundsStride());
   live_.push_back(kLive);
   piece_ranges_.push_back(pieces != nullptr ? StorePieces(*pieces)
                                             : PieceRange{});

@@ -219,8 +219,15 @@ class TupleStore {
 
   // Inserts after a cheap DBM satisfiability check only; tuples empty
   // purely through lrp-residue conflicts may be stored (harmless
-  // redundancy). Counts nothing. Returns false iff dropped.
-  bool InsertUnlessEmpty(GeneralizedTuple tuple);
+  // redundancy). Closes `constraint` and appends the row straight from the
+  // given columns and the closed bounds, so a caller parsing many tuples
+  // fills the same scratch buffers for each. Counts nothing. Returns false
+  // iff dropped.
+  bool InsertUnlessEmpty(ColumnSpan<Lrp> lrps, ColumnSpan<DataValue> data,
+                         const Dbm& constraint);
+  bool InsertUnlessEmpty(const GeneralizedTuple& tuple) {
+    return InsertUnlessEmpty(tuple.lrps(), tuple.data(), tuple.constraint());
+  }
 
   // --- Snapshot restore (src/storage) ---
 
@@ -399,7 +406,7 @@ class TupleStore {
 
   // Appends `tuple` and indexes it; `pieces`, when non-null, become its
   // filled piece range. Returns whether the signature was new.
-  bool Append(const GeneralizedTuple& tuple, uint64_t hash,
+  bool Append(TupleView tuple, uint64_t hash,
               const std::vector<NormalizedTuple>* pieces);
 
   // Publishes footprint().total() as approx_bytes_.
@@ -443,6 +450,11 @@ class TupleStore {
 
   size_t delta_lo_ = 0;
   size_t delta_hi_ = 0;
+
+  // Insert's copy of the candidate's DBM for the single-entry containment
+  // test, kept so the copy reuses one block instead of allocating per
+  // candidate.
+  Dbm candidate_closure_{0};
 
   // Published by UpdateBytes() after every change to an allocation. Atomic
   // so approx_bytes() stays safe and lock-free for readers concurrent with

@@ -91,8 +91,7 @@ class LtlParser {
   }
   [[nodiscard]] Status Error(const std::string& message) const {
     const Token& t = Peek();
-    return ParseError("line " + std::to_string(t.line) + ":" +
-                      std::to_string(t.column) + ": " + message);
+    return ParseError(PositionedMessage(t.line, t.column, message));
   }
 
   // implies := or ('->' or)*, right associative. '->' arrives from the

@@ -1,18 +1,53 @@
 #include "src/parser/lexer.h"
 
-#include <cctype>
+#include <array>
+#include <string>
 
 namespace lrpdb {
 namespace {
 
-bool IsIdentifierStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+// Plain ASCII character classes, the same sets the "C" locale's std::is*
+// functions accept, read from one table instead of a per-call locale
+// lookup.
+enum CharClass : uint8_t {
+  kDigitClass = 1,       // 0-9
+  kLetterClass = 2,      // a-z A-Z _
+  kSpaceClass = 4,       // space \t \n \v \f \r
+};
+constexpr std::array<uint8_t, 256> kCharClasses = [] {
+  std::array<uint8_t, 256> classes{};
+  for (int c = '0'; c <= '9'; ++c) classes[c] = kDigitClass;
+  for (int c = 'a'; c <= 'z'; ++c) classes[c] = kLetterClass;
+  for (int c = 'A'; c <= 'Z'; ++c) classes[c] = kLetterClass;
+  classes['_'] = kLetterClass;
+  for (char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    classes[static_cast<unsigned char>(c)] = kSpaceClass;
+  }
+  return classes;
+}();
+bool Is(char c, uint8_t classes) {
+  return (kCharClasses[static_cast<unsigned char>(c)] & classes) != 0;
 }
-bool IsIdentifierChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
+bool IsDigit(char c) { return Is(c, kDigitClass); }
+bool IsSpace(char c) { return Is(c, kSpaceClass); }
+bool IsIdentifierStart(char c) { return Is(c, kLetterClass); }
+bool IsIdentifierChar(char c) { return Is(c, kLetterClass | kDigitClass); }
+
+// Digit runs this long cannot overflow int64, so they skip the checked
+// conversion.
+constexpr size_t kUncheckedDigits = 18;
 
 }  // namespace
+
+std::string PositionedMessage(int line, int column, std::string_view message) {
+  std::string s = "line ";
+  s += std::to_string(line);
+  s += ':';
+  s += std::to_string(column);
+  s += ": ";
+  s += message;
+  return s;
+}
 
 [[nodiscard]] StatusOr<int64_t> ParseDecimalInt64(std::string_view digits) {
   if (digits.empty()) return ParseError("expected digits");
@@ -31,9 +66,8 @@ bool IsIdentifierChar(char c) {
   return value;
 }
 
-[[nodiscard]] Status Lexer::Error(const std::string& message) {
-  error_ = lrpdb::ParseError("line " + std::to_string(line_) + ":" +
-                             std::to_string(column_) + ": " + message);
+[[nodiscard]] Status Lexer::Error(std::string_view message) {
+  error_ = lrpdb::ParseError(PositionedMessage(line_, column(), message));
   return error_;
 }
 
@@ -43,7 +77,7 @@ void Lexer::Emit(TokenKind kind, std::string_view text, Token* token,
   token->text = text;
   token->number = number;
   token->line = line_;
-  token->column = column_;
+  token->column = column();
   token->glued_to_previous = !previous_was_space_;
   previous_was_space_ = false;
 }
@@ -57,18 +91,16 @@ void Lexer::Emit(TokenKind kind, std::string_view text, Token* token,
   // only place the line number advances.
   while (pos_ < input_.size()) {
     char c = input_[pos_];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsSpace(c)) {
       previous_was_space_ = true;
       ++pos_;
       if (c == '\n') {
         ++line_;
-        column_ = 1;
-      } else {
-        ++column_;
+        line_start_ = pos_;
       }
     } else if (c == '%' || (c == '/' && followed_by('/'))) {
       size_t end = input_.find('\n', pos_);
-      Skip((end == std::string_view::npos ? input_.size() : end) - pos_);
+      pos_ = end == std::string_view::npos ? input_.size() : end;
       previous_was_space_ = true;
     } else {
       break;
@@ -77,50 +109,54 @@ void Lexer::Emit(TokenKind kind, std::string_view text, Token* token,
   if (pos_ >= input_.size()) {
     *token = Token();
     token->line = line_;
-    token->column = column_;
+    token->column = column();
     return OkStatus();
   }
 
   const size_t start = pos_;
   const char c = input_[pos_];
   if (IsIdentifierStart(c)) {
-    while (pos_ < input_.size() && IsIdentifierChar(input_[pos_])) Skip(1);
+    while (pos_ < input_.size() && IsIdentifierChar(input_[pos_])) ++pos_;
     Emit(TokenKind::kIdentifier, input_.substr(start, pos_ - start), token);
     return OkStatus();
   }
-  if (std::isdigit(static_cast<unsigned char>(c))) {
-    while (pos_ < input_.size() &&
-           std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
-      Skip(1);
+  if (IsDigit(c)) {
+    uint64_t value = 0;  // Unsigned: wraps harmlessly past 18 digits.
+    while (pos_ < input_.size() && IsDigit(input_[pos_])) {
+      value = value * 10 + static_cast<uint64_t>(input_[pos_] - '0');
+      ++pos_;
     }
     std::string_view text = input_.substr(start, pos_ - start);
-    StatusOr<int64_t> number = ParseDecimalInt64(text);
-    if (!number.ok()) return Error(number.status().message());
-    Emit(TokenKind::kNumber, text, token, *number);
+    if (text.size() > kUncheckedDigits) {
+      StatusOr<int64_t> number = ParseDecimalInt64(text);
+      if (!number.ok()) return Error(number.status().message());
+      value = static_cast<uint64_t>(*number);
+    }
+    Emit(TokenKind::kNumber, text, token, static_cast<int64_t>(value));
     return OkStatus();
   }
   TokenKind kind;
   size_t length = 1;
   switch (c) {
     case '"': {
-      Skip(1);
+      ++pos_;
       while (pos_ < input_.size() && input_[pos_] != '"' &&
              input_[pos_] != '\n') {
-        Skip(1);
+        ++pos_;
       }
       if (pos_ >= input_.size() || input_[pos_] != '"') {
         return Error("unterminated string literal");
       }
       std::string_view text = input_.substr(start + 1, pos_ - start - 1);
-      Skip(1);
+      ++pos_;
       Emit(TokenKind::kString, text, token);
       return OkStatus();
     }
     case '.':
       if (pos_ + 1 < input_.size() && IsIdentifierStart(input_[pos_ + 1])) {
-        Skip(1);
+        ++pos_;
         while (pos_ < input_.size() && IsIdentifierChar(input_[pos_])) {
-          Skip(1);
+          ++pos_;
         }
         Emit(TokenKind::kDirective, input_.substr(start + 1, pos_ - start - 1),
              token);
@@ -188,7 +224,7 @@ void Lexer::Emit(TokenKind kind, std::string_view text, Token* token,
     default:
       return Error(std::string("unexpected character '") + c + "'");
   }
-  Skip(length);
+  pos_ += length;
   Emit(kind, input_.substr(start, length), token);
   return OkStatus();
 }

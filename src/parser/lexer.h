@@ -51,6 +51,11 @@ struct Token {
   bool glued_to_previous = false;
 };
 
+// "line L:C: message": the position prefix of every error reported against
+// this lexer's input (the lexer's own, and those of the parsers built on
+// it), for a token's line:column or the lexer's.
+std::string PositionedMessage(int line, int column, std::string_view message);
+
 // Lexes `input` one token per Next() call, so a caller holds only the
 // tokens it is looking at. Comments run from "//" or "%" to end of line.
 class Lexer {
@@ -63,19 +68,17 @@ class Lexer {
   [[nodiscard]] Status Next(Token* token);
 
  private:
-  [[nodiscard]] Status Error(const std::string& message);
-  // Advances over `n` characters of the current line.
-  void Skip(size_t n) {
-    pos_ += n;
-    column_ += static_cast<int>(n);
-  }
+  [[nodiscard]] Status Error(std::string_view message);
+  // The 1-based column of the current position, counted from the start of
+  // its line (no token spans a newline).
+  int column() const { return static_cast<int>(pos_ - line_start_) + 1; }
   void Emit(TokenKind kind, std::string_view text, Token* token,
             int64_t number = 0);
 
   std::string_view input_;
   size_t pos_ = 0;
   int line_ = 1;
-  int column_ = 1;
+  size_t line_start_ = 0;  // Offset of the current line's first character.
   bool previous_was_space_ = true;
   Status error_;
 };
@@ -87,8 +90,9 @@ class Lexer {
 // Parses a run of decimal digits into an int64, rejecting overflow with
 // kParseError. The std::stoll family throws on overflow, which in this
 // exception-free codebase means malformed input could terminate the
-// process; every digit run in the lexer and parser goes through here
-// instead (regression: parser_test.cc OverlongLiterals).
+// process; every digit run that could overflow goes through here instead
+// (the lexer converts runs of at most 18 digits, which cannot, inline;
+// regression: parser_test.cc OverlongLiterals).
 [[nodiscard]] StatusOr<int64_t> ParseDecimalInt64(std::string_view digits);
 
 }  // namespace lrpdb

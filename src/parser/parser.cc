@@ -1,6 +1,5 @@
 #include "src/parser/parser.h"
 
-#include <cctype>
 #include <map>
 #include <optional>
 #include <utility>
@@ -26,9 +25,10 @@ class Parser {
   }
 
  private:
-  // Ring slots: the token Advance() last returned, Peek(0) and Peek(1), so
-  // a consumed token stays readable while the parser looks one ahead.
-  static constexpr size_t kRingSize = 3;
+  // Ring slots for the token Advance() last returned, Peek(0) and Peek(1),
+  // so a consumed token stays readable while the parser looks one ahead;
+  // a power of two, so finding a slot is a mask.
+  static constexpr size_t kRingSize = 4;
 
   [[nodiscard]] Status ParseStatements() {
     while (!AtEnd()) {
@@ -63,16 +63,20 @@ class Parser {
     ++next_;
     return true;
   }
-  [[nodiscard]] Status Error(const std::string& message) {
+  [[nodiscard]] Status Error(std::string_view message) {
     const Token& t = Peek();
-    return ParseError(
-        "line " + std::to_string(t.line) + ":" + std::to_string(t.column) +
-        ": " + message +
-        (t.text.empty() ? "" : " (at '" + std::string(t.text) + "')"));
+    std::string text = PositionedMessage(t.line, t.column, message);
+    if (!t.text.empty()) {
+      text += " (at '";
+      text += t.text;
+      text += "')";
+    }
+    return ParseError(std::move(text));
   }
-  [[nodiscard]] Status Expect(TokenKind kind, const std::string& what) {
+  // `what` is spelled out only when the token is missing.
+  [[nodiscard]] Status Expect(TokenKind kind, const char* what) {
     if (Match(kind)) return OkStatus();
-    return Error("expected " + what);
+    return Error(std::string("expected ") + what);
   }
 
   [[nodiscard]] Status ParseStatement() {
@@ -126,6 +130,33 @@ class Parser {
     return unit_->program.Declare(name, schema);
   }
 
+  // The schema and relation a .fact adds to, resolved on the relation's
+  // first fact and kept for the rest of the parse.
+  struct FactTarget {
+    RelationSchema schema;
+    GeneralizedRelation* relation = nullptr;
+  };
+
+  [[nodiscard]] Status ResolveFactTarget(std::string_view name,
+                                         const FactTarget** target) {
+    const SymbolId id = unit_->program.predicates().Find(name);
+    if (id >= 0 && static_cast<size_t>(id) < fact_targets_.size() &&
+        fact_targets_[id].relation != nullptr) {
+      *target = &fact_targets_[id];
+      return OkStatus();
+    }
+    LRPDB_ASSIGN_OR_RETURN(RelationSchema schema, SchemaOf(name));
+    LRPDB_ASSIGN_OR_RETURN(GeneralizedRelation * relation,
+                           db_->DeclareRelation(name, schema));
+    // SchemaOf succeeded, so the predicate is interned and `id` valid.
+    if (fact_targets_.size() <= static_cast<size_t>(id)) {
+      fact_targets_.resize(id + 1);
+    }
+    fact_targets_[id] = FactTarget{schema, relation};
+    *target = &fact_targets_[id];
+    return OkStatus();
+  }
+
   [[nodiscard]] StatusOr<RelationSchema> SchemaOf(std::string_view name) {
     SymbolId id = unit_->program.predicates().Find(name);
     std::optional<RelationSchema> schema;
@@ -138,48 +169,54 @@ class Parser {
   }
 
   // A signed integer literal.
-  [[nodiscard]] StatusOr<int64_t> ParseSignedNumber() {
-    bool negative = Match(TokenKind::kMinus);
+  [[nodiscard]] Status ParseSignedNumber(int64_t* value) {
+    const bool negative = Match(TokenKind::kMinus);
     if (Peek().kind != TokenKind::kNumber) {
       return Status(StatusCode::kParseError, "expected integer");
     }
-    int64_t v = Advance().number;
-    return negative ? -v : v;
+    const int64_t v = Advance().number;
+    *value = negative ? -v : v;
+    return OkStatus();
+  }
+
+  // The optional "+ INT" / "- INT" after a term; 0 when there is none.
+  [[nodiscard]] Status ParseOffset(int64_t* offset) {
+    *offset = 0;
+    if (Match(TokenKind::kPlus)) return ParseSignedNumber(offset);
+    if (!Match(TokenKind::kMinus)) return OkStatus();
+    LRPDB_RETURN_IF_ERROR(ParseSignedNumber(offset));
+    *offset = -*offset;
+    return OkStatus();
   }
 
   // An lrp or integer constant in fact argument `column`. An integer c
   // becomes the lrp n, pinned by adding Tcolumn = c to `constraint`.
-  [[nodiscard]] StatusOr<Lrp> ParseFactTemporalArg(int column,
-                                                   Dbm* constraint) {
+  [[nodiscard]] Status ParseFactTemporalArg(int column, Dbm* constraint,
+                                            Lrp* lrp) {
     // Forms: [INT] n [± INT]  |  ±INT.
-    bool negative = Match(TokenKind::kMinus);
-    std::optional<int64_t> coefficient;
+    const bool negative = Match(TokenKind::kMinus);
+    int64_t coefficient = 1;
     if (Peek().kind == TokenKind::kNumber) {
-      coefficient = Advance().number;
-      if (negative) coefficient = -*coefficient;
+      coefficient = negative ? -Advance().number : Advance().number;
       // "168n": 'n' glued to the number.
       if (!(Peek().kind == TokenKind::kIdentifier && Peek().text == "n" &&
             Peek().glued_to_previous)) {
-        constraint->AddEquality(column, *coefficient);
-        return Lrp(1, 0);
+        constraint->AddEquality(column, coefficient);
+        *lrp = Lrp(1, 0);
+        return OkStatus();
       }
     }
     if (Peek().kind == TokenKind::kIdentifier && Peek().text == "n") {
       Advance();
-      int64_t period = coefficient.value_or(1);
-      if (period == 0) {
+      if (coefficient == 0) {
         return Status(StatusCode::kParseError,
                       "lrp period must be non-zero; write the constant c "
                       "directly instead of 0n+c");
       }
       int64_t offset = 0;
-      if (Match(TokenKind::kPlus)) {
-        LRPDB_ASSIGN_OR_RETURN(offset, ParseSignedNumber());
-      } else if (Match(TokenKind::kMinus)) {
-        LRPDB_ASSIGN_OR_RETURN(offset, ParseSignedNumber());
-        offset = -offset;
-      }
-      return Lrp(period, offset);
+      LRPDB_RETURN_IF_ERROR(ParseOffset(&offset));
+      *lrp = Lrp(coefficient, offset);
+      return OkStatus();
     }
     return Status(StatusCode::kParseError,
                   "expected lrp (e.g. 168n+8) or integer");
@@ -190,22 +227,24 @@ class Parser {
     if (Peek().kind != TokenKind::kIdentifier) {
       return Error("expected predicate name after .fact");
     }
-    std::string_view name = Advance().text;
-    LRPDB_ASSIGN_OR_RETURN(RelationSchema schema, SchemaOf(name));
-    LRPDB_ASSIGN_OR_RETURN(GeneralizedRelation * relation,
-                           db_->DeclareRelation(name, schema));
+    const FactTarget* target = nullptr;
+    LRPDB_RETURN_IF_ERROR(ResolveFactTarget(Advance().text, &target));
+    const RelationSchema schema = target->schema;
     LRPDB_RETURN_IF_ERROR(Expect(TokenKind::kLeftParen, "'('"));
 
-    Dbm constraint(schema.temporal_arity);
-    std::vector<Lrp> lrps;
-    lrps.reserve(schema.temporal_arity);
-    std::vector<DataValue> data;
-    data.reserve(schema.data_arity);
+    // The fact is built in the scratch buffers, which keep their capacity
+    // from one fact to the next.
+    Dbm& constraint = scratch_constraint_;
+    constraint.Reset(schema.temporal_arity);
+    std::vector<Lrp>& lrps = scratch_lrps_;
+    lrps.clear();
+    std::vector<DataValue>& data = scratch_data_;
+    data.clear();
     for (int col = 0; col < schema.temporal_arity; ++col) {
       if (col > 0) LRPDB_RETURN_IF_ERROR(Expect(TokenKind::kComma, "','"));
-      auto lrp = ParseFactTemporalArg(col + 1, &constraint);
-      if (!lrp.ok()) return Error(lrp.status().message());
-      lrps.push_back(*lrp);
+      Lrp& lrp = lrps.emplace_back();
+      Status parsed = ParseFactTemporalArg(col + 1, &constraint, &lrp);
+      if (!parsed.ok()) return Error(parsed.message());
     }
     for (int col = 0; col < schema.data_arity; ++col) {
       if (col > 0 || schema.temporal_arity > 0) {
@@ -229,55 +268,49 @@ class Parser {
       }
     }
     LRPDB_RETURN_IF_ERROR(Expect(TokenKind::kPeriod, "'.' after fact"));
-    return relation
-        ->InsertUnlessEmpty(GeneralizedTuple(
-            std::move(lrps), std::move(data), std::move(constraint)))
-        .status();
+    target->relation->mutable_store().InsertUnlessEmpty(lrps, data, constraint);
+    return OkStatus();
   }
 
-  // One side of a fact constraint: Tk [± INT] or a signed integer.
-  // Returns (column index or 0 for the zero variable, offset).
-  [[nodiscard]] StatusOr<std::pair<int, int64_t>> ParseConstraintSide(int temporal_arity) {
+  // One side of a fact constraint: Tk [± INT] or a signed integer. Sets
+  // the column index (0 for the zero variable) and the offset.
+  [[nodiscard]] Status ParseConstraintSide(int temporal_arity, int* column,
+                                           int64_t* offset) {
     if (Peek().kind == TokenKind::kIdentifier) {
       std::string_view text = Peek().text;
       if (text.size() >= 2 && text[0] == 'T') {
         bool digits = true;
         for (size_t k = 1; k < text.size(); ++k) {
-          digits = digits && std::isdigit(static_cast<unsigned char>(text[k]));
+          digits = digits && text[k] >= '0' && text[k] <= '9';
         }
         if (digits) {
           // Overflow-safe: "T99999999999999999999" must be a parse error,
           // not a std::out_of_range crash from std::stoi.
           StatusOr<int64_t> parsed = ParseDecimalInt64(text.substr(1));
           if (!parsed.ok()) return parsed.status();
-          int64_t column = *parsed;
-          if (column < 1 || column > temporal_arity) {
+          if (*parsed < 1 || *parsed > temporal_arity) {
             return Status(StatusCode::kParseError,
                           "constraint references column " +
                               std::string(text) +
                               " outside the temporal arity");
           }
           Advance();
-          int64_t offset = 0;
-          if (Match(TokenKind::kPlus)) {
-            LRPDB_ASSIGN_OR_RETURN(offset, ParseSignedNumber());
-          } else if (Match(TokenKind::kMinus)) {
-            LRPDB_ASSIGN_OR_RETURN(offset, ParseSignedNumber());
-            offset = -offset;
-          }
-          return std::make_pair(static_cast<int>(column), offset);
+          *column = static_cast<int>(*parsed);
+          return ParseOffset(offset);
         }
       }
       return Status(StatusCode::kParseError,
                     "expected T<k> or integer in fact constraint");
     }
-    LRPDB_ASSIGN_OR_RETURN(int64_t value, ParseSignedNumber());
-    return std::make_pair(0, value);
+    *column = 0;
+    return ParseSignedNumber(offset);
   }
 
   [[nodiscard]] Status ParseColumnConstraint(int temporal_arity, Dbm* constraint) {
-    auto lhs = ParseConstraintSide(temporal_arity);
-    if (!lhs.ok()) return Error(lhs.status().message());
+    int li = 0, ri = 0;
+    int64_t lo = 0, ro = 0;
+    Status lhs = ParseConstraintSide(temporal_arity, &li, &lo);
+    if (!lhs.ok()) return Error(lhs.message());
     TokenKind op = Peek().kind;
     if (op != TokenKind::kLess && op != TokenKind::kLessEqual &&
         op != TokenKind::kEqual && op != TokenKind::kGreaterEqual &&
@@ -285,10 +318,8 @@ class Parser {
       return Error("expected comparison operator");
     }
     Advance();
-    auto rhs = ParseConstraintSide(temporal_arity);
-    if (!rhs.ok()) return Error(rhs.status().message());
-    auto [li, lo] = *lhs;
-    auto [ri, ro] = *rhs;
+    Status rhs = ParseConstraintSide(temporal_arity, &ri, &ro);
+    if (!rhs.ok()) return Error(rhs.message());
     if (li == ri) return Error("constraint relates a column to itself");
     // (x_li + lo) OP (x_ri + ro) is x_li - x_ri OP ro - lo. Mirroring > and
     // >= into < and <= makes it an upper bound on x_li - x_ri in every case;
@@ -334,18 +365,13 @@ class Parser {
       std::string_view name = Advance().text;
       LRPDB_RETURN_IF_ERROR(NoteVar(vars, name, VarKind::kTemporal));
       int64_t offset = 0;
-      if (Match(TokenKind::kPlus)) {
-        LRPDB_ASSIGN_OR_RETURN(offset, ParseSignedNumber());
-      } else if (Match(TokenKind::kMinus)) {
-        LRPDB_ASSIGN_OR_RETURN(offset, ParseSignedNumber());
-        offset = -offset;
-      }
+      LRPDB_RETURN_IF_ERROR(ParseOffset(&offset));
       return TemporalTerm::Variable(unit_->program.variables().Intern(name),
                                     offset);
     }
-    auto value = ParseSignedNumber();
-    if (!value.ok()) return Error("expected temporal term");
-    return TemporalTerm::Constant(*value);
+    int64_t value = 0;
+    if (!ParseSignedNumber(&value).ok()) return Error("expected temporal term");
+    return TemporalTerm::Constant(value);
   }
 
   [[nodiscard]] StatusOr<DataTerm> ParseDataTerm(ClauseVars* vars) {
@@ -354,8 +380,7 @@ class Parser {
     }
     if (Peek().kind == TokenKind::kIdentifier) {
       std::string_view name = Advance().text;
-      bool is_variable = std::isupper(static_cast<unsigned char>(name[0])) ||
-                         name[0] == '_';
+      bool is_variable = (name[0] >= 'A' && name[0] <= 'Z') || name[0] == '_';
       if (is_variable) {
         LRPDB_RETURN_IF_ERROR(NoteVar(vars, name, VarKind::kData));
         return DataTerm::Variable(unit_->program.variables().Intern(name));
@@ -472,6 +497,11 @@ class Parser {
   Status lex_error_;
   Database* db_;
   ParsedUnit* unit_;
+  // Indexed by predicate id; relation is null until the first fact.
+  std::vector<FactTarget> fact_targets_;
+  std::vector<Lrp> scratch_lrps_;
+  std::vector<DataValue> scratch_data_;
+  Dbm scratch_constraint_{0};
 };
 
 }  // namespace

@@ -50,8 +50,7 @@ class TemplogParser {
   }
   [[nodiscard]] Status Error(const std::string& message) const {
     const Token& t = Peek();
-    return ParseError("line " + std::to_string(t.line) + ":" +
-                      std::to_string(t.column) + ": " + message);
+    return ParseError(PositionedMessage(t.line, t.column, message));
   }
 
   // next^k | next  (returns accumulated count; zero or more occurrences).
@@ -184,7 +183,8 @@ std::vector<DataTerm> AtomData(Program* program, Database* db,
     std::vector<DataTerm> vars;
     for (int i = 0; i < arity; ++i) {
       vars.push_back(DataTerm::Variable(
-          program.variables().Intern("V" + std::to_string(i + 1))));
+          program.variables().Intern(
+              std::string("V").append(std::to_string(i + 1)))));
     }
     SymbolId ev_id = program.predicates().Intern(ev);
     SymbolId p_id = program.predicates().Intern(name);
@@ -263,7 +263,8 @@ std::vector<DataTerm> AtomData(Program* program, Database* db,
     std::vector<DataTerm> vars;
     for (size_t i = 0; i < head.args.size(); ++i) {
       vars.push_back(DataTerm::Variable(
-          program.variables().Intern("V" + std::to_string(i + 1))));
+          program.variables().Intern(
+              std::string("V").append(std::to_string(i + 1)))));
     }
     Clause persist;
     persist.head = {.predicate = trigger_id,

@@ -1,46 +1,17 @@
 // Interner behavior plus an allocation regression test: lookups of
-// already-interned names must not allocate. Intern/Find used to spell the
-// probe as ids_.find(std::string(name)), materializing a heap string per
-// lookup for any name beyond the SSO threshold; the transparent-hash map
-// (C++20 heterogeneous find) makes the probe allocation-free. The global
-// operator new below counts every allocation in the process, so the test
-// pins the guarantee directly rather than through timing.
+// already-interned names must not allocate, which a probe that copied the
+// name into a std::string would for any name beyond the SSO threshold. The
+// counting global operator new (tests/counting_new.h) sees every
+// allocation in the process, so the test pins the guarantee directly
+// rather than through timing.
 
 #include "src/common/interner.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
-
-namespace {
-std::atomic<int64_t> g_allocations{0};
-}  // namespace
-
-// Counting replacements for the global allocator. They forward to malloc /
-// free, which keeps the sanitizer legs (ASan/TSan intercept at the malloc
-// layer) and leak detection working unchanged.
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/counting_new.h"
 
 namespace lrpdb {
 namespace {
@@ -59,6 +30,29 @@ TEST(InternerTest, InternAssignsDenseIdsAndRoundTrips) {
   EXPECT_EQ(interner.size(), 2u);
 }
 
+// Ids stay dense and stable while the slot table grows, and a copy is an
+// independent interner with the same ids.
+TEST(InternerTest, IdsSurviveTableGrowthAndCopies) {
+  Interner interner;
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_EQ(interner.Intern("name" + std::to_string(i)), i);
+  }
+  Interner copy = interner;
+  EXPECT_EQ(copy.Intern("extra"), 5000);
+  EXPECT_EQ(interner.Find("extra"), -1);
+  for (int i = 0; i < 5000; ++i) {
+    const std::string name = "name" + std::to_string(i);
+    ASSERT_EQ(interner.Find(name), i);
+    ASSERT_EQ(copy.Find(name), i);
+    ASSERT_EQ(interner.NameOf(i), name);
+  }
+  EXPECT_EQ(interner.Find(""), -1);
+  EXPECT_EQ(interner.Intern(""), 5000);
+  EXPECT_EQ(interner.Find(""), 5000);
+  EXPECT_EQ(interner.size(), 5001u);
+  EXPECT_EQ(Interner().Find("name0"), -1);
+}
+
 TEST(InternerTest, LookupsOfInternedNamesDoNotAllocate) {
   Interner interner;
   // Names long enough to defeat the small-string optimization: a per-probe
@@ -71,7 +65,7 @@ TEST(InternerTest, LookupsOfInternedNamesDoNotAllocate) {
   }
   for (const std::string& name : names) interner.Intern(name);
 
-  const int64_t before = g_allocations.load(std::memory_order_relaxed);
+  const int64_t before = lrpdb_testing::AllocationCount();
   int64_t hits = 0;
   for (int repeat = 0; repeat < 100; ++repeat) {
     for (const std::string& name : names) {
@@ -79,7 +73,7 @@ TEST(InternerTest, LookupsOfInternedNamesDoNotAllocate) {
       hits += interner.Intern(name) >= 0 ? 1 : 0;
     }
   }
-  const int64_t after = g_allocations.load(std::memory_order_relaxed);
+  const int64_t after = lrpdb_testing::AllocationCount();
   EXPECT_EQ(hits, 2 * 100 * 64);
   EXPECT_EQ(after - before, 0)
       << "re-interning or finding an existing name allocated";
@@ -88,9 +82,9 @@ TEST(InternerTest, LookupsOfInternedNamesDoNotAllocate) {
 TEST(InternerTest, OnlyNewNamesAllocate) {
   Interner interner;
   interner.Intern("already_interned_name_that_is_quite_long_indeed");
-  const int64_t before = g_allocations.load(std::memory_order_relaxed);
+  const int64_t before = lrpdb_testing::AllocationCount();
   interner.Intern("fresh_name_that_must_be_copied_into_the_interner");
-  const int64_t after = g_allocations.load(std::memory_order_relaxed);
+  const int64_t after = lrpdb_testing::AllocationCount();
   EXPECT_GT(after - before, 0) << "interning a new name must copy it";
 }
 

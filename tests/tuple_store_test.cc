@@ -100,6 +100,62 @@ TEST(TupleStoreTest, InsertProbesOnlySameSignatureBucket) {
   EXPECT_EQ(round.subsumption_candidates, 0);
 }
 
+// Subsumption is exact whichever way it is decided: by one entry whose DBM
+// the candidate's implies (no bucket piece is materialized, so the store's
+// bytes do not move), by the union of several entries, or by the lrp grid
+// alone (the candidate's DBM admits points the entry's excludes, but none
+// of them lies on 7n+3). Every case counts one check over the whole bucket
+// and names the whole bucket as absorbers.
+TEST(TupleStoreTest, SubsumptionByOneEntryByUnionAndByLrpGrid) {
+  struct Case {
+    const char* name;
+    std::vector<GeneralizedTuple> entries;
+    GeneralizedTuple candidate;
+    bool pieces_untouched;
+  };
+  const Case cases[] = {
+      {"one entry",
+       {Banded(7, 3, 0, 100, 1), Banded(7, 3, 200, 300, 1)},
+       Banded(7, 3, 10, 50, 1),
+       true},
+      {"union of entries",
+       {Banded(7, 3, 0, 100, 1), Banded(7, 3, 50, 200, 1)},
+       Banded(7, 3, 10, 150, 1),
+       false},
+      {"lrp grid", {Banded(7, 3, 3, 94, 1)}, Banded(7, 3, 1, 99, 1), false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TupleStore store({1, 1});
+    // Appended without pieces, so a containment test that needs them
+    // fills them and grows the store.
+    for (const GeneralizedTuple& entry : c.entries) {
+      ASSERT_TRUE(store.InsertUnlessEmpty(entry));
+    }
+    const int64_t bytes = store.approx_bytes();
+    StoreStats stats;
+    auto outcome = store.Insert(c.candidate, &stats);
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    EXPECT_FALSE(outcome->inserted);
+    std::vector<EntryId> bucket;
+    for (EntryId id = 0; id < c.entries.size(); ++id) bucket.push_back(id);
+    EXPECT_EQ(outcome->absorbers, bucket);
+    EXPECT_EQ(stats.subsumed, 1);
+    EXPECT_EQ(stats.subsumption_checks, 1);
+    EXPECT_EQ(stats.subsumption_candidates,
+              static_cast<int64_t>(c.entries.size()));
+    EXPECT_EQ(stats.empty_dropped, 0);
+    EXPECT_EQ(store.approx_bytes() == bytes, c.pieces_untouched);
+    EXPECT_EQ(store.size(), c.entries.size());
+  }
+  // A candidate reaching past every entry is still inserted.
+  TupleStore store({1, 1});
+  ASSERT_TRUE(store.InsertUnlessEmpty(Banded(7, 3, 3, 94, 1)));
+  auto outcome = store.Insert(Banded(7, 3, 1, 101, 1));
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  EXPECT_TRUE(outcome->inserted);
+}
+
 TEST(TupleStoreTest, InsertOutcomesMatchBruteForceReference) {
   // Every outcome of one insertion sequence, worked out by hand: entries
   // 0-3 take four signatures of period 6, entry 4 widens offset 1's
