@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, and run the full test suite.
 #
-#   ci/check.sh              plain RelWithDebInfo build + ctest
+#   ci/check.sh              plain RelWithDebInfo build + ctest; a compiler
+#                            warning fails the build
 #   ci/check.sh --sanitize   ASan/UBSan build + ctest (slower; separate tree)
 #   ci/check.sh --tsan       TSan build + ctest with LRPDB_TRACE enabled, so
 #                            the threaded obs stress tests race the tracer
@@ -242,6 +243,9 @@ elif [[ "$tsan" == 1 ]]; then
   build_dir=build-tsan
   cmake_args+=(-DLRPDB_SANITIZE=thread)
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
+else
+  # The plain build is warning-free; keep it so.
+  cmake_args+=(-DCMAKE_COMPILE_WARNING_AS_ERROR=ON)
 fi
 
 cmake -B "$build_dir" -S . "${cmake_args[@]}"

@@ -28,6 +28,14 @@ Dbm::Dbm(DbmView view)
               view.bounds() + (view.num_vars() + 1) * (view.num_vars() + 1)),
       closed_(false) {}
 
+void Dbm::Assign(DbmView view, bool closed) {
+  num_vars_ = view.num_vars();
+  const int n = num_vars_ + 1;
+  bounds_.assign(view.bounds(), view.bounds() + n * n);
+  closed_ = closed;
+  satisfiable_ = true;
+}
+
 void Dbm::AddDifferenceUpperBound(int i, int j, int64_t c) {
   LRPDB_CHECK_NE(i, j);
   Bound b = Bound::Finite(c);

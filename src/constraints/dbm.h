@@ -106,6 +106,13 @@ class Dbm {
   // instead of allocating a new one.
   void Reset(int num_vars);
 
+  // Makes this a copy of the viewed bounds, reusing the bound storage: a
+  // kernel that reloads one scratch DBM per row allocates nothing. With
+  // `closed`, the caller vouches that the bounds are the closure of a
+  // satisfiable DBM (copied out of one after IsSatisfiable() held), so
+  // nothing is closed, or charged, again.
+  void Assign(DbmView view, bool closed = false);
+
   // --- Constraint construction (all invalidate the closure) ---
 
   // xi - xj <= c. Keeps the tighter of the existing and new bound.

@@ -147,32 +147,39 @@ ClausePlan CompileClausePlan(const NormalizedClause& clause) {
 
 namespace {
 
-// A partial assignment of the clause's variables built while joining body
-// atoms, plus the per-atom matched entry ids (body order) that restore
-// body-order emission after a reordered join.
-struct BatchBinding {
-  std::vector<std::optional<Lrp>> lrps;
-  Dbm constraint;
-  std::vector<std::optional<DataValue>> data;
-  std::vector<EntryId> ids;
+// The join frontier: one fixed-stride row per partial binding, in four
+// arenas. A row holds the clause's T temporal variables' lrps, the (T+1)^2
+// bounds of its closed, satisfiable DBM, the D data variables' values and
+// the matched entry id of each body atom (body order). Which slots are
+// bound is the same for every row of a join stage, so an unbound slot
+// simply holds a value nobody reads (Lrp() for an lrp, which is also what
+// projection takes for a variable no atom binds).
+struct FrontierRows {
+  FlatArena<Lrp> lrps;
+  FlatArena<Bound> bounds;
+  FlatArena<DataValue> data;
+  FlatArena<EntryId> ids;
+  size_t rows = 0;
 
-  BatchBinding(int num_temporal, int num_data, size_t num_atoms, Dbm initial)
-      : lrps(num_temporal),
-        constraint(std::move(initial)),
-        data(num_data),
-        ids(num_atoms, 0) {}
+  void Clear() {
+    lrps.Truncate(0);
+    bounds.Truncate(0);
+    data.Truncate(0);
+    ids.Truncate(0);
+    rows = 0;
+  }
 };
 
-// True iff `data` meets the atom's data filters under `binding`: the
-// constant-pinned columns, the columns of variables bound by earlier atoms,
-// and the intra-atom repeats.
-bool MatchesData(const CompiledAtom& compiled, const BatchBinding& binding,
+// True iff `data` meets the atom's data filters under the binding whose
+// data values are `bound`: the constant-pinned columns, the columns of
+// variables bound by earlier atoms, and the intra-atom repeats.
+bool MatchesData(const CompiledAtom& compiled, const DataValue* bound,
                  ColumnSpan<DataValue> data) {
   for (const TupleStore::DataRequirement& req : compiled.const_requirements) {
     if (data[req.column] != req.value) return false;
   }
   for (const CompiledAtom::VarColumn& probe : compiled.bound_probes) {
-    if (data[probe.column] != *binding.data[probe.variable]) return false;
+    if (data[probe.column] != bound[probe.variable]) return false;
   }
   for (auto [column_a, column_b] : compiled.intra_equalities) {
     if (data[column_a] != data[column_b]) return false;
@@ -180,23 +187,35 @@ bool MatchesData(const CompiledAtom& compiled, const BatchBinding& binding,
   return true;
 }
 
-// Extends `binding` in place with the temporal columns and constraint of
-// one matched tuple (its data columns already passed MatchesData). Each
-// column's lrp is shifted into variable space (column value == var +
-// offset) and intersected with the variable's. Returns false when the
-// combination is infeasible.
-bool UnifyTemporal(const NormalizedBodyAtom& atom,
-                   const TupleView& tuple, BatchBinding* binding) {
-  for (size_t k = 0; k < atom.temporal_args.size(); ++k) {
-    auto [var, offset] = atom.temporal_args[k];
-    Lrp var_lrp = tuple.lrp(static_cast<int>(k)).Shifted(-offset);
-    std::optional<Lrp>& slot = binding->lrps[var];
-    if (slot.has_value()) {
-      std::optional<Lrp> merged = Lrp::Intersect(*slot, var_lrp);
-      if (!merged.has_value()) return false;
-      slot = *merged;
-    } else {
-      slot = var_lrp;
+// Unifies one matched tuple's temporal columns and constraint into a
+// binding held in scratch: `lrps` (the binding's lrps, updated in place)
+// and `dbm` (its closed DBM, tightened and closed in place). Each column's
+// lrp is shifted into variable space (column value == var + offset) and
+// either binds its variable (first occurrence, per the compiled atom) or
+// is intersected with it. Returns false when the combination is
+// infeasible.
+bool UnifyTemporal(const NormalizedBodyAtom& atom, const CompiledAtom& compiled,
+                   const TupleView& tuple, Lrp* lrps, Dbm* dbm) {
+  for (const CompiledAtom::TemporalColumn& bind : compiled.temporal_binds) {
+    lrps[bind.variable] = tuple.lrp(bind.column).Shifted(-bind.offset);
+  }
+  // Lrp intersection is canonical and order-independent, so checking the
+  // earlier-bound columns and then the repeats decides exactly what a
+  // column-order walk would.
+  auto intersect = [&](int var, int column, int64_t offset) {
+    std::optional<Lrp> merged =
+        Lrp::Intersect(lrps[var], tuple.lrp(column).Shifted(-offset));
+    if (!merged.has_value()) return false;
+    lrps[var] = *merged;
+    return true;
+  };
+  for (const CompiledAtom::TemporalColumn& check : compiled.temporal_checks) {
+    if (!intersect(check.variable, check.column, check.offset)) return false;
+  }
+  for (const CompiledAtom::TemporalIntra& repeat : compiled.temporal_intra) {
+    if (!intersect(atom.temporal_args[repeat.column_b].first, repeat.column_b,
+                   repeat.offset_b)) {
+      return false;
     }
   }
   // Tuple constraints: column_i - column_j <= c becomes
@@ -220,26 +239,40 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
         if (c < 0) return false;  // Bound between two aliases of one var.
         continue;
       }
-      binding->constraint.AddDifferenceUpperBound(vi, vj, c);
+      dbm->AddDifferenceUpperBound(vi, vj, c);
     }
   }
-  return binding->constraint.IsSatisfiable();
+  return dbm->IsSatisfiable();
 }
 
 }  // namespace
 
-[[nodiscard]] Status ApplyClauseBatch(
-    const NormalizedClause& clause, const ClausePlan& plan,
-    const std::vector<AtomSource>& sources, StoreStats* stats,
-    std::vector<GeneralizedTuple>* candidates,
-    std::vector<std::vector<EntryId>>* parent_ids) {
+[[nodiscard]] Status ApplyClauseBatch(const NormalizedClause& clause,
+                                      const ClausePlan& plan,
+                                      const std::vector<AtomSource>& sources,
+                                      StoreStats* stats,
+                                      CandidateRows* candidates) {
   if (clause.always_false) return OkStatus();
   LRPDB_FAILPOINT("evaluator.apply_clause");
   ExecContext* exec = ExecContext::Current();
-  std::vector<BatchBinding> frontier;
-  frontier.emplace_back(clause.num_temporal_vars, clause.num_data_vars,
-                        clause.body.size(), clause.constraint);
-  if (!frontier.back().constraint.IsSatisfiable()) return OkStatus();
+  const size_t nt = static_cast<size_t>(clause.num_temporal_vars);
+  const size_t nd = static_cast<size_t>(clause.num_data_vars);
+  const size_t na = clause.body.size();
+  const size_t nb = (nt + 1) * (nt + 1);
+  // The unification scratch: one binding's lrps and DBM, reloaded from
+  // its frontier row for every extension attempt.
+  Dbm dbm = clause.constraint;
+  if (!dbm.IsSatisfiable()) return OkStatus();
+  std::vector<Lrp> lrps(nt);
+  FrontierRows frontier;
+  FrontierRows next;
+  frontier.lrps.Append(lrps.data(), nt);
+  frontier.bounds.Append(dbm.view().bounds(), nb);
+  for (size_t v = 0; v < nd; ++v) frontier.data.push_back(0);
+  for (size_t a = 0; a < na; ++a) frontier.ids.push_back(0);
+  frontier.rows = 1;
+  // Data variables bound by the atoms joined so far (static per stage).
+  std::vector<bool> data_bound(nd, false);
 
   int64_t tuples_in = 0;
   // Probe counters go to the caller's stats, or nowhere.
@@ -250,6 +283,9 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
     const AtomSource& source = sources[compiled.body_index];
     const TupleStore& store = source.relation->store();
     const int64_t range_size = static_cast<int64_t>(source.hi - source.lo);
+    for (const CompiledAtom::VarColumn& bind : compiled.binding_columns) {
+      data_bound[bind.variable] = true;
+    }
     // Constant-pinned postings resolve once per atom, not once per binding:
     // the smallest one is kept. A constant with no posting at all empties
     // the frontier outright.
@@ -268,13 +304,17 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
         const_posting = posting;
       }
     }
-    std::vector<BatchBinding> next;
-    for (const BatchBinding& binding : frontier) {
+    next.Clear();
+    for (size_t r = 0; r < frontier.rows; ++r) {
       LRPDB_RETURN_IF_ERROR(PollExec(exec));
       if (const_missing) {
         probes.CountProbe(0, range_size);
         continue;
       }
+      const Lrp* row_lrps = frontier.lrps.data() + r * nt;
+      const Bound* row_bounds = frontier.bounds.data() + r * nb;
+      const DataValue* row_data = frontier.data.data() + r * nd;
+      const EntryId* row_ids = frontier.ids.data() + r * na;
       // Per-binding probe choice: the smallest of the constant posting and
       // the postings of the bound-variable columns. Only the variable
       // lookups happen per binding.
@@ -282,7 +322,7 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
       bool value_missing = false;
       for (const CompiledAtom::VarColumn& probe : compiled.bound_probes) {
         const std::vector<EntryId>* var_posting =
-            store.PostingFor(probe.column, *binding.data[probe.variable]);
+            store.PostingFor(probe.column, row_data[probe.variable]);
         if (var_posting == nullptr) {
           value_missing = true;
           break;
@@ -316,74 +356,91 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
         // Postings hold live ids only; a range scan skips dead slots.
         if (!store.is_live(id)) continue;
         const TupleView tuple = store.tuple(id);
-        if (!MatchesData(compiled, binding, tuple.data())) continue;
+        if (!MatchesData(compiled, row_data, tuple.data())) continue;
         LRPDB_RETURN_IF_ERROR(PollExec(exec));
-        BatchBinding extended = binding;
+        std::copy(row_lrps, row_lrps + nt, lrps.begin());
+        dbm.Assign(DbmView(clause.num_temporal_vars, row_bounds),
+                   /*closed=*/true);
+        if (!UnifyTemporal(atom, compiled, tuple, lrps.data(), &dbm)) {
+          continue;
+        }
+        next.lrps.Append(lrps.data(), nt);
+        next.bounds.Append(dbm.view().bounds(), nb);
+        const size_t data_at = next.data.size();
+        next.data.Append(row_data, nd);
         for (const CompiledAtom::VarColumn& bind : compiled.binding_columns) {
-          extended.data[bind.variable] = tuple.data()[bind.column];
+          next.data[data_at + bind.variable] = tuple.data()[bind.column];
         }
-        if (UnifyTemporal(atom, tuple, &extended)) {
-          extended.ids[compiled.body_index] = id;
-          next.push_back(std::move(extended));
-        }
+        const size_t ids_at = next.ids.size();
+        next.ids.Append(row_ids, na);
+        next.ids[ids_at + compiled.body_index] = id;
+        ++next.rows;
       }
     }
-    frontier = std::move(next);
-    if (frontier.empty()) break;
+    std::swap(frontier, next);
+    if (frontier.rows == 0) break;
   }
+  // The last stage's input is dead; free it before the head projection.
+  next = FrontierRows();
   LRPDB_COUNTER_ADD("eval.batch.tuples_in", tuples_in);
-  if (frontier.empty()) return OkStatus();
+  if (frontier.rows == 0) return OkStatus();
+  for (const NormalizedDataArg& arg : clause.head_data) {
+    if (!arg.is_constant() && !data_bound[arg.variable]) {
+      return InternalError("unbound head data variable in clause head");
+    }
+  }
+  // Emission order: the rows themselves, or after a reordered join a
+  // permutation sorted lexicographically by the body-order entry-id
+  // vector. Each id combination was explored at most once, so the
+  // comparison has no ties and the order is total.
+  std::vector<uint32_t> order(frontier.rows);
+  for (size_t r = 0; r < frontier.rows; ++r) {
+    order[r] = static_cast<uint32_t>(r);
+  }
   if (plan.reordered) {
-    // Restore body-order emission: lexicographic in the body-order
-    // entry-id vector. Each id combination was explored at most once, so
-    // the comparison has no ties and the order is total.
-    std::sort(frontier.begin(), frontier.end(),
-              [](const BatchBinding& a, const BatchBinding& b) {
-                return a.ids < b.ids;
-              });
+    const EntryId* ids = frontier.ids.data();
+    std::sort(order.begin(), order.end(), [ids, na](uint32_t a, uint32_t b) {
+      return std::lexicographical_compare(ids + a * na, ids + (a + 1) * na,
+                                          ids + b * na, ids + (b + 1) * na);
+    });
   }
   // Project each surviving binding onto the head: exact residue-aware
   // projection (a plain DBM projection would lose congruences of
   // projected-out variables).
   int64_t tuples_out = 0;
-  for (const BatchBinding& binding : frontier) {
+  std::vector<DataValue> head_data(clause.head_data.size());
+  for (uint32_t r : order) {
     LRPDB_RETURN_IF_ERROR(PollExec(exec));
-    std::vector<Lrp> lrps(clause.num_temporal_vars);
-    for (int v = 0; v < clause.num_temporal_vars; ++v) {
-      if (binding.lrps[v].has_value()) lrps[v] = *binding.lrps[v];
-    }
-    GeneralizedTuple full(std::move(lrps), {}, binding.constraint);
-    LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pieces,
-                           NormalizedTuple::Normalize(full));
-    std::vector<DataValue> head_data;
-    head_data.reserve(clause.head_data.size());
-    for (const NormalizedDataArg& arg : clause.head_data) {
-      if (arg.is_constant()) {
-        head_data.push_back(arg.constant);
-      } else {
-        const std::optional<DataValue>& v = binding.data[arg.variable];
-        if (!v.has_value()) {
-          return InternalError("unbound head data variable in clause head");
-        }
-        head_data.push_back(*v);
-      }
-    }
-    std::vector<EntryId> parents;
-    if (parent_ids != nullptr) {
-      // Why-provenance: the binding already carries every atom's matched
-      // entry id in body order; negated atoms are omitted (they match
-      // evaluation-local complement relations).
-      parents.reserve(binding.ids.size());
-      for (size_t a = 0; a < clause.body.size(); ++a) {
-        if (!clause.body[a].negated) parents.push_back(binding.ids[a]);
-      }
+    const DataValue* row_data = frontier.data.data() + r * nd;
+    const EntryId* row_ids = frontier.ids.data() + r * na;
+    dbm.Assign(
+        DbmView(clause.num_temporal_vars, frontier.bounds.data() + r * nb),
+        /*closed=*/true);
+    LRPDB_ASSIGN_OR_RETURN(
+        std::vector<NormalizedTuple> pieces,
+        NormalizedTuple::Normalize(
+            ColumnSpan<Lrp>(frontier.lrps.data() + r * nt, nt), {}, dbm));
+    for (size_t h = 0; h < head_data.size(); ++h) {
+      const NormalizedDataArg& arg = clause.head_data[h];
+      head_data[h] = arg.is_constant() ? arg.constant : row_data[arg.variable];
     }
     for (const NormalizedTuple& piece : pieces) {
-      NormalizedTuple projected =
-          piece.ProjectTemporal(clause.head_temporal_vars);
-      GeneralizedTuple head = projected.ToGeneralizedTuple();
-      candidates->emplace_back(head.lrps(), head_data, head.constraint());
-      if (parent_ids != nullptr) parent_ids->push_back(parents);
+      const GeneralizedTuple head =
+          piece.ProjectTemporal(clause.head_temporal_vars)
+              .ToGeneralizedTuple();
+      candidates->lrps.Append(head.lrps().data(), head.lrps().size());
+      candidates->data.Append(head_data.data(), head_data.size());
+      candidates->bounds.Append(
+          head.constraint().view().bounds(),
+          (head.lrps().size() + 1) * (head.lrps().size() + 1));
+      if (candidates->capture_parents) {
+        for (size_t a = 0; a < na; ++a) {
+          if (!clause.body[a].negated) {
+            candidates->parents.push_back(row_ids[a]);
+          }
+        }
+      }
+      ++candidates->size;
       ++tuples_out;
     }
   }

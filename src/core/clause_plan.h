@@ -11,16 +11,23 @@
 // entry's data columns against the descriptors, unifies its lrps and
 // constraint into the binding, and extends it.
 //
+// Bindings are fixed-stride rows in flat arenas (lrps, closed DBM bounds,
+// data values, matched entry ids), not objects: which variables a row has
+// bound is a static fact of the join stage, so a row needs no optionals,
+// and unification works in one reused scratch DBM. Extending a binding
+// allocates nothing. The arenas belong to the call and are freed when it
+// returns, so no capacity outlives it.
+//
 // Determinism (DESIGN.md §9): candidates are emitted in lexicographic order
 // of the matched entry-id vector in *body order*. Atoms may be processed
 // in plan order, so the kernel records each binding's per-atom entry ids
-// and, after a reordered join, sorts the final frontier by the body-order
-// id vector. Every id combination is explored at most once, so the sort
-// has no ties and fixes the stored insertion order. The emitted tuples
-// themselves do not depend on the join order: the binding's final DBM is
-// closed by the last satisfiability check and closure is canonical, lrp
-// intersection is order-independent in canonical form, and data values do
-// not depend on join order.
+// and, after a reordered join, sorts a permutation of the final frontier by
+// the body-order id vector. Every id combination is explored at most once,
+// so the sort has no ties and fixes the stored insertion order. The emitted
+// tuples themselves do not depend on the join order: the binding's final
+// DBM is closed by the last satisfiability check and closure is canonical,
+// lrp intersection is order-independent in canonical form, and data values
+// do not depend on join order.
 //
 // The windowed ground evaluator reuses the same compiled atoms (the
 // descriptors are store-agnostic column/variable indices) plus a ground
@@ -30,12 +37,14 @@
 #define LRPDB_CORE_CLAUSE_PLAN_H_
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "src/common/statusor.h"
 #include "src/constraints/dbm.h"
 #include "src/core/normalizer.h"
+#include "src/gdb/flat_arena.h"
 #include "src/gdb/generalized_relation.h"
 #include "src/gdb/tuple_store.h"
 
@@ -121,18 +130,69 @@ struct ClausePlan {
 // fact stores keep insertion order and reordering would change it.
 ClausePlan CompileClausePlan(const NormalizedClause& clause);
 
+// Candidate head tuples in emission order, as flat rows: a candidate of
+// head arity (m, k) is m lrps, k data values and (m+1)^2 DBM bounds (as
+// projected, not closed) appended to three arenas -- its head relation's
+// store strides -- so any number of candidates is three blocks and no
+// per-candidate heap object. With `capture_parents`, each candidate's
+// positive body atoms' matched entry ids (body order) follow in `parents`.
+// Rows do not record their arity: a Reader walks them front to back and is
+// told each one's (every candidate of one clause has its head's). The
+// evaluator keeps one per round and frees it at the round's end.
+struct CandidateRows {
+  explicit CandidateRows(bool capture = false) : capture_parents(capture) {}
+
+  FlatArena<Lrp> lrps;
+  FlatArena<DataValue> data;
+  FlatArena<Bound> bounds;
+  FlatArena<EntryId> parents;
+  bool capture_parents = false;
+  size_t size = 0;  // Candidates appended.
+
+  // Reads the rows in order.
+  class Reader {
+   public:
+    explicit Reader(const CandidateRows& rows) : rows_(&rows) {}
+    // The next candidate, of temporal arity m and data arity k; valid
+    // until the rows are appended to.
+    TupleView Next(int m, int k) {
+      const TupleView row(rows_->lrps.data() + lrp_pos_, m,
+                          rows_->data.data() + data_pos_, k,
+                          rows_->bounds.data() + bounds_pos_);
+      lrp_pos_ += m;
+      data_pos_ += k;
+      bounds_pos_ += size_t(m + 1) * size_t(m + 1);
+      return row;
+    }
+    // The next candidate's `n` parent ids (capture_parents only).
+    std::span<const EntryId> NextParents(size_t n) {
+      const std::span<const EntryId> ids(rows_->parents.data() + parent_pos_,
+                                         n);
+      parent_pos_ += n;
+      return ids;
+    }
+
+   private:
+    const CandidateRows* rows_;
+    size_t lrp_pos_ = 0;
+    size_t data_pos_ = 0;
+    size_t bounds_pos_ = 0;
+    size_t parent_pos_ = 0;
+  };
+};
+
 // Applies `clause` over the given per-atom entry ranges through the join
-// kernel, collecting candidate head tuples in body-order emission
-// order (see the determinism note above); `stats`, when non-null, receives
-// the probe counters. `parent_ids`, when non-null, captures
-// why-provenance: one vector per emitted candidate holding the positive
-// body atoms' matched entry ids in body order. Polls
-// ExecContext::Current() per binding.
-[[nodiscard]] Status ApplyClauseBatch(
-    const NormalizedClause& clause, const ClausePlan& plan,
-    const std::vector<AtomSource>& sources, StoreStats* stats,
-    std::vector<GeneralizedTuple>* candidates,
-    std::vector<std::vector<EntryId>>* parent_ids = nullptr);
+// kernel, appending candidate head tuples to `candidates` in body-order
+// emission order (see the determinism note above), with their parent ids
+// when it captures them (why-provenance; negated atoms, which match
+// evaluation-local complement relations, are omitted). `stats`, when
+// non-null, receives the probe counters. Polls ExecContext::Current() per
+// binding.
+[[nodiscard]] Status ApplyClauseBatch(const NormalizedClause& clause,
+                                      const ClausePlan& plan,
+                                      const std::vector<AtomSource>& sources,
+                                      StoreStats* stats,
+                                      CandidateRows* candidates);
 
 // --- Ground-kernel compilation (shared with src/core/ground_evaluator.cc) ---
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <optional>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "src/common/failpoint.h"
@@ -481,14 +482,17 @@ namespace {
         stats.delta_tuples +=
             static_cast<int64_t>(relation.store().delta_size());
       }
-      // The round's candidates in clause order, then pivot order; each
-      // ApplyClauseBatch call appends in lexicographic body-order entry-id
-      // order (clause_plan.h), which fixes the insertion order below.
-      std::vector<GeneralizedTuple> candidates;
-      // 1:1 with `candidates`: the index of the deriving clause.
-      std::vector<int> candidate_clauses;
-      // Kept 1:1 with `candidates` while capturing provenance.
-      std::vector<std::vector<EntryId>> candidate_parents;
+      // The round's candidates in clause order, then pivot order, as flat
+      // rows in one round buffer (with their parent ids while capturing
+      // provenance); each ApplyClauseBatch call appends in lexicographic
+      // body-order entry-id order (clause_plan.h), which fixes the
+      // insertion order below. The buffer is freed with the round, so its
+      // capacity never sits on top of the next round's or the final
+      // model's.
+      CandidateRows candidates(/*capture=*/prov != nullptr);
+      // The deriving clause of each run of consecutive candidates, one run
+      // per application that emitted any: (clause index, candidates).
+      std::vector<std::pair<int, size_t>> runs;
       // Applies clause `ci` over `sources`: one (clause, pivot) unit.
       auto apply = [&](size_t ci,
                        const std::vector<AtomSource>& sources) -> Status {
@@ -497,16 +501,16 @@ namespace {
         task_span.AddArg("clause", static_cast<int64_t>(ci));
         task_span.AddArg("round", total_rounds);
         const SteadyTime apply_start = Now();
-        const size_t before = candidates.size();
-        LRPDB_RETURN_IF_ERROR(ApplyClauseBatch(
-            normalized.clauses[ci], plans[ci], sources, &stats.store,
-            &candidates, prov != nullptr ? &candidate_parents : nullptr));
+        const size_t before = candidates.size;
+        LRPDB_RETURN_IF_ERROR(ApplyClauseBatch(normalized.clauses[ci],
+                                               plans[ci], sources,
+                                               &stats.store, &candidates));
         const int64_t apply_us = UsSince(apply_start);
-        candidate_clauses.resize(candidates.size(), static_cast<int>(ci));
+        const size_t emitted = candidates.size - before;
+        if (emitted > 0) runs.emplace_back(static_cast<int>(ci), emitted);
         RuleProfile& rule_profile = result.profile.rules[ci];
         ++rule_profile.applications;
-        rule_profile.derivations +=
-            static_cast<int64_t>(candidates.size() - before);
+        rule_profile.derivations += static_cast<int64_t>(emitted);
         rule_profile.apply_us += apply_us;
         stats.apply_us += apply_us;
         return OkStatus();
@@ -602,81 +606,87 @@ namespace {
 
       // Insert candidates; the store reports growth and new signatures
       // (free extensions) directly from its interning probe.
-      stats.candidates = static_cast<int>(candidates.size());
+      stats.candidates = static_cast<int>(candidates.size);
       const SteadyTime insert_start = Now();
       bool grew = false;
-      for (size_t cand_i = 0; cand_i < candidates.size(); ++cand_i) {
-        const int clause_index = candidate_clauses[cand_i];
-        GeneralizedTuple& tuple = candidates[cand_i];
-        const std::string& name = program.predicates().NameOf(
-            normalized.clauses[clause_index].head_predicate);
-        GeneralizedRelation& relation = result.idb.at(name);
+      CandidateRows::Reader reader(candidates);
+      for (const auto& [clause_index, count] : runs) {
+        const NormalizedClause& clause = normalized.clauses[clause_index];
+        const std::string& name =
+            program.predicates().NameOf(clause.head_predicate);
+        TupleStore& store = result.idb.at(name).mutable_store();
+        const int m = static_cast<int>(clause.head_temporal_vars.size());
+        const int k = static_cast<int>(clause.head_data.size());
         RuleProfile& rule_profile = result.profile.rules[clause_index];
-        InsertOutcome outcome;
-        {
-          // The store copies the row; the candidates are freed together
-          // at the end of the round.
-          StatusOr<InsertOutcome> outcome_or =
-              relation.mutable_store().Insert(tuple, &stats.store);
-          if (!outcome_or.ok()) {
-            if (!IsGovernanceTrip(exec, outcome_or.status())) {
-              return outcome_or.status();
+        for (size_t c = 0; c < count; ++c) {
+          // A view of the candidate's row; the store copies it.
+          const TupleView tuple = reader.Next(m, k);
+          InsertOutcome outcome;
+          {
+            StatusOr<InsertOutcome> outcome_or =
+                store.Insert(tuple, &stats.store);
+            if (!outcome_or.ok()) {
+              if (!IsGovernanceTrip(exec, outcome_or.status())) {
+                return outcome_or.status();
+              }
+              degrade(outcome_or.status());
+              return result;
             }
-            degrade(outcome_or.status());
-            return result;
+            outcome = *std::move(outcome_or);
           }
-          outcome = *std::move(outcome_or);
-        }
-        // Record the candidate's derivation origin: on insert against the
-        // fresh entry, on subsumption against every absorbing entry (a
-        // sound over-approximation; provenance.h). Empty-ground-set drops
-        // derived nothing and record nothing.
-        if (prov != nullptr &&
-            (outcome.inserted || !outcome.absorbers.empty())) {
-          const ClauseProv& cp = clause_prov[clause_index];
-          DerivationOrigin origin;
-          origin.rule = clause_index;
-          origin.round = total_rounds;
-          const std::vector<EntryId>& pids = candidate_parents[cand_i];
-          origin.parents.reserve(pids.size());
-          for (size_t k = 0; k < pids.size(); ++k) {
-            origin.parents.push_back(ProvRef{cp.parents[k], pids[k]});
+          // Record the candidate's derivation origin: on insert against the
+          // fresh entry, on subsumption against every absorbing entry (a
+          // sound over-approximation; provenance.h). Empty-ground-set drops
+          // derived nothing and record nothing.
+          if (prov != nullptr) {
+            const ClauseProv& cp = clause_prov[clause_index];
+            const std::span<const EntryId> pids =
+                reader.NextParents(cp.parents.size());
+            if (outcome.inserted || !outcome.absorbers.empty()) {
+              DerivationOrigin origin;
+              origin.rule = clause_index;
+              origin.round = total_rounds;
+              origin.parents.reserve(pids.size());
+              for (size_t p = 0; p < pids.size(); ++p) {
+                origin.parents.push_back(ProvRef{cp.parents[p], pids[p]});
+              }
+              Status recorded = OkStatus();
+              if (outcome.inserted) {
+                recorded = prov->Record(ProvRef{cp.head, outcome.id},
+                                        std::move(origin));
+              } else {
+                for (size_t a = 0; a < outcome.absorbers.size(); ++a) {
+                  recorded = prov->Record(
+                      ProvRef{cp.head, outcome.absorbers[a]},
+                      a + 1 == outcome.absorbers.size() ? std::move(origin)
+                                                        : origin);
+                  if (!recorded.ok()) break;
+                }
+              }
+              if (!recorded.ok()) {
+                if (!IsGovernanceTrip(exec, recorded)) return recorded;
+                degrade(recorded);
+                return result;
+              }
+            }
           }
-          Status recorded = OkStatus();
+          if (options.record_trace) {
+            result.trace.push_back(TraceEntry{total_rounds, clause_index,
+                                              name, tuple.ToTuple(),
+                                              outcome.inserted});
+          }
           if (outcome.inserted) {
-            recorded =
-                prov->Record(ProvRef{cp.head, outcome.id}, std::move(origin));
-          } else {
-            for (size_t k = 0; k < outcome.absorbers.size(); ++k) {
-              recorded = prov->Record(
-                  ProvRef{cp.head, outcome.absorbers[k]},
-                  k + 1 == outcome.absorbers.size() ? std::move(origin)
-                                                    : origin);
-              if (!recorded.ok()) break;
+            grew = true;
+            ++stats.inserted;
+            ++rule_profile.inserted;
+            if (outcome.new_signature) {
+              last_new_fe_round = total_rounds;
+              ++stats.new_free_extensions;
+              ++rule_profile.new_free_extensions;
             }
+          } else {
+            ++rule_profile.subsumed;
           }
-          if (!recorded.ok()) {
-            if (!IsGovernanceTrip(exec, recorded)) return recorded;
-            degrade(recorded);
-            return result;
-          }
-        }
-        if (options.record_trace) {
-          result.trace.push_back(TraceEntry{total_rounds, clause_index, name,
-                                            std::move(tuple),
-                                            outcome.inserted});
-        }
-        if (outcome.inserted) {
-          grew = true;
-          ++stats.inserted;
-          ++rule_profile.inserted;
-          if (outcome.new_signature) {
-            last_new_fe_round = total_rounds;
-            ++stats.new_free_extensions;
-            ++rule_profile.new_free_extensions;
-          }
-        } else {
-          ++rule_profile.subsumed;
         }
       }
       stats.insert_us = UsSince(insert_start);
@@ -851,15 +861,16 @@ namespace {
       resolver.Resolve(query.predicate, clause.body[0].is_intensional));
   sources[0].hi = sources[0].relation->store().size();
 
-  std::vector<GeneralizedTuple> candidates;
+  CandidateRows candidates;
   LRPDB_RETURN_IF_ERROR(ApplyClauseBatch(clause, CompileClausePlan(clause),
                                          sources, /*stats=*/nullptr,
                                          &candidates));
-  GeneralizedRelation answers(
-      {static_cast<int>(clause.head_temporal_vars.size()),
-       static_cast<int>(clause.head_data.size())});
-  for (const GeneralizedTuple& t : candidates) {
-    LRPDB_RETURN_IF_ERROR(answers.InsertIfNew(t).status());
+  const int m = static_cast<int>(clause.head_temporal_vars.size());
+  const int k = static_cast<int>(clause.head_data.size());
+  GeneralizedRelation answers({m, k});
+  CandidateRows::Reader reader(candidates);
+  for (size_t c = 0; c < candidates.size; ++c) {
+    LRPDB_RETURN_IF_ERROR(answers.InsertIfNew(reader.Next(m, k)).status());
   }
   return answers;
 }

@@ -50,9 +50,12 @@ class GeneralizedRelation {
   // to their lcm, which explodes for coprime periods, and a tuple kept
   // redundantly is subsumed on its next re-derivation anyway. Returns
   // false iff the tuple was dropped (empty or subsumed).
-  [[nodiscard]] StatusOr<bool> InsertIfNew(const GeneralizedTuple& tuple) {
+  [[nodiscard]] StatusOr<bool> InsertIfNew(TupleView tuple) {
     LRPDB_ASSIGN_OR_RETURN(InsertOutcome outcome, store_.Insert(tuple));
     return outcome.inserted;
+  }
+  [[nodiscard]] StatusOr<bool> InsertIfNew(const GeneralizedTuple& tuple) {
+    return InsertIfNew(tuple.view());
   }
 
   // Inserts after a cheap satisfiability check of the constraint DBM only;

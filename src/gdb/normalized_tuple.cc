@@ -200,6 +200,11 @@ NormalizedTuple::NormalizedTuple(int64_t common_period,
   return NormalizeColumns(tuple.lrps(), tuple.data(), Dbm(tuple.constraint()));
 }
 
+[[nodiscard]] StatusOr<std::vector<NormalizedTuple>> NormalizedTuple::Normalize(
+    ColumnSpan<Lrp> lrps, ColumnSpan<DataValue> data, const Dbm& constraint) {
+  return NormalizeColumns(lrps, data, constraint);
+}
+
 [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> NormalizedTuple::AlignTo(
     int64_t target) const {
   LRPDB_FAILPOINT("normalize.align");

@@ -50,6 +50,11 @@ class NormalizedTuple {
   // The same, for a borrowed tuple (a TupleStore row).
   [[nodiscard]] static StatusOr<std::vector<NormalizedTuple>> Normalize(
       TupleView tuple);
+  // The same, over a tuple's columns and a constraint held apart from them
+  // (a join binding's, or a caller's scratch copy); a constraint already
+  // closed is not closed again.
+  [[nodiscard]] static StatusOr<std::vector<NormalizedTuple>> Normalize(
+      ColumnSpan<Lrp> lrps, ColumnSpan<DataValue> data, const Dbm& constraint);
 
   int64_t common_period() const { return common_period_; }
   const std::vector<int64_t>& residues() const { return residues_; }

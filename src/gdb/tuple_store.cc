@@ -22,14 +22,34 @@ int64_t HeapBytes(size_t n) {
 constexpr size_t kPostingNodeBytes =
     sizeof(void*) + sizeof(std::pair<const DataValue, std::vector<EntryId>>);
 
+// What a block's HeapBytes grew by when it went from `before` to `after`
+// bytes.
+int64_t Growth(size_t before, size_t after) {
+  return before == after ? 0 : HeapBytes(after) - HeapBytes(before);
+}
+
 // Appends `id` to `list`, adding any growth of its block to `*bytes`.
 void PushTracked(std::vector<EntryId>* list, EntryId id, int64_t* bytes) {
   const size_t before = list->capacity();
   list->push_back(id);
-  if (list->capacity() != before) {
-    *bytes += HeapBytes(list->capacity() * sizeof(EntryId)) -
-              HeapBytes(before * sizeof(EntryId));
-  }
+  *bytes +=
+      Growth(before * sizeof(EntryId), list->capacity() * sizeof(EntryId));
+}
+
+// Appends `n` values to `arena`, adding any growth of its block to
+// `*bytes`.
+template <typename T>
+void AppendTracked(FlatArena<T>* arena, const T* src, size_t n,
+                   int64_t* bytes) {
+  const size_t before = arena->allocated_bytes();
+  arena->Append(src, n);
+  *bytes += Growth(before, arena->allocated_bytes());
+}
+
+// The bytes footprint() charges for one posting map's bucket array: a map
+// with one bucket keeps it inline.
+int64_t BucketArrayBytes(size_t bucket_count) {
+  return bucket_count > 1 ? HeapBytes(bucket_count * sizeof(void*)) : 0;
 }
 
 // The signature hash runs over the key words in arena order (period and
@@ -154,18 +174,27 @@ SignatureId TupleStore::FindSignature(ColumnSpan<Lrp> lrps,
 
 SignatureId TupleStore::InternSignature(ColumnSpan<Lrp> lrps,
                                         ColumnSpan<DataValue> data,
-                                        uint64_t hash, bool* created) {
+                                        uint64_t hash, bool* created,
+                                        int64_t* grown) {
   SignatureId found = FindSignature(lrps, data, hash);
   *created = found == kNoSignature;
   if (!*created) return found;
-  if ((buckets_.size() + 1) * 4 > slots_.size() * 3) GrowTable();
+  if ((buckets_.size() + 1) * 4 > slots_.size() * 3) {
+    const size_t before = slots_.capacity() * sizeof(Slot);
+    GrowTable();
+    *grown += Growth(before, slots_.capacity() * sizeof(Slot));
+  }
   const SignatureId id = static_cast<SignatureId>(buckets_.size());
   for (const Lrp& l : lrps) {
     const int64_t words[2] = {l.period(), l.offset()};
-    signature_keys_.Append(words, 2);
+    AppendTracked(&signature_keys_, words, 2, grown);
   }
-  for (DataValue d : data) signature_keys_.push_back(d);
-  buckets_.push_back(Bucket{});
+  for (DataValue d : data) {
+    const int64_t word = d;
+    AppendTracked(&signature_keys_, &word, 1, grown);
+  }
+  const Bucket empty;
+  AppendTracked(&buckets_, &empty, 1, grown);
   const size_t mask = slots_.size() - 1;
   size_t i = hash & mask;
   while (slots_[i].id != kNoSignature) i = (i + 1) & mask;
@@ -195,7 +224,7 @@ std::span<const EntryId> TupleStore::BucketEntries(SignatureId id) const {
   return std::span<const EntryId>(&bucket.single, 1);
 }
 
-void TupleStore::AddToBucket(SignatureId id, EntryId entry) {
+void TupleStore::AddToBucket(SignatureId id, EntryId entry, int64_t* grown) {
   Bucket& bucket = buckets_[id];
   if (bucket.spill == kNoSpill && bucket.single == kNoEntry) {
     bucket.single = entry;
@@ -203,7 +232,9 @@ void TupleStore::AddToBucket(SignatureId id, EntryId entry) {
   }
   if (bucket.spill == kNoSpill) {
     bucket.spill = static_cast<uint32_t>(spills_.size());
+    const size_t before = spills_.capacity() * sizeof(spills_[0]);
     spills_.emplace_back();
+    *grown += Growth(before, spills_.capacity() * sizeof(spills_[0]));
     PushTracked(&spills_.back(), bucket.single, &spill_bytes_);
     bucket.single = kNoEntry;
   }
@@ -227,11 +258,16 @@ TupleStore::PieceRange TupleStore::StorePieces(
   range.first =
       static_cast<uint32_t>(piece_classes_.size() / PieceClassStride());
   range.count = static_cast<uint32_t>(pieces.size());
+  int64_t grown = 0;
   for (const NormalizedTuple& piece : pieces) {
-    piece_classes_.push_back(piece.common_period());
-    piece_classes_.Append(piece.residues().data(), piece.residues().size());
-    piece_bounds_.Append(piece.quotient().view().bounds(), BoundsStride());
+    const int64_t period = piece.common_period();
+    AppendTracked(&piece_classes_, &period, 1, &grown);
+    AppendTracked(&piece_classes_, piece.residues().data(),
+                  piece.residues().size(), &grown);
+    AppendTracked(&piece_bounds_, piece.quotient().view().bounds(),
+                  BoundsStride(), &grown);
   }
+  AddBytes(grown);
   return range;
 }
 
@@ -243,7 +279,6 @@ TupleStore::PieceRange TupleStore::StorePieces(
     LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pieces,
                            NormalizedTuple::Normalize(tuple(id)));
     range = StorePieces(pieces);
-    UpdateBytes();
     out->insert(out->end(), std::make_move_iterator(pieces.begin()),
                 std::make_move_iterator(pieces.end()));
     return OkStatus();
@@ -262,7 +297,7 @@ TupleStore::PieceRange TupleStore::StorePieces(
 // --- Appends ---
 
 [[nodiscard]] StatusOr<InsertOutcome> TupleStore::Insert(
-    const GeneralizedTuple& tuple, StoreStats* stats) {
+    TupleView tuple, StoreStats* stats) {
   LRPDB_FAILPOINT("tuple_store.insert");
   if (tuple.temporal_arity() != schema_.temporal_arity ||
       tuple.data_arity() != schema_.data_arity) {
@@ -270,8 +305,15 @@ TupleStore::PieceRange TupleStore::StorePieces(
   }
   ExecContext* exec = ExecContext::Current();
   LRPDB_RETURN_IF_ERROR(PollExec(exec));
-  LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> candidate,
-                         NormalizedTuple::Normalize(tuple));
+  // The candidate's DBM, closed once in the store's scratch DBM: for its
+  // normalization and for the single-entry containment test below. The
+  // row is appended with its bounds as given, never closed.
+  candidate_closure_.Assign(tuple.constraint());
+  candidate_closure_.Close();
+  LRPDB_ASSIGN_OR_RETURN(
+      std::vector<NormalizedTuple> candidate,
+      NormalizedTuple::Normalize(tuple.lrps(), tuple.data(),
+                                 candidate_closure_));
   // Counts into the caller's stats, or nowhere.
   StoreStats uncounted;
   StoreStats& counts = stats != nullptr ? *stats : uncounted;
@@ -280,8 +322,8 @@ TupleStore::PieceRange TupleStore::StorePieces(
     return InsertOutcome{};
   }
   // The budget is charged what this insert grew the store by: the appended
-  // row, pieces and index entries, and any bucket pieces filled lazily for
-  // the containment test below.
+  // row and index entries, and any bucket pieces filled lazily for the
+  // containment test below.
   const int64_t bytes_before = approx_bytes();
   auto charge_growth = [&] {
     if (exec == nullptr) return;
@@ -298,13 +340,10 @@ TupleStore::PieceRange TupleStore::StorePieces(
                                 : BucketEntries(signature);
   if (!bucket.empty()) {
     // Every bucket entry has the candidate's lrps and data, so a candidate
-    // whose (closed) DBM implies one entry's DBM is contained in that
-    // entry, exactly. That settles most subsumptions without touching a
-    // piece; the rest take the exact test over the bucket's union. The
-    // closure runs on a copy in the store's scratch DBM, as the candidate
-    // is appended with its bounds as given. Each entry compared is (m+1)^2
-    // bound comparisons, charged like closure work.
-    candidate_closure_ = tuple.constraint();
+    // whose closed DBM implies one entry's DBM is contained in that entry,
+    // exactly. That settles most subsumptions without touching a piece;
+    // the rest take the exact test over the bucket's union. Each entry
+    // compared is (m+1)^2 bound comparisons, charged like closure work.
     int64_t compared = 0;
     const bool implied =
         std::any_of(bucket.begin(), bucket.end(), [&](EntryId id) {
@@ -312,9 +351,9 @@ TupleStore::PieceRange TupleStore::StorePieces(
           return candidate_closure_.Implies(this->tuple(id).constraint());
         });
     if (exec != nullptr) exec->ChargeSteps(compared * BoundsStride());
-    // Owned copies of the bucket's pieces, for the containment call only.
-    // Filling a lazy piece range touches the piece arenas, never the
-    // bucket the span points into.
+    // Owned copies of the bucket's pieces, for the containment call only;
+    // the entries' piece ranges fill here on first use. Filling touches
+    // the piece arenas, never the bucket the span points into.
     std::vector<NormalizedTuple> existing;
     if (!implied) {
       for (EntryId id : bucket) {
@@ -335,10 +374,12 @@ TupleStore::PieceRange TupleStore::StorePieces(
       return outcome;
     }
   }
+  // Appended unnormalized: its pieces fill on first use, which most
+  // entries never see.
   InsertOutcome outcome;
   outcome.inserted = true;
   outcome.id = static_cast<EntryId>(size());
-  outcome.new_signature = Append(tuple.view(), hash, &candidate);
+  outcome.new_signature = Append(tuple, hash);
   ++counts.inserts;
   if (exec != nullptr) exec->ChargeTuples(1);
   charge_growth();
@@ -355,7 +396,7 @@ bool TupleStore::InsertUnlessEmpty(ColumnSpan<Lrp> lrps,
   LRPDB_CHECK_EQ(constraint.num_vars(), m);
   if (!constraint.IsSatisfiable()) return false;  // Closes `constraint`.
   Append(TupleView(lrps.data(), m, data.data(), k, constraint.view().bounds()),
-         HashSignature(lrps, data), nullptr);
+         HashSignature(lrps, data));
   return true;
 }
 
@@ -367,7 +408,7 @@ bool TupleStore::InsertUnlessEmpty(ColumnSpan<Lrp> lrps,
   }
   // No filtering and no stats: the snapshot records what Append() stored,
   // so replaying it through Append() reproduces every index exactly.
-  Append(tuple.view(), HashSignature(tuple.lrps(), tuple.data()), nullptr);
+  Append(tuple.view(), HashSignature(tuple.lrps(), tuple.data()));
   return OkStatus();
 }
 
@@ -383,25 +424,33 @@ bool TupleStore::InsertUnlessEmpty(ColumnSpan<Lrp> lrps,
   return OkStatus();
 }
 
-bool TupleStore::Append(TupleView tuple, uint64_t hash,
-                        const std::vector<NormalizedTuple>* pieces) {
+bool TupleStore::Append(TupleView tuple, uint64_t hash) {
   const EntryId id = static_cast<EntryId>(size());
+  // approx_bytes() follows each block's growth (footprint()'s terms), so
+  // an append costs no walk over the store's structures.
+  int64_t grown = -(posting_bytes_ + spill_bytes_);
   bool created = false;
   const SignatureId signature =
-      InternSignature(tuple.lrps(), tuple.data(), hash, &created);
-  lrps_.Append(tuple.lrps().data(), tuple.lrps().size());
-  data_.Append(tuple.data().data(), tuple.data().size());
-  bounds_.Append(tuple.constraint().bounds(), BoundsStride());
-  live_.push_back(kLive);
-  piece_ranges_.push_back(pieces != nullptr ? StorePieces(*pieces)
-                                            : PieceRange{});
-  AddToBucket(signature, id);
+      InternSignature(tuple.lrps(), tuple.data(), hash, &created, &grown);
+  AppendTracked(&lrps_, tuple.lrps().data(), tuple.lrps().size(), &grown);
+  AppendTracked(&data_, tuple.data().data(), tuple.data().size(), &grown);
+  AppendTracked(&bounds_, tuple.constraint().bounds(), BoundsStride(),
+                &grown);
+  AppendTracked(&live_, &kLive, 1, &grown);
+  const PieceRange unfilled;
+  AppendTracked(&piece_ranges_, &unfilled, 1, &grown);
+  AddToBucket(signature, id, &grown);
   for (int c = 0; c < schema_.data_arity; ++c) {
-    auto [it, added] = data_index_[c].try_emplace(tuple.data()[c]);
+    auto& index = data_index_[c];
+    const size_t buckets_before = index.bucket_count();
+    auto [it, added] = index.try_emplace(tuple.data()[c]);
     if (added) posting_bytes_ += HeapBytes(kPostingNodeBytes);
     PushTracked(&it->second, id, &posting_bytes_);
+    grown += BucketArrayBytes(index.bucket_count()) -
+             BucketArrayBytes(buckets_before);
   }
-  UpdateBytes();
+  grown += posting_bytes_ + spill_bytes_;
+  AddBytes(grown);
   return created;
 }
 
@@ -410,9 +459,9 @@ TupleStore::Footprint TupleStore::footprint() const {
   f.rows = HeapBytes(lrps_.allocated_bytes()) +
            HeapBytes(data_.allocated_bytes()) +
            HeapBytes(bounds_.allocated_bytes()) +
-           HeapBytes(live_.allocated_bytes());
-  f.pieces = HeapBytes(piece_ranges_.allocated_bytes()) +
-             HeapBytes(piece_classes_.allocated_bytes()) +
+           HeapBytes(live_.allocated_bytes()) +
+           HeapBytes(piece_ranges_.allocated_bytes());
+  f.pieces = HeapBytes(piece_classes_.allocated_bytes()) +
              HeapBytes(piece_bounds_.allocated_bytes());
   f.signatures = HeapBytes(signature_keys_.allocated_bytes()) +
                  HeapBytes(buckets_.allocated_bytes()) +
@@ -420,10 +469,7 @@ TupleStore::Footprint TupleStore::footprint() const {
                  spill_bytes_ + HeapBytes(slots_.capacity() * sizeof(Slot));
   f.postings = posting_bytes_;
   for (const auto& index : data_index_) {
-    // A map with one bucket keeps it inline.
-    if (index.bucket_count() > 1) {
-      f.postings += HeapBytes(index.bucket_count() * sizeof(void*));
-    }
+    f.postings += BucketArrayBytes(index.bucket_count());
   }
   return f;
 }
@@ -692,6 +738,10 @@ std::vector<EntryId> TupleStore::EraseEntries(
     if (posted != live_entries) {
       return InternalError("postings do not cover all live entries");
     }
+  }
+  // Last, so a corrupted index reports its own inconsistency first.
+  if (approx_bytes() != footprint().total()) {
+    return InternalError("approx_bytes disagrees with the footprint");
   }
   return OkStatus();
 }

@@ -15,9 +15,11 @@
 //
 //  * Residue pieces. Each entry's residue pieces (normalized_tuple.h) live
 //    in a piece arena: per piece the common period, m residues and the
-//    (m+1)^2 quotient bounds; the data constants are the row's. An entry
-//    holds the (first, count) range of its pieces, filled by Insert or, for
-//    entries appended unnormalized, on first use.
+//    (m+1)^2 quotient bounds; the data constants are the row's. Every
+//    entry is appended unnormalized, and its (first, count) range fills on
+//    first use: when a containment test needs the pieces of its bucket.
+//    Most entries never get there, as a single-entry DBM test settles most
+//    subsumptions.
 //
 //  * Signature table. Free extensions are interned in a flat open-
 //    addressing table of SignatureIds (ordinal, so a signature's id never
@@ -184,8 +186,8 @@ class TupleStore {
   // approx_bytes() by structure. Reads the arenas: one thread at a time,
   // like every other accessor.
   struct Footprint {
-    int64_t rows = 0;        // Lrps, data, bounds, liveness.
-    int64_t pieces = 0;      // Piece ranges, classes and quotient bounds.
+    int64_t rows = 0;        // Lrps, data, bounds, liveness, piece ranges.
+    int64_t pieces = 0;      // Filled pieces: classes and quotient bounds.
     int64_t signatures = 0;  // Keys, buckets, spilled buckets, slot table.
     int64_t postings = 0;    // Posting nodes, lists and map buckets.
     int64_t total() const { return rows + pieces + signatures + postings; }
@@ -211,11 +213,17 @@ class TupleStore {
   // in the union of the stored tuples with the same signature (free
   // extension) -- the comparison constraint safety (paper, Section 4.3)
   // prescribes. The same-signature entries come from one bucket probe.
+  // A kept tuple is appended as given (its bounds unclosed, its pieces
+  // unfilled); the view may point anywhere but into this store.
   // `stats`, when non-null, receives the insert-path counters; without it
   // nothing is counted. Polls ExecContext::Current() and charges it the
   // inserted tuple and the bytes the store grew by.
-  [[nodiscard]] StatusOr<InsertOutcome> Insert(const GeneralizedTuple& tuple,
+  [[nodiscard]] StatusOr<InsertOutcome> Insert(TupleView tuple,
                                                StoreStats* stats = nullptr);
+  [[nodiscard]] StatusOr<InsertOutcome> Insert(const GeneralizedTuple& tuple,
+                                               StoreStats* stats = nullptr) {
+    return Insert(tuple.view(), stats);
+  }
 
   // Inserts after a cheap DBM satisfiability check only; tuples empty
   // purely through lrp-residue conflicts may be stored (harmless
@@ -392,24 +400,32 @@ class TupleStore {
   // The signature with this key, or kNoSignature.
   SignatureId FindSignature(ColumnSpan<Lrp> lrps, ColumnSpan<DataValue> data,
                             uint64_t hash) const;
-  // Finds or interns the key; `*created` tells which.
+  // Finds or interns the key; `*created` tells which. Adds the growth of
+  // the table's blocks to `*grown`.
   SignatureId InternSignature(ColumnSpan<Lrp> lrps,
                               ColumnSpan<DataValue> data, uint64_t hash,
-                              bool* created);
+                              bool* created, int64_t* grown);
   // Doubles the slot table and re-files every signature.
   void GrowTable();
   std::span<const EntryId> BucketEntries(SignatureId id) const;
-  void AddToBucket(SignatureId id, EntryId entry);
+  // Adds the growth of spills_ itself to `*grown` (a spill list's growth
+  // goes to spill_bytes_).
+  void AddToBucket(SignatureId id, EntryId entry, int64_t* grown);
 
   // Appends `pieces` to the piece arenas and returns their range.
   PieceRange StorePieces(const std::vector<NormalizedTuple>& pieces) const;
 
-  // Appends `tuple` and indexes it; `pieces`, when non-null, become its
-  // filled piece range. Returns whether the signature was new.
-  bool Append(TupleView tuple, uint64_t hash,
-              const std::vector<NormalizedTuple>* pieces);
+  // Appends `tuple` as given, its piece range unfilled, and indexes it.
+  // Returns whether the signature was new.
+  bool Append(TupleView tuple, uint64_t hash);
 
-  // Publishes footprint().total() as approx_bytes_.
+  // Adds `delta` bytes to approx_bytes_ (the writer is the only thread
+  // that changes it).
+  void AddBytes(int64_t delta) const {
+    approx_bytes_.store(approx_bytes() + delta, std::memory_order_relaxed);
+  }
+  // Republishes footprint().total() as approx_bytes_, after a change that
+  // frees memory.
   void UpdateBytes() const {
     approx_bytes_.store(footprint().total(), std::memory_order_relaxed);
   }
@@ -456,7 +472,9 @@ class TupleStore {
   // candidate.
   Dbm candidate_closure_{0};
 
-  // Published by UpdateBytes() after every change to an allocation. Atomic
+  // footprint().total(), kept current after every change to an
+  // allocation: growth is added as it happens, and a release republishes
+  // the sum (UpdateBytes). Atomic
   // so approx_bytes() stays safe and lock-free for readers concurrent with
   // an insert.
   mutable std::atomic<int64_t> approx_bytes_{0};

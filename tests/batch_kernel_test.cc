@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <numeric>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "src/core/ground_evaluator.h"
 #include "src/core/normalizer.h"
 #include "src/parser/parser.h"
+#include "tests/counting_new.h"
 #include "tests/ground_oracle.h"
 
 namespace lrpdb {
@@ -380,10 +382,18 @@ RangeApply ApplyOverRange(size_t rule, size_t lo, size_t hi,
   EXPECT_TRUE(normalized.ok()) << normalized.status();
   if (!normalized.ok()) return out;
   const NormalizedClause& clause = normalized->clauses[rule];
+  CandidateRows rows(/*capture=*/true);
   Status applied = ApplyClauseBatch(clause, CompileClausePlan(clause),
-                                    {{*e, lo, hi}}, &out.stats,
-                                    &out.candidates, &out.parents);
+                                    {{*e, lo, hi}}, &out.stats, &rows);
   EXPECT_TRUE(applied.ok()) << applied;
+  CandidateRows::Reader reader(rows);
+  const int m = static_cast<int>(clause.head_temporal_vars.size());
+  const int k = static_cast<int>(clause.head_data.size());
+  for (size_t c = 0; c < rows.size; ++c) {
+    out.candidates.push_back(reader.Next(m, k).ToTuple());
+    const std::span<const EntryId> parents = reader.NextParents(1);
+    out.parents.emplace_back(parents.begin(), parents.end());
+  }
   return out;
 }
 
@@ -416,6 +426,57 @@ TEST(JoinLoopTest, RangeScanSkipsDeadSlots) {
   EXPECT_EQ(run.stats.index_probes, 1);
   EXPECT_EQ(run.stats.tuples_scanned, 6);
   EXPECT_EQ(run.stats.tuples_pruned, 0);
+}
+
+// --- Allocation per extension attempt ------------------------------------
+
+// Every binding of a(t, X) (10,000 of them) finds its one b(t, X) partner
+// through the posting of X, and every such extension is infeasible: a
+// holds t >= 0, b holds t <= -1. The frontier is rows in flat arenas and
+// unification runs in one scratch DBM, so an extension attempt allocates
+// nothing; what the call allocates at all is per stage, not per attempt.
+TEST(JoinLoopTest, InfeasibleExtensionsDoNotAllocate) {
+  constexpr int kBindings = 10000;
+  Database db;
+  auto unit = Parse(R"(
+    .decl a(time, data)
+    .decl b(time, data)
+    .decl p(time)
+    p(t) :- a(t, X), b(t, X).
+  )",
+                    &db);
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  ASSERT_TRUE(db.Declare("a", {1, 1}).ok());
+  ASSERT_TRUE(db.Declare("b", {1, 1}).ok());
+  auto a = db.MutableRelation("a");
+  auto b = db.MutableRelation("b");
+  ASSERT_TRUE(a.ok() && b.ok());
+  Dbm nonnegative(1);
+  nonnegative.AddLowerBound(1, 0);
+  Dbm negative(1);
+  negative.AddUpperBound(1, -1);
+  for (DataValue x = 0; x < kBindings; ++x) {
+    ASSERT_TRUE((*a)->mutable_store().InsertUnlessEmpty(
+        GeneralizedTuple({Lrp(10, 0)}, {x}, nonnegative)));
+    ASSERT_TRUE((*b)->mutable_store().InsertUnlessEmpty(
+        GeneralizedTuple({Lrp(10, 0)}, {x}, negative)));
+  }
+  auto normalized = Normalize(unit->program);
+  ASSERT_TRUE(normalized.ok()) << normalized.status();
+  const NormalizedClause& clause = normalized->clauses[0];
+  const ClausePlan plan = CompileClausePlan(clause);
+  const std::vector<AtomSource> sources = {{*a, 0, (*a)->size()},
+                                           {*b, 0, (*b)->size()}};
+  StoreStats stats;
+  CandidateRows rows;
+  const int64_t before = lrpdb_testing::AllocationCount();
+  Status applied = ApplyClauseBatch(clause, plan, sources, &stats, &rows);
+  const int64_t allocations = lrpdb_testing::AllocationCount() - before;
+  ASSERT_TRUE(applied.ok()) << applied;
+  EXPECT_EQ(rows.size, 0u);
+  // a's range walk, then one posting entry per binding.
+  EXPECT_EQ(stats.tuples_scanned, 2 * kBindings);
+  EXPECT_LT(allocations, kBindings / 20) << allocations << " allocations";
 }
 
 }  // namespace

@@ -24,14 +24,17 @@ inline int64_t AllocationCount() {
 
 }  // namespace lrpdb_testing
 
-void* operator new(std::size_t size) {
+// Out of line, like the deletes below, so the compiler never pairs the
+// malloc inside with a sized delete it sees (a -Wmismatched-new-delete
+// false positive at -O3).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   lrpdb_testing::g_allocations.fetch_add(1, std::memory_order_relaxed);
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   lrpdb_testing::g_allocations.fetch_add(1, std::memory_order_relaxed);
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();

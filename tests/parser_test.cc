@@ -336,7 +336,7 @@ TEST(ParserTest, LargeSourceMatchesDirectlyAddedTuples) {
     return static_cast<int64_t>((state >> 33) % bound);
   };
   for (int i = 0; i < kFacts; ++i) {
-    const std::string name = "s" + std::to_string(i);
+    const std::string name = std::string("s").append(std::to_string(i));
     const int64_t period = 1 + next(200);
     const int64_t offset = next(400) - 200;
     const int64_t gap = next(50);
@@ -441,7 +441,8 @@ TEST(ParserTest, SeededCorpusMatchesDirectInsertsByteForByte) {
     const int64_t width = next(300) - 20;  // Negative: unsatisfiable.
     switch (next(3)) {
       case 0: {  // Two lrps, an equality and a strict upper bound.
-        const std::string name = "s" + std::to_string(next(50));
+        const std::string name =
+            std::string("s").append(std::to_string(next(50)));
         const int64_t gap = next(30) - 10;
         Dbm dbm(2);
         dbm.AddDifferenceEquality(2, 1, gap);
@@ -466,8 +467,8 @@ TEST(ParserTest, SeededCorpusMatchesDirectInsertsByteForByte) {
         break;
       }
       default: {  // A quoted and a bare constant; a closed window.
-        const std::string a = "a" + std::to_string(next(20));
-        const std::string b = "b" + std::to_string(next(20));
+        const std::string a = std::string("a").append(std::to_string(next(20)));
+        const std::string b = std::string("b").append(std::to_string(next(20)));
         Dbm dbm(1);
         dbm.AddLowerBound(1, lo);
         dbm.AddUpperBound(1, lo + width);

@@ -139,11 +139,10 @@ void ReplayOrigin(const ProvRun& run, const std::string& head_name,
   }
 
   ClausePlan plan = CompileClausePlan(clause);
-  std::vector<GeneralizedTuple> candidates;
-  Status applied =
-      ApplyClauseBatch(clause, plan, sources, nullptr, &candidates);
+  CandidateRows rows;
+  Status applied = ApplyClauseBatch(clause, plan, sources, nullptr, &rows);
   ASSERT_TRUE(applied.ok()) << applied.ToString();
-  ASSERT_FALSE(candidates.empty())
+  ASSERT_GT(rows.size, 0u)
       << "replaying the origin's rule over its parents produced nothing";
 
   const std::optional<GeneralizedTuple> derived =
@@ -154,7 +153,11 @@ void ReplayOrigin(const ProvRun& run, const std::string& head_name,
       static_cast<int>(clause.head_temporal_vars.size());
   head_schema.data_arity = static_cast<int>(clause.head_data.size());
   bool witnessed = false;
-  for (const GeneralizedTuple& candidate : candidates) {
+  CandidateRows::Reader reader(rows);
+  for (size_t c = 0; c < rows.size; ++c) {
+    const GeneralizedTuple candidate =
+        reader.Next(head_schema.temporal_arity, head_schema.data_arity)
+            .ToTuple();
     if (SubsumedBy(candidate, *derived, head_schema)) {
       witnessed = true;
       break;

@@ -64,9 +64,9 @@ FactBatch MakeBatch(uint64_t id) {
   FactBatch batch;
   batch.decls.push_back(PredicateDecl{"r", RelationSchema{1, 1}});
   BatchFact fact;
-  fact.relation = "r";
+  fact.relation = std::string("r");
   fact.lrps = {Lrp()};
-  fact.data = {"c" + std::to_string(id)};
+  fact.data = {std::string("c").append(std::to_string(id))};
   Dbm dbm(1);
   dbm.AddUpperBound(1, static_cast<int64_t>(id));
   dbm.AddLowerBound(1, static_cast<int64_t>(id));

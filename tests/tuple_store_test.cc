@@ -32,7 +32,13 @@ class TupleStoreTestPeer {
   static void AppendToBucketWithId(TupleStore& store, SignatureId id,
                                    EntryId bogus) {
     ASSERT_LT(id, store.num_signatures()) << "no bucket with signature id";
-    store.AddToBucket(id, bogus);
+    int64_t grown = 0;
+    store.AddToBucket(id, bogus, &grown);
+  }
+
+  // True iff entry `id`'s residue pieces have been computed and kept.
+  static bool PiecesFilled(const TupleStore& store, EntryId id) {
+    return store.piece_ranges_[id].count != TupleStore::kUnfilled;
   }
 
   static void CorruptSignatureKey(TupleStore& store, SignatureId id) {
@@ -154,6 +160,76 @@ TEST(TupleStoreTest, SubsumptionByOneEntryByUnionAndByLrpGrid) {
   auto outcome = store.Insert(Banded(7, 3, 1, 101, 1));
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_TRUE(outcome->inserted);
+}
+
+// Insert appends a row without its residue pieces; they are computed
+// only when a containment test needs them. Appends of new signatures leave
+// the piece arenas as they were; a candidate that no single entry of its
+// bucket implies fills that bucket's pieces and no others', whether it is
+// then appended or, covered by the bucket's union, subsumed. A candidate
+// whose DBM is satisfiable but whose ground set misses the lrp grid is
+// still an empty drop, decided before any bucket is probed.
+TEST(TupleStoreTest, InsertKeepsResiduePiecesOnlyWhereUsed) {
+  TupleStore store({1, 1});
+  const int64_t no_pieces = store.footprint().pieces;
+  for (const GeneralizedTuple& tuple :
+       {Banded(7, 3, 0, 100, 1), Banded(7, 4, 0, 100, 1),
+        Banded(7, 3, 0, 100, 2)}) {
+    auto outcome = store.Insert(tuple);
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    EXPECT_TRUE(outcome->inserted);
+    EXPECT_TRUE(outcome->new_signature);
+    EXPECT_EQ(store.footprint().pieces, no_pieces);
+    ASSERT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
+  }
+  auto filled = [&store] {
+    std::vector<EntryId> ids;
+    for (EntryId id = 0; id < store.size(); ++id) {
+      if (TupleStoreTestPeer::PiecesFilled(store, id)) ids.push_back(id);
+    }
+    return ids;
+  };
+  EXPECT_EQ(filled(), std::vector<EntryId>{});
+
+  // Overlaps entry 0 without being contained: entry 0's pieces fill for
+  // the union test, the new entry 3 is appended without its own.
+  auto overlapping = store.Insert(Banded(7, 3, 50, 200, 1));
+  ASSERT_TRUE(overlapping.ok()) << overlapping.status();
+  EXPECT_TRUE(overlapping->inserted);
+  EXPECT_EQ(overlapping->id, 3u);
+  EXPECT_EQ(filled(), std::vector<EntryId>{0});
+  const int64_t one_filled = store.footprint().pieces;
+  EXPECT_GT(one_filled, no_pieces);
+  ASSERT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
+
+  // Covered by entries 0 and 3 together, by neither alone.
+  StoreStats stats;
+  auto covered = store.Insert(Banded(7, 3, 10, 150, 1), &stats);
+  ASSERT_TRUE(covered.ok()) << covered.status();
+  EXPECT_FALSE(covered->inserted);
+  EXPECT_EQ(covered->absorbers, (std::vector<EntryId>{0, 3}));
+  EXPECT_EQ(stats.subsumed, 1);
+  EXPECT_EQ(filled(), (std::vector<EntryId>{0, 3}));
+  EXPECT_GT(store.footprint().pieces, one_filled);
+  ASSERT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
+
+  // T2 = T1 is satisfiable, but no point has T1 even and T2 odd.
+  TupleStore pairs({2, 0});
+  Dbm equal(2);
+  equal.AddDifferenceEquality(2, 1, 0);
+  const GeneralizedTuple off_grid({Lrp(2, 0), Lrp(2, 1)}, {}, equal);
+  ASSERT_TRUE(off_grid.ConstraintSatisfiable());
+  const int64_t bytes = pairs.approx_bytes();
+  stats = StoreStats();
+  auto dropped = pairs.Insert(off_grid, &stats);
+  ASSERT_TRUE(dropped.ok()) << dropped.status();
+  EXPECT_FALSE(dropped->inserted);
+  EXPECT_TRUE(dropped->absorbers.empty());
+  EXPECT_EQ(stats.empty_dropped, 1);
+  EXPECT_EQ(stats.signature_probes, 0);
+  EXPECT_EQ(pairs.size(), 0u);
+  EXPECT_EQ(pairs.approx_bytes(), bytes);
+  ASSERT_TRUE(pairs.CheckConsistency().ok()) << pairs.CheckConsistency();
 }
 
 TEST(TupleStoreTest, InsertOutcomesMatchBruteForceReference) {
@@ -677,7 +753,8 @@ TEST(TupleStoreTest, EraseEntriesKeepsLazilyFilledPieces) {
     dbm.AddDifferenceUpperBound(2, 1, 3 + i);
     dbm.AddLowerBound(1, i);
     ASSERT_TRUE(store.InsertUnlessEmpty(
-        GeneralizedTuple({Lrp(6, i), Lrp(4, i % 4)}, {i % 2}, dbm)));
+        GeneralizedTuple({Lrp(6, i), Lrp(4, i % 4)},
+                         {static_cast<DataValue>(i % 2)}, dbm)));
   }
   std::vector<NormalizedTuple> scratch;
   for (EntryId id : {4, 1, 5, 0}) {  // Entries 2 and 3 stay unfilled.
