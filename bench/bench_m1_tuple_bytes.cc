@@ -13,10 +13,11 @@
 //    whose orbit gives every EDB fact seven signatures.
 //
 // For each it reports bytes per stored tuple by structure
-// (TupleStore::footprint(): rows, pieces, signature table, postings) and
-// the ratio of approx_bytes() to the C heap's own count, the mallinfo2()
-// delta around the build. ci/validate_bench_json.py holds both ratios to
-// [0.75, 1.25] and the synthetic store to at most 250 B per stored tuple.
+// (TupleStore::footprint(): rows, pieces, signature table, postings, id
+// lists) and the ratio of approx_bytes() to the C heap's own count, the
+// mallinfo2() delta around the build. ci/validate_bench_json.py holds both
+// ratios to [0.75, 1.25] and the synthetic store to at most 150 B per
+// stored tuple.
 // The heap figures need glibc's allocator: a sanitizer build reports
 // "heap_measured": false and omits them. The google-benchmark sweep times
 // the synthetic fill.
@@ -116,6 +117,7 @@ void Report(const std::string& prefix, const TupleStore::Footprint& f,
   report->Set(prefix + "_pieces_bytes_per_tuple", f.pieces / n);
   report->Set(prefix + "_signatures_bytes_per_tuple", f.signatures / n);
   report->Set(prefix + "_postings_bytes_per_tuple", f.postings / n);
+  report->Set(prefix + "_id_lists_bytes_per_tuple", f.id_lists / n);
   report->Set(prefix + "_approx_bytes_per_tuple", f.total() / n);
   if (kHeapMeasured) {
     report->Set(prefix + "_heap_bytes_per_tuple", heap / n);
@@ -151,6 +153,7 @@ void WriteReport() {
       sum.pieces += f.pieces;
       sum.signatures += f.signatures;
       sum.postings += f.postings;
+      sum.id_lists += f.id_lists;
     }
     report.Set("eval_rounds", static_cast<int64_t>(result->iterations));
     Report("eval", sum, static_cast<int64_t>(result->TuplesStored()), heap,

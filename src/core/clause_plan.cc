@@ -288,19 +288,18 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom, const CompiledAtom& compiled,
     }
     // Constant-pinned postings resolve once per atom, not once per binding:
     // the smallest one is kept. A constant with no posting at all empties
-    // the frontier outright.
-    const std::vector<EntryId>* const_posting = nullptr;
+    // the frontier outright, so a posting kept is never empty.
+    std::span<const EntryId> const_posting;
     bool const_missing = false;
     for (const TupleStore::DataRequirement& req :
          compiled.const_requirements) {
-      const std::vector<EntryId>* posting =
+      const std::span<const EntryId> posting =
           store.PostingFor(req.column, req.value);
-      if (posting == nullptr) {
+      if (posting.empty()) {
         const_missing = true;
         break;
       }
-      if (const_posting == nullptr ||
-          posting->size() < const_posting->size()) {
+      if (const_posting.empty() || posting.size() < const_posting.size()) {
         const_posting = posting;
       }
     }
@@ -318,16 +317,16 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom, const CompiledAtom& compiled,
       // Per-binding probe choice: the smallest of the constant posting and
       // the postings of the bound-variable columns. Only the variable
       // lookups happen per binding.
-      const std::vector<EntryId>* posting = const_posting;
+      std::span<const EntryId> posting = const_posting;
       bool value_missing = false;
       for (const CompiledAtom::VarColumn& probe : compiled.bound_probes) {
-        const std::vector<EntryId>* var_posting =
+        const std::span<const EntryId> var_posting =
             store.PostingFor(probe.column, row_data[probe.variable]);
-        if (var_posting == nullptr) {
+        if (var_posting.empty()) {
           value_missing = true;
           break;
         }
-        if (posting == nullptr || var_posting->size() < posting->size()) {
+        if (posting.empty() || var_posting.size() < posting.size()) {
           posting = var_posting;
         }
       }
@@ -339,9 +338,9 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom, const CompiledAtom& compiled,
       // range itself.
       const EntryId* first = nullptr;
       int64_t scanned = range_size;
-      if (posting != nullptr) {
-        const EntryId* end = posting->data() + posting->size();
-        first = std::lower_bound(posting->data(), end,
+      if (!posting.empty()) {
+        const EntryId* end = posting.data() + posting.size();
+        first = std::lower_bound(posting.data(), end,
                                  static_cast<EntryId>(source.lo));
         const EntryId* last =
             std::lower_bound(first, end, static_cast<EntryId>(source.hi));
@@ -350,9 +349,8 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom, const CompiledAtom& compiled,
       probes.CountProbe(scanned, range_size - scanned);
       tuples_in += scanned;
       for (int64_t i = 0; i < scanned; ++i) {
-        const EntryId id = posting != nullptr
-                               ? first[i]
-                               : static_cast<EntryId>(source.lo + i);
+        const EntryId id =
+            !posting.empty() ? first[i] : static_cast<EntryId>(source.lo + i);
         // Postings hold live ids only; a range scan skips dead slots.
         if (!store.is_live(id)) continue;
         const TupleView tuple = store.tuple(id);

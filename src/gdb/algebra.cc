@@ -364,12 +364,7 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
   const TupleStore& store = r.store();
   // Exactly the posting's entries match (ascending, so output order is
   // entry order); tombstoned entries were pruned from it.
-  const std::vector<EntryId>* posting = store.PostingFor(column, value);
-  if (posting == nullptr) {
-    op.set_output(0);
-    return out;
-  }
-  for (EntryId id : *posting) {
+  for (EntryId id : store.PostingFor(column, value)) {
     LRPDB_RETURN_IF_ERROR(out.InsertUnlessEmpty(store.tuple(id)).status());
   }
   op.set_output(static_cast<int64_t>(out.size()));

@@ -64,6 +64,13 @@ class FlatArena {
     size_ += n;
   }
 
+  // Appends `n` values left for the caller to write; returns the first.
+  T* Extend(size_t n) {
+    Reserve(size_ + n);
+    size_ += n;
+    return data_ + (size_ - n);
+  }
+
   // Copies `n` values from position `from` down to position `to` <= from.
   void MoveDown(size_t to, size_t from, size_t n) {
     if (to != from && n > 0) {

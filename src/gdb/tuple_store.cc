@@ -1,6 +1,8 @@
 #include "src/gdb/tuple_store.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <iterator>
 
 #include "src/common/exec_context.h"
@@ -18,49 +20,25 @@ int64_t HeapBytes(size_t n) {
   return std::max<int64_t>(32, static_cast<int64_t>(block));
 }
 
-// One posting-map node: the next pointer and the (value, list) pair.
-constexpr size_t kPostingNodeBytes =
-    sizeof(void*) + sizeof(std::pair<const DataValue, std::vector<EntryId>>);
-
-// What a block's HeapBytes grew by when it went from `before` to `after`
-// bytes.
-int64_t Growth(size_t before, size_t after) {
-  return before == after ? 0 : HeapBytes(after) - HeapBytes(before);
-}
-
-// Appends `id` to `list`, adding any growth of its block to `*bytes`.
-void PushTracked(std::vector<EntryId>* list, EntryId id, int64_t* bytes) {
-  const size_t before = list->capacity();
-  list->push_back(id);
-  *bytes +=
-      Growth(before * sizeof(EntryId), list->capacity() * sizeof(EntryId));
-}
-
-// Appends `n` values to `arena`, adding any growth of its block to
-// `*bytes`.
 template <typename T>
-void AppendTracked(FlatArena<T>* arena, const T* src, size_t n,
-                   int64_t* bytes) {
-  const size_t before = arena->allocated_bytes();
-  arena->Append(src, n);
-  *bytes += Growth(before, arena->allocated_bytes());
+int64_t HeapBytes(const FlatArena<T>& arena) {
+  return HeapBytes(arena.allocated_bytes());
 }
 
-// The bytes footprint() charges for one posting map's bucket array: a map
-// with one bucket keeps it inline.
-int64_t BucketArrayBytes(size_t bucket_count) {
-  return bucket_count > 1 ? HeapBytes(bucket_count * sizeof(void*)) : 0;
+template <typename T>
+int64_t HeapBytes(const std::vector<T>& table) {
+  return HeapBytes(table.capacity() * sizeof(T));
 }
 
-// The signature hash runs over the key words in arena order (period and
-// offset per lrp, then the data values), so a probe hashes a candidate's
-// columns and a rehash hashes the stored key to the same value.
+// The signature hash runs over the key words in order (period and offset
+// per lrp, then the data values).
 uint64_t MixKeyWord(uint64_t h, int64_t word) {
   return HashCombine(h, static_cast<size_t>(word));
 }
 
-// Finalizer (MurmurHash3 fmix64): the table takes the low bits for the
-// slot and the high bits for the tag, so every bit must be mixed.
+// Finalizer (MurmurHash3 fmix64): the tables take the low bits for the
+// slot and the signature table the high bits for its tag, so every bit
+// must be mixed.
 uint64_t FinishKeyHash(uint64_t h) {
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdULL;
@@ -70,20 +48,21 @@ uint64_t FinishKeyHash(uint64_t h) {
   return h;
 }
 
-// Rewrites an ascending id list through a monotone remap, dropping erased
-// ids.
-void RewriteIds(const std::vector<EntryId>& remap, std::vector<EntryId>* list) {
-  size_t out = 0;
-  for (EntryId id : *list) {
-    if (remap[id] != kErasedEntry) (*list)[out++] = remap[id];
-  }
-  list->resize(out);
+// The smallest power-of-two table, at least 8 slots, that holds `count`
+// keys at most 3/4 full; 0 for none.
+size_t TableSlotsFor(size_t count) {
+  if (count == 0) return 0;
+  size_t slots = 8;
+  while (count * 4 > slots * 3) slots *= 2;
+  return slots;
 }
 
 }  // namespace
 
 TupleStore::TupleStore(RelationSchema schema)
-    : schema_(schema), data_index_(schema.data_arity) {}
+    : schema_(schema), postings_(schema.data_arity) {
+  free_blocks_.fill(kNoBlock);
+}
 
 TupleStore::TupleStore(TupleStore&& other) noexcept
     : schema_(other.schema_),
@@ -93,15 +72,17 @@ TupleStore::TupleStore(TupleStore&& other) noexcept
       live_(std::move(other.live_)),
       tombstones_(other.tombstones_),
       piece_ranges_(std::move(other.piece_ranges_)),
+      filled_entries_(other.filled_entries_),
       piece_classes_(std::move(other.piece_classes_)),
       piece_bounds_(std::move(other.piece_bounds_)),
-      signature_keys_(std::move(other.signature_keys_)),
-      buckets_(std::move(other.buckets_)),
-      spills_(std::move(other.spills_)),
+      signatures_(std::move(other.signatures_)),
       slots_(std::move(other.slots_)),
-      data_index_(std::move(other.data_index_)),
-      posting_bytes_(other.posting_bytes_),
-      spill_bytes_(other.spill_bytes_),
+      erased_ids_(std::move(other.erased_ids_)),
+      erased_lrps_(std::move(other.erased_lrps_)),
+      erased_data_(std::move(other.erased_data_)),
+      postings_(std::move(other.postings_)),
+      id_pool_(std::move(other.id_pool_)),
+      free_blocks_(other.free_blocks_),
       delta_lo_(other.delta_lo_),
       delta_hi_(other.delta_hi_) {
   approx_bytes_.store(other.approx_bytes_.load(std::memory_order_relaxed),
@@ -117,15 +98,17 @@ TupleStore& TupleStore::operator=(TupleStore&& other) noexcept {
   live_ = std::move(other.live_);
   tombstones_ = other.tombstones_;
   piece_ranges_ = std::move(other.piece_ranges_);
+  filled_entries_ = other.filled_entries_;
   piece_classes_ = std::move(other.piece_classes_);
   piece_bounds_ = std::move(other.piece_bounds_);
-  signature_keys_ = std::move(other.signature_keys_);
-  buckets_ = std::move(other.buckets_);
-  spills_ = std::move(other.spills_);
+  signatures_ = std::move(other.signatures_);
   slots_ = std::move(other.slots_);
-  data_index_ = std::move(other.data_index_);
-  posting_bytes_ = other.posting_bytes_;
-  spill_bytes_ = other.spill_bytes_;
+  erased_ids_ = std::move(other.erased_ids_);
+  erased_lrps_ = std::move(other.erased_lrps_);
+  erased_data_ = std::move(other.erased_data_);
+  postings_ = std::move(other.postings_);
+  id_pool_ = std::move(other.id_pool_);
+  free_blocks_ = other.free_blocks_;
   delta_lo_ = other.delta_lo_;
   delta_hi_ = other.delta_hi_;
   approx_bytes_.store(other.approx_bytes_.load(std::memory_order_relaxed),
@@ -146,17 +129,24 @@ uint64_t TupleStore::HashSignature(ColumnSpan<Lrp> lrps,
   return FinishKeyHash(h);
 }
 
+TupleStore::Key TupleStore::SignatureKey(SignatureId id) const {
+  const size_t m = schema_.temporal_arity;
+  const size_t k = schema_.data_arity;
+  const uint32_t representative = signatures_[id].representative;
+  if ((representative & kErasedKey) == 0) {
+    const TupleView row = tuple(representative);
+    return Key{row.lrps(), row.data()};
+  }
+  const size_t i = representative & ~kErasedKey;
+  return Key{ColumnSpan<Lrp>(erased_lrps_.data() + i * m, m),
+             ColumnSpan<DataValue>(
+                 k == 0 ? nullptr : erased_data_.data() + i * k, k)};
+}
+
 bool TupleStore::KeyEquals(SignatureId id, ColumnSpan<Lrp> lrps,
                            ColumnSpan<DataValue> data) const {
-  const int64_t* key = signature_keys_.data() + size_t{id} * KeyStride();
-  for (const Lrp& l : lrps) {
-    if (key[0] != l.period() || key[1] != l.offset()) return false;
-    key += 2;
-  }
-  for (DataValue d : data) {
-    if (*key++ != d) return false;
-  }
-  return true;
+  const Key key = SignatureKey(id);
+  return key.lrps == lrps && key.data == data;
 }
 
 SignatureId TupleStore::FindSignature(ColumnSpan<Lrp> lrps,
@@ -172,29 +162,15 @@ SignatureId TupleStore::FindSignature(ColumnSpan<Lrp> lrps,
   }
 }
 
-SignatureId TupleStore::InternSignature(ColumnSpan<Lrp> lrps,
-                                        ColumnSpan<DataValue> data,
-                                        uint64_t hash, bool* created,
-                                        int64_t* grown) {
-  SignatureId found = FindSignature(lrps, data, hash);
+SignatureId TupleStore::InternSignature(EntryId entry, uint64_t hash,
+                                        bool* created) {
+  const TupleView row = tuple(entry);
+  const SignatureId found = FindSignature(row.lrps(), row.data(), hash);
   *created = found == kNoSignature;
   if (!*created) return found;
-  if ((buckets_.size() + 1) * 4 > slots_.size() * 3) {
-    const size_t before = slots_.capacity() * sizeof(Slot);
-    GrowTable();
-    *grown += Growth(before, slots_.capacity() * sizeof(Slot));
-  }
-  const SignatureId id = static_cast<SignatureId>(buckets_.size());
-  for (const Lrp& l : lrps) {
-    const int64_t words[2] = {l.period(), l.offset()};
-    AppendTracked(&signature_keys_, words, 2, grown);
-  }
-  for (DataValue d : data) {
-    const int64_t word = d;
-    AppendTracked(&signature_keys_, &word, 1, grown);
-  }
-  const Bucket empty;
-  AppendTracked(&buckets_, &empty, 1, grown);
+  if ((signatures_.size() + 1) * 4 > slots_.size() * 3) GrowTable();
+  const SignatureId id = static_cast<SignatureId>(signatures_.size());
+  signatures_.push_back(SignatureRecord{entry, IdList{}});
   const size_t mask = slots_.size() - 1;
   size_t i = hash & mask;
   while (slots_[i].id != kNoSignature) i = (i + 1) & mask;
@@ -205,11 +181,9 @@ SignatureId TupleStore::InternSignature(ColumnSpan<Lrp> lrps,
 void TupleStore::GrowTable() {
   std::vector<Slot> grown(slots_.empty() ? 8 : slots_.size() * 2);
   const size_t mask = grown.size() - 1;
-  for (SignatureId id = 0; id < buckets_.size(); ++id) {
-    const int64_t* key = signature_keys_.data() + size_t{id} * KeyStride();
-    uint64_t hash = 0;
-    for (int w = 0; w < KeyStride(); ++w) hash = MixKeyWord(hash, key[w]);
-    hash = FinishKeyHash(hash);
+  for (SignatureId id = 0; id < signatures_.size(); ++id) {
+    const Key key = SignatureKey(id);
+    const uint64_t hash = HashSignature(key.lrps, key.data);
     size_t i = hash & mask;
     while (grown[i].id != kNoSignature) i = (i + 1) & mask;
     grown[i] = Slot{static_cast<uint32_t>(hash >> 32), id};
@@ -217,28 +191,27 @@ void TupleStore::GrowTable() {
   slots_ = std::move(grown);
 }
 
-std::span<const EntryId> TupleStore::BucketEntries(SignatureId id) const {
-  const Bucket& bucket = buckets_[id];
-  if (bucket.spill != kNoSpill) return spills_[bucket.spill];
-  if (bucket.single == kNoEntry) return {};
-  return std::span<const EntryId>(&bucket.single, 1);
-}
-
-void TupleStore::AddToBucket(SignatureId id, EntryId entry, int64_t* grown) {
-  Bucket& bucket = buckets_[id];
-  if (bucket.spill == kNoSpill && bucket.single == kNoEntry) {
-    bucket.single = entry;
-    return;
+void TupleStore::AddToBucket(SignatureId id, EntryId entry) {
+  SignatureRecord& signature = signatures_[id];
+  PushId(&signature.entries, entry);
+  if ((signature.representative & kErasedKey) == 0) return;
+  // The signature has a row again: it reads its key from there, and its
+  // erased key leaves the side arenas (the last one moves into its place).
+  const size_t m = schema_.temporal_arity;
+  const size_t k = schema_.data_arity;
+  const size_t i = signature.representative & ~kErasedKey;
+  const size_t last = erased_ids_.size() - 1;
+  signature.representative = entry;
+  if (i != last) {
+    erased_ids_[i] = erased_ids_[last];
+    erased_lrps_.MoveDown(i * m, last * m, m);
+    erased_data_.MoveDown(i * k, last * k, k);
+    signatures_[erased_ids_[i]].representative =
+        kErasedKey | static_cast<uint32_t>(i);
   }
-  if (bucket.spill == kNoSpill) {
-    bucket.spill = static_cast<uint32_t>(spills_.size());
-    const size_t before = spills_.capacity() * sizeof(spills_[0]);
-    spills_.emplace_back();
-    *grown += Growth(before, spills_.capacity() * sizeof(spills_[0]));
-    PushTracked(&spills_.back(), bucket.single, &spill_bytes_);
-    bucket.single = kNoEntry;
-  }
-  PushTracked(&spills_[bucket.spill], entry, &spill_bytes_);
+  erased_ids_.Truncate(last);
+  erased_lrps_.Truncate(last * m);
+  erased_data_.Truncate(last * k);
 }
 
 std::vector<EntryId> TupleStore::EntriesWithSignature(
@@ -246,46 +219,198 @@ std::vector<EntryId> TupleStore::EntriesWithSignature(
   SignatureId id = FindSignature(signature.lrps, signature.data,
                                  HashSignature(signature.lrps, signature.data));
   if (id == kNoSignature) return {};
-  std::span<const EntryId> entries = BucketEntries(id);
+  std::span<const EntryId> entries = Ids(signatures_[id].entries);
   return std::vector<EntryId>(entries.begin(), entries.end());
+}
+
+// --- Id lists ---
+
+uint32_t TupleStore::AllocateBlock(int log2) {
+  uint32_t& head = free_blocks_[log2];
+  if (head != kNoBlock) {
+    const uint32_t block = head;
+    head = id_pool_[block];
+    return block;
+  }
+  const size_t block = id_pool_.size();
+  id_pool_.Extend(size_t{1} << log2);
+  LRPDB_CHECK_LT(id_pool_.size(), size_t{kNoBlock}) << "id pool full";
+  return static_cast<uint32_t>(block);
+}
+
+void TupleStore::FreeBlock(uint32_t offset, int log2) {
+  id_pool_[offset] = free_blocks_[log2];
+  free_blocks_[log2] = offset;
+}
+
+void TupleStore::PushId(IdList* list, EntryId id) {
+  if (list->size == 0) {
+    *list = IdList{id, 1};
+    return;
+  }
+  if (list->size == 1) {
+    const uint32_t block = AllocateBlock(1);
+    id_pool_[block] = list->ref;
+    id_pool_[block + 1] = id;
+    *list = IdList{block, 2};
+    return;
+  }
+  if (std::has_single_bit(list->size)) {  // The block is full: double it.
+    const int log2 = std::countr_zero(list->size);
+    const uint32_t block = AllocateBlock(log2 + 1);
+    std::memcpy(id_pool_.data() + block, id_pool_.data() + list->ref,
+                list->size * sizeof(EntryId));
+    FreeBlock(list->ref, log2);
+    list->ref = block;
+  }
+  id_pool_[list->ref + list->size++] = id;
+}
+
+void TupleStore::RemoveId(IdList* list, EntryId id) {
+  if (list->size <= 1) {
+    if (list->size == 1 && list->ref == id) list->size = 0;
+    return;
+  }
+  EntryId* ids = id_pool_.data() + list->ref;
+  EntryId* end = ids + list->size;
+  EntryId* it = std::lower_bound(ids, end, id);
+  if (it == end || *it != id) return;
+  std::memmove(it, it + 1, (end - it - 1) * sizeof(EntryId));
+  --list->size;
+  if (list->size == 1) {
+    const EntryId only = ids[0];
+    FreeBlock(list->ref, 1);
+    *list = IdList{only, 1};
+  } else if (std::has_single_bit(list->size)) {
+    // The rest fits in the block's lower half; the upper half is free.
+    FreeBlock(list->ref + list->size, std::countr_zero(list->size));
+  }
+}
+
+// --- Posting tables ---
+
+size_t TupleStore::ProbePosting(const PostingTable& table, DataValue value) {
+  const size_t mask = table.slots.size() - 1;
+  for (size_t i = FinishKeyHash(static_cast<uint32_t>(value)) & mask;;
+       i = (i + 1) & mask) {
+    const Posting& slot = table.slots[i];
+    if (slot.entries.size == 0 || slot.value == value) return i;
+  }
+}
+
+void TupleStore::AddPosting(int column, EntryId id) {
+  const DataValue value = data_[size_t{id} * schema_.data_arity + column];
+  PostingTable& table = postings_[column];
+  size_t i = table.slots.empty() ? 0 : ProbePosting(table, value);
+  if (table.slots.empty() || table.slots[i].entries.size == 0) {
+    if ((table.count + 1) * 4 > table.slots.size() * 3) {
+      RefilePostings(&table, std::max<size_t>(8, 2 * table.slots.size()));
+      i = ProbePosting(table, value);
+    }
+    table.slots[i].value = value;
+    ++table.count;
+  }
+  PushId(&table.slots[i].entries, id);
+}
+
+void TupleStore::RemovePosting(int column, EntryId id) {
+  const DataValue value = data_[size_t{id} * schema_.data_arity + column];
+  PostingTable& table = postings_[column];
+  if (table.slots.empty()) return;
+  size_t hole = ProbePosting(table, value);
+  IdList& entries = table.slots[hole].entries;
+  if (entries.size == 0) return;
+  RemoveId(&entries, id);
+  if (entries.size > 0) return;
+  // The posting emptied: drop it, so a probe for the value finds nothing,
+  // and shift the rest of its probe run back over the hole.
+  --table.count;
+  const size_t mask = table.slots.size() - 1;
+  for (size_t j = (hole + 1) & mask; table.slots[j].entries.size != 0;
+       j = (j + 1) & mask) {
+    const size_t home =
+        FinishKeyHash(static_cast<uint32_t>(table.slots[j].value)) & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      table.slots[hole] = table.slots[j];
+      hole = j;
+    }
+  }
+  table.slots[hole] = Posting{};
+}
+
+void TupleStore::RefilePostings(PostingTable* table, size_t slots) {
+  std::vector<Posting> old = std::move(table->slots);
+  table->slots = std::vector<Posting>(slots);
+  table->count = 0;
+  for (const Posting& posting : old) {
+    if (posting.entries.size == 0) continue;
+    table->slots[ProbePosting(*table, posting.value)] = posting;
+    ++table->count;
+  }
 }
 
 // --- Pieces ---
 
-TupleStore::PieceRange TupleStore::StorePieces(
-    const std::vector<NormalizedTuple>& pieces) const {
-  PieceRange range;
-  range.first =
-      static_cast<uint32_t>(piece_classes_.size() / PieceClassStride());
-  range.count = static_cast<uint32_t>(pieces.size());
-  int64_t grown = 0;
+const TupleStore::PieceRange* TupleStore::FindPieceRange(EntryId id) const {
+  if (piece_ranges_.empty()) return nullptr;
+  const size_t mask = piece_ranges_.size() - 1;
+  for (size_t i = FinishKeyHash(id) & mask;; i = (i + 1) & mask) {
+    const PieceRange& range = piece_ranges_[i];
+    if (range.id == id) return &range;
+    if (range.id == kNoEntry) return nullptr;
+  }
+}
+
+void TupleStore::FilePieceRange(const PieceRange& range) const {
+  const size_t mask = piece_ranges_.size() - 1;
+  size_t i = FinishKeyHash(range.id) & mask;
+  while (piece_ranges_[i].id != kNoEntry) i = (i + 1) & mask;
+  piece_ranges_[i] = range;
+}
+
+void TupleStore::RefilePieceRanges(const std::vector<PieceRange>& ranges,
+                                   size_t slots) const {
+  piece_ranges_ = std::vector<PieceRange>(slots);
+  for (const PieceRange& range : ranges) {
+    if (range.id != kNoEntry) FilePieceRange(range);
+  }
+}
+
+void TupleStore::StorePieces(
+    EntryId id, const std::vector<NormalizedTuple>& pieces) const {
+  if ((filled_entries_ + 1) * 4 > piece_ranges_.size() * 3) {
+    const size_t slots = std::max<size_t>(8, 2 * piece_ranges_.size());
+    RefilePieceRanges(std::vector<PieceRange>(std::move(piece_ranges_)),
+                      slots);
+  }
+  FilePieceRange(PieceRange{
+      id, static_cast<uint32_t>(piece_classes_.size() / PieceClassStride()),
+      static_cast<uint32_t>(pieces.size())});
+  ++filled_entries_;
   for (const NormalizedTuple& piece : pieces) {
     const int64_t period = piece.common_period();
-    AppendTracked(&piece_classes_, &period, 1, &grown);
-    AppendTracked(&piece_classes_, piece.residues().data(),
-                  piece.residues().size(), &grown);
-    AppendTracked(&piece_bounds_, piece.quotient().view().bounds(),
-                  BoundsStride(), &grown);
+    piece_classes_.push_back(period);
+    piece_classes_.Append(piece.residues().data(), piece.residues().size());
+    piece_bounds_.Append(piece.quotient().view().bounds(), BoundsStride());
   }
-  AddBytes(grown);
-  return range;
+  UpdateBytes();
 }
 
 [[nodiscard]] Status TupleStore::AppendPieces(
     EntryId id, std::vector<NormalizedTuple>* out) const {
   LRPDB_FAILPOINT("tuple_store.pieces");
-  PieceRange& range = piece_ranges_[id];
-  if (range.count == kUnfilled) {
+  const PieceRange* range = FindPieceRange(id);
+  if (range == nullptr) {
     LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pieces,
                            NormalizedTuple::Normalize(tuple(id)));
-    range = StorePieces(pieces);
+    StorePieces(id, pieces);
     out->insert(out->end(), std::make_move_iterator(pieces.begin()),
                 std::make_move_iterator(pieces.end()));
     return OkStatus();
   }
   const int m = schema_.temporal_arity;
   const std::vector<DataValue> data = tuple(id).data().ToVector();
-  for (uint32_t p = range.first; p < range.first + range.count; ++p) {
+  for (uint32_t p = range->first; p < range->first + range->count; ++p) {
     const int64_t* cls = piece_classes_.data() + size_t{p} * PieceClassStride();
     out->emplace_back(
         cls[0], std::vector<int64_t>(cls + 1, cls + 1 + m), data,
@@ -337,7 +462,7 @@ TupleStore::PieceRange TupleStore::StorePieces(
       FindSignature(tuple.lrps(), tuple.data(), hash);
   const std::span<const EntryId> bucket =
       signature == kNoSignature ? std::span<const EntryId>()
-                                : BucketEntries(signature);
+                                : Ids(signatures_[signature].entries);
   if (!bucket.empty()) {
     // Every bucket entry has the candidate's lrps and data, so a candidate
     // whose closed DBM implies one entry's DBM is contained in that entry,
@@ -426,51 +551,32 @@ bool TupleStore::InsertUnlessEmpty(ColumnSpan<Lrp> lrps,
 
 bool TupleStore::Append(TupleView tuple, uint64_t hash) {
   const EntryId id = static_cast<EntryId>(size());
-  // approx_bytes() follows each block's growth (footprint()'s terms), so
-  // an append costs no walk over the store's structures.
-  int64_t grown = -(posting_bytes_ + spill_bytes_);
+  LRPDB_CHECK_LT(id, kErasedKey) << "entry ids exhausted";
+  lrps_.Append(tuple.lrps().data(), tuple.lrps().size());
+  data_.Append(tuple.data().data(), tuple.data().size());
+  bounds_.Append(tuple.constraint().bounds(), BoundsStride());
+  live_.push_back(kLive);
+  // The row is in place, so a new signature takes it as representative.
   bool created = false;
-  const SignatureId signature =
-      InternSignature(tuple.lrps(), tuple.data(), hash, &created, &grown);
-  AppendTracked(&lrps_, tuple.lrps().data(), tuple.lrps().size(), &grown);
-  AppendTracked(&data_, tuple.data().data(), tuple.data().size(), &grown);
-  AppendTracked(&bounds_, tuple.constraint().bounds(), BoundsStride(),
-                &grown);
-  AppendTracked(&live_, &kLive, 1, &grown);
-  const PieceRange unfilled;
-  AppendTracked(&piece_ranges_, &unfilled, 1, &grown);
-  AddToBucket(signature, id, &grown);
-  for (int c = 0; c < schema_.data_arity; ++c) {
-    auto& index = data_index_[c];
-    const size_t buckets_before = index.bucket_count();
-    auto [it, added] = index.try_emplace(tuple.data()[c]);
-    if (added) posting_bytes_ += HeapBytes(kPostingNodeBytes);
-    PushTracked(&it->second, id, &posting_bytes_);
-    grown += BucketArrayBytes(index.bucket_count()) -
-             BucketArrayBytes(buckets_before);
-  }
-  grown += posting_bytes_ + spill_bytes_;
-  AddBytes(grown);
+  AddToBucket(InternSignature(id, hash, &created), id);
+  for (int c = 0; c < schema_.data_arity; ++c) AddPosting(c, id);
+  UpdateBytes();
   return created;
 }
 
 TupleStore::Footprint TupleStore::footprint() const {
   Footprint f;
-  f.rows = HeapBytes(lrps_.allocated_bytes()) +
-           HeapBytes(data_.allocated_bytes()) +
-           HeapBytes(bounds_.allocated_bytes()) +
-           HeapBytes(live_.allocated_bytes()) +
-           HeapBytes(piece_ranges_.allocated_bytes());
-  f.pieces = HeapBytes(piece_classes_.allocated_bytes()) +
-             HeapBytes(piece_bounds_.allocated_bytes());
-  f.signatures = HeapBytes(signature_keys_.allocated_bytes()) +
-                 HeapBytes(buckets_.allocated_bytes()) +
-                 HeapBytes(spills_.capacity() * sizeof(spills_[0])) +
-                 spill_bytes_ + HeapBytes(slots_.capacity() * sizeof(Slot));
-  f.postings = posting_bytes_;
-  for (const auto& index : data_index_) {
-    f.postings += BucketArrayBytes(index.bucket_count());
+  f.rows = HeapBytes(lrps_) + HeapBytes(data_) + HeapBytes(bounds_) +
+           HeapBytes(live_);
+  f.pieces = HeapBytes(piece_classes_) + HeapBytes(piece_bounds_) +
+             HeapBytes(piece_ranges_);
+  f.signatures = HeapBytes(signatures_) + HeapBytes(slots_) +
+                 HeapBytes(erased_ids_) + HeapBytes(erased_lrps_) +
+                 HeapBytes(erased_data_);
+  for (const PostingTable& table : postings_) {
+    f.postings += HeapBytes(table.slots);
   }
+  f.id_lists = HeapBytes(id_pool_);
   return f;
 }
 
@@ -481,30 +587,17 @@ void TupleStore::Tombstone(EntryId id) {
   if (!is_live(id)) return;  // Already tombstoned.
   live_[id] = kDead;
   ++tombstones_;
-  // Prune the signature bucket. The bucket itself is kept even when it
-  // empties: SignatureId allocation is ordinal, and the key stays interned.
+  // Unlink it from its signature bucket. The signature itself is kept even
+  // when its bucket empties: SignatureId allocation is ordinal, and the
+  // dead row still carries the key.
   const TupleView row = tuple(id);
-  Bucket& bucket = buckets_[FindSignature(
-      row.lrps(), row.data(), HashSignature(row.lrps(), row.data()))];
-  if (bucket.spill != kNoSpill) {
-    auto& ids = spills_[bucket.spill];
-    ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
-  } else if (bucket.single == id) {
-    bucket.single = kNoEntry;
-  }
-  // Prune every posting list; empty postings are erased so "value has no
-  // entries" probes keep short-circuiting.
-  for (int c = 0; c < schema_.data_arity; ++c) {
-    auto posting = data_index_[c].find(row.data()[c]);
-    if (posting == data_index_[c].end()) continue;
-    auto& ids = posting->second;
-    ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
-    if (ids.empty()) {
-      posting_bytes_ -= HeapBytes(kPostingNodeBytes) +
-                        HeapBytes(ids.capacity() * sizeof(EntryId));
-      data_index_[c].erase(posting);
-    }
-  }
+  RemoveId(&signatures_[FindSignature(row.lrps(), row.data(),
+                                      HashSignature(row.lrps(), row.data()))]
+                .entries,
+           id);
+  // Unlink it from every posting; an emptied posting leaves its table, so
+  // a probe for the value finds nothing.
+  for (int c = 0; c < schema_.data_arity; ++c) RemovePosting(c, id);
   UpdateBytes();
   LRPDB_COUNTER_INC("store.tombstones");
 }
@@ -518,7 +611,7 @@ std::vector<EntryId> TupleStore::TombstoneExact(const GeneralizedTuple& tuple) {
   const SignatureId signature = FindSignature(
       tuple.lrps(), tuple.data(), HashSignature(tuple.lrps(), tuple.data()));
   if (signature == kNoSignature) return matched;
-  for (EntryId id : BucketEntries(signature)) {
+  for (EntryId id : Ids(signatures_[signature].entries)) {
     if (Dbm(this->tuple(id).constraint()) == tuple.constraint()) {
       matched.push_back(id);
     }
@@ -545,35 +638,62 @@ std::vector<EntryId> TupleStore::EraseEntries(
       if (!is_live(static_cast<EntryId>(id))) --tombstones_;
       continue;
     }
-    remap[id] = kept;
-    if (kept != id) {
-      lrps_.MoveDown(kept * m, id * m, m);
-      data_.MoveDown(kept * k, id * k, k);
-      bounds_.MoveDown(kept * b, id * b, b);
-      live_[kept] = live_[id];
-      piece_ranges_[kept] = piece_ranges_[id];
-    }
-    ++kept;
+    remap[id] = kept++;
   }
   LRPDB_CHECK_EQ(next, ids.size()) << "EraseEntries ids not ascending";
+  // Representatives, while every row is still in place: a signature whose
+  // row is erased moves to its first surviving live entry, or, with none,
+  // copies its key to the erased-key arenas.
+  for (SignatureId s = 0; s < signatures_.size(); ++s) {
+    SignatureRecord& signature = signatures_[s];
+    if ((signature.representative & kErasedKey) != 0) continue;
+    if (remap[signature.representative] != kErasedEntry) {
+      signature.representative = remap[signature.representative];
+      continue;
+    }
+    const std::span<const EntryId> entries = Ids(signature.entries);
+    const auto survivor = std::find_if(
+        entries.begin(), entries.end(),
+        [&remap](EntryId id) { return remap[id] != kErasedEntry; });
+    if (survivor != entries.end()) {
+      signature.representative = remap[*survivor];
+      continue;
+    }
+    const TupleView row = tuple(signature.representative);
+    signature.representative =
+        kErasedKey | static_cast<uint32_t>(erased_ids_.size());
+    erased_ids_.push_back(s);
+    erased_lrps_.Append(row.lrps().data(), m);
+    erased_data_.Append(row.data().data(), k);
+  }
+  for (size_t id = 0; id < remap.size(); ++id) {
+    const size_t to = remap[id];
+    if (to == kErasedEntry || to == id) continue;
+    lrps_.MoveDown(to * m, id * m, m);
+    data_.MoveDown(to * k, id * k, k);
+    bounds_.MoveDown(to * b, id * b, b);
+    live_[to] = live_[id];
+  }
   lrps_.Truncate(kept * m);
   data_.Truncate(kept * k);
   bounds_.Truncate(kept * b);
   live_.Truncate(kept);
-  piece_ranges_.Truncate(kept);
   // Pieces: a lazily filled range sits wherever the arena ended at its
-  // fill, so the survivors' ranges are slid down in arena order.
-  std::vector<EntryId> filled;
-  for (EntryId id = 0; id < kept; ++id) {
-    if (piece_ranges_[id].count != kUnfilled) filled.push_back(id);
+  // fill, so the survivors' ranges are slid down in arena order and filed
+  // again under their new ids.
+  std::vector<PieceRange> filled;
+  for (const PieceRange& range : piece_ranges_) {
+    if (range.id != kNoEntry && remap[range.id] != kErasedEntry) {
+      filled.push_back(PieceRange{remap[range.id], range.first, range.count});
+    }
   }
-  std::sort(filled.begin(), filled.end(), [this](EntryId x, EntryId y) {
-    return piece_ranges_[x].first < piece_ranges_[y].first;
-  });
+  std::sort(filled.begin(), filled.end(),
+            [](const PieceRange& x, const PieceRange& y) {
+              return x.first < y.first;
+            });
   const size_t cs = PieceClassStride();
   size_t pieces = 0;
-  for (EntryId id : filled) {
-    PieceRange& range = piece_ranges_[id];
+  for (PieceRange& range : filled) {
     piece_classes_.MoveDown(pieces * cs, range.first * cs, range.count * cs);
     piece_bounds_.MoveDown(pieces * b, range.first * b, range.count * b);
     range.first = static_cast<uint32_t>(pieces);
@@ -581,35 +701,59 @@ std::vector<EntryId> TupleStore::EraseEntries(
   }
   piece_classes_.Truncate(pieces * cs);
   piece_bounds_.Truncate(pieces * b);
+  filled_entries_ = filled.size();
+  RefilePieceRanges(filled, TableSlotsFor(filled_entries_));
+  // Id lists: each is rewritten through the remap in place, then the
+  // blocks still needed slide down in pool order, each into the smallest
+  // block that holds it, leaving no free block.
+  std::vector<IdList*> blocked;
+  auto rewrite_inline = [&](IdList* list) {
+    if (list->size >= 2) {
+      blocked.push_back(list);
+    } else if (list->size == 1) {
+      list->ref = remap[list->ref];
+      list->size = list->ref != kErasedEntry;
+    }
+  };
+  for (SignatureId s = 0; s < signatures_.size(); ++s) {
+    rewrite_inline(&signatures_[s].entries);
+  }
+  for (PostingTable& table : postings_) {
+    for (Posting& posting : table.slots) rewrite_inline(&posting.entries);
+  }
+  std::sort(blocked.begin(), blocked.end(),
+            [](const IdList* x, const IdList* y) { return x->ref < y->ref; });
+  uint32_t pool = 0;
+  for (IdList* list : blocked) {
+    EntryId* ids = id_pool_.data() + list->ref;
+    uint32_t out = 0;
+    for (uint32_t i = 0; i < list->size; ++i) {
+      if (remap[ids[i]] != kErasedEntry) ids[out++] = remap[ids[i]];
+    }
+    if (out <= 1) {
+      *list = IdList{out == 1 ? ids[0] : 0, out};
+      continue;
+    }
+    id_pool_.MoveDown(pool, list->ref, out);
+    *list = IdList{pool, out};
+    pool += std::bit_ceil(out);
+  }
+  id_pool_.Truncate(pool);
+  free_blocks_.fill(kNoBlock);
+  for (PostingTable& table : postings_) {
+    size_t count = 0;
+    for (const Posting& posting : table.slots) {
+      count += posting.entries.size > 0;
+    }
+    RefilePostings(&table, TableSlotsFor(count));
+  }
   lrps_.ShrinkToFit();
   data_.ShrinkToFit();
   bounds_.ShrinkToFit();
   live_.ShrinkToFit();
-  piece_ranges_.ShrinkToFit();
   piece_classes_.ShrinkToFit();
   piece_bounds_.ShrinkToFit();
-  // Buckets (an emptied one is kept) and postings.
-  for (size_t s = 0; s < buckets_.size(); ++s) {
-    Bucket& bucket = buckets_[s];
-    if (bucket.spill != kNoSpill) {
-      RewriteIds(remap, &spills_[bucket.spill]);
-    } else if (bucket.single != kNoEntry) {
-      bucket.single = remap[bucket.single];  // kErasedEntry == kNoEntry.
-    }
-  }
-  for (int c = 0; c < schema_.data_arity; ++c) {
-    auto& index = data_index_[c];
-    for (auto it = index.begin(); it != index.end();) {
-      RewriteIds(remap, &it->second);
-      if (!it->second.empty()) {
-        ++it;
-        continue;
-      }
-      posting_bytes_ -= HeapBytes(kPostingNodeBytes) +
-                        HeapBytes(it->second.capacity() * sizeof(EntryId));
-      it = index.erase(it);
-    }
-  }
+  id_pool_.ShrinkToFit();
   // Generation bounds count the survivors below them.
   auto shrink = [&remap](size_t bound) {
     size_t survivors = 0;
@@ -632,12 +776,12 @@ std::vector<EntryId> TupleStore::EraseEntries(
   if (delta_lo_ > delta_hi_ || delta_hi_ > n) {
     return InternalError("generation ranges out of order");
   }
-  if (data_index_.size() != static_cast<size_t>(schema_.data_arity)) {
+  if (postings_.size() != static_cast<size_t>(schema_.data_arity)) {
     return InternalError("data index arity mismatch");
   }
   if (lrps_.size() != n * schema_.temporal_arity ||
       data_.size() != n * schema_.data_arity ||
-      bounds_.size() != n * BoundsStride() || piece_ranges_.size() != n) {
+      bounds_.size() != n * BoundsStride()) {
     return InternalError("row arena length mismatch");
   }
   size_t dead = 0;
@@ -651,23 +795,59 @@ std::vector<EntryId> TupleStore::EraseEntries(
   if (piece_bounds_.size() != num_pieces * BoundsStride()) {
     return InternalError("piece arena length mismatch");
   }
-  for (size_t id = 0; id < n; ++id) {
-    const PieceRange& range = piece_ranges_[id];
-    if (range.count != kUnfilled &&
-        size_t{range.first} + range.count > num_pieces) {
+  size_t ranges = 0;
+  for (const PieceRange& range : piece_ranges_) {
+    if (range.id == kNoEntry) continue;
+    ++ranges;
+    if (range.id >= n || FindPieceRange(range.id) != &range) {
+      return InternalError("piece range filed under a bad entry id");
+    }
+    if (size_t{range.first} + range.count > num_pieces) {
       return InternalError("piece range out of bounds");
     }
   }
+  if (ranges != filled_entries_) {
+    return InternalError("piece range count mismatch");
+  }
+  // A list past one id has its whole block inside the pool.
+  auto outside_pool = [this](const IdList& list) {
+    return list.size >= 2 &&
+           size_t{list.ref} + std::bit_ceil(list.size) > id_pool_.size();
+  };
   const size_t live_entries = n - tombstones_;
-  // Signature buckets partition the *live* entries and match their keys,
-  // visited in ascending SignatureId order, so when several corruptions
-  // exist the one reported is the same on every run and at any table size.
-  if (signature_keys_.size() != buckets_.size() * KeyStride()) {
-    return InternalError("signature key arena length mismatch");
+  // Per signature, in ascending SignatureId order, so when several
+  // corruptions exist the one reported is the same on every run and at any
+  // table size: the representative carries the key the table files the
+  // signature under, and the bucket lists live entries with that key.
+  const size_t num_erased = erased_ids_.size();
+  if (erased_lrps_.size() != num_erased * schema_.temporal_arity ||
+      erased_data_.size() != num_erased * schema_.data_arity) {
+    return InternalError("erased key arena length mismatch");
   }
   size_t bucketed = 0;
-  for (SignatureId s = 0; s < buckets_.size(); ++s) {
-    const std::span<const EntryId> entries = BucketEntries(s);
+  size_t erased_keys = 0;
+  for (SignatureId s = 0; s < signatures_.size(); ++s) {
+    const SignatureRecord& signature = signatures_[s];
+    const uint32_t representative = signature.representative;
+    if ((representative & kErasedKey) != 0) {
+      const size_t i = representative & ~kErasedKey;
+      if (i >= num_erased || erased_ids_[i] != s) {
+        return InternalError("erased key filed under a foreign signature");
+      }
+      ++erased_keys;
+    } else if (representative >= n) {
+      return InternalError("signature representative out of range");
+    }
+    const Key key = SignatureKey(s);
+    if (FindSignature(key.lrps, key.data,
+                      HashSignature(key.lrps, key.data)) != s) {
+      return InternalError(
+          "signature representative does not carry its key");
+    }
+    if (outside_pool(signature.entries)) {
+      return InternalError("id list block outside the pool");
+    }
+    const std::span<const EntryId> entries = Ids(signature.entries);
     for (size_t i = 0; i < entries.size(); ++i) {
       const EntryId id = entries[i];
       if (id >= n) return InternalError("bucket id out of range");
@@ -684,52 +864,50 @@ std::vector<EntryId> TupleStore::EraseEntries(
       ++bucketed;
     }
   }
+  if (erased_keys != num_erased) {
+    return InternalError("erased key arena holds a live signature's key");
+  }
   if (bucketed != live_entries) {
     return InternalError("signature buckets do not partition the live entries");
   }
-  // The table finds every interned key under its own id.
   size_t filed = 0;
   for (const Slot& slot : slots_) filed += slot.id != kNoSignature;
-  if (filed != buckets_.size()) {
+  if (filed != signatures_.size()) {
     return InternalError("signature table size mismatch");
-  }
-  for (SignatureId s = 0; s < buckets_.size(); ++s) {
-    const int m = schema_.temporal_arity;
-    const int64_t* key = signature_keys_.data() + size_t{s} * KeyStride();
-    std::vector<Lrp> lrps;
-    std::vector<DataValue> data;
-    for (int c = 0; c < m; ++c) lrps.emplace_back(key[2 * c], key[2 * c + 1]);
-    for (int c = 0; c < schema_.data_arity; ++c) {
-      data.push_back(static_cast<DataValue>(key[2 * m + c]));
-    }
-    if (FindSignature(lrps, data, HashSignature(lrps, data)) != s) {
-      return InternalError("signature table does not find an interned key");
-    }
   }
   // Postings: sorted, value-correct, and complete per column. Same
   // discipline: postings are validated in ascending DataValue order.
   for (int c = 0; c < schema_.data_arity; ++c) {
-    using PostingItem = std::pair<const DataValue, std::vector<EntryId>>;
-    std::vector<const PostingItem*> postings;
-    postings.reserve(data_index_[c].size());
-    // lint: allow(det) -- order-insensitive collection; sorted by value below.
-    for (const auto& item : data_index_[c]) postings.push_back(&item);
+    const PostingTable& table = postings_[c];
+    std::vector<const Posting*> postings;
+    for (const Posting& posting : table.slots) {
+      if (posting.entries.size > 0) postings.push_back(&posting);
+    }
+    if (postings.size() != table.count) {
+      return InternalError("posting table count mismatch");
+    }
     std::sort(postings.begin(), postings.end(),
-              [](const PostingItem* a, const PostingItem* b) {
-                return a->first < b->first;
+              [](const Posting* a, const Posting* b) {
+                return a->value < b->value;
               });
     size_t posted = 0;
-    for (const PostingItem* item : postings) {
-      const auto& [value, posting] = *item;
-      if (!std::is_sorted(posting.begin(), posting.end())) {
+    for (const Posting* posting : postings) {
+      const std::span<const EntryId> ids = Ids(posting->entries);
+      if (PostingFor(c, posting->value).data() != ids.data()) {
+        return InternalError("posting table does not find a value");
+      }
+      if (outside_pool(posting->entries)) {
+        return InternalError("id list block outside the pool");
+      }
+      if (!std::is_sorted(ids.begin(), ids.end())) {
         return InternalError("posting list not sorted");
       }
-      for (EntryId id : posting) {
+      for (EntryId id : ids) {
         if (id >= n) return InternalError("posting id out of range");
         if (!is_live(id)) {
           return InternalError("tombstoned entry still posted");
         }
-        if (tuple(id).data()[c] != value) {
+        if (tuple(id).data()[c] != posting->value) {
           return InternalError("posting value mismatch");
         }
         ++posted;

@@ -16,26 +16,35 @@
 //  * Residue pieces. Each entry's residue pieces (normalized_tuple.h) live
 //    in a piece arena: per piece the common period, m residues and the
 //    (m+1)^2 quotient bounds; the data constants are the row's. Every
-//    entry is appended unnormalized, and its (first, count) range fills on
-//    first use: when a containment test needs the pieces of its bucket.
+//    entry is appended unnormalized, and its pieces fill on first use:
+//    when a containment test needs the pieces of its bucket. Only a filled
+//    entry has a (first, count) range, in a small table keyed by entry id.
 //    Most entries never get there, as a single-entry DBM test settles most
 //    subsumptions.
 //
 //  * Signature table. Free extensions are interned in a flat open-
 //    addressing table of SignatureIds (ordinal, so a signature's id never
-//    changes). The keys (2m+k words per signature) sit in their own arena
-//    and are compared in place against a candidate's view; a tuple's hash
-//    is computed once. Each signature's bucket lists its live entries,
-//    inline while it holds one (most do) and in a spill vector past that.
-//    InsertIfNew-style subsumption compares a candidate only against its
-//    own bucket -- an O(1) probe followed by DBM work proportional to the
-//    bucket, never to the whole relation. Free-extension safety (a round
-//    adding no *new* signature) is read off the probe itself.
+//    changes). A signature stores no key of its own: it names a
+//    representative row, an entry of that signature still in the arenas,
+//    and the key is that row's lrps and data, compared in place against a
+//    candidate's view; a tuple's hash is computed once. Only a signature
+//    whose rows were all erased keeps its key in a side arena. Each
+//    signature's bucket lists its live entries. InsertIfNew-style
+//    subsumption compares a candidate only against its own bucket -- an
+//    O(1) probe followed by DBM work proportional to the bucket, never to
+//    the whole relation. Free-extension safety (a round adding no *new*
+//    signature) is read off the probe itself.
 //
-//  * Per-column data value indexes. For every data column, a posting-list
-//    index DataValue -> entry ids lets join sides prune candidates by any
-//    data argument already bound (a constant in the atom or a variable
-//    bound by an earlier atom) instead of scanning the relation.
+//  * Per-column data value indexes. For every data column, a flat open-
+//    addressing table maps a DataValue to the entry ids carrying it, so
+//    join sides prune candidates by any data argument already bound (a
+//    constant in the atom or a variable bound by an earlier atom) instead
+//    of scanning the relation.
+//
+//  * Id lists. A bucket or a posting is an ascending list of entry ids:
+//    held inline while it has one id, and past that in a power-of-two
+//    block of one pooled id arena, with a free list per block size, so the
+//    block a grown list leaves is reused by the next list of that size.
 //
 //  * Delta generations. Entries are append-only, so the semi-naive
 //    current / delta / new split is three index ranges, not three copied
@@ -50,11 +59,11 @@
 #define LRPDB_GDB_TUPLE_STORE_H_
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -167,18 +176,17 @@ class TupleStore {
                      k == 0 ? nullptr : data_.data() + size_t{id} * k, k,
                      bounds_.data() + size_t{id} * BoundsStride());
   }
-  size_t num_signatures() const { return buckets_.size(); }
+  size_t num_signatures() const { return signatures_.size(); }
   // The live entries interned under `signature`, ascending (a copy); empty
   // when there are none. One hash probe, whatever the store's size.
   std::vector<EntryId> EntriesWithSignature(
       const FreeExtension& signature) const;
-  // Retained bytes: the allocated size of every arena, the signature table,
-  // the spilled buckets and the postings, each rounded the way the C heap
-  // rounds a block. Grows as the arenas grow (including a lazy piece fill)
-  // and shrinks when EraseEntries releases memory; Insert charges its
-  // growth to the ExecContext byte budget. A single atomic, so a monitoring
-  // thread may sample it while another thread inserts — no torn reads, no
-  // lock.
+  // Retained bytes: footprint().total(), the allocated size of every arena
+  // and table, each rounded the way the C heap rounds a block. Grows as
+  // they grow (including a lazy piece fill) and shrinks when EraseEntries
+  // releases memory; Insert charges its growth to the ExecContext byte
+  // budget. A single atomic, so a monitoring thread may sample it while
+  // another thread inserts — no torn reads, no lock.
   int64_t approx_bytes() const {
     return approx_bytes_.load(std::memory_order_relaxed);
   }
@@ -186,22 +194,28 @@ class TupleStore {
   // approx_bytes() by structure. Reads the arenas: one thread at a time,
   // like every other accessor.
   struct Footprint {
-    int64_t rows = 0;        // Lrps, data, bounds, liveness, piece ranges.
-    int64_t pieces = 0;      // Filled pieces: classes and quotient bounds.
-    int64_t signatures = 0;  // Keys, buckets, spilled buckets, slot table.
-    int64_t postings = 0;    // Posting nodes, lists and map buckets.
-    int64_t total() const { return rows + pieces + signatures + postings; }
+    int64_t rows = 0;        // Lrps, data, bounds, liveness.
+    int64_t pieces = 0;      // Filled pieces: classes, quotient bounds and
+                             // the ranges of the filled entries.
+    int64_t signatures = 0;  // Signature records, slot table, erased keys.
+    int64_t postings = 0;    // Per-column posting tables.
+    int64_t id_lists = 0;    // The id pool: bucket and posting lists past
+                             // one id, and their free blocks.
+    int64_t total() const {
+      return rows + pieces + signatures + postings + id_lists;
+    }
   };
   Footprint footprint() const;
 
-  // The posting list for `value` in data column `column` (ascending entry
-  // ids), or nullptr when no entry carries that value. The join kernel
+  // The live entries carrying `value` in data column `column`, ascending;
+  // empty when none does. One table probe. The join kernel
   // (src/core/clause_plan.h) walks the smallest applicable posting,
-  // clipped to the atom's entry range with a binary search.
-  const std::vector<EntryId>* PostingFor(int column, DataValue value) const {
-    const auto& index = data_index_[column];
-    auto it = index.find(value);
-    return it == index.end() ? nullptr : &it->second;
+  // clipped to the atom's entry range with a binary search. Invalidated by
+  // any mutation of the store.
+  std::span<const EntryId> PostingFor(int column, DataValue value) const {
+    const PostingTable& table = postings_[column];
+    if (table.slots.empty()) return {};
+    return Ids(table.slots[ProbePosting(table, value)].entries);
   }
 
   // Appends owned copies of entry `id`'s residue pieces to `out`. An entry
@@ -333,20 +347,25 @@ class TupleStore {
 
   // Removes the entries `ids` (ascending, distinct) and renumbers the rest
   // densely in their order. The survivors keep their rows, pieces and
-  // signature interning; every arena is compacted in place and then
-  // shrunk to fit, and the buckets, postings, liveness and generation
-  // ranges are rewritten in place, so no second copy of the store is ever
-  // alive. Returns the remap: remap[old id] is the new id, or
-  // kErasedEntry. The remap is monotone, so whoever addresses the store by
-  // id (the provenance log, ProvenanceLog::Renumber) rewrites its ids
-  // through it; every id not rewritten is invalidated. Like Tombstone(), a
-  // bucket emptied here is kept (SignatureId allocation is ordinal).
+  // signature interning; every arena, the id pool included, is compacted
+  // in place and then shrunk to fit, and the buckets, liveness and
+  // generation ranges are rewritten in place, so no second copy of the
+  // rows is ever alive (the posting and piece-range tables are refiled to
+  // fit the survivors). A signature whose representative row is erased
+  // moves it to a surviving bucket entry, or, with none left, copies its
+  // key to the erased-key arenas. Returns the remap: remap[old id] is the
+  // new id, or kErasedEntry. The remap is monotone, so whoever addresses
+  // the store by id (the provenance log, ProvenanceLog::Renumber) rewrites
+  // its ids through it; every id not rewritten is invalidated. Like
+  // Tombstone(), a bucket emptied here is kept (SignatureId allocation is
+  // ordinal).
   std::vector<EntryId> EraseEntries(const std::vector<EntryId>& ids);
 
-  // Verifies every index invariant (signature buckets partition the
-  // entries, the table finds every key, postings are sorted and complete,
-  // piece ranges lie in the piece arena, generation ranges are
-  // well-formed). Intended for tests.
+  // Verifies every index invariant (every signature's representative row
+  // carries its key, signature buckets partition the live entries, the
+  // table finds every key, postings are sorted and complete, id lists lie
+  // in the pool, piece ranges lie in the piece arena, generation ranges
+  // are well-formed). Intended for tests.
   [[nodiscard]] Status CheckConsistency() const;
 
   std::string ToString(const Interner* interner = nullptr) const;
@@ -359,21 +378,25 @@ class TupleStore {
 
   static constexpr EntryId kNoEntry = UINT32_MAX;
   static constexpr SignatureId kNoSignature = UINT32_MAX;
-  static constexpr uint32_t kNoSpill = UINT32_MAX;
-  static constexpr uint32_t kUnfilled = UINT32_MAX;
+  static constexpr uint32_t kNoBlock = UINT32_MAX;
+  // A representative with this bit set is an index into the erased-key
+  // arenas, not an entry id; entry ids stay below it.
+  static constexpr uint32_t kErasedKey = uint32_t{1} << 31;
 
-  // An entry's slice of the piece arenas; count == kUnfilled until its
-  // pieces are computed.
-  struct PieceRange {
-    uint32_t first = 0;
-    uint32_t count = kUnfilled;
+  // An ascending list of entry ids: empty, one id held inline in `ref`, or
+  // `size` ids at offset `ref` of id_pool_, in a block of bit_ceil(size)
+  // slots.
+  struct IdList {
+    uint32_t ref = 0;
+    uint32_t size = 0;
   };
 
-  // A signature's live entries, ascending: `single` (or none) until a
-  // second entry spills the bucket into spills_[spill] for good.
-  struct Bucket {
-    EntryId single = kNoEntry;
-    uint32_t spill = kNoSpill;
+  // An interned signature: the row its key is read from (an entry of this
+  // signature, live or tombstoned, or kErasedKey | i for the i-th erased
+  // key) and its live entries.
+  struct SignatureRecord {
+    uint32_t representative = 0;
+    IdList entries;
   };
 
   // One open-addressing slot: the upper half of the key hash (a cheap
@@ -383,49 +406,99 @@ class TupleStore {
     SignatureId id = kNoSignature;
   };
 
+  // One data column's posting table: open addressing with linear probing,
+  // a power of two at most 3/4 full. A slot is a value and its live
+  // entries; an empty list marks a free slot.
+  struct Posting {
+    DataValue value = 0;
+    IdList entries;
+  };
+  struct PostingTable {
+    std::vector<Posting> slots;
+    size_t count = 0;
+  };
+
+  // A filled entry's slice of the piece arenas, in an open-addressing
+  // table keyed by entry id (a free slot holds kNoEntry).
+  struct PieceRange {
+    EntryId id = kNoEntry;
+    uint32_t first = 0;
+    uint32_t count = 0;
+  };
+
+  // A signature's key, borrowed from its representative row or from the
+  // erased-key arenas.
+  struct Key {
+    ColumnSpan<Lrp> lrps;
+    ColumnSpan<DataValue> data;
+  };
+
   // Arena strides, in elements.
   int BoundsStride() const {
     return (schema_.temporal_arity + 1) * (schema_.temporal_arity + 1);
   }
   int PieceClassStride() const { return 1 + schema_.temporal_arity; }
-  int KeyStride() const {
-    return 2 * schema_.temporal_arity + schema_.data_arity;
-  }
 
   // The signature hash of a free extension, computed once per tuple.
   static uint64_t HashSignature(ColumnSpan<Lrp> lrps,
                                 ColumnSpan<DataValue> data);
+  Key SignatureKey(SignatureId id) const;
   bool KeyEquals(SignatureId id, ColumnSpan<Lrp> lrps,
                  ColumnSpan<DataValue> data) const;
   // The signature with this key, or kNoSignature.
   SignatureId FindSignature(ColumnSpan<Lrp> lrps, ColumnSpan<DataValue> data,
                             uint64_t hash) const;
-  // Finds or interns the key; `*created` tells which. Adds the growth of
-  // the table's blocks to `*grown`.
-  SignatureId InternSignature(ColumnSpan<Lrp> lrps,
-                              ColumnSpan<DataValue> data, uint64_t hash,
-                              bool* created, int64_t* grown);
+  // Finds the key of row `entry` (already appended), or interns it with
+  // that row as representative; `*created` tells which.
+  SignatureId InternSignature(EntryId entry, uint64_t hash, bool* created);
   // Doubles the slot table and re-files every signature.
   void GrowTable();
-  std::span<const EntryId> BucketEntries(SignatureId id) const;
-  // Adds the growth of spills_ itself to `*grown` (a spill list's growth
-  // goes to spill_bytes_).
-  void AddToBucket(SignatureId id, EntryId entry, int64_t* grown);
+  void AddToBucket(SignatureId id, EntryId entry);
 
-  // Appends `pieces` to the piece arenas and returns their range.
-  PieceRange StorePieces(const std::vector<NormalizedTuple>& pieces) const;
+  // --- Id lists ---
+  // The ids of `list`, which must not be a temporary: a one-id list's span
+  // points at its `ref`.
+  std::span<const EntryId> Ids(const IdList& list) const {
+    if (list.size <= 1) return {&list.ref, list.size};
+    return {id_pool_.data() + list.ref, list.size};
+  }
+  // A free block of 2^log2 slots: a reused one, or new at the pool's end.
+  uint32_t AllocateBlock(int log2);
+  void FreeBlock(uint32_t offset, int log2);
+  // Appends `id`, which must exceed every id in the list.
+  void PushId(IdList* list, EntryId id);
+  // Removes `id` if the list holds it, halving the block when the rest
+  // fits in half of it.
+  void RemoveId(IdList* list, EntryId id);
 
-  // Appends `tuple` as given, its piece range unfilled, and indexes it.
+  // --- Posting tables ---
+  // The slot holding `value`, or the free slot where it would go. The
+  // table must have slots.
+  static size_t ProbePosting(const PostingTable& table, DataValue value);
+  void AddPosting(int column, EntryId id);
+  void RemovePosting(int column, EntryId id);
+  // Re-files the non-empty postings into a table of `slots` slots.
+  static void RefilePostings(PostingTable* table, size_t slots);
+
+  // --- Piece ranges ---
+  // Entry `id`'s range, or nullptr while its pieces are unfilled.
+  const PieceRange* FindPieceRange(EntryId id) const;
+  // Files `range` in the table, which must have a free slot.
+  void FilePieceRange(const PieceRange& range) const;
+  // Replaces the table by one of `slots` slots holding `ranges` (free
+  // slots among them are skipped).
+  void RefilePieceRanges(const std::vector<PieceRange>& ranges,
+                         size_t slots) const;
+  // Appends `pieces` to the piece arenas as entry `id`'s range.
+  void StorePieces(EntryId id,
+                   const std::vector<NormalizedTuple>& pieces) const;
+
+  // Appends `tuple` as given, its pieces unfilled, and indexes it.
   // Returns whether the signature was new.
   bool Append(TupleView tuple, uint64_t hash);
 
-  // Adds `delta` bytes to approx_bytes_ (the writer is the only thread
-  // that changes it).
-  void AddBytes(int64_t delta) const {
-    approx_bytes_.store(approx_bytes() + delta, std::memory_order_relaxed);
-  }
-  // Republishes footprint().total() as approx_bytes_, after a change that
-  // frees memory.
+  // Republishes footprint().total() as approx_bytes_ (the writer is the
+  // only thread that changes it).
   void UpdateBytes() const {
     approx_bytes_.store(footprint().total(), std::memory_order_relaxed);
   }
@@ -444,25 +517,31 @@ class TupleStore {
   FlatArena<uint8_t> live_;
   size_t tombstones_ = 0;
 
-  // Residue pieces, filled lazily by the const AppendPieces().
-  mutable FlatArena<PieceRange> piece_ranges_;  // One per entry.
-  mutable FlatArena<int64_t> piece_classes_;    // Period, m residues.
-  mutable FlatArena<Bound> piece_bounds_;       // (m+1)^2 quotient bounds.
+  // Residue pieces, filled lazily by the const AppendPieces(). The range
+  // table is a power of two at most 3/4 full, empty until a first fill.
+  mutable std::vector<PieceRange> piece_ranges_;
+  mutable size_t filled_entries_ = 0;
+  mutable FlatArena<int64_t> piece_classes_;  // Period, m residues.
+  mutable FlatArena<Bound> piece_bounds_;     // (m+1)^2 quotient bounds.
 
-  // Signature table. Ids index signature_keys_ (KeyStride() words each:
-  // period and offset per lrp, then the data values) and buckets_.
-  FlatArena<int64_t> signature_keys_;
-  FlatArena<Bucket> buckets_;
-  std::vector<std::vector<EntryId>> spills_;
-  // Power-of-two open-addressing table, at most 3/4 full; linear probing.
+  // Signature table: records indexed by SignatureId, and a power-of-two
+  // open-addressing table over them, at most 3/4 full; linear probing.
+  FlatArena<SignatureRecord> signatures_;
   std::vector<Slot> slots_;
+  // Erased keys: the i-th is signature erased_ids_[i]'s, m lrps and k data
+  // values.
+  FlatArena<SignatureId> erased_ids_;
+  FlatArena<Lrp> erased_lrps_;
+  FlatArena<DataValue> erased_data_;
 
-  // data_index_[column][value] = ascending entry ids with that value.
-  std::vector<std::unordered_map<DataValue, std::vector<EntryId>>> data_index_;
-  // Heap bytes of the posting nodes and lists, and of the spill lists,
-  // kept up to date as they change.
-  int64_t posting_bytes_ = 0;
-  int64_t spill_bytes_ = 0;
+  // postings_[column]: DataValue -> ascending live entry ids.
+  std::vector<PostingTable> postings_;
+
+  // The blocks of every bucket and posting list past one id, and
+  // free_blocks_[log2]: the first free block of 2^log2 slots, whose first
+  // slot links the next (kNoBlock ends a list).
+  FlatArena<EntryId> id_pool_;
+  std::array<uint32_t, 32> free_blocks_;
 
   size_t delta_lo_ = 0;
   size_t delta_hi_ = 0;
@@ -472,11 +551,9 @@ class TupleStore {
   // candidate.
   Dbm candidate_closure_{0};
 
-  // footprint().total(), kept current after every change to an
-  // allocation: growth is added as it happens, and a release republishes
-  // the sum (UpdateBytes). Atomic
-  // so approx_bytes() stays safe and lock-free for readers concurrent with
-  // an insert.
+  // footprint().total(), republished after every change to an allocation.
+  // Atomic so approx_bytes() stays safe and lock-free for readers
+  // concurrent with an insert.
   mutable std::atomic<int64_t> approx_bytes_{0};
 };
 

@@ -32,31 +32,54 @@ class TupleStoreTestPeer {
   static void AppendToBucketWithId(TupleStore& store, SignatureId id,
                                    EntryId bogus) {
     ASSERT_LT(id, store.num_signatures()) << "no bucket with signature id";
-    int64_t grown = 0;
-    store.AddToBucket(id, bogus, &grown);
+    store.AddToBucket(id, bogus);
   }
 
   // True iff entry `id`'s residue pieces have been computed and kept.
   static bool PiecesFilled(const TupleStore& store, EntryId id) {
-    return store.piece_ranges_[id].count != TupleStore::kUnfilled;
+    return store.FindPieceRange(id) != nullptr;
   }
 
-  static void CorruptSignatureKey(TupleStore& store, SignatureId id) {
+  // The key is the representative row's: pointing signature `id` at the
+  // row of signature `other` gives it a key its table slot does not hash.
+  static void CorruptSignatureKey(TupleStore& store, SignatureId id,
+                                  SignatureId other) {
     ASSERT_LT(id, store.num_signatures());
-    store.signature_keys_[size_t{id} * store.KeyStride()] += 1;
+    ASSERT_LT(other, store.num_signatures());
+    store.signatures_[id].representative =
+        store.signatures_[other].representative;
   }
 
+  // Signature `id`'s representative: an entry id, or kErasedKey | i for
+  // the i-th erased key.
+  static uint32_t Representative(const TupleStore& store, SignatureId id) {
+    return store.signatures_[id].representative;
+  }
+  static bool HoldsErasedKey(const TupleStore& store, SignatureId id) {
+    return (Representative(store, id) & TupleStore::kErasedKey) != 0;
+  }
+  static size_t ErasedKeys(const TupleStore& store) {
+    return store.erased_ids_.size();
+  }
+
+  // The posting table slot of `value` in `column`.
+  static TupleStore::Posting& PostingSlot(TupleStore& store, int column,
+                                          DataValue value) {
+    TupleStore::PostingTable& table = store.postings_[column];
+    return table.slots[TupleStore::ProbePosting(table, value)];
+  }
+
+  // Reverses a posting of at least two ids, which live in the id pool.
   static void ReversePosting(TupleStore& store, int column, DataValue value) {
-    auto it = store.data_index_[column].find(value);
-    ASSERT_NE(it, store.data_index_[column].end());
-    std::reverse(it->second.begin(), it->second.end());
+    const TupleStore::IdList& list = PostingSlot(store, column, value).entries;
+    ASSERT_GE(list.size, 2u);
+    EntryId* ids = store.id_pool_.data() + list.ref;
+    std::reverse(ids, ids + list.size);
   }
 
   static void AppendToPosting(TupleStore& store, int column, DataValue value,
                               EntryId bogus) {
-    auto it = store.data_index_[column].find(value);
-    ASSERT_NE(it, store.data_index_[column].end());
-    it->second.push_back(bogus);
+    store.PushId(&PostingSlot(store, column, value).entries, bogus);
   }
 };
 
@@ -295,7 +318,7 @@ TEST(TupleStoreTest, CheckConsistencyReportsLowestSignatureBucketFirst) {
     TupleStoreTestPeer::AppendToBucketWithId(
         store, 1, static_cast<EntryId>(store.size() + 100));
     TupleStoreTestPeer::CorruptSignatureKey(
-        store, static_cast<SignatureId>(signatures - 1));
+        store, static_cast<SignatureId>(signatures - 1), 0);
     Status status = store.CheckConsistency();
     ASSERT_FALSE(status.ok());
     EXPECT_NE(status.ToString().find("bucket id out of range"),
@@ -370,11 +393,11 @@ TEST(TupleStoreTest, DataRequirementProbeScansOnlyPostingBucket) {
   // value over the whole range, reported through CountProbe. (The kernel
   // clips postings to sub-ranges; batch_kernel_test.cc pins that.)
   const int64_t range = static_cast<int64_t>(store.size());
-  const std::vector<EntryId>* posting = store.PostingFor(0, 5);
-  ASSERT_NE(posting, nullptr);
-  EXPECT_EQ(*posting, (std::vector<EntryId>{0, 3, 6, 9}));
+  const std::span<const EntryId> posting = store.PostingFor(0, 5);
+  EXPECT_EQ(std::vector<EntryId>(posting.begin(), posting.end()),
+            (std::vector<EntryId>{0, 3, 6, 9}));
   StoreStats probe;
-  const int64_t scanned = static_cast<int64_t>(posting->size());
+  const int64_t scanned = static_cast<int64_t>(posting.size());
   probe.CountProbe(scanned, range - scanned);
   EXPECT_EQ(probe.index_probes, 1);
   EXPECT_EQ(probe.tuples_scanned, 4);
@@ -383,7 +406,7 @@ TEST(TupleStoreTest, DataRequirementProbeScansOnlyPostingBucket) {
   EXPECT_EQ(probe.tuples_scanned + probe.tuples_pruned, range);
 
   // A value with no posting yields zero candidates, all pruned.
-  EXPECT_EQ(store.PostingFor(0, 999), nullptr);
+  EXPECT_TRUE(store.PostingFor(0, 999).empty());
   probe = StoreStats();
   probe.CountProbe(0, range);
   EXPECT_EQ(probe.tuples_scanned, 0);
@@ -422,9 +445,9 @@ TEST(TupleStoreTest, EraseEntriesRenumbersInPlace) {
   EXPECT_LT(store.approx_bytes(), bytes_before);
   // Postings and buckets carry the new ids; a bucket's remaining entry is
   // still found by its signature.
-  const std::vector<EntryId>* sevens = store.PostingFor(0, 7);
-  ASSERT_NE(sevens, nullptr);
-  EXPECT_EQ(*sevens, (std::vector<EntryId>{0, 2}));
+  const std::span<const EntryId> sevens = store.PostingFor(0, 7);
+  EXPECT_EQ(std::vector<EntryId>(sevens.begin(), sevens.end()),
+            (std::vector<EntryId>{0, 2}));
   EXPECT_EQ(
       store.EntriesWithSignature(store.tuple(4).ToTuple().free_extension()),
       (std::vector<EntryId>{4}));
@@ -548,13 +571,20 @@ TEST(TupleStoreEvaluatorTest, JoinProbesPruneByBoundDataColumns) {
   }
 }
 
+// Every structure is a flat block that grows geometrically, so an insert
+// grows approx_bytes() exactly when it grows a block: the count never
+// falls while a store fills, and always equals the footprint's sum.
 TEST(TupleStoreTest, ApproxBytesGrowsWithEveryInsertAndSurvivesMoves) {
   TupleStore store({1, 1});
   EXPECT_EQ(store.approx_bytes(), 0);
   int64_t previous = 0;
   for (int64_t offset = 0; offset < 6; ++offset) {
     ASSERT_TRUE(store.Insert(Banded(11, offset, 0, 20, offset))->inserted);
-    EXPECT_GT(store.approx_bytes(), previous);
+    EXPECT_GE(store.approx_bytes(), previous);
+    EXPECT_EQ(store.approx_bytes(), store.footprint().total());
+    if (offset == 0) {
+      EXPECT_GT(store.approx_bytes(), 0);
+    }
     previous = store.approx_bytes();
   }
   // Subsumed candidates retain nothing and charge nothing.
@@ -743,6 +773,79 @@ TEST(TupleStoreTest, LazyPiecesAreCountedAndReleased) {
   EXPECT_FALSE(again->new_signature);
 }
 
+// A signature reads its key from a representative row. Erasing that row
+// moves the representative to a surviving bucket entry; erasing every row
+// of the signature moves the key to the erased-key arena, until a new row
+// of the signature takes over. Either way the signature stays interned
+// under its id, and lookups by key still find its entries.
+TEST(TupleStoreTest, ErasingARepresentativeKeepsTheSignatureInterned) {
+  const GeneralizedTuple s0 = Banded(7, 3, 0, 10, 1);
+  const GeneralizedTuple s1 = Banded(7, 3, 100, 110, 1);
+  const GeneralizedTuple s2 = Banded(7, 3, 200, 210, 1);
+  const GeneralizedTuple t = Banded(7, 4, 0, 10, 2);
+  const GeneralizedTuple u = Banded(7, 5, 0, 10, 3);
+  TupleStore store({1, 1});
+  for (const GeneralizedTuple* tuple : {&s0, &t, &s1, &s2, &u}) {
+    ASSERT_TRUE(store.Insert(*tuple)->inserted);
+  }
+  // Signatures: S (entries 0, 2, 3) = 0, T (entry 1) = 1, U (entry 4) = 2.
+  ASSERT_EQ(store.num_signatures(), 3u);
+  ASSERT_EQ(TupleStoreTestPeer::Representative(store, 0), 0u);
+
+  // S's representative goes; entries 2 and 3 survive as 1 and 2.
+  store.EraseEntries({0});
+  ASSERT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
+  EXPECT_EQ(store.num_signatures(), 3u);
+  EXPECT_EQ(TupleStoreTestPeer::Representative(store, 0), 1u);
+  EXPECT_EQ(TupleStoreTestPeer::ErasedKeys(store), 0u);
+  EXPECT_EQ(store.EntriesWithSignature(s0.free_extension()),
+            (std::vector<EntryId>{1, 2}));
+  EXPECT_EQ(store.TombstoneExact(s2), std::vector<EntryId>{2});
+  store.Tombstone(1);
+  EXPECT_TRUE(store.EntriesWithSignature(s0.free_extension()).empty());
+  auto again = store.Insert(s0);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_TRUE(again->inserted);
+  EXPECT_FALSE(again->new_signature);
+  EXPECT_EQ(again->id, 4u);
+  EXPECT_EQ(store.num_signatures(), 3u);
+  ASSERT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
+
+  // Every row of S (1 and 2 dead, 4 live) and U's only row go: both keys
+  // move to the erased-key arena, S's first.
+  store.EraseEntries({1, 2, 3, 4});
+  ASSERT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
+  ASSERT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.num_signatures(), 3u);
+  EXPECT_TRUE(TupleStoreTestPeer::HoldsErasedKey(store, 0));
+  EXPECT_FALSE(TupleStoreTestPeer::HoldsErasedKey(store, 1));
+  EXPECT_TRUE(TupleStoreTestPeer::HoldsErasedKey(store, 2));
+  EXPECT_EQ(TupleStoreTestPeer::ErasedKeys(store), 2u);
+  EXPECT_TRUE(store.EntriesWithSignature(s0.free_extension()).empty());
+  EXPECT_TRUE(store.TombstoneExact(s0).empty());
+
+  // A new row of S is no new signature; it becomes S's representative and
+  // U's key takes S's place in the erased-key arena.
+  again = store.Insert(s1);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_TRUE(again->inserted);
+  EXPECT_FALSE(again->new_signature);
+  EXPECT_EQ(again->id, 1u);
+  EXPECT_EQ(store.num_signatures(), 3u);
+  EXPECT_EQ(TupleStoreTestPeer::Representative(store, 0), 1u);
+  EXPECT_EQ(TupleStoreTestPeer::ErasedKeys(store), 1u);
+  ASSERT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
+  EXPECT_EQ(store.TombstoneExact(s1), std::vector<EntryId>{1});
+  EXPECT_EQ(store.TombstoneExact(t), std::vector<EntryId>{0});
+  again = store.Insert(u);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_FALSE(again->new_signature);
+  EXPECT_EQ(store.num_signatures(), 3u);
+  EXPECT_EQ(TupleStoreTestPeer::ErasedKeys(store), 0u);
+  EXPECT_EQ(store.live_size(), 1u);
+  ASSERT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
+}
+
 // Pieces filled lazily land in the piece arena in fill order, not entry
 // order; EraseEntries slides the survivors' ranges down in arena order, so
 // every survivor still reads back exactly its own pieces.
@@ -791,7 +894,7 @@ TEST(TupleStoreTest, EraseEntriesKeepsLazilyFilledPieces) {
 // approx_bytes() is the store's real footprint: within 25% of what the C
 // heap reports for a fill in the closed_form_eval shape (one lrp of period
 // 168, two data columns, a lower bound; about one signature in twelve
-// holds a second entry in a disjoint window), and at most 250 B per stored
+// holds a second entry in a disjoint window), and at most 150 B per stored
 // tuple.
 TEST(TupleStoreTest, ApproxBytesTracksTheAllocator) {
 #if defined(LRPDB_TEST_SANITIZED) || !defined(__GLIBC__)
@@ -820,7 +923,7 @@ TEST(TupleStoreTest, ApproxBytesTracksTheAllocator) {
     const double ratio = static_cast<double>(store.approx_bytes()) / heap;
     EXPECT_GE(ratio, 0.75) << store.approx_bytes() << " vs heap " << heap;
     EXPECT_LE(ratio, 1.25) << store.approx_bytes() << " vs heap " << heap;
-    EXPECT_LE(heap / static_cast<int64_t>(store.size()), 250);
+    EXPECT_LE(heap / static_cast<int64_t>(store.size()), 150);
   }
 #endif
 }
