@@ -39,8 +39,7 @@
 // instead of refixpointing.
 //
 // Why-provenance recording is enabled whenever --why, --dot, or --repl is
-// given (it disables result compaction so entry ids stay stable; the model
-// is unchanged).
+// given; the printed closed form is the same with or without it.
 //
 // Reads a program in the surface syntax (declarations, generalized facts,
 // rules, `?-` queries), evaluates the deductive layer bottom-up, prints the

@@ -253,10 +253,9 @@ std::string EvaluationResult::Explain(bool include_timings) const {
           static_cast<long long>(profile.TotalDerivations()),
           static_cast<long long>(profile.TotalInserted()));
   if (include_timings) {
-    Appendf(&out, " (total %lld us, normalize %lld us, compact %lld us)",
+    Appendf(&out, " (total %lld us, normalize %lld us)",
             static_cast<long long>(profile.total_us),
-            static_cast<long long>(profile.normalize_us),
-            static_cast<long long>(profile.compact_us));
+            static_cast<long long>(profile.normalize_us));
   }
   out += "\n";
   for (const RuleProfile& rule : profile.rules) {
@@ -719,66 +718,6 @@ namespace {
   }
   result.reached_fixpoint = true;
   result.free_extension_safe_at = last_new_fe_round;
-  // Compaction renumbers entries, which would leave every recorded
-  // (relation, entry) address dangling — skipped while capturing provenance
-  // (same model, uncompacted closed form).
-  if (options.compact_results && prov == nullptr) {
-    const SteadyTime compact_start = Now();
-    LRPDB_TRACE_SPAN(compact_span, "eval.compact");
-    // The merges are planned over read-only views of the stored tuples, so
-    // a relation nothing merges in is left exactly as it is. A relation
-    // that merges gets its merged tuples inserted first and only then loses
-    // their members: a trip or fault at any point leaves the complete
-    // model, at worst with some members still beside their merged tuple.
-    int64_t merged = 0;
-    int64_t consumed = 0;
-    auto compact = [&]() -> Status {
-      LRPDB_FAILPOINT("evaluator.compact");
-      for (auto& [unused, relation] : result.idb) {
-        TupleStore& store = relation.mutable_store();
-        std::vector<TupleView> views;
-        std::vector<EntryId> ids;
-        views.reserve(store.live_size());
-        ids.reserve(store.live_size());
-        for (EntryId id : store.live_ids()) {
-          views.push_back(store.tuple(id));
-          ids.push_back(id);
-        }
-        LRPDB_ASSIGN_OR_RETURN(CoalescePlan plan, PlanCoalesce(views));
-        if (plan.merged.empty()) continue;
-        // Inserting below may move the entries the views point into.
-        views.clear();
-        // Only the merged tuples are charged to the budget: the model they
-        // replace was charged when the rounds inserted it.
-        for (const GeneralizedTuple& t : plan.merged) {
-          LRPDB_RETURN_IF_ERROR(store.Insert(t).status());
-        }
-        std::vector<EntryId> erase;
-        erase.reserve(plan.consumed.size());
-        for (size_t v : plan.consumed) erase.push_back(ids[v]);
-        store.EraseEntries(erase);
-        // Fold the merged tuples into "current", where the fixpoint left
-        // every other entry.
-        store.AdvanceGeneration();
-        store.AdvanceGeneration();
-        merged += static_cast<int64_t>(plan.merged.size());
-        consumed += static_cast<int64_t>(plan.consumed.size());
-      }
-      return OkStatus();
-    };
-    Status compacted = compact();
-    compact_span.AddArg("merged", merged);
-    compact_span.AddArg("consumed", consumed);
-    result.profile.compact_us = UsSince(compact_start);
-    LRPDB_HISTOGRAM_RECORD("eval.compact_us", result.profile.compact_us);
-    if (!compacted.ok()) {
-      if (!IsGovernanceTrip(exec, compacted)) return compacted;
-      // The model itself is already exact; only its compaction was cut
-      // short, so reached_fixpoint deliberately stays true.
-      degrade(compacted);
-      return result;
-    }
-  }
   finalize();
   return result;
 }

@@ -56,10 +56,6 @@ struct EvaluationOptions {
   // Record every candidate tuple per round (for traces such as the
   // Example 4.1 table).
   bool record_trace = false;
-  // After reaching the fixpoint, coalesce each result relation (merge
-  // residue classes with identical constraints and drop subsumed tuples)
-  // so the reported closed form is near-minimal. Ground sets are unchanged.
-  bool compact_results = true;
   // Optional execution governance: deadline, tuple/byte budgets, step
   // quota, cooperative cancellation (src/common/exec_context.h). Not
   // owned; must outlive the evaluation. When a limit trips, Evaluate()
@@ -77,9 +73,9 @@ struct EvaluationOptions {
   // non-null, every IDB insert records a derivation origin — (clause
   // index, positive-body parent EntryIds, round) — into this log,
   // subsumption-aware. Not owned; must outlive the evaluation and any
-  // WhyProvenance queries over its EntryIds. Recording disables result
-  // compaction (compaction renumbers entries; the model is unchanged, just
-  // uncompacted).
+  // WhyProvenance queries over its EntryIds. Recording leaves the model
+  // as it is: with or without a log, Evaluate returns exactly the tuples
+  // the rounds inserted.
   ProvenanceLog* provenance = nullptr;
 };
 
@@ -140,7 +136,6 @@ struct RuleProfile {
 struct EvalProfile {
   std::vector<RuleProfile> rules;
   int64_t normalize_us = 0;  // Program normalization (clause preparation).
-  int64_t compact_us = 0;    // Result compaction after the fixpoint.
   int64_t total_us = 0;      // Whole Evaluate() call.
 
   int64_t TotalDerivations() const;
@@ -148,7 +143,10 @@ struct EvalProfile {
 };
 
 struct EvaluationResult {
-  // Final extensions of the intensional predicates (name -> relation).
+  // Final extensions of the intensional predicates (name -> relation):
+  // exactly the tuples the rounds inserted, in insertion order. Nothing
+  // runs after the fixpoint, so the closed form does not depend on
+  // whether provenance was recorded.
   std::map<std::string, GeneralizedRelation> idb;
   // Rounds executed, including the final confirming round.
   int iterations = 0;
@@ -181,7 +179,8 @@ struct EvaluationResult {
   // Sum of the per-round storage counters.
   StoreStats StoreTotals() const;
   // Total live generalized tuples across the IDB relations (tombstoned
-  // slots awaiting compaction are not counted).
+  // slots awaiting IncrementalEvaluator::CompactRetracted are not counted).
+  // Equals the sum of RoundStats::inserted on a fresh Evaluate.
   int64_t TuplesStored() const;
 
   // Human-readable EXPLAIN dump: one line per rule (derivations attempted /

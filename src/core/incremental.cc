@@ -15,13 +15,7 @@ namespace lrpdb {
 IncrementalEvaluator::IncrementalEvaluator(const Program& program,
                                            Database* db,
                                            EvaluationOptions options)
-    : program_(program), db_(db), options_(std::move(options)) {
-  // Result compaction merges tuples, which would leave recorded origins
-  // naming entries that no longer exist, so the maintained model always
-  // stays in uncompacted closed form. CompactRetracted erases only
-  // tombstoned entries and renumbers the log with them.
-  options_.compact_results = false;
-}
+    : program_(program), db_(db), options_(std::move(options)) {}
 
 void IncrementalEvaluator::ResetProvenance() {
   prov_ = std::make_unique<ProvenanceLog>();

@@ -65,9 +65,8 @@ struct FactUpdate {
 // every store mutation.
 class IncrementalEvaluator {
  public:
-  // `options` is normalized for maintenance: compact_results is forced off
-  // (compaction renumbers the entry ids provenance and resumption address)
-  // and options.provenance is replaced by an internally owned log.
+  // options.provenance is replaced by an internally owned log, whose entry
+  // ids only CompactRetracted renumbers.
   // options.exec governs Initialize and every update: AddFacts and
   // RetractFacts install it as ExecContext::Current(), as Evaluate does.
   IncrementalEvaluator(const Program& program, Database* db,

@@ -27,11 +27,9 @@
 // candidate whose (rule, parents) the entry already carries adds nothing,
 // so re-applying a rule over unchanged parents (every DRed re-derive does)
 // leaves the log as it was. Inserts never remove entries, so recorded
-// (relation, entry) addresses stay resolvable until an erase. Result
-// compaction erases without a remap for the log, so the evaluator skips it
-// while recording (the model is unchanged, just reported in uncompacted
-// closed form); IncrementalEvaluator::CompactRetracted erases tombstoned
-// entries and hands its remaps to Renumber().
+// (relation, entry) addresses stay resolvable until an erase. The
+// evaluator erases nothing; IncrementalEvaluator::CompactRetracted erases
+// tombstoned entries and hands its remaps to Renumber().
 //
 // Threading contract: one thread at a time. Evaluation is single-threaded
 // and Record() is called only from its insert phase, so the log takes no

@@ -452,7 +452,7 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
 
 namespace {
 
-// Hashes and compares tuples on everything PlanCoalesce groups by in column
+// Hashes and compares tuples on everything CoalesceTuples groups by in column
 // j: every column's period, every offset outside column j, and the data.
 struct MaskedColumnKey {
   int j = 0;
@@ -594,10 +594,9 @@ struct ClassMerge {
 
 }  // namespace
 
-[[nodiscard]] StatusOr<CoalescePlan> PlanCoalesce(
-    const std::vector<TupleView>& tuples) {
-  CoalescePlan plan;
-  if (tuples.empty()) return plan;
+[[nodiscard]] StatusOr<std::vector<GeneralizedTuple>> CoalesceTuples(
+    std::vector<GeneralizedTuple> tuples) {
+  if (tuples.empty()) return tuples;
   LRPDB_OPERATOR_SCOPE(op, "gdb.coalesce", tuples.size());
   LRPDB_FAILPOINT("algebra.coalesce");
   ExecContext* exec = ExecContext::Current();
@@ -611,7 +610,7 @@ struct ClassMerge {
   std::vector<Item> items;
   items.reserve(tuples.size());
   for (size_t i = 0; i < tuples.size(); ++i) {
-    items.push_back(Item{tuples[i], i, false});
+    items.push_back(Item{tuples[i].view(), i, false});
   }
   std::deque<GeneralizedTuple> pool;
   std::vector<bool> consumed(tuples.size(), false);
@@ -678,37 +677,20 @@ struct ClassMerge {
       items.insert(items.end(), added.begin(), added.end());
     }
   }
-  for (size_t i = 0; i < consumed.size(); ++i) {
-    if (consumed[i]) plan.consumed.push_back(i);
-  }
-  for (const Item& item : items) {
-    if (item.pooled) plan.merged.push_back(std::move(pool[item.source]));
-  }
-  op.set_output(static_cast<int64_t>(tuples.size() - plan.consumed.size() +
-                                     plan.merged.size()));
-  return plan;
-}
-
-[[nodiscard]] StatusOr<std::vector<GeneralizedTuple>> CoalesceTuples(
-    std::vector<GeneralizedTuple> tuples) {
-  std::vector<TupleView> views;
-  views.reserve(tuples.size());
-  for (const GeneralizedTuple& t : tuples) views.push_back(t.view());
-  LRPDB_ASSIGN_OR_RETURN(CoalescePlan plan, PlanCoalesce(views));
-  if (plan.merged.empty()) return tuples;
+  // The views die here: the unconsumed inputs move down in input order,
+  // and the final merged tuples follow them.
   size_t kept = 0;
-  size_t next = 0;
   for (size_t i = 0; i < tuples.size(); ++i) {
-    if (next < plan.consumed.size() && plan.consumed[next] == i) {
-      ++next;
-      continue;
-    }
+    if (consumed[i]) continue;
     if (kept != i) tuples[kept] = std::move(tuples[i]);
     ++kept;
   }
   tuples.erase(tuples.begin() + static_cast<std::ptrdiff_t>(kept),
                tuples.end());
-  for (GeneralizedTuple& t : plan.merged) tuples.push_back(std::move(t));
+  for (const Item& item : items) {
+    if (item.pooled) tuples.push_back(std::move(pool[item.source]));
+  }
+  op.set_output(static_cast<int64_t>(tuples.size()));
   return tuples;
 }
 

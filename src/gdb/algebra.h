@@ -88,23 +88,10 @@ struct TemporalEquality {
 // Residue-exact projection and complement split relations into one tuple
 // per residue class; this pass undoes the splitting wherever the union is
 // exact, which keeps closed forms near their minimal size. The ground set
-// is unchanged.
-//
-// The plan names what would change without touching the inputs: the
-// positions of the inputs folded into merges (ascending) and the merged
-// tuples, in the order the merges happened. Merges repeat, column by
-// column, until a sweep over every column merges nothing, so a merged tuple
-// may itself be folded into a coarser one; `merged` holds only the final
-// ones. An empty plan means nothing merges.
-struct CoalescePlan {
-  std::vector<size_t> consumed;
-  std::vector<GeneralizedTuple> merged;
-};
-[[nodiscard]] StatusOr<CoalescePlan> PlanCoalesce(
-    const std::vector<TupleView>& tuples);
-
-// PlanCoalesce applied: the inputs no merge consumed, in input order, then
-// the merged tuples.
+// is unchanged. Merges repeat, column by column, until a sweep over every
+// column merges nothing, so a merged tuple may itself be folded into a
+// coarser one. Returns the inputs no merge consumed, in input order, then
+// the final merged tuples, in the order the merges happened.
 [[nodiscard]] StatusOr<std::vector<GeneralizedTuple>> CoalesceTuples(
     std::vector<GeneralizedTuple> tuples);
 

@@ -162,12 +162,7 @@ SignatureId TupleStore::FindSignature(ColumnSpan<Lrp> lrps,
   }
 }
 
-SignatureId TupleStore::InternSignature(EntryId entry, uint64_t hash,
-                                        bool* created) {
-  const TupleView row = tuple(entry);
-  const SignatureId found = FindSignature(row.lrps(), row.data(), hash);
-  *created = found == kNoSignature;
-  if (!*created) return found;
+SignatureId TupleStore::CreateSignature(EntryId entry, uint64_t hash) {
   if ((signatures_.size() + 1) * 4 > slots_.size() * 3) GrowTable();
   const SignatureId id = static_cast<SignatureId>(signatures_.size());
   signatures_.push_back(SignatureRecord{entry, IdList{}});
@@ -504,7 +499,8 @@ void TupleStore::StorePieces(
   InsertOutcome outcome;
   outcome.inserted = true;
   outcome.id = static_cast<EntryId>(size());
-  outcome.new_signature = Append(tuple, hash);
+  outcome.new_signature = signature == kNoSignature;
+  Append(tuple, hash, signature);
   ++counts.inserts;
   if (exec != nullptr) exec->ChargeTuples(1);
   charge_growth();
@@ -520,8 +516,9 @@ bool TupleStore::InsertUnlessEmpty(ColumnSpan<Lrp> lrps,
   LRPDB_CHECK_EQ(data.size(), static_cast<size_t>(k));
   LRPDB_CHECK_EQ(constraint.num_vars(), m);
   if (!constraint.IsSatisfiable()) return false;  // Closes `constraint`.
+  const uint64_t hash = HashSignature(lrps, data);
   Append(TupleView(lrps.data(), m, data.data(), k, constraint.view().bounds()),
-         HashSignature(lrps, data));
+         hash, FindSignature(lrps, data, hash));
   return true;
 }
 
@@ -533,7 +530,8 @@ bool TupleStore::InsertUnlessEmpty(ColumnSpan<Lrp> lrps,
   }
   // No filtering and no stats: the snapshot records what Append() stored,
   // so replaying it through Append() reproduces every index exactly.
-  Append(tuple.view(), HashSignature(tuple.lrps(), tuple.data()));
+  const uint64_t hash = HashSignature(tuple.lrps(), tuple.data());
+  Append(tuple.view(), hash, FindSignature(tuple.lrps(), tuple.data(), hash));
   return OkStatus();
 }
 
@@ -549,7 +547,8 @@ bool TupleStore::InsertUnlessEmpty(ColumnSpan<Lrp> lrps,
   return OkStatus();
 }
 
-bool TupleStore::Append(TupleView tuple, uint64_t hash) {
+void TupleStore::Append(TupleView tuple, uint64_t hash,
+                        SignatureId signature) {
   const EntryId id = static_cast<EntryId>(size());
   LRPDB_CHECK_LT(id, kErasedKey) << "entry ids exhausted";
   lrps_.Append(tuple.lrps().data(), tuple.lrps().size());
@@ -557,11 +556,10 @@ bool TupleStore::Append(TupleView tuple, uint64_t hash) {
   bounds_.Append(tuple.constraint().bounds(), BoundsStride());
   live_.push_back(kLive);
   // The row is in place, so a new signature takes it as representative.
-  bool created = false;
-  AddToBucket(InternSignature(id, hash, &created), id);
+  if (signature == kNoSignature) signature = CreateSignature(id, hash);
+  AddToBucket(signature, id);
   for (int c = 0; c < schema_.data_arity; ++c) AddPosting(c, id);
   UpdateBytes();
-  return created;
 }
 
 TupleStore::Footprint TupleStore::footprint() const {

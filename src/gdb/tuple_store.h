@@ -343,7 +343,7 @@ class TupleStore {
   };
   LiveIds live_ids() const { return LiveIds(live_.data(), live_.size()); }
 
-  // --- Renumbering removal (result compaction, retraction compaction) ---
+  // --- Renumbering removal (retraction compaction) ---
 
   // Removes the entries `ids` (ascending, distinct) and renumbers the rest
   // densely in their order. The survivors keep their rows, pieces and
@@ -448,9 +448,9 @@ class TupleStore {
   // The signature with this key, or kNoSignature.
   SignatureId FindSignature(ColumnSpan<Lrp> lrps, ColumnSpan<DataValue> data,
                             uint64_t hash) const;
-  // Finds the key of row `entry` (already appended), or interns it with
-  // that row as representative; `*created` tells which.
-  SignatureId InternSignature(EntryId entry, uint64_t hash, bool* created);
+  // Interns the key of row `entry` (already appended), which no signature
+  // has yet, with that row as representative.
+  SignatureId CreateSignature(EntryId entry, uint64_t hash);
   // Doubles the slot table and re-files every signature.
   void GrowTable();
   void AddToBucket(SignatureId id, EntryId entry);
@@ -493,9 +493,10 @@ class TupleStore {
   void StorePieces(EntryId id,
                    const std::vector<NormalizedTuple>& pieces) const;
 
-  // Appends `tuple` as given, its pieces unfilled, and indexes it.
-  // Returns whether the signature was new.
-  bool Append(TupleView tuple, uint64_t hash);
+  // Appends `tuple` as given, its pieces unfilled, and indexes it under
+  // `signature`: FindSignature's result for the tuple's key and `hash`, so
+  // kNoSignature creates the signature. Each caller probes exactly once.
+  void Append(TupleView tuple, uint64_t hash, SignatureId signature);
 
   // Republishes footprint().total() as approx_bytes_ (the writer is the
   // only thread that changes it).

@@ -141,21 +141,14 @@ TEST(CoalesceTest, ThreeResiduesOfHugePeriodMerge) {
 }
 
 TEST(CoalesceTest, PlanNamesConsumedInputsAndMergedTuples) {
-  // {6n, 6n+2, 6n+4} merge into 2n; 5n+1 and 6n+1 have no partners.
+  // {6n, 6n+2, 6n+4} merge into 2n; 5n+1 and 6n+1 have no partners. The
+  // unmerged inputs keep their input order and the merged tuple follows.
   std::vector<GeneralizedTuple> tuples{
       GeneralizedTuple::Unconstrained({Lrp(5, 1)}, {}),
       GeneralizedTuple::Unconstrained({Lrp(6, 0)}, {}),
       GeneralizedTuple::Unconstrained({Lrp(6, 1)}, {}),
       GeneralizedTuple::Unconstrained({Lrp(6, 2)}, {}),
       GeneralizedTuple::Unconstrained({Lrp(6, 4)}, {})};
-  std::vector<TupleView> views;
-  for (const GeneralizedTuple& t : tuples) views.push_back(t.view());
-  auto plan = PlanCoalesce(views);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_EQ(plan->consumed, (std::vector<size_t>{1, 3, 4}));
-  ASSERT_EQ(plan->merged.size(), 1u);
-  EXPECT_EQ(plan->merged[0].lrp(0), Lrp(2, 0));
-  // The vector form keeps the unmerged inputs in order, merged ones last.
   auto coalesced = CoalesceTuples(tuples);
   ASSERT_TRUE(coalesced.ok()) << coalesced.status();
   ASSERT_EQ(coalesced->size(), 3u);
@@ -166,7 +159,7 @@ TEST(CoalesceTest, PlanNamesConsumedInputsAndMergedTuples) {
 
 TEST(CoalesceTest, MergedTuplesMergeAgainAcrossColumns) {
   // Four residue pairs mod 4 merge in column 0, then the two results merge
-  // in column 1: one tuple (2n, 2n) survives.
+  // in column 1: every input is consumed and one tuple (2n, 2n) survives.
   Dbm nonneg(2);
   nonneg.AddLowerBound(1, 0);
   nonneg.AddLowerBound(2, 0);
@@ -176,14 +169,11 @@ TEST(CoalesceTest, MergedTuplesMergeAgainAcrossColumns) {
       tuples.push_back(GeneralizedTuple({Lrp(4, a), Lrp(4, b)}, {}, nonneg));
     }
   }
-  std::vector<TupleView> views;
-  for (const GeneralizedTuple& t : tuples) views.push_back(t.view());
-  auto plan = PlanCoalesce(views);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_EQ(plan->consumed, (std::vector<size_t>{0, 1, 2, 3}));
-  ASSERT_EQ(plan->merged.size(), 1u);
-  EXPECT_EQ(plan->merged[0].lrp(0), Lrp(2, 0));
-  EXPECT_EQ(plan->merged[0].lrp(1), Lrp(2, 0));
+  auto coalesced = CoalesceTuples(tuples);
+  ASSERT_TRUE(coalesced.ok()) << coalesced.status();
+  ASSERT_EQ(coalesced->size(), 1u);
+  EXPECT_EQ((*coalesced)[0].lrp(0), Lrp(2, 0));
+  EXPECT_EQ((*coalesced)[0].lrp(1), Lrp(2, 0));
 }
 
 // --- Projection fast paths ---

@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/exec_context.h"
-#include "src/common/failpoint.h"
 #include "src/core/evaluator.h"
 #include "src/gdb/serialize.h"
 #include "src/parser/parser.h"
@@ -86,45 +84,13 @@ TEST(EvaluatorOptionsTest, MaxIterationsStopsEarly) {
             std::string::npos);
 }
 
-TEST(EvaluatorOptionsTest, CompactionShrinksRepresentation) {
-  // Two rules deriving complementary residue classes of the same period;
-  // compaction merges them into one coarse tuple.
-  Database db;
-  auto unit = Parse(R"(
-    .decl e(time)
-    .decl p(time)
-    .fact e(4n).
-    p(t) :- e(t).
-    p(t + 2) :- e(t).
-  )",
-                    &db);
-  ASSERT_TRUE(unit.ok()) << unit.status();
-  EvaluationOptions compact;
-  compact.compact_results = true;
-  auto compacted = Evaluate(unit->program, db, compact);
-  ASSERT_TRUE(compacted.ok());
-  EvaluationOptions raw;
-  raw.compact_results = false;
-  auto uncompacted = Evaluate(unit->program, db, raw);
-  ASSERT_TRUE(uncompacted.ok());
-  EXPECT_LT(compacted->Relation("p").size(),
-            uncompacted->Relation("p").size());
-  for (int64_t t = -12; t <= 12; ++t) {
-    EXPECT_EQ(compacted->Relation("p").ContainsGround({t}, {}),
-              FloorMod(t, 2) == 0)
-        << t;
-    EXPECT_EQ(uncompacted->Relation("p").ContainsGround({t}, {}),
-              FloorMod(t, 2) == 0)
-        << t;
-  }
-}
-
-// --- Result compaction ---
+// --- Pinned closed forms ---
 
 // The Example 4.1 consult shape: each pair meets twice a week, 24 hours
-// apart, so the two 48-hour consult chains fill one residue class mod 24
-// and compact to a single tuple per pair. A third pair meets once and its
-// chain stays split; `lecture` never merges.
+// apart, so its two 48-hour consult chains together fill one residue class
+// mod 24. The closed form keeps that class as the rounds derived it, 7
+// period-168 tuples; the pair that meets once has a 7-tuple chain of its
+// own, and `lecture` copies `advises`.
 std::string ConsultProgram(int double_pairs) {
   std::string source = R"(
     .decl advises(time, data, data)
@@ -147,8 +113,8 @@ std::string ConsultProgram(int double_pairs) {
   return source;
 }
 
-// Two temporal columns: four residue pairs mod 4 merge column by column
-// into the single tuple (2n, 2n).
+// Two temporal columns: four rules derive the four residue pairs mod 4,
+// which together cover (2n, 2n).
 constexpr char kTwoColumnProgram[] = R"(
   .decl e(time, time)
   .decl p(time, time)
@@ -159,38 +125,22 @@ constexpr char kTwoColumnProgram[] = R"(
   p(t1 + 2, t2 + 2) :- e(t1, t2).
 )";
 
-struct CompactionRun {
+struct SourceRun {
   std::unique_ptr<Database> db;
   std::unique_ptr<ParsedUnit> unit;
   EvaluationResult result;
 };
 
-CompactionRun EvaluateSource(const std::string& source,
-                             EvaluationOptions options) {
-  CompactionRun run;
+SourceRun EvaluateSource(const std::string& source) {
+  SourceRun run;
   run.db = std::make_unique<Database>();
   auto unit = Parse(source, run.db.get());
   EXPECT_TRUE(unit.ok()) << unit.status();
   run.unit = std::make_unique<ParsedUnit>(std::move(*unit));
-  auto result = Evaluate(run.unit->program, *run.db, options);
+  auto result = Evaluate(run.unit->program, *run.db);
   EXPECT_TRUE(result.ok()) << result.status();
   run.result = std::move(*result);
   return run;
-}
-
-EvaluationOptions CompactOptions(bool compact) {
-  EvaluationOptions options;
-  options.compact_results = compact;
-  return options;
-}
-
-// The tuples the fixpoint charges to an ExecContext, without compaction.
-int64_t FixpointInserts(const std::string& source) {
-  ExecContext exec;
-  EvaluationOptions options = CompactOptions(false);
-  options.exec = &exec;
-  EvaluateSource(source, options);
-  return exec.tuples_charged();
 }
 
 void ExpectConsistentStores(const EvaluationResult& result) {
@@ -199,65 +149,37 @@ void ExpectConsistentStores(const EvaluationResult& result) {
   }
 }
 
-TEST(ResultCompactionTest, ConsultShapeMergesAndMatchesGroundOracle) {
-  const std::string source = ConsultProgram(3);
-  CompactionRun raw = EvaluateSource(source, CompactOptions(false));
-  CompactionRun compacted = EvaluateSource(source, CompactOptions(true));
-  ASSERT_TRUE(compacted.result.reached_fixpoint);
-  // Each double pair's 7 chain tuples become one 24n tuple.
-  EXPECT_EQ(raw.result.Relation("consult").size(), 7u + 3 * 7);
-  EXPECT_EQ(compacted.result.Relation("consult").size(), 7u + 3);
-  ExpectConsistentStores(compacted.result);
-  ExpectMatchesGroundOracle(compacted.unit->program, *compacted.db,
-                            compacted.result, 0, 504, 0, 1008);
+TEST(ClosedFormTest, ConsultShapeMatchesGroundOracle) {
+  SourceRun run = EvaluateSource(ConsultProgram(3));
+  ASSERT_TRUE(run.result.reached_fixpoint);
+  // The single pair's chain plus 7 tuples per double pair.
+  EXPECT_EQ(run.result.Relation("consult").size(), 7u + 3 * 7);
+  EXPECT_EQ(run.result.Relation("lecture").size(), 1u + 3 * 2);
+  ExpectConsistentStores(run.result);
+  ExpectMatchesGroundOracle(run.unit->program, *run.db, run.result, 0, 504,
+                            0, 1008);
 }
 
-TEST(ResultCompactionTest, TwoColumnMergeMatchesGroundOracle) {
-  CompactionRun compacted =
-      EvaluateSource(kTwoColumnProgram, CompactOptions(true));
-  ASSERT_TRUE(compacted.result.reached_fixpoint);
-  const GeneralizedRelation& p = compacted.result.Relation("p");
-  ASSERT_EQ(p.size(), 1u);
-  EXPECT_EQ(p.tuple(0).lrp(0), Lrp(2, 0));
-  EXPECT_EQ(p.tuple(0).lrp(1), Lrp(2, 0));
-  ExpectConsistentStores(compacted.result);
-  ExpectMatchesGroundOracle(compacted.unit->program, *compacted.db,
-                            compacted.result, 0, 16, 0, 32);
+TEST(ClosedFormTest, TwoColumnProgramMatchesGroundOracle) {
+  SourceRun run = EvaluateSource(kTwoColumnProgram);
+  ASSERT_TRUE(run.result.reached_fixpoint);
+  // One tuple per rule, in rule order; each shift raises its lower bound.
+  EXPECT_EQ(run.result.Relation("p").ToString(),
+            "(4n, 4n) with 0 - T1 <= 0 & 0 - T2 <= 0\n"
+            "(4n+2, 4n) with 0 - T1 <= -2 & 0 - T2 <= 0\n"
+            "(4n, 4n+2) with 0 - T1 <= 0 & 0 - T2 <= -2\n"
+            "(4n+2, 4n+2) with 0 - T1 <= -2 & 0 - T2 <= -2\n");
+  ExpectConsistentStores(run.result);
+  ExpectMatchesGroundOracle(run.unit->program, *run.db, run.result, 0, 16,
+                            0, 32);
 }
 
-TEST(ResultCompactionTest, UnmergedEntriesKeepTheirOrder) {
-  const std::string source = ConsultProgram(3);
-  CompactionRun raw = EvaluateSource(source, CompactOptions(false));
-  CompactionRun compacted = EvaluateSource(source, CompactOptions(true));
-  // A relation with no merge is left exactly as the fixpoint stored it.
-  EXPECT_EQ(compacted.result.Relation("lecture").ToString(),
-            raw.result.Relation("lecture").ToString());
-  // In a relation that merges, the survivors keep their order and the
-  // merged tuples follow them.
-  const GeneralizedRelation& before = raw.result.Relation("consult");
-  const GeneralizedRelation& after = compacted.result.Relation("consult");
-  std::vector<std::string> survivors;
-  for (size_t i = 0; i < before.size(); ++i) {
-    if (before.tuple(i).lrp(0).period() == 168 &&
-        before.tuple(i).data() == before.tuple(0).data()) {
-      survivors.push_back(before.tuple(i).ToString());
-    }
-  }
-  ASSERT_EQ(survivors.size(), 7u);
-  for (size_t i = 0; i < survivors.size(); ++i) {
-    EXPECT_EQ(after.tuple(i).ToString(), survivors[i]) << i;
-  }
-  for (size_t i = survivors.size(); i < after.size(); ++i) {
-    EXPECT_EQ(after.tuple(i).lrp(0).period(), 24) << i;
-  }
-}
-
-// Compaction is a pure function of the model: repeated evaluations agree
-// on the timing-free EXPLAIN and on every relation in stored order. (The
-// name predates the removal of the thread-count grid.)
-TEST(ResultCompactionTest, IdenticalAcrossThreadCounts) {
+// Evaluation is a pure function of the program and database: repeated
+// evaluations agree on the timing-free EXPLAIN and on every relation in
+// stored order.
+TEST(ClosedFormTest, RepeatedEvaluationsAgree) {
   auto fingerprint = [](const std::string& source) {
-    CompactionRun run = EvaluateSource(source, CompactOptions(true));
+    SourceRun run = EvaluateSource(source);
     std::string out = run.result.Explain(false);
     for (const auto& [name, relation] : run.result.idb) {
       out += name + ":\n" + relation.ToString();
@@ -268,102 +190,6 @@ TEST(ResultCompactionTest, IdenticalAcrossThreadCounts) {
        {ConsultProgram(40), std::string(kTwoColumnProgram)}) {
     EXPECT_EQ(fingerprint(source), fingerprint(source));
   }
-}
-
-TEST(ResultCompactionTest, ChargesOnlyTheTuplesItAdds) {
-  // Compaction adds one merged tuple here, so a budget of the fixpoint's
-  // inserts plus one is enough.
-  const std::string source = ConsultProgram(1);
-  const int64_t fixpoint_inserts = FixpointInserts(source);
-  ExecContext exec;
-  exec.set_tuple_budget(fixpoint_inserts + 1);
-  exec.set_poll_stride(1);  // Every poll checks the budget.
-  EvaluationOptions options = CompactOptions(true);
-  options.exec = &exec;
-  CompactionRun run = EvaluateSource(source, options);
-  EXPECT_FALSE(run.result.partial.tripped()) << run.result.partial.reason;
-  EXPECT_TRUE(run.result.reached_fixpoint);
-  EXPECT_EQ(run.result.Relation("consult").size(), 7u + 1);
-  EXPECT_EQ(exec.tuples_charged(), fixpoint_inserts + 1);
-}
-
-TEST(ResultCompactionTest, LargeModelCompactsWithinBudgetOfItsMerges) {
-  // 40 merges over a model of several hundred tuples: re-charging the
-  // whole model would blow a budget of fixpoint inserts plus merges.
-  const std::string source = ConsultProgram(40);
-  const int64_t fixpoint_inserts = FixpointInserts(source);
-  ExecContext exec;
-  exec.set_tuple_budget(fixpoint_inserts + 40);
-  exec.set_poll_stride(1);
-  EvaluationOptions options = CompactOptions(true);
-  options.exec = &exec;
-  Database db;
-  auto unit = Parse(source, &db);
-  ASSERT_TRUE(unit.ok()) << unit.status();
-  auto result = Evaluate(unit->program, db, options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_FALSE(result->partial.tripped()) << result->partial.reason;
-  EXPECT_EQ(result->Relation("consult").size(), 7u + 40);
-}
-
-// A trip at any point of compaction leaves the complete model: the
-// fixpoint was reached, and every relation still denotes the ground model.
-void ExpectCompleteAfterTrip(const EvaluationResult& partial,
-                             const Program& program, const Database& db) {
-  EXPECT_TRUE(partial.partial.tripped());
-  EXPECT_TRUE(partial.reached_fixpoint);
-  ExpectConsistentStores(partial);
-  ExpectMatchesGroundOracle(program, db, partial, 0, 504, 0, 1008);
-}
-
-TEST(ResultCompactionTest, InjectedTripInCoalesceKeepsTheFullModel) {
-  const std::string source = ConsultProgram(3);
-  CompactionRun raw = EvaluateSource(source, CompactOptions(false));
-  failpoint::DisarmAll();
-  failpoint::Arm("algebra.coalesce", failpoint::Mode::kTripBudget);
-  ExecContext exec;
-  EvaluationOptions options = CompactOptions(true);
-  options.exec = &exec;
-  Database db;
-  auto unit = Parse(source, &db);
-  ASSERT_TRUE(unit.ok()) << unit.status();
-  auto result = Evaluate(unit->program, db, options);
-  failpoint::DisarmAll();
-  ASSERT_TRUE(result.ok()) << result.status();
-  const EvaluationResult& partial = *result;
-  EXPECT_EQ(partial.partial.trip, StatusCode::kResourceExhausted);
-  EXPECT_NE(partial.partial.reason.find("algebra.coalesce"),
-            std::string::npos);
-  // The trip came before any store changed: the uncompacted model, whole.
-  for (const auto& [name, relation] : raw.result.idb) {
-    EXPECT_EQ(partial.Relation(name).ToString(), relation.ToString()) << name;
-  }
-  ExpectCompleteAfterTrip(partial, unit->program, db);
-}
-
-TEST(ResultCompactionTest, BudgetTripMidCompactionKeepsTheFullModel) {
-  // A budget of one tuple past the fixpoint trips while the 40 merged
-  // tuples are inserted, before any member is removed.
-  const std::string source = ConsultProgram(40);
-  CompactionRun raw = EvaluateSource(source, CompactOptions(false));
-  const int64_t fixpoint_inserts = FixpointInserts(source);
-  ExecContext exec;
-  exec.set_tuple_budget(fixpoint_inserts + 1);
-  exec.set_poll_stride(1);
-  EvaluationOptions options = CompactOptions(true);
-  options.exec = &exec;
-  Database db;
-  auto unit = Parse(source, &db);
-  ASSERT_TRUE(unit.ok()) << unit.status();
-  auto result = Evaluate(unit->program, db, options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  const EvaluationResult& partial = *result;
-  EXPECT_EQ(partial.partial.trip, StatusCode::kResourceExhausted);
-  EXPECT_GE(partial.Relation("consult").size(),
-            raw.result.Relation("consult").size());
-  EXPECT_EQ(partial.Relation("lecture").ToString(),
-            raw.result.Relation("lecture").ToString());
-  ExpectCompleteAfterTrip(partial, unit->program, db);
 }
 
 TEST(QueryAtomTest, RepeatedVariableSelectsDiagonal) {

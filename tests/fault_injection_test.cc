@@ -153,9 +153,8 @@ constexpr char kDatalogProgram[] = R"(
 )";
 
 // Runs one of everything: generalized evaluation with provenance (trace +
-// provenance recording and lookup + query atom) and without (recording
-// skips result compaction, so only this run compacts), ground evaluation,
-// Datalog1S, and every algebra operator.
+// provenance recording and lookup + query atom) and without, ground
+// evaluation, Datalog1S, and every algebra operator.
 // Returns all statuses produced; CHECKs only on paths with no failpoints
 // (the parser).
 std::vector<Status> RunBattery() {
@@ -168,7 +167,6 @@ std::vector<Status> RunBattery() {
     LRPDB_CHECK(unit.ok()) << unit.status();
     EvaluationOptions options;
     options.record_trace = true;
-    options.compact_results = true;
     // Recording + lookup reach the provenance failpoints.
     ProvenanceLog prov_log;
     options.provenance = &prov_log;
@@ -190,9 +188,7 @@ std::vector<Status> RunBattery() {
     Database db;
     auto unit = Parse(kEvalProgram, &db);
     LRPDB_CHECK(unit.ok()) << unit.status();
-    EvaluationOptions options;
-    options.compact_results = true;
-    note(Evaluate(unit->program, db, options).status());
+    note(Evaluate(unit->program, db).status());
   }
   {
     Database db;

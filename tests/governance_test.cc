@@ -213,6 +213,7 @@ TEST(GovernanceTest, CancellationAtEveryPollSiteYieldsSoundPartial) {
     ++cancelled_runs;
     EXPECT_EQ(result->partial.trip, StatusCode::kCancelled)
         << "cancel_after=" << n;
+    EXPECT_FALSE(result->reached_fixpoint) << "cancel_after=" << n;
     for (const auto& [name, relation] : result->idb) {
       auto diff = Difference(relation, full->Relation(name));
       ASSERT_TRUE(diff.ok()) << diff.status();
