@@ -37,9 +37,7 @@ GeneralizedRelation RandomRelation(int tuples, int arity, unsigned seed) {
     int lo = offset(rng);
     constraint.AddLowerBound(1, lo);
     constraint.AddUpperBound(1, lo + 200);
-    LRPDB_CHECK_OK(
-        r.InsertUnlessEmpty(GeneralizedTuple(std::move(lrps), {}, constraint))
-            .status());
+    r.InsertUnlessEmpty(GeneralizedTuple(std::move(lrps), {}, constraint));
   }
   return r;
 }

@@ -13,7 +13,7 @@
 //    whose orbit gives every EDB fact seven signatures.
 //
 // For each it reports bytes per stored tuple by structure
-// (TupleStore::footprint(): rows, pieces, signature table, postings, id
+// (TupleStore::footprint(): rows, signature table, postings, id
 // lists) and the ratio of approx_bytes() to the C heap's own count, the
 // mallinfo2() delta around the build. ci/validate_bench_json.py holds both
 // ratios to [0.75, 1.25] and the synthetic store to at most 150 B per
@@ -114,7 +114,6 @@ void Report(const std::string& prefix, const TupleStore::Footprint& f,
   const double n = static_cast<double>(tuples);
   report->Set(prefix + "_tuples", tuples);
   report->Set(prefix + "_rows_bytes_per_tuple", f.rows / n);
-  report->Set(prefix + "_pieces_bytes_per_tuple", f.pieces / n);
   report->Set(prefix + "_signatures_bytes_per_tuple", f.signatures / n);
   report->Set(prefix + "_postings_bytes_per_tuple", f.postings / n);
   report->Set(prefix + "_id_lists_bytes_per_tuple", f.id_lists / n);
@@ -150,7 +149,6 @@ void WriteReport() {
     for (const auto& [name, relation] : result->idb) {
       const TupleStore::Footprint f = relation.store().footprint();
       sum.rows += f.rows;
-      sum.pieces += f.pieces;
       sum.signatures += f.signatures;
       sum.postings += f.postings;
       sum.id_lists += f.id_lists;

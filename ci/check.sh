@@ -124,7 +124,7 @@ if [[ "$faults" == 1 ]]; then
   fi
   # gtest_discover_tests registers suite-qualified names, so filter on the
   # governance/fault suites themselves.
-  fault_filter='^(ExecContextTest|GovernanceTest|FailpointTest|FaultInjectionWalkTest|ProvenanceTest|GroundProvenanceTest|IncrementalTest)\.|ProvenanceRandomTest\.|IncrementalRandomTest\.'
+  fault_filter='^(ExecContextTest|GovernanceTest|FailpointTest|FaultInjectionWalkTest|ProvenanceTest|ProvenanceDedupTest|ProvenanceRenumberTest|IncrementalTest)\.|ProvenanceRandomTest\.|IncrementalRandomTest\.'
   # The storage suites ride the ASan leg: the WAL/snapshot corruption
   # fixtures and the storage failpoint walk (StoreFaultTest) are exactly the
   # unwinding paths leak detection should watch.

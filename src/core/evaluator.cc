@@ -50,7 +50,7 @@ std::string RenderClause(const Program& program,
 class RelationResolver {
  public:
   RelationResolver(const Program& program, const Database& db,
-                   std::map<std::string, GeneralizedRelation>* idb)
+                   const std::map<std::string, GeneralizedRelation>* idb)
       : program_(program), db_(db), idb_(idb) {}
 
   [[nodiscard]] StatusOr<const GeneralizedRelation*> Resolve(SymbolId predicate,
@@ -130,7 +130,7 @@ class RelationResolver {
 
   const Program& program_;
   const Database& db_;
-  std::map<std::string, GeneralizedRelation>* idb_;
+  const std::map<std::string, GeneralizedRelation>* idb_;
   std::vector<DataValue> active_domain_;
   std::map<SymbolId, GeneralizedRelation> complements_;
 };
@@ -791,9 +791,7 @@ namespace {
   for (auto [v, value] : pinned) clause.constraint.AddEquality(v + 1, value);
 
   // Resolve the relation.
-  auto idb = const_cast<std::map<std::string, GeneralizedRelation>*>(
-      &result.idb);
-  RelationResolver resolver(program, db, idb);
+  RelationResolver resolver(program, db, &result.idb);
   std::vector<AtomSource> sources(1);
   LRPDB_ASSIGN_OR_RETURN(
       sources[0].relation,

@@ -463,11 +463,8 @@ class FoEvaluator {
     result.relation = GeneralizedRelation(RelationSchema{m, 0});
     if (!trivially_false) {
       std::vector<Lrp> lrps(m, Lrp());
-      LRPDB_RETURN_IF_ERROR(
-          result.relation
-              .InsertUnlessEmpty(GeneralizedTuple(std::move(lrps), {},
-                                                  std::move(constraint)))
-              .status());
+      result.relation.InsertUnlessEmpty(
+          GeneralizedTuple(std::move(lrps), {}, std::move(constraint)));
     }
     return result;
   }
@@ -484,10 +481,7 @@ class FoEvaluator {
         continue;
       }
       GeneralizedRelation universe(RelationSchema{1, 0});
-      LRPDB_RETURN_IF_ERROR(
-          universe
-              .InsertUnlessEmpty(GeneralizedTuple::Unconstrained({Lrp()}, {}))
-              .status());
+      universe.InsertUnlessEmpty(GeneralizedTuple::Unconstrained({Lrp()}, {}));
       LRPDB_ASSIGN_OR_RETURN(
           r.relation, CartesianProduct(r.relation, universe));
       // CartesianProduct appends temporal columns of the right operand after
@@ -501,9 +495,7 @@ class FoEvaluator {
       }
       GeneralizedRelation domain(RelationSchema{0, 1});
       for (DataValue d : active_domain_) {
-        LRPDB_RETURN_IF_ERROR(
-            domain.InsertUnlessEmpty(GeneralizedTuple::Unconstrained({}, {d}))
-                .status());
+        domain.InsertUnlessEmpty(GeneralizedTuple::Unconstrained({}, {d}));
       }
       LRPDB_ASSIGN_OR_RETURN(
           r.relation, CartesianProduct(r.relation, domain));

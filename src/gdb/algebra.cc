@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <deque>
+#include <map>
 #include <optional>
 #include <unordered_map>
 
 #include "src/common/exec_context.h"
 #include "src/common/failpoint.h"
+#include "src/gdb/normalized_tuple.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -98,19 +100,24 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
   LRPDB_OPERATOR_SCOPE(op, "gdb.difference", a.size() + b.size());
   LRPDB_FAILPOINT("algebra.difference");
   ExecContext* exec = ExecContext::Current();
+  // An a-tuple loses only the b-tuples with its data constants: b's pieces,
+  // normalized once, grouped by data vector in entry order.
+  std::map<std::vector<DataValue>, std::vector<NormalizedTuple>> subtrahends;
+  for (EntryId j : b.store().live_ids()) {
+    LRPDB_RETURN_IF_ERROR(AppendNormalized(
+        b.tuple(j), &subtrahends[b.tuple(j).data().ToVector()]));
+  }
+  const std::vector<NormalizedTuple> none;
   GeneralizedRelation out(a.schema());
   for (EntryId i : a.store().live_ids()) {
     LRPDB_RETURN_IF_ERROR(PollExec(exec));
-    // Subtract only b-tuples with matching data constants.
-    std::vector<NormalizedTuple> subtrahend;
-    for (EntryId j : b.store().live_ids()) {
-      if (b.tuple(j).data() != a.tuple(i).data()) continue;
-      LRPDB_RETURN_IF_ERROR(b.AppendPieces(j, &subtrahend));
-    }
-    std::vector<NormalizedTuple> a_pieces;
-    LRPDB_RETURN_IF_ERROR(a.AppendPieces(i, &a_pieces));
-    LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> remainder,
-                           SubtractPieces(a_pieces, subtrahend));
+    const auto group = subtrahends.find(a.tuple(i).data().ToVector());
+    LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> a_pieces,
+                           NormalizedTuple::Normalize(a.tuple(i)));
+    LRPDB_ASSIGN_OR_RETURN(
+        std::vector<NormalizedTuple> remainder,
+        SubtractPieces(a_pieces,
+                       group == subtrahends.end() ? none : group->second));
     std::vector<GeneralizedTuple> tuples;
     tuples.reserve(remainder.size());
     for (const NormalizedTuple& piece : remainder) {
@@ -152,11 +159,8 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
       }
       EmbedDbm(ta.constraint(), a_map, &constraint);
       EmbedDbm(tb.constraint(), b_map, &constraint);
-      LRPDB_RETURN_IF_ERROR(
-          out.InsertUnlessEmpty(GeneralizedTuple(std::move(lrps),
-                                                 std::move(data),
-                                                 std::move(constraint)))
-              .status());
+      out.InsertUnlessEmpty(GeneralizedTuple(
+          std::move(lrps), std::move(data), std::move(constraint)));
     }
   }
   op.set_output(static_cast<int64_t>(out.size()));
@@ -199,8 +203,7 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
     if (!data_ok) continue;
     GeneralizedTuple joined = t.ToTuple();
     joined.mutable_constraint().And(condition);
-    LRPDB_RETURN_IF_ERROR(
-        out.InsertUnlessEmpty(std::move(joined)).status());
+    out.InsertUnlessEmpty(joined);
   }
   op.set_output(static_cast<int64_t>(out.size()));
   return out;
@@ -222,11 +225,8 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
     conjoined.And(constraint);
     if (!conjoined.IsSatisfiable()) continue;
     LRPDB_RETURN_IF_ERROR(PollExec(exec));
-    LRPDB_RETURN_IF_ERROR(
-        out.InsertUnlessEmpty(GeneralizedTuple(t.lrps().ToVector(),
-                                               t.data().ToVector(),
-                                               std::move(conjoined)))
-            .status());
+    out.InsertUnlessEmpty(GeneralizedTuple(
+        t.lrps().ToVector(), t.data().ToVector(), std::move(conjoined)));
   }
   op.set_output(static_cast<int64_t>(out.size()));
   return out;
@@ -304,10 +304,8 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
         dbm_keep.push_back(c + 1);
         lrps.push_back(tuple.lrp(c));
       }
-      LRPDB_RETURN_IF_ERROR(
-          out.InsertUnlessEmpty(GeneralizedTuple(std::move(lrps), data,
-                                                 closed.Project(dbm_keep)))
-              .status());
+      out.InsertUnlessEmpty(
+          GeneralizedTuple(std::move(lrps), data, closed.Project(dbm_keep)));
       continue;
     }
     // General path: first drop the trivial (period-1) columns exactly via
@@ -344,9 +342,8 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
     }
     LRPDB_ASSIGN_OR_RETURN(projected_tuples,
                            CoalesceTuples(std::move(projected_tuples)));
-    for (GeneralizedTuple& t : projected_tuples) {
-      LRPDB_RETURN_IF_ERROR(
-          out.InsertUnlessEmpty(std::move(t)).status());
+    for (const GeneralizedTuple& t : projected_tuples) {
+      out.InsertUnlessEmpty(t);
     }
   }
   op.set_output(static_cast<int64_t>(out.size()));
@@ -365,7 +362,7 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
   // Exactly the posting's entries match (ascending, so output order is
   // entry order); tombstoned entries were pruned from it.
   for (EntryId id : store.PostingFor(column, value)) {
-    LRPDB_RETURN_IF_ERROR(out.InsertUnlessEmpty(store.tuple(id)).status());
+    out.InsertUnlessEmpty(store.tuple(id));
   }
   op.set_output(static_cast<int64_t>(out.size()));
   return out;
@@ -383,7 +380,7 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
   for (EntryId id : r.store().live_ids()) {
     const TupleView t = r.tuple(id);
     if (t.data()[i] != t.data()[j]) continue;
-    LRPDB_RETURN_IF_ERROR(out.InsertUnlessEmpty(t).status());
+    out.InsertUnlessEmpty(t);
   }
   op.set_output(static_cast<int64_t>(out.size()));
   return out;
@@ -397,10 +394,7 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
   GeneralizedRelation out(r.schema());
   for (EntryId i : r.store().live_ids()) {
     LRPDB_RETURN_IF_ERROR(PollExec(exec));
-    LRPDB_RETURN_IF_ERROR(
-        out.InsertUnlessEmpty(
-               r.tuple(i).ToTuple().WithColumnShifted(column, c))
-            .status());
+    out.InsertUnlessEmpty(r.tuple(i).ToTuple().WithColumnShifted(column, c));
   }
   op.set_output(static_cast<int64_t>(out.size()));
   return out;
@@ -431,7 +425,7 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
     std::vector<NormalizedTuple> subtrahend;
     for (EntryId i : r.store().live_ids()) {
       if (r.tuple(i).data() != data) continue;
-      LRPDB_RETURN_IF_ERROR(r.AppendPieces(i, &subtrahend));
+      LRPDB_RETURN_IF_ERROR(AppendNormalized(r.tuple(i), &subtrahend));
     }
     LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> remainder,
                            SubtractPieces(universe_pieces, subtrahend));
@@ -441,9 +435,8 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
       tuples.push_back(piece.ToGeneralizedTuple());
     }
     LRPDB_ASSIGN_OR_RETURN(tuples, CoalesceTuples(std::move(tuples)));
-    for (GeneralizedTuple& t : tuples) {
-      LRPDB_RETURN_IF_ERROR(
-          out.InsertUnlessEmpty(std::move(t)).status());
+    for (const GeneralizedTuple& t : tuples) {
+      out.InsertUnlessEmpty(t);
     }
   }
   op.set_output(static_cast<int64_t>(out.size()));
@@ -703,8 +696,14 @@ struct ClassMerge {
   LRPDB_FAILPOINT("algebra.same_ground_set");
   // Compare per data vector: pieces grouped by data inside SubtractPieces
   // already, so a direct two-way containment suffices.
-  LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pa, a.AllPieces());
-  LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pb, b.AllPieces());
+  std::vector<NormalizedTuple> pa;
+  for (EntryId i : a.store().live_ids()) {
+    LRPDB_RETURN_IF_ERROR(AppendNormalized(a.tuple(i), &pa));
+  }
+  std::vector<NormalizedTuple> pb;
+  for (EntryId i : b.store().live_ids()) {
+    LRPDB_RETURN_IF_ERROR(AppendNormalized(b.tuple(i), &pb));
+  }
   LRPDB_ASSIGN_OR_RETURN(bool ab, PiecesContainedIn(pa, pb));
   if (!ab) return false;
   return PiecesContainedIn(pb, pa);

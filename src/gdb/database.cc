@@ -43,7 +43,8 @@ bool Database::IsDeclared(std::string_view name) const {
     return InvalidArgumentError("tuple arity does not match schema of '" +
                                 std::string(name) + "'");
   }
-  return it->second.InsertUnlessEmpty(std::move(tuple)).status();
+  it->second.InsertUnlessEmpty(tuple);
+  return OkStatus();
 }
 
 [[nodiscard]] StatusOr<const GeneralizedRelation*> Database::Relation(

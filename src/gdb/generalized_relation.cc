@@ -72,13 +72,4 @@ std::vector<GroundTuple> GeneralizedRelation::EnumerateGround(
   return out;
 }
 
-[[nodiscard]] StatusOr<std::vector<NormalizedTuple>>
-GeneralizedRelation::AllPieces() const {
-  std::vector<NormalizedTuple> all;
-  for (EntryId id : store_.live_ids()) {
-    LRPDB_RETURN_IF_ERROR(store_.AppendPieces(id, &all));
-  }
-  return all;
-}
-
 }  // namespace lrpdb

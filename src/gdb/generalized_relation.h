@@ -12,7 +12,6 @@
 
 #include "src/common/statusor.h"
 #include "src/gdb/generalized_tuple.h"
-#include "src/gdb/normalized_tuple.h"
 #include "src/gdb/schema.h"
 #include "src/gdb/tuple_store.h"
 
@@ -30,15 +29,6 @@ class GeneralizedRelation {
   // Tuple `i`, borrowed from the store (see TupleStore::tuple).
   TupleView tuple(size_t i) const {
     return store_.tuple(static_cast<EntryId>(i));
-  }
-
-  // Appends the residue pieces of tuple `i` to `out`; the store computes
-  // them on first use and keeps them. Normalization can exceed its caps for
-  // tuples mixing many unconstrained (period-1) columns with periodic ones,
-  // hence the Status.
-  [[nodiscard]] Status AppendPieces(size_t i,
-                                    std::vector<NormalizedTuple>* out) const {
-    return store_.AppendPieces(static_cast<EntryId>(i), out);
   }
 
   // Inserts `tuple` unless its ground set is empty or already contained in
@@ -62,8 +52,7 @@ class GeneralizedRelation {
   // tuples whose ground set is empty purely through lrp-residue conflicts
   // may be stored (they are harmless redundancy -- every membership or
   // set-level operation treats them as empty). Returns false iff dropped.
-  [[nodiscard]] StatusOr<bool> InsertUnlessEmpty(
-      const GeneralizedTuple& tuple) {
+  bool InsertUnlessEmpty(const GeneralizedTuple& tuple) {
     return store_.InsertUnlessEmpty(tuple);
   }
 
@@ -74,9 +63,6 @@ class GeneralizedRelation {
   // deduplicated. Intended for tests and the ground baseline; cost is
   // O(window^arity) per stored tuple.
   std::vector<GroundTuple> EnumerateGround(int64_t lo, int64_t hi) const;
-
-  // Concatenation of all stored normalized pieces (cached per tuple).
-  [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> AllPieces() const;
 
   std::string ToString(const Interner* interner = nullptr) const {
     return store_.ToString(interner);

@@ -1,6 +1,7 @@
 #include "src/gdb/normalized_tuple.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <optional>
 
@@ -368,6 +369,15 @@ struct ClassKey {
   return result;
 }
 
+[[nodiscard]] Status AppendNormalized(TupleView tuple,
+                                      std::vector<NormalizedTuple>* out) {
+  LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pieces,
+                         NormalizedTuple::Normalize(tuple));
+  out->insert(out->end(), std::make_move_iterator(pieces.begin()),
+              std::make_move_iterator(pieces.end()));
+  return OkStatus();
+}
+
 [[nodiscard]] StatusOr<bool> PiecesContainedIn(const std::vector<NormalizedTuple>& a,
                                  const std::vector<NormalizedTuple>& b) {
   LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> diff,
@@ -387,9 +397,7 @@ struct ClassKey {
                          NormalizedTuple::Normalize(a));
   std::vector<NormalizedTuple> b_pieces;
   for (const GeneralizedTuple& b : bs) {
-    LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pieces,
-                           NormalizedTuple::Normalize(b));
-    b_pieces.insert(b_pieces.end(), pieces.begin(), pieces.end());
+    LRPDB_RETURN_IF_ERROR(AppendNormalized(b.view(), &b_pieces));
   }
   return PiecesContainedIn(a_pieces, b_pieces);
 }

@@ -100,6 +100,11 @@ class NormalizedTuple {
 
 // --- Set-level operations on unions of pieces ---
 
+// Appends `tuple`'s residue pieces (NormalizedTuple::Normalize) to `out`,
+// which collects a union of tuples for the operations below.
+[[nodiscard]] Status AppendNormalized(TupleView tuple,
+                                      std::vector<NormalizedTuple>* out);
+
 // Ground-set difference: pieces covering exactly union(a) \ union(b).
 // All pieces are aligned to a common period internally.
 [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> SubtractPieces(

@@ -4,6 +4,7 @@
 
 #include "src/common/failpoint.h"
 #include "src/common/math_util.h"
+#include "src/gdb/normalized_tuple.h"
 
 namespace lrpdb {
 
@@ -16,9 +17,7 @@ namespace lrpdb {
     if (!set.Contains(t)) continue;
     Dbm pin(1);
     pin.AddEquality(1, t);
-    LRPDB_RETURN_IF_ERROR(
-        relation.InsertUnlessEmpty(GeneralizedTuple({Lrp()}, {}, pin))
-            .status());
+    relation.InsertUnlessEmpty(GeneralizedTuple({Lrp()}, {}, pin));
   }
   // Tail residues: lrps restricted to T >= offset.
   for (int64_t r = 0; r < set.period(); ++r) {
@@ -26,12 +25,8 @@ namespace lrpdb {
     if (!set.Contains(representative)) continue;
     Dbm from_offset(1);
     from_offset.AddLowerBound(1, set.offset());
-    LRPDB_RETURN_IF_ERROR(
-        relation
-            .InsertUnlessEmpty(
-                GeneralizedTuple({Lrp(set.period(), representative)}, {},
-                                 from_offset))
-            .status());
+    relation.InsertUnlessEmpty(GeneralizedTuple(
+        {Lrp(set.period(), representative)}, {}, from_offset));
   }
   return relation;
 }

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <iterator>
 
 #include "src/common/exec_context.h"
 #include "src/common/failpoint.h"
+#include "src/gdb/normalized_tuple.h"
 #include "src/obs/metrics.h"
 
 namespace lrpdb {
@@ -71,10 +71,6 @@ TupleStore::TupleStore(TupleStore&& other) noexcept
       bounds_(std::move(other.bounds_)),
       live_(std::move(other.live_)),
       tombstones_(other.tombstones_),
-      piece_ranges_(std::move(other.piece_ranges_)),
-      filled_entries_(other.filled_entries_),
-      piece_classes_(std::move(other.piece_classes_)),
-      piece_bounds_(std::move(other.piece_bounds_)),
       signatures_(std::move(other.signatures_)),
       slots_(std::move(other.slots_)),
       erased_ids_(std::move(other.erased_ids_)),
@@ -97,10 +93,6 @@ TupleStore& TupleStore::operator=(TupleStore&& other) noexcept {
   bounds_ = std::move(other.bounds_);
   live_ = std::move(other.live_);
   tombstones_ = other.tombstones_;
-  piece_ranges_ = std::move(other.piece_ranges_);
-  filled_entries_ = other.filled_entries_;
-  piece_classes_ = std::move(other.piece_classes_);
-  piece_bounds_ = std::move(other.piece_bounds_);
   signatures_ = std::move(other.signatures_);
   slots_ = std::move(other.slots_);
   erased_ids_ = std::move(other.erased_ids_);
@@ -344,76 +336,6 @@ void TupleStore::RefilePostings(PostingTable* table, size_t slots) {
   }
 }
 
-// --- Pieces ---
-
-const TupleStore::PieceRange* TupleStore::FindPieceRange(EntryId id) const {
-  if (piece_ranges_.empty()) return nullptr;
-  const size_t mask = piece_ranges_.size() - 1;
-  for (size_t i = FinishKeyHash(id) & mask;; i = (i + 1) & mask) {
-    const PieceRange& range = piece_ranges_[i];
-    if (range.id == id) return &range;
-    if (range.id == kNoEntry) return nullptr;
-  }
-}
-
-void TupleStore::FilePieceRange(const PieceRange& range) const {
-  const size_t mask = piece_ranges_.size() - 1;
-  size_t i = FinishKeyHash(range.id) & mask;
-  while (piece_ranges_[i].id != kNoEntry) i = (i + 1) & mask;
-  piece_ranges_[i] = range;
-}
-
-void TupleStore::RefilePieceRanges(const std::vector<PieceRange>& ranges,
-                                   size_t slots) const {
-  piece_ranges_ = std::vector<PieceRange>(slots);
-  for (const PieceRange& range : ranges) {
-    if (range.id != kNoEntry) FilePieceRange(range);
-  }
-}
-
-void TupleStore::StorePieces(
-    EntryId id, const std::vector<NormalizedTuple>& pieces) const {
-  if ((filled_entries_ + 1) * 4 > piece_ranges_.size() * 3) {
-    const size_t slots = std::max<size_t>(8, 2 * piece_ranges_.size());
-    RefilePieceRanges(std::vector<PieceRange>(std::move(piece_ranges_)),
-                      slots);
-  }
-  FilePieceRange(PieceRange{
-      id, static_cast<uint32_t>(piece_classes_.size() / PieceClassStride()),
-      static_cast<uint32_t>(pieces.size())});
-  ++filled_entries_;
-  for (const NormalizedTuple& piece : pieces) {
-    const int64_t period = piece.common_period();
-    piece_classes_.push_back(period);
-    piece_classes_.Append(piece.residues().data(), piece.residues().size());
-    piece_bounds_.Append(piece.quotient().view().bounds(), BoundsStride());
-  }
-  UpdateBytes();
-}
-
-[[nodiscard]] Status TupleStore::AppendPieces(
-    EntryId id, std::vector<NormalizedTuple>* out) const {
-  LRPDB_FAILPOINT("tuple_store.pieces");
-  const PieceRange* range = FindPieceRange(id);
-  if (range == nullptr) {
-    LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pieces,
-                           NormalizedTuple::Normalize(tuple(id)));
-    StorePieces(id, pieces);
-    out->insert(out->end(), std::make_move_iterator(pieces.begin()),
-                std::make_move_iterator(pieces.end()));
-    return OkStatus();
-  }
-  const int m = schema_.temporal_arity;
-  const std::vector<DataValue> data = tuple(id).data().ToVector();
-  for (uint32_t p = range->first; p < range->first + range->count; ++p) {
-    const int64_t* cls = piece_classes_.data() + size_t{p} * PieceClassStride();
-    out->emplace_back(
-        cls[0], std::vector<int64_t>(cls + 1, cls + 1 + m), data,
-        Dbm(DbmView(m, piece_bounds_.data() + size_t{p} * BoundsStride())));
-  }
-  return OkStatus();
-}
-
 // --- Appends ---
 
 [[nodiscard]] StatusOr<InsertOutcome> TupleStore::Insert(
@@ -442,8 +364,8 @@ void TupleStore::StorePieces(
     return InsertOutcome{};
   }
   // The budget is charged what this insert grew the store by: the appended
-  // row and index entries, and any bucket pieces filled lazily for the
-  // containment test below.
+  // row and index entries. A subsumed candidate grows nothing but still
+  // republishes the budget gauge.
   const int64_t bytes_before = approx_bytes();
   auto charge_growth = [&] {
     if (exec == nullptr) return;
@@ -461,9 +383,10 @@ void TupleStore::StorePieces(
   if (!bucket.empty()) {
     // Every bucket entry has the candidate's lrps and data, so a candidate
     // whose closed DBM implies one entry's DBM is contained in that entry,
-    // exactly. That settles most subsumptions without touching a piece;
-    // the rest take the exact test over the bucket's union. Each entry
-    // compared is (m+1)^2 bound comparisons, charged like closure work.
+    // exactly. That settles most subsumptions without normalizing the
+    // bucket; the rest take the exact test over the bucket's union. Each
+    // entry compared is (m+1)^2 bound comparisons, charged like closure
+    // work.
     int64_t compared = 0;
     const bool implied =
         std::any_of(bucket.begin(), bucket.end(), [&](EntryId id) {
@@ -471,13 +394,11 @@ void TupleStore::StorePieces(
           return candidate_closure_.Implies(this->tuple(id).constraint());
         });
     if (exec != nullptr) exec->ChargeSteps(compared * BoundsStride());
-    // Owned copies of the bucket's pieces, for the containment call only;
-    // the entries' piece ranges fill here on first use. Filling touches
-    // the piece arenas, never the bucket the span points into.
+    // The bucket's pieces, for the containment call only.
     std::vector<NormalizedTuple> existing;
     if (!implied) {
       for (EntryId id : bucket) {
-        LRPDB_RETURN_IF_ERROR(AppendPieces(id, &existing));
+        LRPDB_RETURN_IF_ERROR(AppendNormalized(this->tuple(id), &existing));
       }
     }
     ++counts.subsumption_checks;
@@ -494,8 +415,7 @@ void TupleStore::StorePieces(
       return outcome;
     }
   }
-  // Appended unnormalized: its pieces fill on first use, which most
-  // entries never see.
+  // Appended unnormalized: no pieces are kept.
   InsertOutcome outcome;
   outcome.inserted = true;
   outcome.id = static_cast<EntryId>(size());
@@ -566,8 +486,6 @@ TupleStore::Footprint TupleStore::footprint() const {
   Footprint f;
   f.rows = HeapBytes(lrps_) + HeapBytes(data_) + HeapBytes(bounds_) +
            HeapBytes(live_);
-  f.pieces = HeapBytes(piece_classes_) + HeapBytes(piece_bounds_) +
-             HeapBytes(piece_ranges_);
   f.signatures = HeapBytes(signatures_) + HeapBytes(slots_) +
                  HeapBytes(erased_ids_) + HeapBytes(erased_lrps_) +
                  HeapBytes(erased_data_);
@@ -676,31 +594,6 @@ std::vector<EntryId> TupleStore::EraseEntries(
   data_.Truncate(kept * k);
   bounds_.Truncate(kept * b);
   live_.Truncate(kept);
-  // Pieces: a lazily filled range sits wherever the arena ended at its
-  // fill, so the survivors' ranges are slid down in arena order and filed
-  // again under their new ids.
-  std::vector<PieceRange> filled;
-  for (const PieceRange& range : piece_ranges_) {
-    if (range.id != kNoEntry && remap[range.id] != kErasedEntry) {
-      filled.push_back(PieceRange{remap[range.id], range.first, range.count});
-    }
-  }
-  std::sort(filled.begin(), filled.end(),
-            [](const PieceRange& x, const PieceRange& y) {
-              return x.first < y.first;
-            });
-  const size_t cs = PieceClassStride();
-  size_t pieces = 0;
-  for (PieceRange& range : filled) {
-    piece_classes_.MoveDown(pieces * cs, range.first * cs, range.count * cs);
-    piece_bounds_.MoveDown(pieces * b, range.first * b, range.count * b);
-    range.first = static_cast<uint32_t>(pieces);
-    pieces += range.count;
-  }
-  piece_classes_.Truncate(pieces * cs);
-  piece_bounds_.Truncate(pieces * b);
-  filled_entries_ = filled.size();
-  RefilePieceRanges(filled, TableSlotsFor(filled_entries_));
   // Id lists: each is rewritten through the remap in place, then the
   // blocks still needed slide down in pool order, each into the smallest
   // block that holds it, leaving no free block.
@@ -749,8 +642,6 @@ std::vector<EntryId> TupleStore::EraseEntries(
   data_.ShrinkToFit();
   bounds_.ShrinkToFit();
   live_.ShrinkToFit();
-  piece_classes_.ShrinkToFit();
-  piece_bounds_.ShrinkToFit();
   id_pool_.ShrinkToFit();
   // Generation bounds count the survivors below them.
   auto shrink = [&remap](size_t bound) {
@@ -788,24 +679,6 @@ std::vector<EntryId> TupleStore::EraseEntries(
   }
   if (dead != tombstones_) {
     return InternalError("tombstone count disagrees with liveness vector");
-  }
-  const size_t num_pieces = piece_classes_.size() / PieceClassStride();
-  if (piece_bounds_.size() != num_pieces * BoundsStride()) {
-    return InternalError("piece arena length mismatch");
-  }
-  size_t ranges = 0;
-  for (const PieceRange& range : piece_ranges_) {
-    if (range.id == kNoEntry) continue;
-    ++ranges;
-    if (range.id >= n || FindPieceRange(range.id) != &range) {
-      return InternalError("piece range filed under a bad entry id");
-    }
-    if (size_t{range.first} + range.count > num_pieces) {
-      return InternalError("piece range out of bounds");
-    }
-  }
-  if (ranges != filled_entries_) {
-    return InternalError("piece range count mismatch");
   }
   // A list past one id has its whole block inside the pool.
   auto outside_pool = [this](const IdList& list) {

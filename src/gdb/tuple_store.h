@@ -13,14 +13,11 @@
 //    tuple(id) is a borrowed TupleView over the slices, and an owned
 //    GeneralizedTuple exists only where an API boundary asks for one.
 //
-//  * Residue pieces. Each entry's residue pieces (normalized_tuple.h) live
-//    in a piece arena: per piece the common period, m residues and the
-//    (m+1)^2 quotient bounds; the data constants are the row's. Every
-//    entry is appended unnormalized, and its pieces fill on first use:
-//    when a containment test needs the pieces of its bucket. Only a filled
-//    entry has a (first, count) range, in a small table keyed by entry id.
-//    Most entries never get there, as a single-entry DBM test settles most
-//    subsumptions.
+//  * No residue pieces. Every entry is appended unnormalized, and the
+//    store keeps none of its residue pieces (normalized_tuple.h): a
+//    containment test that needs them, because no single entry of the
+//    bucket settles it, normalizes the bucket's rows and drops the pieces
+//    when it returns.
 //
 //  * Signature table. Free extensions are interned in a flat open-
 //    addressing table of SignatureIds (ordinal, so a signature's id never
@@ -71,7 +68,6 @@
 #include "src/common/statusor.h"
 #include "src/gdb/flat_arena.h"
 #include "src/gdb/generalized_tuple.h"
-#include "src/gdb/normalized_tuple.h"
 #include "src/gdb/schema.h"
 
 namespace lrpdb {
@@ -141,12 +137,12 @@ struct InsertOutcome {
 
 // An indexed set of generalized tuples of one schema.
 //
-// Thread-safety contract: one thread at a time. Evaluation is
-// single-threaded, and even const operations are not safe to share:
-// AppendPieces() fills the lazy piece ranges without a lock. The one
-// exception is approx_bytes(), which another thread may call concurrently
-// *with* a mutation (a monitoring thread sampling memory while an
-// evaluation inserts) — it is a single atomic and never touches an arena.
+// Thread-safety contract: one writer at a time. A const operation writes
+// nothing, so const operations may share the store with each other, but
+// not with a mutation. The one exception is approx_bytes(), which another
+// thread may call concurrently *with* a mutation (a monitoring thread
+// sampling memory while an evaluation inserts) — it is a single atomic and
+// never touches an arena.
 class TupleStore {
  public:
   // A data-column equality requirement for a join probe: the entry's data
@@ -182,28 +178,24 @@ class TupleStore {
   std::vector<EntryId> EntriesWithSignature(
       const FreeExtension& signature) const;
   // Retained bytes: footprint().total(), the allocated size of every arena
-  // and table, each rounded the way the C heap rounds a block. Grows as
-  // they grow (including a lazy piece fill) and shrinks when EraseEntries
-  // releases memory; Insert charges its growth to the ExecContext byte
-  // budget. A single atomic, so a monitoring thread may sample it while
-  // another thread inserts — no torn reads, no lock.
+  // and table, each rounded the way the C heap rounds a block. Changes only
+  // with a mutation: grows as an append grows them and shrinks when
+  // EraseEntries releases memory; Insert charges its growth to the
+  // ExecContext byte budget. A single atomic, so a monitoring thread may
+  // sample it while another thread inserts — no torn reads, no lock.
   int64_t approx_bytes() const {
     return approx_bytes_.load(std::memory_order_relaxed);
   }
 
-  // approx_bytes() by structure. Reads the arenas: one thread at a time,
-  // like every other accessor.
+  // approx_bytes() by structure. Reads the arenas, so not concurrently
+  // with a mutation, like every other accessor.
   struct Footprint {
     int64_t rows = 0;        // Lrps, data, bounds, liveness.
-    int64_t pieces = 0;      // Filled pieces: classes, quotient bounds and
-                             // the ranges of the filled entries.
     int64_t signatures = 0;  // Signature records, slot table, erased keys.
     int64_t postings = 0;    // Per-column posting tables.
     int64_t id_lists = 0;    // The id pool: bucket and posting lists past
                              // one id, and their free blocks.
-    int64_t total() const {
-      return rows + pieces + signatures + postings + id_lists;
-    }
+    int64_t total() const { return rows + signatures + postings + id_lists; }
   };
   Footprint footprint() const;
 
@@ -218,17 +210,12 @@ class TupleStore {
     return Ids(table.slots[ProbePosting(table, value)].entries);
   }
 
-  // Appends owned copies of entry `id`'s residue pieces to `out`. An entry
-  // appended unnormalized is normalized on first use and its pieces kept.
-  [[nodiscard]] Status AppendPieces(EntryId id,
-                                    std::vector<NormalizedTuple>* out) const;
-
   // Exact insert: drops the tuple if its ground set is empty or contained
   // in the union of the stored tuples with the same signature (free
   // extension) -- the comparison constraint safety (paper, Section 4.3)
   // prescribes. The same-signature entries come from one bucket probe.
-  // A kept tuple is appended as given (its bounds unclosed, its pieces
-  // unfilled); the view may point anywhere but into this store.
+  // A kept tuple is appended as given (its bounds unclosed, no pieces
+  // kept); the view may point anywhere but into this store.
   // `stats`, when non-null, receives the insert-path counters; without it
   // nothing is counted. Polls ExecContext::Current() and charges it the
   // inserted tuple and the bytes the store grew by.
@@ -346,14 +333,13 @@ class TupleStore {
   // --- Renumbering removal (retraction compaction) ---
 
   // Removes the entries `ids` (ascending, distinct) and renumbers the rest
-  // densely in their order. The survivors keep their rows, pieces and
-  // signature interning; every arena, the id pool included, is compacted
-  // in place and then shrunk to fit, and the buckets, liveness and
-  // generation ranges are rewritten in place, so no second copy of the
-  // rows is ever alive (the posting and piece-range tables are refiled to
-  // fit the survivors). A signature whose representative row is erased
-  // moves it to a surviving bucket entry, or, with none left, copies its
-  // key to the erased-key arenas. Returns the remap: remap[old id] is the
+  // densely in their order. The survivors keep their rows and signature
+  // interning; every arena, the id pool included, is compacted in place and
+  // then shrunk to fit, and the buckets, liveness and generation ranges are
+  // rewritten in place, so no second copy of the rows is ever alive (the
+  // posting tables are refiled to fit the survivors). A signature whose
+  // representative row is erased moves it to a surviving bucket entry, or,
+  // with none left, copies its key to the erased-key arenas. Returns the remap: remap[old id] is the
   // new id, or kErasedEntry. The remap is monotone, so whoever addresses
   // the store by id (the provenance log, ProvenanceLog::Renumber) rewrites
   // its ids through it; every id not rewritten is invalidated. Like
@@ -364,8 +350,7 @@ class TupleStore {
   // Verifies every index invariant (every signature's representative row
   // carries its key, signature buckets partition the live entries, the
   // table finds every key, postings are sorted and complete, id lists lie
-  // in the pool, piece ranges lie in the piece arena, generation ranges
-  // are well-formed). Intended for tests.
+  // in the pool, generation ranges are well-formed). Intended for tests.
   [[nodiscard]] Status CheckConsistency() const;
 
   std::string ToString(const Interner* interner = nullptr) const;
@@ -376,7 +361,6 @@ class TupleStore {
   // iteration order, never hash order).
   friend class TupleStoreTestPeer;
 
-  static constexpr EntryId kNoEntry = UINT32_MAX;
   static constexpr SignatureId kNoSignature = UINT32_MAX;
   static constexpr uint32_t kNoBlock = UINT32_MAX;
   // A representative with this bit set is an index into the erased-key
@@ -418,14 +402,6 @@ class TupleStore {
     size_t count = 0;
   };
 
-  // A filled entry's slice of the piece arenas, in an open-addressing
-  // table keyed by entry id (a free slot holds kNoEntry).
-  struct PieceRange {
-    EntryId id = kNoEntry;
-    uint32_t first = 0;
-    uint32_t count = 0;
-  };
-
   // A signature's key, borrowed from its representative row or from the
   // erased-key arenas.
   struct Key {
@@ -437,7 +413,6 @@ class TupleStore {
   int BoundsStride() const {
     return (schema_.temporal_arity + 1) * (schema_.temporal_arity + 1);
   }
-  int PieceClassStride() const { return 1 + schema_.temporal_arity; }
 
   // The signature hash of a free extension, computed once per tuple.
   static uint64_t HashSignature(ColumnSpan<Lrp> lrps,
@@ -480,27 +455,14 @@ class TupleStore {
   // Re-files the non-empty postings into a table of `slots` slots.
   static void RefilePostings(PostingTable* table, size_t slots);
 
-  // --- Piece ranges ---
-  // Entry `id`'s range, or nullptr while its pieces are unfilled.
-  const PieceRange* FindPieceRange(EntryId id) const;
-  // Files `range` in the table, which must have a free slot.
-  void FilePieceRange(const PieceRange& range) const;
-  // Replaces the table by one of `slots` slots holding `ranges` (free
-  // slots among them are skipped).
-  void RefilePieceRanges(const std::vector<PieceRange>& ranges,
-                         size_t slots) const;
-  // Appends `pieces` to the piece arenas as entry `id`'s range.
-  void StorePieces(EntryId id,
-                   const std::vector<NormalizedTuple>& pieces) const;
-
-  // Appends `tuple` as given, its pieces unfilled, and indexes it under
-  // `signature`: FindSignature's result for the tuple's key and `hash`, so
-  // kNoSignature creates the signature. Each caller probes exactly once.
+  // Appends `tuple` as given and indexes it under `signature`:
+  // FindSignature's result for the tuple's key and `hash`, so kNoSignature
+  // creates the signature. Each caller probes exactly once.
   void Append(TupleView tuple, uint64_t hash, SignatureId signature);
 
   // Republishes footprint().total() as approx_bytes_ (the writer is the
   // only thread that changes it).
-  void UpdateBytes() const {
+  void UpdateBytes() {
     approx_bytes_.store(footprint().total(), std::memory_order_relaxed);
   }
 
@@ -517,13 +479,6 @@ class TupleStore {
   // size is the entry count.
   FlatArena<uint8_t> live_;
   size_t tombstones_ = 0;
-
-  // Residue pieces, filled lazily by the const AppendPieces(). The range
-  // table is a power of two at most 3/4 full, empty until a first fill.
-  mutable std::vector<PieceRange> piece_ranges_;
-  mutable size_t filled_entries_ = 0;
-  mutable FlatArena<int64_t> piece_classes_;  // Period, m residues.
-  mutable FlatArena<Bound> piece_bounds_;     // (m+1)^2 quotient bounds.
 
   // Signature table: records indexed by SignatureId, and a power-of-two
   // open-addressing table over them, at most 3/4 full; linear probing.
@@ -555,7 +510,7 @@ class TupleStore {
   // footprint().total(), republished after every change to an allocation.
   // Atomic so approx_bytes() stays safe and lock-free for readers
   // concurrent with an insert.
-  mutable std::atomic<int64_t> approx_bytes_{0};
+  std::atomic<int64_t> approx_bytes_{0};
 };
 
 // --- Ground-fact storage (shared delta-generation machinery) ---

@@ -131,9 +131,8 @@ void ReplayOrigin(const ProvRun& run, const std::string& head_name,
         static_cast<int>(clause.body[k].temporal_args.size());
     schema.data_arity = static_cast<int>(clause.body[k].data_args.size());
     auto rel = std::make_unique<GeneralizedRelation>(schema);
-    auto inserted = rel->InsertUnlessEmpty(*parent);
-    ASSERT_TRUE(inserted.ok()) << inserted.status();
-    ASSERT_TRUE(*inserted) << "recorded parent is an empty tuple";
+    ASSERT_TRUE(rel->InsertUnlessEmpty(*parent))
+        << "recorded parent is an empty tuple";
     sources.push_back({rel.get(), 0, rel->size()});
     singletons.push_back(std::move(rel));
   }

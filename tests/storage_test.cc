@@ -291,8 +291,8 @@ TEST(CodecTest, ImageRoundTripIsExact) {
 // Rows keep each DBM's bounds exactly as appended, unclosed, and the codec
 // encodes them as is: a relation built through Insert (m = 2, bounds whose
 // closure would tighten them) snapshots to the same bytes and dumps to the
-// same text as its restore, even after its pieces were read and an exact
-// retraction compared its bucket.
+// same text as its restore, even after an exact retraction compared its
+// bucket.
 TEST(CodecTest, InsertedAndRestoredRowsEncodeIdentically) {
   Database db;
   ASSERT_TRUE(db.Declare("span", RelationSchema{2, 1}).ok());
@@ -309,8 +309,6 @@ TEST(CodecTest, InsertedAndRestoredRowsEncodeIdentically) {
     ASSERT_TRUE(inserted.ok()) << inserted.status();
     ASSERT_TRUE(inserted->inserted);
   }
-  std::vector<NormalizedTuple> pieces;
-  ASSERT_TRUE(store.AppendPieces(1, &pieces).ok());
   Dbm other(2);
   other.AddLowerBound(1, 50);
   EXPECT_TRUE(

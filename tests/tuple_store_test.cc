@@ -35,11 +35,6 @@ class TupleStoreTestPeer {
     store.AddToBucket(id, bogus);
   }
 
-  // True iff entry `id`'s residue pieces have been computed and kept.
-  static bool PiecesFilled(const TupleStore& store, EntryId id) {
-    return store.FindPieceRange(id) != nullptr;
-  }
-
   // The key is the representative row's: pointing signature `id` at the
   // row of signature `other` gives it a key its table slot does not hash.
   static void CorruptSignatureKey(TupleStore& store, SignatureId id,
@@ -130,34 +125,29 @@ TEST(TupleStoreTest, InsertProbesOnlySameSignatureBucket) {
 }
 
 // Subsumption is exact whichever way it is decided: by one entry whose DBM
-// the candidate's implies (no bucket piece is materialized, so the store's
-// bytes do not move), by the union of several entries, or by the lrp grid
-// alone (the candidate's DBM admits points the entry's excludes, but none
-// of them lies on 7n+3). Every case counts one check over the whole bucket
-// and names the whole bucket as absorbers.
+// the candidate's implies, by the union of several entries, or by the lrp
+// grid alone (the candidate's DBM admits points the entry's excludes, but
+// none of them lies on 7n+3). Every case counts one check over the whole
+// bucket, names the whole bucket as absorbers and leaves the store's bytes
+// as they were: the store keeps no pieces.
 TEST(TupleStoreTest, SubsumptionByOneEntryByUnionAndByLrpGrid) {
   struct Case {
     const char* name;
     std::vector<GeneralizedTuple> entries;
     GeneralizedTuple candidate;
-    bool pieces_untouched;
   };
   const Case cases[] = {
       {"one entry",
        {Banded(7, 3, 0, 100, 1), Banded(7, 3, 200, 300, 1)},
-       Banded(7, 3, 10, 50, 1),
-       true},
+       Banded(7, 3, 10, 50, 1)},
       {"union of entries",
        {Banded(7, 3, 0, 100, 1), Banded(7, 3, 50, 200, 1)},
-       Banded(7, 3, 10, 150, 1),
-       false},
-      {"lrp grid", {Banded(7, 3, 3, 94, 1)}, Banded(7, 3, 1, 99, 1), false},
+       Banded(7, 3, 10, 150, 1)},
+      {"lrp grid", {Banded(7, 3, 3, 94, 1)}, Banded(7, 3, 1, 99, 1)},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     TupleStore store({1, 1});
-    // Appended without pieces, so a containment test that needs them
-    // fills them and grows the store.
     for (const GeneralizedTuple& entry : c.entries) {
       ASSERT_TRUE(store.InsertUnlessEmpty(entry));
     }
@@ -174,7 +164,7 @@ TEST(TupleStoreTest, SubsumptionByOneEntryByUnionAndByLrpGrid) {
     EXPECT_EQ(stats.subsumption_candidates,
               static_cast<int64_t>(c.entries.size()));
     EXPECT_EQ(stats.empty_dropped, 0);
-    EXPECT_EQ(store.approx_bytes() == bytes, c.pieces_untouched);
+    EXPECT_EQ(store.approx_bytes(), bytes);
     EXPECT_EQ(store.size(), c.entries.size());
   }
   // A candidate reaching past every entry is still inserted.
@@ -185,57 +175,9 @@ TEST(TupleStoreTest, SubsumptionByOneEntryByUnionAndByLrpGrid) {
   EXPECT_TRUE(outcome->inserted);
 }
 
-// Insert appends a row without its residue pieces; they are computed
-// only when a containment test needs them. Appends of new signatures leave
-// the piece arenas as they were; a candidate that no single entry of its
-// bucket implies fills that bucket's pieces and no others', whether it is
-// then appended or, covered by the bucket's union, subsumed. A candidate
-// whose DBM is satisfiable but whose ground set misses the lrp grid is
-// still an empty drop, decided before any bucket is probed.
-TEST(TupleStoreTest, InsertKeepsResiduePiecesOnlyWhereUsed) {
-  TupleStore store({1, 1});
-  const int64_t no_pieces = store.footprint().pieces;
-  for (const GeneralizedTuple& tuple :
-       {Banded(7, 3, 0, 100, 1), Banded(7, 4, 0, 100, 1),
-        Banded(7, 3, 0, 100, 2)}) {
-    auto outcome = store.Insert(tuple);
-    ASSERT_TRUE(outcome.ok()) << outcome.status();
-    EXPECT_TRUE(outcome->inserted);
-    EXPECT_TRUE(outcome->new_signature);
-    EXPECT_EQ(store.footprint().pieces, no_pieces);
-    ASSERT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
-  }
-  auto filled = [&store] {
-    std::vector<EntryId> ids;
-    for (EntryId id = 0; id < store.size(); ++id) {
-      if (TupleStoreTestPeer::PiecesFilled(store, id)) ids.push_back(id);
-    }
-    return ids;
-  };
-  EXPECT_EQ(filled(), std::vector<EntryId>{});
-
-  // Overlaps entry 0 without being contained: entry 0's pieces fill for
-  // the union test, the new entry 3 is appended without its own.
-  auto overlapping = store.Insert(Banded(7, 3, 50, 200, 1));
-  ASSERT_TRUE(overlapping.ok()) << overlapping.status();
-  EXPECT_TRUE(overlapping->inserted);
-  EXPECT_EQ(overlapping->id, 3u);
-  EXPECT_EQ(filled(), std::vector<EntryId>{0});
-  const int64_t one_filled = store.footprint().pieces;
-  EXPECT_GT(one_filled, no_pieces);
-  ASSERT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
-
-  // Covered by entries 0 and 3 together, by neither alone.
-  StoreStats stats;
-  auto covered = store.Insert(Banded(7, 3, 10, 150, 1), &stats);
-  ASSERT_TRUE(covered.ok()) << covered.status();
-  EXPECT_FALSE(covered->inserted);
-  EXPECT_EQ(covered->absorbers, (std::vector<EntryId>{0, 3}));
-  EXPECT_EQ(stats.subsumed, 1);
-  EXPECT_EQ(filled(), (std::vector<EntryId>{0, 3}));
-  EXPECT_GT(store.footprint().pieces, one_filled);
-  ASSERT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
-
+// A candidate whose DBM is satisfiable but whose ground set misses the lrp
+// grid is an empty drop, decided before any bucket is probed.
+TEST(TupleStoreTest, OffGridCandidateIsDroppedBeforeAnyProbe) {
   // T2 = T1 is satisfiable, but no point has T1 even and T2 odd.
   TupleStore pairs({2, 0});
   Dbm equal(2);
@@ -243,7 +185,7 @@ TEST(TupleStoreTest, InsertKeepsResiduePiecesOnlyWhereUsed) {
   const GeneralizedTuple off_grid({Lrp(2, 0), Lrp(2, 1)}, {}, equal);
   ASSERT_TRUE(off_grid.ConstraintSatisfiable());
   const int64_t bytes = pairs.approx_bytes();
-  stats = StoreStats();
+  StoreStats stats;
   auto dropped = pairs.Insert(off_grid, &stats);
   ASSERT_TRUE(dropped.ok()) << dropped.status();
   EXPECT_FALSE(dropped->inserted);
@@ -743,36 +685,6 @@ TEST(TupleStoreTest, LiveIdsSkipTombstonesAndEraseReclaimsThem) {
   EXPECT_TRUE(store.CheckConsistency().ok());
 }
 
-// A piece range filled lazily (here for an InsertUnlessEmpty entry) is
-// counted when it is filled and released with its entry: erasing the only
-// entry leaves exactly the bytes of a store that never filled it, which
-// hold the interned signature alone (signatures are never dropped).
-TEST(TupleStoreTest, LazyPiecesAreCountedAndReleased) {
-  const GeneralizedTuple tuple({Lrp(168, 8)}, {1, 2}, Dbm(1));
-  TupleStore store({1, 2});
-  ASSERT_TRUE(store.InsertUnlessEmpty(tuple));
-  const int64_t appended = store.approx_bytes();
-  EXPECT_GT(appended, 0);
-  std::vector<NormalizedTuple> pieces;
-  ASSERT_TRUE(store.AppendPieces(0, &pieces).ok());
-  ASSERT_EQ(pieces.size(), 1u);
-  EXPECT_GT(store.approx_bytes(), appended);
-  store.EraseEntries({0});
-  ASSERT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
-
-  TupleStore unfilled({1, 2});
-  ASSERT_TRUE(unfilled.InsertUnlessEmpty(tuple));
-  unfilled.EraseEntries({0});
-  EXPECT_GE(store.approx_bytes(), 0);
-  EXPECT_EQ(store.approx_bytes(), unfilled.approx_bytes());
-  EXPECT_LT(store.approx_bytes(), appended);
-  // The signature is still interned: re-inserting is not a new one.
-  auto again = store.Insert(tuple);
-  ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_TRUE(again->inserted);
-  EXPECT_FALSE(again->new_signature);
-}
-
 // A signature reads its key from a representative row. Erasing that row
 // moves the representative to a surviving bucket entry; erasing every row
 // of the signature moves the key to the erased-key arena, until a new row
@@ -844,42 +756,6 @@ TEST(TupleStoreTest, ErasingARepresentativeKeepsTheSignatureInterned) {
   EXPECT_EQ(TupleStoreTestPeer::ErasedKeys(store), 0u);
   EXPECT_EQ(store.live_size(), 1u);
   ASSERT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
-}
-
-// Pieces filled lazily land in the piece arena in fill order, not entry
-// order; EraseEntries slides the survivors' ranges down in arena order, so
-// every survivor still reads back exactly its own pieces.
-TEST(TupleStoreTest, EraseEntriesKeepsLazilyFilledPieces) {
-  TupleStore store({2, 1});
-  for (int64_t i = 0; i < 6; ++i) {
-    Dbm dbm(2);
-    dbm.AddDifferenceUpperBound(2, 1, 3 + i);
-    dbm.AddLowerBound(1, i);
-    ASSERT_TRUE(store.InsertUnlessEmpty(
-        GeneralizedTuple({Lrp(6, i), Lrp(4, i % 4)},
-                         {static_cast<DataValue>(i % 2)}, dbm)));
-  }
-  std::vector<NormalizedTuple> scratch;
-  for (EntryId id : {4, 1, 5, 0}) {  // Entries 2 and 3 stay unfilled.
-    ASSERT_TRUE(store.AppendPieces(id, &scratch).ok());
-  }
-  std::vector<std::string> expected;
-  for (EntryId id : {0, 3, 5}) {
-    auto pieces = NormalizedTuple::Normalize(store.tuple(id));
-    ASSERT_TRUE(pieces.ok()) << pieces.status();
-    std::string dump;
-    for (const NormalizedTuple& piece : *pieces) dump += piece.ToString() + ";";
-    expected.push_back(dump);
-  }
-  store.EraseEntries({1, 2, 4});
-  ASSERT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
-  for (EntryId id = 0; id < store.size(); ++id) {
-    std::vector<NormalizedTuple> pieces;
-    ASSERT_TRUE(store.AppendPieces(id, &pieces).ok());
-    std::string dump;
-    for (const NormalizedTuple& piece : pieces) dump += piece.ToString() + ";";
-    EXPECT_EQ(dump, expected[id]) << id;
-  }
 }
 
 #if defined(__has_feature)
