@@ -55,7 +55,9 @@
 #                            directed incremental cases, the tombstone and
 #                            erase regressions in tuple_store_test, the
 #                            provenance renumber cases in provenance_test,
-#                            and the live-only image cases in storage_test.
+#                            the live-only image cases in storage_test, and
+#                            the head projection's identity and allocation
+#                            cases in batch_kernel_test.
 #                            Standalone mode: skips the plain build/ctest
 #                            above.
 #   ci/check.sh --perfbench  benchmark smoke run: perfbench/run.py builds
@@ -213,7 +215,7 @@ if [[ "$incremental" == 1 ]]; then
   echo "== incremental maintenance: ASan differential gauntlet"
   cmake -B build-asan -S . -DLRPDB_SANITIZE=ON
   cmake --build build-asan -j"$(nproc)" --target incremental_test \
-    tuple_store_test provenance_test storage_test
+    tuple_store_test provenance_test storage_test batch_kernel_test
   # 18 seeds x 6 generated programs = 108 random programs, each pushed
   # through a 6-step random add/retract schedule that compacts after some
   # steps. After every step the maintained model must match a
@@ -222,11 +224,14 @@ if [[ "$incremental" == 1 ]]; then
   # alternative derivations, retract misses, compaction as erase plus
   # renumber, readers after compaction, and the negation full-recompute
   # fallback; the TupleStoreTest cases cover tombstones and EraseEntries
-  # underneath, the ProvenanceTest cases the log's renumber, and the
-  # CodecTest/StoreTest cases the live-only snapshot image.
+  # underneath (trusted piece inserts included), the ProvenanceTest cases
+  # the log's renumber, and the CodecTest/StoreTest cases the live-only
+  # snapshot image. Every resume and re-derive inserts the head
+  # projection's rows as trusted pieces, so the ProjectionKernelTest and
+  # JoinLoopTest cases check that projection under ASan too.
   ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="print_stacktrace=1" \
     ctest --test-dir build-asan --output-on-failure \
-    -R '^(IncrementalTest|TupleStoreTest|ProvenanceTest|ProvenanceDedupTest|ProvenanceRenumberTest|CodecTest|StoreTest)\.|IncrementalRandomTest\.|ProvenanceRandomTest\.'
+    -R '^(IncrementalTest|TupleStoreTest|ProvenanceTest|ProvenanceDedupTest|ProvenanceRenumberTest|CodecTest|StoreTest|ProjectionKernelTest|JoinLoopTest)\.|IncrementalRandomTest\.|ProvenanceRandomTest\.'
   echo "ci/check.sh --incremental: incremental-maintenance pass passed"
   exit 0
 fi

@@ -101,9 +101,9 @@ int main() {
               lrpdb::EvaluateLtl(*gap->formula, word) ? "holds" : "FAILS");
 
   // Bridge the explicit form back into the lrp representation.
-  auto as_relation = lrpdb::ToGeneralizedRelation(steady);
-  if (!as_relation.ok()) return EXIT_FAILURE;
+  const lrpdb::GeneralizedRelation as_relation =
+      lrpdb::ToGeneralizedRelation(steady);
   std::printf("\n== same set as a generalized relation ==\n%zu tuples\n",
-              as_relation->size());
+              as_relation.size());
   return EXIT_SUCCESS;
 }

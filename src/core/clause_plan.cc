@@ -404,43 +404,68 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom, const CompiledAtom& compiled,
   }
   // Project each surviving binding onto the head: exact residue-aware
   // projection (a plain DBM projection would lose congruences of
-  // projected-out variables).
+  // projected-out variables). Each residue piece of the binding (period L,
+  // residues r, closed quotient q) projects by keeping the head variables'
+  // columns of the closed quotient, which is exact over Z; its t-space
+  // image is the head row: lrps L*n + r_h and bounds L*q(i,j) + r_i - r_j,
+  // which are closed because q is.
+  const std::vector<int>& head_vars = clause.head_temporal_vars;
+  const size_t mh = head_vars.size();
+  const size_t head_stride = (mh + 1) * (mh + 1);
+  // DBM index of head column i (0 is the zero variable) in the binding's.
+  std::vector<int> head_index{0};
+  for (int v : head_vars) head_index.push_back(v + 1);
+  PieceEnumerator enumerator;
   int64_t tuples_out = 0;
   std::vector<DataValue> head_data(clause.head_data.size());
+  const EntryId* row_ids = nullptr;
+  auto emit = [&](const PieceEnumerator::Piece& piece) {
+    auto residue_of = [&](int index) -> int64_t {
+      return index == 0 ? 0 : piece.residues[index - 1];
+    };
+    Lrp* lrps_out = candidates->lrps.Extend(mh);
+    for (size_t h = 0; h < mh; ++h) {
+      lrps_out[h] = Lrp(piece.period, piece.residues[head_vars[h]]);
+    }
+    candidates->data.Append(head_data.data(), head_data.size());
+    Bound* bounds_out = candidates->bounds.Extend(head_stride);
+    const DbmView quotient = piece.quotient.view();
+    for (size_t i = 0; i <= mh; ++i) {
+      for (size_t j = 0; j <= mh; ++j) {
+        Bound b = Bound::Finite(0);
+        if (i != j) {
+          const Bound q = quotient.bound(head_index[i], head_index[j]);
+          b = q.is_infinite() ? Bound::Infinity()
+                              : Bound::Finite(piece.period * q.value() +
+                                              residue_of(head_index[i]) -
+                                              residue_of(head_index[j]));
+        }
+        bounds_out[i * (mh + 1) + j] = b;
+      }
+    }
+    if (candidates->capture_parents) {
+      for (size_t a = 0; a < na; ++a) {
+        if (!clause.body[a].negated) {
+          candidates->parents.push_back(row_ids[a]);
+        }
+      }
+    }
+    ++candidates->size;
+    ++tuples_out;
+  };
   for (uint32_t r : order) {
     LRPDB_RETURN_IF_ERROR(PollExec(exec));
     const DataValue* row_data = frontier.data.data() + r * nd;
-    const EntryId* row_ids = frontier.ids.data() + r * na;
+    row_ids = frontier.ids.data() + r * na;
     dbm.Assign(
         DbmView(clause.num_temporal_vars, frontier.bounds.data() + r * nb),
         /*closed=*/true);
-    LRPDB_ASSIGN_OR_RETURN(
-        std::vector<NormalizedTuple> pieces,
-        NormalizedTuple::Normalize(
-            ColumnSpan<Lrp>(frontier.lrps.data() + r * nt, nt), {}, dbm));
     for (size_t h = 0; h < head_data.size(); ++h) {
       const NormalizedDataArg& arg = clause.head_data[h];
       head_data[h] = arg.is_constant() ? arg.constant : row_data[arg.variable];
     }
-    for (const NormalizedTuple& piece : pieces) {
-      const GeneralizedTuple head =
-          piece.ProjectTemporal(clause.head_temporal_vars)
-              .ToGeneralizedTuple();
-      candidates->lrps.Append(head.lrps().data(), head.lrps().size());
-      candidates->data.Append(head_data.data(), head_data.size());
-      candidates->bounds.Append(
-          head.constraint().view().bounds(),
-          (head.lrps().size() + 1) * (head.lrps().size() + 1));
-      if (candidates->capture_parents) {
-        for (size_t a = 0; a < na; ++a) {
-          if (!clause.body[a].negated) {
-            candidates->parents.push_back(row_ids[a]);
-          }
-        }
-      }
-      ++candidates->size;
-      ++tuples_out;
-    }
+    LRPDB_RETURN_IF_ERROR(enumerator.ForEachPiece(
+        ColumnSpan<Lrp>(frontier.lrps.data() + r * nt, nt), dbm, emit));
   }
   LRPDB_COUNTER_ADD("eval.batch.tuples_out", tuples_out);
   return OkStatus();

@@ -131,8 +131,8 @@ struct ClausePlan {
 ClausePlan CompileClausePlan(const NormalizedClause& clause);
 
 // Candidate head tuples in emission order, as flat rows: a candidate of
-// head arity (m, k) is m lrps, k data values and (m+1)^2 DBM bounds (as
-// projected, not closed) appended to three arenas -- its head relation's
+// head arity (m, k) is m lrps, k data values and (m+1)^2 DBM bounds
+// appended to three arenas -- its head relation's
 // store strides -- so any number of candidates is three blocks and no
 // per-candidate heap object. With `capture_parents`, each candidate's
 // positive body atoms' matched entry ids (body order) follow in `parents`.
@@ -183,8 +183,10 @@ struct CandidateRows {
 
 // Applies `clause` over the given per-atom entry ranges through the join
 // kernel, appending candidate head tuples to `candidates` in body-order
-// emission order (see the determinism note above), with their parent ids
-// when it captures them (why-provenance; negated atoms, which match
+// emission order (see the determinism note above): one per residue piece
+// of each binding, so each has a non-empty ground set and closed bounds,
+// as TupleStore::Row::kClosedPiece requires. Parent ids follow when it
+// captures them (why-provenance; negated atoms, which match
 // evaluation-local complement relations, are omitted). `stats`, when
 // non-null, receives the probe counters. Polls ExecContext::Current() per
 // binding.

@@ -43,6 +43,33 @@ std::string RenderClause(const Program& program,
   return s;
 }
 
+// All data constants visible to the evaluation.
+std::vector<DataValue> CollectActiveDomain(const Program& program,
+                                           const Database& db) {
+  std::set<DataValue> domain;
+  for (const std::string& name : db.RelationNames()) {
+    auto relation = db.Relation(name);
+    const TupleStore& store = (*relation)->store();
+    for (EntryId id : store.live_ids()) {
+      for (DataValue d : store.tuple(id).data()) domain.insert(d);
+    }
+  }
+  for (const Clause& clause : program.clauses()) {
+    auto collect = [&domain](const PredicateAtom& atom) {
+      for (const DataTerm& d : atom.data_args) {
+        if (d.is_constant()) domain.insert(d.constant);
+      }
+    };
+    collect(clause.head);
+    for (const BodyAtom& atom : clause.body) {
+      if (const auto* pred = std::get_if<PredicateAtom>(&atom)) {
+        collect(*pred);
+      }
+    }
+  }
+  return {domain.begin(), domain.end()};
+}
+
 // Shared machinery between Evaluate and QueryAtom: resolves the relation a
 // body atom reads from, including the complement relations backing negated
 // body literals (stratified negation: by the time a stratum reads !q, q is
@@ -73,9 +100,16 @@ class RelationResolver {
     if (it != complements_.end()) return &it->second;
     LRPDB_ASSIGN_OR_RETURN(const GeneralizedRelation* relation,
                            Resolve(predicate, is_intensional));
+    // The active data domain: every constant stored in the database plus
+    // every constant written in the program. Only complements read it, so
+    // it is collected at the first one; the database does not change
+    // during an evaluation.
+    if (!active_domain_.has_value()) {
+      active_domain_ = CollectActiveDomain(program_, db_);
+    }
     LRPDB_ASSIGN_OR_RETURN(
         std::vector<std::vector<DataValue>> universe,
-        DataUniverse(relation->schema().data_arity));
+        DataUniverse(*active_domain_, relation->schema().data_arity));
     LRPDB_ASSIGN_OR_RETURN(GeneralizedRelation complement,
                            Complement(*relation, universe));
     auto [inserted, unused] =
@@ -83,15 +117,10 @@ class RelationResolver {
     return &inserted->second;
   }
 
-  // Collects the active data domain: every constant stored in the database
-  // plus every constant written in the program.
-  void SetActiveDomain(std::vector<DataValue> domain) {
-    active_domain_ = std::move(domain);
-  }
-
  private:
-  [[nodiscard]] StatusOr<std::vector<std::vector<DataValue>>> DataUniverse(
-      int arity) const {
+  // Every data row of `arity` columns over `domain`.
+  [[nodiscard]] static StatusOr<std::vector<std::vector<DataValue>>>
+  DataUniverse(const std::vector<DataValue>& domain, int arity) {
     LRPDB_FAILPOINT("evaluator.data_universe");
     constexpr int64_t kMaxRows = 65536;
     std::vector<std::vector<DataValue>> rows;
@@ -101,25 +130,25 @@ class RelationResolver {
     }
     int64_t count = 1;
     for (int i = 0; i < arity; ++i) {
-      count *= static_cast<int64_t>(active_domain_.size());
+      count *= static_cast<int64_t>(domain.size());
       if (count > kMaxRows) {
         return ResourceExhaustedError(
             "data universe for negation exceeds the row budget");
       }
     }
     std::vector<size_t> index(arity, 0);
-    if (active_domain_.empty()) return rows;
+    if (domain.empty()) return rows;
     ExecContext* exec = ExecContext::Current();
     while (true) {
       LRPDB_RETURN_IF_ERROR(PollExec(exec));
       std::vector<DataValue> row(arity);
-      for (int i = 0; i < arity; ++i) row[i] = active_domain_[index[i]];
+      for (int i = 0; i < arity; ++i) row[i] = domain[index[i]];
       rows.push_back(std::move(row));
       int pos = arity;
       bool done = false;
       while (pos > 0) {
         --pos;
-        if (++index[pos] < active_domain_.size()) break;
+        if (++index[pos] < domain.size()) break;
         index[pos] = 0;
         done = pos == 0;
       }
@@ -131,36 +160,9 @@ class RelationResolver {
   const Program& program_;
   const Database& db_;
   const std::map<std::string, GeneralizedRelation>* idb_;
-  std::vector<DataValue> active_domain_;
+  std::optional<std::vector<DataValue>> active_domain_;
   std::map<SymbolId, GeneralizedRelation> complements_;
 };
-
-// All data constants visible to the evaluation.
-std::vector<DataValue> CollectActiveDomain(const Program& program,
-                                           const Database& db) {
-  std::set<DataValue> domain;
-  for (const std::string& name : db.RelationNames()) {
-    auto relation = db.Relation(name);
-    const TupleStore& store = (*relation)->store();
-    for (EntryId id : store.live_ids()) {
-      for (DataValue d : store.tuple(id).data()) domain.insert(d);
-    }
-  }
-  for (const Clause& clause : program.clauses()) {
-    auto collect = [&domain](const PredicateAtom& atom) {
-      for (const DataTerm& d : atom.data_args) {
-        if (d.is_constant()) domain.insert(d.constant);
-      }
-    };
-    collect(clause.head);
-    for (const BodyAtom& atom : clause.body) {
-      if (const auto* pred = std::get_if<PredicateAtom>(&atom)) {
-        collect(*pred);
-      }
-    }
-  }
-  return {domain.begin(), domain.end()};
-}
 
 // Appends printf-style output to `out`, however long it formats.
 __attribute__((format(printf, 2, 3))) void Appendf(std::string* out,
@@ -384,7 +386,6 @@ namespace {
   for (const auto& [unused, s] : strata) max_stratum = std::max(max_stratum, s);
 
   RelationResolver resolver(program, db, &result.idb);
-  resolver.SetActiveDomain(CollectActiveDomain(program, db));
 
   // Each clause's plan is compiled once, before the first round.
   std::vector<ClausePlan> plans;
@@ -622,8 +623,8 @@ namespace {
           const TupleView tuple = reader.Next(m, k);
           InsertOutcome outcome;
           {
-            StatusOr<InsertOutcome> outcome_or =
-                store.Insert(tuple, &stats.store);
+            StatusOr<InsertOutcome> outcome_or = store.Insert(
+                tuple, &stats.store, TupleStore::Row::kClosedPiece);
             if (!outcome_or.ok()) {
               if (!IsGovernanceTrip(exec, outcome_or.status())) {
                 return outcome_or.status();
@@ -807,7 +808,10 @@ namespace {
   GeneralizedRelation answers({m, k});
   CandidateRows::Reader reader(candidates);
   for (size_t c = 0; c < candidates.size; ++c) {
-    LRPDB_RETURN_IF_ERROR(answers.InsertIfNew(reader.Next(m, k)).status());
+    LRPDB_RETURN_IF_ERROR(answers.mutable_store()
+                              .Insert(reader.Next(m, k), /*stats=*/nullptr,
+                                      TupleStore::Row::kClosedPiece)
+                              .status());
   }
   return answers;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
-#include <optional>
 
 #include "src/common/exec_context.h"
 #include "src/common/failpoint.h"
@@ -11,28 +10,6 @@
 
 namespace lrpdb {
 namespace {
-
-// Quotient DBM of `t_dbm` for period L and residues r (r[0] corresponds to
-// temporal column 0 == DBM variable 1). Exact: within the residue class,
-// ti - tj <= c holds iff ni - nj <= floor((c - ri + rj) / L).
-Dbm QuotientOf(const Dbm& t_dbm, int64_t period,
-               const std::vector<int64_t>& residues) {
-  int m = t_dbm.num_vars();
-  Dbm q(m);
-  auto residue_of = [&](int var) -> int64_t {
-    return var == 0 ? 0 : residues[var - 1];
-  };
-  for (int i = 0; i <= m; ++i) {
-    for (int j = 0; j <= m; ++j) {
-      if (i == j) continue;
-      Bound b = t_dbm.bound(i, j);
-      if (b.is_infinite()) continue;
-      q.AddDifferenceUpperBound(
-          i, j, FloorDiv(b.value() - residue_of(i) + residue_of(j), period));
-    }
-  }
-  return q;
-}
 
 // Tightest t-space DBM describing the quotient DBM within the residue class:
 // ni - nj <= b  iff  ti - tj <= L*b + ri - rj.
@@ -56,109 +33,23 @@ Dbm TSpaceOf(const Dbm& quotient, int64_t period,
   return t;
 }
 
-// A tight equality in the closed t-space DBM pinning column i to an earlier
-// column (ti = t_column + offset) or, with column == -1, to a constant
-// (ti == offset).
-struct ResidueAnchor {
-  int column = -1;
-  int64_t offset = 0;
-};
-
-// Finds, per column, a tight equality against the zero variable or an
-// earlier column of the closed DBM. Anchored columns have their residue
-// derived during enumeration instead of multiplying the odometer. This is
-// exact: a residue combination violating ti = tj + c makes the two floored
-// bounds in QuotientOf sum to -1 -- an immediate negative cycle -- so every
-// skipped combination would have produced an unsatisfiable quotient anyway.
-std::vector<std::optional<ResidueAnchor>> AnchorsOf(const Dbm& closed, int m) {
-  std::vector<std::optional<ResidueAnchor>> anchors(m);
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j <= i; ++j) {  // DBM index: 0 = zero var, else column j-1.
-      Bound up = closed.bound(i + 1, j);
-      Bound down = closed.bound(j, i + 1);
-      if (up.is_infinite() || down.is_infinite() ||
-          up.value() != -down.value()) {
-        continue;
-      }
-      anchors[i] = ResidueAnchor{j - 1, up.value()};
-      break;
-    }
-  }
-  return anchors;
+// Collects each visited piece, with data constants `data`, into `out`.
+auto CollectInto(const std::vector<DataValue>& data,
+                 std::vector<NormalizedTuple>* out) {
+  return [&data, out](const PieceEnumerator::Piece& piece) {
+    out->emplace_back(
+        piece.period,
+        std::vector<int64_t>(piece.residues.begin(), piece.residues.end()),
+        data, piece.quotient);
+  };
 }
 
-// Shared residue-piece enumeration: walks the combinations of `choices`
-// (each an ascending residue list) at `period`, derives equality-anchored
-// columns from their anchor's residue, and keeps the pieces whose quotient
-// DBM is satisfiable. Only the free (un-anchored) columns count against
-// kMaxResiduePieces.
-[[nodiscard]] StatusOr<std::vector<NormalizedTuple>> EnumeratePieces(
-    const Dbm& t_dbm, int64_t period,
-    const std::vector<std::vector<int64_t>>& choices,
-    const std::vector<DataValue>& data) {
-  LRPDB_FAILPOINT("normalize.enumerate_pieces");
-  int m = static_cast<int>(choices.size());
-  Dbm closed = t_dbm;
-  if (!closed.IsSatisfiable()) return std::vector<NormalizedTuple>{};
-  std::vector<std::optional<ResidueAnchor>> anchors = AnchorsOf(closed, m);
-  int64_t total_pieces = 1;
-  for (int i = 0; i < m; ++i) {
-    if (anchors[i].has_value()) continue;
-    total_pieces *= static_cast<int64_t>(choices[i].size());
-    if (total_pieces > kMaxResiduePieces) {
-      return ResourceExhaustedError("residue combination count exceeds limit "
-                                    "during normalization");
-    }
-  }
-  std::vector<NormalizedTuple> pieces;
-  std::vector<int64_t> residues(m, 0);
-  std::vector<int> index(m, 0);
-  ExecContext* exec = ExecContext::Current();
-  while (true) {
-    // CRT enumeration is the engine's densest loop (up to kMaxResiduePieces
-    // iterations per tuple); poll so a deadline lands mid-normalization.
-    LRPDB_RETURN_IF_ERROR(PollExec(exec));
-    bool feasible = true;
-    for (int i = 0; i < m; ++i) {
-      if (!anchors[i].has_value()) {
-        residues[i] = choices[i][index[i]];
-        continue;
-      }
-      int64_t base = anchors[i]->column < 0 ? 0 : residues[anchors[i]->column];
-      residues[i] = FloorMod(base + anchors[i]->offset, period);
-      if (!std::binary_search(choices[i].begin(), choices[i].end(),
-                              residues[i])) {
-        feasible = false;
-        break;
-      }
-    }
-    if (feasible) {
-      Dbm quotient = QuotientOf(t_dbm, period, residues);
-      if (quotient.IsSatisfiable()) {
-        pieces.emplace_back(period, residues, data, std::move(quotient));
-      }
-    }
-    // Odometer increment over the free columns.
-    int pos = m - 1;
-    while (pos >= 0) {
-      if (!anchors[pos].has_value() &&
-          ++index[pos] < static_cast<int>(choices[pos].size())) {
-        break;
-      }
-      index[pos] = 0;
-      --pos;
-    }
-    if (pos < 0 || m == 0) break;
-  }
-  return pieces;
-}
+}  // namespace
 
-// Normalize() over a tuple's columns: aligns every lrp to the common
-// period and enumerates the residue pieces of `t_dbm`.
-[[nodiscard]] StatusOr<std::vector<NormalizedTuple>> NormalizeColumns(
-    ColumnSpan<Lrp> lrps, ColumnSpan<DataValue> data, const Dbm& t_dbm) {
+[[nodiscard]] Status PieceEnumerator::Enumerate(ColumnSpan<Lrp> lrps,
+                                                const Dbm& constraint,
+                                                VisitFn visit, void* context) {
   LRPDB_FAILPOINT("normalize.tuple");
-  int m = static_cast<int>(lrps.size());
   int64_t period = 1;
   for (const Lrp& lrp : lrps) {
     int64_t next = Lcm(period, lrp.period());
@@ -168,16 +59,107 @@ std::vector<std::optional<ResidueAnchor>> AnchorsOf(const Dbm& closed, int m) {
     }
     period = next;
   }
-  // Residue choices per column; equality-anchored columns are derived
-  // rather than enumerated (see EnumeratePieces).
-  std::vector<std::vector<int64_t>> choices(m);
-  for (int i = 0; i < m; ++i) {
-    choices[i] = lrps[i].ResiduesModulo(period);
+  // Column i takes the residues of its lrp modulo L: offset, offset +
+  // period, ... below L.
+  columns_.resize(lrps.size());
+  for (size_t i = 0; i < lrps.size(); ++i) {
+    columns_[i] = {lrps[i].offset(), lrps[i].period(),
+                   period / lrps[i].period()};
   }
-  return EnumeratePieces(t_dbm, period, choices, data.ToVector());
+  return Walk(constraint, period, visit, context);
 }
 
-}  // namespace
+// Anchored columns have their residue derived during the walk instead of
+// multiplying the odometer, and only the free columns count against
+// kMaxResiduePieces. This is exact: a residue combination violating
+// ti = tj + c makes the two floored quotient bounds sum to -1 -- an
+// immediate negative cycle -- so every skipped combination would have
+// produced an unsatisfiable quotient anyway. Within a combination, ti - tj
+// <= c holds iff ni - nj <= floor((c - ri + rj) / L).
+[[nodiscard]] Status PieceEnumerator::Walk(const Dbm& t_dbm, int64_t period,
+                                           VisitFn visit, void* context) {
+  LRPDB_FAILPOINT("normalize.enumerate_pieces");
+  const int m = static_cast<int>(columns_.size());
+  closed_ = t_dbm;
+  if (!closed_.IsSatisfiable()) return OkStatus();
+  // Per column, the first tight equality against the zero variable or an
+  // earlier column (DBM index 0 is the zero variable, j the column j-1).
+  anchors_.assign(m, Anchor{});
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j <= i; ++j) {
+      Bound up = closed_.bound(i + 1, j);
+      Bound down = closed_.bound(j, i + 1);
+      if (up.is_infinite() || down.is_infinite() ||
+          up.value() != -down.value()) {
+        continue;
+      }
+      anchors_[i] = Anchor{true, j - 1, up.value()};
+      break;
+    }
+  }
+  int64_t total_pieces = 1;
+  for (int i = 0; i < m; ++i) {
+    if (anchors_[i].anchored) continue;
+    total_pieces *= columns_[i].count;
+    if (total_pieces > kMaxResiduePieces) {
+      return ResourceExhaustedError("residue combination count exceeds limit "
+                                    "during normalization");
+    }
+  }
+  residues_.assign(m, 0);
+  index_.assign(m, 0);
+  auto residue_of = [&](int var) -> int64_t {
+    return var == 0 ? 0 : residues_[var - 1];
+  };
+  ExecContext* exec = ExecContext::Current();
+  while (true) {
+    // CRT enumeration is the engine's densest loop (up to kMaxResiduePieces
+    // iterations per tuple); poll so a deadline lands mid-normalization.
+    LRPDB_RETURN_IF_ERROR(PollExec(exec));
+    bool feasible = true;
+    for (int i = 0; i < m; ++i) {
+      const ResidueColumn& column = columns_[i];
+      if (!anchors_[i].anchored) {
+        residues_[i] = column.base + index_[i] * column.step;
+        continue;
+      }
+      int64_t base =
+          anchors_[i].column < 0 ? 0 : residues_[anchors_[i].column];
+      residues_[i] = FloorMod(base + anchors_[i].offset, period);
+      if (FloorMod(residues_[i] - column.base, column.step) != 0) {
+        feasible = false;
+        break;
+      }
+    }
+    if (feasible) {
+      quotient_.Reset(m);
+      for (int i = 0; i <= m; ++i) {
+        for (int j = 0; j <= m; ++j) {
+          if (i == j) continue;
+          Bound b = t_dbm.bound(i, j);
+          if (b.is_infinite()) continue;
+          quotient_.AddDifferenceUpperBound(
+              i, j,
+              FloorDiv(b.value() - residue_of(i) + residue_of(j), period));
+        }
+      }
+      if (quotient_.IsSatisfiable()) {
+        visit(context, Piece{period, residues_, quotient_});
+      }
+    }
+    // Odometer increment over the free columns.
+    int pos = m - 1;
+    while (pos >= 0) {
+      if (!anchors_[pos].anchored && ++index_[pos] < columns_[pos].count) {
+        break;
+      }
+      index_[pos] = 0;
+      --pos;
+    }
+    if (pos < 0 || m == 0) break;
+  }
+  return OkStatus();
+}
 
 NormalizedTuple::NormalizedTuple(int64_t common_period,
                                  std::vector<int64_t> residues,
@@ -193,17 +175,22 @@ NormalizedTuple::NormalizedTuple(int64_t common_period,
 
 [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> NormalizedTuple::Normalize(
     const GeneralizedTuple& tuple) {
-  return NormalizeColumns(tuple.lrps(), tuple.data(), tuple.constraint());
+  return Normalize(tuple.lrps(), tuple.data(), tuple.constraint());
 }
 
 [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> NormalizedTuple::Normalize(
     TupleView tuple) {
-  return NormalizeColumns(tuple.lrps(), tuple.data(), Dbm(tuple.constraint()));
+  return Normalize(tuple.lrps(), tuple.data(), Dbm(tuple.constraint()));
 }
 
 [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> NormalizedTuple::Normalize(
     ColumnSpan<Lrp> lrps, ColumnSpan<DataValue> data, const Dbm& constraint) {
-  return NormalizeColumns(lrps, data, constraint);
+  const std::vector<DataValue> data_values = data.ToVector();
+  std::vector<NormalizedTuple> pieces;
+  PieceEnumerator enumerator;
+  LRPDB_RETURN_IF_ERROR(enumerator.ForEachPiece(
+      lrps, constraint, CollectInto(data_values, &pieces)));
+  return pieces;
 }
 
 [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> NormalizedTuple::AlignTo(
@@ -220,17 +207,18 @@ NormalizedTuple::NormalizedTuple(int64_t common_period,
   // Re-express in t-space (exact) and renormalize at `target`: each column's
   // residue class mod common_period_ splits into target / common_period_
   // classes mod target.
-  Dbm t_dbm = TSpaceOf(quotient_, common_period_, residues_);
-  int m = temporal_arity();
-  int64_t splits = target / common_period_;
-  std::vector<std::vector<int64_t>> choices(m);
-  for (int i = 0; i < m; ++i) {
-    choices[i].reserve(splits);
-    for (int64_t k = 0; k < splits; ++k) {
-      choices[i].push_back(residues_[i] + k * common_period_);
-    }
+  PieceEnumerator enumerator;
+  enumerator.columns_.resize(residues_.size());
+  for (size_t i = 0; i < residues_.size(); ++i) {
+    enumerator.columns_[i] = {residues_[i], common_period_,
+                              target / common_period_};
   }
-  return EnumeratePieces(t_dbm, target, choices, data_);
+  std::vector<NormalizedTuple> pieces;
+  auto collect = CollectInto(data_, &pieces);
+  LRPDB_RETURN_IF_ERROR(
+      enumerator.Walk(TSpaceOf(quotient_, common_period_, residues_), target,
+                      &PieceEnumerator::Call<decltype(collect)&>, &collect));
+  return pieces;
 }
 
 bool NormalizedTuple::ContainsGround(const std::vector<int64_t>& times,

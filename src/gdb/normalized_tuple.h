@@ -14,7 +14,9 @@
 #define LRPDB_GDB_NORMALIZED_TUPLE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/statusor.h"
@@ -34,6 +36,77 @@ namespace lrpdb {
 inline constexpr int64_t kMaxCommonPeriod = int64_t{1} << 40;
 inline constexpr int64_t kMaxResiduePieces = int64_t{1} << 16;
 
+// The residue-piece enumeration behind every normalization. For a tuple's
+// columns and constraint it computes the common period L, derives each
+// column tied by a tight equality to a constant or an earlier column from
+// that anchor's residue, walks the odometer over the other columns'
+// residues, and builds one quotient DBM per combination; each satisfiable
+// piece goes to a visitor, which reads it in place. The scratch (the
+// closed t-space DBM, the quotient DBM, the residue and odometer vectors)
+// is kept between calls, so a caller enumerating many tuples with one
+// enumerator allocates nothing once the scratch has reached its largest
+// arity. Polls ExecContext::Current() once per residue combination.
+class PieceEnumerator {
+ public:
+  // One satisfiable piece, borrowed from the enumerator's scratch: valid
+  // only while the visitor runs.
+  struct Piece {
+    int64_t period;                     // L.
+    std::span<const int64_t> residues;  // ri in [0, L), one per column.
+    const Dbm& quotient;                // Over the ni; closed, satisfiable.
+  };
+
+  // Calls visit(const Piece&) for each satisfiable residue piece of the
+  // tuple with columns `lrps` and constraint `constraint` (closed or not;
+  // a closed one is not closed again), in odometer order of the residue
+  // vectors. The pieces' ground sets are disjoint and their union is the
+  // tuple's.
+  template <typename Visit>
+  [[nodiscard]] Status ForEachPiece(ColumnSpan<Lrp> lrps,
+                                    const Dbm& constraint, Visit&& visit) {
+    return Enumerate(lrps, constraint, &Call<Visit>, &visit);
+  }
+
+ private:
+  friend class NormalizedTuple;  // AlignTo walks its own residue columns.
+
+  // The residues a column may take modulo the walk's period, ascending:
+  // base + k * step for k in [0, count), with base < step.
+  struct ResidueColumn {
+    int64_t base = 0;
+    int64_t step = 1;
+    int64_t count = 1;
+  };
+  // A tight equality of the closed t-space DBM pinning a column to an
+  // earlier column (ti = t_column + offset) or, with column == -1, to a
+  // constant (ti == offset).
+  struct Anchor {
+    bool anchored = false;
+    int column = -1;
+    int64_t offset = 0;
+  };
+
+  using VisitFn = void (*)(void* visit, const Piece& piece);
+  template <typename Visit>
+  static void Call(void* visit, const Piece& piece) {
+    (*static_cast<std::remove_reference_t<Visit>*>(visit))(piece);
+  }
+
+  // Aligns `lrps` to their common period and walks them.
+  [[nodiscard]] Status Enumerate(ColumnSpan<Lrp> lrps, const Dbm& constraint,
+                                 VisitFn visit, void* context);
+  // Walks columns_ at `period` under the t-space DBM `t_dbm`.
+  [[nodiscard]] Status Walk(const Dbm& t_dbm, int64_t period, VisitFn visit,
+                            void* context);
+
+  std::vector<ResidueColumn> columns_;
+  std::vector<Anchor> anchors_;
+  std::vector<int64_t> residues_;
+  std::vector<int64_t> index_;
+  Dbm closed_{0};
+  Dbm quotient_{0};
+};
+
 // One residue piece: data constants, common period L, residue vector, and
 // the quotient DBM over the ni. Always satisfiable (empty pieces are
 // filtered at creation).
@@ -42,9 +115,9 @@ class NormalizedTuple {
   NormalizedTuple(int64_t common_period, std::vector<int64_t> residues,
                   std::vector<DataValue> data, Dbm quotient);
 
-  // Splits `tuple` into satisfiable residue pieces. The union of the pieces'
-  // ground sets equals the tuple's ground set, and distinct pieces are
-  // disjoint.
+  // Splits `tuple` into satisfiable residue pieces (PieceEnumerator). The
+  // union of the pieces' ground sets equals the tuple's ground set, and
+  // distinct pieces are disjoint.
   [[nodiscard]] static StatusOr<std::vector<NormalizedTuple>> Normalize(
       const GeneralizedTuple& tuple);
   // The same, for a borrowed tuple (a TupleStore row).

@@ -8,7 +8,7 @@
 
 namespace lrpdb {
 
-[[nodiscard]] StatusOr<GeneralizedRelation> ToGeneralizedRelation(
+GeneralizedRelation ToGeneralizedRelation(
     const EventuallyPeriodicSet& set) {
   GeneralizedRelation relation({1, 0});
   // Prefix members: pinned points (the lrp n with T = t, per the paper's

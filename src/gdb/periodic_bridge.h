@@ -15,7 +15,7 @@ namespace lrpdb {
 // ground set is exactly `set`: one pinned tuple per prefix member and one
 // lrp tuple (period = set.period(), constrained to T >= offset) per tail
 // residue.
-[[nodiscard]] StatusOr<GeneralizedRelation> ToGeneralizedRelation(
+GeneralizedRelation ToGeneralizedRelation(
     const EventuallyPeriodicSet& set);
 
 // The eventually periodic set {t >= 0 : (t) in ground(relation)} of a

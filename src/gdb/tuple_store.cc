@@ -339,7 +339,7 @@ void TupleStore::RefilePostings(PostingTable* table, size_t slots) {
 // --- Appends ---
 
 [[nodiscard]] StatusOr<InsertOutcome> TupleStore::Insert(
-    TupleView tuple, StoreStats* stats) {
+    TupleView tuple, StoreStats* stats, Row row) {
   LRPDB_FAILPOINT("tuple_store.insert");
   if (tuple.temporal_arity() != schema_.temporal_arity ||
       tuple.data_arity() != schema_.data_arity) {
@@ -347,21 +347,27 @@ void TupleStore::RefilePostings(PostingTable* table, size_t slots) {
   }
   ExecContext* exec = ExecContext::Current();
   LRPDB_RETURN_IF_ERROR(PollExec(exec));
-  // The candidate's DBM, closed once in the store's scratch DBM: for its
-  // normalization and for the single-entry containment test below. The
-  // row is appended with its bounds as given, never closed.
-  candidate_closure_.Assign(tuple.constraint());
-  candidate_closure_.Close();
-  LRPDB_ASSIGN_OR_RETURN(
-      std::vector<NormalizedTuple> candidate,
-      NormalizedTuple::Normalize(tuple.lrps(), tuple.data(),
-                                 candidate_closure_));
   // Counts into the caller's stats, or nowhere.
   StoreStats uncounted;
   StoreStats& counts = stats != nullptr ? *stats : uncounted;
-  if (candidate.empty()) {  // Empty ground set.
-    ++counts.empty_dropped;
-    return InsertOutcome{};
+  // The candidate's closed DBM, in the store's scratch DBM: for the
+  // single-entry containment test below and for normalization. The row is
+  // appended with its bounds as given, never closed. `candidate` holds the
+  // candidate's residue pieces once computed: up front for an unchecked
+  // row, only for the union test for a piece.
+  std::vector<NormalizedTuple> candidate;
+  if (row == Row::kClosedPiece) {
+    candidate_closure_.Assign(tuple.constraint(), /*closed=*/true);
+  } else {
+    candidate_closure_.Assign(tuple.constraint());
+    candidate_closure_.Close();
+    LRPDB_ASSIGN_OR_RETURN(candidate, NormalizedTuple::Normalize(
+                                          tuple.lrps(), tuple.data(),
+                                          candidate_closure_));
+    if (candidate.empty()) {  // Empty ground set.
+      ++counts.empty_dropped;
+      return InsertOutcome{};
+    }
   }
   // The budget is charged what this insert grew the store by: the appended
   // row and index entries. A subsumed candidate grows nothing but still
@@ -394,9 +400,15 @@ void TupleStore::RefilePostings(PostingTable* table, size_t slots) {
           return candidate_closure_.Implies(this->tuple(id).constraint());
         });
     if (exec != nullptr) exec->ChargeSteps(compared * BoundsStride());
-    // The bucket's pieces, for the containment call only.
+    // The union test's pieces: the candidate's (a piece's are computed only
+    // now) and the bucket's.
     std::vector<NormalizedTuple> existing;
     if (!implied) {
+      if (candidate.empty()) {
+        LRPDB_ASSIGN_OR_RETURN(candidate, NormalizedTuple::Normalize(
+                                              tuple.lrps(), tuple.data(),
+                                              candidate_closure_));
+      }
       for (EntryId id : bucket) {
         LRPDB_RETURN_IF_ERROR(AppendNormalized(this->tuple(id), &existing));
       }
@@ -411,7 +423,7 @@ void TupleStore::RefilePostings(PostingTable* table, size_t slots) {
       ++counts.subsumed;
       charge_growth();
       InsertOutcome outcome;
-      outcome.absorbers.assign(bucket.begin(), bucket.end());
+      outcome.absorbers = bucket;
       return outcome;
     }
   }

@@ -128,11 +128,12 @@ struct InsertOutcome {
   // Entry id the tuple was appended at; meaningful only when `inserted`.
   EntryId id = 0;
   // When the candidate was dropped as contained: the same-signature entries
-  // whose union subsumed it. Why-provenance attaches the dropped
+  // whose union subsumed it, borrowed from the signature's bucket (valid
+  // until the store's next mutation). Why-provenance attaches the dropped
   // candidate's origin to these so derivations stay resolvable across
   // subsumption. Empty when inserted or when the candidate normalized to
   // the empty ground set.
-  std::vector<EntryId> absorbers;
+  std::span<const EntryId> absorbers;
 };
 
 // An indexed set of generalized tuples of one schema.
@@ -210,17 +211,39 @@ class TupleStore {
     return Ids(table.slots[ProbePosting(table, value)].entries);
   }
 
+  // What a caller of Insert vouches for about its row.
+  enum class Row {
+    // Nothing. Insert closes the row's bounds and normalizes it before the
+    // bucket probe: an empty ground set is dropped there and counted as
+    // empty_dropped. IncrementalEvaluator::AddFacts and the algebra insert
+    // this way.
+    kUnchecked,
+    // A residue piece: its ground set is non-empty and its bounds are the
+    // closure of a satisfiable DBM. The head projection (ApplyClauseBatch,
+    // src/core/clause_plan.h) emits only such rows, so the evaluators and
+    // QueryAtom insert this way. Insert takes the bounds as closed, drops
+    // nothing as empty, and normalizes the row only if it has to run the
+    // union test.
+    kClosedPiece,
+  };
+
   // Exact insert: drops the tuple if its ground set is empty or contained
   // in the union of the stored tuples with the same signature (free
   // extension) -- the comparison constraint safety (paper, Section 4.3)
   // prescribes. The same-signature entries come from one bucket probe.
-  // A kept tuple is appended as given (its bounds unclosed, no pieces
-  // kept); the view may point anywhere but into this store.
-  // `stats`, when non-null, receives the insert-path counters; without it
-  // nothing is counted. Polls ExecContext::Current() and charges it the
-  // inserted tuple and the bytes the store grew by.
+  // A candidate whose closed DBM implies one entry's DBM is contained in
+  // it, and no residue piece is computed; otherwise the candidate's and
+  // the bucket's pieces are computed for the exact union test and dropped
+  // when it returns. With Row::kUnchecked the candidate's pieces are
+  // computed first, to decide emptiness (see Row). A kept tuple is
+  // appended as given (its bounds as they came, no pieces kept); the view
+  // may point anywhere but into this store. `stats`, when non-null,
+  // receives the insert-path counters; without it nothing is counted.
+  // Polls ExecContext::Current() and charges it the inserted tuple and the
+  // bytes the store grew by.
   [[nodiscard]] StatusOr<InsertOutcome> Insert(TupleView tuple,
-                                               StoreStats* stats = nullptr);
+                                               StoreStats* stats = nullptr,
+                                               Row row = Row::kUnchecked);
   [[nodiscard]] StatusOr<InsertOutcome> Insert(const GeneralizedTuple& tuple,
                                                StoreStats* stats = nullptr) {
     return Insert(tuple.view(), stats);

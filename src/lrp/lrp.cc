@@ -34,18 +34,6 @@ std::optional<Lrp> Lrp::Intersect(const Lrp& a, const Lrp& b) {
   return Lrp(lcm, t);
 }
 
-std::vector<int64_t> Lrp::ResiduesModulo(int64_t target) const {
-  LRPDB_CHECK_GT(target, 0);
-  LRPDB_CHECK_EQ(target % period_, 0)
-      << "alignment target must be a multiple of the period";
-  std::vector<int64_t> residues;
-  residues.reserve(target / period_);
-  for (int64_t r = offset_; r < target; r += period_) {
-    residues.push_back(r);
-  }
-  return residues;
-}
-
 std::string Lrp::ToString() const {
   if (period_ == 1 && offset_ == 0) return "n";
   std::string s;

@@ -52,11 +52,6 @@ class Lrp {
     return period_ % other.period_ == 0 && other.Contains(offset_);
   }
 
-  // Rewrites this lrp as a union of lrps of period `target` (which must be a
-  // positive multiple of period()): offsets b, b+a, ..., b+a*(target/a - 1),
-  // returned as residues in [0, target), sorted ascending.
-  std::vector<int64_t> ResiduesModulo(int64_t target) const;
-
   // The smallest member >= t.
   int64_t NextAtLeast(int64_t t) const {
     return t + FloorMod(offset_ - t, period_);

@@ -23,6 +23,7 @@
 #include "src/core/evaluator.h"
 #include "src/core/ground_evaluator.h"
 #include "src/core/normalizer.h"
+#include "src/gdb/normalized_tuple.h"
 #include "src/parser/parser.h"
 #include "tests/counting_new.h"
 #include "tests/ground_oracle.h"
@@ -477,6 +478,160 @@ TEST(JoinLoopTest, InfeasibleExtensionsDoNotAllocate) {
   // a's range walk, then one posting entry per binding.
   EXPECT_EQ(stats.tuples_scanned, 2 * kBindings);
   EXPECT_LT(allocations, kBindings / 20) << allocations << " allocations";
+}
+
+
+// The same join, with every extension feasible: a and b both hold t >= 0,
+// so each of the 10,000 bindings is one residue piece (period 10, residue
+// 0) and emits one candidate. The head projection reads each piece out of
+// the enumerator's scratch straight into the candidate arenas, so emitting
+// allocates nothing per candidate either.
+TEST(JoinLoopTest, FeasibleBindingsProjectWithoutAllocating) {
+  constexpr int kBindings = 10000;
+  Database db;
+  auto unit = Parse(R"(
+    .decl a(time, data)
+    .decl b(time, data)
+    .decl p(time)
+    p(t) :- a(t, X), b(t, X).
+  )",
+                    &db);
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  ASSERT_TRUE(db.Declare("a", {1, 1}).ok());
+  ASSERT_TRUE(db.Declare("b", {1, 1}).ok());
+  auto a = db.MutableRelation("a");
+  auto b = db.MutableRelation("b");
+  ASSERT_TRUE(a.ok() && b.ok());
+  Dbm nonnegative(1);
+  nonnegative.AddLowerBound(1, 0);
+  for (DataValue x = 0; x < kBindings; ++x) {
+    ASSERT_TRUE((*a)->mutable_store().InsertUnlessEmpty(
+        GeneralizedTuple({Lrp(10, 0)}, {x}, nonnegative)));
+    ASSERT_TRUE((*b)->mutable_store().InsertUnlessEmpty(
+        GeneralizedTuple({Lrp(10, 0)}, {x}, nonnegative)));
+  }
+  auto normalized = Normalize(unit->program);
+  ASSERT_TRUE(normalized.ok()) << normalized.status();
+  const NormalizedClause& clause = normalized->clauses[0];
+  const ClausePlan plan = CompileClausePlan(clause);
+  const std::vector<AtomSource> sources = {{*a, 0, (*a)->size()},
+                                           {*b, 0, (*b)->size()}};
+  StoreStats stats;
+  CandidateRows rows;
+  const int64_t before = lrpdb_testing::AllocationCount();
+  Status applied = ApplyClauseBatch(clause, plan, sources, &stats, &rows);
+  const int64_t allocations = lrpdb_testing::AllocationCount() - before;
+  ASSERT_TRUE(applied.ok()) << applied;
+  ASSERT_EQ(rows.size, static_cast<size_t>(kBindings));
+  CandidateRows::Reader reader(rows);
+  const TupleView first = reader.Next(1, 0);
+  EXPECT_EQ(first.lrp(0), Lrp(10, 0));
+  EXPECT_EQ(first.bound(0, 1), Bound::Finite(0));
+  EXPECT_TRUE(first.bound(1, 0).is_infinite());
+  EXPECT_LT(allocations, 500) << allocations << " allocations";
+}
+
+// --- Head projection against the library's projection --------------------
+
+// The kernel's head projection reads each residue piece out of the piece
+// enumerator and writes the head row itself. Over random bindings (up to
+// three temporal variables, periods from {1, 2, 3, 4, 6, 7, 168}, bounds
+// that include equalities, so anchored columns are exercised, and a random
+// head subset in random order), its rows must be byte-identical to
+// NormalizedTuple::Normalize -> ProjectTemporal -> ToGeneralizedTuple,
+// piece for piece and in the same order.
+TEST(ProjectionKernelTest, RowsMatchNormalizeProjectConvert) {
+  constexpr int kBindings = 2000;
+  constexpr int64_t kPeriods[] = {1, 2, 3, 4, 6, 7, 168};
+  std::mt19937 rng(20260);
+  auto uniform = [&rng](int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(rng);
+  };
+  int bindings = 0;
+  int64_t pieces_compared = 0;
+  int multi_piece = 0;
+  int empty_ground = 0;
+  while (bindings < kBindings) {
+    const int nt = static_cast<int>(uniform(1, 3));
+    std::vector<Lrp> lrps;
+    for (int v = 0; v < nt; ++v) {
+      const int64_t period = kPeriods[uniform(0, 6)];
+      lrps.emplace_back(period, uniform(0, period - 1));
+    }
+    // Bounds between every pair of DBM indices (0 is the zero variable):
+    // none, an equality, or one or two inequalities.
+    Dbm constraint(nt);
+    for (int i = 0; i <= nt; ++i) {
+      for (int j = i + 1; j <= nt; ++j) {
+        switch (uniform(0, 3)) {
+          case 0:
+            break;
+          case 1:
+            constraint.AddDifferenceEquality(j, i, uniform(-12, 12));
+            break;
+          case 2:
+            constraint.AddDifferenceUpperBound(j, i, uniform(-12, 30));
+            break;
+          default:
+            constraint.AddDifferenceUpperBound(j, i, uniform(0, 40));
+            constraint.AddDifferenceUpperBound(i, j, uniform(0, 40));
+            break;
+        }
+      }
+    }
+    // One stored tuple b(t1..tT, X) and the clause h(head vars, X) :- b.
+    GeneralizedRelation relation({nt, 1});
+    if (!relation.InsertUnlessEmpty(GeneralizedTuple(lrps, {7}, constraint))) {
+      continue;  // Unsatisfiable DBM: no binding at all.
+    }
+    ++bindings;
+    std::vector<int> head_vars;
+    for (int v = 0; v < nt; ++v) {
+      if (uniform(0, 2) > 0) head_vars.push_back(v);
+    }
+    std::shuffle(head_vars.begin(), head_vars.end(), rng);
+    NormalizedClause clause;
+    clause.num_temporal_vars = nt;
+    clause.num_data_vars = 1;
+    clause.head_temporal_vars = head_vars;
+    clause.head_data = {{.variable = 0, .constant = -1}};
+    NormalizedBodyAtom atom;
+    for (int v = 0; v < nt; ++v) atom.temporal_args.emplace_back(v, 0);
+    atom.data_args = {{.variable = 0, .constant = -1}};
+    clause.body.push_back(atom);
+    clause.constraint = Dbm(nt);
+    CandidateRows rows;
+    Status applied =
+        ApplyClauseBatch(clause, CompileClausePlan(clause),
+                         {{&relation, 0, relation.size()}}, nullptr, &rows);
+    ASSERT_TRUE(applied.ok()) << applied;
+
+    auto pieces = NormalizedTuple::Normalize(relation.tuple(0));
+    ASSERT_TRUE(pieces.ok()) << pieces.status();
+    SCOPED_TRACE(relation.tuple(0).ToString());
+    ASSERT_EQ(rows.size, pieces->size());
+    if (pieces->empty()) ++empty_ground;
+    if (pieces->size() > 1) ++multi_piece;
+    const int mh = static_cast<int>(head_vars.size());
+    const size_t stride = size_t(mh + 1) * size_t(mh + 1);
+    CandidateRows::Reader reader(rows);
+    for (const NormalizedTuple& piece : *pieces) {
+      const GeneralizedTuple expected =
+          piece.ProjectTemporal(head_vars).ToGeneralizedTuple();
+      const TupleView row = reader.Next(mh, 1);
+      EXPECT_EQ(row.lrps(), expected.lrps());
+      EXPECT_EQ(row.data(), expected.data());
+      const Bound* want = expected.constraint().view().bounds();
+      EXPECT_TRUE(std::equal(row.constraint().bounds(),
+                             row.constraint().bounds() + stride, want))
+          << row.ToString() << " vs " << expected.ToString();
+      ++pieces_compared;
+    }
+  }
+  // The draw reaches every shape the projection handles.
+  EXPECT_GT(pieces_compared, int64_t{kBindings});
+  EXPECT_GT(multi_piece, 0);
+  EXPECT_GT(empty_ground, 0);
 }
 
 }  // namespace

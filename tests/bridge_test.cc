@@ -10,12 +10,11 @@ namespace {
 TEST(BridgeTest, ArithmeticProgressionRoundTrip) {
   EventuallyPeriodicSet set =
       EventuallyPeriodicSet::ArithmeticProgression(5, 40);
-  auto relation = ToGeneralizedRelation(set);
-  ASSERT_TRUE(relation.ok()) << relation.status();
+  const GeneralizedRelation relation = ToGeneralizedRelation(set);
   for (int64_t t = -10; t < 200; ++t) {
-    EXPECT_EQ(relation->ContainsGround({t}, {}), set.Contains(t)) << t;
+    EXPECT_EQ(relation.ContainsGround({t}, {}), set.Contains(t)) << t;
   }
-  auto back = ToEventuallyPeriodicSet(*relation);
+  auto back = ToEventuallyPeriodicSet(relation);
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_EQ(*back, set);
 }
@@ -25,30 +24,27 @@ TEST(BridgeTest, PrefixPlusTailRoundTrip) {
       {true, false, false, true},  // 0 and 3 in the prefix.
       {false, true, true});        // 5, 6 mod 3 from offset 4.
   ASSERT_TRUE(set.ok());
-  auto relation = ToGeneralizedRelation(*set);
-  ASSERT_TRUE(relation.ok()) << relation.status();
+  const GeneralizedRelation relation = ToGeneralizedRelation(*set);
   for (int64_t t = 0; t < 100; ++t) {
-    EXPECT_EQ(relation->ContainsGround({t}, {}), set->Contains(t)) << t;
+    EXPECT_EQ(relation.ContainsGround({t}, {}), set->Contains(t)) << t;
   }
-  auto back = ToEventuallyPeriodicSet(*relation);
+  auto back = ToEventuallyPeriodicSet(relation);
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_EQ(*back, *set);
 }
 
 TEST(BridgeTest, EmptyAndFullSets) {
   EventuallyPeriodicSet empty;
-  auto empty_rel = ToGeneralizedRelation(empty);
-  ASSERT_TRUE(empty_rel.ok());
-  EXPECT_TRUE(empty_rel->empty());
-  auto empty_back = ToEventuallyPeriodicSet(*empty_rel);
+  const GeneralizedRelation empty_rel = ToGeneralizedRelation(empty);
+  EXPECT_TRUE(empty_rel.empty());
+  auto empty_back = ToEventuallyPeriodicSet(empty_rel);
   ASSERT_TRUE(empty_back.ok());
   EXPECT_TRUE(empty_back->IsEmpty());
 
   EventuallyPeriodicSet full =
       EventuallyPeriodicSet::ArithmeticProgression(0, 1);
-  auto full_rel = ToGeneralizedRelation(full);
-  ASSERT_TRUE(full_rel.ok());
-  auto full_back = ToEventuallyPeriodicSet(*full_rel);
+  const GeneralizedRelation full_rel = ToGeneralizedRelation(full);
+  auto full_back = ToEventuallyPeriodicSet(full_rel);
   ASSERT_TRUE(full_back.ok());
   EXPECT_EQ(*full_back, full);
 }
@@ -92,9 +88,8 @@ TEST_P(BridgeRandomTest, RandomSetsRoundTrip) {
     for (int64_t i = 0; i < period; ++i) tail[i] = rng() % 2;
     auto set = EventuallyPeriodicSet::Create(prefix, tail);
     ASSERT_TRUE(set.ok());
-    auto relation = ToGeneralizedRelation(*set);
-    ASSERT_TRUE(relation.ok()) << relation.status();
-    auto back = ToEventuallyPeriodicSet(*relation);
+    const GeneralizedRelation relation = ToGeneralizedRelation(*set);
+    auto back = ToEventuallyPeriodicSet(relation);
     ASSERT_TRUE(back.ok()) << back.status();
     ASSERT_EQ(*back, *set) << "iter " << iter;
   }

@@ -94,10 +94,9 @@ TEST(IntegrationTest, TemplogToLrpDatabaseToLtl) {
   const EventuallyPeriodicSet& beat = model->model.at("beat").at({});
   EXPECT_EQ(beat, EventuallyPeriodicSet::ArithmeticProgression(4, 6));
 
-  auto relation = ToGeneralizedRelation(beat);
-  ASSERT_TRUE(relation.ok()) << relation.status();
+  const GeneralizedRelation relation = ToGeneralizedRelation(beat);
   for (int64_t t = 0; t < 60; ++t) {
-    EXPECT_EQ(relation->ContainsGround({t}, {}), beat.Contains(t)) << t;
+    EXPECT_EQ(relation.ContainsGround({t}, {}), beat.Contains(t)) << t;
   }
 
   PeriodicWord word = PeriodicWord::Characteristic(beat);

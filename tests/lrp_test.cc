@@ -54,12 +54,6 @@ TEST(LrpTest, NextAtLeast) {
   EXPECT_EQ(lrp.NextAtLeast(-10), -4);
 }
 
-TEST(LrpTest, ResiduesModulo) {
-  Lrp lrp(3, 1);
-  std::vector<int64_t> r = lrp.ResiduesModulo(12);
-  EXPECT_EQ(r, (std::vector<int64_t>{1, 4, 7, 10}));
-}
-
 TEST(LrpTest, ToString) {
   EXPECT_EQ(Lrp(5, 3).ToString(), "5n+3");
   EXPECT_EQ(Lrp(1, 0).ToString(), "n");

@@ -284,10 +284,6 @@ TEST(CodecTest, ImageRoundTripIsExact) {
   EXPECT_EQ(EncodeDatabaseImage(out), payload);
 }
 
-// Stores are always indexed, so every image carries index flag 1. Images
-// written while stores could run unindexed may carry 0: they decode to the
-// same database (the flag is ignored) and re-encode with 1. Anything above
-// 1 is still corrupt.
 // Rows keep each DBM's bounds exactly as appended, unclosed, and the codec
 // encodes them as is: a relation built through Insert (m = 2, bounds whose
 // closure would tighten them) snapshots to the same bytes and dumps to the

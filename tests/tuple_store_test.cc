@@ -17,8 +17,10 @@
 #include <gtest/gtest.h>
 
 #include "src/core/evaluator.h"
+#include "src/gdb/normalized_tuple.h"
 #include "src/gdb/tuple_store.h"
 #include "src/parser/parser.h"
+#include "tests/counting_new.h"
 #include "tests/ground_oracle.h"
 
 namespace lrpdb {
@@ -158,7 +160,9 @@ TEST(TupleStoreTest, SubsumptionByOneEntryByUnionAndByLrpGrid) {
     EXPECT_FALSE(outcome->inserted);
     std::vector<EntryId> bucket;
     for (EntryId id = 0; id < c.entries.size(); ++id) bucket.push_back(id);
-    EXPECT_EQ(outcome->absorbers, bucket);
+    EXPECT_EQ(std::vector<EntryId>(outcome->absorbers.begin(),
+                                   outcome->absorbers.end()),
+              bucket);
     EXPECT_EQ(stats.subsumed, 1);
     EXPECT_EQ(stats.subsumption_checks, 1);
     EXPECT_EQ(stats.subsumption_candidates,
@@ -197,6 +201,85 @@ TEST(TupleStoreTest, OffGridCandidateIsDroppedBeforeAnyProbe) {
   ASSERT_TRUE(pairs.CheckConsistency().ok()) << pairs.CheckConsistency();
 }
 
+// The single residue piece of `tuple` as a row (NormalizedTuple::Normalize,
+// then ToGeneralizedTuple): what the head projection emits, bounds closed.
+GeneralizedTuple OnlyPiece(const GeneralizedTuple& tuple) {
+  auto pieces = NormalizedTuple::Normalize(tuple);
+  LRPDB_CHECK(pieces.ok() && pieces->size() == 1);
+  return pieces->front().ToGeneralizedTuple();
+}
+
+// A trusted insert (TupleStore::Row::kClosedPiece) takes the row's bounds
+// as closed and computes no residue piece unless it runs the union test,
+// so into a bucket with an entry the piece's DBM implies, or into an empty
+// bucket, it makes no operator-new allocation. (The row arenas grow by
+// realloc, geometrically, and the signature table below has room.)
+TEST(TupleStoreTest, TrustedPieceInsertAllocatesNothingWithoutTheUnionTest) {
+  TupleStore store({1, 1});
+  ASSERT_TRUE(store.Insert(Banded(7, 3, 0, 100, 1))->inserted);
+  const GeneralizedTuple inside = OnlyPiece(Banded(7, 3, 10, 50, 1));
+  const GeneralizedTuple fresh = OnlyPiece(Banded(7, 4, 10, 50, 1));
+  StoreStats stats;
+
+  int64_t before = lrpdb_testing::AllocationCount();
+  auto implied =
+      store.Insert(inside.view(), &stats, TupleStore::Row::kClosedPiece);
+  const int64_t implied_allocations =
+      lrpdb_testing::AllocationCount() - before;
+  ASSERT_TRUE(implied.ok()) << implied.status();
+  EXPECT_FALSE(implied->inserted);
+  EXPECT_EQ(std::vector<EntryId>(implied->absorbers.begin(),
+                                 implied->absorbers.end()),
+            (std::vector<EntryId>{0}));
+  EXPECT_EQ(implied_allocations, 0);
+
+  before = lrpdb_testing::AllocationCount();
+  auto appended =
+      store.Insert(fresh.view(), &stats, TupleStore::Row::kClosedPiece);
+  const int64_t appended_allocations =
+      lrpdb_testing::AllocationCount() - before;
+  ASSERT_TRUE(appended.ok()) << appended.status();
+  EXPECT_TRUE(appended->inserted);
+  EXPECT_TRUE(appended->new_signature);
+  EXPECT_EQ(appended_allocations, 0);
+
+  EXPECT_EQ(stats.subsumed, 1);
+  EXPECT_EQ(stats.inserts, 1);
+  EXPECT_EQ(stats.empty_dropped, 0);
+  EXPECT_EQ(store.tuple(1).ToString(), fresh.ToString());
+  ASSERT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
+}
+
+// A trusted piece that no single entry covers still takes the exact union
+// test: subsumed, with the whole bucket as absorbers, when the bucket's
+// union covers it, and inserted when it reaches past the union.
+TEST(TupleStoreTest, TrustedPieceCoveredOnlyByTheUnionIsSubsumed) {
+  TupleStore store({1, 1});
+  ASSERT_TRUE(store.InsertUnlessEmpty(Banded(7, 3, 0, 100, 1)));
+  ASSERT_TRUE(store.InsertUnlessEmpty(Banded(7, 3, 50, 200, 1)));
+  StoreStats stats;
+  auto covered = store.Insert(OnlyPiece(Banded(7, 3, 10, 150, 1)).view(),
+                              &stats, TupleStore::Row::kClosedPiece);
+  ASSERT_TRUE(covered.ok()) << covered.status();
+  EXPECT_FALSE(covered->inserted);
+  EXPECT_EQ(std::vector<EntryId>(covered->absorbers.begin(),
+                                 covered->absorbers.end()),
+            (std::vector<EntryId>{0, 1}));
+  EXPECT_EQ(stats.subsumed, 1);
+  EXPECT_EQ(stats.subsumption_checks, 1);
+  EXPECT_EQ(stats.subsumption_candidates, 2);
+  EXPECT_EQ(stats.empty_dropped, 0);
+  EXPECT_EQ(store.size(), 2u);
+
+  auto reaching = store.Insert(OnlyPiece(Banded(7, 3, 10, 250, 1)).view(),
+                               &stats, TupleStore::Row::kClosedPiece);
+  ASSERT_TRUE(reaching.ok()) << reaching.status();
+  EXPECT_TRUE(reaching->inserted);
+  EXPECT_FALSE(reaching->new_signature);
+  EXPECT_EQ(stats.subsumed, 1);
+  EXPECT_EQ(stats.empty_dropped, 0);
+}
+
 TEST(TupleStoreTest, InsertOutcomesMatchBruteForceReference) {
   // Every outcome of one insertion sequence, worked out by hand: entries
   // 0-3 take four signatures of period 6, entry 4 widens offset 1's
@@ -225,7 +308,9 @@ TEST(TupleStoreTest, InsertOutcomesMatchBruteForceReference) {
     ASSERT_TRUE(outcome.ok()) << outcome.status();
     EXPECT_EQ(outcome->inserted, steps[i].inserted);
     EXPECT_EQ(outcome->new_signature, steps[i].new_signature);
-    EXPECT_EQ(outcome->absorbers, steps[i].absorbers);
+    EXPECT_EQ(std::vector<EntryId>(outcome->absorbers.begin(),
+                                   outcome->absorbers.end()),
+              steps[i].absorbers);
     if (steps[i].inserted) {
       EXPECT_EQ(outcome->id, next_id);
       EXPECT_EQ(store.tuple(next_id).ToString(), steps[i].tuple.ToString());
