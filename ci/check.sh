@@ -13,7 +13,8 @@
 #   ci/check.sh --lint       additionally run the project-invariant lint pass
 #                            (ci/lint/run_lint.py) and its fixture self-test,
 #                            the doc-path check (ci/check_doc_paths.py: every
-#                            repository path DESIGN.md/README.md name exists),
+#                            repository path DESIGN.md/README.md/LANGUAGE.md
+#                            name exists),
 #                            plus clang-tidy over the compile database when
 #                            clang-tidy is installed (curated .clang-tidy
 #                            profile; skipped with a note otherwise)

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Checks that the repository paths DESIGN.md and README.md name exist.
+"""Checks that the repository paths the top-level documents name exist.
 
-Scans the backticked text of both documents (inline code spans and fenced
-code blocks) for paths under src/, tests/, bench/, ci/, examples/ and
+Scans the backticked text of DESIGN.md, README.md and LANGUAGE.md
+(inline code spans and fenced code blocks) for paths under src/, tests/, bench/, ci/, examples/ and
 perfbench/, and fails on any that does not resolve. A path resolves when
 it names a file or a directory, or when <path>.h or <path>.cc exists (the
 docs name a module as `src/common/exec_context`). A brace group expands to
@@ -27,7 +27,7 @@ import re
 import sys
 import tempfile
 
-DOCS = ("DESIGN.md", "README.md")
+DOCS = ("DESIGN.md", "README.md", "LANGUAGE.md")
 FENCED = re.compile(r"^```.*?^```", re.M | re.S)
 INLINE = re.compile(r"`([^`\n]+)`")
 # A path under one of the checked roots, not itself the tail of a longer
@@ -140,7 +140,12 @@ Stale: `src/gdb/batch.{h,cc}`, `bench/nothing.cc`.
             assert check(root) == 0
             (root / "README.md").write_text("`src/gdb/batch.{h,cc}`\n")
             assert check(root) == 1
+            (root / "README.md").write_text("`src/core/evaluator.cc`\n")
+            (root / "LANGUAGE.md").write_text("`src/parser/gone.h`\n")
+            assert check(root) == 1
         assert "README.md: `src/gdb/batch.{h,cc}` does not exist" in (
+            report.getvalue()), report.getvalue()
+        assert "LANGUAGE.md: `src/parser/gone.h` does not exist" in (
             report.getvalue()), report.getvalue()
     print("self-test passed")
     return 0

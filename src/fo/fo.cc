@@ -1,7 +1,6 @@
 #include "src/fo/fo.h"
 
 #include <algorithm>
-#include <cctype>
 #include <set>
 
 #include "src/parser/lexer.h"
@@ -9,86 +8,47 @@
 namespace lrpdb {
 namespace {
 
-bool IsDataVariableName(const std::string& name) {
-  return !name.empty() && (std::isupper(static_cast<unsigned char>(name[0])) ||
-                           name[0] == '_');
-}
-
 // --- Parsing ---
 
-class FoParser {
+class FoParser : private TokenStream {
  public:
-  FoParser(std::vector<Token> tokens, Database* db,
+  FoParser(std::string_view source, Database* db,
            const std::map<std::string, RelationSchema>* extra_schemas,
            FoQuery* query)
-      : tokens_(std::move(tokens)),
+      : TokenStream(source),
         db_(db),
         extra_schemas_(extra_schemas),
         query_(query) {}
 
-  [[nodiscard]] Status Run() {
-    auto formula = ParseOr();
-    if (!formula.ok()) return formula.status();
-    if (Peek().kind != TokenKind::kEnd) return Error("trailing input");
-    query_->formula = std::move(*formula);
-    return OkStatus();
-  }
+  [[nodiscard]] Status Run() { return Finish(ParseQuery()); }
 
  private:
-  const Token& Peek(int ahead = 0) const {
-    size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
-  }
-  bool Match(TokenKind kind) {
-    if (Peek().kind != kind) return false;
-    ++pos_;
-    return true;
-  }
-  [[nodiscard]] Status Error(const std::string& message) const {
-    const Token& t = Peek();
-    std::string text = PositionedMessage(t.line, t.column, message);
-    if (!t.text.empty()) {
-      text += " (at '";
-      text += t.text;
-      text += "')";
-    }
-    return ParseError(std::move(text));
+  [[nodiscard]] Status ParseQuery() {
+    LRPDB_ASSIGN_OR_RETURN(query_->formula, ParseOr());
+    if (!AtEnd()) return Error("trailing input");
+    return OkStatus();
   }
 
   [[nodiscard]] StatusOr<SymbolId> NoteVariable(const std::string& name, bool temporal) {
     SymbolId id = query_->variables.Intern(name);
     auto [it, inserted] = query_->is_temporal.emplace(id, temporal);
     if (!inserted && it->second != temporal) {
-      return Status(StatusCode::kParseError,
-                    "variable '" + name +
-                        "' used in both temporal and data positions");
+      return Error("variable '" + name +
+                   "' used in both temporal and data positions");
     }
     return id;
   }
 
-  [[nodiscard]] StatusOr<int64_t> ParseSignedNumber() {
-    bool negative = Match(TokenKind::kMinus);
-    if (Peek().kind != TokenKind::kNumber) {
-      return Status(StatusCode::kParseError, "expected integer");
-    }
-    int64_t v = tokens_[pos_++].number;
-    return negative ? -v : v;
-  }
-
   [[nodiscard]] StatusOr<TemporalTerm> ParseTemporalTerm() {
     if (Peek().kind == TokenKind::kIdentifier) {
-      std::string name(tokens_[pos_++].text);
+      std::string name(Advance().text);
       LRPDB_ASSIGN_OR_RETURN(SymbolId id, NoteVariable(name, true));
       int64_t offset = 0;
-      if (Match(TokenKind::kPlus)) {
-        LRPDB_ASSIGN_OR_RETURN(offset, ParseSignedNumber());
-      } else if (Match(TokenKind::kMinus)) {
-        LRPDB_ASSIGN_OR_RETURN(offset, ParseSignedNumber());
-        offset = -offset;
-      }
+      LRPDB_RETURN_IF_ERROR(Offset(&offset));
       return TemporalTerm::Variable(id, offset);
     }
-    LRPDB_ASSIGN_OR_RETURN(int64_t value, ParseSignedNumber());
+    int64_t value = 0;
+    LRPDB_RETURN_IF_ERROR(SignedNumber(&value));
     return TemporalTerm::Constant(value);
   }
 
@@ -128,13 +88,12 @@ class FoParser {
     }
     if (Peek().kind == TokenKind::kIdentifier &&
         (Peek().text == "exists" || Peek().text == "forall")) {
-      bool universal = Peek().text == "forall";
-      ++pos_;
+      bool universal = Advance().text == "forall";
       // The quantified body is always parenthesized, so every identifier up
       // to the '(' is a bound variable.
       std::vector<std::string> names;
       while (Peek().kind == TokenKind::kIdentifier) {
-        names.emplace_back(tokens_[pos_++].text);
+        names.emplace_back(Advance().text);
       }
       if (names.empty()) return Error("expected quantified variables");
       if (!Match(TokenKind::kLeftParen)) return Error("expected '('");
@@ -190,7 +149,7 @@ class FoParser {
   }
 
   [[nodiscard]] StatusOr<FoFormulaPtr> ParseAtom() {
-    std::string name(tokens_[pos_++].text);
+    std::string name(Advance().text);
     auto schema = SchemaOf(name);
     if (!schema.ok()) return schema.status();
     if (!Match(TokenKind::kLeftParen)) return Error("expected '('");
@@ -209,9 +168,9 @@ class FoParser {
       }
       if (Peek().kind == TokenKind::kString) {
         node->atom.data_args.push_back(
-            DataTerm::Constant(db_->Constant(tokens_[pos_++].text)));
+            DataTerm::Constant(db_->Constant(Advance().text)));
       } else if (Peek().kind == TokenKind::kIdentifier) {
-        std::string arg(tokens_[pos_++].text);
+        std::string arg(Advance().text);
         if (IsDataVariableName(arg)) {
           LRPDB_ASSIGN_OR_RETURN(SymbolId id, NoteVariable(arg, false));
           node->atom.data_args.push_back(DataTerm::Variable(id));
@@ -250,13 +209,11 @@ class FoParser {
       default:
         return Error("expected comparison operator");
     }
-    ++pos_;
+    Advance();
     LRPDB_ASSIGN_OR_RETURN(node->comparison.rhs, ParseTemporalTerm());
     return node;
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
   Database* db_;
   const std::map<std::string, RelationSchema>* extra_schemas_;
   FoQuery* query_;
@@ -689,9 +646,8 @@ class FoEvaluator {
 [[nodiscard]] StatusOr<FoQuery> ParseFoQuery(
     std::string_view source, Database* db,
     const std::map<std::string, RelationSchema>* extra_schemas) {
-  LRPDB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
   FoQuery query;
-  FoParser parser(std::move(tokens), db, extra_schemas, &query);
+  FoParser parser(source, db, extra_schemas, &query);
   LRPDB_RETURN_IF_ERROR(parser.Run());
   return query;
 }

@@ -60,38 +60,18 @@ namespace {
 
 // --- Parsing ---
 
-class LtlParser {
+class LtlParser : private TokenStream {
  public:
-  LtlParser(std::vector<Token> tokens, LtlQuery* query)
-      : tokens_(std::move(tokens)), query_(query) {}
+  LtlParser(std::string_view source, LtlQuery* query)
+      : TokenStream(source), query_(query) {}
 
-  [[nodiscard]] Status Run() {
-    auto formula = ParseImplies();
-    if (!formula.ok()) return formula.status();
-    if (Peek().kind != TokenKind::kEnd) return Error("trailing input");
-    query_->formula = std::move(*formula);
-    return OkStatus();
-  }
+  [[nodiscard]] Status Run() { return Finish(ParseQuery()); }
 
  private:
-  const Token& Peek() const {
-    return pos_ < tokens_.size() ? tokens_[pos_] : tokens_.back();
-  }
-  bool Match(TokenKind kind) {
-    if (Peek().kind != kind) return false;
-    ++pos_;
-    return true;
-  }
-  bool MatchWord(const char* word) {
-    if (Peek().kind == TokenKind::kIdentifier && Peek().text == word) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  [[nodiscard]] Status Error(const std::string& message) const {
-    const Token& t = Peek();
-    return ParseError(PositionedMessage(t.line, t.column, message));
+  [[nodiscard]] Status ParseQuery() {
+    LRPDB_ASSIGN_OR_RETURN(query_->formula, ParseImplies());
+    if (!AtEnd()) return Error("trailing input");
+    return OkStatus();
   }
 
   // implies := or ('->' or)*, right associative. '->' arrives from the
@@ -99,9 +79,9 @@ class LtlParser {
   [[nodiscard]] StatusOr<LtlFormulaPtr> ParseImplies() {
     LRPDB_ASSIGN_OR_RETURN(LtlFormulaPtr left, ParseOr());
     if (Peek().kind == TokenKind::kMinus &&
-        pos_ + 1 < tokens_.size() &&
-        tokens_[pos_ + 1].kind == TokenKind::kGreater) {
-      pos_ += 2;
+        Peek(1).kind == TokenKind::kGreater) {
+      Advance();
+      Advance();
       LRPDB_ASSIGN_OR_RETURN(LtlFormulaPtr right, ParseImplies());
       return Or(Not(std::move(left)), std::move(right));
     }
@@ -158,7 +138,7 @@ class LtlParser {
       return child;
     }
     if (Peek().kind == TokenKind::kIdentifier) {
-      std::string name(tokens_[pos_++].text);
+      std::string name(Advance().text);
       if (name == "true") return True();
       if (name == "false") return Not(True());
       return Prop(query_->propositions.Intern(name));
@@ -166,8 +146,6 @@ class LtlParser {
     return Error("expected LTL formula");
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
   LtlQuery* query_;
 };
 
@@ -270,9 +248,8 @@ class LassoEvaluator {
 }  // namespace
 
 [[nodiscard]] StatusOr<LtlQuery> ParseLtl(std::string_view source) {
-  LRPDB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
   LtlQuery query;
-  LtlParser parser(std::move(tokens), &query);
+  LtlParser parser(source, &query);
   LRPDB_RETURN_IF_ERROR(parser.Run());
   return query;
 }

@@ -37,8 +37,8 @@ bool IsIdentifierChar(char c) { return Is(c, kLetterClass | kDigitClass); }
 // conversion.
 constexpr size_t kUncheckedDigits = 18;
 
-}  // namespace
-
+// "line L:C: message": the position prefix of every error reported against
+// the lexer's input, by the lexer itself or by a TokenStream's parser.
 std::string PositionedMessage(int line, int column, std::string_view message) {
   std::string s = "line ";
   s += std::to_string(line);
@@ -48,6 +48,8 @@ std::string PositionedMessage(int line, int column, std::string_view message) {
   s += message;
   return s;
 }
+
+}  // namespace
 
 [[nodiscard]] StatusOr<int64_t> ParseDecimalInt64(std::string_view digits) {
   if (digits.empty()) return ParseError("expected digits");
@@ -229,13 +231,20 @@ void Lexer::Emit(TokenKind kind, std::string_view text, Token* token,
   return OkStatus();
 }
 
-[[nodiscard]] StatusOr<std::vector<Token>> Tokenize(std::string_view input) {
-  Lexer lexer(input);
-  std::vector<Token> tokens;
-  do {
-    LRPDB_RETURN_IF_ERROR(lexer.Next(&tokens.emplace_back()));
-  } while (tokens.back().kind != TokenKind::kEnd);
-  return tokens;
+[[nodiscard]] Status TokenStream::Error(std::string_view message) {
+  const Token& t = Peek();
+  std::string text = PositionedMessage(t.line, t.column, message);
+  if (!t.text.empty()) {
+    text += " (at '";
+    text += t.text;
+    text += "')";
+  }
+  return ParseError(std::move(text));
+}
+
+[[nodiscard]] Status TokenStream::Finish(Status parsed) {
+  while (!parsed.ok() && lex_error_.ok() && !lexed_end_) Lex();
+  return lex_error_.ok() ? parsed : lex_error_;
 }
 
 }  // namespace lrpdb

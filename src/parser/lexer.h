@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <utility>
 
 #include "src/common/statusor.h"
 
@@ -51,11 +51,6 @@ struct Token {
   bool glued_to_previous = false;
 };
 
-// "line L:C: message": the position prefix of every error reported against
-// this lexer's input (the lexer's own, and those of the parsers built on
-// it), for a token's line:column or the lexer's.
-std::string PositionedMessage(int line, int column, std::string_view message);
-
 // Lexes `input` one token per Next() call, so a caller holds only the
 // tokens it is looking at. Comments run from "//" or "%" to end of line.
 class Lexer {
@@ -83,9 +78,106 @@ class Lexer {
   Status error_;
 };
 
-// Lexes all of `input`, ending with its kEnd token. For short inputs such as
-// a single query formula; Parse() pulls tokens from a Lexer instead.
-[[nodiscard]] StatusOr<std::vector<Token>> Tokenize(std::string_view input);
+// The naming rule every surface language shares: an identifier that starts
+// with an uppercase letter or '_' is a data variable; any other identifier
+// in a data position is a constant.
+inline bool IsDataVariableName(std::string_view name) {
+  return !name.empty() &&
+         ((name[0] >= 'A' && name[0] <= 'Z') || name[0] == '_');
+}
+
+// The cursor every surface parser reads through: it pulls tokens from a
+// Lexer into a 4-slot lookahead ring, so a parser holds a few tokens at a
+// time rather than the whole source's. A parser derives from it privately.
+// A lexical error ends the stream: the parser sees kEnd there, and Finish()
+// reports the error.
+class TokenStream {
+ public:
+  explicit TokenStream(std::string_view source) : lexer_(source) {}
+
+  // The token `ahead` (at most 1) places past the cursor.
+  const Token& Peek(size_t ahead = 0) {
+    while (lexed_ <= next_ + ahead) Lex();
+    return ring_[(next_ + ahead) % kRingSize];
+  }
+  // Consumes the current token, which stays readable until the next
+  // Advance() or Match().
+  const Token& Advance() {
+    const Token& token = Peek();
+    ++next_;
+    return token;
+  }
+  bool AtEnd() { return Peek().kind == TokenKind::kEnd; }
+  bool Match(TokenKind kind) {
+    if (Peek().kind != kind) return false;
+    ++next_;
+    return true;
+  }
+  // Consumes the identifier `word`, as a keyword.
+  bool MatchWord(std::string_view word) {
+    if (Peek().kind != TokenKind::kIdentifier || Peek().text != word) {
+      return false;
+    }
+    ++next_;
+    return true;
+  }
+  // `what` is spelled out only when the token is missing.
+  [[nodiscard]] Status Expect(TokenKind kind, const char* what) {
+    if (Match(kind)) return OkStatus();
+    return Error(std::string("expected ") + what);
+  }
+  // A kParseError at the current token:
+  // "line L:C: message (at 'token text')", without the "(at ...)" at the
+  // end of the input.
+  [[nodiscard]] Status Error(std::string_view message);
+
+  // A signed integer literal.
+  [[nodiscard]] Status SignedNumber(int64_t* value) {
+    const bool negative = Match(TokenKind::kMinus);
+    if (Peek().kind != TokenKind::kNumber) return Error("expected integer");
+    const int64_t v = Advance().number;
+    *value = negative ? -v : v;
+    return OkStatus();
+  }
+  // The optional "+ INT" / "- INT" after a term; 0 when there is none.
+  [[nodiscard]] Status Offset(int64_t* offset) {
+    *offset = 0;
+    if (Match(TokenKind::kPlus)) return SignedNumber(offset);
+    if (!Match(TokenKind::kMinus)) return OkStatus();
+    LRPDB_RETURN_IF_ERROR(SignedNumber(offset));
+    *offset = -*offset;
+    return OkStatus();
+  }
+
+  // The outcome of a parse that returned `parsed`: a lexical error anywhere
+  // in the source wins over a parse error before it (the rest of the
+  // source is lexed to find one), as if the whole source were lexed before
+  // parsing began.
+  [[nodiscard]] Status Finish(Status parsed);
+
+ private:
+  // Ring slots for the token Advance() last returned, Peek(0) and Peek(1);
+  // a power of two, so finding a slot is a mask.
+  static constexpr size_t kRingSize = 4;
+
+  // Lexes one more token into the ring.
+  void Lex() {
+    Token& slot = ring_[lexed_++ % kRingSize];
+    Status status = lexer_.Next(&slot);
+    if (!status.ok()) {
+      lex_error_ = std::move(status);
+      slot = Token();
+    }
+    lexed_end_ = slot.kind == TokenKind::kEnd;
+  }
+
+  Lexer lexer_;
+  Token ring_[kRingSize];
+  size_t next_ = 0;   // Sequence number of Peek(0).
+  size_t lexed_ = 0;  // Tokens lexed so far.
+  bool lexed_end_ = false;
+  Status lex_error_;
+};
 
 // Parses a run of decimal digits into an int64, rejecting overflow with
 // kParseError. The std::stoll family throws on overflow, which in this

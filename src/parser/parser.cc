@@ -9,74 +9,20 @@
 namespace lrpdb {
 namespace {
 
-// Recursive-descent parser that pulls tokens from a Lexer as it goes, so it
-// holds a few tokens at a time rather than the whole source's.
-class Parser {
+// Recursive-descent parser over the source's token stream.
+class Parser : private TokenStream {
  public:
   Parser(std::string_view source, Database* db, ParsedUnit* unit)
-      : lexer_(source), db_(db), unit_(unit) {}
+      : TokenStream(source), db_(db), unit_(unit) {}
 
-  [[nodiscard]] Status Run() {
-    Status parsed = ParseStatements();
-    // A lexical error anywhere in the source wins over a parse error before
-    // it, as when the whole source was lexed before parsing began.
-    while (!parsed.ok() && lex_error_.ok() && !lexed_end_) Lex();
-    return lex_error_.ok() ? parsed : lex_error_;
-  }
+  [[nodiscard]] Status Run() { return Finish(ParseStatements()); }
 
  private:
-  // Ring slots for the token Advance() last returned, Peek(0) and Peek(1),
-  // so a consumed token stays readable while the parser looks one ahead;
-  // a power of two, so finding a slot is a mask.
-  static constexpr size_t kRingSize = 4;
-
   [[nodiscard]] Status ParseStatements() {
     while (!AtEnd()) {
       LRPDB_RETURN_IF_ERROR(ParseStatement());
     }
     return OkStatus();
-  }
-
-  // Lexes one more token into the ring. A lexical error ends the stream:
-  // the parser sees kEnd there, and Run() reports the error.
-  void Lex() {
-    Token& slot = ring_[lexed_++ % kRingSize];
-    Status status = lexer_.Next(&slot);
-    if (!status.ok()) {
-      lex_error_ = std::move(status);
-      slot = Token();
-    }
-    lexed_end_ = slot.kind == TokenKind::kEnd;
-  }
-  const Token& Peek(size_t ahead = 0) {
-    while (lexed_ <= next_ + ahead) Lex();
-    return ring_[(next_ + ahead) % kRingSize];
-  }
-  const Token& Advance() {
-    const Token& token = Peek();
-    ++next_;
-    return token;
-  }
-  bool AtEnd() { return Peek().kind == TokenKind::kEnd; }
-  bool Match(TokenKind kind) {
-    if (Peek().kind != kind) return false;
-    ++next_;
-    return true;
-  }
-  [[nodiscard]] Status Error(std::string_view message) {
-    const Token& t = Peek();
-    std::string text = PositionedMessage(t.line, t.column, message);
-    if (!t.text.empty()) {
-      text += " (at '";
-      text += t.text;
-      text += "')";
-    }
-    return ParseError(std::move(text));
-  }
-  // `what` is spelled out only when the token is missing.
-  [[nodiscard]] Status Expect(TokenKind kind, const char* what) {
-    if (Match(kind)) return OkStatus();
-    return Error(std::string("expected ") + what);
   }
 
   [[nodiscard]] Status ParseStatement() {
@@ -157,36 +103,15 @@ class Parser {
     return OkStatus();
   }
 
+  // The schema of the predicate named by the current token.
   [[nodiscard]] StatusOr<RelationSchema> SchemaOf(std::string_view name) {
     SymbolId id = unit_->program.predicates().Find(name);
     std::optional<RelationSchema> schema;
     if (id >= 0) schema = unit_->program.SchemaOf(id);
     if (!schema.has_value()) {
-      return Status(StatusCode::kParseError,
-                    "predicate '" + std::string(name) + "' used before .decl");
+      return Error("predicate '" + std::string(name) + "' used before .decl");
     }
     return *schema;
-  }
-
-  // A signed integer literal.
-  [[nodiscard]] Status ParseSignedNumber(int64_t* value) {
-    const bool negative = Match(TokenKind::kMinus);
-    if (Peek().kind != TokenKind::kNumber) {
-      return Status(StatusCode::kParseError, "expected integer");
-    }
-    const int64_t v = Advance().number;
-    *value = negative ? -v : v;
-    return OkStatus();
-  }
-
-  // The optional "+ INT" / "- INT" after a term; 0 when there is none.
-  [[nodiscard]] Status ParseOffset(int64_t* offset) {
-    *offset = 0;
-    if (Match(TokenKind::kPlus)) return ParseSignedNumber(offset);
-    if (!Match(TokenKind::kMinus)) return OkStatus();
-    LRPDB_RETURN_IF_ERROR(ParseSignedNumber(offset));
-    *offset = -*offset;
-    return OkStatus();
   }
 
   // An lrp or integer constant in fact argument `column`. An integer c
@@ -209,17 +134,16 @@ class Parser {
     if (Peek().kind == TokenKind::kIdentifier && Peek().text == "n") {
       Advance();
       if (coefficient == 0) {
-        return Status(StatusCode::kParseError,
-                      "lrp period must be non-zero; write the constant c "
-                      "directly instead of 0n+c");
+        return Error(
+            "lrp period must be non-zero; write the constant c directly "
+            "instead of 0n+c");
       }
       int64_t offset = 0;
-      LRPDB_RETURN_IF_ERROR(ParseOffset(&offset));
+      LRPDB_RETURN_IF_ERROR(Offset(&offset));
       *lrp = Lrp(coefficient, offset);
       return OkStatus();
     }
-    return Status(StatusCode::kParseError,
-                  "expected lrp (e.g. 168n+8) or integer");
+    return Error("expected lrp (e.g. 168n+8) or integer");
   }
 
   // .fact name(args) [with constraints] .
@@ -228,7 +152,8 @@ class Parser {
       return Error("expected predicate name after .fact");
     }
     const FactTarget* target = nullptr;
-    LRPDB_RETURN_IF_ERROR(ResolveFactTarget(Advance().text, &target));
+    LRPDB_RETURN_IF_ERROR(ResolveFactTarget(Peek().text, &target));
+    Advance();
     const RelationSchema schema = target->schema;
     LRPDB_RETURN_IF_ERROR(Expect(TokenKind::kLeftParen, "'('"));
 
@@ -242,9 +167,8 @@ class Parser {
     data.clear();
     for (int col = 0; col < schema.temporal_arity; ++col) {
       if (col > 0) LRPDB_RETURN_IF_ERROR(Expect(TokenKind::kComma, "','"));
-      Lrp& lrp = lrps.emplace_back();
-      Status parsed = ParseFactTemporalArg(col + 1, &constraint, &lrp);
-      if (!parsed.ok()) return Error(parsed.message());
+      LRPDB_RETURN_IF_ERROR(
+          ParseFactTemporalArg(col + 1, &constraint, &lrps.emplace_back()));
     }
     for (int col = 0; col < schema.data_arity; ++col) {
       if (col > 0 || schema.temporal_arity > 0) {
@@ -287,30 +211,26 @@ class Parser {
           // Overflow-safe: "T99999999999999999999" must be a parse error,
           // not a std::out_of_range crash from std::stoi.
           StatusOr<int64_t> parsed = ParseDecimalInt64(text.substr(1));
-          if (!parsed.ok()) return parsed.status();
+          if (!parsed.ok()) return Error(parsed.status().message());
           if (*parsed < 1 || *parsed > temporal_arity) {
-            return Status(StatusCode::kParseError,
-                          "constraint references column " +
-                              std::string(text) +
-                              " outside the temporal arity");
+            return Error("constraint references column " + std::string(text) +
+                         " outside the temporal arity");
           }
           Advance();
           *column = static_cast<int>(*parsed);
-          return ParseOffset(offset);
+          return Offset(offset);
         }
       }
-      return Status(StatusCode::kParseError,
-                    "expected T<k> or integer in fact constraint");
+      return Error("expected T<k> or integer in fact constraint");
     }
     *column = 0;
-    return ParseSignedNumber(offset);
+    return SignedNumber(offset);
   }
 
   [[nodiscard]] Status ParseColumnConstraint(int temporal_arity, Dbm* constraint) {
     int li = 0, ri = 0;
     int64_t lo = 0, ro = 0;
-    Status lhs = ParseConstraintSide(temporal_arity, &li, &lo);
-    if (!lhs.ok()) return Error(lhs.message());
+    LRPDB_RETURN_IF_ERROR(ParseConstraintSide(temporal_arity, &li, &lo));
     TokenKind op = Peek().kind;
     if (op != TokenKind::kLess && op != TokenKind::kLessEqual &&
         op != TokenKind::kEqual && op != TokenKind::kGreaterEqual &&
@@ -318,8 +238,7 @@ class Parser {
       return Error("expected comparison operator");
     }
     Advance();
-    Status rhs = ParseConstraintSide(temporal_arity, &ri, &ro);
-    if (!rhs.ok()) return Error(rhs.message());
+    LRPDB_RETURN_IF_ERROR(ParseConstraintSide(temporal_arity, &ri, &ro));
     if (li == ri) return Error("constraint relates a column to itself");
     // (x_li + lo) OP (x_ri + ro) is x_li - x_ri OP ro - lo. Mirroring > and
     // >= into < and <= makes it an upper bound on x_li - x_ri in every case;
@@ -365,12 +284,12 @@ class Parser {
       std::string_view name = Advance().text;
       LRPDB_RETURN_IF_ERROR(NoteVar(vars, name, VarKind::kTemporal));
       int64_t offset = 0;
-      LRPDB_RETURN_IF_ERROR(ParseOffset(&offset));
+      LRPDB_RETURN_IF_ERROR(Offset(&offset));
       return TemporalTerm::Variable(unit_->program.variables().Intern(name),
                                     offset);
     }
     int64_t value = 0;
-    if (!ParseSignedNumber(&value).ok()) return Error("expected temporal term");
+    if (!SignedNumber(&value).ok()) return Error("expected temporal term");
     return TemporalTerm::Constant(value);
   }
 
@@ -380,8 +299,7 @@ class Parser {
     }
     if (Peek().kind == TokenKind::kIdentifier) {
       std::string_view name = Advance().text;
-      bool is_variable = (name[0] >= 'A' && name[0] <= 'Z') || name[0] == '_';
-      if (is_variable) {
+      if (IsDataVariableName(name)) {
         LRPDB_RETURN_IF_ERROR(NoteVar(vars, name, VarKind::kData));
         return DataTerm::Variable(unit_->program.variables().Intern(name));
       }
@@ -394,8 +312,9 @@ class Parser {
     if (Peek().kind != TokenKind::kIdentifier) {
       return Error("expected predicate name");
     }
-    std::string_view name = Advance().text;
+    std::string_view name = Peek().text;
     LRPDB_ASSIGN_OR_RETURN(RelationSchema schema, SchemaOf(name));
+    Advance();
     atom->predicate = unit_->program.predicates().Intern(name);
     if (schema.temporal_arity + schema.data_arity == 0) {
       if (Match(TokenKind::kLeftParen)) {
@@ -489,12 +408,6 @@ class Parser {
     return unit_->program.AddClause(std::move(clause));
   }
 
-  Lexer lexer_;
-  Token ring_[kRingSize];
-  size_t next_ = 0;   // Sequence number of Peek(0).
-  size_t lexed_ = 0;  // Tokens lexed so far.
-  bool lexed_end_ = false;
-  Status lex_error_;
   Database* db_;
   ParsedUnit* unit_;
   // Indexed by predicate id; relation is null until the first fact.

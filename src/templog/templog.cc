@@ -1,6 +1,6 @@
 #include "src/templog/templog.h"
 
-#include <cctype>
+#include <climits>
 #include <map>
 #include <set>
 
@@ -11,70 +11,44 @@
 namespace lrpdb {
 namespace {
 
-bool IsDataVariable(const std::string& name) {
-  return !name.empty() && (std::isupper(static_cast<unsigned char>(name[0])) ||
-                           name[0] == '_');
-}
-
-class TemplogParser {
+class TemplogParser : private TokenStream {
  public:
-  explicit TemplogParser(std::vector<Token> tokens)
-      : tokens_(std::move(tokens)) {}
+  TemplogParser(std::string_view source, TemplogProgram* program)
+      : TokenStream(source), program_(program) {}
 
-  [[nodiscard]] StatusOr<TemplogProgram> Run() {
-    TemplogProgram program;
-    while (Peek().kind != TokenKind::kEnd) {
-      TemplogClause clause;
-      LRPDB_RETURN_IF_ERROR(ParseClause(&clause));
-      program.clauses.push_back(std::move(clause));
-    }
-    return program;
-  }
+  [[nodiscard]] Status Run() { return Finish(ParseClauses()); }
 
  private:
-  const Token& Peek(int ahead = 0) const {
-    size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
-  }
-  bool Match(TokenKind kind) {
-    if (Peek().kind != kind) return false;
-    ++pos_;
-    return true;
-  }
-  bool MatchKeyword(const std::string& word) {
-    if (Peek().kind == TokenKind::kIdentifier && Peek().text == word) {
-      ++pos_;
-      return true;
+  [[nodiscard]] Status ParseClauses() {
+    while (!AtEnd()) {
+      LRPDB_RETURN_IF_ERROR(ParseClause(&program_->clauses.emplace_back()));
     }
-    return false;
-  }
-  [[nodiscard]] Status Error(const std::string& message) const {
-    const Token& t = Peek();
-    return ParseError(PositionedMessage(t.line, t.column, message));
+    return OkStatus();
   }
 
-  // next^k | next  (returns accumulated count; zero or more occurrences).
-  [[nodiscard]] StatusOr<int> ParseNexts() {
-    int count = 0;
-    while (MatchKeyword("next")) {
-      if (Match(TokenKind::kCaret)) {
-        if (Peek().kind != TokenKind::kNumber) {
-          return Status(StatusCode::kParseError, "expected number after ^");
-        }
-        count += static_cast<int>(tokens_[pos_++].number);
-      } else {
-        count += 1;
+  // next^k | next, zero or more times: the sum of their counts, which must
+  // fit in an int.
+  [[nodiscard]] Status ParseNexts(int* count) {
+    *count = 0;
+    while (MatchWord("next")) {
+      const bool power = Match(TokenKind::kCaret);
+      if (power && Peek().kind != TokenKind::kNumber) {
+        return Error("expected number after ^");
       }
+      const int64_t step = power ? Peek().number : 1;
+      if (step > INT_MAX - *count) return Error("next count overflows int");
+      *count += static_cast<int>(step);
+      if (power) Advance();
     }
-    return count;
+    return OkStatus();
   }
 
   [[nodiscard]] Status ParseAtom(TemplogAtom* atom) {
-    LRPDB_ASSIGN_OR_RETURN(atom->next_count, ParseNexts());
+    LRPDB_RETURN_IF_ERROR(ParseNexts(&atom->next_count));
     if (Peek().kind != TokenKind::kIdentifier) {
       return Error("expected predicate name");
     }
-    atom->predicate = tokens_[pos_++].text;
+    atom->predicate = Advance().text;
     if (Match(TokenKind::kLeftParen)) {
       if (!Match(TokenKind::kRightParen)) {
         while (true) {
@@ -82,7 +56,7 @@ class TemplogParser {
               Peek().kind != TokenKind::kString) {
             return Error("expected argument");
           }
-          atom->args.emplace_back(tokens_[pos_++].text);
+          atom->args.emplace_back(Advance().text);
           if (Match(TokenKind::kRightParen)) break;
           if (!Match(TokenKind::kComma)) return Error("expected ',' or ')'");
         }
@@ -92,24 +66,22 @@ class TemplogParser {
   }
 
   [[nodiscard]] Status ParseClause(TemplogClause* clause) {
-    clause->always = MatchKeyword("always");
-    clause->box_head = MatchKeyword("box");
+    clause->always = MatchWord("always");
+    clause->box_head = MatchWord("box");
     LRPDB_RETURN_IF_ERROR(ParseAtom(&clause->head));
     if (Match(TokenKind::kImplies)) {
       while (true) {
         TemplogBodyLiteral literal;
-        literal.eventually = MatchKeyword("eventually");
+        literal.eventually = MatchWord("eventually");
         LRPDB_RETURN_IF_ERROR(ParseAtom(&literal.atom));
         clause->body.push_back(std::move(literal));
         if (!Match(TokenKind::kComma)) break;
       }
     }
-    if (!Match(TokenKind::kPeriod)) return Error("expected '.'");
-    return OkStatus();
+    return Expect(TokenKind::kPeriod, "'.'");
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  TemplogProgram* program_;
 };
 
 // Collects predicate arities; errors on inconsistency.
@@ -136,7 +108,7 @@ std::vector<DataTerm> AtomData(Program* program, Database* db,
   std::vector<DataTerm> terms;
   terms.reserve(atom.args.size());
   for (const std::string& arg : atom.args) {
-    if (IsDataVariable(arg)) {
+    if (IsDataVariableName(arg)) {
       terms.push_back(DataTerm::Variable(program->variables().Intern(arg)));
     } else {
       terms.push_back(DataTerm::Constant(db->Constant(arg)));
@@ -148,9 +120,10 @@ std::vector<DataTerm> AtomData(Program* program, Database* db,
 }  // namespace
 
 [[nodiscard]] StatusOr<TemplogProgram> ParseTemplog(std::string_view source) {
-  LRPDB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
-  TemplogParser parser(std::move(tokens));
-  return parser.Run();
+  TemplogProgram program;
+  TemplogParser parser(source, &program);
+  LRPDB_RETURN_IF_ERROR(parser.Run());
+  return program;
 }
 
 [[nodiscard]] StatusOr<Program> TranslateToDatalog1S(const TemplogProgram& templog,

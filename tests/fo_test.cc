@@ -216,5 +216,42 @@ TEST(FoTest, ParseErrors) {
                    .ok());
 }
 
+// The exact text of representative parse errors: each names its
+// line:column and the token the parser stopped at.
+TEST(FoTest, ErrorMessagesArePinned) {
+  Database db;
+  ASSERT_TRUE(db.Declare("q", RelationSchema{1, 1}).ok());
+  struct Case {
+    const char* source;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"q(t + x, A)", "line 1:8: expected integer (at 'x')"},
+      {"q(t, A) & q(A, t)",
+       "line 1:15: variable 'A' used in both temporal and data positions "
+       "(at ',')"},
+      {"q(t, A) & t < ", "line 1:15: expected integer"},
+      {"q(t, A) q(t, A)", "line 1:10: trailing input (at 'q')"},
+      {"exists t (q(t, A)", "line 1:18: expected ')'"},
+      {"q(t, A) & t < 3 #", "line 1:17: unexpected character '#'"},
+  };
+  for (const Case& c : cases) {
+    auto query = ParseFoQuery(c.source, &db);
+    ASSERT_FALSE(query.ok()) << c.source;
+    EXPECT_EQ(query.status().code(), StatusCode::kParseError) << c.source;
+    EXPECT_EQ(query.status().message(), c.message) << c.source;
+  }
+}
+
+// A lexical error anywhere in the query is reported in preference to a
+// parse error that comes before it.
+TEST(FoTest, LexicalErrorAfterParseErrorWins) {
+  Database db;
+  ASSERT_TRUE(db.Declare("q", RelationSchema{1, 1}).ok());
+  auto query = ParseFoQuery("q(t + x, A) & t < \"open", &db);
+  ASSERT_FALSE(query.ok());
+  EXPECT_EQ(query.status().message(), "line 1:24: unterminated string literal");
+}
+
 }  // namespace
 }  // namespace lrpdb

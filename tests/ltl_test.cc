@@ -197,5 +197,35 @@ TEST(LtlTest, AgreesWithBuchiOnInfinitelyOften) {
   }
 }
 
+// The exact text of representative parse errors: each names its
+// line:column and the token the parser stopped at.
+TEST(LtlTest, ErrorMessagesArePinned) {
+  struct Case {
+    const char* source;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"(p", "line 1:3: expected ')'"},
+      {"p U", "line 1:4: expected LTL formula"},
+      {"p q", "line 1:4: trailing input (at 'q')"},
+      {"G (p -> )", "line 1:10: expected LTL formula (at ')')"},
+      {"p -\n  q", "line 1:4: trailing input (at '-')"},
+  };
+  for (const Case& c : cases) {
+    auto query = ParseLtl(c.source);
+    ASSERT_FALSE(query.ok()) << c.source;
+    EXPECT_EQ(query.status().code(), StatusCode::kParseError) << c.source;
+    EXPECT_EQ(query.status().message(), c.message) << c.source;
+  }
+}
+
+// A lexical error anywhere in the formula is reported in preference to a
+// parse error that comes before it.
+TEST(LtlTest, LexicalErrorAfterParseErrorWins) {
+  auto query = ParseLtl("(p & ) | G q @");
+  ASSERT_FALSE(query.ok());
+  EXPECT_EQ(query.status().message(), "line 1:14: unexpected character '@'");
+}
+
 }  // namespace
 }  // namespace lrpdb

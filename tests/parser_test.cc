@@ -14,8 +14,18 @@
 namespace lrpdb {
 namespace {
 
+// Lexes all of `input`, ending with its kEnd token.
+StatusOr<std::vector<Token>> LexAll(std::string_view input) {
+  Lexer lexer(input);
+  std::vector<Token> tokens;
+  do {
+    LRPDB_RETURN_IF_ERROR(lexer.Next(&tokens.emplace_back()));
+  } while (tokens.back().kind != TokenKind::kEnd);
+  return tokens;
+}
+
 TEST(LexerTest, BasicTokens) {
-  auto tokens = Tokenize(".decl p(time) ?- p(5n+3). % comment\n// c2");
+  auto tokens = LexAll(".decl p(time) ?- p(5n+3). % comment\n// c2");
   ASSERT_TRUE(tokens.ok()) << tokens.status();
   std::vector<TokenKind> kinds;
   for (const Token& t : *tokens) kinds.push_back(t.kind);
@@ -32,22 +42,22 @@ TEST(LexerTest, BasicTokens) {
 }
 
 TEST(LexerTest, GluedTracking) {
-  auto tokens = Tokenize("5 n 5n");
+  auto tokens = LexAll("5 n 5n");
   ASSERT_TRUE(tokens.ok());
   EXPECT_FALSE((*tokens)[1].glued_to_previous);
   EXPECT_TRUE((*tokens)[3].glued_to_previous);
 }
 
 TEST(LexerTest, Strings) {
-  auto tokens = Tokenize("\"database course\"");
+  auto tokens = LexAll("\"database course\"");
   ASSERT_TRUE(tokens.ok());
   EXPECT_EQ((*tokens)[0].kind, TokenKind::kString);
   EXPECT_EQ((*tokens)[0].text, "database course");
-  EXPECT_FALSE(Tokenize("\"unterminated").ok());
+  EXPECT_FALSE(LexAll("\"unterminated").ok());
 }
 
 TEST(LexerTest, ComparisonOperators) {
-  auto tokens = Tokenize("< <= = >= > :- ?-");
+  auto tokens = LexAll("< <= = >= > :- ?-");
   ASSERT_TRUE(tokens.ok());
   EXPECT_EQ((*tokens)[0].kind, TokenKind::kLess);
   EXPECT_EQ((*tokens)[1].kind, TokenKind::kLessEqual);
@@ -62,7 +72,7 @@ TEST(LexerTest, TokensAreViewsIntoTheInput) {
   // Long enough to live on the heap rather than in the string object.
   const std::string source =
       ".decl route(time, data)\n.fact route(12n+3, \"liege\") with T1 >= 0.";
-  auto tokens = Tokenize(source);
+  auto tokens = LexAll(source);
   ASSERT_TRUE(tokens.ok()) << tokens.status();
   const char* begin = source.data();
   const char* end = begin + source.size();
@@ -230,6 +240,20 @@ TEST(ParserTest, ErrorMessagesArePinned) {
        "line 2:9: unknown directive '.bogus' (at 'p')"},
       {".decl p(time)\n  .fact p(3n) with T1 > @.\n",
        "line 2:25: unexpected character '@'"},
+      {".decl p(time)\n.decl q(time)\np(t + x) :- q(t).\n",
+       "line 3:8: expected integer (at 'x')"},
+      {".fact undeclared(1).\n",
+       "line 1:17: predicate 'undeclared' used before .decl (at 'undeclared')"},
+      {".decl p(time)\np(t) :- r(t).\n",
+       "line 2:10: predicate 'r' used before .decl (at 'r')"},
+      {".decl p(time)\n.fact p(0n+1).\n",
+       "line 2:12: lrp period must be non-zero; write the constant c directly "
+       "instead of 0n+c (at '+')"},
+      {".decl p(time)\n.fact p(3n) with T2 > 0.\n",
+       "line 2:20: constraint references column T2 outside the temporal "
+       "arity (at 'T2')"},
+      {".decl p(time)\n.fact p(3n) with T1 > x.\n",
+       "line 2:24: expected T<k> or integer in fact constraint (at 'x')"},
   };
   for (const Case& c : cases) {
     Database db;
@@ -264,11 +288,11 @@ TEST(ParserTest, LexicalErrorAfterParseErrorWins) {
 // through throwing std helpers before ParseDecimalInt64.
 TEST(ParserTest, OverlongLiterals) {
   // 9223372036854775807 is INT64_MAX; one digit more must be rejected.
-  auto max_ok = Tokenize("9223372036854775807");
+  auto max_ok = LexAll("9223372036854775807");
   ASSERT_TRUE(max_ok.ok()) << max_ok.status();
   EXPECT_EQ((*max_ok)[0].number, INT64_MAX);
 
-  auto overflow = Tokenize("99999999999999999999");
+  auto overflow = LexAll("99999999999999999999");
   ASSERT_FALSE(overflow.ok());
   EXPECT_EQ(overflow.status().code(), StatusCode::kParseError);
 

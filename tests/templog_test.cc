@@ -153,5 +153,44 @@ TEST(TemplogTranslationTest, InconsistentArityRejected) {
   EXPECT_FALSE(TranslateToDatalog1S(*templog, &db).ok());
 }
 
+// The exact text of representative parse errors: each names its
+// line:column and the token the parser stopped at. A next count must fit
+// in an int, alone or summed over its clause's stacked operators.
+TEST(TemplogParserTest, ErrorMessagesArePinned) {
+  struct Case {
+    const char* source;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"next^ p.", "line 1:8: expected number after ^ (at 'p')"},
+      {"p( .", "line 1:5: expected argument (at '.')"},
+      {"p", "line 1:2: expected '.'"},
+      {"always p(X) :- q(X)\nr.", "line 2:2: expected '.' (at 'r')"},
+      {"next^4294967297 p.",
+       "line 1:16: next count overflows int (at '4294967297')"},
+      {"next^3000000000 p.",
+       "line 1:16: next count overflows int (at '3000000000')"},
+      {"next^2147483647 next p.",
+       "line 1:23: next count overflows int (at 'p')"},
+  };
+  for (const Case& c : cases) {
+    auto program = ParseTemplog(c.source);
+    ASSERT_FALSE(program.ok()) << c.source;
+    EXPECT_EQ(program.status().code(), StatusCode::kParseError) << c.source;
+    EXPECT_EQ(program.status().message(), c.message) << c.source;
+  }
+  auto largest = ParseTemplog("next^2147483646 next p.");
+  ASSERT_TRUE(largest.ok()) << largest.status();
+  EXPECT_EQ(largest->clauses[0].head.next_count, 2147483647);
+}
+
+// A lexical error anywhere in the program is reported in preference to a
+// parse error that comes before it.
+TEST(TemplogParserTest, LexicalErrorAfterParseErrorWins) {
+  auto program = ParseTemplog("next^ p.\nq(X) :- r(X).\ns(#).");
+  ASSERT_FALSE(program.ok());
+  EXPECT_EQ(program.status().message(), "line 3:3: unexpected character '#'");
+}
+
 }  // namespace
 }  // namespace lrpdb
