@@ -72,9 +72,9 @@ void BM_ProjectCoalesced(benchmark::State& state) {
   // tile Z, so the exact projection is all of Z: one tuple once coalesced.
   c.AddDifferenceUpperBound(2, 1, -1);
   c.AddDifferenceUpperBound(1, 2, period);
-  LRPDB_CHECK_OK(r.InsertIfNew(lrpdb::GeneralizedTuple(
-                                   {lrpdb::Lrp(period, 3), lrpdb::Lrp()},
-                                   {}, c))
+  LRPDB_CHECK_OK(r.Insert(lrpdb::GeneralizedTuple(
+                              {lrpdb::Lrp(period, 3), lrpdb::Lrp()},
+                              {}, c))
                      .status());
   size_t tuples = 0;
   for (auto _ : state) {
@@ -94,8 +94,8 @@ void BM_ProjectDropZColumn(benchmark::State& state) {
   lrpdb::Dbm c(2);
   c.AddDifferenceUpperBound(2, 1, -1);
   c.AddDifferenceUpperBound(1, 2, 5);
-  LRPDB_CHECK_OK(r.InsertIfNew(lrpdb::GeneralizedTuple(
-                                   {lrpdb::Lrp(), lrpdb::Lrp(168, 3)}, {}, c))
+  LRPDB_CHECK_OK(r.Insert(lrpdb::GeneralizedTuple(
+                              {lrpdb::Lrp(), lrpdb::Lrp(168, 3)}, {}, c))
                      .status());
   for (auto _ : state) {
     auto projected = lrpdb::Project(r, {1}, {});
@@ -110,8 +110,8 @@ void BM_ProjectDropPeriodicColumn(benchmark::State& state) {
   lrpdb::Dbm c(2);
   c.AddDifferenceUpperBound(2, 1, -1);
   c.AddDifferenceUpperBound(1, 2, 5);
-  LRPDB_CHECK_OK(r.InsertIfNew(lrpdb::GeneralizedTuple(
-                                   {lrpdb::Lrp(168, 3), lrpdb::Lrp()}, {}, c))
+  LRPDB_CHECK_OK(r.Insert(lrpdb::GeneralizedTuple(
+                              {lrpdb::Lrp(168, 3), lrpdb::Lrp()}, {}, c))
                      .status());
   for (auto _ : state) {
     auto projected = lrpdb::Project(r, {1}, {});

@@ -103,17 +103,17 @@ struct EntryCensus {
 
 EntryCensus Census(const IncrementalEvaluator& inc) {
   EntryCensus census;
-  auto count = [&census](const lrpdb::TupleStore& store) {
-    census.entries += static_cast<int64_t>(store.size());
-    census.live += static_cast<int64_t>(store.live_size());
+  auto count = [&census](const lrpdb::GeneralizedRelation& relation) {
+    census.entries += static_cast<int64_t>(relation.size());
+    census.live += static_cast<int64_t>(relation.live_size());
   };
   for (const std::string& name : inc.db().RelationNames()) {
     auto rel = inc.db().Relation(name);
     LRPDB_CHECK_OK(rel.status());
-    count((*rel)->store());
+    count(**rel);
   }
   for (const auto& [unused, relation] : inc.Result().idb) {
-    count(relation.store());
+    count(relation);
   }
   return census;
 }

@@ -147,7 +147,7 @@ void WriteReport() {
     lrpdb_bench::CheckBenchOk("m1", "evaluate", result.status());
     TupleStore::Footprint sum;
     for (const auto& [name, relation] : result->idb) {
-      const TupleStore::Footprint f = relation.store().footprint();
+      const TupleStore::Footprint f = relation.footprint();
       sum.rows += f.rows;
       sum.signatures += f.signatures;
       sum.postings += f.postings;

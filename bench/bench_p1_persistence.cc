@@ -91,7 +91,7 @@ std::vector<FactBatch> MakeBatches(const Database& db) {
   LRPDB_CHECK_OK(relation.status());
   FactBatch batch;
   batch.decls.push_back(lrpdb::PredicateDecl{"ev", RelationSchema{1, 1}});
-  for (lrpdb::EntryId id : (*relation)->store().live_ids()) {
+  for (lrpdb::EntryId id : (*relation)->live_ids()) {
     const lrpdb::TupleView tuple = (*relation)->tuple(id);
     BatchFact fact;
     fact.relation = "ev";

@@ -29,10 +29,10 @@ want to rely on every local compiler flag for):
                        enforces this too (-Werror=unused-result); the lint
                        catches it without a build.
   raw-thread           No std::thread / std::jthread / std::async anywhere in
-                       src/: evaluation is single-threaded, so the residue-
-                       piece cache of a tuple store and the provenance log
-                       take no lock. (tests/ and bench/ are outside the lint
-                       scope and may spawn threads freely.)
+                       src/: evaluation is single-threaded, every TupleStore
+                       mutation needs exclusive access, and the provenance
+                       log takes no lock. (tests/ and bench/ are outside the
+                       lint scope and may spawn threads freely.)
 
 Suppression: append `// lint: allow(<rule-id>[, <rule-id>...])` to the
 offending line, or put it alone on the line directly above. Suppressions are
@@ -312,9 +312,9 @@ def scan_file(path, raw_text, status_fn_names=None):
             if m:
                 report(idx, "raw-thread",
                        f"'std::{m.group(1) or m.group(2)}' in src/: "
-                       "evaluation is single-threaded, and the tuple "
-                       "store's piece cache and the provenance log are "
-                       "unlocked")
+                       "evaluation is single-threaded, every TupleStore "
+                       "mutation needs exclusive access, and the provenance "
+                       "log takes no lock")
 
         # --- wall-clock ---
         if not clock_exempt and CLOCK_RE.search(line):

@@ -1,7 +1,7 @@
 // lint-fixture-path: src/core/bad_thread.cc
 // Fixture: the raw-thread rule. Spawning threads anywhere in src/ is an
-// error: evaluation is single-threaded, so the tuple store's piece cache and
-// the provenance log take no lock.
+// error: evaluation is single-threaded, every TupleStore mutation needs
+// exclusive access, and the provenance log takes no lock.
 #include <future>
 #include <thread>
 

@@ -85,7 +85,7 @@ int Fail(const lrpdb::Status& status) {
 
 void PrintRelation(const char* name, const lrpdb::GeneralizedRelation& r,
                    const lrpdb::Database& db, int64_t lo, int64_t hi) {
-  std::printf("%s (%zu generalized tuples):\n%s", name, r.store().live_size(),
+  std::printf("%s (%zu generalized tuples):\n%s", name, r.live_size(),
               r.ToString(&db.interner()).c_str());
   auto ground = r.EnumerateGround(lo, hi);
   std::printf("  ground tuples in [%ld, %ld): %zu\n",
@@ -135,7 +135,7 @@ struct ProvSession {
                          lrpdb::EntryId entry) const {
     const lrpdb::GeneralizedRelation* rel = RelationOf(relation);
     if (rel == nullptr || entry >= rel->size()) return "(unknown entry)";
-    if (!rel->store().is_live(entry)) return "(retracted entry)";
+    if (!rel->is_live(entry)) return "(retracted entry)";
     return Trim(rel->tuple(entry).ToString(&db->interner()));
   }
 
@@ -173,7 +173,7 @@ bool ResolveTupleSpec(const ProvSession& s, const std::string& spec,
                " entries";
       return false;
     }
-    if (!rel->store().is_live(entries->back())) {
+    if (!rel->is_live(entries->back())) {
       *error = "entry " + std::to_string(entries->back()) + " was retracted";
       return false;
     }
@@ -186,7 +186,7 @@ bool ResolveTupleSpec(const ProvSession& s, const std::string& spec,
       *error = "unknown relation '" + *name + "'";
       return false;
     }
-    for (lrpdb::EntryId id : rel->store().live_ids()) entries->push_back(id);
+    for (lrpdb::EntryId id : rel->live_ids()) entries->push_back(id);
     if (entries->empty()) {
       *error = *name + " has no live entries";
       return false;
@@ -239,7 +239,7 @@ bool ResolveTupleSpec(const ProvSession& s, const std::string& spec,
     }
     data.push_back(id);
   }
-  for (lrpdb::EntryId id : rel->store().live_ids()) {
+  for (lrpdb::EntryId id : rel->live_ids()) {
     if (rel->tuple(id).ContainsGround(times, data)) entries->push_back(id);
   }
   if (entries->empty()) {
@@ -360,17 +360,16 @@ lrpdb::Status BuildImage(
     LRPDB_RETURN_IF_ERROR(out->Declare(name, rel.schema()));
     LRPDB_ASSIGN_OR_RETURN(lrpdb::GeneralizedRelation * dst,
                            out->MutableRelation(name));
-    lrpdb::TupleStore& store = dst->mutable_store();
     // Live entries only; each generation bound becomes the number of live
     // entries below it.
     size_t delta_lo = 0;
     size_t delta_hi = 0;
-    for (lrpdb::EntryId id : rel.store().live_ids()) {
-      LRPDB_RETURN_IF_ERROR(store.RestoreEntry(rel.tuple(id)));
-      delta_lo += id < rel.store().delta_lo();
-      delta_hi += id < rel.store().delta_hi();
+    for (lrpdb::EntryId id : rel.live_ids()) {
+      LRPDB_RETURN_IF_ERROR(dst->RestoreEntry(rel.tuple(id)));
+      delta_lo += id < rel.delta_lo();
+      delta_hi += id < rel.delta_hi();
     }
-    return store.RestoreGenerations(delta_lo, delta_hi);
+    return dst->RestoreGenerations(delta_lo, delta_hi);
   };
   for (const std::string& name : db.RelationNames()) {
     if (idb != nullptr && idb->count(name) > 0) continue;
@@ -435,7 +434,7 @@ void ReplLoad(const std::string& dir) {
   for (const std::string& name : loaded.RelationNames()) {
     const lrpdb::GeneralizedRelation* rel = *loaded.Relation(name);
     std::printf("  %s: %zu generalized tuples\n", name.c_str(),
-                rel->store().live_size());
+                rel->live_size());
   }
 }
 
@@ -463,9 +462,8 @@ lrpdb::StatusOr<std::vector<lrpdb::FactUpdate>> ParseFactUpdates(
   for (const std::string& name : scratch.RelationNames()) {
     auto rel = scratch.Relation(name);
     if (!rel.ok()) continue;
-    const lrpdb::TupleStore& store = (*rel)->store();
-    for (lrpdb::EntryId id : store.live_ids()) {
-      const lrpdb::TupleView t = store.tuple(id);
+    for (lrpdb::EntryId id : (*rel)->live_ids()) {
+      const lrpdb::TupleView t = (*rel)->tuple(id);
       std::vector<lrpdb::DataValue> data;
       data.reserve(t.data().size());
       for (lrpdb::DataValue d : t.data()) {

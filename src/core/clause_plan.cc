@@ -281,7 +281,7 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom, const CompiledAtom& compiled,
   for (const CompiledAtom& compiled : plan.atoms) {
     const NormalizedBodyAtom& atom = clause.body[compiled.body_index];
     const AtomSource& source = sources[compiled.body_index];
-    const TupleStore& store = source.relation->store();
+    const GeneralizedRelation& relation = *source.relation;
     const int64_t range_size = static_cast<int64_t>(source.hi - source.lo);
     for (const CompiledAtom::VarColumn& bind : compiled.binding_columns) {
       data_bound[bind.variable] = true;
@@ -294,7 +294,7 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom, const CompiledAtom& compiled,
     for (const TupleStore::DataRequirement& req :
          compiled.const_requirements) {
       const std::span<const EntryId> posting =
-          store.PostingFor(req.column, req.value);
+          relation.PostingFor(req.column, req.value);
       if (posting.empty()) {
         const_missing = true;
         break;
@@ -321,7 +321,7 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom, const CompiledAtom& compiled,
       bool value_missing = false;
       for (const CompiledAtom::VarColumn& probe : compiled.bound_probes) {
         const std::span<const EntryId> var_posting =
-            store.PostingFor(probe.column, row_data[probe.variable]);
+            relation.PostingFor(probe.column, row_data[probe.variable]);
         if (var_posting.empty()) {
           value_missing = true;
           break;
@@ -352,8 +352,8 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom, const CompiledAtom& compiled,
         const EntryId id =
             !posting.empty() ? first[i] : static_cast<EntryId>(source.lo + i);
         // Postings hold live ids only; a range scan skips dead slots.
-        if (!store.is_live(id)) continue;
-        const TupleView tuple = store.tuple(id);
+        if (!relation.is_live(id)) continue;
+        const TupleView tuple = relation.tuple(id);
         if (!MatchesData(compiled, row_data, tuple.data())) continue;
         LRPDB_RETURN_IF_ERROR(PollExec(exec));
         std::copy(row_lrps, row_lrps + nt, lrps.begin());

@@ -45,14 +45,13 @@
 #include "src/constraints/dbm.h"
 #include "src/core/normalizer.h"
 #include "src/gdb/flat_arena.h"
-#include "src/gdb/generalized_relation.h"
 #include "src/gdb/tuple_store.h"
 
 namespace lrpdb {
 
 // The entries one body atom reads during a round: the entry ids [lo, hi)
-// of `relation`'s store. The evaluator resolves the generation (the whole
-// store, or the delta for a semi-naive pivot) into this one range.
+// of `relation`. The evaluator resolves the generation (the whole
+// relation, or the delta for a semi-naive pivot) into this one range.
 struct AtomSource {
   const GeneralizedRelation* relation = nullptr;
   size_t lo = 0;

@@ -48,10 +48,9 @@ std::vector<DataValue> CollectActiveDomain(const Program& program,
                                            const Database& db) {
   std::set<DataValue> domain;
   for (const std::string& name : db.RelationNames()) {
-    auto relation = db.Relation(name);
-    const TupleStore& store = (*relation)->store();
-    for (EntryId id : store.live_ids()) {
-      for (DataValue d : store.tuple(id).data()) domain.insert(d);
+    const GeneralizedRelation& relation = *db.Relation(name).value();
+    for (EntryId id : relation.live_ids()) {
+      for (DataValue d : relation.tuple(id).data()) domain.insert(d);
     }
   }
   for (const Clause& clause : program.clauses()) {
@@ -118,45 +117,6 @@ class RelationResolver {
   }
 
  private:
-  // Every data row of `arity` columns over `domain`.
-  [[nodiscard]] static StatusOr<std::vector<std::vector<DataValue>>>
-  DataUniverse(const std::vector<DataValue>& domain, int arity) {
-    LRPDB_FAILPOINT("evaluator.data_universe");
-    constexpr int64_t kMaxRows = 65536;
-    std::vector<std::vector<DataValue>> rows;
-    if (arity == 0) {
-      rows.push_back({});
-      return rows;
-    }
-    int64_t count = 1;
-    for (int i = 0; i < arity; ++i) {
-      count *= static_cast<int64_t>(domain.size());
-      if (count > kMaxRows) {
-        return ResourceExhaustedError(
-            "data universe for negation exceeds the row budget");
-      }
-    }
-    std::vector<size_t> index(arity, 0);
-    if (domain.empty()) return rows;
-    ExecContext* exec = ExecContext::Current();
-    while (true) {
-      LRPDB_RETURN_IF_ERROR(PollExec(exec));
-      std::vector<DataValue> row(arity);
-      for (int i = 0; i < arity; ++i) row[i] = domain[index[i]];
-      rows.push_back(std::move(row));
-      int pos = arity;
-      bool done = false;
-      while (pos > 0) {
-        --pos;
-        if (++index[pos] < domain.size()) break;
-        index[pos] = 0;
-        done = pos == 0;
-      }
-      if (done) break;
-    }
-    return rows;
-  }
-
   const Program& program_;
   const Database& db_;
   const std::map<std::string, GeneralizedRelation>* idb_;
@@ -225,7 +185,7 @@ StoreStats EvaluationResult::StoreTotals() const {
 int64_t EvaluationResult::TuplesStored() const {
   int64_t total = 0;
   for (const auto& [unused, relation] : idb) {
-    total += static_cast<int64_t>(relation.store().live_size());
+    total += static_cast<int64_t>(relation.live_size());
   }
   return total;
 }
@@ -480,7 +440,7 @@ namespace {
       stats.stratum = stratum;
       for (const auto& [unused, relation] : result.idb) {
         stats.delta_tuples +=
-            static_cast<int64_t>(relation.store().delta_size());
+            static_cast<int64_t>(relation.delta_size());
       }
       // The round's candidates in clause order, then pivot order, as flat
       // rows in one round buffer (with their parent ids while capturing
@@ -549,14 +509,14 @@ namespace {
                 sources[a].relation,
                 resolver.Resolve(atom.predicate, atom.is_intensional));
           }
-          sources[a].hi = sources[a].relation->store().size();
+          sources[a].hi = sources[a].relation->size();
         }
         // Pivots `sources` to body atom `pivot`'s delta generation.
         auto pivoted = [&sources](size_t pivot) {
           std::vector<AtomSource> pivot_sources = sources;
-          const TupleStore& store = sources[pivot].relation->store();
-          pivot_sources[pivot].lo = store.delta_lo();
-          pivot_sources[pivot].hi = store.delta_hi();
+          const GeneralizedRelation& relation = *sources[pivot].relation;
+          pivot_sources[pivot].lo = relation.delta_lo();
+          pivot_sources[pivot].hi = relation.delta_hi();
           return pivot_sources;
         };
         // The clause's (clause, pivot) units, applied in this order.
@@ -575,7 +535,7 @@ namespace {
           } else {
             for (size_t pivot = 0; pivot < clause.body.size(); ++pivot) {
               if (clause.body[pivot].negated) continue;
-              if (sources[pivot].relation->store().delta_size() == 0) {
+              if (sources[pivot].relation->delta_size() == 0) {
                 continue;
               }
               units.push_back(pivoted(pivot));
@@ -590,7 +550,7 @@ namespace {
                 strata.at(atom.predicate) != stratum) {
               continue;
             }
-            if (sources[pivot].relation->store().delta_size() == 0) continue;
+            if (sources[pivot].relation->delta_size() == 0) continue;
             units.push_back(pivoted(pivot));
           }
         }
@@ -614,7 +574,7 @@ namespace {
         const NormalizedClause& clause = normalized.clauses[clause_index];
         const std::string& name =
             program.predicates().NameOf(clause.head_predicate);
-        TupleStore& store = result.idb.at(name).mutable_store();
+        GeneralizedRelation& relation = result.idb.at(name);
         const int m = static_cast<int>(clause.head_temporal_vars.size());
         const int k = static_cast<int>(clause.head_data.size());
         RuleProfile& rule_profile = result.profile.rules[clause_index];
@@ -623,7 +583,7 @@ namespace {
           const TupleView tuple = reader.Next(m, k);
           InsertOutcome outcome;
           {
-            StatusOr<InsertOutcome> outcome_or = store.Insert(
+            StatusOr<InsertOutcome> outcome_or = relation.Insert(
                 tuple, &stats.store, TupleStore::Row::kClosedPiece);
             if (!outcome_or.ok()) {
               if (!IsGovernanceTrip(exec, outcome_or.status())) {
@@ -693,7 +653,7 @@ namespace {
       // Promote generations: this round's inserts become the next round's
       // delta; the previous delta joins "current".
       for (auto& [unused, relation] : result.idb) {
-        relation.mutable_store().AdvanceGeneration();
+        relation.AdvanceGeneration();
       }
 
       result.iterations = total_rounds;
@@ -797,7 +757,7 @@ namespace {
   LRPDB_ASSIGN_OR_RETURN(
       sources[0].relation,
       resolver.Resolve(query.predicate, clause.body[0].is_intensional));
-  sources[0].hi = sources[0].relation->store().size();
+  sources[0].hi = sources[0].relation->size();
 
   CandidateRows candidates;
   LRPDB_RETURN_IF_ERROR(ApplyClauseBatch(clause, CompileClausePlan(clause),
@@ -808,9 +768,8 @@ namespace {
   GeneralizedRelation answers({m, k});
   CandidateRows::Reader reader(candidates);
   for (size_t c = 0; c < candidates.size; ++c) {
-    LRPDB_RETURN_IF_ERROR(answers.mutable_store()
-                              .Insert(reader.Next(m, k), /*stats=*/nullptr,
-                                      TupleStore::Row::kClosedPiece)
+    LRPDB_RETURN_IF_ERROR(answers.Insert(reader.Next(m, k), /*stats=*/nullptr,
+                                         TupleStore::Row::kClosedPiece)
                               .status());
   }
   return answers;

@@ -29,15 +29,13 @@ void IncrementalEvaluator::ClearDeltas() {
   for (const std::string& name : db_->RelationNames()) {
     StatusOr<GeneralizedRelation*> relation = db_->MutableRelation(name);
     if (!relation.ok()) continue;
-    TupleStore& store = (*relation)->mutable_store();
-    store.AdvanceGeneration();
-    store.AdvanceGeneration();
+    (*relation)->AdvanceGeneration();
+    (*relation)->AdvanceGeneration();
   }
   if (!model_.has_value()) return;
   for (auto& [unused, relation] : model_->idb) {
-    TupleStore& store = relation.mutable_store();
-    store.AdvanceGeneration();
-    store.AdvanceGeneration();
+    relation.AdvanceGeneration();
+    relation.AdvanceGeneration();
   }
 }
 
@@ -120,9 +118,8 @@ void IncrementalEvaluator::ClearDeltas() {
     LRPDB_RETURN_IF_ERROR(PollExec(exec));
     LRPDB_ASSIGN_OR_RETURN(GeneralizedRelation * relation,
                            db_->MutableRelation(update.relation));
-    LRPDB_ASSIGN_OR_RETURN(
-        InsertOutcome outcome,
-        relation->mutable_store().Insert(update.tuple));
+    LRPDB_ASSIGN_OR_RETURN(InsertOutcome outcome,
+                           relation->Insert(update.tuple));
     if (outcome.inserted) grew = true;
   }
   if (!grew) return OkStatus();
@@ -132,7 +129,7 @@ void IncrementalEvaluator::ClearDeltas() {
   for (const std::string& name : db_->RelationNames()) {
     StatusOr<GeneralizedRelation*> relation = db_->MutableRelation(name);
     if (!relation.ok()) continue;
-    (*relation)->mutable_store().AdvanceGeneration();
+    (*relation)->AdvanceGeneration();
   }
   ResumeSeed seed;
   seed.idb = std::move(model_->idb);
@@ -174,8 +171,7 @@ void IncrementalEvaluator::ClearDeltas() {
     LRPDB_RETURN_IF_ERROR(PollExec(exec));
     LRPDB_ASSIGN_OR_RETURN(GeneralizedRelation * relation,
                            db_->MutableRelation(update.relation));
-    const std::vector<EntryId> matched =
-        relation->mutable_store().TombstoneExact(update.tuple);
+    const std::vector<EntryId> matched = relation->TombstoneExact(update.tuple);
     for (EntryId id : matched) retracted.emplace_back(update.relation, id);
     if (matched.empty()) LRPDB_COUNTER_INC("eval.inc.retract_misses");
   }
@@ -213,11 +209,11 @@ void IncrementalEvaluator::ClearDeltas() {
       const std::string& name = prov_->RelationName(dep.relation);
       auto it = model_->idb.find(name);
       if (it == model_->idb.end()) continue;
-      TupleStore& store = it->second.mutable_store();
+      GeneralizedRelation& relation = it->second;
       // A dependent dead from an earlier retraction was already expanded
       // when it died; its stale reverse edge carries no new work.
-      if (!store.is_live(dep.entry)) continue;
-      store.Tombstone(dep.entry);
+      if (!relation.is_live(dep.entry)) continue;
+      relation.Tombstone(dep.entry);
       prov_->Forget(dep);
       affected.insert(name);
       ++over_deleted;
@@ -256,23 +252,24 @@ size_t IncrementalEvaluator::CompactRetracted() {
   // remaps[name]: how erasing `name`'s tombstoned entries renumbered it.
   std::map<std::string, std::vector<EntryId>> remaps;
   size_t erased = 0;
-  auto erase_dead = [&](const std::string& name, TupleStore* store) {
-    if (!store->has_tombstones()) return;
+  auto erase_dead = [&](const std::string& name,
+                        GeneralizedRelation* relation) {
+    if (!relation->has_tombstones()) return;
     std::vector<EntryId> dead;
-    dead.reserve(store->size() - store->live_size());
-    for (EntryId id = 0; id < store->size(); ++id) {
-      if (!store->is_live(id)) dead.push_back(id);
+    dead.reserve(relation->size() - relation->live_size());
+    for (EntryId id = 0; id < relation->size(); ++id) {
+      if (!relation->is_live(id)) dead.push_back(id);
     }
     erased += dead.size();
-    remaps.emplace(name, store->EraseEntries(dead));
+    remaps.emplace(name, relation->EraseEntries(dead));
   };
   for (const std::string& name : db_->RelationNames()) {
     StatusOr<GeneralizedRelation*> relation = db_->MutableRelation(name);
-    if (relation.ok()) erase_dead(name, &(*relation)->mutable_store());
+    if (relation.ok()) erase_dead(name, *relation);
   }
   if (model_.has_value()) {
     for (auto& [name, relation] : model_->idb) {
-      erase_dead(name, &relation.mutable_store());
+      erase_dead(name, &relation);
     }
   }
   // EDB and IDB names are disjoint, so one remap per name is unambiguous.
@@ -324,9 +321,9 @@ std::string IncrementalEvaluator::DumpStored() const {
   const Interner& interner = db_->interner();
   for (const auto& [name, relation] : model_->idb) {
     out << name << ":\n";
-    const TupleStore& store = relation.store();
-    for (EntryId id : store.live_ids()) {
-      out << "  #" << id << " " << store.tuple(id).ToString(&interner) << "\n";
+    for (EntryId id : relation.live_ids()) {
+      out << "  #" << id << " " << relation.tuple(id).ToString(&interner)
+          << "\n";
     }
   }
   return out.str();

@@ -50,7 +50,7 @@ class Oracle {
     auto relation = db_.Relation(name);
     if (!relation.ok()) return out;
     std::set<std::vector<DataValue>> seen;
-    for (EntryId id : (*relation)->store().live_ids()) {
+    for (EntryId id : (*relation)->live_ids()) {
       const TupleView tuple = (*relation)->tuple(id);
       if (tuple.lrp(0).Contains(time) &&
           tuple.constraint().ContainsPoint({time}) &&
@@ -320,7 +320,7 @@ Datalog1SResult BuildCandidate(const WindowModel& window, int64_t offset,
   for (const std::string& name : db.RelationNames()) {
     auto relation = db.Relation(name);
     if ((*relation)->schema().temporal_arity != 1) continue;
-    for (EntryId id : (*relation)->store().live_ids()) {
+    for (EntryId id : (*relation)->live_ids()) {
       const TupleView tuple = (*relation)->tuple(id);
       check_period = Lcm(check_period, tuple.lrp(0).period());
       // Absolute DBM bounds push the aperiodic region outward.

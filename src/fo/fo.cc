@@ -231,7 +231,7 @@ class FoEvaluator {
     std::set<DataValue> domain;
     for (const std::string& name : db.RelationNames()) {
       auto relation = db.Relation(name);
-      for (EntryId id : (*relation)->store().live_ids()) {
+      for (EntryId id : (*relation)->live_ids()) {
         for (DataValue d : (*relation)->tuple(id).data()) domain.insert(d);
       }
     }
@@ -239,7 +239,7 @@ class FoEvaluator {
     for (DataValue d : options.extra_constants) domain.insert(d);
     if (options.extra_relations != nullptr) {
       for (const auto& [name, relation] : *options.extra_relations) {
-        for (EntryId id : relation.store().live_ids()) {
+        for (EntryId id : relation.live_ids()) {
           for (DataValue d : relation.tuple(id).data()) domain.insert(d);
         }
       }
@@ -578,31 +578,10 @@ class FoEvaluator {
   [[nodiscard]] StatusOr<FoResult> EvaluateNot(const FoFormula& formula) {
     LRPDB_ASSIGN_OR_RETURN(FoResult child, Evaluate(*formula.left));
     // Complement within (Z^m) x (active domain ^ l).
-    std::vector<std::vector<DataValue>> data_universe;
-    size_t l = child.data_vars.size();
-    if (l == 0) {
-      data_universe.push_back({});
-    } else if (!active_domain_.empty()) {
-      std::vector<size_t> index(l, 0);
-      while (true) {
-        std::vector<DataValue> row;
-        row.reserve(l);
-        for (size_t i = 0; i < l; ++i) {
-          row.push_back(active_domain_[index[i]]);
-        }
-        data_universe.push_back(std::move(row));
-        // Odometer increment; stop after wrapping fully around.
-        size_t pos = l;
-        bool done = false;
-        while (pos > 0) {
-          --pos;
-          if (++index[pos] < active_domain_.size()) break;
-          index[pos] = 0;
-          done = pos == 0;
-        }
-        if (done) break;
-      }
-    }
+    LRPDB_ASSIGN_OR_RETURN(
+        std::vector<std::vector<DataValue>> data_universe,
+        DataUniverse(active_domain_,
+                     static_cast<int>(child.data_vars.size())));
     FoResult result;
     result.temporal_vars = child.temporal_vars;
     result.data_vars = child.data_vars;

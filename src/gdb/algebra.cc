@@ -58,13 +58,13 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
   LRPDB_FAILPOINT("algebra.intersect");
   ExecContext* exec = ExecContext::Current();
   GeneralizedRelation out(a.schema());
-  for (EntryId i : a.store().live_ids()) {
-    for (EntryId j : b.store().live_ids()) {
+  for (EntryId i : a.live_ids()) {
+    for (EntryId j : b.live_ids()) {
       LRPDB_RETURN_IF_ERROR(PollExec(exec));
       std::optional<GeneralizedTuple> t = IntersectTuples(a.tuple(i),
                                                           b.tuple(j));
       if (!t.has_value()) continue;
-      LRPDB_RETURN_IF_ERROR(out.InsertIfNew(*t).status());
+      LRPDB_RETURN_IF_ERROR(out.Insert(*t).status());
     }
   }
   op.set_output(static_cast<int64_t>(out.size()));
@@ -80,13 +80,13 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
   LRPDB_FAILPOINT("algebra.union");
   ExecContext* exec = ExecContext::Current();
   GeneralizedRelation out(a.schema());
-  for (EntryId i : a.store().live_ids()) {
+  for (EntryId i : a.live_ids()) {
     LRPDB_RETURN_IF_ERROR(PollExec(exec));
-    LRPDB_RETURN_IF_ERROR(out.InsertIfNew(a.tuple(i)).status());
+    LRPDB_RETURN_IF_ERROR(out.Insert(a.tuple(i)).status());
   }
-  for (EntryId i : b.store().live_ids()) {
+  for (EntryId i : b.live_ids()) {
     LRPDB_RETURN_IF_ERROR(PollExec(exec));
-    LRPDB_RETURN_IF_ERROR(out.InsertIfNew(b.tuple(i)).status());
+    LRPDB_RETURN_IF_ERROR(out.Insert(b.tuple(i)).status());
   }
   op.set_output(static_cast<int64_t>(out.size()));
   return out;
@@ -103,13 +103,13 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
   // An a-tuple loses only the b-tuples with its data constants: b's pieces,
   // normalized once, grouped by data vector in entry order.
   std::map<std::vector<DataValue>, std::vector<NormalizedTuple>> subtrahends;
-  for (EntryId j : b.store().live_ids()) {
+  for (EntryId j : b.live_ids()) {
     LRPDB_RETURN_IF_ERROR(AppendNormalized(
         b.tuple(j), &subtrahends[b.tuple(j).data().ToVector()]));
   }
   const std::vector<NormalizedTuple> none;
   GeneralizedRelation out(a.schema());
-  for (EntryId i : a.store().live_ids()) {
+  for (EntryId i : a.live_ids()) {
     LRPDB_RETURN_IF_ERROR(PollExec(exec));
     const auto group = subtrahends.find(a.tuple(i).data().ToVector());
     LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> a_pieces,
@@ -125,7 +125,7 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
     }
     LRPDB_ASSIGN_OR_RETURN(tuples, CoalesceTuples(std::move(tuples)));
     for (const GeneralizedTuple& t : tuples) {
-      LRPDB_RETURN_IF_ERROR(out.InsertIfNew(t).status());
+      LRPDB_RETURN_IF_ERROR(out.Insert(t).status());
     }
   }
   op.set_output(static_cast<int64_t>(out.size()));
@@ -141,8 +141,8 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
       a.schema().temporal_arity + b.schema().temporal_arity,
       a.schema().data_arity + b.schema().data_arity};
   GeneralizedRelation out(schema);
-  for (EntryId i : a.store().live_ids()) {
-    for (EntryId j : b.store().live_ids()) {
+  for (EntryId i : a.live_ids()) {
+    for (EntryId j : b.live_ids()) {
       LRPDB_RETURN_IF_ERROR(PollExec(exec));
       const TupleView ta = a.tuple(i);
       const TupleView tb = b.tuple(j);
@@ -190,7 +190,7 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
         a.schema().temporal_arity + eq.right_column + 1, eq.offset);
   }
   GeneralizedRelation out(product.schema());
-  for (EntryId i : product.store().live_ids()) {
+  for (EntryId i : product.live_ids()) {
     LRPDB_RETURN_IF_ERROR(PollExec(exec));
     const TupleView t = product.tuple(i);
     bool data_ok = true;
@@ -219,7 +219,7 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
   LRPDB_FAILPOINT("algebra.select");
   ExecContext* exec = ExecContext::Current();
   GeneralizedRelation out(r.schema());
-  for (EntryId i : r.store().live_ids()) {
+  for (EntryId i : r.live_ids()) {
     const TupleView t = r.tuple(i);
     Dbm conjoined = t.constraint();
     conjoined.And(constraint);
@@ -250,7 +250,7 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
     }
     kept[c] = true;
   }
-  for (EntryId i : r.store().live_ids()) {
+  for (EntryId i : r.live_ids()) {
     LRPDB_RETURN_IF_ERROR(PollExec(exec));
     const TupleView tuple = r.tuple(i);
     std::vector<DataValue> data;
@@ -358,11 +358,10 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
   }
   LRPDB_OPERATOR_SCOPE(op, "gdb.select_data", r.size());
   GeneralizedRelation out(r.schema());
-  const TupleStore& store = r.store();
   // Exactly the posting's entries match (ascending, so output order is
   // entry order); tombstoned entries were pruned from it.
-  for (EntryId id : store.PostingFor(column, value)) {
-    out.InsertUnlessEmpty(store.tuple(id));
+  for (EntryId id : r.PostingFor(column, value)) {
+    out.InsertUnlessEmpty(r.tuple(id));
   }
   op.set_output(static_cast<int64_t>(out.size()));
   return out;
@@ -377,7 +376,7 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
   }
   LRPDB_OPERATOR_SCOPE(op, "gdb.select_data_eq", r.size());
   GeneralizedRelation out(r.schema());
-  for (EntryId id : r.store().live_ids()) {
+  for (EntryId id : r.live_ids()) {
     const TupleView t = r.tuple(id);
     if (t.data()[i] != t.data()[j]) continue;
     out.InsertUnlessEmpty(t);
@@ -392,12 +391,50 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
   LRPDB_FAILPOINT("algebra.shift");
   ExecContext* exec = ExecContext::Current();
   GeneralizedRelation out(r.schema());
-  for (EntryId i : r.store().live_ids()) {
+  for (EntryId i : r.live_ids()) {
     LRPDB_RETURN_IF_ERROR(PollExec(exec));
     out.InsertUnlessEmpty(r.tuple(i).ToTuple().WithColumnShifted(column, c));
   }
   op.set_output(static_cast<int64_t>(out.size()));
   return out;
+}
+
+[[nodiscard]] StatusOr<std::vector<std::vector<DataValue>>> DataUniverse(
+    const std::vector<DataValue>& domain, int arity) {
+  LRPDB_FAILPOINT("algebra.data_universe");
+  constexpr int64_t kMaxRows = 65536;
+  std::vector<std::vector<DataValue>> rows;
+  if (arity == 0) {
+    rows.push_back({});
+    return rows;
+  }
+  int64_t count = 1;
+  for (int i = 0; i < arity; ++i) {
+    count *= static_cast<int64_t>(domain.size());
+    if (count > kMaxRows) {
+      return ResourceExhaustedError(
+          "data universe for negation exceeds the row budget");
+    }
+  }
+  std::vector<size_t> index(arity, 0);
+  if (domain.empty()) return rows;
+  ExecContext* exec = ExecContext::Current();
+  while (true) {
+    LRPDB_RETURN_IF_ERROR(PollExec(exec));
+    std::vector<DataValue> row(arity);
+    for (int i = 0; i < arity; ++i) row[i] = domain[index[i]];
+    rows.push_back(std::move(row));
+    int pos = arity;
+    bool done = false;
+    while (pos > 0) {
+      --pos;
+      if (++index[pos] < domain.size()) break;
+      index[pos] = 0;
+      done = pos == 0;
+    }
+    if (done) break;
+  }
+  return rows;
 }
 
 [[nodiscard]] StatusOr<GeneralizedRelation> Complement(
@@ -423,7 +460,7 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
     LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> universe_pieces,
                            NormalizedTuple::Normalize(universe));
     std::vector<NormalizedTuple> subtrahend;
-    for (EntryId i : r.store().live_ids()) {
+    for (EntryId i : r.live_ids()) {
       if (r.tuple(i).data() != data) continue;
       LRPDB_RETURN_IF_ERROR(AppendNormalized(r.tuple(i), &subtrahend));
     }
@@ -697,11 +734,11 @@ struct ClassMerge {
   // Compare per data vector: pieces grouped by data inside SubtractPieces
   // already, so a direct two-way containment suffices.
   std::vector<NormalizedTuple> pa;
-  for (EntryId i : a.store().live_ids()) {
+  for (EntryId i : a.live_ids()) {
     LRPDB_RETURN_IF_ERROR(AppendNormalized(a.tuple(i), &pa));
   }
   std::vector<NormalizedTuple> pb;
-  for (EntryId i : b.store().live_ids()) {
+  for (EntryId i : b.live_ids()) {
     LRPDB_RETURN_IF_ERROR(AppendNormalized(b.tuple(i), &pb));
   }
   LRPDB_ASSIGN_OR_RETURN(bool ab, PiecesContainedIn(pa, pb));

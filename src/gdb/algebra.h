@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "src/common/statusor.h"
-#include "src/gdb/generalized_relation.h"
+#include "src/gdb/tuple_store.h"
 
 namespace lrpdb {
 
@@ -72,6 +72,14 @@ struct TemporalEquality {
 // when c is negative).
 [[nodiscard]] StatusOr<GeneralizedRelation> ShiftColumn(
     const GeneralizedRelation& r, int column, int64_t c);
+
+// Every data row of `arity` columns over `domain`, the last column varying
+// fastest: the data universe a complement ranges over. One empty row when
+// `arity` is 0, none when `domain` is empty. A universe of more than 65,536
+// rows is refused with kResourceExhausted before any row is built. Polls
+// ExecContext::Current() once per row.
+[[nodiscard]] StatusOr<std::vector<std::vector<DataValue>>> DataUniverse(
+    const std::vector<DataValue>& domain, int arity);
 
 // The complement of `r`'s ground set within the universe
 // (all time vectors) x (the given data universe rows). Each row of

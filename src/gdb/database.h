@@ -10,8 +10,8 @@
 
 #include "src/common/interner.h"
 #include "src/common/statusor.h"
-#include "src/gdb/generalized_relation.h"
 #include "src/gdb/schema.h"
+#include "src/gdb/tuple_store.h"
 
 namespace lrpdb {
 

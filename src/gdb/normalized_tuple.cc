@@ -379,15 +379,4 @@ struct ClassKey {
   return pieces.empty();
 }
 
-[[nodiscard]] StatusOr<bool> GroundTupleContainedIn(const GeneralizedTuple& a,
-                                      const std::vector<GeneralizedTuple>& bs) {
-  LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> a_pieces,
-                         NormalizedTuple::Normalize(a));
-  std::vector<NormalizedTuple> b_pieces;
-  for (const GeneralizedTuple& b : bs) {
-    LRPDB_RETURN_IF_ERROR(AppendNormalized(b.view(), &b_pieces));
-  }
-  return PiecesContainedIn(a_pieces, b_pieces);
-}
-
 }  // namespace lrpdb

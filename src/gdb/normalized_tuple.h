@@ -192,11 +192,6 @@ class NormalizedTuple {
 // Convenience: exact emptiness of a generalized tuple's ground set.
 [[nodiscard]] StatusOr<bool> GroundSetEmpty(const GeneralizedTuple& tuple);
 
-// Convenience: exact containment ground(a) subset-of ground(b1) u ... u
-// ground(bk) for generalized tuples of identical arities.
-[[nodiscard]] StatusOr<bool> GroundTupleContainedIn(
-    const GeneralizedTuple& a, const std::vector<GeneralizedTuple>& bs);
-
 }  // namespace lrpdb
 
 #endif  // LRPDB_GDB_NORMALIZED_TUPLE_H_

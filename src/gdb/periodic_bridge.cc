@@ -44,7 +44,7 @@ GeneralizedRelation ToGeneralizedRelation(
   // of the stored periods.
   int64_t period = 1;
   int64_t offset = 0;
-  for (EntryId id : relation.store().live_ids()) {
+  for (EntryId id : relation.live_ids()) {
     const TupleView tuple = relation.tuple(id);
     period = Lcm(period, tuple.lrp(0).period());
     if (period > kMaxCommonPeriod) {

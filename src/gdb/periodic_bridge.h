@@ -6,7 +6,7 @@
 #define LRPDB_GDB_PERIODIC_BRIDGE_H_
 
 #include "src/common/statusor.h"
-#include "src/gdb/generalized_relation.h"
+#include "src/gdb/tuple_store.h"
 #include "src/lrp/periodic_set.h"
 
 namespace lrpdb {

@@ -129,7 +129,7 @@ std::string SerializeRelationAsFacts(const std::string& name,
                                      const GeneralizedRelation& relation,
                                      const Interner& interner) {
   std::string out;
-  for (EntryId id : relation.store().live_ids()) {
+  for (EntryId id : relation.live_ids()) {
     const TupleView tuple = relation.tuple(id);
     std::string line = ".fact " + name + "(";
     for (int c = 0; c < tuple.temporal_arity(); ++c) {

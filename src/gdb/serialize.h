@@ -12,7 +12,7 @@
 #include <string>
 
 #include "src/gdb/database.h"
-#include "src/gdb/generalized_relation.h"
+#include "src/gdb/tuple_store.h"
 
 namespace lrpdb {
 

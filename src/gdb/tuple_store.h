@@ -26,8 +26,8 @@
 //    and the key is that row's lrps and data, compared in place against a
 //    candidate's view; a tuple's hash is computed once. Only a signature
 //    whose rows were all erased keeps its key in a side arena. Each
-//    signature's bucket lists its live entries. InsertIfNew-style
-//    subsumption compares a candidate only against its own bucket -- an
+//    signature's bucket lists its live entries. Insert's subsumption
+//    test compares a candidate only against its own bucket -- an
 //    O(1) probe followed by DBM work proportional to the bucket, never to
 //    the whole relation. Free-extension safety (a round adding no *new*
 //    signature) is read off the probe itself.
@@ -79,13 +79,15 @@ inline constexpr EntryId kErasedEntry = UINT32_MAX;
 // Dense id of an interned free-extension signature within one TupleStore.
 using SignatureId = uint32_t;
 
+struct GroundTuple;
+
 // Storage-engine counters. A plain struct owned by the caller: the store
 // keeps no copy of its own, and counts only into the one passed to Insert.
 // The evaluator gives each apply task its own and each round one for its
 // inserts, folds them into RoundStats::store, and publishes every finished
 // round to the metrics registry once.
 struct StoreStats {
-  // InsertIfNew path.
+  // Insert path.
   int64_t signature_probes = 0;       // Signature-bucket lookups.
   int64_t subsumption_checks = 0;     // Candidate-vs-bucket containment tests.
   int64_t subsumption_candidates = 0; // Same-signature entries compared.
@@ -136,7 +138,9 @@ struct InsertOutcome {
   std::span<const EntryId> absorbers;
 };
 
-// An indexed set of generalized tuples of one schema.
+// An indexed set of generalized tuples of one schema: a generalized
+// relation (paper, Section 2.1). The represented ground set is the union of
+// the members' ground sets.
 //
 // Thread-safety contract: one writer at a time. A const operation writes
 // nothing, so const operations may share the store with each other, but
@@ -231,6 +235,10 @@ class TupleStore {
   // in the union of the stored tuples with the same signature (free
   // extension) -- the comparison constraint safety (paper, Section 4.3)
   // prescribes. The same-signature entries come from one bucket probe.
+  // Containment across different free extensions is deliberately not
+  // checked: it would require aligning unrelated periods to their lcm,
+  // which explodes for coprime periods, and a tuple kept redundantly is
+  // subsumed on its next re-derivation anyway.
   // A candidate whose closed DBM implies one entry's DBM is contained in
   // it, and no residue piece is computed; otherwise the candidate's and
   // the bucket's pieces are computed for the exact union test and dropped
@@ -376,7 +384,22 @@ class TupleStore {
   // in the pool, generation ranges are well-formed). Intended for tests.
   [[nodiscard]] Status CheckConsistency() const;
 
+  // --- The ground set (the union of the live entries' ground sets) ---
+
+  // True iff some live entry's ground set holds the point (times, data).
+  bool ContainsGround(const std::vector<int64_t>& times,
+                      const std::vector<DataValue>& data) const;
+
+  // All ground tuples whose time values all lie in [lo, hi), sorted and
+  // deduplicated. Intended for tests and the ground baseline; cost is
+  // O(window^arity) per stored tuple.
+  std::vector<GroundTuple> EnumerateGround(int64_t lo, int64_t hi) const;
+
   std::string ToString(const Interner* interner = nullptr) const;
+
+  // The store itself. Exists only for perfbench, whose sources still spell
+  // store() on a relation.
+  const TupleStore& store() const { return *this; }
 
  private:
   // Corrupts index internals from tests to verify that CheckConsistency
@@ -535,6 +558,9 @@ class TupleStore {
   // concurrent with an insert.
   std::atomic<int64_t> approx_bytes_{0};
 };
+
+// The paper's name for the set of generalized tuples of one schema.
+using GeneralizedRelation = TupleStore;
 
 // --- Ground-fact storage (shared delta-generation machinery) ---
 

@@ -192,7 +192,7 @@ class Parser : private TokenStream {
       }
     }
     LRPDB_RETURN_IF_ERROR(Expect(TokenKind::kPeriod, "'.' after fact"));
-    target->relation->mutable_store().InsertUnlessEmpty(lrps, data, constraint);
+    target->relation->InsertUnlessEmpty(lrps, data, constraint);
     return OkStatus();
   }
 

@@ -4,7 +4,6 @@
 #include <map>
 #include <utility>
 
-#include "src/gdb/generalized_relation.h"
 #include "src/gdb/tuple_store.h"
 
 namespace lrpdb {
@@ -172,20 +171,19 @@ std::string EncodeDatabaseImage(const Database& db) {
   std::vector<std::string> names = db.RelationNames();
   PutU32(&out, static_cast<uint32_t>(names.size()));
   for (const std::string& name : names) {
-    const GeneralizedRelation* relation = db.Relation(name).value();
-    const TupleStore& store = relation->store();
+    const GeneralizedRelation& relation = *db.Relation(name).value();
     PutString(&out, name);
-    PutU32(&out, static_cast<uint32_t>(store.schema().temporal_arity));
-    PutU32(&out, static_cast<uint32_t>(store.schema().data_arity));
-    PutU64(&out, store.live_size());
+    PutU32(&out, static_cast<uint32_t>(relation.schema().temporal_arity));
+    PutU32(&out, static_cast<uint32_t>(relation.schema().data_arity));
+    PutU64(&out, relation.live_size());
     // Live entries only, in id order; each generation bound becomes the
     // number of live entries below it.
     uint64_t delta_lo = 0;
     uint64_t delta_hi = 0;
-    for (EntryId id : store.live_ids()) {
-      const TupleView tuple = store.tuple(id);
-      delta_lo += id < store.delta_lo();
-      delta_hi += id < store.delta_hi();
+    for (EntryId id : relation.live_ids()) {
+      const TupleView tuple = relation.tuple(id);
+      delta_lo += id < relation.delta_lo();
+      delta_hi += id < relation.delta_hi();
       for (const Lrp& lrp : tuple.lrps()) {
         PutI64(&out, lrp.period());
         PutI64(&out, lrp.offset());
@@ -235,7 +233,6 @@ std::string EncodeDatabaseImage(const Database& db) {
     LRPDB_RETURN_IF_ERROR(db->Declare(name, schema));
     LRPDB_ASSIGN_OR_RETURN(GeneralizedRelation * relation,
                            db->MutableRelation(name));
-    TupleStore& store = relation->mutable_store();
     LRPDB_ASSIGN_OR_RETURN(uint64_t num_entries, reader.U64("entry count"));
     for (uint64_t e = 0; e < num_entries; ++e) {
       LRPDB_ASSIGN_OR_RETURN(
@@ -253,12 +250,12 @@ std::string EncodeDatabaseImage(const Database& db) {
       }
       LRPDB_ASSIGN_OR_RETURN(
           Dbm dbm, DecodeDbm(&reader, schema.temporal_arity, "entry DBM"));
-      LRPDB_RETURN_IF_ERROR(store.RestoreEntry(GeneralizedTuple(
+      LRPDB_RETURN_IF_ERROR(relation->RestoreEntry(GeneralizedTuple(
           std::move(lrps), std::move(data), std::move(dbm))));
     }
     LRPDB_ASSIGN_OR_RETURN(uint64_t delta_lo, reader.U64("delta_lo"));
     LRPDB_ASSIGN_OR_RETURN(uint64_t delta_hi, reader.U64("delta_hi"));
-    LRPDB_RETURN_IF_ERROR(store.RestoreGenerations(
+    LRPDB_RETURN_IF_ERROR(relation->RestoreGenerations(
         static_cast<size_t>(delta_lo), static_cast<size_t>(delta_hi)));
   }
   if (!reader.AtEnd()) {
@@ -448,7 +445,7 @@ std::string EncodeFactBatch(const FactBatch& batch) {
                            db->MutableRelation(fact.relation));
     // The same routine as IncrementalEvaluator::RetractFacts, so replay
     // reproduces exactly the live/dead partition.
-    relation->mutable_store().TombstoneExact(
+    relation->TombstoneExact(
         GeneralizedTuple(fact.lrps, std::move(data), fact.constraint));
   }
   return OkStatus();

@@ -56,6 +56,7 @@ class TemplogParser : private TokenStream {
               Peek().kind != TokenKind::kString) {
             return Error("expected argument");
           }
+          atom->quoted.push_back(Peek().kind == TokenKind::kString);
           atom->args.emplace_back(Advance().text);
           if (Match(TokenKind::kRightParen)) break;
           if (!Match(TokenKind::kComma)) return Error("expected ',' or ')'");
@@ -107,8 +108,9 @@ std::vector<DataTerm> AtomData(Program* program, Database* db,
                                const TemplogAtom& atom) {
   std::vector<DataTerm> terms;
   terms.reserve(atom.args.size());
-  for (const std::string& arg : atom.args) {
-    if (IsDataVariableName(arg)) {
+  for (size_t i = 0; i < atom.args.size(); ++i) {
+    const std::string& arg = atom.args[i];
+    if (!atom.quoted[i] && IsDataVariableName(arg)) {
       terms.push_back(DataTerm::Variable(program->variables().Intern(arg)));
     } else {
       terms.push_back(DataTerm::Constant(db->Constant(arg)));

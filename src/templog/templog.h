@@ -40,6 +40,9 @@ struct TemplogAtom {
   int next_count = 0;
   std::string predicate;
   std::vector<std::string> args;
+  // quoted[i]: args[i] was a string literal, so it is a constant whatever
+  // its case.
+  std::vector<bool> quoted;
 };
 
 // A body literal: an atom, optionally under <> (eventually). The next

@@ -182,7 +182,7 @@ TEST(ProjectTest, PermutationFastPathReordersColumns) {
   GeneralizedRelation r({2, 0});
   Dbm c(2);
   c.AddDifferenceEquality(2, 1, 7);
-  ASSERT_TRUE(r.InsertIfNew(GeneralizedTuple({Lrp(5, 0), Lrp(5, 2)}, {}, c))
+  ASSERT_TRUE(r.Insert(GeneralizedTuple({Lrp(5, 0), Lrp(5, 2)}, {}, c))
                   .ok());
   auto swapped = Project(r, {1, 0}, {});
   ASSERT_TRUE(swapped.ok());
@@ -197,7 +197,7 @@ TEST(ProjectTest, DroppingZColumnIsExact) {
   Dbm c(2);
   c.AddDifferenceUpperBound(1, 2, 0);
   ASSERT_TRUE(
-      r.InsertIfNew(GeneralizedTuple({Lrp(4, 0), Lrp(1, 0)}, {}, c)).ok());
+      r.Insert(GeneralizedTuple({Lrp(4, 0), Lrp(1, 0)}, {}, c)).ok());
   auto projected = Project(r, {0}, {});
   ASSERT_TRUE(projected.ok());
   for (int64_t t = -16; t <= 16; ++t) {
@@ -212,7 +212,7 @@ TEST(ProjectTest, DroppingIndependentPeriodicColumn) {
   Dbm c(2);
   c.AddLowerBound(2, 3);  // Absolute bound only.
   ASSERT_TRUE(
-      r.InsertIfNew(GeneralizedTuple({Lrp(4, 1), Lrp(7, 0)}, {}, c)).ok());
+      r.Insert(GeneralizedTuple({Lrp(4, 1), Lrp(7, 0)}, {}, c)).ok());
   auto projected = Project(r, {0}, {});
   ASSERT_TRUE(projected.ok());
   for (int64_t t = -16; t <= 16; ++t) {
@@ -227,7 +227,7 @@ TEST(ProjectTest, DroppingIndependentButEmptyColumnKillsTuple) {
   c.AddLowerBound(2, 3);
   c.AddUpperBound(2, 6);
   ASSERT_TRUE(
-      r.InsertIfNew(GeneralizedTuple({Lrp(4, 1), Lrp(10, 0)}, {}, c)).ok());
+      r.Insert(GeneralizedTuple({Lrp(4, 1), Lrp(10, 0)}, {}, c)).ok());
   auto projected = Project(r, {0}, {});
   ASSERT_TRUE(projected.ok());
   EXPECT_TRUE(projected->empty());
@@ -239,7 +239,7 @@ TEST(ProjectTest, LinkedPeriodicColumnUsesResiduePath) {
   Dbm c(2);
   c.AddDifferenceEquality(1, 2, 0);
   ASSERT_TRUE(
-      r.InsertIfNew(GeneralizedTuple({Lrp(1, 0), Lrp(6, 0)}, {}, c)).ok());
+      r.Insert(GeneralizedTuple({Lrp(1, 0), Lrp(6, 0)}, {}, c)).ok());
   auto projected = Project(r, {0}, {});
   ASSERT_TRUE(projected.ok());
   for (int64_t t = -18; t <= 18; ++t) {
@@ -253,7 +253,7 @@ TEST(AlgebraOpsTest, ShiftColumnTranslates) {
   GeneralizedRelation r({1, 0});
   Dbm c(1);
   c.AddLowerBound(1, 0);
-  ASSERT_TRUE(r.InsertIfNew(GeneralizedTuple({Lrp(10, 0)}, {}, c)).ok());
+  ASSERT_TRUE(r.Insert(GeneralizedTuple({Lrp(10, 0)}, {}, c)).ok());
   auto shifted = ShiftColumn(r, 0, 3);
   ASSERT_TRUE(shifted.ok());
   for (int64_t t = -20; t <= 40; ++t) {
@@ -269,11 +269,11 @@ TEST(AlgebraOpsTest, SelectData) {
   DataValue b = interner.Intern("b");
   GeneralizedRelation r({0, 2});
   ASSERT_TRUE(
-      r.InsertIfNew(GeneralizedTuple::Unconstrained({}, {a, a})).ok());
+      r.Insert(GeneralizedTuple::Unconstrained({}, {a, a})).ok());
   ASSERT_TRUE(
-      r.InsertIfNew(GeneralizedTuple::Unconstrained({}, {a, b})).ok());
+      r.Insert(GeneralizedTuple::Unconstrained({}, {a, b})).ok());
   ASSERT_TRUE(
-      r.InsertIfNew(GeneralizedTuple::Unconstrained({}, {b, b})).ok());
+      r.Insert(GeneralizedTuple::Unconstrained({}, {b, b})).ok());
   StatusOr<GeneralizedRelation> eq = SelectDataColumnsEqual(r, 0, 1);
   ASSERT_TRUE(eq.ok()) << eq.status();
   EXPECT_EQ(eq->size(), 2u);
@@ -292,7 +292,7 @@ TEST(AlgebraOpsTest, SelectDataPropagatesErrors) {
   Interner interner;
   DataValue a = interner.Intern("a");
   GeneralizedRelation r({0, 1});
-  ASSERT_TRUE(r.InsertIfNew(GeneralizedTuple::Unconstrained({}, {a})).ok());
+  ASSERT_TRUE(r.Insert(GeneralizedTuple::Unconstrained({}, {a})).ok());
   EXPECT_EQ(SelectDataEquals(r, 1, a).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(SelectDataEquals(r, -1, a).status().code(),
@@ -305,10 +305,10 @@ TEST(AlgebraOpsTest, CartesianProductColumnLayout) {
   Interner interner;
   DataValue x = interner.Intern("x");
   GeneralizedRelation a({1, 1});
-  ASSERT_TRUE(a.InsertIfNew(GeneralizedTuple::Unconstrained({Lrp(2, 0)}, {x}))
+  ASSERT_TRUE(a.Insert(GeneralizedTuple::Unconstrained({Lrp(2, 0)}, {x}))
                   .ok());
   GeneralizedRelation b({1, 0});
-  ASSERT_TRUE(b.InsertIfNew(GeneralizedTuple::Unconstrained({Lrp(3, 1)}, {}))
+  ASSERT_TRUE(b.Insert(GeneralizedTuple::Unconstrained({Lrp(3, 1)}, {}))
                   .ok());
   auto product = CartesianProduct(a, b);
   ASSERT_TRUE(product.ok());
@@ -324,7 +324,7 @@ TEST(AlgebraOpsTest, DoubleComplementIsIdentity) {
   Dbm c(1);
   c.AddLowerBound(1, -5);
   c.AddUpperBound(1, 50);
-  ASSERT_TRUE(r.InsertIfNew(GeneralizedTuple({Lrp(6, 2)}, {}, c)).ok());
+  ASSERT_TRUE(r.Insert(GeneralizedTuple({Lrp(6, 2)}, {}, c)).ok());
   auto complement = Complement(r, {{}});
   ASSERT_TRUE(complement.ok());
   auto back = Complement(*complement, {{}});
@@ -347,9 +347,8 @@ TEST(AlgebraOpsTest, DeMorganOnRandomRelations) {
       c.AddLowerBound(1, lo);
       c.AddUpperBound(1, lo + 30);
       LRPDB_CHECK_OK(
-          r.InsertIfNew(
-               GeneralizedTuple({Lrp(period_dist(rng), offset_dist(rng))},
-                                {}, c))
+          r.Insert(GeneralizedTuple({Lrp(period_dist(rng), offset_dist(rng))},
+                                    {}, c))
               .status());
     }
     return r;
@@ -378,10 +377,10 @@ TEST(AlgebraOpsTest, DeMorganOnRandomRelations) {
 TEST(AlgebraOpsTest, JoinWithOffset) {
   GeneralizedRelation dep({1, 0});
   ASSERT_TRUE(
-      dep.InsertIfNew(GeneralizedTuple::Unconstrained({Lrp(8, 0)}, {})).ok());
+      dep.Insert(GeneralizedTuple::Unconstrained({Lrp(8, 0)}, {})).ok());
   GeneralizedRelation arr({1, 0});
   ASSERT_TRUE(
-      arr.InsertIfNew(GeneralizedTuple::Unconstrained({Lrp(8, 3)}, {})).ok());
+      arr.Insert(GeneralizedTuple::Unconstrained({Lrp(8, 3)}, {})).ok());
   // dep == arr - 3.
   auto joined = JoinOnEqualities(dep, arr,
                                  {{.left_column = 0,

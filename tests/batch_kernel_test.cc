@@ -378,7 +378,7 @@ RangeApply ApplyOverRange(size_t rule, size_t lo, size_t hi,
   EXPECT_TRUE(e.ok()) << e.status();
   if (!e.ok()) return out;
   EXPECT_EQ((*e)->size(), 12u);
-  for (EntryId id : dead) (*e)->mutable_store().Tombstone(id);
+  for (EntryId id : dead) (*e)->Tombstone(id);
   auto normalized = Normalize(unit->program);
   EXPECT_TRUE(normalized.ok()) << normalized.status();
   if (!normalized.ok()) return out;
@@ -457,9 +457,9 @@ TEST(JoinLoopTest, InfeasibleExtensionsDoNotAllocate) {
   Dbm negative(1);
   negative.AddUpperBound(1, -1);
   for (DataValue x = 0; x < kBindings; ++x) {
-    ASSERT_TRUE((*a)->mutable_store().InsertUnlessEmpty(
+    ASSERT_TRUE((*a)->InsertUnlessEmpty(
         GeneralizedTuple({Lrp(10, 0)}, {x}, nonnegative)));
-    ASSERT_TRUE((*b)->mutable_store().InsertUnlessEmpty(
+    ASSERT_TRUE((*b)->InsertUnlessEmpty(
         GeneralizedTuple({Lrp(10, 0)}, {x}, negative)));
   }
   auto normalized = Normalize(unit->program);
@@ -505,9 +505,9 @@ TEST(JoinLoopTest, FeasibleBindingsProjectWithoutAllocating) {
   Dbm nonnegative(1);
   nonnegative.AddLowerBound(1, 0);
   for (DataValue x = 0; x < kBindings; ++x) {
-    ASSERT_TRUE((*a)->mutable_store().InsertUnlessEmpty(
+    ASSERT_TRUE((*a)->InsertUnlessEmpty(
         GeneralizedTuple({Lrp(10, 0)}, {x}, nonnegative)));
-    ASSERT_TRUE((*b)->mutable_store().InsertUnlessEmpty(
+    ASSERT_TRUE((*b)->InsertUnlessEmpty(
         GeneralizedTuple({Lrp(10, 0)}, {x}, nonnegative)));
   }
   auto normalized = Normalize(unit->program);

@@ -55,11 +55,11 @@ TEST(BridgeTest, RelationBuiltByHandConverts) {
   GeneralizedRelation r({1, 0});
   Dbm nonneg(1);
   nonneg.AddLowerBound(1, 0);
-  ASSERT_TRUE(r.InsertIfNew(GeneralizedTuple({Lrp(6, 1)}, {}, nonneg)).ok());
-  ASSERT_TRUE(r.InsertIfNew(GeneralizedTuple({Lrp(4, 2)}, {}, nonneg)).ok());
+  ASSERT_TRUE(r.Insert(GeneralizedTuple({Lrp(6, 1)}, {}, nonneg)).ok());
+  ASSERT_TRUE(r.Insert(GeneralizedTuple({Lrp(4, 2)}, {}, nonneg)).ok());
   Dbm pin(1);
   pin.AddEquality(1, 3);
-  ASSERT_TRUE(r.InsertIfNew(GeneralizedTuple({Lrp()}, {}, pin)).ok());
+  ASSERT_TRUE(r.Insert(GeneralizedTuple({Lrp()}, {}, pin)).ok());
 
   auto set = ToEventuallyPeriodicSet(r);
   ASSERT_TRUE(set.ok()) << set.status();

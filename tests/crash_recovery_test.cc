@@ -240,7 +240,7 @@ uint64_t VerifyRecovered(const std::string& dir,
         EXPECT_TRUE(tuple.ContainsGround({static_cast<int64_t>(id)},
                                          {tuple.data()[0]}));
       }
-      Status consistent = (*relation)->store().CheckConsistency();
+      Status consistent = (*relation)->CheckConsistency();
       EXPECT_TRUE(consistent.ok()) << consistent;
     }
   }
@@ -286,7 +286,7 @@ uint64_t VerifyRecoveredWithRetracts(const std::string& dir,
     auto relation = db.Relation(name);
     EXPECT_TRUE(relation.ok());
     if (!relation.ok()) continue;
-    Status consistent = (*relation)->store().CheckConsistency();
+    Status consistent = (*relation)->CheckConsistency();
     EXPECT_TRUE(consistent.ok()) << consistent;
   }
   EXPECT_LE(MaxAckedId(acks_path), durable)

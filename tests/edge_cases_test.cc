@@ -145,7 +145,7 @@ SourceRun EvaluateSource(const std::string& source) {
 
 void ExpectConsistentStores(const EvaluationResult& result) {
   for (const auto& [name, relation] : result.idb) {
-    EXPECT_TRUE(relation.store().CheckConsistency().ok()) << name;
+    EXPECT_TRUE(relation.CheckConsistency().ok()) << name;
   }
 }
 

@@ -208,9 +208,9 @@ std::vector<Status> RunBattery() {
     Dbm window(1);
     window.AddDifferenceUpperBound(1, 0, 100);  // T1 <= 100.
     window.AddDifferenceUpperBound(0, 1, 0);    // T1 >= 0.
-    note(a.InsertIfNew(GeneralizedTuple({Lrp(6, 1)}, {}, window)).status());
-    note(a.InsertIfNew(GeneralizedTuple({Lrp(6, 4)}, {}, window)).status());
-    note(b.InsertIfNew(GeneralizedTuple({Lrp(3, 1)}, {}, window)).status());
+    note(a.Insert(GeneralizedTuple({Lrp(6, 1)}, {}, window)).status());
+    note(a.Insert(GeneralizedTuple({Lrp(6, 4)}, {}, window)).status());
+    note(b.Insert(GeneralizedTuple({Lrp(3, 1)}, {}, window)).status());
     note(Intersect(a, b).status());
     note(Union(a, b).status());
     note(Difference(a, b).status());

@@ -115,6 +115,38 @@ TEST(FoTest, NegationComplementsOverZAndActiveDomain) {
   }
 }
 
+// `~r(t, A, B, C, D)` over n constants ranges over n^4 data rows: the
+// same 65,536-row budget as a negated body literal of a program, so 12
+// constants (20,736 rows) answer and 17 (83,521) are refused.
+TEST(FoTest, NegationDataUniverseHasARowBudget) {
+  auto run = [](int constants, Database* db) {
+    std::string source = ".decl r(time, data, data, data, data)\n";
+    for (int i = 0; i < constants; ++i) {
+      const std::string c = "\"c" + std::to_string(i) + "\"";
+      source += ".fact r(" + std::to_string(i) + ", " + c + ", " + c + ", " +
+                c + ", " + c + ").\n";
+    }
+    auto unit = Parse(source, db);
+    LRPDB_CHECK(unit.ok()) << unit.status();
+    auto query = ParseFoQuery("~r(t, A, B, C, D)", db);
+    LRPDB_CHECK(query.ok()) << query.status();
+    return EvaluateFoQuery(*query, *db);
+  };
+  Database small;
+  auto answered = run(12, &small);
+  ASSERT_TRUE(answered.ok()) << answered.status();
+  const DataValue c0 = small.interner().Find("c0");
+  const DataValue c11 = small.interner().Find("c11");
+  EXPECT_FALSE(answered->relation.ContainsGround({0}, {c0, c0, c0, c0}));
+  EXPECT_TRUE(answered->relation.ContainsGround({1}, {c0, c0, c0, c0}));
+  EXPECT_TRUE(answered->relation.ContainsGround({0}, {c0, c11, c0, c11}));
+
+  Database large;
+  auto refused = run(17, &large);
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted)
+      << refused.status();
+}
+
 TEST(FoTest, DisjunctionExtendsColumns) {
   Database db;
   auto unit = Parse(R"(

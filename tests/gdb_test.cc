@@ -7,11 +7,11 @@
 #include "src/fo/fo.h"
 #include "src/gdb/algebra.h"
 #include "src/gdb/database.h"
-#include "src/gdb/generalized_relation.h"
 #include "src/gdb/generalized_tuple.h"
 #include "src/gdb/normalized_tuple.h"
 #include "src/gdb/periodic_bridge.h"
 #include "src/gdb/serialize.h"
+#include "src/gdb/tuple_store.h"
 
 namespace lrpdb {
 namespace {
@@ -180,22 +180,22 @@ TEST(GeneralizedRelationTest, InsertIfNewDetectsSubsumption) {
   GeneralizedRelation r({1, 0});
   Dbm wide(1);
   wide.AddLowerBound(1, 0);
-  auto first = r.InsertIfNew(GeneralizedTuple({Lrp(5, 0)}, {}, wide));
+  auto first = r.Insert(GeneralizedTuple({Lrp(5, 0)}, {}, wide));
   ASSERT_TRUE(first.ok());
-  EXPECT_TRUE(*first);
+  EXPECT_TRUE(first->inserted);
 
   // Same lrp, tighter constraint: subsumed.
   Dbm narrow(1);
   narrow.AddLowerBound(1, 10);
-  auto second = r.InsertIfNew(GeneralizedTuple({Lrp(5, 0)}, {}, narrow));
+  auto second = r.Insert(GeneralizedTuple({Lrp(5, 0)}, {}, narrow));
   ASSERT_TRUE(second.ok());
-  EXPECT_FALSE(*second);
+  EXPECT_FALSE(second->inserted);
   EXPECT_EQ(r.size(), 1u);
 
   // Coarser lrp with different members: new.
-  auto third = r.InsertIfNew(GeneralizedTuple::Unconstrained({Lrp(5, 1)}, {}));
+  auto third = r.Insert(GeneralizedTuple::Unconstrained({Lrp(5, 1)}, {}));
   ASSERT_TRUE(third.ok());
-  EXPECT_TRUE(*third);
+  EXPECT_TRUE(third->inserted);
 }
 
 TEST(GeneralizedRelationTest, InsertIfNewUnionSubsumption) {
@@ -206,11 +206,11 @@ TEST(GeneralizedRelationTest, InsertIfNewUnionSubsumption) {
   pos.AddLowerBound(1, 0);
   Dbm neg(1);
   neg.AddUpperBound(1, -1);
-  ASSERT_TRUE(r.InsertIfNew(GeneralizedTuple({Lrp(5, 0)}, {}, pos)).ok());
-  ASSERT_TRUE(r.InsertIfNew(GeneralizedTuple({Lrp(5, 0)}, {}, neg)).ok());
-  auto whole = r.InsertIfNew(GeneralizedTuple::Unconstrained({Lrp(5, 0)}, {}));
+  ASSERT_TRUE(r.Insert(GeneralizedTuple({Lrp(5, 0)}, {}, pos)).ok());
+  ASSERT_TRUE(r.Insert(GeneralizedTuple({Lrp(5, 0)}, {}, neg)).ok());
+  auto whole = r.Insert(GeneralizedTuple::Unconstrained({Lrp(5, 0)}, {}));
   ASSERT_TRUE(whole.ok());
-  EXPECT_FALSE(*whole);
+  EXPECT_FALSE(whole->inserted);
 }
 
 TEST(GeneralizedRelationTest, EnumerateGroundWindow) {
@@ -219,7 +219,7 @@ TEST(GeneralizedRelationTest, EnumerateGroundWindow) {
   c.AddDifferenceEquality(2, 1, 60);
   c.AddLowerBound(1, 0);
   ASSERT_TRUE(
-      r.InsertIfNew(GeneralizedTuple({Lrp(40, 5), Lrp(40, 65)}, {}, c)).ok());
+      r.Insert(GeneralizedTuple({Lrp(40, 5), Lrp(40, 65)}, {}, c)).ok());
   std::vector<GroundTuple> ground = r.EnumerateGround(0, 200);
   ASSERT_EQ(ground.size(), 4u);
   EXPECT_EQ(ground[0].times, (std::vector<int64_t>{5, 65}));
@@ -242,10 +242,10 @@ TEST(AlgebraTest, IntersectUnionDifferenceAgainstBruteForce) {
   GeneralizedRelation b({1, 0});
   Dbm nonneg(1);
   nonneg.AddLowerBound(1, 0);
-  ASSERT_TRUE(a.InsertIfNew(GeneralizedTuple({Lrp(4, 1)}, {}, nonneg)).ok());
-  ASSERT_TRUE(a.InsertIfNew(GeneralizedTuple::Unconstrained({Lrp(6, 3)}, {}))
+  ASSERT_TRUE(a.Insert(GeneralizedTuple({Lrp(4, 1)}, {}, nonneg)).ok());
+  ASSERT_TRUE(a.Insert(GeneralizedTuple::Unconstrained({Lrp(6, 3)}, {}))
                   .ok());
-  ASSERT_TRUE(b.InsertIfNew(GeneralizedTuple::Unconstrained({Lrp(2, 1)}, {}))
+  ASSERT_TRUE(b.Insert(GeneralizedTuple::Unconstrained({Lrp(2, 1)}, {}))
                   .ok());
 
   auto inter = Intersect(a, b);
@@ -284,14 +284,14 @@ TEST(AlgebraTest, JoinOnEqualitiesFindsConnections) {
   GeneralizedRelation leg1({2, 2});
   Dbm c1(2);
   c1.AddDifferenceEquality(2, 1, 60);
-  ASSERT_TRUE(leg1.InsertIfNew(GeneralizedTuple({Lrp(40, 5), Lrp(40, 65)},
-                                                {a_city, b_city}, c1))
+  ASSERT_TRUE(leg1.Insert(GeneralizedTuple({Lrp(40, 5), Lrp(40, 65)},
+                                           {a_city, b_city}, c1))
                   .ok());
   GeneralizedRelation leg2({2, 2});
   Dbm c2(2);
   c2.AddDifferenceEquality(2, 1, 30);
-  ASSERT_TRUE(leg2.InsertIfNew(GeneralizedTuple({Lrp(40, 75), Lrp(40, 105)},
-                                                {b_city, c_city}, c2))
+  ASSERT_TRUE(leg2.Insert(GeneralizedTuple({Lrp(40, 75), Lrp(40, 105)},
+                                           {b_city, c_city}, c2))
                   .ok());
   // Join: leg2 departs exactly 10 after leg1 arrives, and the transfer city
   // matches.
@@ -313,7 +313,7 @@ TEST(AlgebraTest, ProjectKeepsCongruenceInformation) {
   GeneralizedRelation r({2, 0});
   Dbm c(2);
   c.AddDifferenceEquality(1, 2, 0);
-  ASSERT_TRUE(r.InsertIfNew(GeneralizedTuple({Lrp(1, 0), Lrp(3, 0)}, {}, c))
+  ASSERT_TRUE(r.Insert(GeneralizedTuple({Lrp(1, 0), Lrp(3, 0)}, {}, c))
                   .ok());
   auto projected = Project(r, {0}, {});
   ASSERT_TRUE(projected.ok());
@@ -330,7 +330,7 @@ TEST(AlgebraTest, ComplementPartitionsUniverse) {
   Dbm window(1);
   window.AddLowerBound(1, 0);
   window.AddUpperBound(1, 9);
-  ASSERT_TRUE(r.InsertIfNew(GeneralizedTuple({Lrp(2, 0)}, {red}, window)).ok());
+  ASSERT_TRUE(r.Insert(GeneralizedTuple({Lrp(2, 0)}, {red}, window)).ok());
 
   auto comp = Complement(r, {{red}, {blue}});
   ASSERT_TRUE(comp.ok());
@@ -347,19 +347,19 @@ TEST(AlgebraTest, SameGroundSetIgnoresRepresentation) {
   // {2n} u {2n+1} == {n}.
   GeneralizedRelation split({1, 0});
   ASSERT_TRUE(
-      split.InsertIfNew(GeneralizedTuple::Unconstrained({Lrp(2, 0)}, {})).ok());
+      split.Insert(GeneralizedTuple::Unconstrained({Lrp(2, 0)}, {})).ok());
   ASSERT_TRUE(
-      split.InsertIfNew(GeneralizedTuple::Unconstrained({Lrp(2, 1)}, {})).ok());
+      split.Insert(GeneralizedTuple::Unconstrained({Lrp(2, 1)}, {})).ok());
   GeneralizedRelation whole({1, 0});
   ASSERT_TRUE(
-      whole.InsertIfNew(GeneralizedTuple::Unconstrained({Lrp(1, 0)}, {})).ok());
+      whole.Insert(GeneralizedTuple::Unconstrained({Lrp(1, 0)}, {})).ok());
   auto same = SameGroundSet(split, whole);
   ASSERT_TRUE(same.ok());
   EXPECT_TRUE(*same);
 
   GeneralizedRelation missing({1, 0});
   ASSERT_TRUE(
-      missing.InsertIfNew(GeneralizedTuple::Unconstrained({Lrp(2, 0)}, {}))
+      missing.Insert(GeneralizedTuple::Unconstrained({Lrp(2, 0)}, {}))
           .ok());
   auto not_same = SameGroundSet(missing, whole);
   ASSERT_TRUE(not_same.ok());
@@ -385,7 +385,7 @@ TEST_P(AlgebraRandomTest, BooleanOpsMatchBruteForce) {
       int lo = bound_dist(rng);
       c.AddLowerBound(1, lo);
       c.AddUpperBound(1, lo + 2 * period_dist(rng) * period_dist(rng));
-      LRPDB_CHECK_OK(r.InsertIfNew(GeneralizedTuple({lrp}, {}, c)).status());
+      LRPDB_CHECK_OK(r.Insert(GeneralizedTuple({lrp}, {}, c)).status());
     }
     return r;
   };
@@ -458,10 +458,10 @@ TEST(TombstoneVisibilityTest, ReadersSeeOnlyLiveEntries) {
   for (const GeneralizedTuple& t : live) {
     ASSERT_TRUE(clean.AddTuple("r", t).ok());
   }
-  (*db.MutableRelation("r"))->mutable_store().Tombstone(1);
+  (*db.MutableRelation("r"))->Tombstone(1);
   const GeneralizedRelation& r = **db.Relation("r");
   const GeneralizedRelation& expected = **clean.Relation("r");
-  ASSERT_EQ(r.store().live_size(), 2u);
+  ASSERT_EQ(r.live_size(), 2u);
 
   EXPECT_EQ(Union(r, r)->ToString(), Union(expected, expected)->ToString());
   EXPECT_EQ(Project(r, {0}, {})->ToString(),

@@ -165,7 +165,7 @@ TEST(GovernanceTest, BytesChargedTrackTheStoredModel) {
   EXPECT_FALSE(result->partial.tripped());
   int64_t model_bytes = 0;
   for (const auto& [name, relation] : result->idb) {
-    model_bytes += relation.store().approx_bytes();
+    model_bytes += relation.approx_bytes();
   }
   ASSERT_GT(model_bytes, 0);
   // A run that trips reports the same counter as partial.bytes_charged.

@@ -70,9 +70,8 @@ void CopyLiveEdb(const Database& db, Database* scratch) {
     ASSERT_TRUE(scratch->Declare(name, (*rel)->schema()).ok());
     auto dst = scratch->MutableRelation(name);
     ASSERT_TRUE(dst.ok()) << dst.status();
-    const TupleStore& store = (*rel)->store();
-    for (EntryId id : store.live_ids()) {
-      ASSERT_TRUE((*dst)->mutable_store().RestoreEntry(store.tuple(id)).ok());
+    for (EntryId id : (*rel)->live_ids()) {
+      ASSERT_TRUE((*dst)->RestoreEntry((*rel)->tuple(id)).ok());
     }
   }
 }
@@ -92,10 +91,10 @@ std::string OracleFingerprint(const Program& program, const Database& db) {
 std::map<std::string, const TupleStore*> Stores(const Instance& run) {
   std::map<std::string, const TupleStore*> stores;
   for (const std::string& name : run.db->RelationNames()) {
-    stores[name] = &(*run.db->Relation(name))->store();
+    stores[name] = *run.db->Relation(name);
   }
   for (const auto& [name, relation] : run.inc->Result().idb) {
-    stores[name] = &relation.store();
+    stores[name] = &relation;
   }
   return stores;
 }
@@ -119,7 +118,7 @@ void ExpectCompacted(const Instance& run) {
   for (const auto& [name, relation] : run.inc->Result().idb) {
     std::optional<ProvRelationId> rel = log.FindRelation(name);
     if (!rel.has_value()) continue;
-    for (EntryId id : relation.store().live_ids()) {
+    for (EntryId id : relation.live_ids()) {
       for (const DerivationOrigin& origin : log.Origins({*rel, id})) {
         for (ProvRef parent : origin.parents) {
           EXPECT_TRUE(live(parent)) << name << "#" << id << " names "
@@ -419,7 +418,7 @@ TEST(IncrementalTest, TuplesStoredCountsOnlyLiveEntries) {
   int64_t live = 0;
   size_t slots = 0;
   for (const auto& [name, relation] : run.inc->Result().idb) {
-    for ([[maybe_unused]] EntryId id : relation.store().live_ids()) ++live;
+    for ([[maybe_unused]] EntryId id : relation.live_ids()) ++live;
     slots += relation.size();
   }
   EXPECT_EQ(live, 2);    // p and q of "b".
@@ -464,7 +463,7 @@ TEST(IncrementalTest, CompactRetractedPreservesTheModel) {
   // The surviving q entry's derivation graph reaches only live entries,
   // down to the surviving e fact.
   ProvenanceLog& log = *run.inc->provenance();
-  const TupleStore& q = run.inc->Result().idb.at("q").store();
+  const TupleStore& q = run.inc->Result().idb.at("q");
   ASSERT_EQ(q.size(), 1u);
   auto graph = log.WhyProvenance({*log.FindRelation("q"), 0});
   ASSERT_TRUE(graph.ok()) << graph.status();

@@ -28,7 +28,7 @@
 #include "src/core/normalizer.h"
 #include "src/core/provenance.h"
 #include "src/gdb/database.h"
-#include "src/gdb/generalized_relation.h"
+#include "src/gdb/tuple_store.h"
 #include "src/obs/metrics.h"
 #include "src/parser/parser.h"
 
@@ -89,12 +89,12 @@ std::optional<GeneralizedTuple> ResolveTuple(const ProvRun& run,
 bool SubsumedBy(const GeneralizedTuple& piece,
                 const GeneralizedTuple& entry_tuple, RelationSchema schema) {
   GeneralizedRelation scratch(schema);
-  auto seeded = scratch.InsertIfNew(entry_tuple);
+  auto seeded = scratch.Insert(entry_tuple);
   EXPECT_TRUE(seeded.ok()) << seeded.status();
   if (!seeded.ok()) return false;
-  auto probe = scratch.InsertIfNew(piece);
+  auto probe = scratch.Insert(piece);
   EXPECT_TRUE(probe.ok()) << probe.status();
-  return probe.ok() && !*probe;
+  return probe.ok() && !probe->inserted;
 }
 
 // Replays one origin: compile its clause without the negated atoms (a
@@ -233,9 +233,8 @@ std::string Generate(std::mt19937& rng) {
 
 class ProvenanceRandomTest : public ::testing::TestWithParam<int> {};
 
-// 10 seeds x 4 programs, each: completeness and a full origin replay. (The
-// test name predates the removal of the thread-count grid.)
-TEST_P(ProvenanceRandomTest, LogsMatchAcrossEnginesAndOriginsReplay) {
+// 10 seeds x 4 programs, each: completeness and a full origin replay.
+TEST_P(ProvenanceRandomTest, LogsAreCompleteAndOriginsReplay) {
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 7351 + 29);
   for (int iter = 0; iter < 4; ++iter) {
     const std::string text = Generate(rng);

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "src/gdb/algebra.h"
-#include "src/gdb/generalized_relation.h"
 #include "src/gdb/normalized_tuple.h"
 #include "src/gdb/tuple_store.h"
 
@@ -101,8 +100,8 @@ TEST(SignatureInterningTest, EqualGroundSetsNormalizeToEqualPieces) {
     // And the ground sets really are equal on a window spanning the band.
     GeneralizedRelation ra({1, 0});
     GeneralizedRelation rb({1, 0});
-    ASSERT_TRUE(ra.InsertIfNew(canonical).ok());
-    ASSERT_TRUE(rb.InsertIfNew(respelled).ok());
+    ASSERT_TRUE(ra.Insert(canonical).ok());
+    ASSERT_TRUE(rb.Insert(respelled).ok());
     EXPECT_EQ(ra.EnumerateGround(lo - 2, hi + 2),
               rb.EnumerateGround(lo - 2, hi + 2))
         << "trial " << trial;
@@ -128,7 +127,7 @@ GeneralizedRelation RandomRelation(std::mt19937& rng, int tuples) {
         {Lrp(period_dist(rng), offset_dist(rng)),
          Lrp(period_dist(rng), offset_dist(rng))},
         {data_dist(rng)}, c);
-    EXPECT_TRUE(r.InsertIfNew(std::move(tuple)).ok());
+    EXPECT_TRUE(r.Insert(std::move(tuple)).ok());
   }
   return r;
 }
@@ -138,7 +137,7 @@ GeneralizedRelation RandomRelation(std::mt19937& rng, int tuples) {
 // (period > 0, offset in [0, period)) so signature equality is decided by
 // representation equality.
 void ExpectCanonicalStore(const GeneralizedRelation& r, const char* what) {
-  EXPECT_TRUE(r.store().CheckConsistency().ok()) << what;
+  EXPECT_TRUE(r.CheckConsistency().ok()) << what;
   for (size_t i = 0; i < r.size(); ++i) {
     for (int c = 0; c < r.schema().temporal_arity; ++c) {
       const Lrp& lrp = r.tuple(i).lrp(c);

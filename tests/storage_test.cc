@@ -277,7 +277,7 @@ TEST(CodecTest, ImageRoundTripIsExact) {
   for (const std::string& name : out.RelationNames()) {
     auto relation = out.Relation(name);
     ASSERT_TRUE(relation.ok());
-    Status s = (*relation)->store().CheckConsistency();
+    Status s = (*relation)->CheckConsistency();
     EXPECT_TRUE(s.ok()) << name << ": " << s;
   }
   // Re-encoding the decoded image is byte-identical (a fixed point).
@@ -293,7 +293,7 @@ TEST(CodecTest, InsertedAndRestoredRowsEncodeIdentically) {
   Database db;
   ASSERT_TRUE(db.Declare("span", RelationSchema{2, 1}).ok());
   const DataValue a = db.Constant("alpha");
-  TupleStore& store = (*db.MutableRelation("span"))->mutable_store();
+  TupleStore& store = **db.MutableRelation("span");
   for (int64_t offset : {8, 9, 10}) {
     Dbm dbm(2);
     dbm.AddDifferenceUpperBound(2, 1, 5);   // T2 - T1 <= 5
@@ -319,7 +319,7 @@ TEST(CodecTest, InsertedAndRestoredRowsEncodeIdentically) {
   ASSERT_TRUE(DecodeDatabaseImage(payload, &restored).ok());
   EXPECT_EQ(EncodeDatabaseImage(restored), payload);
   EXPECT_EQ(restored.ToString(), db.ToString());
-  const TupleStore& back = (*restored.Relation("span"))->store();
+  const TupleStore& back = **restored.Relation("span");
   ASSERT_EQ(back.size(), 3u);
   EXPECT_TRUE(back.tuple(0).bound(0, 2).is_infinite());
   EXPECT_TRUE(back.CheckConsistency().ok()) << back.CheckConsistency();
@@ -327,7 +327,7 @@ TEST(CodecTest, InsertedAndRestoredRowsEncodeIdentically) {
 
 TEST(CodecTest, ImageRelationHeaderHasNoIndexFlag) {
   Database db = MakeRichDatabase();
-  (*db.MutableRelation("meet"))->mutable_store().Tombstone(0);
+  (*db.MutableRelation("meet"))->Tombstone(0);
   const std::string payload = EncodeDatabaseImage(db);
   // The first relation ("meet" sorts first) starts after the interner
   // (count, then length-prefixed names) and the relation count. Its
@@ -443,24 +443,24 @@ TEST(CodecTest, RetractBatchTombstonesExactMatchesAndSkipsMisses) {
   ASSERT_TRUE(ApplyFactBatch(MakeBatch(2), &db).ok());
   auto relation = db.Relation("r");
   ASSERT_TRUE(relation.ok());
-  ASSERT_EQ((*relation)->store().live_size(), 2u);
+  ASSERT_EQ((*relation)->live_size(), 2u);
 
   // Retracting fact 1 tombstones exactly its entry (decls stay empty).
   FactBatch retract = MakeBatch(1);
   retract.decls.clear();
   ASSERT_TRUE(ValidateRetractBatch(retract, db).ok());
   ASSERT_TRUE(ApplyRetractBatch(retract, &db).ok());
-  EXPECT_EQ((*relation)->store().size(), 2u);       // ids are stable
-  EXPECT_EQ((*relation)->store().live_size(), 1u);  // fact 1 is dead
-  EXPECT_FALSE((*relation)->store().is_live(0));
-  EXPECT_TRUE((*relation)->store().is_live(1));
+  EXPECT_EQ((*relation)->size(), 2u);       // ids are stable
+  EXPECT_EQ((*relation)->live_size(), 1u);  // fact 1 is dead
+  EXPECT_FALSE((*relation)->is_live(0));
+  EXPECT_TRUE((*relation)->is_live(1));
 
   // A miss (never-stored fact) is skipped, not an error: replay must never
   // fail halfway through a WAL.
   FactBatch miss = MakeBatch(99);
   miss.decls.clear();
   ASSERT_TRUE(ApplyRetractBatch(miss, &db).ok());
-  EXPECT_EQ((*relation)->store().live_size(), 1u);
+  EXPECT_EQ((*relation)->live_size(), 1u);
   // The miss still interned its data constant, exactly like the live
   // retraction path, so replay reproduces the interner bit-for-bit.
   EXPECT_GE(db.interner().Find("c99"), 0);
@@ -497,33 +497,32 @@ TEST(CodecTest, ImageHoldsLiveEntriesOnly) {
   ASSERT_TRUE(ApplyFactBatch(MakeBatch(5), &db).ok());
   auto meet = db.MutableRelation("meet");
   ASSERT_TRUE(meet.ok());
-  TupleStore& store = (*meet)->mutable_store();
-  store.AdvanceGeneration();  // Delta = {0, 1}.
-  const std::string survivor = store.tuple(1).ToString();
-  store.Tombstone(0);
+  (*meet)->AdvanceGeneration();  // Delta = {0, 1}.
+  const std::string survivor = (*meet)->tuple(1).ToString();
+  (*meet)->Tombstone(0);
   const std::string payload = EncodeDatabaseImage(db);
 
   Database out;
   ASSERT_TRUE(DecodeDatabaseImage(payload, &out).ok());
   auto decoded = out.Relation("meet");
   ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ((*decoded)->store().size(), 1u);
-  EXPECT_EQ((*decoded)->store().live_size(), 1u);
-  EXPECT_EQ((*decoded)->store().tuple(0).ToString(), survivor);
-  EXPECT_EQ((*decoded)->store().delta_lo(), 0u);
-  EXPECT_EQ((*decoded)->store().delta_hi(), 1u);
+  ASSERT_EQ((*decoded)->size(), 1u);
+  EXPECT_EQ((*decoded)->live_size(), 1u);
+  EXPECT_EQ((*decoded)->tuple(0).ToString(), survivor);
+  EXPECT_EQ((*decoded)->delta_lo(), 0u);
+  EXPECT_EQ((*decoded)->delta_hi(), 1u);
   auto r = out.Relation("r");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ((*r)->store().live_size(), 1u);
+  EXPECT_EQ((*r)->live_size(), 1u);
   for (const std::string& name : out.RelationNames()) {
     auto relation = out.Relation(name);
     ASSERT_TRUE(relation.ok());
-    Status s = (*relation)->store().CheckConsistency();
+    Status s = (*relation)->CheckConsistency();
     EXPECT_TRUE(s.ok()) << name << ": " << s;
   }
   EXPECT_EQ(EncodeDatabaseImage(out), payload);
 
-  store.EraseEntries({0});
+  (*meet)->EraseEntries({0});
   EXPECT_EQ(EncodeDatabaseImage(db), payload);
 }
 

@@ -143,6 +143,32 @@ TEST(TemplogTranslationTest, NonAlwaysClauseAssertsAtTimeZeroOnly) {
   EXPECT_FALSE(result->Holds("q", {a}, 3));
 }
 
+// A quoted argument is a constant even when it starts with an uppercase
+// letter, as in the program and FO languages.
+TEST(TemplogTranslationTest, QuotedArgumentsAreConstants) {
+  auto templog = ParseTemplog(R"(
+    next^2 p("Alice", bob).
+    always q(X) :- p("Alice", X).
+  )");
+  ASSERT_TRUE(templog.ok()) << templog.status();
+  Database db;
+  auto translated = TranslateToDatalog1S(*templog, &db);
+  ASSERT_TRUE(translated.ok()) << translated.status();
+  const DataValue alice = db.interner().Find("Alice");
+  const DataValue bob = db.interner().Find("bob");
+  ASSERT_GE(alice, 0);
+  const std::vector<Clause>& clauses = translated->clauses();
+  ASSERT_EQ(clauses.size(), 2u);
+  EXPECT_EQ(clauses[0].head.data_args[0], DataTerm::Constant(alice));
+  const auto& body = std::get<PredicateAtom>(clauses[1].body[0]);
+  EXPECT_EQ(body.data_args[0], DataTerm::Constant(alice));
+  auto result = EvaluateDatalog1S(*translated, db);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->Holds("p", {alice, bob}, 2));
+  EXPECT_TRUE(result->Holds("q", {bob}, 2));
+  EXPECT_FALSE(result->Holds("q", {alice}, 2));
+}
+
 TEST(TemplogTranslationTest, InconsistentArityRejected) {
   auto templog = ParseTemplog(R"(
     p(a).

@@ -2,7 +2,7 @@
 // hand-computed insert outcomes, whole program evaluations checked against
 // the ground oracle (tests/ground_oracle.h), plus unit tests of the
 // store's probe counters, delta-generation protocol, and index invariants.
-// The counter assertions are the acceptance check that InsertIfNew and join
+// The counter assertions are the acceptance check that Insert and join
 // matching never scan tuples outside the probed signature / posting bucket.
 #include <algorithm>
 #include <atomic>
@@ -565,7 +565,7 @@ TEST_P(TupleStoreDifferentialTest, IndexedMatchesBruteForceGroundSets) {
   ASSERT_TRUE(result->reached_fixpoint);
   ExpectMatchesGroundOracle(unit->program, db, *result, -10, 300, -200, 400);
   for (const auto& [name, relation] : result->idb) {
-    EXPECT_TRUE(relation.store().CheckConsistency().ok()) << name;
+    EXPECT_TRUE(relation.CheckConsistency().ok()) << name;
   }
   // The counters certify bucket-bounded work: every insert probed a
   // signature, and subsumption compared no more tuples than the store
