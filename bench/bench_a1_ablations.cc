@@ -1,11 +1,5 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
-//   A1a  semi-naive deltas vs naive re-derivation in the T_GP engine,
-//   A1b  tuple coalescing in residue-splitting operations (projection
-//        through a periodic column),
-//   A1c  the exact projection fast paths vs the general residue path
-//        (measured indirectly: a query whose columns are all period-1
-//        hits the fast path; the same query against periodic columns pays
-//        for residue splitting).
+// Ablation benchmark for a design choice DESIGN.md calls out:
+//   A1a  semi-naive deltas vs naive re-derivation in the T_GP engine.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -15,8 +9,6 @@
 
 #include "bench/bench_json.h"
 #include "src/core/evaluator.h"
-#include "src/fo/fo.h"
-#include "src/gdb/algebra.h"
 #include "src/parser/parser.h"
 
 namespace {
@@ -61,66 +53,6 @@ void BM_EngineNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineNaive)->Arg(24)->Arg(48)->Arg(96);
 
-// Projection whose kept column is all of Z but is linked to a periodic
-// dropped column: exercises the residue-splitting path and the coalescing
-// pass. Reports output tuple counts as counters.
-void BM_ProjectCoalesced(benchmark::State& state) {
-  int64_t period = state.range(0);
-  lrpdb::GeneralizedRelation r({2, 0});
-  lrpdb::Dbm c(2);
-  // t2 in [t1 - period, t1 - 1] with t1 on the periodic grid: the windows
-  // tile Z, so the exact projection is all of Z: one tuple once coalesced.
-  c.AddDifferenceUpperBound(2, 1, -1);
-  c.AddDifferenceUpperBound(1, 2, period);
-  LRPDB_CHECK_OK(r.Insert(lrpdb::GeneralizedTuple(
-                              {lrpdb::Lrp(period, 3), lrpdb::Lrp()},
-                              {}, c))
-                     .status());
-  size_t tuples = 0;
-  for (auto _ : state) {
-    auto projected = lrpdb::Project(r, {1}, {});
-    LRPDB_CHECK(projected.ok()) << projected.status();
-    tuples = projected->size();
-    benchmark::DoNotOptimize(tuples);
-  }
-  state.counters["output_tuples"] = static_cast<double>(tuples);
-}
-BENCHMARK(BM_ProjectCoalesced)->Arg(12)->Arg(60)->Arg(168);
-
-// Fast-path vs residue-path projection: same band constraint, dropped
-// column period 1 (fast, exact DBM projection) vs period 168 (residue).
-void BM_ProjectDropZColumn(benchmark::State& state) {
-  lrpdb::GeneralizedRelation r({2, 0});
-  lrpdb::Dbm c(2);
-  c.AddDifferenceUpperBound(2, 1, -1);
-  c.AddDifferenceUpperBound(1, 2, 5);
-  LRPDB_CHECK_OK(r.Insert(lrpdb::GeneralizedTuple(
-                              {lrpdb::Lrp(), lrpdb::Lrp(168, 3)}, {}, c))
-                     .status());
-  for (auto _ : state) {
-    auto projected = lrpdb::Project(r, {1}, {});
-    LRPDB_CHECK(projected.ok());
-    benchmark::DoNotOptimize(projected->size());
-  }
-}
-BENCHMARK(BM_ProjectDropZColumn);
-
-void BM_ProjectDropPeriodicColumn(benchmark::State& state) {
-  lrpdb::GeneralizedRelation r({2, 0});
-  lrpdb::Dbm c(2);
-  c.AddDifferenceUpperBound(2, 1, -1);
-  c.AddDifferenceUpperBound(1, 2, 5);
-  LRPDB_CHECK_OK(r.Insert(lrpdb::GeneralizedTuple(
-                              {lrpdb::Lrp(168, 3), lrpdb::Lrp()}, {}, c))
-                     .status());
-  for (auto _ : state) {
-    auto projected = lrpdb::Project(r, {1}, {});
-    LRPDB_CHECK(projected.ok());
-    benchmark::DoNotOptimize(projected->size());
-  }
-}
-BENCHMARK(BM_ProjectDropPeriodicColumn);
-
 void WriteReport() {
   constexpr int64_t kPeriod = 96;
   lrpdb::Database db;
@@ -148,8 +80,7 @@ void WriteReport() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("A1: ablations -- semi-naive vs naive; coalesced projection; "
-              "projection fast path vs residue path.\n\n");
+  std::printf("A1: ablations -- semi-naive vs naive.\n\n");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   WriteReport();

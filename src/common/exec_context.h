@@ -71,10 +71,10 @@ struct PartialResult {
 
 class ExecContext {
  public:
-  // Round cap applied by the evaluators even when the caller sets no other
-  // limit (satellite: a workload that never converges must not spin
-  // forever). Effective cap is min(EvaluationOptions::max_iterations,
-  // max_rounds()); override with set_max_rounds().
+  // Round cap of the evaluators, so a workload that never converges cannot
+  // spin forever: max_rounds() starts here (override with
+  // set_max_rounds()), and Evaluate with no context installed gives up
+  // in-band after this many rounds.
   static constexpr int kDefaultMaxRounds = 100000;
   // Full limit check runs every kPollStride-th Poll(); cancellation and an
   // already-recorded trip are still observed on every call.

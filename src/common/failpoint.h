@@ -17,9 +17,10 @@
 // measures.
 //
 // Naming convention (see DESIGN.md §7): "<component>.<operation>", e.g.
-// "tuple_store.insert", "algebra.join", "datalog1s.window". Sites register
-// themselves on first execution; RegisteredNames() lets a test walk every
-// site a workload reaches (run the workload once to prime, then iterate).
+// "tuple_store.insert", "algebra.complement", "datalog1s.window". Sites
+// register themselves on first execution; RegisteredNames() lets a test
+// walk every site a workload reaches (run the workload once to prime, then
+// iterate).
 //
 // Modes:
 //   error-once     first armed hit returns an injected kInternal error,
@@ -31,7 +32,7 @@
 //                  this site
 //
 // Environment syntax, applied to sites as they register:
-//   LRPDB_FAILPOINTS="tuple_store.insert=error-once;algebra.join=error-every-100"
+//   LRPDB_FAILPOINTS="tuple_store.insert=error-once;algebra.complement=error-every-100"
 #ifndef LRPDB_COMMON_FAILPOINT_H_
 #define LRPDB_COMMON_FAILPOINT_H_
 

@@ -471,6 +471,29 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom, const CompiledAtom& compiled,
   return OkStatus();
 }
 
+[[nodiscard]] StatusOr<GeneralizedRelation> ApplyClauseOnce(
+    const NormalizedClause& clause,
+    const std::vector<const GeneralizedRelation*>& relations) {
+  std::vector<AtomSource> sources(relations.size());
+  for (size_t a = 0; a < relations.size(); ++a) {
+    sources[a] = {relations[a], 0, relations[a]->size()};
+  }
+  CandidateRows candidates;
+  LRPDB_RETURN_IF_ERROR(ApplyClauseBatch(clause, CompileClausePlan(clause),
+                                         sources, /*stats=*/nullptr,
+                                         &candidates));
+  const int m = static_cast<int>(clause.head_temporal_vars.size());
+  const int k = static_cast<int>(clause.head_data.size());
+  GeneralizedRelation answers({m, k});
+  CandidateRows::Reader reader(candidates);
+  for (size_t c = 0; c < candidates.size; ++c) {
+    LRPDB_RETURN_IF_ERROR(answers.Insert(reader.Next(m, k), /*stats=*/nullptr,
+                                         TupleStore::Row::kAnswerPiece)
+                              .status());
+  }
+  return answers;
+}
+
 GroundClausePlan CompileGroundClausePlan(const NormalizedClause& clause) {
   GroundClausePlan plan;
   // Join descriptors follow body order (the ground stores keep insertion

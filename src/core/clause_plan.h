@@ -1,5 +1,6 @@
 // Compiled clause plans and the join kernel (DESIGN.md §9) -- the one
-// apply path of both evaluators.
+// select-join-project path of both evaluators and of the first-order query
+// evaluator (src/fo/fo.h), which runs each conjunction as one clause.
 //
 // A ClausePlan compiles a clause's join structure once: for each body atom,
 // which data columns are pinned by constants, which carry variables bound
@@ -194,6 +195,17 @@ struct CandidateRows {
                                       const std::vector<AtomSource>& sources,
                                       StoreStats* stats,
                                       CandidateRows* candidates);
+
+// Applies `clause` once over the whole of `relations` (one per body atom,
+// in body order) and returns the head relation: every candidate inserted
+// with TupleStore::Row::kAnswerPiece, so a piece one kept piece of its
+// signature contains is dropped and one row remains per other residue
+// piece (a piece only several rows cover together stays: the union test
+// would cost more than the row, see EXPERIMENTS.md E3). The one-shot
+// answer path of QueryAtom and the FO evaluator.
+[[nodiscard]] StatusOr<GeneralizedRelation> ApplyClauseOnce(
+    const NormalizedClause& clause,
+    const std::vector<const GeneralizedRelation*>& relations);
 
 // --- Ground-kernel compilation (shared with src/core/ground_evaluator.cc) ---
 

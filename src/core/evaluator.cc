@@ -43,22 +43,15 @@ std::string RenderClause(const Program& program,
   return s;
 }
 
-// All data constants visible to the evaluation.
-std::vector<DataValue> CollectActiveDomain(const Program& program,
-                                           const Database& db) {
-  std::set<DataValue> domain;
-  for (const std::string& name : db.RelationNames()) {
-    const GeneralizedRelation& relation = *db.Relation(name).value();
-    for (EntryId id : relation.live_ids()) {
-      for (DataValue d : relation.tuple(id).data()) domain.insert(d);
+// The data constants written in the program.
+std::set<DataValue> ProgramConstants(const Program& program) {
+  std::set<DataValue> constants;
+  auto collect = [&constants](const PredicateAtom& atom) {
+    for (const DataTerm& d : atom.data_args) {
+      if (d.is_constant()) constants.insert(d.constant);
     }
-  }
+  };
   for (const Clause& clause : program.clauses()) {
-    auto collect = [&domain](const PredicateAtom& atom) {
-      for (const DataTerm& d : atom.data_args) {
-        if (d.is_constant()) domain.insert(d.constant);
-      }
-    };
     collect(clause.head);
     for (const BodyAtom& atom : clause.body) {
       if (const auto* pred = std::get_if<PredicateAtom>(&atom)) {
@@ -66,7 +59,7 @@ std::vector<DataValue> CollectActiveDomain(const Program& program,
       }
     }
   }
-  return {domain.begin(), domain.end()};
+  return constants;
 }
 
 // Shared machinery between Evaluate and QueryAtom: resolves the relation a
@@ -104,7 +97,7 @@ class RelationResolver {
     // it is collected at the first one; the database does not change
     // during an evaluation.
     if (!active_domain_.has_value()) {
-      active_domain_ = CollectActiveDomain(program_, db_);
+      active_domain_ = ActiveDomain(db_, ProgramConstants(program_));
     }
     LRPDB_ASSIGN_OR_RETURN(
         std::vector<std::vector<DataValue>> universe,
@@ -385,7 +378,7 @@ namespace {
   // (deadline / budget / cancellation). The result keeps the sound model of
   // the rounds completed so far, annotated with the trip snapshot; callers
   // return `result` immediately after. The in-band shape matches the
-  // existing max_iterations/fes_patience give-ups.
+  // round-cap and fes_patience give-ups.
   auto degrade = [&](const Status& trip) {
     result.free_extension_safe_at = last_new_fe_round;
     result.gave_up_reason = trip.ToString();
@@ -406,9 +399,13 @@ namespace {
   for (int stratum = 0; stratum <= max_stratum; ++stratum) {
     const int stratum_start = total_rounds;
     for (int round = 1;; ++round) {
-      if (total_rounds + 1 > options.max_iterations) {
-        result.iterations = options.max_iterations;
-        result.gave_up_reason = "max_iterations reached";
+      // One round cap: the context's (a governance trip), or the default
+      // in-band when no context is installed.
+      if (exec == nullptr &&
+          total_rounds + 1 > ExecContext::kDefaultMaxRounds) {
+        result.gave_up_reason =
+            "max_rounds (" + std::to_string(ExecContext::kDefaultMaxRounds) +
+            ") reached";
         result.free_extension_safe_at = last_new_fe_round;
         finalize();
         return result;
@@ -704,75 +701,30 @@ namespace {
                                         const EvaluationOptions& options) {
   LRPDB_FAILPOINT("evaluator.query_atom");
   ExecContext::ScopedCurrent scoped_exec(options.exec);
-  // Build a one-atom synthetic clause whose head lists the query's distinct
-  // variables, then run it through the clause kernel.
-  NormalizedClause clause;
-  clause.head_predicate = -1;
-  std::map<SymbolId, int> temporal_ids;
-  std::map<SymbolId, int> data_ids;
-  NormalizedBodyAtom atom;
-  atom.predicate = query.predicate;
-  const std::string& name = program.predicates().NameOf(query.predicate);
-  atom.is_intensional = result.idb.count(name) > 0;
-  std::vector<std::pair<int, int64_t>> pinned;  // (var, constant value).
+  // A one-atom clause whose head lists the query's distinct variables.
+  ClauseBuilder builder(program.variables());
+  const bool is_intensional =
+      result.idb.count(program.predicates().NameOf(query.predicate)) > 0;
+  builder.AddAtom(query.predicate, is_intensional, /*negated=*/false,
+                  query.temporal_args, query.data_args);
+  NormalizedClause& clause = builder.clause();
   for (const TemporalTerm& t : query.temporal_args) {
-    if (t.is_constant()) {
-      int v = clause.num_temporal_vars++;
-      clause.temporal_var_names.push_back("$c");
-      pinned.emplace_back(v, t.offset);
-      atom.temporal_args.emplace_back(v, 0);
-    } else {
-      auto [it, inserted] =
-          temporal_ids.emplace(t.variable, clause.num_temporal_vars);
-      if (inserted) {
-        ++clause.num_temporal_vars;
-        clause.temporal_var_names.push_back(
-            program.variables().NameOf(t.variable));
-        clause.head_temporal_vars.push_back(it->second);
-      }
-      atom.temporal_args.emplace_back(it->second, t.offset);
+    if (t.is_constant()) continue;
+    const int v = builder.TemporalVar(t.variable);
+    if (std::find(clause.head_temporal_vars.begin(),
+                  clause.head_temporal_vars.end(),
+                  v) == clause.head_temporal_vars.end()) {
+      clause.head_temporal_vars.push_back(v);
     }
   }
-  for (const DataTerm& d : query.data_args) {
-    if (d.is_constant()) {
-      atom.data_args.push_back({.variable = -1, .constant = d.constant});
-    } else {
-      auto [it, inserted] = data_ids.emplace(d.variable, clause.num_data_vars);
-      if (inserted) {
-        ++clause.num_data_vars;
-        clause.data_var_names.push_back(
-            program.variables().NameOf(d.variable));
-        clause.head_data.push_back({.variable = it->second, .constant = -1});
-      }
-      atom.data_args.push_back({.variable = it->second, .constant = -1});
-    }
+  // Every data variable is a head column, in order of first occurrence.
+  for (int v = 0; v < clause.num_data_vars; ++v) {
+    clause.head_data.push_back({.variable = v, .constant = -1});
   }
-  clause.body.push_back(std::move(atom));
-  clause.constraint = Dbm(clause.num_temporal_vars);
-  for (auto [v, value] : pinned) clause.constraint.AddEquality(v + 1, value);
-
-  // Resolve the relation.
   RelationResolver resolver(program, db, &result.idb);
-  std::vector<AtomSource> sources(1);
-  LRPDB_ASSIGN_OR_RETURN(
-      sources[0].relation,
-      resolver.Resolve(query.predicate, clause.body[0].is_intensional));
-  sources[0].hi = sources[0].relation->size();
-
-  CandidateRows candidates;
-  LRPDB_RETURN_IF_ERROR(ApplyClauseBatch(clause, CompileClausePlan(clause),
-                                         sources, /*stats=*/nullptr,
-                                         &candidates));
-  const int m = static_cast<int>(clause.head_temporal_vars.size());
-  const int k = static_cast<int>(clause.head_data.size());
-  GeneralizedRelation answers({m, k});
-  CandidateRows::Reader reader(candidates);
-  for (size_t c = 0; c < candidates.size; ++c) {
-    LRPDB_RETURN_IF_ERROR(answers.Insert(reader.Next(m, k), /*stats=*/nullptr,
-                                         TupleStore::Row::kClosedPiece)
-                              .status());
-  }
-  return answers;
+  LRPDB_ASSIGN_OR_RETURN(const GeneralizedRelation* relation,
+                         resolver.Resolve(query.predicate, is_intensional));
+  return ApplyClauseOnce(builder.Finish(), {relation});
 }
 
 }  // namespace lrpdb

@@ -46,8 +46,6 @@ struct EvaluationOptions {
   // each round. Both produce the same model; iteration counts below refer to
   // T_GP + I rounds and match between the two modes.
   bool semi_naive = true;
-  // Hard cap on T_GP + I rounds.
-  int max_iterations = 10000;
   // Give up this many rounds after free-extension safety if constraint
   // safety still has not been reached (Section 4.3: "it is reasonable to
   // give up on the computation if the interpretation does not become
@@ -63,8 +61,12 @@ struct EvaluationOptions {
   // EvaluationResult::partial describing the trip (its `trip` code is
   // kDeadlineExceeded / kCancelled / kResourceExhausted) over the sound
   // partial model. The context also caps rounds at
-  // ExecContext::max_rounds() (default kDefaultMaxRounds) on top of
-  // max_iterations above. Evaluate, ResumeEvaluate and QueryAtom install
+  // ExecContext::max_rounds(); with no context the evaluation gives up
+  // in-band after ExecContext::kDefaultMaxRounds (100,000) rounds
+  // (reached_fixpoint == false, no trip). That is the only round cap: a
+  // context left at its defaults now trips at 100,000 rounds, where the
+  // removed max_iterations option (10,000) used to give up in-band
+  // first. Evaluate, ResumeEvaluate and QueryAtom install
   // it as ExecContext::Current() for the call; every layer below (clause
   // kernel, tuple store, normalization, DBM closure, provenance) polls and
   // charges it from there.
@@ -156,7 +158,7 @@ struct EvaluationResult {
   // k of Theorem 4.2 observed on this run (0 if the program adds nothing).
   int free_extension_safe_at = -1;
   // True iff the least fixpoint was reached (closed form obtained). False
-  // means the engine gave up per max_iterations/fes_patience; the partial
+  // means the engine gave up per the round cap or fes_patience; the partial
   // model computed so far is still sound (a subset of the least fixpoint).
   bool reached_fixpoint = false;
   // Human-readable reason when reached_fixpoint is false.
@@ -193,7 +195,7 @@ struct EvaluationResult {
 };
 
 // Evaluates `program` bottom-up over the extensional database `db`.
-// Exceeding max_iterations/fes_patience is reported in-band
+// Exceeding the round cap or fes_patience is reported in-band
 // (reached_fixpoint == false); so is a governance trip from options.exec
 // (reached_fixpoint == false and result.partial.tripped()), preserving the
 // sound partial model. A Status error indicates an invalid program or a

@@ -14,6 +14,7 @@
 #define LRPDB_CORE_NORMALIZER_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -72,6 +73,64 @@ struct NormalizedClause {
     for (const NormalizedBodyAtom& a : body) n += a.is_intensional ? 1 : 0;
     return n;
   }
+};
+
+// Assembles one NormalizedClause from source atoms: dense ids for the
+// source variables (in order of first use), temporal constants eliminated,
+// constraint atoms lowered to difference bounds. Normalize builds every
+// program clause through it; QueryAtom and the FO evaluator (src/fo) build
+// their one-shot clauses with it too. The caller fills the clause head.
+class ClauseBuilder {
+ public:
+  // `variables` names the source variables.
+  explicit ClauseBuilder(const Interner& variables) : variables_(variables) {}
+
+  // The dense id of source variable `var`, assigned at its first use.
+  int TemporalVar(SymbolId var);
+  int DataVar(SymbolId var);
+  // A fresh temporal variable that no source variable names.
+  int FreshTemporalVar(const std::string& name);
+  NormalizedDataArg DataArg(const DataTerm& term);
+
+  // Appends a body atom. A temporal constant c becomes a fresh variable
+  // pinned to c.
+  void AddAtom(SymbolId predicate, bool is_intensional, bool negated,
+               const std::vector<TemporalTerm>& temporal_args,
+               const std::vector<DataTerm>& data_args);
+  // Conjoins `lhs op rhs` as difference bounds. A bound between two
+  // occurrences of one term is decided at once; a false one makes the
+  // clause always false.
+  void AddComparison(const ConstraintAtom& comparison);
+  // Conjoins variable == value.
+  void AddEquality(int variable, int64_t value);
+  // Conjoins lhs - rhs <= c (-1 names the zero variable).
+  void AddBound(int lhs, int rhs, int64_t c);
+
+  // The clause under construction: the caller sets its head fields.
+  NormalizedClause& clause() { return clause_; }
+  // Fills the variable counts, names and constraint (equalities first,
+  // then bounds, each in the order added) and returns the clause.
+  NormalizedClause Finish();
+
+ private:
+  struct PendingEquality {
+    int variable;
+    int64_t value;
+  };
+  struct PendingBound {
+    int lhs;  // -1 for the zero variable.
+    int rhs;
+    int64_t c;
+  };
+
+  const Interner& variables_;
+  NormalizedClause clause_;
+  std::map<SymbolId, int> temporal_ids_;
+  std::map<SymbolId, int> data_ids_;
+  std::vector<std::string> temporal_names_;
+  std::vector<std::string> data_names_;
+  std::vector<PendingEquality> equalities_;
+  std::vector<PendingBound> bounds_;
 };
 
 // A generalized program: the normalized clauses of `program`.

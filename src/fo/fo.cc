@@ -1,8 +1,11 @@
 #include "src/fo/fo.h"
 
 #include <algorithm>
+#include <deque>
+#include <optional>
 #include <set>
 
+#include "src/core/clause_plan.h"
 #include "src/parser/lexer.h"
 
 namespace lrpdb {
@@ -221,6 +224,24 @@ class FoParser : private TokenStream {
 
 // --- Evaluation ---
 
+// Appends `var` to `vars` unless it is there already.
+void Note(const std::string& var, std::vector<std::string>* vars) {
+  if (std::find(vars->begin(), vars->end(), var) == vars->end()) {
+    vars->push_back(var);
+  }
+}
+
+// The conjuncts of `formula`, left to right.
+void Flatten(const FoFormula& formula,
+             std::vector<const FoFormula*>* conjuncts) {
+  if (formula.kind != FoFormula::Kind::kAnd) {
+    conjuncts->push_back(&formula);
+    return;
+  }
+  Flatten(*formula.left, conjuncts);
+  Flatten(*formula.right, conjuncts);
+}
+
 class FoEvaluator {
  public:
   FoEvaluator(const FoQuery& query, const Database& db,
@@ -228,41 +249,22 @@ class FoEvaluator {
       : query_(query), db_(db), options_(options) {
     // Active data domain: every constant in the database plus query/extra
     // constants.
-    std::set<DataValue> domain;
-    for (const std::string& name : db.RelationNames()) {
-      auto relation = db.Relation(name);
-      for (EntryId id : (*relation)->live_ids()) {
-        for (DataValue d : (*relation)->tuple(id).data()) domain.insert(d);
-      }
-    }
-    CollectConstants(*query.formula, &domain);
-    for (DataValue d : options.extra_constants) domain.insert(d);
-    if (options.extra_relations != nullptr) {
-      for (const auto& [name, relation] : *options.extra_relations) {
-        for (EntryId id : relation.live_ids()) {
-          for (DataValue d : relation.tuple(id).data()) domain.insert(d);
-        }
-      }
-    }
-    active_domain_.assign(domain.begin(), domain.end());
+    std::set<DataValue> constants(options.extra_constants.begin(),
+                                  options.extra_constants.end());
+    CollectConstants(*query.formula, &constants);
+    active_domain_ =
+        ActiveDomain(db, std::move(constants), options.extra_relations);
   }
 
   [[nodiscard]] StatusOr<FoResult> Evaluate(const FoFormula& formula) {
     switch (formula.kind) {
-      case FoFormula::Kind::kAtom:
-        return EvaluateAtom(formula.atom);
-      case FoFormula::Kind::kComparison:
-        return EvaluateComparison(formula.comparison);
-      case FoFormula::Kind::kAnd:
-        return EvaluateAnd(formula);
       case FoFormula::Kind::kOr:
         return EvaluateOr(formula);
       case FoFormula::Kind::kNot:
         return EvaluateNot(formula);
-      case FoFormula::Kind::kExists:
-        return EvaluateExists(formula);
+      default:
+        return EvaluateConjunction(formula);
     }
-    return InternalError("unhandled formula kind");
   }
 
  private:
@@ -277,8 +279,9 @@ class FoEvaluator {
     if (formula.right != nullptr) CollectConstants(*formula.right, domain);
   }
 
-  std::string NameOf(SymbolId var) const {
-    return query_.variables.NameOf(var);
+  std::string Name(SymbolId var) const { return query_.variables.NameOf(var); }
+  SymbolId Id(const std::string& var) const {
+    return query_.variables.Find(var);
   }
 
   [[nodiscard]] StatusOr<const GeneralizedRelation*> ResolveRelation(
@@ -290,288 +293,154 @@ class FoEvaluator {
     return db_.Relation(name);
   }
 
-  [[nodiscard]] StatusOr<FoResult> EvaluateAtom(const FoAtom& atom) {
-    LRPDB_ASSIGN_OR_RETURN(const GeneralizedRelation* stored,
-                           ResolveRelation(atom.predicate));
-    int m = stored->schema().temporal_arity;
-    // Selection DBM over the stored columns: constants and repeated
-    // variables.
-    Dbm selection(m);
-    std::vector<SymbolId> temporal_vars;       // First-occurrence order.
-    std::vector<int> var_first_column;
-    std::vector<int64_t> var_first_offset;
-    for (int col = 0; col < m; ++col) {
-      const TemporalTerm& term = atom.temporal_args[col];
-      if (term.is_constant()) {
-        selection.AddEquality(col + 1, term.offset);
-        continue;
-      }
-      auto it = std::find(temporal_vars.begin(), temporal_vars.end(),
-                          term.variable);
-      if (it == temporal_vars.end()) {
-        temporal_vars.push_back(term.variable);
-        var_first_column.push_back(col);
-        var_first_offset.push_back(term.offset);
-      } else {
-        size_t k = it - temporal_vars.begin();
-        // column - offset == first_column - first_offset.
-        selection.AddDifferenceEquality(col + 1, var_first_column[k] + 1,
-                                        term.offset - var_first_offset[k]);
-      }
-    }
-    LRPDB_ASSIGN_OR_RETURN(GeneralizedRelation selected,
-                           SelectConstraint(*stored, selection));
-    // Shift first-occurrence columns so they carry the variable's value.
-    GeneralizedRelation shifted = std::move(selected);
-    for (size_t k = 0; k < temporal_vars.size(); ++k) {
-      if (var_first_offset[k] == 0) continue;
-      LRPDB_ASSIGN_OR_RETURN(shifted,
-                             ShiftColumn(shifted, var_first_column[k],
-                                         -var_first_offset[k]));
-    }
-    // Data columns: constants and repeated variables, then projection.
-    GeneralizedRelation filtered = std::move(shifted);
-    std::vector<SymbolId> data_vars;
-    std::vector<int> data_first_column;
-    for (size_t col = 0; col < atom.data_args.size(); ++col) {
-      const DataTerm& term = atom.data_args[col];
-      if (term.is_constant()) {
-        LRPDB_ASSIGN_OR_RETURN(
-            filtered, SelectDataEquals(filtered, static_cast<int>(col),
-                                       term.constant));
-        continue;
-      }
-      auto it = std::find(data_vars.begin(), data_vars.end(), term.variable);
-      if (it == data_vars.end()) {
-        data_vars.push_back(term.variable);
-        data_first_column.push_back(static_cast<int>(col));
-      } else {
-        LRPDB_ASSIGN_OR_RETURN(
-            filtered,
-            SelectDataColumnsEqual(filtered,
-                                   data_first_column[it - data_vars.begin()],
-                                   static_cast<int>(col)));
-      }
-    }
-    LRPDB_ASSIGN_OR_RETURN(
-        GeneralizedRelation projected,
-        Project(filtered, var_first_column, data_first_column));
-    FoResult result;
-    for (SymbolId v : temporal_vars) result.temporal_vars.push_back(NameOf(v));
-    for (SymbolId v : data_vars) result.data_vars.push_back(NameOf(v));
-    result.relation = std::move(projected);
-    return result;
-  }
-
-  [[nodiscard]] StatusOr<FoResult> EvaluateComparison(const ConstraintAtom& comparison) {
-    // Relation over the comparison's variables (0, 1 or 2 of them).
-    std::vector<SymbolId> vars;
-    auto note = [&](const TemporalTerm& term) {
-      if (!term.is_constant() &&
-          std::find(vars.begin(), vars.end(), term.variable) == vars.end()) {
-        vars.push_back(term.variable);
-      }
-    };
-    note(comparison.lhs);
-    note(comparison.rhs);
-    int m = static_cast<int>(vars.size());
-    Dbm constraint(m);
-    auto side = [&](const TemporalTerm& term) -> std::pair<int, int64_t> {
-      if (term.is_constant()) return {0, term.offset};
-      int index =
-          static_cast<int>(std::find(vars.begin(), vars.end(), term.variable) -
-                           vars.begin()) +
-          1;
-      return {index, term.offset};
-    };
-    auto [li, lo] = side(comparison.lhs);
-    auto [ri, ro] = side(comparison.rhs);
-    // Bounds between two occurrences of the same term are decided
-    // immediately; a violated one (k < 0) falsifies the whole conjunction
-    // of bounds this comparison expands to.
-    bool trivially_false = false;
-    auto add_le = [&](int a, int b, int64_t k) {
-      if (a == b) {
-        if (k < 0) trivially_false = true;
-        return;
-      }
-      constraint.AddDifferenceUpperBound(a, b, k);
-    };
-    switch (comparison.op) {
-      case ComparisonOp::kLess:
-        add_le(li, ri, ro - lo - 1);
-        break;
-      case ComparisonOp::kLessEqual:
-        add_le(li, ri, ro - lo);
-        break;
-      case ComparisonOp::kEqual:
-        add_le(li, ri, ro - lo);
-        add_le(ri, li, lo - ro);
-        break;
-      case ComparisonOp::kGreaterEqual:
-        add_le(ri, li, lo - ro);
-        break;
-      case ComparisonOp::kGreater:
-        add_le(ri, li, lo - ro - 1);
-        break;
-    }
-    FoResult result;
-    for (SymbolId v : vars) result.temporal_vars.push_back(NameOf(v));
-    result.relation = GeneralizedRelation(RelationSchema{m, 0});
-    if (!trivially_false) {
-      std::vector<Lrp> lrps(m, Lrp());
-      result.relation.InsertUnlessEmpty(
-          GeneralizedTuple(std::move(lrps), {}, std::move(constraint)));
-    }
-    return result;
-  }
-
-  // Extends `r` with universe columns for the missing variables and reorders
-  // to exactly (temporal_vars, data_vars).
-  [[nodiscard]] StatusOr<FoResult> ExtendTo(FoResult r,
-                              const std::vector<std::string>& temporal_vars,
-                              const std::vector<std::string>& data_vars) {
-    // Append missing temporal columns.
-    for (const std::string& var : temporal_vars) {
-      if (std::find(r.temporal_vars.begin(), r.temporal_vars.end(), var) !=
-          r.temporal_vars.end()) {
-        continue;
-      }
-      GeneralizedRelation universe(RelationSchema{1, 0});
-      universe.InsertUnlessEmpty(GeneralizedTuple::Unconstrained({Lrp()}, {}));
-      LRPDB_ASSIGN_OR_RETURN(
-          r.relation, CartesianProduct(r.relation, universe));
-      // CartesianProduct appends temporal columns of the right operand after
-      // the left's, but data columns also concatenate (right has none).
-      r.temporal_vars.push_back(var);
-    }
-    for (const std::string& var : data_vars) {
-      if (std::find(r.data_vars.begin(), r.data_vars.end(), var) !=
-          r.data_vars.end()) {
-        continue;
-      }
-      GeneralizedRelation domain(RelationSchema{0, 1});
+  // The one-column relation of the active domain, built on first use.
+  const GeneralizedRelation& DomainRelation() {
+    if (!domain_relation_.has_value()) {
+      domain_relation_.emplace(RelationSchema{0, 1});
       for (DataValue d : active_domain_) {
-        domain.InsertUnlessEmpty(GeneralizedTuple::Unconstrained({}, {d}));
+        domain_relation_->InsertUnlessEmpty(
+            GeneralizedTuple::Unconstrained({}, {d}));
       }
-      LRPDB_ASSIGN_OR_RETURN(
-          r.relation, CartesianProduct(r.relation, domain));
-      r.data_vars.push_back(var);
     }
-    // Reorder to the target order (CartesianProduct concatenates temporal
-    // and data column blocks separately, matching the bookkeeping above).
-    std::vector<int> temporal_order;
-    for (const std::string& var : temporal_vars) {
-      auto it = std::find(r.temporal_vars.begin(), r.temporal_vars.end(), var);
-      LRPDB_CHECK(it != r.temporal_vars.end());
-      temporal_order.push_back(
-          static_cast<int>(it - r.temporal_vars.begin()));
-    }
-    std::vector<int> data_order;
-    for (const std::string& var : data_vars) {
-      auto it = std::find(r.data_vars.begin(), r.data_vars.end(), var);
-      LRPDB_CHECK(it != r.data_vars.end());
-      data_order.push_back(static_cast<int>(it - r.data_vars.begin()));
-    }
-    FoResult out;
-    out.temporal_vars = temporal_vars;
-    out.data_vars = data_vars;
-    LRPDB_ASSIGN_OR_RETURN(
-        out.relation,
-        Project(r.relation, temporal_order, data_order));
-    return out;
+    return *domain_relation_;
   }
 
-  [[nodiscard]] StatusOr<FoResult> EvaluateAnd(const FoFormula& formula) {
-    LRPDB_ASSIGN_OR_RETURN(FoResult left, Evaluate(*formula.left));
-    LRPDB_ASSIGN_OR_RETURN(FoResult right, Evaluate(*formula.right));
-    // Join on shared variables.
-    std::vector<TemporalEquality> temporal_eqs;
-    for (size_t i = 0; i < left.temporal_vars.size(); ++i) {
-      auto it = std::find(right.temporal_vars.begin(),
-                          right.temporal_vars.end(), left.temporal_vars[i]);
-      if (it != right.temporal_vars.end()) {
-        temporal_eqs.push_back(
-            {static_cast<int>(i),
-             static_cast<int>(it - right.temporal_vars.begin()), 0});
+  // Reads `answer` as a body atom over its free variables.
+  void AddAnswerAtom(const FoResult& answer, ClauseBuilder* builder,
+                     std::vector<const GeneralizedRelation*>* relations) const {
+    std::vector<TemporalTerm> temporal_args;
+    for (const std::string& v : answer.temporal_vars) {
+      temporal_args.push_back(TemporalTerm::Variable(Id(v)));
+    }
+    std::vector<DataTerm> data_args;
+    for (const std::string& v : answer.data_vars) {
+      data_args.push_back(DataTerm::Variable(Id(v)));
+    }
+    builder->AddAtom(-1, /*is_intensional=*/false, /*negated=*/false,
+                     temporal_args, data_args);
+    relations->push_back(&answer.relation);
+  }
+
+  // Heads the clause with `answer`'s variables and runs it over
+  // `relations` into answer->relation. A head temporal variable no atom
+  // binds ranges over all of Z.
+  [[nodiscard]] Status RunClause(
+      ClauseBuilder* builder,
+      const std::vector<const GeneralizedRelation*>& relations,
+      FoResult* answer) const {
+    NormalizedClause& clause = builder->clause();
+    for (const std::string& v : answer->temporal_vars) {
+      clause.head_temporal_vars.push_back(builder->TemporalVar(Id(v)));
+    }
+    for (const std::string& v : answer->data_vars) {
+      clause.head_data.push_back(
+          {.variable = builder->DataVar(Id(v)), .constant = -1});
+    }
+    LRPDB_ASSIGN_OR_RETURN(answer->relation,
+                           ApplyClauseOnce(builder->Finish(), relations));
+    return OkStatus();
+  }
+
+  // A maximal conjunction, under the `exists` directly around it, as one
+  // clause: atoms and the answers of the other conjuncts (|, ~, inner
+  // exists) are its body atoms, comparisons its constraint, and the free
+  // variables its head.
+  [[nodiscard]] StatusOr<FoResult> EvaluateConjunction(
+      const FoFormula& formula) {
+    std::set<std::string> bound;
+    const FoFormula* body = &formula;
+    while (body->kind == FoFormula::Kind::kExists) {
+      for (SymbolId v : body->bound) bound.insert(Name(v));
+      body = body->left.get();
+    }
+    std::vector<const FoFormula*> conjuncts;
+    Flatten(*body, &conjuncts);
+    ClauseBuilder builder(query_.variables);
+    std::vector<const GeneralizedRelation*> relations;
+    std::deque<FoResult> children;  // Stable addresses for `relations`.
+    FoResult answer;
+    for (const FoFormula* conjunct : conjuncts) {
+      if (conjunct->kind == FoFormula::Kind::kAtom) {
+        const FoAtom& atom = conjunct->atom;
+        LRPDB_ASSIGN_OR_RETURN(const GeneralizedRelation* relation,
+                               ResolveRelation(atom.predicate));
+        builder.AddAtom(-1, /*is_intensional=*/false, /*negated=*/false,
+                        atom.temporal_args, atom.data_args);
+        relations.push_back(relation);
+        for (const TemporalTerm& t : atom.temporal_args) {
+          if (!t.is_constant()) Note(Name(t.variable), &answer.temporal_vars);
+        }
+        for (const DataTerm& d : atom.data_args) {
+          if (!d.is_constant()) Note(Name(d.variable), &answer.data_vars);
+        }
+      } else if (conjunct->kind == FoFormula::Kind::kComparison) {
+        const ConstraintAtom& comparison = conjunct->comparison;
+        builder.AddComparison(comparison);
+        for (const TemporalTerm& t : {comparison.lhs, comparison.rhs}) {
+          if (!t.is_constant()) Note(Name(t.variable), &answer.temporal_vars);
+        }
+      } else {
+        LRPDB_ASSIGN_OR_RETURN(FoResult child, Evaluate(*conjunct));
+        children.push_back(std::move(child));
+        AddAnswerAtom(children.back(), &builder, &relations);
+        for (const std::string& v : children.back().temporal_vars) {
+          Note(v, &answer.temporal_vars);
+        }
+        for (const std::string& v : children.back().data_vars) {
+          Note(v, &answer.data_vars);
+        }
       }
     }
-    std::vector<std::pair<int, int>> data_eqs;
-    for (size_t i = 0; i < left.data_vars.size(); ++i) {
-      auto it = std::find(right.data_vars.begin(), right.data_vars.end(),
-                          left.data_vars[i]);
-      if (it != right.data_vars.end()) {
-        data_eqs.emplace_back(
-            static_cast<int>(i),
-            static_cast<int>(it - right.data_vars.begin()));
-      }
+    auto is_bound = [&bound](const std::string& v) {
+      return bound.count(v) > 0;
+    };
+    std::erase_if(answer.temporal_vars, is_bound);
+    std::erase_if(answer.data_vars, is_bound);
+    LRPDB_RETURN_IF_ERROR(RunClause(&builder, relations, &answer));
+    return answer;
+  }
+
+  // `side` over the columns of `target`: a missing temporal variable
+  // ranges over Z, a missing data variable over the active domain.
+  [[nodiscard]] StatusOr<FoResult> ExtendTo(FoResult side,
+                                            const FoResult& target) {
+    if (side.temporal_vars == target.temporal_vars &&
+        side.data_vars == target.data_vars) {
+      return side;
     }
-    LRPDB_ASSIGN_OR_RETURN(
-        GeneralizedRelation joined,
-        JoinOnEqualities(left.relation, right.relation, temporal_eqs,
-                         data_eqs));
-    // Project to the union of variables (left's columns, then right's new
-    // ones).
-    FoResult result;
-    std::vector<int> temporal_keep;
-    std::vector<int> data_keep;
-    for (size_t i = 0; i < left.temporal_vars.size(); ++i) {
-      result.temporal_vars.push_back(left.temporal_vars[i]);
-      temporal_keep.push_back(static_cast<int>(i));
-    }
-    for (size_t i = 0; i < right.temporal_vars.size(); ++i) {
-      if (std::find(left.temporal_vars.begin(), left.temporal_vars.end(),
-                    right.temporal_vars[i]) != left.temporal_vars.end()) {
+    ClauseBuilder builder(query_.variables);
+    std::vector<const GeneralizedRelation*> relations;
+    AddAnswerAtom(side, &builder, &relations);
+    for (const std::string& v : target.data_vars) {
+      if (std::find(side.data_vars.begin(), side.data_vars.end(), v) !=
+          side.data_vars.end()) {
         continue;
       }
-      result.temporal_vars.push_back(right.temporal_vars[i]);
-      temporal_keep.push_back(
-          static_cast<int>(left.temporal_vars.size() + i));
+      builder.AddAtom(-1, /*is_intensional=*/false, /*negated=*/false, {},
+                      {DataTerm::Variable(Id(v))});
+      relations.push_back(&DomainRelation());
     }
-    for (size_t i = 0; i < left.data_vars.size(); ++i) {
-      result.data_vars.push_back(left.data_vars[i]);
-      data_keep.push_back(static_cast<int>(i));
-    }
-    for (size_t i = 0; i < right.data_vars.size(); ++i) {
-      if (std::find(left.data_vars.begin(), left.data_vars.end(),
-                    right.data_vars[i]) != left.data_vars.end()) {
-        continue;
-      }
-      result.data_vars.push_back(right.data_vars[i]);
-      data_keep.push_back(static_cast<int>(left.data_vars.size() + i));
-    }
-    LRPDB_ASSIGN_OR_RETURN(
-        result.relation,
-        Project(joined, temporal_keep, data_keep));
-    return result;
+    FoResult extended;
+    extended.temporal_vars = target.temporal_vars;
+    extended.data_vars = target.data_vars;
+    LRPDB_RETURN_IF_ERROR(RunClause(&builder, relations, &extended));
+    return extended;
   }
 
   [[nodiscard]] StatusOr<FoResult> EvaluateOr(const FoFormula& formula) {
     LRPDB_ASSIGN_OR_RETURN(FoResult left, Evaluate(*formula.left));
     LRPDB_ASSIGN_OR_RETURN(FoResult right, Evaluate(*formula.right));
-    std::vector<std::string> temporal_vars = left.temporal_vars;
-    for (const std::string& var : right.temporal_vars) {
-      if (std::find(temporal_vars.begin(), temporal_vars.end(), var) ==
-          temporal_vars.end()) {
-        temporal_vars.push_back(var);
-      }
-    }
-    std::vector<std::string> data_vars = left.data_vars;
-    for (const std::string& var : right.data_vars) {
-      if (std::find(data_vars.begin(), data_vars.end(), var) ==
-          data_vars.end()) {
-        data_vars.push_back(var);
-      }
-    }
-    LRPDB_ASSIGN_OR_RETURN(FoResult a,
-                           ExtendTo(std::move(left), temporal_vars, data_vars));
-    LRPDB_ASSIGN_OR_RETURN(
-        FoResult b, ExtendTo(std::move(right), temporal_vars, data_vars));
     FoResult result;
-    result.temporal_vars = std::move(temporal_vars);
-    result.data_vars = std::move(data_vars);
+    result.temporal_vars = left.temporal_vars;
+    result.data_vars = left.data_vars;
+    for (const std::string& v : right.temporal_vars) {
+      Note(v, &result.temporal_vars);
+    }
+    for (const std::string& v : right.data_vars) Note(v, &result.data_vars);
+    LRPDB_ASSIGN_OR_RETURN(left, ExtendTo(std::move(left), result));
+    LRPDB_ASSIGN_OR_RETURN(right, ExtendTo(std::move(right), result));
     LRPDB_ASSIGN_OR_RETURN(result.relation,
-                           Union(a.relation, b.relation));
+                           Union(left.relation, right.relation));
     return result;
   }
 
@@ -582,42 +451,16 @@ class FoEvaluator {
         std::vector<std::vector<DataValue>> data_universe,
         DataUniverse(active_domain_,
                      static_cast<int>(child.data_vars.size())));
-    FoResult result;
-    result.temporal_vars = child.temporal_vars;
-    result.data_vars = child.data_vars;
-    LRPDB_ASSIGN_OR_RETURN(
-        result.relation,
-        Complement(child.relation, data_universe));
-    return result;
-  }
-
-  [[nodiscard]] StatusOr<FoResult> EvaluateExists(const FoFormula& formula) {
-    LRPDB_ASSIGN_OR_RETURN(FoResult child, Evaluate(*formula.left));
-    std::set<std::string> bound;
-    for (SymbolId var : formula.bound) bound.insert(NameOf(var));
-    FoResult result;
-    std::vector<int> temporal_keep;
-    std::vector<int> data_keep;
-    for (size_t i = 0; i < child.temporal_vars.size(); ++i) {
-      if (bound.count(child.temporal_vars[i]) > 0) continue;
-      result.temporal_vars.push_back(child.temporal_vars[i]);
-      temporal_keep.push_back(static_cast<int>(i));
-    }
-    for (size_t i = 0; i < child.data_vars.size(); ++i) {
-      if (bound.count(child.data_vars[i]) > 0) continue;
-      result.data_vars.push_back(child.data_vars[i]);
-      data_keep.push_back(static_cast<int>(i));
-    }
-    LRPDB_ASSIGN_OR_RETURN(
-        result.relation,
-        Project(child.relation, temporal_keep, data_keep));
-    return result;
+    LRPDB_ASSIGN_OR_RETURN(child.relation,
+                           Complement(child.relation, data_universe));
+    return child;
   }
 
   const FoQuery& query_;
   const Database& db_;
   const FoOptions& options_;
   std::vector<DataValue> active_domain_;
+  std::optional<GeneralizedRelation> domain_relation_;
 };
 
 }  // namespace

@@ -8,14 +8,24 @@
 // languages (Section 3.2).
 //
 // Evaluation is algebraic and exact on the generalized representation:
-//   atoms         -> selection/shift/projection of stored relations,
-//   conjunction   -> join on shared variables,
-//   disjunction   -> union after extending both sides to the same columns,
+//   atoms, comparisons, conjunction, exists
+//                 -> one clause per maximal conjunction (with the exists
+//                    directly around it), run through the evaluators' join
+//                    kernel (ApplyClauseBatch, src/core/clause_plan.h):
+//                    stored relations and the answers of the other
+//                    conjuncts are its body atoms (selection, shift, join),
+//                    comparisons its constraint, and the free variables its
+//                    head (projection),
+//   disjunction   -> union after extending both sides to the same columns
+//                    through the same kernel (a missing temporal column
+//                    ranges over Z, a missing data column over the active
+//                    domain),
 //   negation      -> complement (all of Z^m for temporal columns, the
-//                    active domain for data columns),
-//   exists        -> projection.
+//                    active domain for data columns).
 // Answers are generalized relations, so infinite answers have finite
-// representations (closed form), exactly as [KSW90] promises.
+// representations (closed form), exactly as [KSW90] promises. A
+// conjunction's answer holds one row per residue piece its clause emits,
+// less the pieces one other row of the answer contains (ApplyClauseOnce).
 //
 // Surface syntax (Parse):
 //   train(t1, t2, "liege", B) & ~(exists t3 (meeting(t3) & t1 < t3))
@@ -95,8 +105,8 @@ struct FoOptions {
 };
 
 // Evaluates `query` over `db`. Negation complements data columns over the
-// active domain and temporal columns over all of Z. The algebra operators
-// poll and charge whatever ExecContext is current
+// active domain and temporal columns over all of Z. The clause kernel and
+// the algebra operators poll and charge whatever ExecContext is current
 // (ExecContext::Current()); there is no governance option of its own, and
 // with no context installed the query runs ungoverned.
 [[nodiscard]] StatusOr<FoResult> EvaluateFoQuery(const FoQuery& query, const Database& db,

@@ -4,6 +4,8 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <set>
+#include <string>
 #include <unordered_map>
 
 #include "src/common/exec_context.h"
@@ -13,63 +15,6 @@
 #include "src/obs/trace.h"
 
 namespace lrpdb {
-namespace {
-
-// Copies every bound of `src` (over m variables) into `dst`, mapping source
-// variable v (1-based) to var_map[v-1] (1-based in dst). The zero variable
-// maps to the zero variable.
-void EmbedDbm(DbmView src, const std::vector<int>& var_map, Dbm* dst) {
-  auto mapped = [&](int v) { return v == 0 ? 0 : var_map[v - 1]; };
-  for (int i = 0; i <= src.num_vars(); ++i) {
-    for (int j = 0; j <= src.num_vars(); ++j) {
-      if (i == j) continue;
-      Bound b = src.bound(i, j);
-      if (b.is_infinite()) continue;
-      dst->AddDifferenceUpperBound(mapped(i), mapped(j), b.value());
-    }
-  }
-}
-
-// Pairwise tuple intersection (same schema); nullopt when visibly empty.
-std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
-  if (a.data() != b.data()) return std::nullopt;
-  std::vector<Lrp> lrps;
-  lrps.reserve(a.lrps().size());
-  for (int i = 0; i < a.temporal_arity(); ++i) {
-    std::optional<Lrp> merged = Lrp::Intersect(a.lrp(i), b.lrp(i));
-    if (!merged.has_value()) return std::nullopt;
-    lrps.push_back(*merged);
-  }
-  Dbm constraint = a.constraint();
-  constraint.And(b.constraint());
-  if (!constraint.IsSatisfiable()) return std::nullopt;
-  return GeneralizedTuple(std::move(lrps), a.data().ToVector(),
-                          std::move(constraint));
-}
-
-}  // namespace
-
-[[nodiscard]] StatusOr<GeneralizedRelation> Intersect(const GeneralizedRelation& a,
-                                        const GeneralizedRelation& b) {
-  if (!(a.schema() == b.schema())) {
-    return InvalidArgumentError("gdb.intersect: schema mismatch");
-  }
-  LRPDB_OPERATOR_SCOPE(op, "gdb.intersect", a.size() + b.size());
-  LRPDB_FAILPOINT("algebra.intersect");
-  ExecContext* exec = ExecContext::Current();
-  GeneralizedRelation out(a.schema());
-  for (EntryId i : a.live_ids()) {
-    for (EntryId j : b.live_ids()) {
-      LRPDB_RETURN_IF_ERROR(PollExec(exec));
-      std::optional<GeneralizedTuple> t = IntersectTuples(a.tuple(i),
-                                                          b.tuple(j));
-      if (!t.has_value()) continue;
-      LRPDB_RETURN_IF_ERROR(out.Insert(*t).status());
-    }
-  }
-  op.set_output(static_cast<int64_t>(out.size()));
-  return out;
-}
 
 [[nodiscard]] StatusOr<GeneralizedRelation> Union(const GeneralizedRelation& a,
                                     const GeneralizedRelation& b) {
@@ -132,271 +77,23 @@ std::optional<GeneralizedTuple> IntersectTuples(TupleView a, TupleView b) {
   return out;
 }
 
-[[nodiscard]] StatusOr<GeneralizedRelation> CartesianProduct(const GeneralizedRelation& a,
-                                               const GeneralizedRelation& b) {
-  LRPDB_OPERATOR_SCOPE(op, "gdb.product", a.size() + b.size());
-  LRPDB_FAILPOINT("algebra.product");
-  ExecContext* exec = ExecContext::Current();
-  RelationSchema schema{
-      a.schema().temporal_arity + b.schema().temporal_arity,
-      a.schema().data_arity + b.schema().data_arity};
-  GeneralizedRelation out(schema);
-  for (EntryId i : a.live_ids()) {
-    for (EntryId j : b.live_ids()) {
-      LRPDB_RETURN_IF_ERROR(PollExec(exec));
-      const TupleView ta = a.tuple(i);
-      const TupleView tb = b.tuple(j);
-      std::vector<Lrp> lrps = ta.lrps().ToVector();
-      lrps.insert(lrps.end(), tb.lrps().begin(), tb.lrps().end());
-      std::vector<DataValue> data = ta.data().ToVector();
-      data.insert(data.end(), tb.data().begin(), tb.data().end());
-      Dbm constraint(schema.temporal_arity);
-      std::vector<int> a_map(ta.temporal_arity());
-      for (int v = 0; v < ta.temporal_arity(); ++v) a_map[v] = v + 1;
-      std::vector<int> b_map(tb.temporal_arity());
-      for (int v = 0; v < tb.temporal_arity(); ++v) {
-        b_map[v] = ta.temporal_arity() + v + 1;
-      }
-      EmbedDbm(ta.constraint(), a_map, &constraint);
-      EmbedDbm(tb.constraint(), b_map, &constraint);
-      out.InsertUnlessEmpty(GeneralizedTuple(
-          std::move(lrps), std::move(data), std::move(constraint)));
+std::vector<DataValue> ActiveDomain(
+    const Database& db, std::set<DataValue> constants,
+    const std::map<std::string, GeneralizedRelation>* extra_relations) {
+  auto add_stored = [&constants](const GeneralizedRelation& relation) {
+    for (EntryId id : relation.live_ids()) {
+      for (DataValue d : relation.tuple(id).data()) constants.insert(d);
+    }
+  };
+  for (const std::string& name : db.RelationNames()) {
+    add_stored(*db.Relation(name).value());
+  }
+  if (extra_relations != nullptr) {
+    for (const auto& [unused, relation] : *extra_relations) {
+      add_stored(relation);
     }
   }
-  op.set_output(static_cast<int64_t>(out.size()));
-  return out;
-}
-
-[[nodiscard]] StatusOr<GeneralizedRelation> JoinOnEqualities(
-    const GeneralizedRelation& a, const GeneralizedRelation& b,
-    const std::vector<TemporalEquality>& temporal_eqs,
-    const std::vector<std::pair<int, int>>& data_eqs) {
-  LRPDB_OPERATOR_SCOPE(op, "gdb.join", a.size() + b.size());
-  LRPDB_TRACE_SPAN(span, "gdb.join");
-  LRPDB_FAILPOINT("algebra.join");
-  ExecContext* exec = ExecContext::Current();
-  LRPDB_ASSIGN_OR_RETURN(GeneralizedRelation product,
-                         CartesianProduct(a, b));
-  // Build the join condition as a DBM over the product's temporal columns.
-  Dbm condition(product.schema().temporal_arity);
-  for (const TemporalEquality& eq : temporal_eqs) {
-    if (eq.left_column < 0 || eq.left_column >= a.schema().temporal_arity ||
-        eq.right_column < 0 ||
-        eq.right_column >= b.schema().temporal_arity) {
-      return InvalidArgumentError("gdb.join: equality column out of range");
-    }
-    condition.AddDifferenceEquality(
-        eq.left_column + 1,
-        a.schema().temporal_arity + eq.right_column + 1, eq.offset);
-  }
-  GeneralizedRelation out(product.schema());
-  for (EntryId i : product.live_ids()) {
-    LRPDB_RETURN_IF_ERROR(PollExec(exec));
-    const TupleView t = product.tuple(i);
-    bool data_ok = true;
-    for (const auto& [da, db] : data_eqs) {
-      if (t.data()[da] != t.data()[a.schema().data_arity + db]) {
-        data_ok = false;
-        break;
-      }
-    }
-    if (!data_ok) continue;
-    GeneralizedTuple joined = t.ToTuple();
-    joined.mutable_constraint().And(condition);
-    out.InsertUnlessEmpty(joined);
-  }
-  op.set_output(static_cast<int64_t>(out.size()));
-  return out;
-}
-
-[[nodiscard]] StatusOr<GeneralizedRelation> SelectConstraint(const GeneralizedRelation& r,
-                                               const Dbm& constraint) {
-  if (constraint.num_vars() != r.schema().temporal_arity) {
-    return InvalidArgumentError(
-        "gdb.select: constraint arity does not match schema");
-  }
-  LRPDB_OPERATOR_SCOPE(op, "gdb.select", r.size());
-  LRPDB_FAILPOINT("algebra.select");
-  ExecContext* exec = ExecContext::Current();
-  GeneralizedRelation out(r.schema());
-  for (EntryId i : r.live_ids()) {
-    const TupleView t = r.tuple(i);
-    Dbm conjoined = t.constraint();
-    conjoined.And(constraint);
-    if (!conjoined.IsSatisfiable()) continue;
-    LRPDB_RETURN_IF_ERROR(PollExec(exec));
-    out.InsertUnlessEmpty(GeneralizedTuple(
-        t.lrps().ToVector(), t.data().ToVector(), std::move(conjoined)));
-  }
-  op.set_output(static_cast<int64_t>(out.size()));
-  return out;
-}
-
-[[nodiscard]] StatusOr<GeneralizedRelation> Project(const GeneralizedRelation& r,
-                                      const std::vector<int>& temporal_columns,
-                                      const std::vector<int>& data_positions) {
-  LRPDB_OPERATOR_SCOPE(op, "gdb.project", r.size());
-  LRPDB_TRACE_SPAN(span, "gdb.project");
-  LRPDB_FAILPOINT("algebra.project");
-  ExecContext* exec = ExecContext::Current();
-  RelationSchema schema{static_cast<int>(temporal_columns.size()),
-                        static_cast<int>(data_positions.size())};
-  GeneralizedRelation out(schema);
-  int m = r.schema().temporal_arity;
-  std::vector<bool> kept(m, false);
-  for (int c : temporal_columns) {
-    if (c < 0 || c >= m) {
-      return InvalidArgumentError("gdb.project: temporal column out of range");
-    }
-    kept[c] = true;
-  }
-  for (EntryId i : r.live_ids()) {
-    LRPDB_RETURN_IF_ERROR(PollExec(exec));
-    const TupleView tuple = r.tuple(i);
-    std::vector<DataValue> data;
-    data.reserve(data_positions.size());
-    for (int c : data_positions) data.push_back(tuple.data()[c]);
-
-    // Columns to drop that carry congruence information (period > 1) AND
-    // interact with other columns. A periodic dropped column with no
-    // difference bounds to other columns contributes only its own
-    // non-emptiness: either it admits a value (drop it freely) or the whole
-    // tuple is empty.
-    Dbm closed = tuple.constraint();
-    closed.Close();
-    if (!closed.IsSatisfiable()) continue;
-    bool tuple_empty = false;
-    std::vector<int> periodic_dropped;
-    for (int c = 0; c < m && !tuple_empty; ++c) {
-      if (kept[c] || tuple.lrp(c).period() == 1) continue;
-      // The column is genuinely linked to another column only when some
-      // closed bound is tighter than what its absolute bounds already imply
-      // (closure routes every pair through the zero variable, so equality
-      // with that path means "no direct relation").
-      bool linked = false;
-      for (int other = 1; other <= m && !linked; ++other) {
-        if (other == c + 1) continue;
-        Bound via_zero_fwd = closed.bound(c + 1, 0) + closed.bound(0, other);
-        Bound via_zero_bwd = closed.bound(other, 0) + closed.bound(0, c + 1);
-        linked = closed.bound(c + 1, other) < via_zero_fwd ||
-                 closed.bound(other, c + 1) < via_zero_bwd;
-      }
-      if (linked) {
-        periodic_dropped.push_back(c);
-        continue;
-      }
-      // Only absolute bounds (via the zero variable) constrain this column:
-      // it can be dropped iff its lrp meets [lo, hi].
-      Bound upper = closed.bound(c + 1, 0);
-      Bound lower = closed.bound(0, c + 1);
-      int64_t lo = lower.is_infinite() ? INT64_MIN / 2 : -lower.value();
-      int64_t hi = upper.is_infinite() ? INT64_MAX / 2 : upper.value();
-      tuple_empty = tuple.lrp(c).NextAtLeast(lo) > hi;
-    }
-    if (tuple_empty) continue;
-    if (periodic_dropped.empty()) {
-      // Exact fast path: a dropped column whose lrp is all of Z has no
-      // congruence information, so integer DBM projection is exact.
-      std::vector<int> dbm_keep;
-      std::vector<Lrp> lrps;
-      dbm_keep.reserve(temporal_columns.size());
-      for (int c : temporal_columns) {
-        dbm_keep.push_back(c + 1);
-        lrps.push_back(tuple.lrp(c));
-      }
-      out.InsertUnlessEmpty(
-          GeneralizedTuple(std::move(lrps), data, closed.Project(dbm_keep)));
-      continue;
-    }
-    // General path: first drop the trivial (period-1) columns exactly via
-    // DBM projection, then split the smaller tuple into residue pieces and
-    // project those. Intermediate column order: kept columns (final order),
-    // then the periodic dropped ones.
-    std::vector<int> intermediate = temporal_columns;
-    intermediate.insert(intermediate.end(), periodic_dropped.begin(),
-                        periodic_dropped.end());
-    std::vector<int> dbm_keep;
-    std::vector<Lrp> lrps;
-    dbm_keep.reserve(intermediate.size());
-    for (int c : intermediate) {
-      dbm_keep.push_back(c + 1);
-      lrps.push_back(tuple.lrp(c));
-    }
-    GeneralizedTuple reduced(std::move(lrps), tuple.data().ToVector(),
-                             closed.Project(dbm_keep));
-    LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> pieces,
-                           NormalizedTuple::Normalize(reduced));
-    std::vector<int> final_keep(temporal_columns.size());
-    for (size_t k = 0; k < temporal_columns.size(); ++k) {
-      final_keep[k] = static_cast<int>(k);
-    }
-    // Residue-exact projection yields one piece per residue class; coalesce
-    // classes with identical constraints back into coarse tuples before
-    // storing (the pieces of one source tuple are pairwise disjoint, so no
-    // containment checking is needed on insert).
-    std::vector<GeneralizedTuple> projected_tuples;
-    for (const NormalizedTuple& piece : pieces) {
-      NormalizedTuple projected = piece.ProjectTemporal(final_keep);
-      GeneralizedTuple t = projected.ToGeneralizedTuple();
-      projected_tuples.emplace_back(t.lrps(), data, t.constraint());
-    }
-    LRPDB_ASSIGN_OR_RETURN(projected_tuples,
-                           CoalesceTuples(std::move(projected_tuples)));
-    for (const GeneralizedTuple& t : projected_tuples) {
-      out.InsertUnlessEmpty(t);
-    }
-  }
-  op.set_output(static_cast<int64_t>(out.size()));
-  return out;
-}
-
-[[nodiscard]] StatusOr<GeneralizedRelation> SelectDataEquals(
-    const GeneralizedRelation& r, int column, DataValue value) {
-  LRPDB_FAILPOINT("algebra.select_data");
-  if (column < 0 || column >= r.schema().data_arity) {
-    return InvalidArgumentError("gdb.select_data: column out of range");
-  }
-  LRPDB_OPERATOR_SCOPE(op, "gdb.select_data", r.size());
-  GeneralizedRelation out(r.schema());
-  // Exactly the posting's entries match (ascending, so output order is
-  // entry order); tombstoned entries were pruned from it.
-  for (EntryId id : r.PostingFor(column, value)) {
-    out.InsertUnlessEmpty(r.tuple(id));
-  }
-  op.set_output(static_cast<int64_t>(out.size()));
-  return out;
-}
-
-[[nodiscard]] StatusOr<GeneralizedRelation> SelectDataColumnsEqual(
-    const GeneralizedRelation& r, int i, int j) {
-  LRPDB_FAILPOINT("algebra.select_data_eq");
-  if (i < 0 || i >= r.schema().data_arity || j < 0 ||
-      j >= r.schema().data_arity) {
-    return InvalidArgumentError("gdb.select_data_eq: column out of range");
-  }
-  LRPDB_OPERATOR_SCOPE(op, "gdb.select_data_eq", r.size());
-  GeneralizedRelation out(r.schema());
-  for (EntryId id : r.live_ids()) {
-    const TupleView t = r.tuple(id);
-    if (t.data()[i] != t.data()[j]) continue;
-    out.InsertUnlessEmpty(t);
-  }
-  op.set_output(static_cast<int64_t>(out.size()));
-  return out;
-}
-
-[[nodiscard]] StatusOr<GeneralizedRelation> ShiftColumn(const GeneralizedRelation& r,
-                                          int column, int64_t c) {
-  LRPDB_OPERATOR_SCOPE(op, "gdb.shift", r.size());
-  LRPDB_FAILPOINT("algebra.shift");
-  ExecContext* exec = ExecContext::Current();
-  GeneralizedRelation out(r.schema());
-  for (EntryId i : r.live_ids()) {
-    LRPDB_RETURN_IF_ERROR(PollExec(exec));
-    out.InsertUnlessEmpty(r.tuple(i).ToTuple().WithColumnShifted(column, c));
-  }
-  op.set_output(static_cast<int64_t>(out.size()));
-  return out;
+  return {constants.begin(), constants.end()};
 }
 
 [[nodiscard]] StatusOr<std::vector<std::vector<DataValue>>> DataUniverse(

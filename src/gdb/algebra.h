@@ -1,23 +1,24 @@
-// The KSW90 algebra on generalized relations (paper, Sections 2.1 and 4.3):
-// intersection, union, difference, cartesian product, equality join,
-// constraint selection, projection, and the +1/-1 column shift. The paper
-// notes that intersection, join and projection are computable in PTIME on
-// this representation; benchmark bench_e3_algebra_ptime measures this.
+// The non-conjunctive part of the KSW90 algebra on generalized relations
+// (paper, Sections 2.1 and 4.3): union, difference and complement, with the
+// data universe and active domain a complement ranges over. Selection,
+// shift, join and projection -- the operators [KSW90] notes are computable
+// in PTIME on this representation -- are one clause kernel
+// (ApplyClauseBatch, src/core/clause_plan.h), which the evaluators and the
+// first-order query evaluator (src/fo/fo.h) share; benchmark
+// bench_e3_algebra_ptime times them as FO queries.
 #ifndef LRPDB_GDB_ALGEBRA_H_
 #define LRPDB_GDB_ALGEBRA_H_
 
-#include <cstdint>
-#include <utility>
+#include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "src/common/statusor.h"
+#include "src/gdb/database.h"
 #include "src/gdb/tuple_store.h"
 
 namespace lrpdb {
-
-// Ground-set intersection of two relations with identical schemas.
-[[nodiscard]] StatusOr<GeneralizedRelation> Intersect(
-    const GeneralizedRelation& a, const GeneralizedRelation& b);
 
 // Ground-set union of two relations with identical schemas (with
 // containment-based deduplication).
@@ -29,49 +30,14 @@ namespace lrpdb {
 [[nodiscard]] StatusOr<GeneralizedRelation> Difference(
     const GeneralizedRelation& a, const GeneralizedRelation& b);
 
-// Cartesian product: temporal columns of `a` then of `b`, data columns of
-// `a` then of `b`.
-[[nodiscard]] StatusOr<GeneralizedRelation> CartesianProduct(
-    const GeneralizedRelation& a, const GeneralizedRelation& b);
-
-// Equality join: cartesian product restricted by ta_i == tb_j + c for each
-// (i, j, c) in `temporal_eqs` (column indices into a and b respectively) and
-// da_i == db_j for each (i, j) in `data_eqs`. Columns are not merged; use
-// Project afterwards.
-struct TemporalEquality {
-  int left_column;
-  int right_column;
-  int64_t offset;  // left == right + offset.
-};
-[[nodiscard]] StatusOr<GeneralizedRelation> JoinOnEqualities(
-    const GeneralizedRelation& a, const GeneralizedRelation& b,
-    const std::vector<TemporalEquality>& temporal_eqs,
-    const std::vector<std::pair<int, int>>& data_eqs);
-
-// Conjoins `constraint` (a DBM over the relation's temporal columns) into
-// every tuple, dropping tuples that become empty.
-[[nodiscard]] StatusOr<GeneralizedRelation> SelectConstraint(
-    const GeneralizedRelation& r, const Dbm& constraint);
-
-// Projects onto the given temporal and data columns (0-based, in the order
-// given). Temporal projection is exact (performed on normalized pieces).
-[[nodiscard]] StatusOr<GeneralizedRelation> Project(
-    const GeneralizedRelation& r, const std::vector<int>& temporal_columns,
-    const std::vector<int>& data_positions);
-
-// Keeps only tuples whose data column `column` equals `value`. Errors
-// (column out of range, insertion failure) propagate instead of aborting.
-[[nodiscard]] StatusOr<GeneralizedRelation> SelectDataEquals(
-    const GeneralizedRelation& r, int column, DataValue value);
-
-// Keeps only tuples whose data columns i and j are equal.
-[[nodiscard]] StatusOr<GeneralizedRelation> SelectDataColumnsEqual(
-    const GeneralizedRelation& r, int i, int j);
-
-// Translates temporal column `column` by c (c applications of +1, or of -1
-// when c is negative).
-[[nodiscard]] StatusOr<GeneralizedRelation> ShiftColumn(
-    const GeneralizedRelation& r, int column, int64_t c);
+// The active data domain: every data constant stored in `db`'s relations
+// and in `extra_relations` (when given), plus `constants`; sorted and
+// distinct. The evaluator passes the program's constants, the FO evaluator
+// the query's and its caller's.
+std::vector<DataValue> ActiveDomain(
+    const Database& db, std::set<DataValue> constants,
+    const std::map<std::string, GeneralizedRelation>* extra_relations =
+        nullptr);
 
 // Every data row of `arity` columns over `domain`, the last column varying
 // fastest: the data universe a complement ranges over. One empty row when
@@ -93,7 +59,7 @@ struct TemporalEquality {
 // p) and (b) the union really is the single coarser tuple: the candidate
 // carries the loosest DBM common to the members, and the merge is kept only
 // when the candidate's pieces are contained in the members' pieces.
-// Residue-exact projection and complement split relations into one tuple
+// Residue-exact difference and complement split relations into one tuple
 // per residue class; this pass undoes the splitting wherever the union is
 // exact, which keeps closed forms near their minimal size. The ground set
 // is unchanged. Merges repeat, column by column, until a sweep over every

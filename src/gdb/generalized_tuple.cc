@@ -21,14 +21,6 @@ GeneralizedTuple GeneralizedTuple::Unconstrained(std::vector<Lrp> lrps,
   return GeneralizedTuple(std::move(lrps), std::move(data), std::move(free));
 }
 
-GeneralizedTuple GeneralizedTuple::WithColumnShifted(int i, int64_t c) const {
-  LRPDB_CHECK(i >= 0 && i < temporal_arity());
-  GeneralizedTuple result = *this;
-  result.lrps_[i] = result.lrps_[i].Shifted(c);
-  result.constraint_.ShiftVariable(i + 1, c);  // Dbm vars are 1-based.
-  return result;
-}
-
 bool TupleView::ContainsGround(const std::vector<int64_t>& times,
                                const std::vector<DataValue>& data) const {
   if (times.size() != static_cast<size_t>(temporal_arity_) ||

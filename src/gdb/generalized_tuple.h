@@ -144,11 +144,6 @@ class GeneralizedTuple {
   // lives in NormalizedTuple (normalized_tuple.h).
   bool ConstraintSatisfiable() const { return constraint_.IsSatisfiable(); }
 
-  // The tuple with column `i`'s ground values translated by c, i.e. the
-  // result of applying +1/-1 c times to that column (Section 4.3: "applying
-  // the operation +1 ... to a generalized relation is straightforward").
-  GeneralizedTuple WithColumnShifted(int i, int64_t c) const;
-
   // e.g. "(168n+8, 168n+10, database) with T2 = T1+2".
   std::string ToString(const Interner* interner = nullptr) const {
     return view().ToString(interner);

@@ -70,12 +70,15 @@ auto CollectInto(const std::vector<DataValue>& data,
 }
 
 // Anchored columns have their residue derived during the walk instead of
-// multiplying the odometer, and only the free columns count against
-// kMaxResiduePieces. This is exact: a residue combination violating
-// ti = tj + c makes the two floored quotient bounds sum to -1 -- an
-// immediate negative cycle -- so every skipped combination would have
-// produced an unsatisfiable quotient anyway. Within a combination, ti - tj
-// <= c holds iff ni - nj <= floor((c - ri + rj) / L).
+// multiplying the odometer, and a free column whose closed interval
+// [lo, hi] is shorter than L walks only the residues of the times in it;
+// only what is left counts against kMaxResiduePieces. Both are exact: a
+// residue combination violating ti = tj + c makes the two floored quotient
+// bounds sum to -1 -- an immediate negative cycle -- and a residue no time
+// of [lo, hi] takes floors ti's two zero-variable bounds past each other,
+// so every skipped combination would have produced an unsatisfiable
+// quotient anyway, and the rest are visited in the same order. Within a
+// combination, ti - tj <= c holds iff ni - nj <= floor((c - ri + rj) / L).
 [[nodiscard]] Status PieceEnumerator::Walk(const Dbm& t_dbm, int64_t period,
                                            VisitFn visit, void* context) {
   LRPDB_FAILPOINT("normalize.enumerate_pieces");
@@ -97,10 +100,28 @@ auto CollectInto(const std::vector<DataValue>& data,
       break;
     }
   }
+  // A free column whose interval is shorter than L walks the residues of
+  // its times t0, t0 + step, ..., which wrap past L at most once.
   int64_t total_pieces = 1;
   for (int i = 0; i < m; ++i) {
     if (anchors_[i].anchored) continue;
-    total_pieces *= columns_[i].count;
+    ResidueColumn& column = columns_[i];
+    const Bound up = closed_.bound(i + 1, 0);
+    const Bound down = closed_.bound(0, i + 1);
+    int64_t width = 0;
+    if (!up.is_infinite() && !down.is_infinite() &&
+        !__builtin_add_overflow(up.value(), down.value(), &width) &&
+        width < period) {
+      const int64_t lo = -down.value();
+      const int64_t first = lo + FloorMod(column.base - lo, column.step);
+      if (first > up.value()) return OkStatus();  // No time of the class.
+      column.count = std::min(column.count,
+                              (up.value() - first) / column.step + 1);
+      column.base = FloorMod(first, period);
+      anchors_[i].offset = std::min(
+          column.count, (period - column.base + column.step - 1) / column.step);
+    }
+    total_pieces *= column.count;
     if (total_pieces > kMaxResiduePieces) {
       return ResourceExhaustedError("residue combination count exceeds limit "
                                     "during normalization");
@@ -120,7 +141,10 @@ auto CollectInto(const std::vector<DataValue>& data,
     for (int i = 0; i < m; ++i) {
       const ResidueColumn& column = columns_[i];
       if (!anchors_[i].anchored) {
-        residues_[i] = column.base + index_[i] * column.step;
+        int64_t k = index_[i] + anchors_[i].offset;
+        if (k >= column.count) k -= column.count;
+        residues_[i] = column.base + k * column.step;
+        if (residues_[i] >= period) residues_[i] -= period;
         continue;
       }
       int64_t base =

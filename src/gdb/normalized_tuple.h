@@ -71,7 +71,11 @@ class PieceEnumerator {
   friend class NormalizedTuple;  // AlignTo walks its own residue columns.
 
   // The residues a column may take modulo the walk's period, ascending:
-  // base + k * step for k in [0, count), with base < step.
+  // base + k * step for k in [0, count), with base < step. Walk clips a
+  // free column to the residues of the times in its closed interval: the
+  // k-th is then (base + ((k + rotation) mod count) * step) mod L, where
+  // base is the first time's residue and rotation (kept in the column's
+  // Anchor) how many times precede the one wrap past L.
   struct ResidueColumn {
     int64_t base = 0;
     int64_t step = 1;
@@ -79,7 +83,8 @@ class PieceEnumerator {
   };
   // A tight equality of the closed t-space DBM pinning a column to an
   // earlier column (ti = t_column + offset) or, with column == -1, to a
-  // constant (ti == offset).
+  // constant (ti == offset). A free column (not anchored) keeps its walk's
+  // rotation in `offset`.
   struct Anchor {
     bool anchored = false;
     int column = -1;
@@ -95,7 +100,8 @@ class PieceEnumerator {
   // Aligns `lrps` to their common period and walks them.
   [[nodiscard]] Status Enumerate(ColumnSpan<Lrp> lrps, const Dbm& constraint,
                                  VisitFn visit, void* context);
-  // Walks columns_ at `period` under the t-space DBM `t_dbm`.
+  // Walks columns_ at `period` under the t-space DBM `t_dbm`, clipping
+  // them in place: each walk needs its columns set afresh.
   [[nodiscard]] Status Walk(const Dbm& t_dbm, int64_t period, VisitFn visit,
                             void* context);
 

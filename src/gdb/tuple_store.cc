@@ -356,7 +356,7 @@ void TupleStore::RefilePostings(PostingTable* table, size_t slots) {
   // candidate's residue pieces once computed: up front for an unchecked
   // row, only for the union test for a piece.
   std::vector<NormalizedTuple> candidate;
-  if (row == Row::kClosedPiece) {
+  if (row != Row::kUnchecked) {
     candidate_closure_.Assign(tuple.constraint(), /*closed=*/true);
   } else {
     candidate_closure_.Assign(tuple.constraint());
@@ -402,8 +402,9 @@ void TupleStore::RefilePostings(PostingTable* table, size_t slots) {
     if (exec != nullptr) exec->ChargeSteps(compared * BoundsStride());
     // The union test's pieces: the candidate's (a piece's are computed only
     // now) and the bucket's.
+    const bool union_test = !implied && row != Row::kAnswerPiece;
     std::vector<NormalizedTuple> existing;
-    if (!implied) {
+    if (union_test) {
       if (candidate.empty()) {
         LRPDB_ASSIGN_OR_RETURN(candidate, NormalizedTuple::Normalize(
                                               tuple.lrps(), tuple.data(),
@@ -416,7 +417,7 @@ void TupleStore::RefilePostings(PostingTable* table, size_t slots) {
     ++counts.subsumption_checks;
     counts.subsumption_candidates += static_cast<int64_t>(bucket.size());
     bool contained = implied;
-    if (!implied) {
+    if (union_test) {
       LRPDB_ASSIGN_OR_RETURN(contained, PiecesContainedIn(candidate, existing));
     }
     if (contained) {

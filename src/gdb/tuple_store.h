@@ -224,11 +224,17 @@ class TupleStore {
     kUnchecked,
     // A residue piece: its ground set is non-empty and its bounds are the
     // closure of a satisfiable DBM. The head projection (ApplyClauseBatch,
-    // src/core/clause_plan.h) emits only such rows, so the evaluators and
-    // QueryAtom insert this way. Insert takes the bounds as closed, drops
-    // nothing as empty, and normalizes the row only if it has to run the
-    // union test.
+    // src/core/clause_plan.h) emits only such rows, so the evaluators,
+    // QueryAtom and FO queries insert this way. Insert takes the bounds as
+    // closed, drops nothing as empty, and normalizes the row only if it has
+    // to run the union test.
     kClosedPiece,
+    // A kClosedPiece row of a one-shot answer (ApplyClauseOnce), whose
+    // caller accepts redundant rows: Insert drops it only when one
+    // same-signature entry contains it and skips the union test, so a
+    // piece that only several entries cover together is kept. The ground
+    // set is the same; no row is normalized.
+    kAnswerPiece,
   };
 
   // Exact insert: drops the tuple if its ground set is empty or contained
@@ -241,8 +247,8 @@ class TupleStore {
   // subsumed on its next re-derivation anyway.
   // A candidate whose closed DBM implies one entry's DBM is contained in
   // it, and no residue piece is computed; otherwise the candidate's and
-  // the bucket's pieces are computed for the exact union test and dropped
-  // when it returns. With Row::kUnchecked the candidate's pieces are
+  // the bucket's pieces are computed for the exact union test (skipped for
+  // Row::kAnswerPiece) and dropped when it returns. With Row::kUnchecked the candidate's pieces are
   // computed first, to decide emptiness (see Row). A kept tuple is
   // appended as given (its bounds as they came, no pieces kept); the view
   // may point anywhere but into this store. `stats`, when non-null,

@@ -14,7 +14,7 @@
 //    threads and CI runs the suite under TSan (LRPDB_SANITIZE=thread).
 //
 // Metric name taxonomy: dot-separated, "<layer>.<site>.<what>", e.g.
-// gdb.join.duration_us, store.signature_probes, eval.round.delta_tuples.
+// gdb.union.duration_us, store.signature_probes, eval.round.delta_tuples.
 // Histograms use power-of-two buckets: bucket 0 holds values <= 0, bucket
 // i >= 1 holds [2^(i-1), 2^i).
 #ifndef LRPDB_OBS_METRICS_H_

@@ -423,6 +423,13 @@ class Parser : private TokenStream {
   ParsedUnit unit(&db->interner());
   Parser parser(source, db, &unit);
   LRPDB_RETURN_IF_ERROR(parser.Run());
+  // A declared predicate no clause defines is extensional even before its
+  // first fact: declare it, so queries and rules read it as empty.
+  for (const auto& [predicate, schema] : unit.program.declarations()) {
+    if (unit.program.IsIntensional(predicate)) continue;
+    LRPDB_RETURN_IF_ERROR(
+        db->Declare(unit.program.predicates().NameOf(predicate), schema));
+  }
   return unit;
 }
 

@@ -42,7 +42,9 @@ struct ParsedUnit {
 };
 
 // Parses `source`, adding extensional facts to `db` (whose interner the
-// returned Program shares). `db` must outlive the returned unit.
+// returned Program shares); every declared predicate that no clause
+// defines is declared in `db`, with or without facts. `db` must outlive
+// the returned unit.
 [[nodiscard]] StatusOr<ParsedUnit> Parse(std::string_view source, Database* db);
 
 }  // namespace lrpdb

@@ -1,10 +1,14 @@
 #include "src/gdb/algebra.h"
 
 #include <chrono>
+#include <map>
 #include <random>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
+
+#include "tests/fo_query.h"
 
 namespace lrpdb {
 namespace {
@@ -176,147 +180,139 @@ TEST(CoalesceTest, MergedTuplesMergeAgainAcrossColumns) {
   EXPECT_EQ((*coalesced)[0].lrp(1), Lrp(2, 0));
 }
 
-// --- Projection fast paths ---
+// --- Projection: exists over the clause kernel ---
 
-TEST(ProjectTest, PermutationFastPathReordersColumns) {
-  GeneralizedRelation r({2, 0});
-  Dbm c(2);
-  c.AddDifferenceEquality(2, 1, 7);
-  ASSERT_TRUE(r.Insert(GeneralizedTuple({Lrp(5, 0), Lrp(5, 2)}, {}, c))
-                  .ok());
-  auto swapped = Project(r, {1, 0}, {});
-  ASSERT_TRUE(swapped.ok());
-  EXPECT_TRUE(swapped->ContainsGround({7, 0}, {}));
-  EXPECT_TRUE(swapped->ContainsGround({12, 5}, {}));
-  EXPECT_FALSE(swapped->ContainsGround({0, 7}, {}));
+// The answer of `exists t2 (r(t1, t2))` over the one-tuple relation
+// r = {tuple}.
+StatusOr<FoResult> ProjectOutSecond(const GeneralizedTuple& tuple) {
+  std::map<std::string, GeneralizedRelation> relations;
+  GeneralizedRelation& r = relations.emplace("r", RelationSchema{2, 0})
+                               .first->second;
+  LRPDB_RETURN_IF_ERROR(r.Insert(tuple).status());
+  Database db;
+  return AnswerFo("exists t2 (r(t1, t2))", relations, &db);
 }
 
 TEST(ProjectTest, DroppingZColumnIsExact) {
   // R(t1, t2) with t2 in Z, t1 in 4n, t2 >= t1: projecting out t2 keeps 4n.
-  GeneralizedRelation r({2, 0});
   Dbm c(2);
   c.AddDifferenceUpperBound(1, 2, 0);
-  ASSERT_TRUE(
-      r.Insert(GeneralizedTuple({Lrp(4, 0), Lrp(1, 0)}, {}, c)).ok());
-  auto projected = Project(r, {0}, {});
-  ASSERT_TRUE(projected.ok());
+  auto projected =
+      ProjectOutSecond(GeneralizedTuple({Lrp(4, 0), Lrp(1, 0)}, {}, c));
+  ASSERT_TRUE(projected.ok()) << projected.status();
   for (int64_t t = -16; t <= 16; ++t) {
-    EXPECT_EQ(projected->ContainsGround({t}, {}), FloorMod(t, 4) == 0) << t;
+    EXPECT_EQ(projected->relation.ContainsGround({t}, {}),
+              FloorMod(t, 4) == 0)
+        << t;
   }
 }
 
 TEST(ProjectTest, DroppingIndependentPeriodicColumn) {
   // Dropped column has period 7 but no link to the kept column; it always
-  // admits values, so it vanishes without residue splitting.
-  GeneralizedRelation r({2, 0});
+  // admits values, so it constrains nothing.
   Dbm c(2);
   c.AddLowerBound(2, 3);  // Absolute bound only.
-  ASSERT_TRUE(
-      r.Insert(GeneralizedTuple({Lrp(4, 1), Lrp(7, 0)}, {}, c)).ok());
-  auto projected = Project(r, {0}, {});
-  ASSERT_TRUE(projected.ok());
+  auto projected =
+      ProjectOutSecond(GeneralizedTuple({Lrp(4, 1), Lrp(7, 0)}, {}, c));
+  ASSERT_TRUE(projected.ok()) << projected.status();
   for (int64_t t = -16; t <= 16; ++t) {
-    EXPECT_EQ(projected->ContainsGround({t}, {}), FloorMod(t, 4) == 1) << t;
+    EXPECT_EQ(projected->relation.ContainsGround({t}, {}),
+              FloorMod(t, 4) == 1)
+        << t;
   }
 }
 
 TEST(ProjectTest, DroppingIndependentButEmptyColumnKillsTuple) {
   // The dropped column's lrp misses its absolute window entirely.
-  GeneralizedRelation r({2, 0});
   Dbm c(2);
   c.AddLowerBound(2, 3);
   c.AddUpperBound(2, 6);
-  ASSERT_TRUE(
-      r.Insert(GeneralizedTuple({Lrp(4, 1), Lrp(10, 0)}, {}, c)).ok());
-  auto projected = Project(r, {0}, {});
-  ASSERT_TRUE(projected.ok());
-  EXPECT_TRUE(projected->empty());
+  auto projected =
+      ProjectOutSecond(GeneralizedTuple({Lrp(4, 1), Lrp(10, 0)}, {}, c));
+  ASSERT_TRUE(projected.ok()) << projected.status();
+  EXPECT_TRUE(projected->relation.empty());
 }
 
 TEST(ProjectTest, LinkedPeriodicColumnUsesResiduePath) {
   // t1 = t2 with t2 in 6n: kept t1 inherits the congruence.
-  GeneralizedRelation r({2, 0});
   Dbm c(2);
   c.AddDifferenceEquality(1, 2, 0);
-  ASSERT_TRUE(
-      r.Insert(GeneralizedTuple({Lrp(1, 0), Lrp(6, 0)}, {}, c)).ok());
-  auto projected = Project(r, {0}, {});
-  ASSERT_TRUE(projected.ok());
+  auto projected =
+      ProjectOutSecond(GeneralizedTuple({Lrp(1, 0), Lrp(6, 0)}, {}, c));
+  ASSERT_TRUE(projected.ok()) << projected.status();
   for (int64_t t = -18; t <= 18; ++t) {
-    EXPECT_EQ(projected->ContainsGround({t}, {}), FloorMod(t, 6) == 0) << t;
+    EXPECT_EQ(projected->relation.ContainsGround({t}, {}),
+              FloorMod(t, 6) == 0)
+        << t;
   }
 }
 
 // --- Smaller algebra pieces ---
 
 TEST(AlgebraOpsTest, ShiftColumnTranslates) {
-  GeneralizedRelation r({1, 0});
+  std::map<std::string, GeneralizedRelation> relations;
+  GeneralizedRelation& r =
+      relations.emplace("r", RelationSchema{1, 0}).first->second;
   Dbm c(1);
   c.AddLowerBound(1, 0);
   ASSERT_TRUE(r.Insert(GeneralizedTuple({Lrp(10, 0)}, {}, c)).ok());
-  auto shifted = ShiftColumn(r, 0, 3);
-  ASSERT_TRUE(shifted.ok());
+  Database db;
+  auto shifted = AnswerFo("r(t - 3)", relations, &db);
+  ASSERT_TRUE(shifted.ok()) << shifted.status();
   for (int64_t t = -20; t <= 40; ++t) {
-    EXPECT_EQ(shifted->ContainsGround({t}, {}),
+    EXPECT_EQ(shifted->relation.ContainsGround({t}, {}),
               t >= 3 && FloorMod(t - 3, 10) == 0)
         << t;
   }
 }
 
 TEST(AlgebraOpsTest, SelectData) {
-  Interner interner;
-  DataValue a = interner.Intern("a");
-  DataValue b = interner.Intern("b");
-  GeneralizedRelation r({0, 2});
-  ASSERT_TRUE(
-      r.Insert(GeneralizedTuple::Unconstrained({}, {a, a})).ok());
-  ASSERT_TRUE(
-      r.Insert(GeneralizedTuple::Unconstrained({}, {a, b})).ok());
-  ASSERT_TRUE(
-      r.Insert(GeneralizedTuple::Unconstrained({}, {b, b})).ok());
-  StatusOr<GeneralizedRelation> eq = SelectDataColumnsEqual(r, 0, 1);
+  Database db;
+  DataValue a = db.Constant("a");
+  DataValue b = db.Constant("b");
+  std::map<std::string, GeneralizedRelation> relations;
+  GeneralizedRelation& r =
+      relations.emplace("r", RelationSchema{0, 2}).first->second;
+  ASSERT_TRUE(r.Insert(GeneralizedTuple::Unconstrained({}, {a, a})).ok());
+  ASSERT_TRUE(r.Insert(GeneralizedTuple::Unconstrained({}, {a, b})).ok());
+  ASSERT_TRUE(r.Insert(GeneralizedTuple::Unconstrained({}, {b, b})).ok());
+  auto eq = AnswerFo("r(A, A)", relations, &db);
   ASSERT_TRUE(eq.ok()) << eq.status();
-  EXPECT_EQ(eq->size(), 2u);
-  StatusOr<GeneralizedRelation> only_a = SelectDataEquals(r, 0, a);
+  EXPECT_EQ(eq->relation.size(), 2u);
+  EXPECT_TRUE(eq->relation.ContainsGround({}, {a}));
+  EXPECT_TRUE(eq->relation.ContainsGround({}, {b}));
+  auto only_a = AnswerFo("r(\"a\", B)", relations, &db);
   ASSERT_TRUE(only_a.ok()) << only_a.status();
-  EXPECT_EQ(only_a->size(), 2u);
-  StatusOr<GeneralizedRelation> only_ab = SelectDataEquals(*only_a, 1, b);
+  EXPECT_EQ(only_a->relation.size(), 2u);
+  auto only_ab = AnswerFo("r(\"a\", \"b\")", relations, &db);
   ASSERT_TRUE(only_ab.ok()) << only_ab.status();
-  EXPECT_EQ(only_ab->size(), 1u);
-}
-
-// Regression: the data selections used to crash through LRPDB_CHECK_OK on
-// any insertion error and indexed data columns unchecked; errors now come
-// back as Status values.
-TEST(AlgebraOpsTest, SelectDataPropagatesErrors) {
-  Interner interner;
-  DataValue a = interner.Intern("a");
-  GeneralizedRelation r({0, 1});
-  ASSERT_TRUE(r.Insert(GeneralizedTuple::Unconstrained({}, {a})).ok());
-  EXPECT_EQ(SelectDataEquals(r, 1, a).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(SelectDataEquals(r, -1, a).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(SelectDataColumnsEqual(r, 0, 1).status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(only_ab->relation.size(), 1u);
+  auto only_ba = AnswerFo("r(\"b\", \"a\")", relations, &db);
+  ASSERT_TRUE(only_ba.ok()) << only_ba.status();
+  EXPECT_TRUE(only_ba->relation.empty());
 }
 
 TEST(AlgebraOpsTest, CartesianProductColumnLayout) {
-  Interner interner;
-  DataValue x = interner.Intern("x");
-  GeneralizedRelation a({1, 1});
+  Database db;
+  DataValue x = db.Constant("x");
+  std::map<std::string, GeneralizedRelation> relations;
+  GeneralizedRelation& a =
+      relations.emplace("a", RelationSchema{1, 1}).first->second;
   ASSERT_TRUE(a.Insert(GeneralizedTuple::Unconstrained({Lrp(2, 0)}, {x}))
                   .ok());
-  GeneralizedRelation b({1, 0});
+  GeneralizedRelation& b =
+      relations.emplace("b", RelationSchema{1, 0}).first->second;
   ASSERT_TRUE(b.Insert(GeneralizedTuple::Unconstrained({Lrp(3, 1)}, {}))
                   .ok());
-  auto product = CartesianProduct(a, b);
-  ASSERT_TRUE(product.ok());
-  EXPECT_EQ(product->schema().temporal_arity, 2);
-  EXPECT_EQ(product->schema().data_arity, 1);
-  EXPECT_TRUE(product->ContainsGround({0, 1}, {x}));
-  EXPECT_TRUE(product->ContainsGround({2, 4}, {x}));
-  EXPECT_FALSE(product->ContainsGround({1, 1}, {x}));
+  auto product = AnswerFo("a(t1, X) & b(t2)", relations, &db);
+  ASSERT_TRUE(product.ok()) << product.status();
+  EXPECT_EQ(product->temporal_vars, (std::vector<std::string>{"t1", "t2"}));
+  EXPECT_EQ(product->data_vars, (std::vector<std::string>{"X"}));
+  EXPECT_EQ(product->relation.schema().temporal_arity, 2);
+  EXPECT_EQ(product->relation.schema().data_arity, 1);
+  EXPECT_TRUE(product->relation.ContainsGround({0, 1}, {x}));
+  EXPECT_TRUE(product->relation.ContainsGround({2, 4}, {x}));
+  EXPECT_FALSE(product->relation.ContainsGround({1, 1}, {x}));
 }
 
 TEST(AlgebraOpsTest, DoubleComplementIsIdentity) {
@@ -354,43 +350,46 @@ TEST(AlgebraOpsTest, DeMorganOnRandomRelations) {
     return r;
   };
   for (int iter = 0; iter < 10; ++iter) {
-    GeneralizedRelation a = random_relation();
-    GeneralizedRelation b = random_relation();
     // ~(a u b) == ~a ^ ~b.
-    auto u = Union(a, b);
-    ASSERT_TRUE(u.ok());
-    auto lhs = Complement(*u, {{}});
-    ASSERT_TRUE(lhs.ok());
-    auto na = Complement(a, {{}});
-    auto nb = Complement(b, {{}});
-    ASSERT_TRUE(na.ok());
-    ASSERT_TRUE(nb.ok());
-    auto rhs = Intersect(*na, *nb);
-    ASSERT_TRUE(rhs.ok());
+    std::map<std::string, GeneralizedRelation> relations;
+    relations.emplace("a", random_relation());
+    relations.emplace("b", random_relation());
+    Database db;
+    auto lhs = AnswerFo("~(a(t) | b(t))", relations, &db);
+    ASSERT_TRUE(lhs.ok()) << lhs.status();
+    auto rhs = AnswerFo("~a(t) & ~b(t)", relations, &db);
+    ASSERT_TRUE(rhs.ok()) << rhs.status();
     for (int64_t t = -60; t <= 60; ++t) {
-      ASSERT_EQ(lhs->ContainsGround({t}, {}), rhs->ContainsGround({t}, {}))
+      ASSERT_EQ(lhs->relation.ContainsGround({t}, {}),
+                rhs->relation.ContainsGround({t}, {}))
           << "iter " << iter << " t=" << t;
     }
   }
 }
 
 TEST(AlgebraOpsTest, JoinWithOffset) {
-  GeneralizedRelation dep({1, 0});
-  ASSERT_TRUE(
-      dep.Insert(GeneralizedTuple::Unconstrained({Lrp(8, 0)}, {})).ok());
-  GeneralizedRelation arr({1, 0});
+  std::map<std::string, GeneralizedRelation> relations;
+  GeneralizedRelation& dep =
+      relations.emplace("dep", RelationSchema{1, 0}).first->second;
+  Dbm from_zero(1);
+  from_zero.AddLowerBound(1, 0);
+  ASSERT_TRUE(dep.Insert(GeneralizedTuple({Lrp(8, 0)}, {}, from_zero)).ok());
+  GeneralizedRelation& arr =
+      relations.emplace("arr", RelationSchema{1, 0}).first->second;
   ASSERT_TRUE(
       arr.Insert(GeneralizedTuple::Unconstrained({Lrp(8, 3)}, {})).ok());
-  // dep == arr - 3.
-  auto joined = JoinOnEqualities(dep, arr,
-                                 {{.left_column = 0,
-                                   .right_column = 0,
-                                   .offset = -3}},
-                                 {});
-  ASSERT_TRUE(joined.ok());
-  EXPECT_TRUE(joined->ContainsGround({0, 3}, {}));
-  EXPECT_TRUE(joined->ContainsGround({8, 11}, {}));
-  EXPECT_FALSE(joined->ContainsGround({0, 11}, {}));
+  // Departures t with an arrival at t + 3.
+  Database db;
+  auto joined = AnswerFo("dep(t) & arr(t + 3)", relations, &db);
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  EXPECT_TRUE(joined->relation.ContainsGround({0}, {}));
+  EXPECT_TRUE(joined->relation.ContainsGround({8}, {}));
+  EXPECT_FALSE(joined->relation.ContainsGround({-8}, {}));
+  EXPECT_FALSE(joined->relation.ContainsGround({3}, {}));
+  // An arrival 4 after a departure never happens.
+  auto missed = AnswerFo("dep(t) & arr(t + 4)", relations, &db);
+  ASSERT_TRUE(missed.ok()) << missed.status();
+  EXPECT_TRUE(missed->relation.empty());
 }
 
 }  // namespace

@@ -318,9 +318,35 @@ TEST(EvaluatorTest, MissingExtensionalRelationIsAnError) {
   )",
                       &db);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  auto result = Evaluate(parsed->program, db);
+  // Parse declared p in `db`; a database without it cannot answer.
+  Database other;
+  auto result = Evaluate(parsed->program, other);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+}
+
+// A predicate declared with .decl and given no fact is an empty
+// extensional relation: rules read it as empty.
+TEST(EvaluatorTest, DeclaredRelationWithoutFactsReadsAsEmpty) {
+  Database db;
+  auto parsed = Parse(R"(
+    .decl e(time, data)
+    .decl q(time, data)
+    .decl p(time, data)
+    .fact e(5n, "a").
+    p(t, A) :- e(t, A).
+    p(t, A) :- q(t, A).
+  )",
+                      &db);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ASSERT_TRUE(db.IsDeclared("q"));
+  EXPECT_TRUE((*db.Relation("q"))->empty());
+  auto result = Evaluate(parsed->program, db);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->reached_fixpoint);
+  const DataValue a = db.interner().Find("a");
+  EXPECT_TRUE(result->Relation("p").ContainsGround({10}, {a}));
+  EXPECT_FALSE(result->Relation("p").ContainsGround({11}, {a}));
 }
 
 TEST(QueryAtomTest, SelectsAndProjects) {

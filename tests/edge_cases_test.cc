@@ -74,14 +74,15 @@ TEST(EvaluatorOptionsTest, MaxIterationsStopsEarly) {
   )",
                     &db);
   ASSERT_TRUE(unit.ok()) << unit.status();
+  ExecContext exec;
+  exec.set_max_rounds(5);
   EvaluationOptions options;
-  options.max_iterations = 5;
+  options.exec = &exec;
   auto result = Evaluate(unit->program, db, options);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_FALSE(result->reached_fixpoint);
   EXPECT_EQ(result->iterations, 5);
-  EXPECT_NE(result->gave_up_reason.find("max_iterations"),
-            std::string::npos);
+  EXPECT_NE(result->gave_up_reason.find("max_rounds"), std::string::npos);
 }
 
 // --- Pinned closed forms ---

@@ -231,6 +231,30 @@ TEST(FoTest, NegationInsideConjunctionGuard) {
   EXPECT_TRUE(result->relation.ContainsGround({85, 145}, {}));
 }
 
+// A relation declared with .decl and given no fact reads as empty.
+TEST(FoTest, DeclaredRelationWithoutFactsReadsAsEmpty) {
+  Database db;
+  auto unit = Parse(R"(
+    .decl p(time, data)
+    .decl q(time, data)
+    .fact p(2n, "a").
+  )",
+                    &db);
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  auto query = ParseFoQuery("q(t, A)", &db);
+  ASSERT_TRUE(query.ok()) << query.status();
+  auto result = EvaluateFoQuery(*query, db);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->relation.empty());
+  auto either = ParseFoQuery("p(t, A) | q(t, A)", &db);
+  ASSERT_TRUE(either.ok()) << either.status();
+  auto answer = EvaluateFoQuery(*either, db);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  const DataValue a = db.interner().Find("a");
+  EXPECT_TRUE(answer->relation.ContainsGround({4}, {a}));
+  EXPECT_FALSE(answer->relation.ContainsGround({5}, {a}));
+}
+
 TEST(FoTest, MixedVariableKindRejected) {
   Database db = TrainDb();
   auto query = ParseFoQuery(R"(train(X, t2, X, "brussels"))", &db);

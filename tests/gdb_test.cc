@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <random>
+#include <map>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include "src/gdb/periodic_bridge.h"
 #include "src/gdb/serialize.h"
 #include "src/gdb/tuple_store.h"
+#include "tests/fo_query.h"
 
 namespace lrpdb {
 namespace {
@@ -35,11 +38,16 @@ TEST(GeneralizedTupleTest, Example21GroundSet) {
 }
 
 TEST(GeneralizedTupleTest, ColumnShift) {
-  GeneralizedTuple train = TrainTuple();
-  GeneralizedTuple later = train.WithColumnShifted(0, 40).WithColumnShifted(
-      1, 40);
-  EXPECT_TRUE(later.ContainsGround({45, 105}, {}));
-  EXPECT_FALSE(later.ContainsGround({5, 65}, {}));  // Shift moved T1 >= 40.
+  // Both columns translated by 40: the query's answer at (t1, t2) is the
+  // train tuple at (t1 - 40, t2 - 40).
+  std::map<std::string, GeneralizedRelation> relations;
+  relations.emplace("train", GeneralizedRelation({2, 0}));
+  ASSERT_TRUE(relations.at("train").InsertUnlessEmpty(TrainTuple()));
+  Database db;
+  auto later = AnswerFo("train(t1 - 40, t2 - 40)", relations, &db);
+  ASSERT_TRUE(later.ok()) << later.status();
+  EXPECT_TRUE(later->relation.ContainsGround({45, 105}, {}));
+  EXPECT_FALSE(later->relation.ContainsGround({5, 65}, {}));  // T1 >= 40.
 }
 
 TEST(GeneralizedTupleTest, PaperExample21TupleWithConstraint) {
@@ -86,6 +94,49 @@ TEST(NormalizedTupleTest, NormalizePiecesPartitionGroundSet) {
       ASSERT_EQ(count, in_tuple ? 1 : 0) << t1 << "," << t2;
     }
   }
+}
+
+// A free column walks only the residues of the times in its closed
+// interval when that interval is shorter than the common period, so three
+// coprime periods bounded to [0, 200] (5 x 4 x 4 times) normalize into 80
+// one-point pieces instead of being refused for the 2e10 residue
+// combinations of L = 47 * 53 * 59.
+TEST(NormalizedTupleTest, BoundedColumnsCountOnlyTheirIntervalsResidues) {
+  Dbm c(3);
+  for (int v = 1; v <= 3; ++v) {
+    c.AddLowerBound(v, 0);
+    c.AddUpperBound(v, 200);
+  }
+  GeneralizedTuple t({Lrp(47, 0), Lrp(53, 0), Lrp(59, 0)}, {}, c);
+  auto pieces = NormalizedTuple::Normalize(t);
+  ASSERT_TRUE(pieces.ok()) << pieces.status();
+  EXPECT_EQ(pieces->size(), 80u);
+  for (const NormalizedTuple& piece : *pieces) {
+    EXPECT_EQ(piece.common_period(), 47 * 53 * 59);
+    EXPECT_TRUE(piece.ContainsGround(piece.residues(), {}));
+  }
+}
+
+// An interval that wraps past a multiple of L walks its residues in
+// ascending order all the same: t1 in 2n and [9, 15] at L = 12 takes the
+// times 10, 12, 14, i.e. residues 0, 2, 10.
+TEST(NormalizedTupleTest, WrappedIntervalKeepsResidueOrder) {
+  Dbm c(2);
+  c.AddLowerBound(1, 9);
+  c.AddUpperBound(1, 15);
+  GeneralizedTuple t({Lrp(2, 0), Lrp(12, 5)}, {}, c);
+  auto pieces = NormalizedTuple::Normalize(t);
+  ASSERT_TRUE(pieces.ok()) << pieces.status();
+  std::vector<std::vector<int64_t>> residues;
+  for (const NormalizedTuple& piece : *pieces) {
+    residues.push_back(piece.residues());
+  }
+  EXPECT_EQ(residues, (std::vector<std::vector<int64_t>>{
+                          {0, 5}, {2, 5}, {10, 5}}));
+  EXPECT_TRUE((*pieces)[0].ContainsGround({12, 5}, {}));
+  EXPECT_TRUE((*pieces)[1].ContainsGround({14, -7}, {}));
+  EXPECT_TRUE((*pieces)[2].ContainsGround({10, 17}, {}));
+  EXPECT_FALSE((*pieces)[2].ContainsGround({22, 17}, {}));
 }
 
 TEST(NormalizedTupleTest, RoundTripThroughGeneralizedTuple) {
@@ -176,7 +227,7 @@ TEST(NormalizeCapsTest, PiecesUnderTheCapNormalize) {
 
 // --- GeneralizedRelation ---
 
-TEST(GeneralizedRelationTest, InsertIfNewDetectsSubsumption) {
+TEST(GeneralizedRelationTest, InsertDetectsSubsumption) {
   GeneralizedRelation r({1, 0});
   Dbm wide(1);
   wide.AddLowerBound(1, 0);
@@ -198,7 +249,7 @@ TEST(GeneralizedRelationTest, InsertIfNewDetectsSubsumption) {
   EXPECT_TRUE(third->inserted);
 }
 
-TEST(GeneralizedRelationTest, InsertIfNewUnionSubsumption) {
+TEST(GeneralizedRelationTest, InsertUnionSubsumption) {
   // {5n : T >= 0} u {5n : T < 0} subsumes {5n} even though neither single
   // tuple does.
   GeneralizedRelation r({1, 0});
@@ -237,9 +288,27 @@ std::set<GroundTuple> GroundSet(const GeneralizedRelation& r, int64_t lo,
   return {v.begin(), v.end()};
 }
 
+// One-column relations a and b, and their intersection as the FO query
+// a(t) & b(t).
+struct RelationPair {
+  std::map<std::string, GeneralizedRelation> relations;
+  GeneralizedRelation& a =
+      relations.emplace("a", RelationSchema{1, 0}).first->second;
+  GeneralizedRelation& b =
+      relations.emplace("b", RelationSchema{1, 0}).first->second;
+
+  StatusOr<GeneralizedRelation> Intersection() const {
+    Database db;
+    LRPDB_ASSIGN_OR_RETURN(FoResult answer,
+                           AnswerFo("a(t) & b(t)", relations, &db));
+    return std::move(answer.relation);
+  }
+};
+
 TEST(AlgebraTest, IntersectUnionDifferenceAgainstBruteForce) {
-  GeneralizedRelation a({1, 0});
-  GeneralizedRelation b({1, 0});
+  RelationPair pair;
+  GeneralizedRelation& a = pair.a;
+  GeneralizedRelation& b = pair.b;
   Dbm nonneg(1);
   nonneg.AddLowerBound(1, 0);
   ASSERT_TRUE(a.Insert(GeneralizedTuple({Lrp(4, 1)}, {}, nonneg)).ok());
@@ -248,12 +317,12 @@ TEST(AlgebraTest, IntersectUnionDifferenceAgainstBruteForce) {
   ASSERT_TRUE(b.Insert(GeneralizedTuple::Unconstrained({Lrp(2, 1)}, {}))
                   .ok());
 
-  auto inter = Intersect(a, b);
   auto uni = Union(a, b);
   auto diff = Difference(a, b);
-  ASSERT_TRUE(inter.ok());
   ASSERT_TRUE(uni.ok());
   ASSERT_TRUE(diff.ok());
+  auto inter = pair.Intersection();
+  ASSERT_TRUE(inter.ok()) << inter.status();
 
   auto sa = GroundSet(a, -50, 50);
   auto sb = GroundSet(b, -50, 50);
@@ -276,18 +345,21 @@ TEST(AlgebraTest, IntersectUnionDifferenceAgainstBruteForce) {
 
 TEST(AlgebraTest, JoinOnEqualitiesFindsConnections) {
   // Trains A->B arriving at 40n+65 ; trains B->C departing at 40n+65 + 10.
-  Interner interner;
-  DataValue a_city = interner.Intern("a");
-  DataValue b_city = interner.Intern("b");
-  DataValue c_city = interner.Intern("c");
+  Database db;
+  DataValue a_city = db.Constant("a");
+  DataValue b_city = db.Constant("b");
+  DataValue c_city = db.Constant("c");
 
-  GeneralizedRelation leg1({2, 2});
+  std::map<std::string, GeneralizedRelation> relations;
+  GeneralizedRelation& leg1 =
+      relations.emplace("leg1", RelationSchema{2, 2}).first->second;
   Dbm c1(2);
   c1.AddDifferenceEquality(2, 1, 60);
   ASSERT_TRUE(leg1.Insert(GeneralizedTuple({Lrp(40, 5), Lrp(40, 65)},
                                            {a_city, b_city}, c1))
                   .ok());
-  GeneralizedRelation leg2({2, 2});
+  GeneralizedRelation& leg2 =
+      relations.emplace("leg2", RelationSchema{2, 2}).first->second;
   Dbm c2(2);
   c2.AddDifferenceEquality(2, 1, 30);
   ASSERT_TRUE(leg2.Insert(GeneralizedTuple({Lrp(40, 75), Lrp(40, 105)},
@@ -295,30 +367,33 @@ TEST(AlgebraTest, JoinOnEqualitiesFindsConnections) {
                   .ok());
   // Join: leg2 departs exactly 10 after leg1 arrives, and the transfer city
   // matches.
-  auto joined = JoinOnEqualities(leg1, leg2,
-                                 {{.left_column = 1,
-                                   .right_column = 0,
-                                   .offset = -10}},
-                                 {{1, 0}});
-  ASSERT_TRUE(joined.ok());
-  ASSERT_EQ(joined->size(), 1u);
-  EXPECT_TRUE(joined->ContainsGround({5, 65, 75, 105},
-                                     {a_city, b_city, b_city, c_city}));
-  EXPECT_FALSE(joined->ContainsGround({5, 65, 115, 145},
-                                      {a_city, b_city, b_city, c_city}));
+  auto joined = AnswerFo(
+      "leg1(t1, t2, A, B) & leg2(t3, t4, B, C) & t3 = t2 + 10", relations,
+      &db);
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  ASSERT_EQ(joined->relation.size(), 1u);
+  EXPECT_TRUE(joined->relation.ContainsGround({5, 65, 75, 105},
+                                              {a_city, b_city, c_city}));
+  EXPECT_FALSE(joined->relation.ContainsGround({5, 65, 115, 145},
+                                               {a_city, b_city, c_city}));
 }
 
 TEST(AlgebraTest, ProjectKeepsCongruenceInformation) {
-  // R(t1, t2) with t2 = t1 and t2 in 3n: projection onto t1 is 3n.
-  GeneralizedRelation r({2, 0});
+  // R(t1, t2) with t2 = t1 and t2 in 3n: exists t2 leaves t1 in 3n.
+  std::map<std::string, GeneralizedRelation> relations;
+  GeneralizedRelation& r =
+      relations.emplace("r", RelationSchema{2, 0}).first->second;
   Dbm c(2);
   c.AddDifferenceEquality(1, 2, 0);
   ASSERT_TRUE(r.Insert(GeneralizedTuple({Lrp(1, 0), Lrp(3, 0)}, {}, c))
                   .ok());
-  auto projected = Project(r, {0}, {});
-  ASSERT_TRUE(projected.ok());
+  Database db;
+  auto projected = AnswerFo("exists t2 (r(t1, t2))", relations, &db);
+  ASSERT_TRUE(projected.ok()) << projected.status();
   for (int64_t t = -15; t <= 15; ++t) {
-    EXPECT_EQ(projected->ContainsGround({t}, {}), FloorMod(t, 3) == 0) << t;
+    EXPECT_EQ(projected->relation.ContainsGround({t}, {}),
+              FloorMod(t, 3) == 0)
+        << t;
   }
 }
 
@@ -375,8 +450,7 @@ TEST_P(AlgebraRandomTest, BooleanOpsMatchBruteForce) {
   std::uniform_int_distribution<int> period_dist(1, 6);
   std::uniform_int_distribution<int> bound_dist(-12, 12);
   std::uniform_int_distribution<int> tuples_dist(1, 3);
-  auto random_relation = [&]() {
-    GeneralizedRelation r({1, 0});
+  auto fill_random = [&](GeneralizedRelation& r) {
     int n = tuples_dist(rng);
     for (int i = 0; i < n; ++i) {
       int p = period_dist(rng);
@@ -387,17 +461,19 @@ TEST_P(AlgebraRandomTest, BooleanOpsMatchBruteForce) {
       c.AddUpperBound(1, lo + 2 * period_dist(rng) * period_dist(rng));
       LRPDB_CHECK_OK(r.Insert(GeneralizedTuple({lrp}, {}, c)).status());
     }
-    return r;
   };
   for (int iter = 0; iter < 25; ++iter) {
-    GeneralizedRelation a = random_relation();
-    GeneralizedRelation b = random_relation();
+    RelationPair pair;
+    const GeneralizedRelation& a = pair.a;
+    const GeneralizedRelation& b = pair.b;
+    fill_random(pair.a);
+    fill_random(pair.b);
     auto diff = Difference(a, b);
     auto uni = Union(a, b);
-    auto inter = Intersect(a, b);
+    auto inter = pair.Intersection();
     ASSERT_TRUE(diff.ok());
     ASSERT_TRUE(uni.ok());
-    ASSERT_TRUE(inter.ok());
+    ASSERT_TRUE(inter.ok()) << inter.status();
     for (int64_t t = -40; t <= 80; ++t) {
       bool in_a = a.ContainsGround({t}, {});
       bool in_b = b.ContainsGround({t}, {});
@@ -464,28 +540,25 @@ TEST(TombstoneVisibilityTest, ReadersSeeOnlyLiveEntries) {
   ASSERT_EQ(r.live_size(), 2u);
 
   EXPECT_EQ(Union(r, r)->ToString(), Union(expected, expected)->ToString());
-  EXPECT_EQ(Project(r, {0}, {})->ToString(),
-            Project(expected, {0}, {})->ToString());
-  Dbm from5(1);
-  from5.AddLowerBound(1, 5);
-  EXPECT_EQ(SelectConstraint(r, from5)->ToString(),
-            SelectConstraint(expected, from5)->ToString());
   EXPECT_EQ(Complement(r, {{}})->ToString(),
             Complement(expected, {{}})->ToString());
   EXPECT_EQ(SerializeRelationAsFacts("r", r, db.interner()),
             SerializeRelationAsFacts("r", expected, clean.interner()));
   EXPECT_EQ(*ToEventuallyPeriodicSet(r), *ToEventuallyPeriodicSet(expected));
 
-  auto query = ParseFoQuery("r(t)", &db);
-  auto clean_query = ParseFoQuery("r(t)", &clean);
-  ASSERT_TRUE(query.ok()) << query.status();
-  ASSERT_TRUE(clean_query.ok()) << clean_query.status();
-  auto answer = EvaluateFoQuery(*query, db);
-  auto clean_answer = EvaluateFoQuery(*clean_query, clean);
-  ASSERT_TRUE(answer.ok()) << answer.status();
-  ASSERT_TRUE(clean_answer.ok()) << clean_answer.status();
-  EXPECT_EQ(answer->relation.EnumerateGround(0, 100),
-            clean_answer->relation.EnumerateGround(0, 100));
+  // The clause kernel's selection and projection, through FO queries.
+  for (const char* source : {"r(t)", "r(t) & t >= 5"}) {
+    auto query = ParseFoQuery(source, &db);
+    auto clean_query = ParseFoQuery(source, &clean);
+    ASSERT_TRUE(query.ok()) << query.status();
+    ASSERT_TRUE(clean_query.ok()) << clean_query.status();
+    auto answer = EvaluateFoQuery(*query, db);
+    auto clean_answer = EvaluateFoQuery(*clean_query, clean);
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    ASSERT_TRUE(clean_answer.ok()) << clean_answer.status();
+    EXPECT_EQ(answer->relation.ToString(), clean_answer->relation.ToString())
+        << source;
+  }
 }
 
 }  // namespace

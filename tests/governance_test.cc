@@ -79,7 +79,6 @@ TEST(GovernanceTest, DeadlineTripsFastWithNonEmptyPartial) {
   exec.set_max_rounds(10'000'000);
   EvaluationOptions options;
   options.exec = &exec;
-  options.max_iterations = 10'000'000;
   auto start = std::chrono::steady_clock::now();
   auto result = Evaluate(p.unit->program, p.db, options);
   double ms = std::chrono::duration<double, std::milli>(
@@ -141,7 +140,7 @@ TEST(GovernanceTest, TupleBudgetDegradesGracefully) {
   options.exec = &exec;
   auto result = Evaluate(p.unit->program, p.db, options);
   // In-band contract: Evaluate() reports the trip via the result, like the
-  // max_iterations/fes_patience give-ups.
+  // round-cap/fes_patience give-ups.
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_FALSE(result->reached_fixpoint);
   EXPECT_TRUE(result->partial.tripped());
@@ -305,8 +304,8 @@ TEST(GovernanceTest, QueryAtomHonorsGovernance) {
   EXPECT_EQ(answers.status().code(), StatusCode::kCancelled);
 }
 
-// The ungoverned path stays ungoverned: no context, no caps beyond the
-// evaluator's own max_iterations.
+// The ungoverned path stays ungoverned: no context, no cap but the
+// default round cap.
 TEST(GovernanceTest, UngovernedEvaluationStillConverges) {
   Parsed p(SweepProgram(24, 7));
   auto result = Evaluate(p.unit->program, p.db);
@@ -314,6 +313,18 @@ TEST(GovernanceTest, UngovernedEvaluationStillConverges) {
   EXPECT_TRUE(result->reached_fixpoint);
   EXPECT_FALSE(result->partial.tripped());
   EXPECT_EQ(result->iterations, 25);  // Orbit 24 + confirming round.
+}
+
+// Without a context an evaluation that never converges still stops: it
+// gives up in-band at ExecContext::kDefaultMaxRounds.
+TEST(GovernanceTest, UngovernedEvaluationStopsAtDefaultRoundCap) {
+  Parsed p(SweepProgram(1000003, 1));  // Orbit ~1e6.
+  auto result = Evaluate(p.unit->program, p.db);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_FALSE(result->reached_fixpoint);
+  EXPECT_FALSE(result->partial.tripped());
+  EXPECT_EQ(result->iterations, ExecContext::kDefaultMaxRounds);
+  EXPECT_NE(result->gave_up_reason.find("max_rounds"), std::string::npos);
 }
 
 }  // namespace

@@ -1,19 +1,21 @@
 // Property tests for signature interning (the tuple store's free-extension
 // key): syntactically different lrp spellings of the same ground set must
 // canonicalize to one signature, equal ground sets must residue-normalize
-// to the same piece classes, and the algebra operations that rebuild
-// relations (shift, join, project) must hand back stores whose signature
-// and posting indexes still satisfy every invariant.
+// to the same piece classes, and the queries that rebuild relations
+// through the clause kernel (shift, join, project) must hand back stores
+// whose signature and posting indexes still satisfy every invariant.
 #include <algorithm>
+#include <map>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/gdb/algebra.h"
 #include "src/gdb/normalized_tuple.h"
 #include "src/gdb/tuple_store.h"
+#include "tests/fo_query.h"
 
 namespace lrpdb {
 namespace {
@@ -151,41 +153,37 @@ void ExpectCanonicalStore(const GeneralizedRelation& r, const char* what) {
 TEST(SignatureConsistencyTest, ShiftJoinProjectPreserveIndexInvariants) {
   std::mt19937 rng(11);
   for (int trial = 0; trial < 10; ++trial) {
-    GeneralizedRelation r = RandomRelation(rng, 6);
-    GeneralizedRelation s = RandomRelation(rng, 4);
+    std::map<std::string, GeneralizedRelation> relations;
+    const GeneralizedRelation& r =
+        relations.emplace("r", RandomRelation(rng, 6)).first->second;
+    relations.emplace("s", RandomRelation(rng, 4));
     ExpectCanonicalStore(r, "input r");
+    Database db;
 
     // Shift: column translation re-spells every lrp offset.
-    auto shifted = ShiftColumn(r, 0, 13);
+    auto shifted = AnswerFo("r(t1 - 13, t2, D)", relations, &db);
     ASSERT_TRUE(shifted.ok()) << shifted.status();
-    ExpectCanonicalStore(*shifted, "shift");
-    auto shifted_back = ShiftColumn(*shifted, 0, -13);
-    ASSERT_TRUE(shifted_back.ok());
+    ExpectCanonicalStore(shifted->relation, "shift");
+    relations.emplace("shifted", std::move(shifted->relation));
+    auto shifted_back = AnswerFo("shifted(t1 + 13, t2, D)", relations, &db);
+    ASSERT_TRUE(shifted_back.ok()) << shifted_back.status();
     // Exact SameGroundSet would align every tuple pair to the lcm of all
     // periods (exponential for coprime periods); a window covering all the
     // bands decides equality for these bounded relations.
-    EXPECT_EQ(r.EnumerateGround(-5, 95), shifted_back->EnumerateGround(-5, 95))
+    EXPECT_EQ(r.EnumerateGround(-5, 95),
+              shifted_back->relation.EnumerateGround(-5, 95))
         << "shift by 13 then -13 changed the ground set";
 
-    // Join: rebuilds tuples over the concatenated schema.
-    auto joined = JoinOnEqualities(r, s, {{1, 0, 0}}, {{0, 0}});
+    // Join: r's second column chained into s's first rebuilds tuples over
+    // the three joined variables.
+    auto joined = AnswerFo("r(t1, t2, D) & s(t2, t3, D)", relations, &db);
     ASSERT_TRUE(joined.ok()) << joined.status();
-    ExpectCanonicalStore(*joined, "join");
+    ExpectCanonicalStore(joined->relation, "join");
 
-    // Project: the residue-splitting path plus coalescing.
-    auto projected = Project(r, {1}, {0});
+    // Project: residue pieces of the dropped column.
+    auto projected = AnswerFo("exists t1 (r(t1, t2, D))", relations, &db);
     ASSERT_TRUE(projected.ok()) << projected.status();
-    ExpectCanonicalStore(*projected, "project");
-
-    // WithColumnShifted at the tuple level keeps the signature key
-    // canonical too (this is what the evaluator's head construction uses).
-    for (size_t i = 0; i < r.size(); ++i) {
-      GeneralizedTuple shifted_tuple =
-          r.tuple(i).ToTuple().WithColumnShifted(0, -7);
-      const Lrp& lrp = shifted_tuple.lrp(0);
-      EXPECT_GE(lrp.offset(), 0);
-      EXPECT_LT(lrp.offset(), lrp.period());
-    }
+    ExpectCanonicalStore(projected->relation, "project");
   }
 }
 

@@ -280,6 +280,35 @@ TEST(TupleStoreTest, TrustedPieceCoveredOnlyByTheUnionIsSubsumed) {
   EXPECT_EQ(stats.empty_dropped, 0);
 }
 
+// A one-shot answer's piece (TupleStore::Row::kAnswerPiece) is dropped
+// only when one entry contains it: the piece the bucket's union alone
+// covers is kept, and the ground set is unchanged.
+TEST(TupleStoreTest, AnswerPieceSkipsTheUnionTest) {
+  TupleStore store({1, 1});
+  ASSERT_TRUE(store.InsertUnlessEmpty(Banded(7, 3, 0, 100, 1)));
+  ASSERT_TRUE(store.InsertUnlessEmpty(Banded(7, 3, 50, 200, 1)));
+  StoreStats stats;
+  const GeneralizedTuple covered = OnlyPiece(Banded(7, 3, 10, 150, 1));
+  auto kept = store.Insert(covered.view(), &stats,
+                           TupleStore::Row::kAnswerPiece);
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  EXPECT_TRUE(kept->inserted);
+  EXPECT_FALSE(kept->new_signature);
+
+  auto inside = store.Insert(OnlyPiece(Banded(7, 3, 60, 90, 1)).view(),
+                             &stats, TupleStore::Row::kAnswerPiece);
+  ASSERT_TRUE(inside.ok()) << inside.status();
+  EXPECT_FALSE(inside->inserted);
+  EXPECT_EQ(stats.subsumed, 1);
+  EXPECT_EQ(stats.inserts, 1);
+  EXPECT_EQ(stats.subsumption_checks, 2);
+  EXPECT_EQ(store.size(), 3u);
+  for (int64_t t : {3, 52, 101, 199, 206}) {
+    EXPECT_EQ(store.ContainsGround({t}, {1}), t <= 200) << t;
+  }
+  ASSERT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
+}
+
 TEST(TupleStoreTest, InsertOutcomesMatchBruteForceReference) {
   // Every outcome of one insertion sequence, worked out by hand: entries
   // 0-3 take four signatures of period 6, entry 4 widens offset 1's
