@@ -52,7 +52,8 @@ std::string Columns(int arity) {
   std::string s;
   for (int c = 1; c <= arity; ++c) {
     if (c > 1) s += ", ";
-    s += "t" + std::to_string(c);
+    s += 't';
+    s += std::to_string(c);
   }
   return s;
 }

@@ -16,7 +16,7 @@
 // (TupleStore::footprint(): rows, signature table, postings, id
 // lists) and the ratio of approx_bytes() to the C heap's own count, the
 // mallinfo2() delta around the build. ci/validate_bench_json.py holds both
-// ratios to [0.75, 1.25] and the synthetic store to at most 150 B per
+// ratios to [0.75, 1.25] and the synthetic store to at most 120 B per
 // stored tuple.
 // The heap figures need glibc's allocator: a sanitizer build reports
 // "heap_measured": false and omits them. The google-benchmark sweep times

@@ -6,10 +6,15 @@
 #   ci/check.sh --sanitize   ASan/UBSan build + ctest (slower; separate tree)
 #   ci/check.sh --tsan       TSan build + ctest with LRPDB_TRACE enabled, so
 #                            the threaded obs stress tests race the tracer
-#   ci/check.sh --bench      additionally run every bench binary once, check
-#                            each exits cleanly and writes a BENCH_<id>.json
-#                            that passes ci/validate_bench_json.py; reports
-#                            and Chrome traces land in <build>/bench-reports
+#   ci/check.sh --bench      additionally build bench/ in its own Release
+#                            tree (build-release/, the configuration
+#                            perfbench ships) with warnings as errors, run
+#                            every bench binary once, check each exits
+#                            cleanly and writes a BENCH_<id>.json that passes
+#                            ci/validate_bench_json.py; reports and Chrome
+#                            traces land in build-release/bench-reports
+#                            (with --sanitize/--tsan: the sanitized tree's
+#                            benches, in <build>/bench-reports)
 #   ci/check.sh --lint       additionally run the project-invariant lint pass
 #                            (ci/lint/run_lint.py) and its fixture self-test,
 #                            the doc-path check (ci/check_doc_paths.py: every
@@ -333,11 +338,22 @@ if [[ "$format" == 1 ]]; then
 fi
 
 if [[ "$bench" == 1 ]]; then
+  bench_dir="$build_dir"
+  if [[ "$sanitize" == 0 && "$tsan" == 0 ]]; then
+    # Release inlining raises warnings (GCC's -Wrestrict, say) that the
+    # RelWithDebInfo tree above never sees, so the benches build again in
+    # the configuration perfbench ships, warnings still errors.
+    bench_dir=build-release
+    echo "== bench/ in Release"
+    cmake -B "$bench_dir" -S . -DCMAKE_BUILD_TYPE=Release \
+      -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+    cmake --build "$bench_dir" -j"$(nproc)" --target lrpdb_benches
+  fi
   # Stable location (not mktemp) so CI can upload the reports and traces.
-  report_dir="$PWD/$build_dir/bench-reports"
+  report_dir="$PWD/$bench_dir/bench-reports"
   rm -rf "$report_dir"
   mkdir -p "$report_dir"
-  for bin in "$build_dir"/bench/bench_*; do
+  for bin in "$bench_dir"/bench/bench_*; do
     [[ -x "$bin" && ! -d "$bin" ]] || continue
     name=$(basename "$bin")
     id=${name#bench_}

@@ -16,8 +16,7 @@ Dbm::Dbm(int num_vars) { Reset(num_vars); }
 void Dbm::Reset(int num_vars) {
   LRPDB_CHECK_GE(num_vars, 0);
   num_vars_ = num_vars;
-  bounds_.assign((num_vars + 1) * (num_vars + 1), Bound::Infinity());
-  for (int i = 0; i <= num_vars; ++i) At(i, i) = Bound::Finite(0);
+  bounds_.assign(DbmView::BoundCount(num_vars), Bound::Infinity());
   closed_ = true;
   satisfiable_ = true;
 }
@@ -25,13 +24,13 @@ void Dbm::Reset(int num_vars) {
 Dbm::Dbm(DbmView view)
     : num_vars_(view.num_vars()),
       bounds_(view.bounds(),
-              view.bounds() + (view.num_vars() + 1) * (view.num_vars() + 1)),
+              view.bounds() + DbmView::BoundCount(view.num_vars())),
       closed_(false) {}
 
 void Dbm::Assign(DbmView view, bool closed) {
   num_vars_ = view.num_vars();
-  const int n = num_vars_ + 1;
-  bounds_.assign(view.bounds(), view.bounds() + n * n);
+  bounds_.assign(view.bounds(),
+                 view.bounds() + DbmView::BoundCount(num_vars_));
   closed_ = closed;
   satisfiable_ = true;
 }
@@ -52,12 +51,11 @@ void Dbm::AddDifferenceEquality(int i, int j, int64_t c) {
 
 void Dbm::And(DbmView other) {
   LRPDB_CHECK_EQ(num_vars_, other.num_vars());
-  for (int i = 0; i <= num_vars_; ++i) {
-    for (int j = 0; j <= num_vars_; ++j) {
-      if (other.bound(i, j) < At(i, j)) {
-        At(i, j) = other.bound(i, j);
-        closed_ = false;
-      }
+  const Bound* theirs = other.bounds();
+  for (size_t e = 0; e < bounds_.size(); ++e) {
+    if (theirs[e] < bounds_[e]) {
+      bounds_[e] = theirs[e];
+      closed_ = false;
     }
   }
 }
@@ -76,29 +74,36 @@ void Dbm::ShiftVariable(int i, int64_t c) {
 
 void Dbm::EnsureClosed() const {
   if (closed_) return;
-  int n = num_vars_ + 1;
+  closed_ = true;
+  if (!satisfiable_) return;
+  const int m = num_vars_;
+  const int n = m + 1;
   // Closure cannot unwind through Status (memoized, const-called). Charge
   // its n^3 work to the ambient ExecContext so a step quota still sees it;
   // the trip surfaces at the caller's next poll site.
   ExecContext::ChargeCurrentSteps(static_cast<int64_t>(n) * n * n);
+  // Floyd-Warshall over the off-diagonal entries. Step k leaves row and
+  // column k alone (the diagonal is 0), and the diagonal entry (i, i) would
+  // become ik + ki: a negative one is a negative cycle, so the DBM is
+  // unsatisfiable and the remaining bounds are meaningless.
+  Bound* b = bounds_.data();
   for (int k = 0; k < n; ++k) {
     for (int i = 0; i < n; ++i) {
-      Bound ik = bounds_[i * n + k];
+      if (i == k) continue;
+      const Bound ik = b[DbmView::Index(m, i, k)];
       if (ik.is_infinite()) continue;
+      if (ik + b[DbmView::Index(m, k, i)] < Bound::Finite(0)) {
+        satisfiable_ = false;
+        return;
+      }
       for (int j = 0; j < n; ++j) {
-        Bound via = ik + bounds_[k * n + j];
-        if (via < bounds_[i * n + j]) bounds_[i * n + j] = via;
+        if (j == i || j == k) continue;
+        const Bound via = ik + b[DbmView::Index(m, k, j)];
+        Bound& ij = b[DbmView::Index(m, i, j)];
+        if (via < ij) ij = via;
       }
     }
   }
-  satisfiable_ = true;
-  for (int i = 0; i < n; ++i) {
-    if (bounds_[i * n + i] < Bound::Finite(0)) {
-      satisfiable_ = false;
-      break;
-    }
-  }
-  closed_ = true;
 }
 
 void Dbm::Close() { EnsureClosed(); }
@@ -115,11 +120,10 @@ bool Dbm::Implies(DbmView other) const {
   // Every bound of `other` must already be implied: closed(this)(i,j) <=
   // other(i,j). Using other's raw (unclosed) bounds is sound and complete
   // because the closure of `other` only tightens entries that are implied by
-  // its raw entries.
-  for (int i = 0; i <= num_vars_; ++i) {
-    for (int j = 0; j <= num_vars_; ++j) {
-      if (!(At(i, j) <= other.bound(i, j))) return false;
-    }
+  // its raw entries. Both diagonals are 0.
+  const Bound* theirs = other.bounds();
+  for (size_t e = 0; e < bounds_.size(); ++e) {
+    if (!(bounds_[e] <= theirs[e])) return false;
   }
   return true;
 }
@@ -143,12 +147,14 @@ Dbm Dbm::Project(const std::vector<int>& keep) const {
   }
   for (size_t i = 0; i < src.size(); ++i) {
     for (size_t j = 0; j < src.size(); ++j) {
+      if (i == j) continue;
       result.At(static_cast<int>(i), static_cast<int>(j)) =
-          At(src[i], src[j]);
+          bound(src[i], src[j]);
     }
   }
   // A submatrix of a closed matrix is closed, and projection of difference
-  // constraints is exact on the closure.
+  // constraints is exact on the closure. Without a diagonal the submatrix
+  // alone may be satisfiable, so the flag carries emptiness over.
   result.closed_ = true;
   result.satisfiable_ = satisfiable_;
   return result;
@@ -169,7 +175,7 @@ std::vector<Dbm> Dbm::Subtract(const Dbm& other) const {
   for (int i = 0; i <= num_vars_; ++i) {
     for (int j = 0; j <= num_vars_; ++j) {
       if (i == j) continue;
-      Bound b = other.At(i, j);
+      Bound b = other.bound(i, j);
       if (b.is_infinite()) continue;
       Dbm piece = accumulated;
       piece.AddDifferenceUpperBound(j, i, -b.value() - 1);
@@ -201,6 +207,7 @@ bool DbmView::ContainsPoint(const std::vector<int64_t>& values) const {
   auto value_of = [&](int i) { return i == 0 ? 0 : values[i - 1]; };
   for (int i = 0; i <= num_vars_; ++i) {
     for (int j = 0; j <= num_vars_; ++j) {
+      if (i == j) continue;
       Bound b = bound(i, j);
       if (b.is_infinite()) continue;
       if (value_of(i) - value_of(j) > b.value()) return false;

@@ -8,11 +8,18 @@
 //
 // Canonical form is the all-pairs-shortest-path closure; difference
 // constraint systems are integral (totally unimodular), so the closure is
-// exact over Z: the system is satisfiable iff no diagonal entry is negative,
-// and the closed matrix entries are the tightest implied bounds.
+// exact over Z: the system is satisfiable iff the constraint graph has no
+// negative cycle, and the closed matrix entries are the tightest implied
+// bounds.
+//
+// Only the m(m+1) off-diagonal bounds are stored: Ti - Ti <= 0 constrains
+// nothing, so bound(i, i) reads 0 and is never written. Closure records a
+// negative cycle (the diagonal entry it would have driven below 0) in the
+// DBM's satisfiability flag instead.
 #ifndef LRPDB_CONSTRAINTS_DBM_H_
 #define LRPDB_CONSTRAINTS_DBM_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -62,17 +69,30 @@ class Bound {
   int64_t value_;
 };
 
-// A borrowed, read-only (num_vars+1)^2 row-major bound matrix: a Dbm's
+// A borrowed, read-only bound matrix over num_vars variables: a Dbm's
 // bounds, or a row of a TupleStore arena (src/gdb/tuple_store.h). Reads the
-// bounds exactly as stored; nothing here closes them.
+// bounds exactly as stored; nothing here closes them. The storage is the
+// BoundCount(num_vars) off-diagonal entries, row-major with the diagonal
+// skipped; the diagonal reads 0.
 class DbmView {
  public:
   DbmView(int num_vars, const Bound* bounds)
       : num_vars_(num_vars), bounds_(bounds) {}
 
+  // Stored bounds of a DBM over `num_vars` variables: m(m+1).
+  static constexpr size_t BoundCount(int num_vars) {
+    return static_cast<size_t>(num_vars) * static_cast<size_t>(num_vars + 1);
+  }
+  // Position of off-diagonal entry (i, j), i != j, in the stored bounds.
+  static constexpr size_t Index(int num_vars, int i, int j) {
+    return static_cast<size_t>(i * num_vars + j - (j > i ? 1 : 0));
+  }
+
   int num_vars() const { return num_vars_; }
-  Bound bound(int i, int j) const { return bounds_[i * (num_vars_ + 1) + j]; }
-  // The (num_vars+1)^2 bounds, row-major.
+  Bound bound(int i, int j) const {
+    return i == j ? Bound::Finite(0) : bounds_[Index(num_vars_, i, j)];
+  }
+  // The BoundCount(num_vars()) stored bounds.
   const Bound* bounds() const { return bounds_; }
 
   // True iff the integer point (v1..vm) satisfies all bounds.
@@ -99,7 +119,7 @@ class Dbm {
   DbmView view() const { return DbmView(num_vars_, bounds_.data()); }
 
   // Index 0 addresses the constant-zero variable.
-  Bound bound(int i, int j) const { return At(i, j); }
+  Bound bound(int i, int j) const { return view().bound(i, j); }
 
   // Makes this the unconstrained DBM over `num_vars` variables, reusing the
   // bound storage: a parser filling one scratch DBM per fact resets it
@@ -134,8 +154,9 @@ class Dbm {
 
   // --- Queries (close the DBM as needed; Close() is memoized) ---
 
-  // Shortest-path closure. Idempotent; after it, satisfiable() is valid and
-  // bound(i, j) entries are the tightest implied bounds.
+  // Shortest-path closure. Idempotent; after it, IsSatisfiable() is valid
+  // and, when it holds, bound(i, j) entries are the tightest implied
+  // bounds. Unsatisfiability sticks: constraints added later cannot undo it.
   void Close();
   bool IsSatisfiable() const;
 
@@ -150,7 +171,8 @@ class Dbm {
 
   // The DBM over variables `keep` (1-based indices into this DBM, in the
   // given order), containing exactly the projection of this solution set:
-  // closure makes existential projection a submatrix operation.
+  // closure makes existential projection a submatrix operation. The
+  // projection of an unsatisfiable DBM is unsatisfiable.
   Dbm Project(const std::vector<int>& keep) const;
 
   // this AND NOT other, as a disjoint union of DBMs (possibly empty).
@@ -162,9 +184,10 @@ class Dbm {
   // constraint safety (paper, Section 4.3).
   bool ImpliedByUnion(const std::vector<Dbm>& disjuncts) const;
 
-  // True iff the integer point (v1..vm) satisfies all bounds.
+  // True iff the integer point (v1..vm) satisfies all bounds (never, once
+  // closure found the DBM unsatisfiable).
   bool ContainsPoint(const std::vector<int64_t>& values) const {
-    return view().ContainsPoint(values);
+    return satisfiable_ && view().ContainsPoint(values);
   }
 
   // Human-readable conjunction, e.g. "T1 >= 0 & T2 = T1 + 60". Variables are
@@ -179,23 +202,24 @@ class Dbm {
   }
 
  private:
+  // Off-diagonal entry (i, j), i != j.
   Bound& At(int i, int j) {
-    LRPDB_CHECK(i >= 0 && i <= num_vars_ && j >= 0 && j <= num_vars_);
-    return bounds_[i * (num_vars_ + 1) + j];
-  }
-  const Bound& At(int i, int j) const {
-    LRPDB_CHECK(i >= 0 && i <= num_vars_ && j >= 0 && j <= num_vars_);
-    return bounds_[i * (num_vars_ + 1) + j];
+    LRPDB_CHECK(i >= 0 && i <= num_vars_ && j >= 0 && j <= num_vars_ &&
+                i != j);
+    return bounds_[DbmView::Index(num_vars_, i, j)];
   }
 
   // Memoized closure; logically const (the solution set never changes).
   void EnsureClosed() const;
 
   int num_vars_;
-  // (num_vars_+1)^2 row-major bounds, index 0 = the zero variable.
+  // DbmView::BoundCount(num_vars_) off-diagonal bounds, index 0 = the zero
+  // variable.
   mutable std::vector<Bound> bounds_;
-  mutable bool closed_ = true;       // An unconstrained DBM is trivially closed.
-  mutable bool satisfiable_ = true;  // Valid only when closed_.
+  mutable bool closed_ = true;  // An unconstrained DBM is trivially closed.
+  // False once a closure found a negative cycle; cleared only by Reset,
+  // Assign or construction.
+  mutable bool satisfiable_ = true;
 };
 
 }  // namespace lrpdb

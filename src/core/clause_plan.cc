@@ -148,7 +148,7 @@ ClausePlan CompileClausePlan(const NormalizedClause& clause) {
 namespace {
 
 // The join frontier: one fixed-stride row per partial binding, in four
-// arenas. A row holds the clause's T temporal variables' lrps, the (T+1)^2
+// arenas. A row holds the clause's T temporal variables' lrps, the T(T+1)
 // bounds of its closed, satisfiable DBM, the D data variables' values and
 // the matched entry id of each body atom (body order). Which slots are
 // bound is the same for every row of a join stage, so an unbound slot
@@ -258,7 +258,7 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom, const CompiledAtom& compiled,
   const size_t nt = static_cast<size_t>(clause.num_temporal_vars);
   const size_t nd = static_cast<size_t>(clause.num_data_vars);
   const size_t na = clause.body.size();
-  const size_t nb = (nt + 1) * (nt + 1);
+  const size_t nb = DbmView::BoundCount(clause.num_temporal_vars);
   // The unification scratch: one binding's lrps and DBM, reloaded from
   // its frontier row for every extension attempt.
   Dbm dbm = clause.constraint;
@@ -411,7 +411,7 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom, const CompiledAtom& compiled,
   // which are closed because q is.
   const std::vector<int>& head_vars = clause.head_temporal_vars;
   const size_t mh = head_vars.size();
-  const size_t head_stride = (mh + 1) * (mh + 1);
+  const size_t head_stride = DbmView::BoundCount(static_cast<int>(mh));
   // DBM index of head column i (0 is the zero variable) in the binding's.
   std::vector<int> head_index{0};
   for (int v : head_vars) head_index.push_back(v + 1);
@@ -428,19 +428,18 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom, const CompiledAtom& compiled,
       lrps_out[h] = Lrp(piece.period, piece.residues[head_vars[h]]);
     }
     candidates->data.Append(head_data.data(), head_data.size());
+    // Off-diagonal entries in DbmView's row-major order.
     Bound* bounds_out = candidates->bounds.Extend(head_stride);
     const DbmView quotient = piece.quotient.view();
     for (size_t i = 0; i <= mh; ++i) {
       for (size_t j = 0; j <= mh; ++j) {
-        Bound b = Bound::Finite(0);
-        if (i != j) {
-          const Bound q = quotient.bound(head_index[i], head_index[j]);
-          b = q.is_infinite() ? Bound::Infinity()
-                              : Bound::Finite(piece.period * q.value() +
-                                              residue_of(head_index[i]) -
-                                              residue_of(head_index[j]));
-        }
-        bounds_out[i * (mh + 1) + j] = b;
+        if (i == j) continue;
+        const Bound q = quotient.bound(head_index[i], head_index[j]);
+        *bounds_out++ = q.is_infinite()
+                            ? Bound::Infinity()
+                            : Bound::Finite(piece.period * q.value() +
+                                            residue_of(head_index[i]) -
+                                            residue_of(head_index[j]));
       }
     }
     if (candidates->capture_parents) {

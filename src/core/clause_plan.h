@@ -131,7 +131,7 @@ struct ClausePlan {
 ClausePlan CompileClausePlan(const NormalizedClause& clause);
 
 // Candidate head tuples in emission order, as flat rows: a candidate of
-// head arity (m, k) is m lrps, k data values and (m+1)^2 DBM bounds
+// head arity (m, k) is m lrps, k data values and m(m+1) DBM bounds
 // appended to three arenas -- its head relation's
 // store strides -- so any number of candidates is three blocks and no
 // per-candidate heap object. With `capture_parents`, each candidate's
@@ -161,7 +161,7 @@ struct CandidateRows {
                           rows_->bounds.data() + bounds_pos_);
       lrp_pos_ += m;
       data_pos_ += k;
-      bounds_pos_ += size_t(m + 1) * size_t(m + 1);
+      bounds_pos_ += DbmView::BoundCount(m);
       return row;
     }
     // The next candidate's `n` parent ids (capture_parents only).

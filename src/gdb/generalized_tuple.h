@@ -56,11 +56,11 @@ class ColumnSpan : public std::span<const T> {
 class GeneralizedTuple;
 
 // A borrowed, read-only generalized tuple: the m lrps, k data constants and
-// (m+1)^2 DBM bounds of one tuple, wherever they live. A TupleStore hands
-// these out over its arenas (TupleStore::tuple), and GeneralizedTuple::view()
-// over its own members; every whole-tuple reader takes one. Invalidated by
-// any mutation of what it views. ToTuple() makes an owned copy, for API
-// boundaries only.
+// m(m+1) off-diagonal DBM bounds (DbmView's layout) of one tuple, wherever
+// they live. A TupleStore hands these out over its arenas
+// (TupleStore::tuple), and GeneralizedTuple::view() over its own members;
+// every whole-tuple reader takes one. Invalidated by any mutation of what
+// it views. ToTuple() makes an owned copy, for API boundaries only.
 class TupleView {
  public:
   TupleView(const Lrp* lrps, int temporal_arity, const DataValue* data,

@@ -391,7 +391,7 @@ void TupleStore::RefilePostings(PostingTable* table, size_t slots) {
     // whose closed DBM implies one entry's DBM is contained in that entry,
     // exactly. That settles most subsumptions without normalizing the
     // bucket; the rest take the exact test over the bucket's union. Each
-    // entry compared is (m+1)^2 bound comparisons, charged like closure
+    // entry compared is m(m+1) bound comparisons, charged like closure
     // work.
     int64_t compared = 0;
     const bool implied =
@@ -399,7 +399,9 @@ void TupleStore::RefilePostings(PostingTable* table, size_t slots) {
           ++compared;
           return candidate_closure_.Implies(this->tuple(id).constraint());
         });
-    if (exec != nullptr) exec->ChargeSteps(compared * BoundsStride());
+    if (exec != nullptr) {
+      exec->ChargeSteps(compared * static_cast<int64_t>(BoundsStride()));
+    }
     // The union test's pieces: the candidate's (a piece's are computed only
     // now) and the bucket's.
     const bool union_test = !implied && row != Row::kAnswerPiece;

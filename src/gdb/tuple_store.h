@@ -8,8 +8,9 @@
 //
 //  * Rows. A relation's arity is fixed, so entry `id` is a fixed-stride
 //    slice of three per-store arenas: m lrps, k data values and the
-//    (m+1)^2 DBM bounds, kept exactly as they were appended (the snapshot
-//    codec encodes them as is). There is no per-entry heap object:
+//    m(m+1) off-diagonal DBM bounds (DbmView's layout), kept exactly as
+//    they were appended (the snapshot codec encodes them as is, diagonal
+//    zeros added back). There is no per-entry heap object:
 //    tuple(id) is a borrowed TupleView over the slices, and an owned
 //    GeneralizedTuple exists only where an API boundary asks for one.
 //
@@ -462,8 +463,8 @@ class TupleStore {
   };
 
   // Arena strides, in elements.
-  int BoundsStride() const {
-    return (schema_.temporal_arity + 1) * (schema_.temporal_arity + 1);
+  size_t BoundsStride() const {
+    return DbmView::BoundCount(schema_.temporal_arity);
   }
 
   // The signature hash of a free extension, computed once per tuple.
@@ -523,7 +524,7 @@ class TupleStore {
   // Rows, indexed by EntryId with fixed strides.
   FlatArena<Lrp> lrps_;        // m per entry.
   FlatArena<DataValue> data_;  // k per entry.
-  FlatArena<Bound> bounds_;    // (m+1)^2 per entry, as appended.
+  FlatArena<Bound> bounds_;    // m(m+1) per entry, as appended.
   // Liveness codes for live_.
   static constexpr uint8_t kDead = 0;
   static constexpr uint8_t kLive = 1;

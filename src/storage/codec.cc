@@ -22,6 +22,8 @@ constexpr uint32_t kMaxArity = 1024;
 constexpr int64_t kDbmInfinity = std::numeric_limits<int64_t>::max();
 constexpr int64_t kMaxFiniteBound = std::numeric_limits<int64_t>::max() / 4;
 
+// Writes the (num_vars+1)^2 matrix row-major, diagonal zeros included,
+// whatever the in-memory layout (DbmView stores no diagonal).
 void EncodeDbm(std::string* dst, DbmView dbm) {
   int n = dbm.num_vars();
   for (int i = 0; i <= n; ++i) {

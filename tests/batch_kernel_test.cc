@@ -613,7 +613,7 @@ TEST(ProjectionKernelTest, RowsMatchNormalizeProjectConvert) {
     if (pieces->empty()) ++empty_ground;
     if (pieces->size() > 1) ++multi_piece;
     const int mh = static_cast<int>(head_vars.size());
-    const size_t stride = size_t(mh + 1) * size_t(mh + 1);
+    const size_t stride = DbmView::BoundCount(mh);
     CandidateRows::Reader reader(rows);
     for (const NormalizedTuple& piece : *pieces) {
       const GeneralizedTuple expected =

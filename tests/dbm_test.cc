@@ -48,6 +48,107 @@ TEST(DbmTest, SimpleInfeasibility) {
   EXPECT_FALSE(dbm.IsSatisfiable());
 }
 
+// Closure finds a negative cycle through three variables, not through T0;
+// the same cycle with total weight 0 stays satisfiable.
+TEST(DbmTest, NegativeCycleThroughThreeVariables) {
+  Dbm dbm(3);
+  dbm.AddDifferenceUpperBound(1, 2, -1);  // x1 < x2
+  dbm.AddDifferenceUpperBound(2, 3, -1);  // x2 < x3
+  Dbm zero_cycle = dbm;
+  zero_cycle.AddDifferenceUpperBound(3, 1, 2);  // x3 <= x1 + 2
+  EXPECT_TRUE(zero_cycle.IsSatisfiable());
+  EXPECT_TRUE(zero_cycle.ContainsPoint({0, 1, 2}));
+  dbm.AddDifferenceUpperBound(3, 1, 1);  // x3 <= x1 + 1
+  EXPECT_FALSE(dbm.IsSatisfiable());
+  EXPECT_TRUE(EnumeratePoints(dbm, -4, 5).empty());
+}
+
+// A negative cycle through the zero variable: x2 <= 4, x1 >= 3 and
+// x2 >= x1 + 2 sum to 0 <= -1.
+TEST(DbmTest, NegativeCycleThroughZeroVariable) {
+  Dbm dbm(2);
+  dbm.AddUpperBound(2, 4);
+  dbm.AddDifferenceUpperBound(1, 2, -2);
+  Dbm feasible = dbm;
+  feasible.AddLowerBound(1, 2);
+  EXPECT_TRUE(feasible.IsSatisfiable());
+  EXPECT_EQ(EnumeratePoints(feasible, -10, 10),
+            (std::vector<std::vector<int64_t>>{{2, 4}}));
+  dbm.AddLowerBound(1, 3);
+  EXPECT_FALSE(dbm.IsSatisfiable());
+  EXPECT_TRUE(EnumeratePoints(dbm, -10, 10).empty());
+}
+
+// With no stored diagonal the kept submatrix of an unsatisfiable DBM may be
+// satisfiable on its own; the projection is still empty, and stays empty
+// when constraints are added to it.
+TEST(DbmTest, ProjectionOfUnsatisfiableDbmContainsNoPoint) {
+  Dbm dbm(3);
+  dbm.AddDifferenceUpperBound(1, 2, -1);  // x1 < x2
+  dbm.AddDifferenceUpperBound(2, 1, -1);  // x2 < x1
+  ASSERT_FALSE(dbm.IsSatisfiable());
+  for (const std::vector<int>& keep :
+       {std::vector<int>{3}, std::vector<int>{1}, std::vector<int>{3, 1}}) {
+    Dbm projected = dbm.Project(keep);
+    EXPECT_FALSE(projected.IsSatisfiable());
+    EXPECT_TRUE(EnumeratePoints(projected, -4, 5).empty());
+    projected.AddUpperBound(1, 3);
+    EXPECT_FALSE(projected.IsSatisfiable());
+    EXPECT_TRUE(EnumeratePoints(projected, -4, 5).empty());
+  }
+  EXPECT_FALSE(dbm.Project({}).IsSatisfiable());
+}
+
+TEST(DbmTest, ZeroVariableDbmStoresNoBoundsAndIsSatisfiable) {
+  EXPECT_EQ(DbmView::BoundCount(0), 0u);
+  Dbm dbm(0);
+  EXPECT_TRUE(dbm.IsSatisfiable());
+  EXPECT_TRUE(dbm.ContainsPoint({}));
+  EXPECT_EQ(dbm.bound(0, 0), Bound::Finite(0));
+  EXPECT_TRUE(dbm.Implies(Dbm(0)));
+  EXPECT_EQ(dbm, Dbm(dbm.view()));
+  Dbm assigned(2);
+  assigned.Assign(dbm.view());
+  EXPECT_EQ(assigned.num_vars(), 0);
+  EXPECT_TRUE(assigned.IsSatisfiable());
+  Dbm one(1);
+  one.AddLowerBound(1, 3);
+  EXPECT_TRUE(one.Project({}).IsSatisfiable());
+}
+
+// Only the m(m+1) off-diagonal bounds are stored, row-major with the
+// diagonal skipped; the diagonal reads 0 whatever the DBM holds.
+TEST(DbmTest, DiagonalReadsZeroAndIsNotStored) {
+  EXPECT_EQ(DbmView::BoundCount(1), 2u);
+  EXPECT_EQ(DbmView::BoundCount(2), 6u);
+  Dbm dbm(2);
+  dbm.AddDifferenceUpperBound(0, 1, 10);
+  dbm.AddDifferenceUpperBound(0, 2, 20);
+  dbm.AddDifferenceUpperBound(1, 0, 30);
+  dbm.AddDifferenceUpperBound(1, 2, 40);
+  dbm.AddDifferenceUpperBound(2, 0, 50);
+  dbm.AddDifferenceUpperBound(2, 1, 60);
+  const Bound* stored = dbm.view().bounds();
+  for (int e = 0; e < 6; ++e) {
+    EXPECT_EQ(stored[e], Bound::Finite(10 * (e + 1))) << e;
+  }
+  for (int i = 0; i <= 2; ++i) {
+    for (int j = 0; j <= 2; ++j) {
+      if (i == j) continue;
+      EXPECT_EQ(stored[DbmView::Index(2, i, j)], dbm.bound(i, j));
+    }
+  }
+  dbm.Close();
+  for (int i = 0; i <= 2; ++i) {
+    EXPECT_EQ(dbm.bound(i, i), Bound::Finite(0));
+    EXPECT_EQ(dbm.view().bound(i, i), Bound::Finite(0));
+  }
+  // Closure tightened x1 - x0 <= 30 through nothing shorter; x2 - x1 <=
+  // min(60, 50 + 10) = 60 and x1 - x2 <= min(40, 30 + 20) = 40.
+  EXPECT_EQ(dbm.bound(2, 1), Bound::Finite(60));
+  EXPECT_EQ(dbm.bound(1, 2), Bound::Finite(40));
+}
+
 TEST(DbmTest, AbsoluteBounds) {
   Dbm dbm(1);
   dbm.AddLowerBound(1, 5);

@@ -271,11 +271,9 @@ class IncrementalRandomTest : public ::testing::TestWithParam<int> {};
 
 // 18 seeds x 6 programs = 108 random programs, each with a 6-step random
 // add/retract schedule (compacting after about a third of the steps), each
-// step checked against the from-scratch oracle. (The test name predates the
-// removal of the tuple-at-a-time kernel and of the thread-count grid.) Two of
-// the six programs allow negation, so the fallback path is exercised
-// throughout.
-TEST_P(IncrementalRandomTest, MatchesRefixpointAcrossKernelsAndThreads) {
+// step checked against the from-scratch oracle. Two of the six programs allow
+// negation, so the fallback path is exercised throughout.
+TEST_P(IncrementalRandomTest, MatchesRefixpointAfterEveryStep) {
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 7919 + 3);
   for (int iter = 0; iter < 6; ++iter) {
     const bool allow_negation = iter >= 4;

@@ -346,6 +346,115 @@ TEST(CodecTest, ImageRelationHeaderHasNoIndexFlag) {
   EXPECT_EQ(count, 1u);  // Two entries, one of them tombstoned.
 }
 
+// --- Format pin -------------------------------------------------------------
+
+// Lowercase hex of `bytes`, two digits per byte.
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (char c : bytes) {
+    const auto byte = static_cast<uint8_t>(c);
+    hex.push_back(kDigits[byte >> 4]);
+    hex.push_back(kDigits[byte & 0xf]);
+  }
+  return hex;
+}
+
+std::string Unhex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+// One relation per temporal arity m = 0, 1, 2, with finite and infinite
+// bounds in both directions through T0 and between variables.
+Database MakeFormatPinDatabase() {
+  Database db;
+  EXPECT_TRUE(db.Declare("flag", RelationSchema{0, 1}).ok());
+  EXPECT_TRUE(db.Declare("tick", RelationSchema{1, 0}).ok());
+  EXPECT_TRUE(db.Declare("span", RelationSchema{2, 1}).ok());
+  const DataValue on = db.Constant("on");
+  EXPECT_TRUE(db.AddTuple("flag", GeneralizedTuple({}, {on}, Dbm(0))).ok());
+  Dbm tick(1);
+  tick.AddLowerBound(1, 5);
+  tick.AddUpperBound(1, 40);
+  EXPECT_TRUE(db.AddTuple("tick", GeneralizedTuple({Lrp(7, 3)}, {}, tick))
+                  .ok());
+  Dbm span(2);
+  span.AddDifferenceUpperBound(2, 1, 5);   // T2 - T1 <= 5
+  span.AddDifferenceUpperBound(1, 2, -2);  // T2 - T1 >= 2
+  span.AddLowerBound(1, -3);
+  EXPECT_TRUE(
+      db.AddTuple("span", GeneralizedTuple({Lrp(24, 8), Lrp(12, 10)}, {on},
+                                           span))
+          .ok());
+  return db;
+}
+
+// The same three facts as one WAL batch.
+FactBatch MakeFormatPinBatch() {
+  FactBatch batch;
+  batch.decls.push_back(PredicateDecl{"flag", RelationSchema{0, 1}});
+  batch.decls.push_back(PredicateDecl{"tick", RelationSchema{1, 0}});
+  batch.decls.push_back(PredicateDecl{"span", RelationSchema{2, 1}});
+  const Database db = MakeFormatPinDatabase();
+  for (const char* name : {"flag", "tick", "span"}) {
+    const TupleView row = (*db.Relation(name))->tuple(0);
+    BatchFact fact;
+    fact.relation = name;
+    fact.lrps.assign(row.lrps().begin(), row.lrps().end());
+    for (DataValue v : row.data()) fact.data.push_back(db.interner().NameOf(v));
+    fact.constraint = Dbm(row.constraint());
+    batch.facts.push_back(std::move(fact));
+  }
+  return batch;
+}
+
+// Snapshot and WAL payloads of relations with m = 0, 1 and 2 are pinned
+// byte for byte: however a DBM is laid out in memory, each one is written
+// as its (m+1)^2 bounds, row-major, diagonal zeros included. The constants
+// decode back to the same database and batch.
+TEST(CodecTest, FormatPinnedForEveryTemporalArity) {
+  constexpr std::string_view kImage =
+      "01000000020000006f6e0300000004000000666c616700000000010000000100"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000040000007370616e02000000010000000100000000000000180000000000"
+      "000008000000000000000c000000000000000a00000000000000000000000000"
+      "00000000000003000000000000000100000000000000ffffffffffffff7f0000"
+      "000000000000feffffffffffffffffffffffffffff7f05000000000000000000"
+      "00000000000000000000000000000000000000000000040000007469636b0100"
+      "0000000000000100000000000000070000000000000003000000000000000000"
+      "000000000000fbffffffffffffff280000000000000000000000000000000000"
+      "0000000000000000000000000000";
+  constexpr std::string_view kBatch =
+      "0300000004000000666c61670000000001000000040000007469636b01000000"
+      "00000000040000007370616e02000000010000000300000004000000666c6167"
+      "0000000001000000020000006f6e0000000000000000040000007469636b0100"
+      "000007000000000000000300000000000000000000000000000000000000fbff"
+      "ffffffffffff28000000000000000000000000000000040000007370616e0200"
+      "0000180000000000000008000000000000000c000000000000000a0000000000"
+      "000001000000020000006f6e0000000000000000030000000000000001000000"
+      "00000000ffffffffffffff7f0000000000000000feffffffffffffffffffffff"
+      "ffffff7f05000000000000000000000000000000";
+  const Database db = MakeFormatPinDatabase();
+  EXPECT_EQ(Hex(EncodeDatabaseImage(db)), kImage);
+  Database decoded;
+  ASSERT_TRUE(DecodeDatabaseImage(Unhex(kImage), &decoded).ok());
+  EXPECT_EQ(decoded.ToString(), db.ToString());
+  EXPECT_EQ(Hex(EncodeDatabaseImage(decoded)), kImage);
+
+  EXPECT_EQ(Hex(EncodeFactBatch(MakeFormatPinBatch())), kBatch);
+  auto batch = DecodeFactBatch(Unhex(kBatch));
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  EXPECT_EQ(Hex(EncodeFactBatch(*batch)), kBatch);
+  Database applied;
+  ASSERT_TRUE(ApplyFactBatch(*batch, &applied).ok());
+  EXPECT_EQ(applied.ToString(), db.ToString());
+}
+
 TEST(CodecTest, ImageRejectsEveryTruncation) {
   std::string payload = EncodeDatabaseImage(MakeRichDatabase());
   for (size_t len = 0; len < payload.size(); ++len) {

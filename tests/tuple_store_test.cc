@@ -126,6 +126,28 @@ TEST(TupleStoreTest, InsertProbesOnlySameSignatureBucket) {
   EXPECT_EQ(round.subsumption_candidates, 0);
 }
 
+// A relation with no temporal column stores no bounds: its rows, a
+// duplicate's subsumption, a tombstone, EraseEntries and a clean
+// CheckConsistency all work on an empty bound arena.
+TEST(TupleStoreTest, ZeroTemporalArityRowsAreConsistent) {
+  TupleStore store({0, 1});
+  for (DataValue v : {4, 9, 4, 2}) {
+    ASSERT_TRUE(store.Insert(GeneralizedTuple({}, {v}, Dbm(0))).ok()) << v;
+  }
+  ASSERT_EQ(store.size(), 3u);  // The second 4 was subsumed.
+  EXPECT_TRUE(store.ContainsGround({}, {9}));
+  EXPECT_FALSE(store.ContainsGround({}, {5}));
+  EXPECT_EQ(store.tuple(1).constraint().num_vars(), 0);
+  EXPECT_TRUE(Dbm(store.tuple(1).constraint()).IsSatisfiable());
+  ASSERT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
+  store.Tombstone(1);
+  store.EraseEntries({1});
+  ASSERT_EQ(store.size(), 2u);
+  EXPECT_FALSE(store.ContainsGround({}, {9}));
+  EXPECT_TRUE(store.ContainsGround({}, {2}));
+  EXPECT_TRUE(store.CheckConsistency().ok()) << store.CheckConsistency();
+}
+
 // Subsumption is exact whichever way it is decided: by one entry whose DBM
 // the candidate's implies, by the union of several entries, or by the lrp
 // grid alone (the candidate's DBM admits points the entry's excludes, but
@@ -884,7 +906,7 @@ TEST(TupleStoreTest, ErasingARepresentativeKeepsTheSignatureInterned) {
 // approx_bytes() is the store's real footprint: within 25% of what the C
 // heap reports for a fill in the closed_form_eval shape (one lrp of period
 // 168, two data columns, a lower bound; about one signature in twelve
-// holds a second entry in a disjoint window), and at most 150 B per stored
+// holds a second entry in a disjoint window), and at most 120 B per stored
 // tuple.
 TEST(TupleStoreTest, ApproxBytesTracksTheAllocator) {
 #if defined(LRPDB_TEST_SANITIZED) || !defined(__GLIBC__)
@@ -913,7 +935,7 @@ TEST(TupleStoreTest, ApproxBytesTracksTheAllocator) {
     const double ratio = static_cast<double>(store.approx_bytes()) / heap;
     EXPECT_GE(ratio, 0.75) << store.approx_bytes() << " vs heap " << heap;
     EXPECT_LE(ratio, 1.25) << store.approx_bytes() << " vs heap " << heap;
-    EXPECT_LE(heap / static_cast<int64_t>(store.size()), 150);
+    EXPECT_LE(heap / static_cast<int64_t>(store.size()), 120);
   }
 #endif
 }
