@@ -7,7 +7,10 @@
 // enlarged database (the report fails outright if the speedup is < 10x),
 // plus retraction wall times for a 1-fact and a 64-fact batch alongside
 // the number of stored entries each one touched (tombstoned EDB facts plus
-// over-deleted/re-derived derivations).
+// over-deleted/re-derived derivations). It also reports what the
+// provenance log retains after the initial fixpoint: one origin per
+// derived entry, which the report fails without, and bytes that
+// ci/validate_bench_json.py bounds.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -161,6 +164,21 @@ void WriteReport() {
   report.Time("wall_ms_initial_fixpoint",
               [&] { lrpdb_bench::CheckBenchOk(id, "initialize", inc.Initialize()); });
   report.Set("tuples_live_initial", Census(inc).live);
+  // One origin per inserted entry: every derived entry of the initial
+  // fixpoint, and nothing for the candidates the stores absorbed.
+  int64_t derived_entries = 0;
+  for (const auto& [unused, relation] : inc.Result().idb) {
+    derived_entries += static_cast<int64_t>(relation.size());
+  }
+  const lrpdb::ProvenanceLog& log = *inc.provenance();
+  report.Set("provenance_records", log.records());
+  report.Set("provenance_bytes", log.approx_bytes());
+  if (log.records() != derived_entries) {
+    lrpdb_bench::FailBench(
+        id, "one provenance origin per derived entry",
+        lrpdb::InternalError(std::to_string(log.records()) + " origins for " +
+                             std::to_string(derived_entries) + " entries"));
+  }
 
   // One 64-fact live batch against the maintained model...
   std::vector<FactUpdate> add = MakeAddBatch(kAddBatchFacts, &db);

@@ -54,7 +54,7 @@
 #                            the plain build/ctest above.
 #   ci/check.sh --incremental  incremental-maintenance differential gauntlet:
 #                            build an ASan tree and run incremental_test —
-#                            108 random programs, each driven through a
+#                            384 random programs, each driven through a
 #                            random add/retract/compact schedule whose
 #                            every step is checked against a from-scratch
 #                            refixpoint oracle — plus the
@@ -132,7 +132,7 @@ if [[ "$faults" == 1 ]]; then
   fi
   # gtest_discover_tests registers suite-qualified names, so filter on the
   # governance/fault suites themselves.
-  fault_filter='^(ExecContextTest|GovernanceTest|FailpointTest|FaultInjectionWalkTest|ProvenanceTest|ProvenanceDedupTest|ProvenanceRenumberTest|IncrementalTest)\.|ProvenanceRandomTest\.|IncrementalRandomTest\.'
+  fault_filter='^(ExecContextTest|GovernanceTest|FailpointTest|FaultInjectionWalkTest|ProvenanceTest|ProvenanceLogTest|ProvenanceRenumberTest|IncrementalTest)\.|ProvenanceRandomTest\.|IncrementalRandomTest\.'
   # The storage suites ride the ASan leg: the WAL/snapshot corruption
   # fixtures and the storage failpoint walk (StoreFaultTest) are exactly the
   # unwinding paths leak detection should watch.
@@ -222,10 +222,11 @@ if [[ "$incremental" == 1 ]]; then
   cmake -B build-asan -S . -DLRPDB_SANITIZE=ON
   cmake --build build-asan -j"$(nproc)" --target incremental_test \
     tuple_store_test provenance_test storage_test batch_kernel_test
-  # 18 seeds x 6 generated programs = 108 random programs, each pushed
+  # 64 seeds x 6 generated programs = 384 random programs, each pushed
   # through a 6-step random add/retract schedule that compacts after some
   # steps. After every step the maintained model must match a
-  # from-scratch refixpoint oracle on the canonical ground window. The
+  # from-scratch refixpoint oracle on the canonical ground window, and
+  # every live derived entry must hold one origin over live parents. The
   # directed IncrementalTest cases cover DRed over-delete/re-derive,
   # alternative derivations, retract misses, compaction as erase plus
   # renumber, readers after compaction, and the negation full-recompute
@@ -237,7 +238,7 @@ if [[ "$incremental" == 1 ]]; then
   # JoinLoopTest cases check that projection under ASan too.
   ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="print_stacktrace=1" \
     ctest --test-dir build-asan --output-on-failure \
-    -R '^(IncrementalTest|TupleStoreTest|ProvenanceTest|ProvenanceDedupTest|ProvenanceRenumberTest|CodecTest|StoreTest|ProjectionKernelTest|JoinLoopTest)\.|IncrementalRandomTest\.|ProvenanceRandomTest\.'
+    -R '^(IncrementalTest|TupleStoreTest|ProvenanceTest|ProvenanceLogTest|ProvenanceRenumberTest|CodecTest|StoreTest|ProjectionKernelTest|JoinLoopTest)\.|IncrementalRandomTest\.|ProvenanceRandomTest\.'
   echo "ci/check.sh --incremental: incremental-maintenance pass passed"
   exit 0
 fi

@@ -13,7 +13,9 @@ bench.reports_written), so reports from an LRPDB_NO_METRICS build fail.
 A report with a bench-specific bound (BENCH_BOUNDS below) must carry each
 bounded field within it: the m1 tuple-bytes report holds the store's
 approx_bytes() within 25% of the C heap's count and the synthetic m = 1,
-k = 2 store to at most 120 B per stored tuple. A report that says it could
+k = 2 store to at most 120 B per stored tuple, and the i1 incremental
+report holds the provenance log its 1e5-fact initial fixpoint retains to
+at most 10 MB (one origin per derived entry). A report that says it could
 not read the heap ("heap_measured": false, a sanitizer build) skips them.
 
 Every metric name must fall under a known engine namespace (KNOWN_PREFIXES
@@ -45,6 +47,9 @@ BENCH_BOUNDS = {
         "store_approx_to_heap": (0.75, 1.25),
         "eval_approx_to_heap": (0.75, 1.25),
         "store_heap_bytes_per_tuple": (0.0, 120.0),
+    },
+    "i1": {
+        "provenance_bytes": (1, 10e6),  # empty would mean nothing recorded
     },
 }
 

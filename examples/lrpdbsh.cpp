@@ -20,7 +20,9 @@
 // Graphviz DOT to a file. --repl drops into an interactive loop after the
 // one-shot output:
 //
-//   explain why p#3            derivation tree of entry 3 of relation p
+//   explain why p#3            derivation tree of entry 3 of relation p:
+//                              the one derivation that inserted each
+//                              tuple (a witness, not every derivation)
 //   explain why p(26, "a")     ... of every stored tuple containing that
 //                              ground fact (times first, then data)
 //   :dot p#3 [file]            derivation graph as Graphviz DOT

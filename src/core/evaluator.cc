@@ -591,15 +591,14 @@ namespace {
             }
             outcome = *std::move(outcome_or);
           }
-          // Record the candidate's derivation origin: on insert against the
-          // fresh entry, on subsumption against every absorbing entry (a
-          // sound over-approximation; provenance.h). Empty-ground-set drops
-          // derived nothing and record nothing.
+          // Record the inserting candidate's derivation origin against the
+          // fresh entry. A subsumed candidate adds no ground fact, so its
+          // derivation is not part of the model (provenance.h).
           if (prov != nullptr) {
             const ClauseProv& cp = clause_prov[clause_index];
             const std::span<const EntryId> pids =
                 reader.NextParents(cp.parents.size());
-            if (outcome.inserted || !outcome.absorbers.empty()) {
+            if (outcome.inserted) {
               DerivationOrigin origin;
               origin.rule = clause_index;
               origin.round = total_rounds;
@@ -607,19 +606,8 @@ namespace {
               for (size_t p = 0; p < pids.size(); ++p) {
                 origin.parents.push_back(ProvRef{cp.parents[p], pids[p]});
               }
-              Status recorded = OkStatus();
-              if (outcome.inserted) {
-                recorded = prov->Record(ProvRef{cp.head, outcome.id},
-                                        std::move(origin));
-              } else {
-                for (size_t a = 0; a < outcome.absorbers.size(); ++a) {
-                  recorded = prov->Record(
-                      ProvRef{cp.head, outcome.absorbers[a]},
-                      a + 1 == outcome.absorbers.size() ? std::move(origin)
-                                                        : origin);
-                  if (!recorded.ok()) break;
-                }
-              }
+              Status recorded =
+                  prov->Record(ProvRef{cp.head, outcome.id}, std::move(origin));
               if (!recorded.ok()) {
                 if (!IsGovernanceTrip(exec, recorded)) return recorded;
                 degrade(recorded);

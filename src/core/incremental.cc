@@ -182,10 +182,10 @@ void IncrementalEvaluator::ClearDeltas() {
     return FullRecompute();
   }
   // DRed over-delete: walk the reverse provenance edges forward from the
-  // retracted entries and tombstone every transitive dependent. Recorded
-  // origins over-approximate real derivations (absorbers included), so
-  // everything whose support might be gone is deleted — soundness of the
-  // re-derive below (DESIGN.md §13).
+  // retracted entries and tombstone every transitive dependent. Each live
+  // entry's origin is the derivation that inserted it, so every entry left
+  // standing keeps live parents; an over-deleted entry that another
+  // derivation reaches comes back in the re-derive below (DESIGN.md §13).
   LRPDB_FAILPOINT("incremental.over_delete");
   // Destructive phase: until the re-derive completes, the model is only a
   // sound subset of the fixpoint. Any early error exit leaves it marked so

@@ -16,10 +16,12 @@
 //  * RetractFacts(batch) removes EDB tuples by exact value match and runs
 //    DRed-style deletion: the recorded provenance reverse index
 //    (ProvenanceLog::Dependents) drives an over-delete of every transitive
-//    dependent — sound because an entry's recorded origins over-approximate
-//    its real derivations (subsumption absorbers, provenance.h) — then the
-//    affected head relations re-derive in full through the same resumed
-//    loop. Retracting a fact that was absorbed at insert time (never
+//    dependent along insertion edges — each live entry keeps the origin
+//    that inserted it, whose parents are older than it, so every survivor
+//    keeps a well-founded derivation (provenance.h) — then the affected
+//    head relations re-derive in full through the same resumed loop, which
+//    brings back an over-deleted entry that another derivation also
+//    reaches. Retracting a fact that was absorbed at insert time (never
 //    stored) is a no-op and does not resurrect what its absorber covered:
 //    the stored model is the unit of retraction.
 //
@@ -126,7 +128,7 @@ class IncrementalEvaluator {
   // AddFacts seeds exactly its own entries.
   void ClearDeltas();
   [[nodiscard]] Status ValidateBatch(const std::vector<FactUpdate>& batch) const;
-  // Installs a fresh dependent-tracking provenance log into options_.
+  // Installs a fresh provenance log into options_.
   void ResetProvenance();
 
   const Program& program_;

@@ -7,8 +7,8 @@
 // produced it, the entry ids of the body tuples the clause joined (its
 // parents), and the round it happened in. On top of the log, WhyProvenance
 // reconstructs the full derivation graph of one tuple back to the EDB
-// leaves (cycle-safe for recursive rules), and the render helpers turn that
-// graph into an indented EXPLAIN WHY tree or a Graphviz DOT file.
+// leaves, and the render helpers turn that graph into an indented EXPLAIN
+// WHY tree or a Graphviz DOT file.
 //
 // Addressing. Tuples are addressed as (relation, entry id): relations are
 // interned by name into dense ProvRelationIds, entries are TupleStore
@@ -17,31 +17,30 @@
 // generalized evaluator records; the windowed ground evaluator, the
 // correctness oracle, records nothing.
 //
-// Subsumption semantics. The store's exact insert can absorb a candidate
-// into the same-signature entries whose union already contains it. The
-// absorbed candidate still carries real derivation information, so its
-// origin is attached to every absorbing entry (InsertOutcome::absorbers): a
-// sound over-approximation — each recorded origin derives a subset of the
-// entry's ground set, and the union of an entry's origins re-derives a
-// superset of it. An entry keeps one origin per distinct derivation: a
-// candidate whose (rule, parents) the entry already carries adds nothing,
-// so re-applying a rule over unchanged parents (every DRed re-derive does)
-// leaves the log as it was. Inserts never remove entries, so recorded
-// (relation, entry) addresses stay resolvable until an erase. The
-// evaluator erases nothing; IncrementalEvaluator::CompactRetracted erases
-// tombstoned entries and hands its remaps to Renumber().
+// One origin per entry. A generalized relation means the union of its
+// tuples' ground sets (paper, Section 2), so a candidate the store drops as
+// subsumed adds no ground fact and its derivation is not part of the
+// model. The log therefore holds exactly one origin per derived entry: the
+// derivation of the candidate that inserted it. Its parents existed before
+// the entry, so insertion origins form a DAG, and `explain why` prints one
+// witness derivation per tuple, not every derivation. An entry with no
+// origin is an EDB leaf. Inserts take fresh ids, so the evaluator records
+// an entry at most once; a second Record() on one entry is a caller bug
+// and returns an error. Recorded (relation, entry) addresses stay
+// resolvable until an erase: the evaluator erases nothing;
+// IncrementalEvaluator::CompactRetracted erases tombstoned entries and
+// hands its remaps to Renumber().
 //
 // Threading contract: one thread at a time. Evaluation is single-threaded
 // and Record() is called only from its insert phase, so the log takes no
-// lock; queries (Origins / WhyProvenance) must not run concurrently with
+// lock; queries (Origin / WhyProvenance) must not run concurrently with
 // Record().
 //
 // Cost model. Recording is opt-in (EvaluationOptions::provenance, nullptr
 // by default); with no log, the capture code behind each
 // `if (prov != nullptr)` is skipped.
-// Recording a new origin charges the ambient ExecContext byte budget and
-// bumps the lifetime counters eval.prov.{records,bytes}; a duplicate is
-// skipped for free and bumps eval.prov.deduped; lookups bump
+// Recording an origin charges the ambient ExecContext byte budget and
+// bumps the lifetime counters eval.prov.{records,bytes}; lookups bump
 // eval.prov.lookups. records() and approx_bytes() report what the log
 // retains now (below), which Forget() and the dependent releases lower
 // again.
@@ -80,18 +79,14 @@ struct ProvRef {
   }
 };
 
-// Rule id of a base (extensional) fact: no clause derived it. Entries with
-// no recorded origins at all are EDB leaves; kProvBaseFact exists for
-// callers that want to record explicit base origins (e.g. future
-// incremental ingestion).
+// Rule id of a base (extensional) fact: no clause derived it. An origin
+// slot holding it is empty, and its entry is an EDB leaf.
 inline constexpr int32_t kProvBaseFact = -1;
 
-// One way a tuple was derived: clause `rule` joined `parents` (the positive
+// How a tuple was inserted: clause `rule` joined `parents` (the positive
 // body atoms' matched entries, in body order; negated atoms are omitted —
 // they match materialized complements whose entries are evaluation-local)
-// during round `round`. An entry can accumulate several origins: one per
-// distinct derivation, i.e. per (rule, parents) of the candidates that
-// inserted it or were absorbed into it, carrying the round of the first.
+// during round `round`.
 struct DerivationOrigin {
   int32_t rule = kProvBaseFact;
   int32_t round = 0;
@@ -104,8 +99,8 @@ struct DerivationOrigin {
 };
 
 // Per-evaluation derivation log plus the query surface over it. Origins
-// are only appended, except that Forget() drops those of a retracted entry
-// and Renumber() those of an erased one.
+// are only added, except that Forget() drops that of a retracted entry and
+// Renumber() that of an erased one.
 class ProvenanceLog {
  public:
   ProvenanceLog() = default;
@@ -123,21 +118,18 @@ class ProvenanceLog {
   }
   size_t num_relations() const { return relation_names_.size(); }
 
-  // Appends one origin for `derived`, unless `derived` already carries an
-  // origin with the same rule and parents: then the call is a no-op (the
-  // kept origin keeps its first round) that only bumps eval.prov.deduped.
-  // The duplicate check is exact — a hash table narrows the candidates,
-  // the full (rule, parents) comparison decides — and costs the same
-  // however many origins `derived` already has. Appending charges the
-  // ambient ExecContext::Current() byte budget with the bytes it retains
-  // (a governance trip unwinds as that context's Status). Carries the
-  // "provenance.record" failpoint; on error nothing was appended, so the
-  // log never holds a partial record.
+  // Records `origin` as the derivation that inserted `derived`. An entry
+  // that already has an origin, an origin whose rule is kProvBaseFact and
+  // an unknown relation are caller bugs, returned as InvalidArgument.
+  // Recording charges the ambient ExecContext::Current() byte budget with
+  // the bytes it retains (a governance trip unwinds as that context's
+  // Status). Carries the "provenance.record" failpoint; on error nothing
+  // was recorded, so the log never holds a partial record.
   [[nodiscard]] Status Record(ProvRef derived, DerivationOrigin origin);
 
-  // Every recorded origin of `ref` (empty for EDB leaves and unknown refs).
-  const std::vector<DerivationOrigin>& Origins(ProvRef ref) const;
-  bool HasOrigins(ProvRef ref) const { return !Origins(ref).empty(); }
+  // The origin that inserted `ref`, or nullptr for EDB leaves and unknown
+  // refs.
+  const DerivationOrigin* Origin(ProvRef ref) const;
 
   // --- Reverse index (incremental retraction, DESIGN.md §13) ---
   //
@@ -145,15 +137,14 @@ class ProvenanceLog {
   // parent, so DRed-style retraction can walk derivations forward
   // (parents -> dependents) without scanning the log.
 
-  // Refs recorded with `ref` among their origin parents. May contain
-  // duplicates (one edge per distinct origin naming `ref`) and refs later
-  // forgotten; callers dedupe / filter by liveness.
+  // Refs recorded with `ref` among their origin parents, one edge per
+  // dependent. May contain refs later forgotten; callers filter by
+  // liveness.
   const std::vector<ProvRef>& Dependents(ProvRef ref) const;
 
-  // Drops every recorded origin of `ref` (a retraction tombstoned its
-  // entry), releasing their memory and their duplicate-index entries.
-  // Reverse edges pointing at `ref` stay until Renumber() erases it; the
-  // lifetime registry counters are not rewound.
+  // Drops the origin of `ref` (a retraction tombstoned its entry),
+  // releasing its memory. Reverse edges pointing at `ref` stay until
+  // Renumber() erases it; the lifetime registry counters are not rewound.
   void Forget(ProvRef ref);
 
   // Releases the dependents list of `ref`. For a ref whose listed
@@ -164,15 +155,14 @@ class ProvenanceLog {
   // Rewrites the log after TupleStore::EraseEntries renumbered stores:
   // remaps[name] is the remap EraseEntries returned for relation `name`;
   // relations without one keep their ids. Drops the origins and dependents
-  // lists of erased entries and every reverse edge into one, rewrites
-  // every other ProvRef through its relation's remap, and rebuilds every
-  // duplicate index (its hash covers entry and parent ids). No origin may
-  // name an erased parent: DRed over-deletes every dependent of a
-  // retracted entry before its slot can be erased.
+  // lists of erased entries and every reverse edge into one, and rewrites
+  // every other ProvRef through its relation's remap. No origin may name
+  // an erased parent: DRed over-deletes every dependent of a retracted
+  // entry before its slot can be erased.
   void Renumber(const std::map<std::string, std::vector<EntryId>>& remaps);
 
   // Retained accounting: the origins the log holds now and an estimate of
-  // the bytes they, the reverse edges and the duplicate index occupy.
+  // the bytes they and the reverse edges occupy.
   // Forget(), ForgetDependents() and Renumber() subtract what they
   // release. The registry counters eval.prov.{records,bytes} are lifetime
   // totals of what Record() appended and never go down.
@@ -183,20 +173,20 @@ class ProvenanceLog {
 
   struct Node {
     ProvRef ref;
-    std::vector<DerivationOrigin> origins;  // Empty = EDB leaf.
+    std::optional<DerivationOrigin> origin;  // nullopt = EDB leaf.
   };
   // The derivation graph reachable from one root: nodes in BFS discovery
-  // order (nodes[0] is the root), edges implied by each node's origins.
+  // order (nodes[0] is the root), edges implied by each node's origin.
   // `index` maps a ref to its node position.
   struct Graph {
     std::vector<Node> nodes;
     std::map<ProvRef, size_t> index;
   };
 
-  // The full derivation graph of `root` back to the EDB leaves. Cycle-safe
-  // for recursive rules (an absorbed self-derivation makes an entry its own
-  // ancestor): every ref is expanded exactly once, so the traversal
-  // terminates on any graph. Carries the "provenance.lookup" failpoint.
+  // The full derivation graph of `root` back to the EDB leaves. Every ref
+  // is expanded exactly once, so shared subtrees are visited once and the
+  // traversal terminates on any graph, a hand-recorded cycle included.
+  // Carries the "provenance.lookup" failpoint.
   [[nodiscard]] StatusOr<Graph> WhyProvenance(ProvRef root) const;
 
   // Callbacks rendering a tuple / rule into display text. The log knows
@@ -207,7 +197,7 @@ class ProvenanceLog {
   using RuleLabelFn = std::function<std::string(int32_t rule)>;
 
   // Indented EXPLAIN WHY tree of `graph` from its root down to the EDB
-  // leaves. Each ref's derivations are expanded at its first occurrence
+  // leaves. Each ref's derivation is expanded at its first occurrence
   // only; later occurrences print a back-reference, which also caps the
   // output on cyclic graphs.
   std::string RenderTree(const Graph& graph, const TupleLabelFn& tuple_label,
@@ -220,37 +210,11 @@ class ProvenanceLog {
                     const RuleLabelFn& rule_label) const;
 
  private:
-  using RelationOrigins = std::vector<std::vector<DerivationOrigin>>;
-
-  // Duplicate index over one relation's origins: open addressing with
-  // linear probing, capacity a power of two and at most half full. A slot
-  // packs (entry id, position in that entry's origins) into 8 bytes and
-  // stores no hash: a probe compares the origins themselves, so a hash
-  // collision never drops a distinct origin.
-  struct OriginIndex {
-    std::vector<uint64_t> slots;
-    size_t used = 0;
-
-    // The slot holding an origin of `entry` with `origin`'s rule and
-    // parents, or the free slot that ends the probe. Needs a non-empty
-    // table.
-    size_t Find(const RelationOrigins& origins, EntryId entry,
-                const DerivationOrigin& origin) const;
-    // Indexes origins[entry][position], which must not be indexed yet.
-    void Insert(const RelationOrigins& origins, EntryId entry,
-                uint32_t position);
-    // Unindexes origins[entry][position], which must be indexed.
-    void Erase(const RelationOrigins& origins, EntryId entry,
-               uint32_t position);
-  };
-
   std::vector<std::string> relation_names_;
   std::unordered_map<std::string, ProvRelationId> relation_ids_;
-  // origins_[relation][entry] = that entry's recorded origins; the inner
-  // vector is dense by entry id and grows on first record.
-  std::vector<RelationOrigins> origins_;
-  // origin_index_[relation] indexes every origin origins_[relation] holds.
-  std::vector<OriginIndex> origin_index_;
+  // origins_[relation][entry] = the origin that inserted that entry, rule
+  // kProvBaseFact when it has none; dense by entry id, grows on record.
+  std::vector<std::vector<DerivationOrigin>> origins_;
   // dependents_[relation][entry] = refs recorded with that entry as an
   // origin parent. Same shape as origins_.
   std::vector<std::vector<std::vector<ProvRef>>> dependents_;

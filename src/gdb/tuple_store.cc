@@ -425,9 +425,7 @@ void TupleStore::RefilePostings(PostingTable* table, size_t slots) {
     if (contained) {
       ++counts.subsumed;
       charge_growth();
-      InsertOutcome outcome;
-      outcome.absorbers = bucket;
-      return outcome;
+      return InsertOutcome();
     }
   }
   // Appended unnormalized: no pieces are kept.

@@ -130,13 +130,6 @@ struct InsertOutcome {
   bool new_signature = false;
   // Entry id the tuple was appended at; meaningful only when `inserted`.
   EntryId id = 0;
-  // When the candidate was dropped as contained: the same-signature entries
-  // whose union subsumed it, borrowed from the signature's bucket (valid
-  // until the store's next mutation). Why-provenance attaches the dropped
-  // candidate's origin to these so derivations stay resolvable across
-  // subsumption. Empty when inserted or when the candidate normalized to
-  // the empty ground set.
-  std::span<const EntryId> absorbers;
 };
 
 // An indexed set of generalized tuples of one schema: a generalized

@@ -314,7 +314,7 @@ TEST(FaultInjectionWalkTest, ProvenanceRecordErrorUnwindsAndRerunIsClean) {
     auto rid = log.FindRelation("p");
     ASSERT_TRUE(rid.has_value());
     for (size_t e = 0; e < result->idb.at("p").size(); ++e) {
-      EXPECT_TRUE(log.HasOrigins({*rid, static_cast<EntryId>(e)}));
+      EXPECT_NE(log.Origin({*rid, static_cast<EntryId>(e)}), nullptr);
     }
   }
   DisarmAll();

@@ -5,13 +5,13 @@
 // re-executed — the origin's clause, stripped of its negated atoms, is
 // compiled (reordering on; emission still follows body order) and applied
 // over singleton relations holding exactly the recorded parent tuples —
-// and at least one replayed candidate must be subsumed by the derived
-// entry it was recorded for. That holds the log to its soundness contract
-// (each origin derives a subset of its entry's ground set, exact on
-// non-absorbed inserts). On top of that: every IDB entry must carry at
-// least one origin, and the fixed cases pin absorber attribution, cycle-safe graph
-// queries, the render/DOT output, the ExecContext byte-budget charge, and
-// one origin per distinct derivation with retained-byte accounting.
+// and at least one replayed candidate must equal the derived entry it was
+// recorded for. That holds the log to its contract: an entry's one origin
+// is the derivation that inserted it. On top of that: every IDB entry must
+// carry exactly one origin, and the fixed cases pin that a subsumed
+// candidate records nothing, cycle-safe graph queries, the render/DOT
+// output, the ExecContext byte-budget charge, the refusal of a second
+// origin, and retained-byte accounting.
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -85,7 +85,7 @@ std::optional<GeneralizedTuple> ResolveTuple(const ProvRun& run,
 
 // True iff `piece`'s ground set is contained in `entry_tuple`'s: insert the
 // entry into a fresh relation, then an exact insert of the piece must come
-// back subsumed.
+// back subsumed (or dropped as empty).
 bool SubsumedBy(const GeneralizedTuple& piece,
                 const GeneralizedTuple& entry_tuple, RelationSchema schema) {
   GeneralizedRelation scratch(schema);
@@ -100,7 +100,8 @@ bool SubsumedBy(const GeneralizedTuple& piece,
 // Replays one origin: compile its clause without the negated atoms (a
 // reordered plan still emits in body order, the order the parents were
 // recorded in), run the batch kernel over singleton parent relations, and
-// demand a candidate subsumed by the derived entry. Dropping negation only
+// demand a candidate equal to the derived entry (containment both ways):
+// the entry is the candidate its origin inserted. Dropping negation only
 // widens the candidate set, so the original (filter-surviving) candidate
 // is guaranteed to be regenerated.
 void ReplayOrigin(const ProvRun& run, const std::string& head_name,
@@ -157,30 +158,28 @@ void ReplayOrigin(const ProvRun& run, const std::string& head_name,
     const GeneralizedTuple candidate =
         reader.Next(head_schema.temporal_arity, head_schema.data_arity)
             .ToTuple();
-    if (SubsumedBy(candidate, *derived, head_schema)) {
+    if (SubsumedBy(candidate, *derived, head_schema) &&
+        SubsumedBy(*derived, candidate, head_schema)) {
       witnessed = true;
       break;
     }
   }
-  EXPECT_TRUE(witnessed)
-      << "no replayed candidate is contained in the derived entry";
+  EXPECT_TRUE(witnessed) << "no replayed candidate equals the derived entry";
 }
 
-// Full-run check: every IDB entry carries at least one origin, and every
-// origin replays.
+// Full-run check: every IDB entry carries exactly one origin, and it
+// replays.
 void ExpectCompleteAndReplayable(const ProvRun& run) {
   for (const auto& [name, relation] : run.result.idb) {
     if (relation.size() == 0) continue;
     auto rid = run.log.FindRelation(name);
     ASSERT_TRUE(rid.has_value()) << "no origins recorded for " << name;
     for (size_t e = 0; e < relation.size(); ++e) {
-      const auto& origins =
-          run.log.Origins({*rid, static_cast<EntryId>(e)});
-      ASSERT_FALSE(origins.empty())
+      const DerivationOrigin* origin =
+          run.log.Origin({*rid, static_cast<EntryId>(e)});
+      ASSERT_NE(origin, nullptr)
           << name << "#" << e << " has no recorded origin";
-      for (const DerivationOrigin& origin : origins) {
-        ReplayOrigin(run, name, static_cast<EntryId>(e), origin);
-      }
+      ReplayOrigin(run, name, static_cast<EntryId>(e), *origin);
     }
   }
 }
@@ -250,10 +249,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ProvenanceRandomTest, ::testing::Range(1, 11));
 
 // --- Fixed cases ----------------------------------------------------------
 
-TEST(ProvenanceTest, AbsorbedCandidateAttachesOriginToAbsorber) {
+TEST(ProvenanceTest, AbsorbedCandidateLeavesTheInsertingOrigin) {
   // f carries the same ground set as e, so rule 1's candidate lands on the
   // same signature as the entry rule 0 already inserted and is absorbed
-  // into it — p#0 must end up with two origins from two distinct rules.
+  // into it. It adds no ground fact, so p#0 keeps the one origin that
+  // inserted it: rule 0 over e#0.
   auto run = RunWithProvenance(R"(
     .decl e(time, data)
     .decl f(time, data)
@@ -267,43 +267,55 @@ TEST(ProvenanceTest, AbsorbedCandidateAttachesOriginToAbsorber) {
   ASSERT_EQ(run->result.idb.at("p").size(), 1u);
   auto rid = run->log.FindRelation("p");
   ASSERT_TRUE(rid.has_value());
-  const auto& origins = run->log.Origins({*rid, 0});
-  ASSERT_EQ(origins.size(), 2u);
-  EXPECT_NE(origins[0].rule, origins[1].rule);
-  std::vector<std::string> parent_names;
-  for (const DerivationOrigin& o : origins) {
-    ASSERT_EQ(o.parents.size(), 1u);
-    parent_names.push_back(run->log.RelationName(o.parents[0].relation));
-  }
-  EXPECT_EQ(parent_names, (std::vector<std::string>{"e", "f"}));
+  const DerivationOrigin* origin = run->log.Origin({*rid, 0});
+  ASSERT_NE(origin, nullptr);
+  EXPECT_EQ(origin->rule, 0);
+  ASSERT_EQ(origin->parents.size(), 1u);
+  EXPECT_EQ(run->log.RelationName(origin->parents[0].relation), "e");
+  EXPECT_EQ(run->log.records(), 1);
   ExpectCompleteAndReplayable(*run);
 }
 
 TEST(ProvenanceTest, RecursiveSelfLoopIsCycleSafe) {
   // p(24n) shifted by 24 is a subset of itself: the recursive rule's
-  // candidate is absorbed into p#0 with p#0 as its own parent. The graph
-  // query must terminate and the tree render must back-reference instead of
-  // recursing forever.
+  // candidate is absorbed into p#0 and records nothing, so p#0 keeps its
+  // one origin from rule 0. s#0 and r#0 both read p#0, so r#0's tree
+  // reaches p#0 twice and back-references the second time.
   auto run = RunWithProvenance(R"(
     .decl e(time, data)
     .decl p(time, data)
+    .decl s(time, data)
+    .decl r(time, data)
     .fact e(24n, "a").
     p(t, N) :- e(t, N).
     p(t + 24, N) :- p(t, N).
+    s(t, N) :- p(t, N).
+    r(t, N) :- p(t, N), s(t, N).
   )");
   ASSERT_NE(run, nullptr);
-  auto rid = run->log.FindRelation("p");
+  auto pid = run->log.FindRelation("p");
+  auto rid = run->log.FindRelation("r");
+  ASSERT_TRUE(pid.has_value());
   ASSERT_TRUE(rid.has_value());
-  ProvRef root{*rid, 0};
-  ASSERT_GE(run->log.Origins(root).size(), 2u);
+  const ProvRef p0{*pid, 0};
+  const DerivationOrigin* origin = run->log.Origin(p0);
+  ASSERT_NE(origin, nullptr);
+  EXPECT_EQ(origin->rule, 0);
 
+  auto p_graph = run->log.WhyProvenance(p0);
+  ASSERT_TRUE(p_graph.ok()) << p_graph.status();
+  // Reachable set: p#0 itself plus the EDB leaf e#0.
+  ASSERT_EQ(p_graph->nodes.size(), 2u);
+  EXPECT_EQ(p_graph->nodes[0].ref, p0);
+
+  const ProvRef root{*rid, 0};
   auto graph = run->log.WhyProvenance(root);
   ASSERT_TRUE(graph.ok()) << graph.status();
   ASSERT_FALSE(graph->nodes.empty());
   EXPECT_EQ(graph->nodes[0].ref, root);
-  // Reachable set: p#0 itself plus the EDB leaf e#0.
-  EXPECT_EQ(graph->nodes.size(), 2u);
-  EXPECT_TRUE(graph->index.count(root));
+  // r#0, p#0, s#0 and e#0, each once.
+  EXPECT_EQ(graph->nodes.size(), 4u);
+  EXPECT_TRUE(graph->index.count(p0));
 
   auto tuple_label = [&](const std::string& relation, EntryId entry) {
     return relation + "#" + std::to_string(entry);
@@ -314,12 +326,27 @@ TEST(ProvenanceTest, RecursiveSelfLoopIsCycleSafe) {
   std::string tree = run->log.RenderTree(*graph, tuple_label, rule_label);
   EXPECT_NE(tree.find("[base fact]"), std::string::npos) << tree;
   EXPECT_NE(tree.find("[see above]"), std::string::npos) << tree;
-  EXPECT_NE(tree.find("rule-1"), std::string::npos) << tree;
+  EXPECT_NE(tree.find("rule-3"), std::string::npos) << tree;
+  EXPECT_EQ(tree.find("rule-1"), std::string::npos) << tree;
 
   std::string dot = run->log.ToDot(*graph, tuple_label, rule_label);
   EXPECT_EQ(dot.rfind("digraph why", 0), 0u) << dot;
   EXPECT_NE(dot.find("->"), std::string::npos);
-  EXPECT_NE(dot.find("rule-1"), std::string::npos);
+  EXPECT_NE(dot.find("rule-3"), std::string::npos);
+
+  // The evaluator's insertion origins form a DAG, but the traversal
+  // terminates on any graph: a hand-recorded self-loop is expanded once.
+  ProvenanceLog log;
+  const ProvRelationId q = log.InternRelation("q");
+  DerivationOrigin loop;
+  loop.rule = 0;
+  loop.parents.push_back({q, 0});
+  ASSERT_TRUE(log.Record({q, 0}, loop).ok());
+  auto cyclic = log.WhyProvenance({q, 0});
+  ASSERT_TRUE(cyclic.ok()) << cyclic.status();
+  EXPECT_EQ(cyclic->nodes.size(), 1u);
+  tree = log.RenderTree(*cyclic, tuple_label, rule_label);
+  EXPECT_NE(tree.find("[see above]"), std::string::npos) << tree;
 }
 
 TEST(ProvenanceTest, WhyProvenanceOnUnknownRefIsALeafGraph) {
@@ -328,7 +355,7 @@ TEST(ProvenanceTest, WhyProvenanceOnUnknownRefIsALeafGraph) {
   auto graph = log.WhyProvenance({rid, 42});
   ASSERT_TRUE(graph.ok()) << graph.status();
   ASSERT_EQ(graph->nodes.size(), 1u);
-  EXPECT_TRUE(graph->nodes[0].origins.empty());
+  EXPECT_FALSE(graph->nodes[0].origin.has_value());
 }
 
 TEST(ProvenanceTest, RecordRejectsUnknownRelation) {
@@ -377,12 +404,11 @@ TEST(ProvenanceTest, AccountingTracksRecords) {
   ASSERT_TRUE(log.Record({rid, 0}, origin).ok());
   EXPECT_EQ(log.records(), 1);
   EXPECT_GT(log.approx_bytes(), 0);
-  const auto& origins = log.Origins({rid, 0});
-  ASSERT_EQ(origins.size(), 1u);
-  EXPECT_EQ(origins[0], origin);
-  // Unknown entry: the empty sentinel, not a crash.
-  EXPECT_TRUE(log.Origins({rid, 99}).empty());
-  EXPECT_FALSE(log.HasOrigins({rid, 99}));
+  const DerivationOrigin* held = log.Origin({rid, 0});
+  ASSERT_NE(held, nullptr);
+  EXPECT_EQ(*held, origin);
+  // Unknown entry: no origin, not a crash.
+  EXPECT_EQ(log.Origin({rid, 99}), nullptr);
   // A hand-recorded log answers WhyProvenance like an engine-recorded one:
   // the derived entry plus its one (leaf) parent.
   auto graph = log.WhyProvenance({rid, 0});
@@ -390,7 +416,7 @@ TEST(ProvenanceTest, AccountingTracksRecords) {
   EXPECT_EQ(graph->nodes.size(), 2u);
 }
 
-// --- One origin per distinct derivation -----------------------------------
+// --- One origin per entry ------------------------------------------------
 
 int64_t CounterValue(const std::string& name) {
   return obs::MetricsRegistry::Global().GetCounter(name)->value();
@@ -405,81 +431,52 @@ DerivationOrigin MakeOrigin(int32_t rule, int32_t round,
   return origin;
 }
 
-TEST(ProvenanceDedupTest, RepeatedDerivationKeepsOneOriginEdgeAndFirstRound) {
+TEST(ProvenanceLogTest, SecondRecordOnOneEntryIsAnErrorAndChangesNothing) {
   ProvenanceLog log;
   const ProvRelationId p = log.InternRelation("p");
   const ProvRelationId e = log.InternRelation("e");
-  const int64_t deduped0 = CounterValue("eval.prov.deduped");
-  ASSERT_TRUE(log.Record({p, 0}, MakeOrigin(1, 2, {{e, 4}, {p, 3}})).ok());
+  const int64_t recorded0 = CounterValue("eval.prov.records");
+  const DerivationOrigin first = MakeOrigin(1, 2, {{e, 4}, {p, 3}});
+  ASSERT_TRUE(log.Record({p, 0}, first).ok());
   const int64_t bytes = log.approx_bytes();
-  // Same rule and parents in a later round: dropped, nothing retained.
-  ASSERT_TRUE(log.Record({p, 0}, MakeOrigin(1, 7, {{e, 4}, {p, 3}})).ok());
-  const std::vector<DerivationOrigin>& origins = log.Origins({p, 0});
-  ASSERT_EQ(origins.size(), 1u);
-  EXPECT_EQ(origins[0].round, 2);
+  // The same derivation in a later round, and another derivation: both
+  // refused, and the log is as it was.
+  for (const DerivationOrigin& again :
+       {MakeOrigin(1, 7, {{e, 4}, {p, 3}}), MakeOrigin(2, 3, {{e, 5}})}) {
+    const Status status = log.Record({p, 0}, again);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  }
+  // An EDB leaf has no origin: recording the base-fact rule is refused too.
+  EXPECT_EQ(log.Record({p, 1}, MakeOrigin(kProvBaseFact, 0, {})).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_NE(log.Origin({p, 0}), nullptr);
+  EXPECT_EQ(*log.Origin({p, 0}), first);
+  EXPECT_EQ(log.Origin({p, 1}), nullptr);
   EXPECT_EQ(log.Dependents({e, 4}), (std::vector<ProvRef>{{p, 0}}));
   EXPECT_EQ(log.Dependents({p, 3}), (std::vector<ProvRef>{{p, 0}}));
+  EXPECT_TRUE(log.Dependents({e, 5}).empty());
   EXPECT_EQ(log.records(), 1);
   EXPECT_EQ(log.approx_bytes(), bytes);
 #if !defined(LRPDB_NO_METRICS)
-  EXPECT_EQ(CounterValue("eval.prov.deduped") - deduped0, 1);
+  EXPECT_EQ(CounterValue("eval.prov.records") - recorded0, 1);
 #else
-  (void)deduped0;
+  (void)recorded0;
 #endif
 }
 
-TEST(ProvenanceDedupTest, DifferentRuleOrParentsAreDistinctOrigins) {
-  ProvenanceLog log;
-  const ProvRelationId p = log.InternRelation("p");
-  const ProvRelationId e = log.InternRelation("e");
-  ASSERT_TRUE(log.Record({p, 0}, MakeOrigin(1, 1, {{e, 4}})).ok());
-  ASSERT_TRUE(log.Record({p, 0}, MakeOrigin(2, 1, {{e, 4}})).ok());
-  ASSERT_TRUE(log.Record({p, 1}, MakeOrigin(1, 1, {{e, 5}})).ok());
-  ASSERT_TRUE(log.Record({p, 1}, MakeOrigin(1, 1, {{e, 6}})).ok());
-  // Same rule and parent set in another order is another join.
-  ASSERT_TRUE(log.Record({p, 2}, MakeOrigin(1, 1, {{e, 5}, {e, 6}})).ok());
-  ASSERT_TRUE(log.Record({p, 2}, MakeOrigin(1, 1, {{e, 6}, {e, 5}})).ok());
-  // The same (rule, parents) on another entry is not a duplicate either.
-  ASSERT_TRUE(log.Record({p, 3}, MakeOrigin(1, 1, {{e, 4}})).ok());
-  EXPECT_EQ(log.Origins({p, 0}).size(), 2u);
-  EXPECT_EQ(log.Origins({p, 1}).size(), 2u);
-  EXPECT_EQ(log.Origins({p, 2}).size(), 2u);
-  EXPECT_EQ(log.Origins({p, 3}).size(), 1u);
-  EXPECT_EQ(log.records(), 7);
-}
-
-TEST(ProvenanceDedupTest, ManyDistinctOriginsOnOneEntryStayFast) {
-  // 20k distinct origins on one entry, each recorded twice: a duplicate
-  // check that scanned the entry's origins would do ~4e8 comparisons.
-  constexpr int kOrigins = 20000;
-  ProvenanceLog log;
-  const ProvRelationId p = log.InternRelation("p");
-  const ProvRelationId e = log.InternRelation("e");
-  for (int pass = 0; pass < 2; ++pass) {
-    for (int i = 0; i < kOrigins; ++i) {
-      ASSERT_TRUE(log.Record({p, 0}, MakeOrigin(0, pass + 1,
-                                                {{e, static_cast<EntryId>(i)}}))
-                      .ok());
-    }
-  }
-  EXPECT_EQ(log.Origins({p, 0}).size(), static_cast<size_t>(kOrigins));
-  EXPECT_EQ(log.records(), kOrigins);
-}
-
-// Random Record/Forget traffic over few entries, rules and parents (so
-// duplicates, shared probe runs and deletions inside them are common)
-// against a plain reference: per entry, the distinct (rule, parents) in
-// first-recorded order.
-TEST(ProvenanceDedupTest, RandomRecordAndForgetMatchReference) {
+// Random Record/Forget traffic over few entries, rules and parents against
+// a plain reference: per entry, the origin recorded since its last Forget.
+// A Record on an entry that holds an origin is refused and changes nothing.
+TEST(ProvenanceLogTest, RandomRecordAndForgetMatchReference) {
   constexpr EntryId kEntries = 48;
   ProvenanceLog log;
   const ProvRelationId p = log.InternRelation("p");
   const ProvRelationId e = log.InternRelation("e");
-  std::map<EntryId, std::vector<DerivationOrigin>> reference;
+  std::map<EntryId, DerivationOrigin> reference;
   std::mt19937 rng(17);
   for (int step = 1; step <= 30000; ++step) {
     const EntryId entry = static_cast<EntryId>(rng() % kEntries);
-    if (rng() % 8 == 0) {
+    if (rng() % 3 == 0) {
       log.Forget({p, entry});
       reference.erase(entry);
     } else {
@@ -491,42 +488,38 @@ TEST(ProvenanceDedupTest, RandomRecordAndForgetMatchReference) {
       }
       DerivationOrigin origin =
           MakeOrigin(static_cast<int32_t>(rng() % 3), step, parents);
-      std::vector<DerivationOrigin>& held = reference[entry];
-      bool seen = false;
-      for (const DerivationOrigin& o : held) {
-        seen = seen || (o.rule == origin.rule && o.parents == origin.parents);
-      }
-      if (!seen) held.push_back(origin);
-      ASSERT_TRUE(log.Record({p, entry}, std::move(origin)).ok());
+      const bool fresh = reference.emplace(entry, origin).second;
+      const Status status = log.Record({p, entry}, std::move(origin));
+      ASSERT_EQ(status.ok(), fresh) << status << " at step " << step;
     }
     if (step % 500 != 0) continue;
-    int64_t total = 0;
     for (EntryId id = 0; id < kEntries; ++id) {
       auto it = reference.find(id);
-      const std::vector<DerivationOrigin> none;
-      ASSERT_EQ(log.Origins({p, id}), it == reference.end() ? none : it->second)
+      const DerivationOrigin* held = log.Origin({p, id});
+      ASSERT_EQ(held != nullptr, it != reference.end())
           << "entry " << id << " after step " << step;
-      total += static_cast<int64_t>(log.Origins({p, id}).size());
+      if (held != nullptr) {
+        ASSERT_EQ(*held, it->second)
+            << "entry " << id << " after step " << step;
+      }
     }
-    ASSERT_EQ(log.records(), total);
+    ASSERT_EQ(log.records(), static_cast<int64_t>(reference.size()));
   }
 }
 
-TEST(ProvenanceDedupTest, ForgetAndPruneReleaseTheirAccounting) {
+TEST(ProvenanceLogTest, ForgetAndPruneReleaseTheirAccounting) {
   ProvenanceLog log;
   const ProvRelationId p = log.InternRelation("p");
   const ProvRelationId e = log.InternRelation("e");
   ASSERT_TRUE(log.Record({p, 0}, MakeOrigin(0, 1, {{e, 0}})).ok());
   const int64_t one_entry = log.approx_bytes();
   ASSERT_TRUE(log.Record({p, 1}, MakeOrigin(0, 1, {{e, 0}, {e, 1}})).ok());
-  ASSERT_TRUE(log.Record({p, 1}, MakeOrigin(1, 1, {{p, 0}})).ok());
-  EXPECT_EQ(log.records(), 3);
+  EXPECT_EQ(log.records(), 2);
 
   log.Forget({p, 1});
-  EXPECT_TRUE(log.Origins({p, 1}).empty());
+  EXPECT_EQ(log.Origin({p, 1}), nullptr);
   EXPECT_EQ(log.records(), 1);
-  // The forgotten entry's duplicate-index slots went too: recording its old
-  // derivation again counts as new.
+  // The forgotten entry holds no origin any more, so a record is accepted.
   ASSERT_TRUE(log.Record({p, 1}, MakeOrigin(1, 4, {{p, 0}})).ok());
   EXPECT_EQ(log.records(), 2);
   log.Forget({p, 1});
@@ -550,15 +543,13 @@ TEST(ProvenanceDedupTest, ForgetAndPruneReleaseTheirAccounting) {
 // Renumber after a DRed retraction of e#1 (which over-deleted p#1) and an
 // erase of both dead slots: survivors move to their new ids, parents and
 // dependents are rewritten, edges into the erased entries drop, and the
-// log equals one recorded directly under the new ids, duplicate index
-// included.
+// log equals one recorded directly under the new ids.
 TEST(ProvenanceRenumberTest, ErasedEntriesDropAndSurvivorsMove) {
   ProvenanceLog log;
   const ProvRelationId p = log.InternRelation("p");
   const ProvRelationId e = log.InternRelation("e");
   ASSERT_TRUE(log.Record({p, 0}, MakeOrigin(0, 1, {{e, 0}})).ok());
   ASSERT_TRUE(log.Record({p, 1}, MakeOrigin(0, 1, {{e, 1}})).ok());
-  ASSERT_TRUE(log.Record({p, 2}, MakeOrigin(0, 1, {{e, 2}})).ok());
   ASSERT_TRUE(log.Record({p, 2}, MakeOrigin(1, 2, {{p, 0}, {e, 3}})).ok());
   ASSERT_TRUE(log.Record({p, 3}, MakeOrigin(1, 3, {{p, 2}, {e, 3}})).ok());
   log.Forget({p, 1});
@@ -570,29 +561,30 @@ TEST(ProvenanceRenumberTest, ErasedEntriesDropAndSurvivorsMove) {
   ASSERT_EQ(fresh.InternRelation("p"), p);
   ASSERT_EQ(fresh.InternRelation("e"), e);
   ASSERT_TRUE(fresh.Record({p, 0}, MakeOrigin(0, 1, {{e, 0}})).ok());
-  ASSERT_TRUE(fresh.Record({p, 1}, MakeOrigin(0, 1, {{e, 1}})).ok());
   ASSERT_TRUE(fresh.Record({p, 1}, MakeOrigin(1, 2, {{p, 0}, {e, 2}})).ok());
   ASSERT_TRUE(fresh.Record({p, 2}, MakeOrigin(1, 3, {{p, 1}, {e, 2}})).ok());
   for (ProvRelationId rel : {p, e}) {
     for (EntryId id = 0; id < 4; ++id) {
-      EXPECT_EQ(log.Origins({rel, id}), fresh.Origins({rel, id}))
-          << rel << "#" << id;
+      const DerivationOrigin* moved = log.Origin({rel, id});
+      const DerivationOrigin* expected = fresh.Origin({rel, id});
+      ASSERT_EQ(moved != nullptr, expected != nullptr) << rel << "#" << id;
+      if (moved != nullptr) {
+        EXPECT_EQ(*moved, *expected) << rel << "#" << id;
+      }
       EXPECT_EQ(log.Dependents({rel, id}), fresh.Dependents({rel, id}))
           << rel << "#" << id;
     }
   }
   EXPECT_EQ(log.Dependents({e, 2}), (std::vector<ProvRef>{{p, 1}, {p, 2}}));
-  EXPECT_EQ(log.records(), 4);
+  EXPECT_EQ(log.records(), 3);
   EXPECT_EQ(log.approx_bytes(), fresh.approx_bytes());
 
-  // The rebuilt duplicate index is exact under the new ids: a survivor's
-  // derivation is a duplicate, the same rule over other parents is not.
-  ASSERT_TRUE(log.Record({p, 1}, MakeOrigin(1, 9, {{p, 0}, {e, 2}})).ok());
-  ASSERT_TRUE(log.Record({p, 2}, MakeOrigin(1, 9, {{p, 1}, {e, 2}})).ok());
+  // A survivor keeps its origin under its new id, so recording it again is
+  // refused; the first id past the survivors takes the next insert.
+  EXPECT_FALSE(log.Record({p, 1}, MakeOrigin(1, 9, {{p, 0}, {e, 1}})).ok());
+  ASSERT_TRUE(log.Record({p, 3}, MakeOrigin(1, 9, {{p, 2}, {e, 1}})).ok());
   EXPECT_EQ(log.records(), 4);
-  ASSERT_TRUE(log.Record({p, 1}, MakeOrigin(1, 9, {{p, 0}, {e, 1}})).ok());
-  EXPECT_EQ(log.records(), 5);
-  EXPECT_EQ(log.Origins({p, 1}).back().round, 9);
+  EXPECT_EQ(log.Origin({p, 3})->round, 9);
 }
 
 TEST(ProvenanceTest, NegatedAtomsAreOmittedFromParents) {
@@ -611,13 +603,11 @@ TEST(ProvenanceTest, NegatedAtomsAreOmittedFromParents) {
   const auto& relation = run->result.idb.at("r");
   ASSERT_GT(relation.size(), 0u);
   for (size_t e = 0; e < relation.size(); ++e) {
-    const auto& origins = run->log.Origins({*rid, static_cast<EntryId>(e)});
-    ASSERT_FALSE(origins.empty());
-    for (const DerivationOrigin& o : origins) {
-      // The clause has two body atoms but only the positive one records.
-      EXPECT_EQ(o.parents.size(), 1u);
-      EXPECT_EQ(run->log.RelationName(o.parents[0].relation), "e");
-    }
+    const DerivationOrigin* o = run->log.Origin({*rid, static_cast<EntryId>(e)});
+    ASSERT_NE(o, nullptr);
+    // The clause has two body atoms but only the positive one records.
+    EXPECT_EQ(o->parents.size(), 1u);
+    EXPECT_EQ(run->log.RelationName(o->parents[0].relation), "e");
   }
   ExpectCompleteAndReplayable(*run);
 }

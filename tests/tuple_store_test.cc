@@ -152,8 +152,8 @@ TEST(TupleStoreTest, ZeroTemporalArityRowsAreConsistent) {
 // the candidate's implies, by the union of several entries, or by the lrp
 // grid alone (the candidate's DBM admits points the entry's excludes, but
 // none of them lies on 7n+3). Every case counts one check over the whole
-// bucket, names the whole bucket as absorbers and leaves the store's bytes
-// as they were: the store keeps no pieces.
+// bucket and leaves the store's bytes as they were: the store keeps no
+// pieces.
 TEST(TupleStoreTest, SubsumptionByOneEntryByUnionAndByLrpGrid) {
   struct Case {
     const char* name;
@@ -180,11 +180,6 @@ TEST(TupleStoreTest, SubsumptionByOneEntryByUnionAndByLrpGrid) {
     auto outcome = store.Insert(c.candidate, &stats);
     ASSERT_TRUE(outcome.ok()) << outcome.status();
     EXPECT_FALSE(outcome->inserted);
-    std::vector<EntryId> bucket;
-    for (EntryId id = 0; id < c.entries.size(); ++id) bucket.push_back(id);
-    EXPECT_EQ(std::vector<EntryId>(outcome->absorbers.begin(),
-                                   outcome->absorbers.end()),
-              bucket);
     EXPECT_EQ(stats.subsumed, 1);
     EXPECT_EQ(stats.subsumption_checks, 1);
     EXPECT_EQ(stats.subsumption_candidates,
@@ -215,7 +210,6 @@ TEST(TupleStoreTest, OffGridCandidateIsDroppedBeforeAnyProbe) {
   auto dropped = pairs.Insert(off_grid, &stats);
   ASSERT_TRUE(dropped.ok()) << dropped.status();
   EXPECT_FALSE(dropped->inserted);
-  EXPECT_TRUE(dropped->absorbers.empty());
   EXPECT_EQ(stats.empty_dropped, 1);
   EXPECT_EQ(stats.signature_probes, 0);
   EXPECT_EQ(pairs.size(), 0u);
@@ -250,9 +244,6 @@ TEST(TupleStoreTest, TrustedPieceInsertAllocatesNothingWithoutTheUnionTest) {
       lrpdb_testing::AllocationCount() - before;
   ASSERT_TRUE(implied.ok()) << implied.status();
   EXPECT_FALSE(implied->inserted);
-  EXPECT_EQ(std::vector<EntryId>(implied->absorbers.begin(),
-                                 implied->absorbers.end()),
-            (std::vector<EntryId>{0}));
   EXPECT_EQ(implied_allocations, 0);
 
   before = lrpdb_testing::AllocationCount();
@@ -273,8 +264,8 @@ TEST(TupleStoreTest, TrustedPieceInsertAllocatesNothingWithoutTheUnionTest) {
 }
 
 // A trusted piece that no single entry covers still takes the exact union
-// test: subsumed, with the whole bucket as absorbers, when the bucket's
-// union covers it, and inserted when it reaches past the union.
+// test: subsumed when the bucket's union covers it, and inserted when it
+// reaches past the union.
 TEST(TupleStoreTest, TrustedPieceCoveredOnlyByTheUnionIsSubsumed) {
   TupleStore store({1, 1});
   ASSERT_TRUE(store.InsertUnlessEmpty(Banded(7, 3, 0, 100, 1)));
@@ -284,9 +275,6 @@ TEST(TupleStoreTest, TrustedPieceCoveredOnlyByTheUnionIsSubsumed) {
                               &stats, TupleStore::Row::kClosedPiece);
   ASSERT_TRUE(covered.ok()) << covered.status();
   EXPECT_FALSE(covered->inserted);
-  EXPECT_EQ(std::vector<EntryId>(covered->absorbers.begin(),
-                                 covered->absorbers.end()),
-            (std::vector<EntryId>{0, 1}));
   EXPECT_EQ(stats.subsumed, 1);
   EXPECT_EQ(stats.subsumption_checks, 1);
   EXPECT_EQ(stats.subsumption_candidates, 2);
@@ -339,17 +327,16 @@ TEST(TupleStoreTest, InsertOutcomesMatchBruteForceReference) {
     GeneralizedTuple tuple;
     bool inserted;
     bool new_signature;
-    std::vector<EntryId> absorbers;
   };
   const std::vector<Step> steps = {
-      {Banded(6, 0, 0, 50, 0), true, true, {}},
-      {Banded(6, 1, 0, 50, 1), true, true, {}},
-      {Banded(6, 2, 0, 50, 0), true, true, {}},
-      {Banded(6, 3, 0, 50, 1), true, true, {}},
-      {Banded(6, 1, 10, 20, 1), false, false, {1}},     // Subsumed by 1.
-      {Banded(6, 1, 40, 120, 1), true, false, {}},      // Overlaps 1 only.
-      {Banded(3, 1, 0, 50, 0), true, true, {}},         // New signature.
-      {Banded(6, 1, 70, 90, 1), false, false, {1, 4}},  // Now subsumed.
+      {Banded(6, 0, 0, 50, 0), true, true},
+      {Banded(6, 1, 0, 50, 1), true, true},
+      {Banded(6, 2, 0, 50, 0), true, true},
+      {Banded(6, 3, 0, 50, 1), true, true},
+      {Banded(6, 1, 10, 20, 1), false, false},   // Subsumed by 1.
+      {Banded(6, 1, 40, 120, 1), true, false},   // Overlaps 1 only.
+      {Banded(3, 1, 0, 50, 0), true, true},      // New signature.
+      {Banded(6, 1, 70, 90, 1), false, false},   // Now subsumed by 1 and 4.
   };
   TupleStore store({1, 1});
   EntryId next_id = 0;
@@ -359,9 +346,6 @@ TEST(TupleStoreTest, InsertOutcomesMatchBruteForceReference) {
     ASSERT_TRUE(outcome.ok()) << outcome.status();
     EXPECT_EQ(outcome->inserted, steps[i].inserted);
     EXPECT_EQ(outcome->new_signature, steps[i].new_signature);
-    EXPECT_EQ(std::vector<EntryId>(outcome->absorbers.begin(),
-                                   outcome->absorbers.end()),
-              steps[i].absorbers);
     if (steps[i].inserted) {
       EXPECT_EQ(outcome->id, next_id);
       EXPECT_EQ(store.tuple(next_id).ToString(), steps[i].tuple.ToString());
